@@ -226,7 +226,7 @@ func (bl *stringKeyedBaseline) migrate(e *sim.Engine, id sim.NodeID) {
 
 	pst, qst := p.nodes[id], p.nodes[q]
 	all := mergePoints(clonePoints(pst.guests), qst.guests)
-	toP, toQ := bl.splitAllocating(all, pst.pos, qst.pos)
+	toP, toQ := bl.splitAllocating(all, p.row(id), p.row(q))
 	ptCost := sim.PointCost(p.cfg.Space.Dim())
 	e.Charge((len(qst.guests) + len(toQ)) * ptCost)
 	pst.guests = toP
@@ -270,5 +270,5 @@ func (bl *stringKeyedBaseline) project(id sim.NodeID) {
 	if len(st.guests) == 0 {
 		return
 	}
-	st.pos = space.MedoidPoint(bl.p.cfg.Space, st.guests)
+	copy(bl.p.row(id), space.MedoidPoint(bl.p.cfg.Space, st.guests))
 }

@@ -37,6 +37,16 @@
 // immutable once published. IDs are private to one Protocol's interner;
 // share Config.Interner when the harness must resolve the same IDs.
 //
+// # Position table
+//
+// Node positions live in one flat []float64 indexed by NodeID with stride
+// Space.Dim(): InitNode, projection and RestoreState write rows, and
+// Position returns allocation-free row views. New hands the table to the
+// overlay below through PositionTableUser, so T-Man and Vicinity rank
+// candidates straight off its rows (space.RowDistances) rather than
+// through one function call and one separately allocated point per
+// candidate.
+//
 // # Batched execution
 //
 // A Polystyrene step's conflict set is {initiator} ∪ {current backup
@@ -47,9 +57,9 @@
 // not NodeID, so its mutations are deferred into per-worker logs and
 // applied at each batch barrier in step order; and the neighbour-window
 // rankings read the *positions* of arbitrary overlay candidates, so the
-// layer snapshots all node positions at the start of its batched pass
-// (Position serves the snapshot while the pass runs) to make rankings
-// independent of concurrent projections. Pooled scratch lives in
+// layer copies the position table at the start of its batched pass
+// (Position and PositionTable serve the copy while the pass runs) to make
+// rankings independent of concurrent projections. Pooled scratch lives in
 // per-worker slots — slot 0 is the sequential engine's — and the batch
 // matcher mirrors the step's peer/target selection on a dedicated plan
 // scratch without mutating anything.
@@ -115,6 +125,19 @@ type WorkerTopology interface {
 	// EnsureWorkers sizes the provider's worker-slot table; called
 	// single-threaded before any worker starts.
 	EnsureWorkers(n int)
+}
+
+// PositionTableUser is the optional Topology extension through which this
+// layer hands its position table (see PositionTable) to the overlay below,
+// so the overlay ranks candidates over flat rows with space.RowDistances
+// instead of resolving one position per candidate through a function. New
+// offers it once, with p.PositionTable: the overlay calls it once per
+// ranking, which yields the snapshot during the layer's batched pass and
+// the live table otherwise. An overlay that accepts it must rank by this
+// layer's positions — which is what stacking the layer on it means (the
+// projection loop of Fig. 3). Both T-Man and Vicinity implement it.
+type PositionTableUser interface {
+	UsePositionTable(table func() []float64)
 }
 
 // Defaults from the paper's experimental setting (Sec. IV-A).
@@ -239,12 +262,10 @@ type nodeState struct {
 	// identities in lockstep.
 	guests   []space.Point
 	guestIDs []space.PointID
-	// pos is the node's virtual position: the medoid of guests, or the
-	// last known position when guests is empty. posDirty records that the
-	// guest set changed since pos was last projected, so the O(g²) medoid
-	// scan only reruns on transitions (steady-state migrations that hand
-	// every point back skip it).
-	pos      space.Point
+	// posDirty records that the guest set changed since the node's
+	// position (its row of Protocol.pos) was last projected, so the O(g²)
+	// medoid scan only reruns on transitions (steady-state migrations that
+	// hand every point back skip it).
 	posDirty bool
 	// ghosts maps an origin node to the inactive copies it pushed here.
 	ghosts map[sim.NodeID]*ghostSet
@@ -317,9 +338,14 @@ type Protocol struct {
 	// overlay ranking) from PlanStep to StepW.
 	psiCache sim.WindowCache
 
-	// posSnap/snapOn freeze Position answers during a batched pass (see
-	// the package comment).
-	posSnap []space.Point
+	// pos is the position table: node id's virtual position — the medoid
+	// of its guests, or the last known position when it has none — is the
+	// row pos[id*dim : (id+1)*dim]. posSnap is its start-of-pass copy,
+	// which snapOn makes Position and PositionTable serve during a batched
+	// pass (see the package comment).
+	dim     int
+	pos     []float64
+	posSnap []float64
 	snapOn  bool
 }
 
@@ -346,8 +372,12 @@ func New(cfg Config) (*Protocol, error) {
 			Space:             cfg.Space,
 			DiameterSampleCap: cfg.DiameterSampleCap,
 		},
+		dim: cfg.Space.Dim(),
 	}
 	p.wtopo, _ = cfg.Topology.(WorkerTopology)
+	if u, ok := cfg.Topology.(PositionTableUser); ok {
+		u.UsePositionTable(p.PositionTable)
+	}
 	p.ws = []*scratch{p.newScratch()}
 	p.psiCache = sim.NewWindowCache(cfg.Psi)
 	p.holders.floor = cfg.K + 1
@@ -389,10 +419,14 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 		p.nodes = append(p.nodes, nil)
 	}
 	pos, seed := p.cfg.InitialPoint(id)
-	st := &nodeState{
-		pos:    pos.Clone(),
-		ghosts: make(map[sim.NodeID]*ghostSet),
+	if len(pos) != p.dim {
+		panic(fmt.Sprintf("core: InitialPoint(%d) = %v has dimension %d, space wants %d", id, pos, len(pos), p.dim))
 	}
+	if need := (int(id) + 1) * p.dim; len(p.pos) < need {
+		p.pos = append(p.pos, make([]float64, need-len(p.pos))...)
+	}
+	copy(p.row(id), pos)
+	st := &nodeState{ghosts: make(map[sim.NodeID]*ghostSet)}
 	if seed {
 		pt := pos.Clone()
 		pid := p.cfg.Interner.Intern(pt)
@@ -727,7 +761,7 @@ func (p *Protocol) migrate(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 		sp = &scr.splitter
 		sp.Rng = ctx.Rand()
 	}
-	toP, toQ, idsP, idsQ := sp.Split(mp, mi, pst.pos, qst.pos)
+	toP, toQ, idsP, idsQ := sp.Split(mp, mi, p.row(id), p.row(q))
 	ptCost := sim.PointCost(p.cfg.Space.Dim())
 	// Pull: q ships its guests to p; push: p ships q's new set back.
 	ctx.Charge((len(qst.guests) + len(toQ)) * ptCost)
@@ -768,9 +802,12 @@ func (p *Protocol) project(id sim.NodeID) {
 	if len(st.guests) == 0 || !st.posDirty {
 		return
 	}
-	st.pos = space.MedoidPoint(p.cfg.Space, st.guests)
+	copy(p.row(id), space.MedoidPoint(p.cfg.Space, st.guests))
 	st.posDirty = false
 }
+
+// row is node id's row of the live position table.
+func (p *Protocol) row(id sim.NodeID) space.Point { return space.Row(p.pos, p.dim, int(id)) }
 
 // --- sim.Batched ---
 
@@ -794,18 +831,15 @@ func (p *Protocol) Batchable() bool {
 func (p *Protocol) PlanInvariant() bool { return true }
 
 // BeginBatchedRound implements sim.Batched: it sizes the per-worker
-// scratch (here and in the overlay below) and snapshots every node's
-// position. Migration and placement windows rank candidates by position;
-// serving those reads from a start-of-pass snapshot keeps rankings
-// identical no matter which projections have already run concurrently —
-// and therefore identical at every worker count.
+// scratch (here and in the overlay below) and copies the position table.
+// Migration and placement windows rank candidates by position; serving
+// those reads from a start-of-pass copy keeps rankings identical no matter
+// which projections have already run concurrently — and therefore
+// identical at every worker count.
 func (p *Protocol) BeginBatchedRound(e *sim.Engine, workers int) {
 	p.ensureWorkers(workers)
 	p.wtopo.EnsureWorkers(workers)
-	p.posSnap = p.posSnap[:0]
-	for _, st := range p.nodes {
-		p.posSnap = append(p.posSnap, st.pos)
-	}
+	p.posSnap = append(p.posSnap[:0], p.pos...)
 	p.snapOn = true
 }
 
@@ -955,11 +989,26 @@ func (p *Protocol) EndBatchedRound(e *sim.Engine) {
 // dead nodes too (their last position), which T-Man needs while purging.
 // During the layer's own batched pass it serves the start-of-pass
 // snapshot, so concurrent neighbour rankings are scheduling-independent.
+//
+// The result is a capacity-capped view of the node's row of
+// PositionTable, so the call allocates nothing. The view is read-only and
+// valid only until the node's next projection, which overwrites the row in
+// place; callers that keep a position must Clone it.
 func (p *Protocol) Position(id sim.NodeID) space.Point {
+	return space.Row(p.PositionTable(), p.dim, int(id))
+}
+
+// PositionTable returns the flat position table Position reads from: node
+// id's position is the row [id*dim, (id+1)*dim), dim = Config.Space.Dim().
+// During the layer's batched pass it is the start-of-pass snapshot,
+// otherwise the live table. The table is read-only to callers, and a
+// table obtained before a round or a restore must not be used after it:
+// projections rewrite rows and joins or restores may reallocate it.
+func (p *Protocol) PositionTable() []float64 {
 	if p.snapOn {
-		return p.posSnap[id]
+		return p.posSnap
 	}
-	return p.nodes[id].pos
+	return p.pos
 }
 
 // Guests returns a copy of the node's guest points. Hot paths should use
@@ -1041,13 +1090,6 @@ func (p *Protocol) HoldersOf(pid space.PointID) []sim.NodeID {
 // high-water mark afterwards.
 func (p *Protocol) HoldersIndexFootprint() (entries, capacity, slackBound int) {
 	return p.holders.footprint()
-}
-
-// PositionFunc returns the function the topology-construction layer should
-// use to resolve node positions, closing the projection loop of Fig. 3.
-// The result is assignable to tman.PositionFunc and vicinity.PositionFunc.
-func (p *Protocol) PositionFunc() func(id sim.NodeID) space.Point {
-	return func(id sim.NodeID) space.Point { return p.Position(id) }
 }
 
 // --- holders index ---

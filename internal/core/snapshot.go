@@ -47,7 +47,7 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 
 	// Per-node state.
 	w.Len(len(p.nodes))
-	for _, st := range p.nodes {
+	for i, st := range p.nodes {
 		if st == nil {
 			w.Bool(false)
 			continue
@@ -57,7 +57,7 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		for _, pid := range st.guestIDs {
 			w.U32(uint32(pid))
 		}
-		writePoint(w, st.pos)
+		writePoint(w, p.row(sim.NodeID(i)))
 		w.Bool(st.posDirty)
 		origins := make([]sim.NodeID, 0, len(st.ghosts))
 		for o := range st.ghosts {
@@ -106,11 +106,15 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 	}
 }
 
-// RestoreState implements sim.Snapshotter.
+// RestoreState implements sim.Snapshotter. The snapshot is parsed and
+// validated in full before anything is applied, so one that is refused
+// while parsing — truncated, an out-of-range PointID, a node position
+// whose dimension is not the space's — leaves the protocol and its shared
+// interner as they were. Until the interner is repopulated, PointIDs
+// resolve against the parsed point table directly: the interner retains
+// the very points it is given, so the guest and ghost slices are the same
+// either way.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
-	// Interner: repopulate the shared table in the snapshot's ID order,
-	// so every PointID that follows resolves against the restored table.
-	in := p.cfg.Interner
 	nPts := r.Len(8)
 	pts := make([]space.Point, nPts)
 	for i := range pts {
@@ -119,32 +123,19 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	in.Reset()
-	for i, pt := range pts {
-		if id := in.Intern(pt); id != space.PointID(i) {
-			return fmt.Errorf("core: snapshot interner table has duplicate point at ID %d", i)
-		}
-	}
 
 	hasRng := r.Bool()
+	var rngState [4]uint64
 	if hasRng {
-		var st [4]uint64
-		for i := range st {
-			st[i] = r.U64()
+		for i := range rngState {
+			rngState[i] = r.U64()
 		}
-		if p.splitter.Rng == nil {
-			// The lazy Split in InitNode has not run in this engine (e.g.
-			// a restore into a never-populated protocol); any placeholder
-			// works, SetState overwrites it entirely.
-			p.splitter.Rng = xrand.New(0)
-		}
-		p.splitter.Rng.SetState(st)
-	} else {
-		p.splitter.Rng = nil
 	}
 
+	dim := p.dim
 	nNodes := r.Len(1)
 	nodes := make([]*nodeState, nNodes)
+	pos := make([]float64, nNodes*dim)
 	for i := range nodes {
 		if !r.Bool() {
 			continue
@@ -155,13 +146,23 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		st.guests = make([]space.Point, ng)
 		for j := 0; j < ng; j++ {
 			pid := space.PointID(r.U32())
-			if int(pid) >= in.Len() {
+			if int(pid) >= nPts {
 				return fmt.Errorf("core: snapshot guest PointID %d out of range", pid)
 			}
 			st.guestIDs[j] = pid
-			st.guests[j] = in.PointOf(pid)
+			st.guests[j] = pts[pid]
 		}
-		st.pos = readPoint(r)
+		// The position row: a reinjected node's position is deliberately
+		// not a data point, so it travels as raw coordinates.
+		if n := r.Len(8); n != dim {
+			if err := r.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("core: snapshot position of node %d has dimension %d, space wants %d", i, n, dim)
+		}
+		for k := i * dim; k < (i+1)*dim; k++ {
+			pos[k] = r.F64()
+		}
 		st.posDirty = r.Bool()
 		nGhost := r.Len(2)
 		for j := 0; j < nGhost; j++ {
@@ -173,11 +174,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			}
 			for k := 0; k < gn; k++ {
 				pid := space.PointID(r.U32())
-				if int(pid) >= in.Len() {
+				if int(pid) >= nPts {
 					return fmt.Errorf("core: snapshot ghost PointID %d out of range", pid)
 				}
 				gs.ids[k] = pid
-				gs.pts[k] = in.PointOf(pid)
+				gs.pts[k] = pts[pid]
 			}
 			st.ghosts[origin] = gs
 		}
@@ -212,23 +213,44 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	if hasDet != statefulDet {
 		return fmt.Errorf("core: snapshot detector state presence mismatch (snapshot %v, config %T)", hasDet, p.cfg.Detector)
 	}
+	var detSub *snap.Reader
 	if hasDet {
-		sub := r.Section()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if err := ds.RestoreState(sub); err != nil {
-			return fmt.Errorf("core: restoring detector: %w", err)
-		}
-		if err := snap.CloseSection("detector", sub); err != nil {
-			return err
-		}
+		detSub = r.Section()
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 
+	// Apply. The interner is repopulated in the snapshot's ID order, so
+	// every PointID parsed above resolves against the restored table.
+	in := p.cfg.Interner
+	in.Reset()
+	for i, pt := range pts {
+		if id := in.Intern(pt); id != space.PointID(i) {
+			return fmt.Errorf("core: snapshot interner table has duplicate point at ID %d", i)
+		}
+	}
+	if hasDet {
+		if err := ds.RestoreState(detSub); err != nil {
+			return fmt.Errorf("core: restoring detector: %w", err)
+		}
+		if err := snap.CloseSection("detector", detSub); err != nil {
+			return err
+		}
+	}
+	if hasRng {
+		if p.splitter.Rng == nil {
+			// The lazy Split in InitNode has not run in this engine (e.g.
+			// a restore into a never-populated protocol); any placeholder
+			// works, SetState overwrites it entirely.
+			p.splitter.Rng = xrand.New(0)
+		}
+		p.splitter.Rng.SetState(rngState)
+	} else {
+		p.splitter.Rng = nil
+	}
 	p.nodes = nodes
+	p.pos = pos
 	p.holders.lists = lists
 	p.holders.steps = steps
 	p.holders.hwMark = hwMark

@@ -104,6 +104,72 @@ func FuzzTorusWrapCanonical(f *testing.F) {
 	})
 }
 
+// FuzzRowDistances pins the ranking kernel to the Space it stands for:
+// bit-identical to Torus.Distance on the inlined 2-D torus path — over
+// canonical, negative and beyond-the-width coordinates, so both the
+// common branch and the math.Mod branch run — and to s.Distance on the
+// generic path (Euclidean, Hamming, a 3-D torus), for both row index
+// types.
+func FuzzRowDistances(f *testing.F) {
+	f.Add(80.0, 40.0, 1.0, 2.0, 70.0, 30.0, 40.0, 20.0)
+	f.Add(80.0, 40.0, -5.0, 900.0, 79.5, 0.5, 0.0, 39.0)
+	f.Add(1.0, 3.0, 0.0, 0.0, 1.0, 3.0, 0.5, 1.5)
+	f.Add(320.0, 160.0, -1e8, 5e8, 319.9, 0.1, -0.0, 160.0)
+	f.Fuzz(func(t *testing.T, w1, w2, ax, ay, bx, by, tx, ty float64) {
+		w1, w2 = sanitizeWidth(w1), sanitizeWidth(w2)
+		ax, ay, bx, by = sanitizeCoord(ax), sanitizeCoord(ay), sanitizeCoord(bx), sanitizeCoord(by)
+		tx, ty = sanitizeCoord(tx), sanitizeCoord(ty)
+		tor := NewTorus(w1, w2)
+		c := tor.Wrap(Point{bx, by})
+		pts := []Point{
+			{ax, ay},                 // raw: negative or beyond the width
+			c,                        // canonical
+			{c[0] + w1, c[1] + 2*w2}, // one and two widths out
+			{-c[0], -c[1]},           // mirrored negative
+		}
+		targets := []Point{{tx, ty}, tor.Wrap(Point{tx, ty}), c}
+		check := func(s Space, pts []Point, targets []Point) {
+			t.Helper()
+			dim := s.Dim()
+			table := make([]float64, 0, len(pts)*dim)
+			for _, p := range pts {
+				table = append(table, p...)
+			}
+			rows := []int{3, 0, 2, 1, 1}
+			rows32 := []int32{3, 0, 2, 1, 1}
+			dst := make([]float64, len(rows)+1)
+			dst32 := make([]float64, len(rows))
+			for _, tgt := range targets {
+				dst[len(rows)] = -7
+				RowDistances(s, dst, table, rows, tgt)
+				RowDistances(s, dst32, table, rows32, tgt)
+				if dst[len(rows)] != -7 {
+					t.Fatalf("%T: RowDistances wrote past len(rows)", s)
+				}
+				for i, r := range rows {
+					want := s.Distance(pts[r], tgt)
+					if math.Float64bits(dst[i]) != math.Float64bits(want) ||
+						math.Float64bits(dst32[i]) != math.Float64bits(want) {
+						t.Fatalf("%T: row %v to %v: kernel %v / %v, Distance %v",
+							s, pts[r], tgt, dst[i], dst32[i], want)
+					}
+				}
+			}
+		}
+		check(tor, pts, targets)
+		check(NewEuclidean(2), pts, targets)
+		check(NewHamming(2), pts, append(targets, pts[1]))
+		lift := func(ps []Point, z float64) []Point {
+			out := make([]Point, len(ps))
+			for i, p := range ps {
+				out[i] = Point{p[0], p[1], z + float64(i)}
+			}
+			return out
+		}
+		check(NewTorus(w1, w2, w1+w2), lift(pts, ax), lift(targets, ty))
+	})
+}
+
 func FuzzTorusGridCellInverse(f *testing.F) {
 	f.Add(uint8(80), uint8(40), 1.0)
 	f.Add(uint8(16), uint8(8), 2.5)

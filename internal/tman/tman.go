@@ -10,10 +10,17 @@
 // to guarantee convergence from any starting state (paper Sec. II-B).
 //
 // A key property required by Polystyrene (Sec. II-C) is that T-Man does
-// not own node positions: it reads them through a PositionFunc. With plain
-// T-Man the function returns the node's fixed original data point; with
-// Polystyrene on top it returns the medoid of the node's guests, which
-// changes as data points migrate — this is how nodes "move" on the shape.
+// not own node positions: it reads them from the layer that does. With
+// plain T-Man that is Config.Position, returning the node's fixed original
+// data point; with Polystyrene on top it is the medoid of the node's
+// guests, which changes as data points migrate — this is how nodes "move"
+// on the shape. Polystyrene (core.New) installs its flat position table
+// through UsePositionTable, and every ranking then reads candidate rows
+// straight off that table with space.RowDistances — one inlined loop on
+// the paper's 2-D torus — instead of one Position call and one separately
+// allocated point per candidate. Config.Position stays the path for an
+// overlay with no table owner and the reference the table path is tested
+// against; both give bit-identical distances, hence identical trajectories.
 //
 // Message-cost accounting follows the paper (Sec. IV-A): a descriptor
 // (ID + position) costs 1 + dim units. Because positions are dynamic,
@@ -164,6 +171,12 @@ type Protocol struct {
 	// psiCache hands each planned step's ψ-window ranking (the expensive,
 	// draw-free part of partner selection) from PlanStep to StepW.
 	psiCache sim.WindowCache
+
+	// table, when installed by the position owner above, returns the flat
+	// position table (stride dim) that rankings read instead of
+	// cfg.Position; see UsePositionTable.
+	table func() []float64
+	dim   int
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -175,7 +188,7 @@ func New(cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Protocol{cfg: cfg, ws: []*scratch{{}}, psiCache: sim.NewWindowCache(cfg.Psi)}, nil
+	return &Protocol{cfg: cfg, ws: []*scratch{{}}, psiCache: sim.NewWindowCache(cfg.Psi), dim: cfg.Space.Dim()}, nil
 }
 
 // MustNew is New but panics on configuration errors; intended for tests
@@ -190,6 +203,14 @@ func MustNew(cfg Config) *Protocol {
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "tman" }
+
+// UsePositionTable implements core.PositionTableUser: from now on every
+// ranking reads positions from the table returned by table() — node id's
+// position is the row [id*dim, (id+1)*dim) — instead of Config.Position.
+// table is called once per ranking, so it may hand out a different table
+// (a snapshot, a regrown one) from one call to the next. The table must
+// hold the same positions Config.Position would return.
+func (p *Protocol) UsePositionTable(table func() []float64) { p.table = table }
 
 // EnsureWorkers implements core.WorkerTopology, growing the worker-slot
 // table (single-threaded; called before any worker starts).
@@ -243,7 +264,14 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	p.merge(e, scr, q, scr.msgA)
 }
 
-func (p *Protocol) pos(id sim.NodeID) space.Point { return p.cfg.Position(id) }
+// pos resolves id's position: a row view of the installed table, or
+// Config.Position when no table is installed.
+func (p *Protocol) pos(id sim.NodeID) space.Point {
+	if p.table == nil {
+		return p.cfg.Position(id)
+	}
+	return space.Row(p.table(), p.dim, int(id))
+}
 
 // selectPartner draws the exchange partner uniformly from the ψ closest
 // live view entries, augmented with one random peer from the sampling
@@ -294,11 +322,22 @@ func (p *Protocol) buildBuffer(scr *scratch, dst []sim.NodeID, owner sim.NodeID,
 // be retained. Nothing is allocated.
 func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
 	p.noteScratch(scr, len(cand))
-	s := p.cfg.Space
-	dist, ids := scr.sel.Get(len(cand))
-	for i, c := range cand {
-		dist[i] = s.Distance(p.pos(c), target)
-		ids[i] = c
+	return p.rank(&scr.sel, cand, target, k)
+}
+
+// rank is the selection shared by selectClosest and planSelectClosest:
+// the keys are filled by space.RowDistances over the installed position
+// table, or through Config.Position without one, and topk selects over
+// sel.
+func (p *Protocol) rank(sel *topk.Scratch[sim.NodeID], cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
+	dist, ids := sel.Get(len(cand))
+	copy(ids, cand)
+	if p.table != nil {
+		space.RowDistances(p.cfg.Space, dist, p.table(), ids, target)
+	} else {
+		for i, c := range ids {
+			dist[i] = p.cfg.Space.Distance(p.cfg.Position(c), target)
+		}
 	}
 	k = topk.SmallestK(dist, ids, k)
 	return ids[:k]
@@ -455,14 +494,7 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 // planSelectClosest is selectClosest over the matcher's mirror scratch
 // (no high-water accounting: planning must not perturb worker trims).
 func (p *Protocol) planSelectClosest(cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
-	s := p.cfg.Space
-	dist, ids := p.plan.sel.Get(len(cand))
-	for i, c := range cand {
-		dist[i] = s.Distance(p.pos(c), target)
-		ids[i] = c
-	}
-	k = topk.SmallestK(dist, ids, k)
-	return ids[:k]
+	return p.rank(&p.plan.sel, cand, target, k)
 }
 
 // FlushBatch implements sim.Batched (the exchange defers nothing).

@@ -15,7 +15,9 @@
 //     fresh randomness flows in from the peer-sampling layer every round.
 //
 // Like T-Man here, node positions are resolved through a PositionFunc so
-// Polystyrene's projection can move nodes around the shape. The package
+// Polystyrene's projection can move nodes around the shape — or, once the
+// Polystyrene layer installs its flat position table (UsePositionTable),
+// read straight off the table's rows with space.RowDistances. The package
 // satisfies core.Topology and charges the engine's meter with the same
 // unit cost model (descriptor = ID + position).
 //
@@ -111,6 +113,8 @@ type scratch struct {
 	keepBuf []entry
 	// peerBuf stages random-peer draws (blend-in and view re-seeding).
 	peerBuf []sim.NodeID
+	// rows stages the view's peer IDs for space.RowDistances.
+	rows []sim.NodeID
 }
 
 // Protocol is the Vicinity layer. It implements sim.Protocol, sim.Batched
@@ -127,7 +131,14 @@ type Protocol struct {
 		sel   topk.Scratch[int]
 		view  []entry
 		peers []sim.NodeID
+		rows  []sim.NodeID
 	}
+
+	// table, when installed by the position owner above, returns the flat
+	// position table (stride dim) that rankings read instead of
+	// cfg.Position; see UsePositionTable.
+	table func() []float64
+	dim   int
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -139,7 +150,7 @@ func New(cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Protocol{cfg: cfg, ws: []*scratch{{}}}, nil
+	return &Protocol{cfg: cfg, ws: []*scratch{{}}, dim: cfg.Space.Dim()}, nil
 }
 
 // MustNew is New but panics on configuration errors.
@@ -153,6 +164,13 @@ func MustNew(cfg Config) *Protocol {
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "vicinity" }
+
+// UsePositionTable implements core.PositionTableUser: from now on every
+// ranking reads positions from the table returned by table() — node id's
+// position is the row [id*dim, (id+1)*dim) — instead of Config.Position.
+// table is called once per ranking; it must hold the same positions
+// Config.Position would return.
+func (p *Protocol) UsePositionTable(table func() []float64) { p.table = table }
 
 // EnsureWorkers implements core.WorkerTopology, growing the worker-slot
 // table (single-threaded; called before any worker starts).
@@ -278,11 +296,31 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 // scratch: it is only valid until the slot's next selection and must not
 // be retained.
 func (p *Protocol) selectView(scr *scratch, view []entry, id sim.NodeID, k int) []int {
-	ownerPos := p.cfg.Position(id)
-	dist, idx := scr.sel.Get(len(view))
-	for i, en := range view {
-		dist[i] = p.cfg.Space.Distance(p.cfg.Position(en.id), ownerPos)
+	return p.rank(&scr.sel, &scr.rows, view, id, k)
+}
+
+// rank is the selection shared by selectView and planSelectView: the keys
+// are filled by space.RowDistances over the installed position table
+// (staging the view's peer IDs in *rows), or through Config.Position
+// without one, and topk selects view indices over sel.
+func (p *Protocol) rank(sel *topk.Scratch[int], rows *[]sim.NodeID, view []entry, id sim.NodeID, k int) []int {
+	dist, idx := sel.Get(len(view))
+	for i := range idx {
 		idx[i] = i
+	}
+	if p.table != nil {
+		ids := (*rows)[:0]
+		for _, en := range view {
+			ids = append(ids, en.id)
+		}
+		*rows = ids
+		table := p.table()
+		space.RowDistances(p.cfg.Space, dist, table, ids, space.Row(table, p.dim, int(id)))
+	} else {
+		ownerPos := p.cfg.Position(id)
+		for i, en := range view {
+			dist[i] = p.cfg.Space.Distance(p.cfg.Position(en.id), ownerPos)
+		}
 	}
 	k = topk.SmallestK(dist, idx, k)
 	return idx[:k]
@@ -381,14 +419,7 @@ func (p *Protocol) EndBatchedRound(e *sim.Engine) {}
 
 // planSelectView is selectView over the matcher's mirror scratch.
 func (p *Protocol) planSelectView(view []entry, id sim.NodeID, k int) []int {
-	ownerPos := p.cfg.Position(id)
-	dist, idx := p.plan.sel.Get(len(view))
-	for i, en := range view {
-		dist[i] = p.cfg.Space.Distance(p.cfg.Position(en.id), ownerPos)
-		idx[i] = i
-	}
-	k = topk.SmallestK(dist, idx, k)
-	return idx[:k]
+	return p.rank(&p.plan.sel, &p.plan.rows, view, id, k)
 }
 
 // --- core.Topology ---
