@@ -127,8 +127,6 @@ func run(args []string, out io.Writer) error {
 		end        = fs.Int("end", 200, "total rounds")
 		exchange   = fs.Int("exchange-parallel", 0,
 			"intra-round exchange workers (0 = sequential engine; results are identical for every value >= 1)")
-		shards = fs.Int("shards", 0,
-			"sharded multi-engine topology: split the torus into N vertical bands driven concurrently (0/1 = single engine; N must divide -w; results are deterministic per N and keyed by N; takes precedence over -exchange-parallel)")
 		memBudget = fs.Int("mem-budget", 0,
 			"memory budget in MiB (0 = unbounded); refuses to start when the configuration's estimated engine footprint exceeds it")
 		checkpointFile = fs.String("checkpoint", "",
@@ -164,7 +162,6 @@ func run(args []string, out io.Writer) error {
 		K:                   *k,
 		Split:               splitKind,
 		ExchangeParallelism: *exchange,
-		Shards:              *shards,
 	}
 	if *memBudget > 0 {
 		if est := cfg.EstimatedFootprintBytes(); est > int64(*memBudget)<<20 {

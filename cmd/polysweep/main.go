@@ -41,8 +41,6 @@ func run(args []string, out io.Writer) error {
 		parallel = fs.Int("parallel", 0, "total worker budget across grid cells (0 = all cores)")
 		exchange = fs.Int("exchange-parallel", 0,
 			"per-cell intra-round exchange worker cap (0 = sequential engines; any value >= 1 gives identical results)")
-		shards = fs.Int("shards", 0,
-			"run every cell on the sharded multi-engine topology with N vertical bands (0/1 = single engine; N must divide each cell's grid width — the paper sizes tile at 2 and 4; deterministic per N, keyed by N; takes precedence over -exchange-parallel)")
 		memBudget = fs.Int("mem-budget", 0,
 			"memory budget in MiB for concurrently running cells (0 = unbounded); bounds how many cells run at once by their estimated engine footprint, never which cells run")
 		poolEngines = fs.Bool("pool-engines", true,
@@ -79,7 +77,6 @@ func run(args []string, out io.Writer) error {
 			MaxRounds:           *budget,
 			Parallelism:         *parallel,
 			ExchangeParallelism: *exchange,
-			Shards:              *shards,
 			MemBudgetBytes:      int64(*memBudget) << 20,
 			PoolEngines:         *poolEngines,
 		})

@@ -147,32 +147,6 @@ func BenchmarkParallelRound(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedRound measures one full round of the complete stack at
-// the paper's largest configuration — 51,200 nodes on the 320x160 torus —
-// under the sharded multi-engine topology at 1, 2 and 4 shards. Unlike
-// BenchmarkParallelRound's worker counts (byte-identical across every
-// w>=1), shard counts are distinct trajectory identities: the s>=2
-// variants expose the cost of routing, the per-shard waves and the
-// boundary-mailbox drain relative to the s=1 sharded scheduler, which in
-// turn is comparable with BenchmarkParallelRound/w=1 for the scheduler's
-// constant overhead. Tracked in BENCH_*.json via scripts/bench.sh.
-func BenchmarkShardedRound(b *testing.B) {
-	const convergeRounds = 5
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("s=%d", shards), func(b *testing.B) {
-			sc := MustNew(Config{
-				Seed: 5, W: 320, H: 160, Polystyrene: true, K: 4,
-				SkipMetrics: true, Shards: shards,
-			})
-			b.Cleanup(sc.Close)
-			sc.Run(convergeRounds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sc.Run(b.N)
-		})
-	}
-}
-
 // BenchmarkSnapshotRestore measures checkpointing the paper's largest
 // configuration — 51,200 nodes on the 320x160 torus — and restoring it
 // into an already wired scenario: the per-checkpoint cost a long polysim

@@ -156,14 +156,6 @@ type RunOpts struct {
 	// leftover cores go to exchange workers up to this cap, so the actual
 	// per-cell worker count never changes results.
 	ExchangeParallelism int
-	// Shards runs every cell on the sharded multi-engine topology with
-	// this many shards (>= 2; 0 or 1 keeps cells single-engine). The
-	// shard count must divide each cell's grid width — the paper sweep
-	// widths all tile at 2 and 4 — and, unlike ExchangeParallelism, it is
-	// part of each cell's trajectory identity: an N-shard sweep is
-	// deterministic and repeatable at that N, keyed by N. Takes
-	// precedence over ExchangeParallelism inside each cell.
-	Shards int
 	// MemBudgetBytes additionally bounds concurrent cells by their
 	// estimated engine footprint: at most MemBudgetBytes / cell-bytes
 	// cells run at once (always at least one). 0 means unbounded. Every
@@ -303,7 +295,6 @@ func TableII(base Config, ks []int, opts RunOpts) ([]TableIIRow, error) {
 		cfg.Polystyrene = true
 		cfg.K = k
 		cfg.ExchangeParallelism = exPar
-		cfg.Shards = opts.Shards
 		cfg.Seed = sweepSeed(base.Seed, "tableII", uint64(k), uint64(rep))
 		defer pool.Acquire(&cfg)()
 		out, err := MeasureReshaping(cfg, opts.ConvergeRounds, opts.MaxRounds)
@@ -417,7 +408,6 @@ func SizeSweep(base Config, sizes []GridSize, variants map[string]func(Config) C
 			cfg.Polystyrene = true
 			cfg.W, cfg.H = k.size.W, k.size.H
 			cfg.ExchangeParallelism = exPar
-			cfg.Shards = opts.Shards
 			cfg.Seed = sweepSeed(base.Seed, "warm:"+k.label, uint64(k.size.W), uint64(k.size.H))
 			release := pool.Acquire(&cfg)
 			b, err := ConvergedSnapshot(cfg, opts.ConvergeRounds)
@@ -443,7 +433,6 @@ func SizeSweep(base Config, sizes []GridSize, variants map[string]func(Config) C
 		cfg.Polystyrene = true
 		cfg.W, cfg.H = c.size.W, c.size.H
 		cfg.ExchangeParallelism = exPar
-		cfg.Shards = opts.Shards
 		cfg.Seed = sweepSeed(base.Seed, c.label, uint64(c.size.W), uint64(c.size.H), uint64(c.rep))
 		defer pool.Acquire(&cfg)()
 		var res ReshapingOutcome

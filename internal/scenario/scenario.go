@@ -23,7 +23,6 @@ import (
 	"polystyrene/internal/metrics"
 	"polystyrene/internal/rps"
 	"polystyrene/internal/shape"
-	"polystyrene/internal/shard"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
 	"polystyrene/internal/tman"
@@ -70,18 +69,6 @@ type Config struct {
 	// knob only); 0 keeps the legacy sequential engine, whose trajectory
 	// differs. See sim.SetExchangeParallelism.
 	ExchangeParallelism int
-	// Shards, when >= 2, runs rounds under the sharded multi-engine
-	// topology: a deterministic router cuts the torus into Shards
-	// vertical bands keyed by each node's home grid cell, interior
-	// exchanges execute concurrently per shard, and boundary exchanges
-	// drain from a mailbox at the pass barrier (sim.SetShardMap). Shards
-	// must divide W evenly. Unlike ExchangeParallelism, the shard count
-	// is part of the trajectory's identity: runs are deterministic per
-	// count, byte-identical across counts only for interior-only
-	// traffic, and snapshots refuse to restore across counts. 0 or 1
-	// keeps the single-engine topology. Sharding takes precedence over
-	// ExchangeParallelism for layers supporting both.
-	Shards int
 	// Engine, when non-nil, is reused via sim.Engine.Reset(Seed, layers)
 	// instead of allocating a fresh engine — the pooled-cell path of the
 	// sweep harnesses, which recycles one engine across cells of equal
@@ -127,10 +114,9 @@ type Scenario struct {
 	PointIDs []space.PointID
 	Interner *space.Interner
 
-	sampler  *rps.Protocol
-	topo     topology
-	poly     *core.Protocol // nil when running the plain baseline
-	provider shard.Topology
+	sampler *rps.Protocol
+	topo    topology
+	poly    *core.Protocol // nil when running the plain baseline
 
 	// fixedPos holds positions of reinjected nodes in the plain T-Man
 	// configuration (indexed by NodeID; nil entries fall back to Points).
@@ -220,12 +206,6 @@ func New(cfg Config) (*Scenario, error) {
 		sc.sys = &tmanSystem{sc: sc}
 	}
 
-	provider, err := shard.ForGrid(cfg.W, cfg.H, cfg.Step, cfg.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	sc.provider = provider
-
 	if cfg.Engine != nil {
 		cfg.Engine.Reset(cfg.Seed, layers...)
 		sc.Engine = cfg.Engine
@@ -233,20 +213,10 @@ func New(cfg Config) (*Scenario, error) {
 		sc.Engine = sim.New(cfg.Seed, layers...)
 	}
 	sc.Engine.SetExchangeParallelism(cfg.ExchangeParallelism)
-	var hsm *homeShardMap
-	if r := provider.Router(); r != nil {
-		hsm = &homeShardMap{sc: sc, router: r}
-		sc.Engine.SetShardMap(hsm)
-	}
 	if !cfg.SkipMetrics {
 		sc.Engine.Observe(sc.record)
 	}
 	sc.Engine.AddNodes(cfg.W * cfg.H)
-	if hsm != nil {
-		// Route the initial population now so the map answers before the
-		// first round (the engine re-runs Assign each round for joiners).
-		hsm.Assign(sc.Engine)
-	}
 	return sc, nil
 }
 
@@ -283,36 +253,6 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 	half := sc.Cfg.Step / 2
 	return sc.Space.Wrap(space.Point{base[0] + half, base[1] + half})
 }
-
-// Provider returns the execution-topology provider of this scenario:
-// shard.SingleEngine for the default configuration, the sharded topology
-// when Cfg.Shards >= 2.
-func (sc *Scenario) Provider() shard.Topology { return sc.provider }
-
-// homeShardMap implements sim.ShardMap over the shard router and the
-// scenario's config-derived home positions: a node's shard is the shard
-// of the grid cell its original (or reinjection) position falls in. Both
-// inputs are pure functions of the configuration, so every shard of a
-// distributed deployment derives the identical map with no coordination
-// — the property the router's determinism test pins. Assignments are
-// cached in a dense table extended as nodes join.
-type homeShardMap struct {
-	sc     *Scenario
-	router *shard.Router
-	table  []int32
-}
-
-func (m *homeShardMap) Shards() int { return m.router.Shards() }
-
-func (m *homeShardMap) Assign(e *sim.Engine) {
-	for len(m.table) < e.NumNodes() {
-		id := sim.NodeID(len(m.table))
-		pos, _ := m.sc.initialPoint(id)
-		m.table = append(m.table, int32(m.router.ShardOf(pos)))
-	}
-}
-
-func (m *homeShardMap) ShardOf(id sim.NodeID) int { return int(m.table[id]) }
 
 // position is the PositionFunc fed to T-Man: the Polystyrene projection
 // when enabled, otherwise the node's fixed original (or reinjection) spot.

@@ -26,9 +26,9 @@ const scenarioKind = SnapshotKind
 // throughput knob that batched trajectories are invariant to). The
 // failure detector is part of the identity: a Delayed(3) trajectory is
 // not a Perfect one, and resuming across that divide must fail loudly.
-// The shard count is part of the identity too — unlike the worker
-// count, it keys the trajectory (boundary traffic drains through the
-// mailbox), so a 2-shard snapshot must not resume as a 4-shard run.
+// The shard count is a field of the format from when a sharded topology
+// existed: it is always written as 1, and a snapshot carrying any other
+// count is refused (see Restore).
 type configDigest struct {
 	w, h           int
 	step           float64
@@ -73,17 +73,8 @@ func digestOf(cfg Config) configDigest {
 		k: cfg.K, split: int(cfg.Split), placement: int(cfg.Placement),
 		fullCopyBackup: cfg.FullCopyBackup, neighborK: cfg.NeighborK,
 		detector: detectorIdentity(cfg.Detector),
-		shards:   normalizedShards(cfg.Shards),
+		shards:   1,
 	}
-}
-
-// normalizedShards folds the two spellings of "single engine" (0 and 1)
-// into one digest value, since they wire the identical topology.
-func normalizedShards(s int) int {
-	if s <= 1 {
-		return 1
-	}
-	return s
 }
 
 func (d configDigest) write(w *snap.Writer) {
@@ -199,6 +190,9 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 	}
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if got.shards != 1 {
+		return fmt.Errorf("scenario: snapshot was taken under the sharded topology with %d shards, which has been removed; only single-engine snapshots restore", got.shards)
 	}
 	if want := digestOf(sc.Cfg); got != want {
 		return fmt.Errorf("scenario: snapshot configuration %+v does not match this scenario %+v", got, want)

@@ -117,11 +117,6 @@ type Engine struct {
 	seqCtx      *StepCtx
 	pool        exPool
 	coalesceMin int
-
-	// shardMap, when non-nil, opts the engine into sharded execution
-	// (see SetShardMap and sharded.go); ss is its pooled scratch.
-	shardMap ShardMap
-	ss       shardState
 }
 
 // New returns an engine seeded with seed and running the given layers,
@@ -169,7 +164,6 @@ func (e *Engine) Reset(seed uint64, layers ...Protocol) {
 	clear(e.events)
 	e.observers = e.observers[:0]
 	e.publish = nil
-	e.shardMap = nil
 	e.meter.reset()
 	e.curLayer = -1
 	e.layerLedger = e.layerLedger[:0]
@@ -354,11 +348,6 @@ func (e *Engine) runOne() {
 		ev(e)
 	}
 	delete(e.events, e.round)
-	if e.shardMap != nil {
-		// Refresh the node→shard table before any layer steps, so nodes
-		// injected by this round's events are routed too.
-		e.shardMap.Assign(e)
-	}
 
 	// One shuffle per round, into a buffer reused across rounds; every
 	// layer walks the same order. A node may die mid-round (killed by a
@@ -368,9 +357,7 @@ func (e *Engine) runOne() {
 
 	for i, layer := range e.layers {
 		e.curLayer = e.layerLedger[i]
-		if bp, ok := layer.(Batched); ok && e.shardMap != nil && bp.Batchable() {
-			e.runSharded(bp)
-		} else if bp, ok := layer.(Batched); ok && e.exWorkers > 0 && bp.Batchable() {
+		if bp, ok := layer.(Batched); ok && e.exWorkers > 0 && bp.Batchable() {
 			e.runBatched(bp)
 		} else {
 			for _, id := range e.order {

@@ -1,7 +1,5 @@
 package space
 
-import "math"
-
 // TorusGrid returns the w x h regular grid of data points used by the
 // paper's evaluation (Sec. IV-A): points (x*step, y*step) for x in [0,w)
 // and y in [0,h), living on a torus of widths (w*step, h*step). The
@@ -40,39 +38,6 @@ func TorusGridOffset(w, h int, step, dx, dy float64) []Point {
 // TorusForGrid returns the torus that TorusGrid(w, h, step) tiles.
 func TorusForGrid(w, h int, step float64) Torus {
 	return NewTorus(float64(w)*step, float64(h)*step)
-}
-
-// GridCell returns the cell (cx, cy) of the w x h grid of the given step
-// that point p falls in — the inverse of TorusGrid's placement: cell
-// (cx, cy) covers [cx*step, (cx+1)*step) x [cy*step, (cy+1)*step) on the
-// torus, and the point emitted at index cy*w+cx is its lower corner.
-// Coordinates outside the fundamental domain wrap first, so any aliased
-// position resolves to the same cell. Only p's first two coordinates are
-// consulted.
-func GridCell(p Point, w, h int, step float64) (cx, cy int) {
-	if w <= 0 || h <= 0 || step <= 0 {
-		panic("space: GridCell requires positive dimensions and step")
-	}
-	cx = wrapCell(p[0], w, step)
-	cy = wrapCell(p[1], h, step)
-	return cx, cy
-}
-
-// wrapCell maps one coordinate into its cell index in [0, n): wrap into
-// the fundamental domain [0, n*step), divide by step, and clamp the
-// float-rounding edge where a value epsilon below the domain width lands
-// exactly on n.
-func wrapCell(c float64, n int, step float64) int {
-	width := float64(n) * step
-	c = math.Mod(c, width)
-	if c < 0 {
-		c += width
-	}
-	i := int(c / step)
-	if i >= n {
-		i = n - 1
-	}
-	return i
 }
 
 // RingPoints returns n evenly spaced points on a ring of the given

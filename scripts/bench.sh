@@ -18,10 +18,7 @@
 # and sustained-churn phase scripts) — and, from BENCH_9 on, the
 # 51,200-node BenchmarkScheduleReplay (one trace-replayed churn round vs
 # the equivalent in-band churn round: the price of replayable
-# availability schedules) — and, from BENCH_10 on, the 51,200-node
-# BenchmarkShardedRound (one full round under the sharded multi-engine
-# topology at 1/2/4 shards: routing, per-shard waves and the
-# boundary-mailbox drain) — and converts the `go test -json` stream into
+# availability schedules) — and converts the `go test -json` stream into
 # a stable JSON document via scripts/benchjson.
 #
 # It then gates two alloc contracts: one warmed BenchmarkGossipRound per
@@ -39,7 +36,7 @@ out="${1:-BENCH_10.json}"
 benchtime="${2:-5x}"
 
 go test -json -run '^$' \
-  -bench 'BenchmarkMigrateRound|BenchmarkMetricsRound|BenchmarkProximityRound|BenchmarkNeighborsQuery|BenchmarkFig10aScalability|BenchmarkParallelRound|BenchmarkShardedRound|BenchmarkSnapshotRestore|BenchmarkAutoCheckpoint|BenchmarkScheduleReplay|BenchmarkEpochPublish|BenchmarkServeLookup|BenchmarkServePhases' \
+  -bench 'BenchmarkMigrateRound|BenchmarkMetricsRound|BenchmarkProximityRound|BenchmarkNeighborsQuery|BenchmarkFig10aScalability|BenchmarkParallelRound|BenchmarkSnapshotRestore|BenchmarkAutoCheckpoint|BenchmarkScheduleReplay|BenchmarkEpochPublish|BenchmarkServeLookup|BenchmarkServePhases' \
   -benchmem -benchtime "$benchtime" -timeout 60m \
   . ./internal/core/ ./internal/scenario/ ./internal/serve/ ./internal/tman/ |
   go run ./scripts/benchjson > "$out"
