@@ -100,9 +100,7 @@ import (
 //
 // Both forms must agree exactly (same neighbours, same order) for a given
 // overlay state, and implementations are expected to answer out-of-range
-// ids and k <= 0 as empty queries. Concrete providers additionally keep a
-// legacy Neighbors(id, k) convenience that allocates a fresh slice per
-// call; it is deliberately not part of this interface.
+// ids and k <= 0 as empty queries.
 type Topology interface {
 	AppendNeighbors(dst []sim.NodeID, id sim.NodeID, k int) []sim.NodeID
 	EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool)
@@ -541,7 +539,7 @@ func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, id
 // unionInto appends to (dstPts, dstIDs) every point of (srcPts, srcIDs)
 // whose ID is not already present — the ID-keyed set union behind ghost
 // adoption and the migration merge, equivalent to the string-keyed
-// mergePoints oracle but touching only the pooled generation stamps.
+// mergePoints test oracle but touching only the pooled generation stamps.
 // Existing dst order is preserved and novel points append in src order.
 func (p *Protocol) unionInto(scr *scratch, dstPts []space.Point, dstIDs []space.PointID, srcPts []space.Point, srcIDs []space.PointID) ([]space.Point, []space.PointID) {
 	mark, gen := scr.pset.Next(p.cfg.Interner.Len())
@@ -1227,28 +1225,4 @@ func clonePoints(pts []space.Point) []space.Point {
 	out := make([]space.Point, len(pts))
 	copy(out, pts)
 	return out
-}
-
-// mergePoints returns base extended with every point of extra that is not
-// already present (set union by point key). base may be mutated.
-//
-// This is the string-keyed predecessor of the interned-ID unions above; it
-// is retained as the reference oracle for the property tests and baseline
-// benchmarks, and must stay semantically aligned with adoptGhosts/migrate.
-func mergePoints(base []space.Point, extra []space.Point) []space.Point {
-	if len(extra) == 0 {
-		return base
-	}
-	seen := make(map[string]bool, len(base)+len(extra))
-	for _, b := range base {
-		seen[b.Key()] = true
-	}
-	for _, x := range extra {
-		k := x.Key()
-		if !seen[k] {
-			seen[k] = true
-			base = append(base, x)
-		}
-	}
-	return base
 }

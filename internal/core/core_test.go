@@ -458,6 +458,30 @@ func TestGuestIterationAPIs(t *testing.T) {
 	}
 }
 
+// mergePoints returns base extended with every point of extra that is not
+// already present (set union by point key). base may be mutated.
+//
+// This is the string-keyed predecessor of unionInto, kept as the reference
+// oracle for the property tests; it must stay semantically aligned with
+// adoptGhosts/migrate.
+func mergePoints(base []space.Point, extra []space.Point) []space.Point {
+	if len(extra) == 0 {
+		return base
+	}
+	seen := make(map[string]bool, len(base)+len(extra))
+	for _, b := range base {
+		seen[b.Key()] = true
+	}
+	for _, x := range extra {
+		k := x.Key()
+		if !seen[k] {
+			seen[k] = true
+			base = append(base, x)
+		}
+	}
+	return base
+}
+
 func TestMergePoints(t *testing.T) {
 	a := []space.Point{{1, 1}, {2, 2}}
 	b := []space.Point{{2, 2}, {3, 3}}

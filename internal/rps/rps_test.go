@@ -245,3 +245,19 @@ func TestRPSChargesNothing(t *testing.T) {
 		t.Fatalf("rps charged %d units; the paper excludes peer sampling from cost accounting", cost)
 	}
 }
+
+// TestGossipRoundAllocs pins the warmed steady-state shuffle round at 0
+// allocs: the Cyclon exchange runs map-free over pooled buffers.
+func TestGossipRoundAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
+	}
+	// Views and pooled buffers reach their working sizes over the first
+	// rounds; AllocsPerRun then averages (rounding down) over 30 warm
+	// rounds at BenchmarkGossipRound's 2,000 nodes.
+	e, _ := newNetwork(t, 1, 2000, Config{})
+	e.RunRounds(30)
+	if avg := testing.AllocsPerRun(30, func() { e.RunRounds(1) }); avg != 0 {
+		t.Errorf("steady-state gossip round allocates %.1f objects, want 0", avg)
+	}
+}

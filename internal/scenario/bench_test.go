@@ -9,7 +9,6 @@ import (
 
 	"polystyrene/internal/ckpt"
 	"polystyrene/internal/metrics"
-	"polystyrene/internal/sim"
 	"polystyrene/internal/trace"
 	"polystyrene/internal/xrand"
 )
@@ -19,8 +18,8 @@ import (
 // post-catastrophe population — exactly what the record observer and the
 // reshaping-time stop condition pay every round. The "indexed" variant
 // reads the Polystyrene layer's incremental holders index; "fullscan" is
-// the string-keyed rebuild-and-scan baseline kept as the oracle. Both are
-// recorded in the tracked BENCH_*.json.
+// the string-keyed rebuild-and-scan path the plain-T-Man baseline, which
+// has no holders index, runs on.
 func BenchmarkMetricsRound(b *testing.B) {
 	mkScenario := func() *Scenario {
 		sc := MustNew(Config{Seed: 21, W: 40, H: 20, Polystyrene: true, K: 4, SkipMetrics: true})
@@ -61,11 +60,8 @@ func BenchmarkMetricsRound(b *testing.B) {
 
 // BenchmarkProximityRound isolates the neighbour-query cost of the
 // per-round metric loop: the proximity sweep asks every live node for its
-// 4 closest overlay neighbours. The "each" variant is the production
-// path (metrics.Proximity over the zero-copy EachNeighbor visitor); the
-// "legacy" variant replays the PR 2 implementation, one fresh result
-// slice per node per round. Both are recorded in the tracked
-// BENCH_*.json.
+// 4 closest overlay neighbours, through metrics.Proximity over the
+// zero-copy EachNeighbor visitor.
 func BenchmarkProximityRound(b *testing.B) {
 	mkScenario := func() *Scenario {
 		sc := MustNew(Config{Seed: 21, W: 40, H: 20, Polystyrene: true, K: 4, SkipMetrics: true})
@@ -85,34 +81,6 @@ func BenchmarkProximityRound(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("legacy", func(b *testing.B) {
-		sc := mkScenario()
-		sys := sc.System()
-		legacy, ok := sc.Topology().(interface {
-			Neighbors(id sim.NodeID, k int) []sim.NodeID
-		})
-		if !ok {
-			b.Fatal("overlay does not expose the legacy Neighbors form")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			s := sys.Space()
-			sum, count := 0.0, 0
-			for _, id := range sys.Live() {
-				pos := sys.Position(id)
-				for _, nb := range legacy.Neighbors(id, sc.Cfg.NeighborK) {
-					sum += s.Distance(pos, sys.Position(nb))
-					count++
-				}
-			}
-			if count > 0 {
-				sink += sum / float64(count)
-			}
-		}
-		_ = sink
-	})
 }
 
 // BenchmarkParallelRound measures one steady-state full-stack round
@@ -124,8 +92,7 @@ func BenchmarkProximityRound(b *testing.B) {
 // planning and batching are sequential work on top of stepping) and its
 // scaling (w=2..GOMAXPROCS). Since the persistent worker pool, the w>=2
 // variants also pin the no-per-batch-spawns contract: their allocs/op
-// must stay at the w=1 level. Tracked in BENCH_*.json via
-// scripts/bench.sh.
+// must stay at the w=1 level.
 func BenchmarkParallelRound(b *testing.B) {
 	const convergeRounds = 5
 	counts := []int{0, 1, 2, 4}
@@ -152,7 +119,6 @@ func BenchmarkParallelRound(b *testing.B) {
 // into an already wired scenario: the per-checkpoint cost a long polysim
 // run pays, and the per-cell cost a warm-started sweep pays. Bytes/op is
 // the serialized snapshot size, so MB/s reads as checkpoint throughput.
-// Tracked in BENCH_*.json via scripts/bench.sh.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	cfg := Config{Seed: 5, W: 320, H: 160, Polystyrene: true, K: 4, SkipMetrics: true}
 	sc := MustNew(cfg)
@@ -227,7 +193,7 @@ func BenchmarkAutoCheckpoint(b *testing.B) {
 // The replay variant pays event lookup, join-identity verification and
 // the kills/joins themselves on top of the same full-stack exchanges, so
 // the delta is the price of replayable, checkpoint-composable
-// availability schedules. Tracked in BENCH_*.json via scripts/bench.sh.
+// availability schedules.
 func BenchmarkScheduleReplay(b *testing.B) {
 	const rate = 0.001
 	const convergeRounds = 5

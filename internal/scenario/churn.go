@@ -98,10 +98,8 @@ type ChurnSweepOpts struct {
 	// RunOpts.ExchangeParallelism (0 keeps the sequential engine).
 	ExchangeParallelism int
 	// MemBudgetBytes bounds concurrent rates by estimated engine
-	// footprint and CellBytes overrides the per-cell estimate; see the
-	// same fields on RunOpts.
+	// footprint; see RunOpts.MemBudgetBytes.
 	MemBudgetBytes int64
-	CellBytes      int64
 	// PoolEngines recycles engines across rates via sim.Engine.Reset;
 	// see RunOpts.PoolEngines.
 	PoolEngines bool
@@ -126,7 +124,6 @@ func ChurnSweep(base Config, rates []float64, opts ChurnSweepOpts) ([]ChurnOutco
 		Parallelism:         opts.Parallelism,
 		ExchangeParallelism: opts.ExchangeParallelism,
 		MemBudgetBytes:      opts.MemBudgetBytes,
-		CellBytes:           opts.CellBytes,
 		PoolEngines:         opts.PoolEngines,
 	}
 	cellPar, exPar := run.compose(len(rates), est.EstimatedFootprintBytes())

@@ -162,10 +162,6 @@ type RunOpts struct {
 	// cell still runs — a tight budget trades throughput, never coverage
 	// or results.
 	MemBudgetBytes int64
-	// CellBytes overrides the per-cell footprint estimate used with
-	// MemBudgetBytes; 0 derives it from the harness's largest cell via
-	// Config.EstimatedFootprintBytes.
-	CellBytes int64
 	// PoolEngines recycles engines across cells of equal size via
 	// sim.Engine.Reset instead of allocating one per cell, bounding a
 	// sweep's engine footprint by its concurrency rather than its cell
@@ -186,11 +182,8 @@ type RunOpts struct {
 
 // compose splits the machine budget between concurrent cells and per-cell
 // exchange workers for a harness about to run `jobs` cells, each costing
-// an estimated cellBytes (overridden by opts.CellBytes when set).
+// an estimated cellBytes.
 func (o RunOpts) compose(jobs int, cellBytes int64) (cellPar, exPar int) {
-	if o.CellBytes > 0 {
-		cellBytes = o.CellBytes
-	}
 	return runner.Budget{
 		Workers:     o.Parallelism,
 		ExchangeCap: o.ExchangeParallelism,

@@ -135,8 +135,7 @@ func TestExchangeParallelismTailCoalescing(t *testing.T) {
 
 // TestRunOptsMemBudgetBoundsParallelism pins the memory side of the
 // budget composition: a budget sized for two cells caps cell parallelism
-// at two even on a wider worker budget, the floor is always one cell,
-// and CellBytes overrides the heuristic estimate.
+// at two even on a wider worker budget, and the floor is always one cell.
 func TestRunOptsMemBudgetBoundsParallelism(t *testing.T) {
 	cell := Config{Seed: 1, W: 16, H: 8, Polystyrene: true}
 	bytes := cell.EstimatedFootprintBytes()
@@ -150,9 +149,5 @@ func TestRunOptsMemBudgetBoundsParallelism(t *testing.T) {
 	opts.MemBudgetBytes = bytes / 2
 	if par, _ := opts.compose(8, bytes); par != 1 {
 		t.Errorf("parallelism = %d, want the floor of 1 under an impossible budget", par)
-	}
-	opts.CellBytes = bytes / 4 // measured override: four cells fit budget/2
-	if par, _ := opts.compose(8, bytes); par != 2 {
-		t.Errorf("parallelism = %d, want 2 under the CellBytes override", par)
 	}
 }

@@ -301,9 +301,7 @@ const (
 // constant, plus — under Polystyrene — the interned point universe (the
 // target shape holds one data point per grid cell) x a per-point
 // constant. It is the default per-cell cost the memory-budgeted sweep
-// harnesses (RunOpts.MemBudgetBytes) divide their budget by; override it
-// with a measured value via RunOpts.CellBytes when the heuristic is off
-// for a workload.
+// harnesses (RunOpts.MemBudgetBytes) divide their budget by.
 func (c Config) EstimatedFootprintBytes() int64 {
 	c = c.withDefaults()
 	nodes := int64(c.W) * int64(c.H)

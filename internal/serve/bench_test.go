@@ -34,24 +34,28 @@ func BenchmarkEpochPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkServeLookup pins the allocation-free read path: greedy
-// lookup against a published epoch must stay at 0 allocs/op — the
-// guarantee that lets thousands of concurrent readers run without
-// feeding the garbage collector.
-func BenchmarkServeLookup(b *testing.B) {
+// lookupEpoch captures an epoch of a converged 800-node scenario and
+// pre-draws 256 queries over its torus, so a timed loop touches only the
+// epoch.
+func lookupEpoch(tb testing.TB) (*serve.Epoch, [][]float64) {
+	tb.Helper()
 	sc := scenario.MustNew(scenario.Config{
 		Seed: 7, W: 40, H: 20, Polystyrene: true, K: 4, SkipMetrics: true,
 	})
 	defer sc.Close()
 	sc.Run(25)
 	ep := serve.Capture(sc.ServeSource(), serve.DefaultFanout, 1)
-
-	// Pre-generate queries so the timed loop touches only the epoch.
 	rng := xrand.New(99)
 	queries := make([][]float64, 256)
 	for i := range queries {
 		queries[i] = []float64{rng.Float64() * 40, rng.Float64() * 20}
 	}
+	return ep, queries
+}
+
+// BenchmarkServeLookup measures greedy lookup against a published epoch.
+func BenchmarkServeLookup(b *testing.B) {
+	ep, queries := lookupEpoch(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,11 +65,32 @@ func BenchmarkServeLookup(b *testing.B) {
 	}
 }
 
+// TestServeLookupAllocFree pins the allocation-free read path on a real
+// converged epoch: greedy lookup must stay at 0 allocs/op — the guarantee
+// that lets thousands of concurrent readers run without feeding the
+// garbage collector.
+func TestServeLookupAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
+	}
+	ep, queries := lookupEpoch(t)
+	i := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		if _, _, _, ok := ep.Lookup(queries[i%len(queries)]); !ok {
+			t.Fatal("lookup failed")
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("Epoch.Lookup allocates %v allocs/op, want 0", avg)
+	}
+}
+
 // BenchmarkServePhases measures what the service sustains end to end:
 // a closed-loop load generator querying over real loopback HTTP while
 // the round loop drives the overlay through the paper's regimes. Each
 // sub-benchmark reports sustained qps and p50/p99 latency via
-// ReportMetric, which bench.sh records into the tracked BENCH_*.json.
+// ReportMetric.
 //
 //   - calm: converged overlay, no failures.
 //   - catastrophe_recovery: half the grid crashes mid-window, then the

@@ -43,10 +43,9 @@ func BenchmarkGossipRound(b *testing.B) {
 
 // BenchmarkNeighborsQuery measures the closest-k query consumed by
 // partner selection, Polystyrene migration, and the proximity metric, in
-// its three forms: the legacy fresh-slice Neighbors (the PR 2 API,
-// kept as the baseline), the caller-buffer AppendNeighbors and the
-// visitor EachNeighbor. The sweep queries every live node, the shape of
-// the per-round metric loop; the two new forms must report 0 allocs/op.
+// its two forms: the caller-buffer AppendNeighbors and the visitor
+// EachNeighbor. The sweep queries every live node, the shape of the
+// per-round metric loop; both forms must report 0 allocs/op.
 func BenchmarkNeighborsQuery(b *testing.B) {
 	bench := func(b *testing.B, query func(tm *Protocol, id sim.NodeID)) {
 		b.Helper()
@@ -61,13 +60,6 @@ func BenchmarkNeighborsQuery(b *testing.B) {
 			}
 		}
 	}
-	b.Run("legacy", func(b *testing.B) {
-		bench(b, func(tm *Protocol, id sim.NodeID) {
-			if len(tm.Neighbors(id, 5)) == 0 {
-				b.Fatal("no neighbours")
-			}
-		})
-	})
 	b.Run("append", func(b *testing.B) {
 		buf := make([]sim.NodeID, 0, 8)
 		bench(b, func(tm *Protocol, id sim.NodeID) {

@@ -9,11 +9,24 @@ import (
 	"polystyrene/internal/space"
 )
 
+// Neighbors returns the k closest live view entries of id as a fresh
+// slice, ordered by increasing distance to id's current position: the
+// one-shot form of AppendNeighbors the package's tests query through.
+func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
+	if id < 0 || int(id) >= len(p.views) || k <= 0 {
+		return nil
+	}
+	sel := p.selectClosest(p.ws[0], p.views[id], p.pos(id), k)
+	out := make([]sim.NodeID, len(sel))
+	copy(out, sel)
+	return out
+}
+
 // neighborsOracle is an independent reimplementation of the neighbour
 // query contract — full stable sort of a view copy by (distance, ID) —
-// against which the three production forms (legacy Neighbors,
-// AppendNeighbors, EachNeighbor) are pinned. It deliberately shares no
-// code with selectClosest.
+// against which the three query forms (Neighbors, AppendNeighbors,
+// EachNeighbor) are pinned. It deliberately shares no code with
+// selectClosest.
 func neighborsOracle(p *Protocol, id sim.NodeID, k int) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return nil
@@ -86,8 +99,8 @@ func checkNeighborForms(t *testing.T, n *testNet, phase string) {
 // TestNeighborQueryFormsUnderChurn is the property test of the PR 3 API
 // redesign: through convergence, a catastrophic correlated kill (with one
 // round of stale views), recovery, reinjection of fresh nodes and a second
-// thinning, the append and visitor forms stay byte-identical to the legacy
-// Neighbors form and to the independent sort oracle.
+// thinning, the fresh-slice, append and visitor forms stay byte-identical
+// to the independent sort oracle.
 func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		w, h := 12, 6

@@ -42,11 +42,10 @@
 //
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
-// EachNeighbor (zero-copy visitor over the pooled selection scratch) —
-// with the legacy Neighbors form kept as a convenience wrapper. Pooled
-// buffers are trimmed against a decaying high-water mark so the merge
-// wave after a catastrophic failure does not pin worst-case capacity for
-// the rest of a run.
+// EachNeighbor (zero-copy visitor over the pooled selection scratch).
+// Pooled buffers are trimmed against a decaying high-water mark so the
+// merge wave after a catastrophic failure does not pin worst-case capacity
+// for the rest of a run.
 package tman
 
 import (
@@ -550,20 +549,6 @@ func (p *Protocol) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) boo
 			return
 		}
 	}
-}
-
-// Neighbors returns the k closest live view entries of id as a fresh
-// slice, ordered by increasing distance to id's current position — the
-// legacy one-shot form, kept for callers without a reusable buffer.
-// Hot paths use AppendNeighbors or EachNeighbor, which do not allocate.
-func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
-	if id < 0 || int(id) >= len(p.views) || k <= 0 {
-		return nil
-	}
-	sel := p.selectClosest(p.ws[0], p.views[id], p.pos(id), k)
-	out := make([]sim.NodeID, len(sel))
-	copy(out, sel)
-	return out
 }
 
 // ViewSize returns the current view size of id (test/metrics helper).

@@ -33,8 +33,8 @@ func BenchmarkSmallestK(b *testing.B) {
 	}
 }
 
-// BenchmarkSortSliceBaseline is the approach SmallestK replaced, kept so
-// the bench trajectory shows the win.
+// BenchmarkSortSliceBaseline is the approach SmallestK replaced, kept as
+// its comparison point.
 func BenchmarkSortSliceBaseline(b *testing.B) {
 	keys, payload := benchInput(120)
 	b.ReportAllocs()

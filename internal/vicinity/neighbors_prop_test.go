@@ -9,6 +9,22 @@ import (
 	"polystyrene/internal/space"
 )
 
+// Neighbors returns the k closest view entries of id as a fresh slice,
+// ordered by increasing distance to id's current position: the one-shot
+// form of AppendNeighbors the package's tests query through.
+func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
+	if id < 0 || int(id) >= len(p.views) || k <= 0 {
+		return nil
+	}
+	view := p.views[id]
+	idx := p.selectView(p.ws[0], view, id, k)
+	out := make([]sim.NodeID, len(idx))
+	for i, j := range idx {
+		out[i] = view[j].id
+	}
+	return out
+}
+
 // neighborsOracle is an independent reimplementation of the neighbour
 // query contract — full stable sort of a view copy by distance, ties
 // keeping the earlier view slot — against which the three production
@@ -85,8 +101,8 @@ func checkNeighborForms(t *testing.T, n *testNet, phase string) {
 // TestNeighborQueryFormsUnderChurn mirrors the T-Man property test for
 // the Vicinity provider: through convergence, a catastrophic correlated
 // kill (with one round of stale views), recovery, reinjection and a
-// second thinning, the append and visitor forms stay byte-identical to
-// the legacy Neighbors form and to the independent sort oracle.
+// second thinning, the fresh-slice, append and visitor forms stay
+// byte-identical to the independent sort oracle.
 func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		w, h := 12, 6

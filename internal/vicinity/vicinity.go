@@ -476,23 +476,6 @@ func (p *Protocol) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) boo
 	}
 }
 
-// Neighbors returns the k closest view entries of id as a fresh slice,
-// ordered by increasing distance to id's current position — the legacy
-// one-shot form, kept for callers without a reusable buffer. Hot paths
-// use AppendNeighbors or EachNeighbor, which do not allocate.
-func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
-	if id < 0 || int(id) >= len(p.views) || k <= 0 {
-		return nil
-	}
-	view := p.views[id]
-	idx := p.selectView(p.ws[0], view, id, k)
-	out := make([]sim.NodeID, len(idx))
-	for i, j := range idx {
-		out[i] = view[j].id
-	}
-	return out
-}
-
 // ViewSize returns id's current view size.
 func (p *Protocol) ViewSize(id sim.NodeID) int {
 	if id < 0 || int(id) >= len(p.views) {
