@@ -45,7 +45,10 @@
 // overlay below through PositionTableUser, so T-Man and Vicinity rank
 // candidates straight off its rows (space.RowDistances) rather than
 // through one function call and one separately allocated point per
-// candidate.
+// candidate. Beside the table, a per-node move clock (PositionClock,
+// handed over through PositionClockUser) records when each row last
+// changed, which lets T-Man keep its views ranked across rounds and
+// re-rank only after a position moved.
 //
 // # Batched execution
 //
@@ -67,6 +70,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"polystyrene/internal/fd"
@@ -136,6 +140,15 @@ type WorkerTopology interface {
 // projection loop of Fig. 3). Both T-Man and Vicinity implement it.
 type PositionTableUser interface {
 	UsePositionTable(table func() []float64)
+}
+
+// PositionClockUser is the optional Topology extension through which this
+// layer tells the overlay below which positions moved, so a ranking the
+// overlay made earlier can be reused while none of its rows has moved
+// since. New offers it once, with p.PositionClock, beside the position
+// table; the overlay calls it once per validity check. T-Man implements it.
+type PositionClockUser interface {
+	UsePositionClock(clock func() (moved []uint64, now uint64))
 }
 
 // Defaults from the paper's experimental setting (Sec. IV-A).
@@ -345,6 +358,10 @@ type Protocol struct {
 	pos     []float64
 	posSnap []float64
 	snapOn  bool
+	// moved[id] is the value clock took when node id's row last changed
+	// bits; see PositionClock.
+	moved []uint64
+	clock uint64
 }
 
 // flushRef points FlushBatch at one worker's run of ops for one step.
@@ -375,6 +392,9 @@ func New(cfg Config) (*Protocol, error) {
 	p.wtopo, _ = cfg.Topology.(WorkerTopology)
 	if u, ok := cfg.Topology.(PositionTableUser); ok {
 		u.UsePositionTable(p.PositionTable)
+	}
+	if u, ok := cfg.Topology.(PositionClockUser); ok {
+		u.UsePositionClock(p.PositionClock)
 	}
 	p.ws = []*scratch{p.newScratch()}
 	p.psiCache = sim.NewWindowCache(cfg.Psi)
@@ -424,6 +444,11 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 		p.pos = append(p.pos, make([]float64, need-len(p.pos))...)
 	}
 	copy(p.row(id), pos)
+	for len(p.moved) <= int(id) {
+		p.moved = append(p.moved, 0)
+	}
+	p.clock++
+	p.moved[id] = p.clock
 	st := &nodeState{ghosts: make(map[sim.NodeID]*ghostSet)}
 	if seed {
 		pt := pos.Clone()
@@ -451,7 +476,7 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	p.recover(ctx, scr, id)
 	p.backup(ctx, scr, id)
 	p.migrate(ctx, scr, id)
-	p.project(id)
+	p.project(ctx, id)
 	if ctx.Batched() {
 		if len(scr.ops) > opLo {
 			scr.steps = append(scr.steps, stepOps{step: int32(ctx.StepIndex()), lo: int32(opLo), hi: int32(len(scr.ops))})
@@ -766,7 +791,7 @@ func (p *Protocol) migrate(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 
 	p.setGuests(ctx, scr, id, pst, toP, idsP)
 	p.setGuests(ctx, scr, q, qst, toQ, idsQ)
-	p.project(q) // q's position moves with its new guest set
+	p.project(ctx, q) // q's position moves with its new guest set
 }
 
 // setGuests replaces st's guest set with a split result (whose slices
@@ -795,17 +820,51 @@ func (p *Protocol) setGuests(ctx *sim.StepCtx, scr *scratch, id sim.NodeID, st *
 // guests, if the guest set changed since the last projection. A node with
 // no guests keeps its previous position, which is how freshly reinjected
 // (empty) nodes remain addressable until migration hands them points.
-func (p *Protocol) project(id sim.NodeID) {
+// A sequential projection that changes the row's bits advances the
+// position clock; a batched one only writes the row, and EndBatchedRound
+// stamps what moved, on the engine goroutine.
+func (p *Protocol) project(ctx *sim.StepCtx, id sim.NodeID) {
 	st := p.nodes[id]
 	if len(st.guests) == 0 || !st.posDirty {
 		return
 	}
-	copy(p.row(id), space.MedoidPoint(p.cfg.Space, st.guests))
+	row, medoid := p.row(id), space.MedoidPoint(p.cfg.Space, st.guests)
+	if !ctx.Batched() && !sameBits(row, medoid) {
+		p.clock++
+		p.moved[id] = p.clock
+	}
+	copy(row, medoid)
 	st.posDirty = false
 }
 
 // row is node id's row of the live position table.
 func (p *Protocol) row(id sim.NodeID) space.Point { return space.Row(p.pos, p.dim, int(id)) }
+
+// sameBits reports whether a and b hold bit-identical coordinates.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// stampMoved advances the position clock once if any row of the live
+// table differs bit-for-bit from the batched pass's start-of-pass copy,
+// and stamps every such row with the new value.
+func (p *Protocol) stampMoved() {
+	next, moved := p.clock+1, false
+	for i, v := range p.posSnap {
+		if math.Float64bits(v) != math.Float64bits(p.pos[i]) {
+			p.moved[i/p.dim] = next
+			moved = true
+		}
+	}
+	if moved {
+		p.clock = next
+	}
+}
 
 // --- sim.Batched ---
 
@@ -973,11 +1032,13 @@ func (p *Protocol) FlushBatch(e *sim.Engine) {
 }
 
 // EndBatchedRound implements sim.Batched, restoring live Position reads
-// before observers run and advancing the holders-index trim window by the
-// round's step count (the per-step tick of the sequential path must not
-// run on concurrent workers).
+// before observers run, stamping the rows the pass moved on the position
+// clock, and advancing the holders-index trim window by the round's step
+// count (the per-step clock and tick of the sequential path must not run
+// on concurrent workers).
 func (p *Protocol) EndBatchedRound(e *sim.Engine) {
 	p.snapOn = false
+	p.stampMoved()
 	p.holders.tick(e.NumLive())
 }
 
@@ -1007,6 +1068,20 @@ func (p *Protocol) PositionTable() []float64 {
 		return p.posSnap
 	}
 	return p.pos
+}
+
+// PositionClock returns the position table's move clock: moved[id] is the
+// clock value at which node id's row last changed bits, and now is the
+// current value. The clock advances only when a row moves — at InitNode,
+// at a sequential projection that changes the row, once at the end of a
+// batched pass that changed any row, and at RestoreState, which stamps
+// every row — so a ranking made at clock value t is still valid while
+// every row it read has moved[id] <= t. During the layer's batched pass
+// the clock describes the start-of-pass table that PositionTable serves.
+// Both results are read-only to callers and, like the table, must not be
+// kept across a round or a restore.
+func (p *Protocol) PositionClock() (moved []uint64, now uint64) {
+	return p.moved, p.clock
 }
 
 // Guests returns a copy of the node's guest points. Hot paths should use

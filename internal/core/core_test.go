@@ -27,6 +27,9 @@ type stackOpts struct {
 	w, h    int
 	cfg     Config // Space/TMan/Sampler/InitialPoint filled in by newStack
 	tmanCfg tman.Config
+	// wrap, when set, returns the layer the engine steps in place of the
+	// protocol (a test wrapper around it).
+	wrap func(*Protocol) sim.Protocol
 }
 
 func newStack(t testing.TB, o stackOpts) *stack {
@@ -70,7 +73,11 @@ func newStack(t testing.TB, o stackOpts) *stack {
 		t.Fatal(err)
 	}
 	st.poly = poly
-	st.engine = sim.New(o.seed, st.sampler, tm, poly)
+	var layer sim.Protocol = poly
+	if o.wrap != nil {
+		layer = o.wrap(poly)
+	}
+	st.engine = sim.New(o.seed, st.sampler, tm, layer)
 	st.engine.AddNodes(o.w * o.h)
 	return st
 }
@@ -331,7 +338,7 @@ func TestEmptyNodeKeepsPosition(t *testing.T) {
 	id := st.engine.AddNodes(1)[0]
 	want := st.poly.Position(id).Clone()
 	// project on an empty node must not clear or nil the position.
-	st.poly.project(id)
+	st.poly.project(st.engine.SeqCtx(), id)
 	if got := st.poly.Position(id); !got.Equal(want) {
 		t.Fatalf("empty node position changed: %v -> %v", want, got)
 	}

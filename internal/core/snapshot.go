@@ -251,6 +251,13 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	}
 	p.nodes = nodes
 	p.pos = pos
+	// Every row may differ from what a ranking made before the restore
+	// read, so the whole table counts as moved.
+	p.clock++
+	p.moved = p.moved[:0]
+	for range nNodes {
+		p.moved = append(p.moved, p.clock)
+	}
 	p.holders.lists = lists
 	p.holders.steps = steps
 	p.holders.hwMark = hwMark

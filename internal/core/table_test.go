@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,8 +41,28 @@ func checkPositionTable(t *testing.T, st *stack, phase string) {
 	}
 }
 
-// TestPositionTableConsistency drives a catastrophe → reinjection → churn
-// script at worker counts 0 and 2 and checks the table after every round.
+// churnRound applies the events of one round of the catastrophe →
+// reinjection → churn script: the right half crashes at round 6, a quarter
+// of the grid joins empty-handed at round 16, and from round 21 one random
+// live node crashes per round.
+func churnRound(st *stack, rng *xrand.Rand, round int) {
+	switch {
+	case round == 6:
+		for i, p := range st.points {
+			if space.RightHalf(p, float64(st.w)) {
+				st.engine.Kill(sim.NodeID(i))
+			}
+		}
+	case round == 16:
+		st.engine.AddNodes(st.w * st.h / 4)
+	case round > 20 && st.engine.NumLive() > 20:
+		live := st.engine.LiveIDs()
+		st.engine.Kill(live[rng.Intn(len(live))])
+	}
+}
+
+// TestPositionTableConsistency drives the churnRound script at worker
+// counts 0 and 2 and checks the table after every round.
 func TestPositionTableConsistency(t *testing.T) {
 	for _, w := range []int{0, 2} {
 		st := newStack(t, stackOpts{seed: 21, cfg: Config{K: 3}})
@@ -49,19 +70,7 @@ func TestPositionTableConsistency(t *testing.T) {
 		rng := xrand.New(77)
 		checkPositionTable(t, st, "initial")
 		for round := 0; round < 36; round++ {
-			switch {
-			case round == 6:
-				for i, p := range st.points {
-					if space.RightHalf(p, float64(st.w)) {
-						st.engine.Kill(sim.NodeID(i))
-					}
-				}
-			case round == 16:
-				st.engine.AddNodes(st.w * st.h / 4)
-			case round > 20 && st.engine.NumLive() > 20:
-				live := st.engine.LiveIDs()
-				st.engine.Kill(live[rng.Intn(len(live))])
-			}
+			churnRound(st, rng, round)
 			st.engine.RunRounds(1)
 			checkPositionTable(t, st, "round")
 		}
@@ -69,8 +78,9 @@ func TestPositionTableConsistency(t *testing.T) {
 	}
 }
 
-// TestPositionAccessorsDoNotAllocate pins Position and PositionTable at
-// 0 allocs: they are called once per ranking and per candidate.
+// TestPositionAccessorsDoNotAllocate pins Position, PositionTable and
+// PositionClock at 0 allocs: they are called once per ranking, per
+// candidate and per ranked-view check.
 func TestPositionAccessorsDoNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
@@ -84,8 +94,132 @@ func TestPositionAccessorsDoNotAllocate(t *testing.T) {
 			sum += st.poly.Position(id)[0]
 		}
 		sum += st.poly.PositionTable()[0]
+		moved, now := st.poly.PositionClock()
+		sum += float64(moved[0] + now)
 	}); avg != 0 {
-		t.Fatalf("Position/PositionTable allocate %.1f objects per sweep, want 0", avg)
+		t.Fatalf("Position/PositionTable/PositionClock allocate %.1f objects per sweep, want 0", avg)
+	}
+}
+
+// clockState is a copy of the position table and its clock.
+type clockState struct {
+	pos   []float64
+	moved []uint64
+	now   uint64
+}
+
+func copyClock(p *Protocol) clockState {
+	moved, now := p.PositionClock()
+	return clockState{slices.Clone(p.pos), slices.Clone(moved), now}
+}
+
+// checkClockSince asserts that, since the copy was taken, the clock
+// stamped exactly the rows whose bits changed, each with a value newer
+// than the copy's clock, and that the table and clock cover every node.
+func checkClockSince(t *testing.T, p *Protocol, was clockState, phase string) {
+	t.Helper()
+	moved, now := p.PositionClock()
+	if len(moved)*p.dim != len(p.pos) || len(was.moved) != len(moved) {
+		t.Fatalf("%s: clock covers %d rows (was %d), table %d", phase, len(moved), len(was.moved), len(p.pos)/p.dim)
+	}
+	for id := range moved {
+		lo, hi := id*p.dim, (id+1)*p.dim
+		changed := !sameBits(was.pos[lo:hi], p.pos[lo:hi])
+		stamped := moved[id] != was.moved[id]
+		if changed != stamped || stamped && (moved[id] <= was.now || moved[id] > now) {
+			t.Fatalf("%s: node %d row %v -> %v, stamp %d -> %d (clock %d -> %d)",
+				phase, id, was.pos[lo:hi], p.pos[lo:hi], was.moved[id], moved[id], was.now, now)
+		}
+	}
+}
+
+// clockAudit is the layer the sequential engine steps in place of the
+// protocol: it checks the clock around every single step, where each row
+// is projected at most once, so "stamped exactly the rows that changed"
+// holds per step. (Over a whole sequential round a row can move and move
+// back, keeping its bits but not its stamp.)
+type clockAudit struct {
+	*Protocol
+	t *testing.T
+}
+
+func (a clockAudit) Step(e *sim.Engine, id sim.NodeID) {
+	was := copyClock(a.Protocol)
+	a.Protocol.Step(e, id)
+	checkClockSince(a.t, a.Protocol, was, "step of node "+strconv.Itoa(int(id)))
+}
+
+// TestPositionClockStampsMovedRows drives the churnRound script and checks
+// that the move clock stamps exactly the rows whose bits changed: at w=0
+// around every step, at w=1 and w=2 over every round (a batched pass
+// stamps, on the engine goroutine, the rows that differ from the
+// start-of-pass copy, advancing the clock at most once). Joins stamp their
+// new rows. The batched clock is a function of the trajectory alone: w=1
+// and w=2 yield the same stamps every round.
+func TestPositionClockStampsMovedRows(t *testing.T) {
+	var batched []clockState
+	for _, w := range []int{0, 1, 2} {
+		opts := stackOpts{seed: 21, cfg: Config{K: 3}}
+		if w == 0 {
+			opts.wrap = func(p *Protocol) sim.Protocol { return clockAudit{p, t} }
+		}
+		st := newStack(t, opts)
+		st.engine.SetExchangeParallelism(w)
+		rng := xrand.New(77)
+		for round := 0; round < 36; round++ {
+			phase := "w=" + strconv.Itoa(w) + " round " + strconv.Itoa(round)
+			_, before := st.poly.PositionClock()
+			n0 := st.engine.NumNodes()
+			churnRound(st, rng, round)
+			was := copyClock(st.poly)
+			for id, m := range was.moved {
+				if joined := id >= n0; joined != (m > before) {
+					t.Fatalf("%s: node %d (joined %v) stamped %d, clock was %d", phase, id, joined, m, before)
+				}
+			}
+			st.engine.RunRounds(1)
+			now := copyClock(st.poly)
+			// At w=0 clockAudit checked every step.
+			if w > 0 {
+				checkClockSince(t, st.poly, was, phase)
+				if now.now > was.now+1 {
+					t.Fatalf("%s: a batched pass advanced the clock %d -> %d", phase, was.now, now.now)
+				}
+			}
+			if w == 1 {
+				batched = append(batched, now)
+			} else if w == 2 && (!slices.Equal(now.moved, batched[round].moved) || now.now != batched[round].now) {
+				t.Fatalf("%s: clock differs from w=1's", phase)
+			}
+		}
+		st.engine.Close()
+	}
+}
+
+// TestPositionClockRestoreStampsEveryRow: a restore stamps every row of
+// the restored table with one new clock value, newer than any stamp a
+// ranking made before the restore can hold.
+func TestPositionClockRestoreStampsEveryRow(t *testing.T) {
+	src := newStack(t, stackOpts{seed: 25, cfg: Config{K: 3}})
+	src.engine.RunRounds(5)
+	src.engine.AddNodes(7)
+	dst := newStack(t, stackOpts{seed: 26, cfg: Config{K: 3}})
+	dst.engine.RunRounds(3)
+	_, before := dst.poly.PositionClock()
+	if err := dst.poly.RestoreState(snap.NewReader(snapshotBytes(src.poly))); err != nil {
+		t.Fatal(err)
+	}
+	moved, now := dst.poly.PositionClock()
+	if now <= before {
+		t.Fatalf("restore left the clock at %d (was %d)", now, before)
+	}
+	if len(moved) != src.engine.NumNodes() {
+		t.Fatalf("restored clock covers %d rows, want %d", len(moved), src.engine.NumNodes())
+	}
+	for id, m := range moved {
+		if m != now {
+			t.Fatalf("restored row %d stamped %d, want %d", id, m, now)
+		}
 	}
 }
 

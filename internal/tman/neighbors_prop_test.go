@@ -9,9 +9,11 @@ import (
 	"polystyrene/internal/space"
 )
 
-// Neighbors returns the k closest live view entries of id as a fresh
-// slice, ordered by increasing distance to id's current position: the
-// one-shot form of AppendNeighbors the package's tests query through.
+// Neighbors returns the k closest view entries of id (crashed entries
+// included until id purges them) as a fresh slice, ordered by increasing
+// distance to id's current position: the one-shot form of AppendNeighbors
+// the package's tests query through. It always ranks the view afresh,
+// ranked or not.
 func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return nil
@@ -24,9 +26,8 @@ func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
 
 // neighborsOracle is an independent reimplementation of the neighbour
 // query contract — full stable sort of a view copy by (distance, ID) —
-// against which the three query forms (Neighbors, AppendNeighbors,
-// EachNeighbor) are pinned. It deliberately shares no code with
-// selectClosest.
+// against which every query form is pinned. It deliberately shares no
+// code with selectClosest.
 func neighborsOracle(p *Protocol, id sim.NodeID, k int) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return nil
@@ -49,32 +50,45 @@ func neighborsOracle(p *Protocol, id sim.NodeID, k int) []sim.NodeID {
 
 // checkNeighborForms asserts that for every node — live or dead (dead
 // nodes answer from their stale view), plus out-of-range and negative
-// IDs — and a spread of k values, all three query forms agree exactly
-// with the oracle.
-func checkNeighborForms(t *testing.T, n *testNet, phase string) {
+// IDs — and a spread of k values, every query form (Neighbors,
+// AppendNeighbors, AppendNeighborsW on the last worker slot,
+// AppendNeighborsPlan, EachNeighbor) agrees exactly with the oracle.
+func checkNeighborForms(t *testing.T, e *sim.Engine, tm *Protocol, phase string) {
 	t.Helper()
-	probe := make([]sim.NodeID, 0, n.engine.NumNodes()+1)
-	for id := 0; id < n.engine.NumNodes(); id++ {
+	probe := make([]sim.NodeID, 0, e.NumNodes()+1)
+	for id := 0; id < e.NumNodes(); id++ {
 		probe = append(probe, sim.NodeID(id))
 	}
-	probe = append(probe, sim.NodeID(n.engine.NumNodes()+5), sim.None)
+	probe = append(probe, sim.NodeID(e.NumNodes()+5), sim.None)
 	buf := make([]sim.NodeID, 0, 128)
+	appendForms := []struct {
+		name  string
+		query func(dst []sim.NodeID, id sim.NodeID, k int) []sim.NodeID
+	}{
+		{"AppendNeighbors", tm.AppendNeighbors},
+		{"AppendNeighborsW", func(dst []sim.NodeID, id sim.NodeID, k int) []sim.NodeID {
+			return tm.AppendNeighborsW(len(tm.ws)-1, dst, id, k)
+		}},
+		{"AppendNeighborsPlan", tm.AppendNeighborsPlan},
+	}
 	for _, id := range probe {
 		for _, k := range []int{0, 1, 3, 5, 100} {
-			want := neighborsOracle(n.tman, id, k)
+			want := neighborsOracle(tm, id, k)
 
-			if got := n.tman.Neighbors(id, k); !slices.Equal(got, want) {
+			if got := tm.Neighbors(id, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: Neighbors(%d, %d) = %v, oracle %v", phase, id, k, got, want)
 			}
 
-			buf = append(buf[:0], 9999)
-			buf = n.tman.AppendNeighbors(buf, id, k)
-			if buf[0] != 9999 || !slices.Equal(buf[1:], want) {
-				t.Fatalf("%s: AppendNeighbors(%d, %d) = %v, oracle %v", phase, id, k, buf, want)
+			for _, f := range appendForms {
+				buf = append(buf[:0], 9999)
+				buf = f.query(buf, id, k)
+				if buf[0] != 9999 || !slices.Equal(buf[1:], want) {
+					t.Fatalf("%s: %s(%d, %d) = %v, oracle %v", phase, f.name, id, k, buf, want)
+				}
 			}
 
 			var visited []sim.NodeID
-			n.tman.EachNeighbor(id, k, func(nb sim.NodeID) bool {
+			tm.EachNeighbor(id, k, func(nb sim.NodeID) bool {
 				visited = append(visited, nb)
 				return true
 			})
@@ -83,7 +97,7 @@ func checkNeighborForms(t *testing.T, n *testNet, phase string) {
 			}
 			if len(want) > 1 {
 				visited = visited[:0]
-				n.tman.EachNeighbor(id, k, func(nb sim.NodeID) bool {
+				tm.EachNeighbor(id, k, func(nb sim.NodeID) bool {
 					visited = append(visited, nb)
 					return len(visited) < 2
 				})
@@ -109,7 +123,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 		n := newTestNet(t, seed, tor, pts, Config{})
 
 		n.engine.RunRounds(8)
-		checkNeighborForms(t, n, "converged")
+		checkNeighborForms(t, n.engine, n.tman, "converged")
 
 		for i, p := range pts {
 			if space.RightHalf(p, float64(w)) {
@@ -117,10 +131,10 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 			}
 		}
 		n.engine.RunRounds(1)
-		checkNeighborForms(t, n, "post-catastrophe")
+		checkNeighborForms(t, n.engine, n.tman, "post-catastrophe")
 
 		n.engine.RunRounds(6)
-		checkNeighborForms(t, n, "recovered")
+		checkNeighborForms(t, n.engine, n.tman, "recovered")
 
 		// Reinject fresh nodes on the offset parallel grid.
 		for i := 0; i < w*h/4; i++ {
@@ -129,7 +143,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 			n.engine.AddNode()
 		}
 		n.engine.RunRounds(5)
-		checkNeighborForms(t, n, "reinjected")
+		checkNeighborForms(t, n.engine, n.tman, "reinjected")
 
 		// Thin the survivors again: every third live node crashes.
 		for i, id := range slices.Clone(n.engine.LiveIDs()) {
@@ -138,7 +152,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 			}
 		}
 		n.engine.RunRounds(2)
-		checkNeighborForms(t, n, "thinned")
+		checkNeighborForms(t, n.engine, n.tman, "thinned")
 	}
 }
 

@@ -9,7 +9,8 @@ var _ sim.Snapshotter = (*Protocol)(nil)
 
 // SnapshotState implements sim.Snapshotter. The per-node neighbour views
 // are the protocol's only cross-round state; worker scratch, the plan
-// mirrors and the ψ-window cache are rebuilt within each round.
+// mirrors and the ψ-window cache are rebuilt within each round, and the
+// ranked-view stamps are reset on restore.
 func (p *Protocol) SnapshotState(w *snap.Writer) {
 	w.Len(len(p.views))
 	for _, v := range p.views {
@@ -36,5 +37,9 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		return err
 	}
 	p.views = views
+	// Ranking stamps are not persisted: every restored view starts
+	// unranked and is re-sorted (one pass when it was saved sorted) the
+	// first time its owner steps.
+	p.rankedAt = append(p.rankedAt[:0], make([]uint64, n)...)
 	return nil
 }

@@ -65,15 +65,21 @@ func TestPositionTableMatchesPositionFunc(t *testing.T) {
 }
 
 // TestGossipRoundAllocs pins the warmed steady-state gossip round at 0
-// allocs, through Config.Position and with a position table installed.
+// allocs, through Config.Position, with a position table installed, and
+// with a table and a position clock (ranked views) installed.
 func TestGossipRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
 	}
-	for _, table := range []bool{false, true} {
+	for _, c := range []struct{ table, clock bool }{{false, false}, {true, false}, {true, true}} {
 		n := newTestNet(t, 13, space.TorusForGrid(40, 20, 1), space.TorusGrid(40, 20, 1), Config{})
-		if table {
+		if c.table {
 			useFlatTable(n)
+		}
+		if c.clock {
+			// Positions never move here: every row was stamped once, at 1.
+			moved := slices.Repeat([]uint64{1}, len(n.positions))
+			n.tman.UsePositionClock(func() ([]uint64, uint64) { return moved, 1 })
 		}
 		// Views and pooled buffers reach their working sizes over the
 		// first ~30 rounds; AllocsPerRun then averages (rounding down)
@@ -81,7 +87,12 @@ func TestGossipRoundAllocs(t *testing.T) {
 		// defined on (BenchmarkGossipRound's, 800 nodes).
 		n.engine.RunRounds(30)
 		if avg := testing.AllocsPerRun(30, func() { n.engine.RunRounds(1) }); avg != 0 {
-			t.Errorf("table=%v: steady-state gossip round allocates %.1f objects, want 0", table, avg)
+			t.Errorf("table=%v clock=%v: steady-state gossip round allocates %.1f objects, want 0", c.table, c.clock, avg)
+		}
+		for id := range n.tman.views {
+			if ranked := n.tman.ranked(sim.NodeID(id)); ranked != c.clock {
+				t.Fatalf("table=%v clock=%v: view of node %d ranked=%v", c.table, c.clock, id, ranked)
+			}
 		}
 	}
 }

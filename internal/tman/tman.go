@@ -32,7 +32,19 @@
 // simulator, so selections go through topk.SmallestK (partial selection,
 // no comparator closures) over scratch buffers pooled per worker slot,
 // and set-membership during merges uses a generation-stamped array
-// indexed by the engine's dense NodeIDs. The sequential engine only ever
+// indexed by the engine's dense NodeIDs.
+//
+// Most rankings need not run at all: a view's order against its owner
+// changes only when the owner or an entry moves. With Polystyrene on top,
+// core also installs its per-node move clock (UsePositionClock) and every
+// view is kept sorted by (distance to its owner, id) and stamped with the
+// clock value it was sorted at. A stamped view whose owner and entries
+// have not moved since is ranked: the ψ-window, every neighbour query and
+// PlanStep's mirror read its prefix, and a merge ranks only the m received
+// entries and merges them in linearly. StepW re-ranks an initiator's view
+// that is not ranked; buildBuffer, which ranks against the partner's
+// position, always ranks in full. Plain T-Man (no clock) ranks everything
+// from scratch, as before. The sequential engine only ever
 // uses slot 0; under intra-round exchange batching (sim.Batched) each
 // worker owns a slot and the batch matcher plans on a dedicated mirror
 // scratch. An exchange's conflict set is {initiator, partner}: Step reads
@@ -176,6 +188,12 @@ type Protocol struct {
 	// cfg.Position; see UsePositionTable.
 	table func() []float64
 	dim   int
+	// clock, when installed by the position owner above, reports which
+	// positions moved since a given clock value; see UsePositionClock.
+	// rankedAt[id] is the clock value at which id's view was last left
+	// sorted by (distance to id, id), or 0 when it is not known sorted.
+	clock    func() (moved []uint64, now uint64)
+	rankedAt []uint64
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -211,6 +229,18 @@ func (p *Protocol) Name() string { return "tman" }
 // hold the same positions Config.Position would return.
 func (p *Protocol) UsePositionTable(table func() []float64) { p.table = table }
 
+// UsePositionClock implements core.PositionClockUser and turns on ranked
+// views: from now on every view is kept sorted by (distance to its owner,
+// id) and stamped with the clock value it was sorted at, and a view stays
+// valid while neither its owner nor any entry has moved since — moved[x]
+// is the clock value at which node x's position last changed, now the
+// current value. clock is called once per validity check. It must
+// describe the positions rankings read; without it every ranking starts
+// from scratch, as plain T-Man through Config.Position does.
+func (p *Protocol) UsePositionClock(clock func() (moved []uint64, now uint64)) {
+	p.clock = clock
+}
+
 // EnsureWorkers implements core.WorkerTopology, growing the worker-slot
 // table (single-threaded; called before any worker starts).
 func (p *Protocol) EnsureWorkers(n int) {
@@ -223,8 +253,10 @@ func (p *Protocol) EnsureWorkers(n int) {
 func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 	for len(p.views) <= int(id) {
 		p.views = append(p.views, nil)
+		p.rankedAt = append(p.rankedAt, 0)
 	}
 	p.views[id] = p.cfg.Sampler.RandomPeers(e, id, p.cfg.InitDegree)
+	p.rankedAt[id] = 0
 }
 
 // Step implements sim.Protocol: one T-Man gossip exchange initiated by id.
@@ -243,6 +275,9 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	// round under Polystyrene, and the paper attributes most communication
 	// traffic to these per-round position updates.
 	ctx.Charge(len(p.views[id]) * sim.PointCost(p.cfg.Space.Dim()))
+	if p.clock != nil && !p.ranked(id) {
+		p.rankView(scr, id)
+	}
 
 	q := p.selectPartner(ctx, scr, id)
 	if q == sim.None {
@@ -282,7 +317,7 @@ func (p *Protocol) selectPartner(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) 
 	if ctx.Batched() {
 		candidates = p.psiCache.Append(scr.candBuf[:0], id)
 	} else {
-		candidates = append(scr.candBuf[:0], p.selectClosest(scr, p.views[id], p.pos(id), p.cfg.Psi)...)
+		candidates = append(scr.candBuf[:0], p.closest(scr, id, p.cfg.Psi)...)
 	}
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
 		dup := false
@@ -331,44 +366,146 @@ func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, target space.P
 func (p *Protocol) rank(sel *topk.Scratch[sim.NodeID], cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
 	dist, ids := sel.Get(len(cand))
 	copy(ids, cand)
-	if p.table != nil {
-		space.RowDistances(p.cfg.Space, dist, p.table(), ids, target)
-	} else {
-		for i, c := range ids {
-			dist[i] = p.cfg.Space.Distance(p.cfg.Position(c), target)
-		}
-	}
+	p.distances(dist, ids, target)
 	k = topk.SmallestK(dist, ids, k)
 	return ids[:k]
 }
 
+// distances fills dist[i] with the distance from ids[i]'s position to
+// target: space.RowDistances over the installed position table, or
+// Config.Position without one.
+func (p *Protocol) distances(dist []float64, ids []sim.NodeID, target space.Point) {
+	if p.table != nil {
+		space.RowDistances(p.cfg.Space, dist, p.table(), ids, target)
+		return
+	}
+	for i, c := range ids {
+		dist[i] = p.cfg.Space.Distance(p.cfg.Position(c), target)
+	}
+}
+
+// ranked reports whether id's view is sorted by (distance to id, id)
+// under the current positions: it was sorted at clock value rankedAt[id]
+// and neither id nor any entry has moved since. Without a clock no view is
+// ranked. It only reads, so queries stay safe on concurrent workers.
+func (p *Protocol) ranked(id sim.NodeID) bool {
+	at := p.rankedAt[id]
+	if p.clock == nil || at == 0 {
+		return false
+	}
+	moved, now := p.clock()
+	if at == now {
+		return true
+	}
+	if moved[id] > at {
+		return false
+	}
+	for _, v := range p.views[id] {
+		if moved[v] > at {
+			return false
+		}
+	}
+	return true
+}
+
+// rankView sorts id's whole view by (distance to id, id) in place and
+// stamps it. SmallestK with k = len runs only its insertion sort, which is
+// adaptive: a view that is still nearly sorted costs about one pass.
+func (p *Protocol) rankView(scr *scratch, id sim.NodeID) {
+	view := p.views[id]
+	copy(view, p.selectClosest(scr, view, p.pos(id), len(view)))
+	_, p.rankedAt[id] = p.clock()
+}
+
+// closest returns the k closest entries of id's view in increasing
+// distance order: a prefix of the view itself when it is ranked, otherwise
+// a selection on the slot's scratch. The result aliases the view or the
+// scratch and must not be retained or mutated.
+func (p *Protocol) closest(scr *scratch, id sim.NodeID, k int) []sim.NodeID {
+	if p.ranked(id) {
+		return prefix(p.views[id], k)
+	}
+	return p.selectClosest(scr, p.views[id], p.pos(id), k)
+}
+
+// prefix returns the first min(k, len(s)) elements of s.
+func prefix(s []sim.NodeID, k int) []sim.NodeID { return s[:min(k, len(s))] }
+
 // merge folds received descriptors into owner's view and keeps the
 // entries closest to owner's position, up to the view cap. The capped
 // selection writes back into the view's own backing array, so steady-state
-// merges allocate nothing.
+// merges allocate nothing. With a position clock installed every merge
+// that adds entries (or finds the view over the cap) leaves it sorted and
+// stamped: a ranked view only ranks the new entries and merges them in
+// linearly (mergeRanked); any other view is selected in full.
 func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []sim.NodeID) {
 	view := p.views[owner]
+	wasRanked := p.ranked(owner)
 	stamp, gen := scr.seen.Next(e.NumNodes())
 	stamp[owner] = gen
 	for _, v := range view {
 		stamp[v] = gen
 	}
+	n0 := len(view)
 	for _, r := range received {
 		if stamp[r] != gen && e.Alive(r) {
 			stamp[r] = gen
 			view = append(view, r)
 		}
 	}
-	if len(view) > p.cfg.ViewCap {
-		sel := p.selectClosest(scr, view, p.pos(owner), p.cfg.ViewCap)
-		view = view[:copy(view, sel)]
+	switch {
+	case p.clock == nil:
+		if len(view) > p.cfg.ViewCap {
+			sel := p.selectClosest(scr, view, p.pos(owner), p.cfg.ViewCap)
+			view = view[:copy(view, sel)]
+		}
+	case len(view) == n0 && len(view) <= p.cfg.ViewCap:
+		// Nothing new and nothing to cut: the order and stamp stand.
+	default:
+		if wasRanked {
+			view = p.mergeRanked(scr, view, n0, p.pos(owner))
+		} else {
+			sel := p.selectClosest(scr, view, p.pos(owner), min(len(view), p.cfg.ViewCap))
+			view = view[:copy(view, sel)]
+		}
+		_, p.rankedAt[owner] = p.clock()
 	}
 	p.views[owner] = view
 }
 
-// purgeDead removes crashed nodes from id's view; if the view empties out
-// it is re-seeded from the sampling layer (healing after failures),
-// appending into the view's own backing so the re-seed allocates nothing.
+// mergeRanked returns, in view's own backing array, the min(len(view),
+// ViewCap) entries of view closest to target, sorted by (distance, id),
+// given that view[:n0] is already so sorted. Only the new entries
+// view[n0:] are sorted (received buffers usually arrive sorted against the
+// same target, so that is one insertion-sort pass); one linear merge then
+// replaces the selection over the whole view. The result equals
+// selectClosest(view, target, min(len(view), ViewCap)).
+func (p *Protocol) mergeRanked(scr *scratch, view []sim.NodeID, n0 int, target space.Point) []sim.NodeID {
+	p.noteScratch(scr, len(view))
+	dist, ids := scr.sel.Get(len(view))
+	copy(ids, view)
+	p.distances(dist, ids, target)
+	topk.SmallestK(dist[n0:], ids[n0:], len(view)-n0)
+	out := min(len(view), p.cfg.ViewCap)
+	i, j := 0, n0
+	for k := 0; k < out; k++ {
+		// Take the ranked entry unless the new one orders first; ties on
+		// distance break toward the lower id, as in topk.
+		if j == len(ids) || i < n0 && (dist[i] < dist[j] || dist[i] == dist[j] && ids[i] < ids[j]) {
+			view[k] = ids[i]
+			i++
+		} else {
+			view[k] = ids[j]
+			j++
+		}
+	}
+	return view[:out]
+}
+
+// purgeDead removes crashed nodes from id's view, which keeps a ranked
+// view ranked; if the view empties out it is re-seeded from the sampling
+// layer (healing after failures), unranked, appending into the view's own
+// backing so the re-seed allocates nothing.
 // A view whose backing array vastly exceeds the surviving entries — the
 // aftermath of a catastrophic failure on a small surviving population —
 // is compacted so dead capacity is not pinned for the rest of the run.
@@ -396,6 +533,7 @@ func (p *Protocol) purgeDead(ctx *sim.StepCtx, id sim.NodeID) {
 			kept = make([]sim.NodeID, 0, p.cfg.InitDegree)
 		}
 		p.views[id] = p.cfg.Sampler.AppendRandomPeersW(ctx, kept, id, p.cfg.InitDegree)
+		p.rankedAt[id] = 0
 	}
 }
 
@@ -462,14 +600,20 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 			view = append(view, v)
 		}
 	}
+	ranked := len(view) > 0 && p.ranked(id)
 	if len(view) == 0 {
 		view = p.cfg.Sampler.AppendPlanRandomPeers(view, e, rng, id, p.cfg.InitDegree)
 	}
 	p.plan.cand = view
 
 	// Mirror selectPartner over the (possibly re-seeded) view, handing
-	// the ranked window to StepW through the per-node cache.
-	candidates := append(p.plan.part[:0], p.planSelectClosest(view, p.pos(id), p.cfg.Psi)...)
+	// the ranked window to StepW through the per-node cache. Purging keeps
+	// a ranked view sorted, so its window is a prefix.
+	window := prefix(view, p.cfg.Psi)
+	if !ranked {
+		window = p.planSelectClosest(view, p.pos(id), p.cfg.Psi)
+	}
+	candidates := append(p.plan.part[:0], window...)
 	p.psiCache.Put(id, candidates)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {
 		dup := false
@@ -504,13 +648,16 @@ func (p *Protocol) EndBatchedRound(e *sim.Engine) {}
 
 // --- core.Topology ---
 
-// AppendNeighbors implements core.Topology: it appends the k closest live
-// view entries of id to dst, ordered by increasing distance to id's
-// current position, and returns the extended slice. With a caller-owned
-// buffer the query is allocation-free; this is what the layers above
-// consume (Polystyrene migration uses ψ, the evaluation metrics k = 4).
-// It runs on worker slot 0 — the sequential engine's and the observers'
-// slot; batched steps of layers above use AppendNeighborsW.
+// AppendNeighbors implements core.Topology: it appends the k closest view
+// entries of id to dst, ordered by increasing distance to id's current
+// position, and returns the extended slice. The view is purged of crashed
+// nodes only when id steps, so entries that crashed since may be among
+// them; callers that need live partners filter (core's migrate does).
+// With a caller-owned buffer the query is allocation-free; this is what
+// the layers above consume (Polystyrene migration uses ψ, the evaluation
+// metrics k = 4). A ranked view answers with its prefix. It runs on worker
+// slot 0 — the sequential engine's and the observers' slot; batched steps
+// of layers above use AppendNeighborsW.
 func (p *Protocol) AppendNeighbors(dst []sim.NodeID, id sim.NodeID, k int) []sim.NodeID {
 	return p.AppendNeighborsW(0, dst, id, k)
 }
@@ -522,8 +669,7 @@ func (p *Protocol) AppendNeighborsW(w int, dst []sim.NodeID, id sim.NodeID, k in
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return dst
 	}
-	scr := p.ws[w]
-	return append(dst, p.selectClosest(scr, p.views[id], p.pos(id), k)...)
+	return append(dst, p.closest(p.ws[w], id, k)...)
 }
 
 // AppendNeighborsPlan implements core.WorkerTopology: AppendNeighbors over
@@ -533,18 +679,23 @@ func (p *Protocol) AppendNeighborsPlan(dst []sim.NodeID, id sim.NodeID, k int) [
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return dst
 	}
+	if p.ranked(id) {
+		return append(dst, prefix(p.views[id], k)...)
+	}
 	return append(dst, p.planSelectClosest(p.views[id], p.pos(id), k)...)
 }
 
 // EachNeighbor implements core.Topology: it calls yield for each of the k
-// closest live view entries of id in increasing distance order, stopping
-// early if yield returns false. The iteration runs over the pooled
-// selection scratch, so yield must not call back into this protocol.
+// closest view entries of id (the sequence AppendNeighbors appends, which
+// may include entries that crashed since id last stepped) in increasing
+// distance order, stopping early if yield returns false. The iteration
+// runs over the view itself or the pooled selection scratch, so yield must
+// not call back into this protocol.
 func (p *Protocol) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return
 	}
-	for _, nb := range p.selectClosest(p.ws[0], p.views[id], p.pos(id), k) {
+	for _, nb := range p.closest(p.ws[0], id, k) {
 		if !yield(nb) {
 			return
 		}

@@ -106,7 +106,10 @@ func partition[P cmp.Ordered](keys []float64, payload []P, lo, hi int) int {
 }
 
 // sortRange insertion-sorts [lo, hi); the selected prefixes are small
-// (message sizes and view caps), where insertion sort is fastest.
+// (message sizes and view caps), where insertion sort is fastest. It is
+// also adaptive, which callers rely on: SmallestK with k = len(keys) runs
+// only this sort, so T-Man re-ranking a view that is still nearly sorted
+// (restored sorted, or after a few positions moved) costs about one pass.
 func sortRange[P cmp.Ordered](keys []float64, payload []P, lo, hi int) {
 	for i := lo + 1; i < hi; i++ {
 		for j := i; j > lo && less(keys[j], payload[j], keys[j-1], payload[j-1]); j-- {
