@@ -115,6 +115,12 @@ func FuzzRowDistances(f *testing.F) {
 	f.Add(80.0, 40.0, -5.0, 900.0, 79.5, 0.5, 0.0, 39.0)
 	f.Add(1.0, 3.0, 0.0, 0.0, 1.0, 3.0, 0.5, 1.5)
 	f.Add(320.0, 160.0, -1e8, 5e8, 319.9, 0.1, -0.0, 160.0)
+	// -0.0 deltas: the raw row and the mirrored canonical row are
+	// (-0.0, -0.0) against a (+0, +0) target.
+	f.Add(80.0, 40.0, math.Copysign(0, -1), math.Copysign(0, -1), 0.0, 0.0, 0.0, 0.0)
+	// Half-width deltas against (0, 0): from the canonical row (40, 20) and
+	// its mirror, and through math.Mod from the raw row (120, -60).
+	f.Add(80.0, 40.0, 120.0, -60.0, 40.0, 20.0, 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, w1, w2, ax, ay, bx, by, tx, ty float64) {
 		w1, w2 = sanitizeWidth(w1), sanitizeWidth(w2)
 		ax, ay, bx, by = sanitizeCoord(ax), sanitizeCoord(ay), sanitizeCoord(bx), sanitizeCoord(by)

@@ -222,10 +222,13 @@ func (t Torus) Distance(a, b Point) float64 {
 // most expensive operation of the whole distance hot path — can be skipped.
 // Both branches compute identical values: for |d| < w, math.Mod(d, w)
 // returns d exactly.
+//
+// The magnitude is math.Abs rather than a branch on the sign, which the
+// predictor cannot learn when targets lie on every side. The two agree bit
+// for bit except at d = -0.0, where Abs gives +0.0; neither reaches the
+// reductions below, and both square to +0.0, so every distance is the same.
 func wrapDelta(d, w float64) float64 {
-	if d < 0 {
-		d = -d
-	}
+	d = math.Abs(d)
 	if d >= w {
 		d = math.Mod(d, w)
 	}

@@ -442,7 +442,9 @@ func BenchmarkTorusDistance(b *testing.B) {
 }
 
 func BenchmarkMedoid20(b *testing.B) {
-	tor := NewTorus(80, 40)
+	// Callers hold the space as a Space already; converting the Torus on
+	// every call would time an allocation they never make.
+	var s Space = NewTorus(80, 40)
 	r := xrand.New(1)
 	pts := make([]Point, 20)
 	for i := range pts {
@@ -451,6 +453,43 @@ func BenchmarkMedoid20(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Medoid(tor, pts)
+		_ = Medoid(s, pts)
 	}
+}
+
+// BenchmarkRowDistances times the ranking kernel the way T-Man drives it:
+// a 51,200-row position table (the paper's largest grid) and 101-entry
+// views of nodes near each owner, stored scattered through the table,
+// ranked against a different owner on every iteration. Unlike
+// BenchmarkTorusDistance's one fixed pair, the signs of the deltas vary
+// from row to row, so a kernel that branches on them pays for the
+// mispredictions here. One op is one 101-entry view.
+func BenchmarkRowDistances(b *testing.B) {
+	const w, h, viewLen, nViews = 320, 160, 101, 1024
+	var s Space = TorusForGrid(w, h, 1)
+	table := make([]float64, 0, 2*w*h)
+	for _, p := range TorusGrid(w, h, 1) {
+		table = append(table, p...)
+	}
+	r := xrand.New(5)
+	views := make([][]int, nViews)
+	for v := range views {
+		ox, oy := r.Intn(w), r.Intn(h)
+		view := []int{oy*w + ox}
+		for len(view) < viewLen {
+			// A 21x21 window around the owner, wrapping at the edges.
+			x := (ox + r.Intn(21) - 10 + w) % w
+			y := (oy + r.Intn(21) - 10 + h) % h
+			view = append(view, y*w+x)
+		}
+		views[v] = view
+	}
+	dst := make([]float64, viewLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view := views[i%nViews]
+		RowDistances(s, dst, table, view, Row(table, 2, view[0]))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*viewLen), "ns/distance")
 }

@@ -1,14 +1,15 @@
 package topk
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"polystyrene/internal/xrand"
 )
 
-func benchInput(n int) ([]float64, []int) {
-	rng := xrand.New(3)
+func randomInput(rng *xrand.Rand, n int) ([]float64, []int) {
 	keys := make([]float64, n)
 	payload := make([]int, n)
 	for i := range keys {
@@ -18,25 +19,68 @@ func benchInput(n int) ([]float64, []int) {
 	return keys, payload
 }
 
-// BenchmarkSmallestK mirrors the T-Man merge shape: keep the 20 closest
-// of ~120 candidates.
+// nearlySorted sorts keys and then swaps about one in ten with a close
+// successor: the order of a view ranked against its owner when it is
+// re-ranked against a nearby partner (T-Man's buildBuffer).
+func nearlySorted(rng *xrand.Rand, keys []float64) {
+	slices.Sort(keys)
+	for s := 0; s < len(keys)/10; s++ {
+		i := rng.Intn(len(keys) - 4)
+		j := i + 1 + rng.Intn(3)
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+}
+
+// BenchmarkSmallestK covers the selection shapes of the gossip layers:
+// buildBuffer's 20 of owner + a full view (101), over nearly sorted and
+// random input; a ψ-window of 5 of a full view; a merge cut to the view cap
+// (100 of 120); and the original 20 of ~120 random candidates. Each
+// iteration selects from the next of 64 distinct inputs, so the branch
+// predictor cannot learn one input's comparison outcomes.
 func BenchmarkSmallestK(b *testing.B) {
-	keys, payload := benchInput(120)
-	ks := make([]float64, len(keys))
-	ps := make([]int, len(payload))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(ks, keys)
-		copy(ps, payload)
-		SmallestK(ks, ps, 20)
+	const nInputs = 64
+	cases := []struct {
+		n, k   int
+		nearly bool
+	}{
+		{101, 20, true},
+		{101, 20, false},
+		{100, 5, false},
+		{120, 100, false},
+		{120, 20, false},
+	}
+	for _, c := range cases {
+		order := "random"
+		if c.nearly {
+			order = "nearly-sorted"
+		}
+		b.Run(fmt.Sprintf("n%d_k%d_%s", c.n, c.k, order), func(b *testing.B) {
+			rng := xrand.New(3)
+			keys := make([][]float64, nInputs)
+			payload := make([][]int, nInputs)
+			for j := range keys {
+				keys[j], payload[j] = randomInput(rng, c.n)
+				if c.nearly {
+					nearlySorted(rng, keys[j])
+				}
+			}
+			ks := make([]float64, c.n)
+			ps := make([]int, c.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(ks, keys[i%nInputs])
+				copy(ps, payload[i%nInputs])
+				SmallestK(ks, ps, c.k)
+			}
+		})
 	}
 }
 
 // BenchmarkSortSliceBaseline is the approach SmallestK replaced, kept as
 // its comparison point.
 func BenchmarkSortSliceBaseline(b *testing.B) {
-	keys, payload := benchInput(120)
+	keys, payload := randomInput(xrand.New(3), 120)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,9 +4,21 @@
 // The gossip layers (T-Man, Vicinity) spend most of their time ranking
 // view entries by distance and keeping the closest k. Sorting the whole
 // candidate set with sort.Slice costs O(n log n) comparator closure calls
-// and allocates (indices, reflect-based swapper); SmallestK does a
-// quickselect partition followed by a small sort of the selected prefix,
-// touching only the caller's slices.
+// and allocates (indices, reflect-based swapper); SmallestK touches only
+// the caller's slices and picks one of two selection paths by k:
+//
+//   - small k (at most insertionK — message sizes and ψ-windows): a
+//     bounded insertion. The prefix is insertion-sorted, then every later
+//     element costs one comparison with the current k-th smallest and is
+//     shifted in only when it orders first. That comparison is rarely true
+//     and so well predicted, where a quickselect's pivot comparisons are
+//     coin flips; and the gossip layers' candidate lists (a view ranked
+//     against its owner, re-ranked against a nearby target) arrive nearly
+//     sorted, so few elements shift in at all.
+//   - large k (view caps): a quickselect partition followed by an
+//     insertion sort of the selected prefix.
+//
+// With k = len(keys) there is nothing to select and SmallestK only sorts.
 //
 // Ties on the key break toward the smaller payload value, so the result
 // is a pure function of the (key, payload) multiset — independent of the
@@ -16,6 +28,12 @@
 package topk
 
 import "cmp"
+
+// insertionK is the largest k that SmallestK selects by bounded insertion
+// instead of quickselect. Bounded insertion costs one comparison per
+// element plus about k/2 moves per element that shifts in, so it wins
+// while k stays near message sizes; view caps take quickselect.
+const insertionK = 32
 
 // SmallestK partially reorders keys (and payload, kept in lockstep) so
 // that keys[:k'] holds the k' = min(k, len(keys)) smallest keys in
@@ -31,11 +49,37 @@ func SmallestK[P cmp.Ordered](keys []float64, payload []P, k int) int {
 	if k > len(keys) {
 		k = len(keys)
 	}
-	if k < len(keys) {
+	switch {
+	case k == len(keys):
+		sortRange(keys, payload, 0, k)
+	case k <= insertionK:
+		insertSmallest(keys, payload, k)
+	default:
 		quickselect(keys, payload, k)
+		sortRange(keys, payload, 0, k)
 	}
-	sortRange(keys, payload, 0, k)
 	return k
+}
+
+// insertSmallest keeps keys[:k] as the sorted k smallest seen so far: it
+// sorts the first k, then each later element is compared once with the
+// current k-th smallest and, when it orders first, swapped with it (so the
+// slice stays a permutation of its input) and shifted into place.
+func insertSmallest[P cmp.Ordered](keys []float64, payload []P, k int) {
+	sortRange(keys, payload, 0, k)
+	last := k - 1
+	for i := k; i < len(keys); i++ {
+		ki, pi := keys[i], payload[i]
+		if !less(ki, pi, keys[last], payload[last]) {
+			continue
+		}
+		keys[i], payload[i] = keys[last], payload[last]
+		j := last
+		for ; j > 0 && less(ki, pi, keys[j-1], payload[j-1]); j-- {
+			keys[j], payload[j] = keys[j-1], payload[j-1]
+		}
+		keys[j], payload[j] = ki, pi
+	}
 }
 
 // less orders by key, breaking ties on payload (total order over
@@ -105,11 +149,13 @@ func partition[P cmp.Ordered](keys []float64, payload []P, lo, hi int) int {
 	}
 }
 
-// sortRange insertion-sorts [lo, hi); the selected prefixes are small
-// (message sizes and view caps), where insertion sort is fastest. It is
-// also adaptive, which callers rely on: SmallestK with k = len(keys) runs
-// only this sort, so T-Man re-ranking a view that is still nearly sorted
-// (restored sorted, or after a few positions moved) costs about one pass.
+// sortRange insertion-sorts [lo, hi); the ranges it sorts are small
+// (a bounded insertion's first k, quickselect's selected prefix up to a
+// view cap, quickselect's short tail ranges), where insertion sort is
+// fastest. It is also adaptive, which callers rely on: SmallestK with
+// k = len(keys) runs only this sort, so T-Man re-ranking a view that is
+// still nearly sorted (restored sorted, or after a few positions moved)
+// costs about one pass.
 func sortRange[P cmp.Ordered](keys []float64, payload []P, lo, hi int) {
 	for i := lo + 1; i < hi; i++ {
 		for j := i; j > lo && less(keys[j], payload[j], keys[j-1], payload[j-1]); j-- {

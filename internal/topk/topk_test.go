@@ -1,15 +1,16 @@
 package topk
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"polystyrene/internal/xrand"
 )
 
-// reference computes the expected result with a full stable sort under
-// the same (key, payload) tie-broken order.
+// reference computes the expected result with a full sort under the same
+// (key, payload) tie-broken order.
 func reference(keys []float64, payload []int, k int) ([]float64, []int) {
 	type kv struct {
 		k float64
@@ -19,11 +20,8 @@ func reference(keys []float64, payload []int, k int) ([]float64, []int) {
 	for i := range keys {
 		all[i] = kv{keys[i], payload[i]}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].k != all[b].k {
-			return all[a].k < all[b].k
-		}
-		return all[a].p < all[b].p
+	slices.SortFunc(all, func(a, b kv) int {
+		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.p, b.p))
 	})
 	if k > len(all) {
 		k = len(all)
@@ -62,6 +60,112 @@ func TestSmallestKMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkSelection runs SmallestK on copies of keys and payload and checks
+// that the prefix equals reference's and that the whole result is still a
+// permutation of the input pairs.
+func checkSelection(t *testing.T, name string, keys []float64, payload []int, k int) {
+	t.Helper()
+	ks, ps := slices.Clone(keys), slices.Clone(payload)
+	got := SmallestK(ks, ps, k)
+	wantK, wantP := reference(keys, payload, k)
+	if got != len(wantK) {
+		t.Fatalf("%s (n=%d k=%d): SmallestK returned %d, want %d", name, len(keys), k, got, len(wantK))
+	}
+	for i := 0; i < got; i++ {
+		if ks[i] != wantK[i] || ps[i] != wantP[i] {
+			t.Fatalf("%s (n=%d k=%d): slot %d = (%v,%d), want (%v,%d)",
+				name, len(keys), k, i, ks[i], ps[i], wantK[i], wantP[i])
+		}
+	}
+	allK, allP := reference(ks, ps, len(ks))
+	inK, inP := reference(keys, payload, len(keys))
+	if !slices.Equal(allK, inK) || !slices.Equal(allP, inP) {
+		t.Fatalf("%s (n=%d k=%d): result is not a permutation of the input", name, len(keys), k)
+	}
+}
+
+// TestSmallestKSelectionPaths covers both selection paths — bounded
+// insertion up to insertionK, quickselect above it — and the k = len sort,
+// over the input orders the gossip layers produce (random, and nearly
+// sorted: a ranked view re-ranked against a nearby target) and the ones
+// that stress a path (sorted, reversed), with unique, duplicate and
+// all-equal keys.
+func TestSmallestKSelectionPaths(t *testing.T) {
+	rng := xrand.New(11)
+	orders := map[string]func(keys []float64){
+		"random": func([]float64) {},
+		"sorted": func(keys []float64) { slices.Sort(keys) },
+		"reversed": func(keys []float64) {
+			slices.Sort(keys)
+			slices.Reverse(keys)
+		},
+		"nearly-sorted": func(keys []float64) {
+			slices.Sort(keys)
+			for s := 0; s < len(keys)/10+1; s++ {
+				i := rng.Intn(len(keys))
+				j := min(len(keys)-1, i+1+rng.Intn(4))
+				keys[i], keys[j] = keys[j], keys[i]
+			}
+		},
+	}
+	keyGens := map[string]func(i int) float64{
+		"unique":    func(int) float64 { return rng.Float64() },
+		"duplicate": func(int) float64 { return float64(rng.Intn(7)) },
+		"all-equal": func(int) float64 { return 3 },
+	}
+	for orderName, order := range orders {
+		for keyName, gen := range keyGens {
+			for _, n := range []int{1, 5, insertionK, insertionK + 1, 101, 120, 400} {
+				keys := make([]float64, n)
+				for i := range keys {
+					keys[i] = gen(i)
+				}
+				order(keys)
+				// Payloads are a permutation, so with all-equal keys the
+				// order is decided by payload alone.
+				payload := make([]int, n)
+				for i := range payload {
+					payload[i] = i
+				}
+				rng.ShuffleInts(payload)
+				for _, k := range []int{1, 5, 20, insertionK, insertionK + 1, 100, n - 1, n, n + 3} {
+					checkSelection(t, orderName+"/"+keyName, keys, payload, k)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSmallestK checks SmallestK against the sort oracle on arbitrary
+// inputs: each byte pair is one (key, payload), the key taken coarsely so
+// ties are common, and k ranges past the input length.
+func FuzzSmallestK(f *testing.F) {
+	ramp := func(n int, step int) []byte {
+		b := make([]byte, 2*n)
+		for i := 0; i < n; i++ {
+			b[2*i], b[2*i+1] = byte(128+step*i/2), byte(i)
+		}
+		return b
+	}
+	f.Add(ramp(101, 1), uint8(20))
+	f.Add(ramp(101, -1), uint8(20))
+	f.Add(ramp(60, 1), uint8(insertionK))
+	f.Add(ramp(60, -1), uint8(insertionK+1))
+	f.Add(make([]byte, 2*80), uint8(insertionK))
+	f.Add(make([]byte, 2*80), uint8(insertionK+1))
+	f.Add([]byte{9, 1, 3, 2, 7, 0}, uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		n := len(data) / 2
+		keys := make([]float64, n)
+		payload := make([]int, n)
+		for i := 0; i < n; i++ {
+			keys[i] = float64(data[2*i] / 4)
+			payload[i] = int(data[2*i+1])
+		}
+		checkSelection(t, "fuzz", keys, payload, int(k))
+	})
 }
 
 func TestSmallestKPermutationIndependent(t *testing.T) {
