@@ -15,9 +15,11 @@
 //
 // Recovery (OpenLatestGood) walks candidates newest-first — the union
 // of the directory scan and the manifest — and verifies each via the
-// snap envelope's whole-file checksum, returning the newest generation
-// that decodes cleanly. A torn or corrupted newest generation therefore
-// degrades to the previous one instead of failing the resume.
+// snap envelope's checksum, returning the newest generation that decodes
+// cleanly. A torn or corrupted newest generation therefore degrades to
+// the previous one instead of failing the resume. A generation's Sum is
+// FNV-1a over the whole file; recovery derives it from the verified
+// checksum instead of hashing the file twice.
 //
 // Transient write errors (anything carrying Transient() bool, see
 // IsTransient) are retried with doubling backoff up to Options.Retries
@@ -416,10 +418,10 @@ func (m *Manager) OpenLatestGoodAtMost(round int) (Generation, []byte, error) {
 			rejected = append(rejected, fmt.Sprintf("%s: %v", c.Name, err))
 			continue
 		}
-		h := fnv.New64a()
-		h.Write(data)
+		// Decode has just hashed every byte but the checksum; FileSum
+		// extends that over the last eight instead of hashing the file again.
 		c.Size = int64(len(data))
-		c.Sum = h.Sum64()
+		c.Sum = snap.FileSum(data)
 		return c, data, nil
 	}
 	if len(rejected) == 0 {

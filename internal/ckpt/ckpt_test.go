@@ -2,9 +2,12 @@ package ckpt
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -303,4 +306,66 @@ func FuzzManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpenDerivesWholeFileSum pins the Sum recovery reports without
+// hashing the file twice: for random kinds and bodies it equals FNV-1a over
+// the file and the Sum Save computed while writing, the manifest
+// round-trips unchanged, and a torn or corrupt newest candidate is still
+// refused before any sum is taken.
+func TestOpenDerivesWholeFileSum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for i := range 40 {
+		kind := fmt.Sprintf("kind-%d", rng.IntN(1000))
+		m, err := NewManager(Options{Dir: t.TempDir(), Kind: kind, Keep: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved []Generation
+		for round := 1; round <= 3; round++ {
+			body := make([]byte, rng.IntN(4096))
+			for j := range body {
+				body[j] = byte(rng.IntN(256))
+			}
+			g, err := m.Save(round, func(w io.Writer) error { return snap.WriteEnvelope(w, kind, body) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved = append(saved, g)
+		}
+		newest := saved[len(saved)-1]
+		switch i % 3 {
+		case 1: // torn
+			data, _ := os.ReadFile(newest.Path(m.Dir()))
+			if err := os.WriteFile(newest.Path(m.Dir()), data[:rng.IntN(len(data))], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		case 2: // corrupt
+			data, _ := os.ReadFile(newest.Path(m.Dir()))
+			data[rng.IntN(len(data))] ^= 0x10
+			if err := os.WriteFile(newest.Path(m.Dir()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := newest
+		if i%3 != 0 {
+			want = saved[len(saved)-2]
+		}
+		g, data, err := m.OpenLatestGood()
+		if err != nil {
+			t.Fatalf("OpenLatestGood: %v", err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		if g != want || g.Sum != h.Sum64() || g.Size != int64(len(data)) {
+			t.Fatalf("case %d: opened %+v (FNV-1a of its bytes %#x), want %+v", i, g, h.Sum64(), want)
+		}
+		m2, err := NewManager(Options{Dir: m.Dir(), Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m2.Generations(); !slices.Equal(got, saved) {
+			t.Fatalf("case %d: manifest reloaded as %+v, want %+v", i, got, saved)
+		}
+	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
@@ -47,6 +47,7 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 
 	// Per-node state.
 	w.Len(len(p.nodes))
+	var origins []sim.NodeID
 	for i, st := range p.nodes {
 		if st == nil {
 			w.Bool(false)
@@ -59,11 +60,11 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		}
 		writePoint(w, p.row(sim.NodeID(i)))
 		w.Bool(st.posDirty)
-		origins := make([]sim.NodeID, 0, len(st.ghosts))
+		origins = origins[:0]
 		for o := range st.ghosts {
 			origins = append(origins, o)
 		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
+		slices.Sort(origins)
 		w.Len(len(origins))
 		for _, o := range origins {
 			w.Int(int(o))
@@ -98,9 +99,9 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 	// Stateful detector, if any.
 	if ds, ok := p.cfg.Detector.(sim.Snapshotter); ok {
 		w.Bool(true)
-		var dw snap.Writer
-		ds.SnapshotState(&dw)
-		w.Section(dw.Bytes())
+		mark := w.BeginSection()
+		ds.SnapshotState(w)
+		w.EndSection(mark)
 	} else {
 		w.Bool(false)
 	}
@@ -114,11 +115,25 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // resolve against the parsed point table directly: the interner retains
 // the very points it is given, so the guest and ghost slices are the same
 // either way.
+//
+// Every per-node slice — guests, ghosts, pushed sets, holders lists and
+// the interned points' coordinates — and every ghost set is carved from
+// an arena, and the node records from one array, so a restore allocates
+// per chunk rather than per object. Arena slices have exact capacity, as separately made
+// ones would: the first append to any of them reallocates it.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
+	var (
+		coords snap.Arena[float64]
+		points snap.Arena[space.Point]
+		pids   snap.Arena[space.PointID]
+		nids   snap.Arena[sim.NodeID]
+		refs   snap.Arena[backupRef]
+		sets   snap.Arena[ghostSet]
+	)
 	nPts := r.Len(8)
 	pts := make([]space.Point, nPts)
 	for i := range pts {
-		pts[i] = readPoint(r)
+		pts[i] = readPoint(r, &coords)
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -135,15 +150,16 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	dim := p.dim
 	nNodes := r.Len(1)
 	nodes := make([]*nodeState, nNodes)
+	states := make([]nodeState, nNodes)
 	pos := make([]float64, nNodes*dim)
 	for i := range nodes {
 		if !r.Bool() {
 			continue
 		}
-		st := &nodeState{ghosts: make(map[sim.NodeID]*ghostSet)}
+		st := &states[i]
 		ng := r.Len(4)
-		st.guestIDs = make([]space.PointID, ng)
-		st.guests = make([]space.Point, ng)
+		st.guestIDs = pids.Take(ng)
+		st.guests = points.Take(ng)
 		for j := 0; j < ng; j++ {
 			pid := space.PointID(r.U32())
 			if int(pid) >= nPts {
@@ -165,13 +181,13 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		}
 		st.posDirty = r.Bool()
 		nGhost := r.Len(2)
+		st.ghosts = make(map[sim.NodeID]*ghostSet, nGhost)
 		for j := 0; j < nGhost; j++ {
 			origin := sim.NodeID(r.Int())
 			gn := r.Len(4)
-			gs := &ghostSet{
-				ids: make([]space.PointID, gn),
-				pts: make([]space.Point, gn),
-			}
+			gs := &sets.Take(1)[0]
+			gs.ids = pids.Take(gn)
+			gs.pts = points.Take(gn)
 			for k := 0; k < gn; k++ {
 				pid := space.PointID(r.U32())
 				if int(pid) >= nPts {
@@ -183,11 +199,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			st.ghosts[origin] = gs
 		}
 		nBk := r.Len(2)
-		st.backups = make([]backupRef, nBk)
+		st.backups = refs.Take(nBk)
 		for j := 0; j < nBk; j++ {
 			st.backups[j].node = sim.NodeID(r.Int())
 			np := r.Len(4)
-			st.backups[j].pushed = make([]space.PointID, np)
+			st.backups[j].pushed = pids.Take(np)
 			for k := 0; k < np; k++ {
 				st.backups[j].pushed[k] = space.PointID(r.U32())
 			}
@@ -199,7 +215,7 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	lists := make([][]sim.NodeID, nLists)
 	for i := range lists {
 		ln := r.Len(8)
-		l := make([]sim.NodeID, ln)
+		l := nids.Take(ln)
 		for j := range l {
 			l[j] = sim.NodeID(r.Int())
 		}
@@ -272,9 +288,9 @@ func writePoint(w *snap.Writer, p space.Point) {
 	}
 }
 
-func readPoint(r *snap.Reader) space.Point {
+func readPoint(r *snap.Reader, coords *snap.Arena[float64]) space.Point {
 	n := r.Len(8)
-	p := make(space.Point, n)
+	p := space.Point(coords.Take(n))
 	for i := range p {
 		p[i] = r.F64()
 	}

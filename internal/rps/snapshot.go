@@ -21,13 +21,15 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 	}
 }
 
-// RestoreState implements sim.Snapshotter.
+// RestoreState implements sim.Snapshotter. The views are carved from one
+// arena and keep exact capacity, so an append to one reallocates it.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.Len(8)
 	views := make([][]entry, n)
+	var arena snap.Arena[entry]
 	for i := range views {
 		ln := r.Len(16)
-		v := make([]entry, ln)
+		v := arena.Take(ln)
 		for j := range v {
 			v[j].id = sim.NodeID(r.Int())
 			v[j].age = r.Int()

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -184,6 +185,60 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	// The pristine snapshot must still restore cleanly after all that.
 	if err := target.Restore(bytes.NewReader(good)); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+}
+
+// TestSnapshotAllocsScaleFree pins the snapshot codec's allocation
+// contract on converged 40x20 and 80x40 scenarios. A save writes every
+// section in place into one doubling buffer, so quadrupling the node
+// count may add only a few buffer doublings. A restore carves per-node
+// slices from arenas, so what remains per node is the ghost map and the
+// interner's key string.
+func TestSnapshotAllocsScaleFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
+	}
+	type sample struct {
+		nodes         int
+		save, restore float64
+	}
+	measure := func(w, h int) sample {
+		cfg := Config{Seed: 5, W: w, H: h, Polystyrene: true, SkipMetrics: true}
+		sc := MustNew(cfg)
+		defer sc.Close()
+		sc.Run(20)
+		var buf bytes.Buffer
+		if err := sc.SnapshotTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s := sample{nodes: w * h}
+		s.save = testing.AllocsPerRun(5, func() {
+			if err := sc.SnapshotTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		target := MustNew(cfg)
+		defer target.Close()
+		s.restore = testing.AllocsPerRun(5, func() {
+			if err := target.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return s
+	}
+	small, large := measure(40, 20), measure(80, 40)
+	t.Logf("SnapshotTo allocs: %v at %d nodes, %v at %d nodes", small.save, small.nodes, large.save, large.nodes)
+	t.Logf("Restore allocs: %v at %d nodes (%.2f/node), %v at %d nodes (%.2f/node)",
+		small.restore, small.nodes, small.restore/float64(small.nodes),
+		large.restore, large.nodes, large.restore/float64(large.nodes))
+	if d := large.save - small.save; d > 8 || d < -8 {
+		t.Errorf("SnapshotTo allocations grow with the node count: %v at %d nodes, %v at %d", small.save, small.nodes, large.save, large.nodes)
+	}
+	for _, s := range []sample{small, large} {
+		if s.restore >= 4*float64(s.nodes) {
+			t.Errorf("Restore makes %v allocations at %d nodes (%.2f per node), want fewer than 4 per node",
+				s.restore, s.nodes, s.restore/float64(s.nodes))
+		}
 	}
 }
 

@@ -58,9 +58,9 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 		w.String(l.Name())
 		if s, ok := l.(Snapshotter); ok {
 			w.Bool(true)
-			var lw snap.Writer
-			s.SnapshotState(&lw)
-			w.Section(lw.Bytes())
+			mark := w.BeginSection()
+			s.SnapshotState(w)
+			w.EndSection(mark)
 		} else {
 			w.Bool(false)
 		}

@@ -16,17 +16,31 @@
 // returning the body, so callers can guarantee that a corrupted or
 // truncated snapshot is rejected before any state has been mutated.
 //
+// A section is a length-prefixed nested body that the code owning it
+// reads through a bounded sub-reader. Writers build sections in place:
+// BeginSection reserves the length, the owner writes its body straight
+// into the same buffer, and EndSection patches the length in — the bytes
+// equal Section over a separately written body, without the copy. The
+// buffer grows by doubling, and WriteEnvelope streams the header, the
+// body and the checksum without assembling the file first.
+//
 // Reader carries a sticky error: after the first malformed read every
 // subsequent call returns a zero value, and the error is reported once at
 // the end via Err. That keeps restore code linear — no per-field error
 // plumbing — without ever silently accepting bad data.
+//
+// Restores allocate from an Arena: the many small per-node slices of a
+// layer's state are carved, with exact capacity, out of shared chunks,
+// so a restore costs one allocation per chunk instead of one per object.
 package snap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"math"
 )
 
@@ -45,11 +59,29 @@ type Writer struct {
 // internal buffer and is invalidated by further writes.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// grow makes room for n more bytes. It doubles the buffer rather than
+// following append's policy, which grows large slices by only 1.25x and
+// so copies a 58 MB body several times over.
+func (w *Writer) grow(n int) {
+	if cap(w.buf)-len(w.buf) >= n {
+		return
+	}
+	buf := make([]byte, len(w.buf), max(2*cap(w.buf), len(w.buf)+n, 256))
+	copy(buf, w.buf)
+	w.buf = buf
+}
+
 // U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *Writer) U64(v uint64) {
+	w.grow(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
 
 // U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *Writer) U32(v uint32) {
+	w.grow(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+}
 
 // I64 appends a signed integer as its two's-complement uint64 image.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -62,6 +94,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bool appends a single 0/1 byte.
 func (w *Writer) Bool(v bool) {
+	w.grow(1)
 	if v {
 		w.buf = append(w.buf, 1)
 	} else {
@@ -76,6 +109,7 @@ func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 // String appends a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
 	w.Len(len(s))
+	w.grow(len(s))
 	w.buf = append(w.buf, s...)
 }
 
@@ -84,7 +118,23 @@ func (w *Writer) String(s string) {
 // over- or under-reads at the section boundary.
 func (w *Writer) Section(body []byte) {
 	w.Len(len(body))
+	w.grow(len(body))
 	w.buf = append(w.buf, body...)
+}
+
+// BeginSection starts a section written in place: it reserves the
+// section's length and returns the mark EndSection needs. Everything
+// written in between is the section body, and the resulting bytes equal
+// Section over that body written separately. Sections nest.
+func (w *Writer) BeginSection() int {
+	w.U64(0)
+	return len(w.buf)
+}
+
+// EndSection closes the section BeginSection opened at mark by patching
+// its length in.
+func (w *Writer) EndSection(mark int) {
+	binary.LittleEndian.PutUint64(w.buf[mark-8:mark], uint64(len(w.buf)-mark))
 }
 
 // Reader consumes a snapshot body produced by Writer. The first
@@ -220,22 +270,43 @@ func CloseSection(name string, sub *Reader) error {
 	return nil
 }
 
-// Encode wraps a body in the versioned, checksummed envelope.
-func Encode(kind string, body []byte) []byte {
-	var w Writer
+// header writes the envelope's header for a body of bodyLen bytes into w.
+func header(w *Writer, kind string, bodyLen int) {
+	w.grow(len(magic))
 	w.buf = append(w.buf, magic[:]...)
 	w.String(kind)
 	w.U32(Version)
-	w.Section(body)
-	h := fnv.New64a()
-	h.Write(w.buf)
-	w.U64(h.Sum64())
-	return w.buf
+	w.Len(bodyLen)
+}
+
+// Encode wraps a body in the versioned, checksummed envelope.
+func Encode(kind string, body []byte) []byte {
+	var buf bytes.Buffer
+	buf.Grow(len(magic) + 8 + len(kind) + 4 + 8 + len(body) + 8)
+	_ = WriteEnvelope(&buf, kind, body) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// FileSum returns FNV-1a over the whole of an envelope that Decode has
+// accepted. The trailing checksum is the FNV-1a state after every byte
+// before it, so the sum continues that state over the checksum's own
+// eight bytes instead of hashing the file again. On an envelope Decode
+// would refuse the result is meaningless.
+func FileSum(envelope []byte) uint64 {
+	const prime64 = 1099511628211
+	tail := envelope[len(envelope)-8:]
+	h := binary.LittleEndian.Uint64(tail)
+	for _, c := range tail {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // Decode verifies an envelope end to end — magic, kind, version, body
-// length and whole-file checksum — and returns the body. It never returns
-// a partially validated body: any defect yields a nil body and an error.
+// length and the checksum over every byte before it — and returns the
+// body. It never returns a partially validated body: any defect yields a
+// nil body and an error.
 //
 // Truncation classes are diagnosed before the checksum so an interrupted
 // or torn write produces an actionable message ("empty snapshot",
@@ -292,19 +363,90 @@ func Decode(kind string, data []byte) ([]byte, error) {
 	return body, nil
 }
 
-// WriteEnvelope encodes body and writes the envelope to w.
+// WriteEnvelope writes body to w in the versioned, checksummed envelope,
+// streamed: the header, the body slice itself and the checksum, so the
+// body is never copied.
 func WriteEnvelope(w io.Writer, kind string, body []byte) error {
-	_, err := w.Write(Encode(kind, body))
-	return err
+	var hw Writer
+	header(&hw, kind, len(body))
+	h := fnv.New64a()
+	h.Write(hw.buf)
+	h.Write(body)
+	var sum [8]byte
+	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
+	for _, b := range [][]byte{hw.buf, body, sum[:]} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadEnvelope buffers all of r and decodes it. Snapshots are verified
 // whole-file before any restore begins, so streaming decode is
 // deliberately not offered.
 func ReadEnvelope(r io.Reader, kind string) ([]byte, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snap: reading snapshot: %w", err)
 	}
 	return Decode(kind, data)
+}
+
+// readAll is io.ReadAll with the buffer sized up front from what r
+// reports about itself: Len() for bytes.Reader and bytes.Buffer, Stat()
+// for a regular *os.File. It still reads to EOF, so a wrong size costs a
+// regrowth, never a wrong result.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 512
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	// One spare byte lets the read that reports EOF run without a regrowth.
+	buf := make([]byte, 0, max(size, 0)+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// arenaChunk is the number of elements an Arena allocates at a time.
+const arenaChunk = 16 << 10
+
+// Arena hands out slices carved from shared chunks, so restoring many
+// small per-node slices costs one allocation per chunk rather than one
+// per slice. Every slice it returns is zeroed and has len == cap: an
+// append to it always reallocates and so can never write into the slice
+// carved next to it. A chunk stays reachable while any slice carved from
+// it is. The zero Arena is ready to use.
+type Arena[T any] struct {
+	free []T
+}
+
+// Take returns a zeroed slice of n elements with capacity n. A request
+// larger than a chunk gets an allocation of its own.
+func (a *Arena[T]) Take(n int) []T {
+	if n > len(a.free) {
+		if n > arenaChunk {
+			return make([]T, n)
+		}
+		a.free = make([]T, arenaChunk)
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }

@@ -2,10 +2,16 @@ package snap
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -255,4 +261,320 @@ func appendChecksum(b []byte) []byte {
 	w.buf = append(w.buf, b...)
 	w.U64(h.Sum64())
 	return w.buf
+}
+
+// secTree is a test body: a sequence of primitives and nested sections.
+type secTree struct {
+	items []secItem
+}
+
+type secItem struct {
+	kind  byte // 'b' Bool, 'u' U32, 's' String, 'S' section
+	u     uint32
+	s     string
+	child *secTree
+}
+
+// writeInPlace writes t into w with BeginSection/EndSection.
+func (t *secTree) writeInPlace(w *Writer) {
+	for _, it := range t.items {
+		switch it.kind {
+		case 'b':
+			w.Bool(it.u&1 == 1)
+		case 'u':
+			w.U32(it.u)
+		case 's':
+			w.String(it.s)
+		case 'S':
+			mark := w.BeginSection()
+			it.child.writeInPlace(w)
+			w.EndSection(mark)
+		}
+	}
+}
+
+// nested writes t the old way: every section into its own Writer, then
+// Section copies it into the parent.
+func (t *secTree) nested() []byte {
+	var w Writer
+	for _, it := range t.items {
+		switch it.kind {
+		case 'b':
+			w.Bool(it.u&1 == 1)
+		case 'u':
+			w.U32(it.u)
+		case 's':
+			w.String(it.s)
+		case 'S':
+			w.Section(it.child.nested())
+		}
+	}
+	return w.Bytes()
+}
+
+// read checks that r holds exactly t.
+func (t *secTree) read(r *Reader) error {
+	for i, it := range t.items {
+		switch it.kind {
+		case 'b':
+			if got := r.Bool(); got != (it.u&1 == 1) {
+				return fmt.Errorf("item %d: Bool %v", i, got)
+			}
+		case 'u':
+			if got := r.U32(); got != it.u {
+				return fmt.Errorf("item %d: U32 %d, want %d", i, got, it.u)
+			}
+		case 's':
+			if got := r.String(); got != it.s {
+				return fmt.Errorf("item %d: String %q, want %q", i, got, it.s)
+			}
+		case 'S':
+			sub := r.Section()
+			if err := it.child.read(sub); err != nil {
+				return fmt.Errorf("item %d: %w", i, err)
+			}
+			if err := CloseSection("child", sub); err != nil {
+				return err
+			}
+		}
+	}
+	return r.Err()
+}
+
+// checkSections asserts that t written in place equals t written through
+// nested writers, and that it reads back.
+func checkSections(t *testing.T, tree *secTree) {
+	t.Helper()
+	var w Writer
+	tree.writeInPlace(&w)
+	want := tree.nested()
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("in-place sections differ from nested writers:\n got %x\nwant %x", w.Bytes(), want)
+	}
+	r := NewReader(w.Bytes())
+	if err := tree.read(r); err != nil {
+		t.Fatalf("reading back: %v", err)
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d bytes left after reading back", r.Remaining())
+	}
+}
+
+func randTree(rng *rand.Rand, depth int) *secTree {
+	t := &secTree{}
+	n := rng.IntN(6)
+	if rng.IntN(8) == 0 {
+		n = 40 + rng.IntN(40) // many siblings
+	}
+	for range n {
+		switch k := rng.IntN(4); {
+		case k == 3 && depth < 3:
+			t.items = append(t.items, secItem{kind: 'S', child: randTree(rng, depth+1)})
+		case k == 2:
+			b := make([]byte, rng.IntN(300))
+			for i := range b {
+				b[i] = byte(rng.IntN(256))
+			}
+			t.items = append(t.items, secItem{kind: 's', s: string(b)})
+		case k == 1:
+			t.items = append(t.items, secItem{kind: 'u', u: rng.Uint32()})
+		default:
+			t.items = append(t.items, secItem{kind: 'b', u: rng.Uint32()})
+		}
+	}
+	return t
+}
+
+func TestInPlaceSectionsMatchSection(t *testing.T) {
+	section := func(items ...secItem) secItem { return secItem{kind: 'S', child: &secTree{items: items}} }
+	oneByte := secItem{kind: 'b', u: 1}
+	fixed := map[string]*secTree{
+		"empty":          {},
+		"empty-section":  {items: []secItem{section()}},
+		"one-byte":       {items: []secItem{section(oneByte)}},
+		"three-deep":     {items: []secItem{section(section(section(oneByte), oneByte))}},
+		"after-sections": {items: []secItem{section(), section(oneByte), {kind: 'u', u: 9}}},
+	}
+	many := &secTree{}
+	for i := range 200 {
+		many.items = append(many.items, section(secItem{kind: 'u', u: uint32(i)}))
+	}
+	fixed["many-siblings"] = many
+	for name, tree := range fixed {
+		t.Run(name, func(t *testing.T) { checkSections(t, tree) })
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 300 {
+		checkSections(t, randTree(rng, 0))
+	}
+}
+
+// FuzzWriterSections builds a section tree from the input — 0 opens a
+// section, 1 closes one, anything else writes a primitive — and checks it
+// the way TestInPlaceSectionsMatchSection does.
+func FuzzWriterSections(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1})
+	f.Add([]byte{0, 0, 0, 7, 1, 1, 1, 9})
+	f.Add([]byte{0, 5, 1, 0, 6, 1, 0, 1, 200, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root := &secTree{}
+		stack := []*secTree{root}
+		for i, c := range data {
+			top := stack[len(stack)-1]
+			switch {
+			case c == 0 && len(stack) < 16:
+				child := &secTree{}
+				top.items = append(top.items, secItem{kind: 'S', child: child})
+				stack = append(stack, child)
+			case c == 1 && len(stack) > 1:
+				stack = stack[:len(stack)-1]
+			case c%3 == 0:
+				top.items = append(top.items, secItem{kind: 'b', u: uint32(c)})
+			case c%3 == 1:
+				top.items = append(top.items, secItem{kind: 'u', u: uint32(c) << (i % 24)})
+			default:
+				top.items = append(top.items, secItem{kind: 's', s: string(data[i:min(len(data), i+int(c%16))])})
+			}
+		}
+		checkSections(t, root)
+	})
+}
+
+func TestArenaTakeIsolation(t *testing.T) {
+	var a Arena[int]
+	first := a.Take(3)
+	second := a.Take(3)
+	if len(first) != 3 || cap(first) != 3 {
+		t.Fatalf("Take(3): len %d cap %d, want 3 and 3", len(first), cap(first))
+	}
+	for i := range second {
+		second[i] = 7
+	}
+	grown := append(first, 99)
+	if &grown[0] == &first[0] {
+		t.Fatal("append past capacity reused the arena slice")
+	}
+	for i, v := range second {
+		if v != 7 {
+			t.Fatalf("append to its neighbour overwrote second[%d] = %d", i, v)
+		}
+	}
+
+	if z := a.Take(0); len(z) != 0 || cap(z) != 0 {
+		t.Fatalf("Take(0): len %d cap %d", len(z), cap(z))
+	}
+
+	free := len(a.free)
+	big := a.Take(arenaChunk + 5)
+	if len(big) != arenaChunk+5 || cap(big) != arenaChunk+5 {
+		t.Fatalf("Take(chunk+5): len %d cap %d", len(big), cap(big))
+	}
+	if len(a.free) != free {
+		t.Fatal("a request larger than a chunk discarded the current chunk")
+	}
+
+	// Fill every slice handed out across several chunks: none may start
+	// non-zero, since chunk memory is never handed out twice.
+	for n := 1; n < 3*arenaChunk; n += n/2 + 1 {
+		s := a.Take(n % (arenaChunk / 2))
+		for i, v := range s {
+			if v != 0 {
+				t.Fatalf("Take(%d)[%d] = %d, want zeroed memory", len(s), i, v)
+			}
+			s[i] = -1
+		}
+	}
+}
+
+// lenReader is a bytes.Reader that reports a size of its choosing.
+type lenReader struct {
+	*bytes.Reader
+	n int
+}
+
+func (l lenReader) Len() int { return l.n }
+
+func TestReadEnvelopeSizedSources(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	body := make([]byte, 100_000)
+	for i := range body {
+		body[i] = byte(rng.IntN(256))
+	}
+	enc := Encode("engine", body)
+
+	partRead := bytes.NewReader(append([]byte("junk"), enc...))
+	partRead.Read(make([]byte, 4))
+
+	path := filepath.Join(t.TempDir(), "s.snap")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+
+	sources := map[string]io.Reader{
+		"part-read bytes.Reader": partRead,
+		"bytes.Buffer":           bytes.NewBuffer(enc),
+		"os.File":                file,
+		"plain io.Reader":        iotest.HalfReader(bytes.NewReader(enc)),
+		"size too small":         lenReader{bytes.NewReader(enc), 10},
+		"size too large":         lenReader{bytes.NewReader(enc), 3 * len(enc)},
+		"size negative":          lenReader{bytes.NewReader(enc), -5},
+	}
+	for name, src := range sources {
+		got, err := ReadEnvelope(src, "engine")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, body) {
+			t.Fatalf("%s: body differs", name)
+		}
+	}
+}
+
+// TestStreamedEnvelopeLayout pins the streamed envelope to the layout
+// the package comment documents, built by hand with Section.
+func TestStreamedEnvelopeLayout(t *testing.T) {
+	for _, body := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("state"), 1000)} {
+		var w Writer
+		w.buf = append(w.buf, magic[:]...)
+		w.String("scenario")
+		w.U32(Version)
+		w.Section(body)
+		want := appendChecksum(w.Bytes())
+		var buf bytes.Buffer
+		if err := WriteEnvelope(&buf, "scenario", body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("WriteEnvelope of a %d-byte body differs from the documented layout", len(body))
+		}
+		if !bytes.Equal(Encode("scenario", body), want) {
+			t.Fatalf("Encode of a %d-byte body differs from the documented layout", len(body))
+		}
+	}
+}
+
+func TestFileSumIsWholeFileFNV(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for range 2000 {
+		kind := make([]byte, rng.IntN(12))
+		for i := range kind {
+			kind[i] = byte('a' + rng.IntN(26))
+		}
+		body := make([]byte, rng.IntN(512))
+		for i := range body {
+			body[i] = byte(rng.IntN(256))
+		}
+		enc := Encode(string(kind), body)
+		h := fnv.New64a()
+		h.Write(enc)
+		if got, want := FileSum(enc), h.Sum64(); got != want {
+			t.Fatalf("FileSum %#x, FNV-1a over the file %#x (kind %q, %d-byte body)", got, want, kind, len(body))
+		}
+	}
 }

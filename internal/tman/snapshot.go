@@ -21,13 +21,16 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 	}
 }
 
-// RestoreState implements sim.Snapshotter.
+// RestoreState implements sim.Snapshotter. The views are carved from one
+// arena; each keeps exact capacity, as a separately made one would, so the
+// first merge that grows a view reallocates it just the same.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.Len(8)
 	views := make([][]sim.NodeID, n)
+	var arena snap.Arena[sim.NodeID]
 	for i := range views {
 		ln := r.Len(8)
-		v := make([]sim.NodeID, ln)
+		v := arena.Take(ln)
 		for j := range v {
 			v[j] = sim.NodeID(r.Int())
 		}
