@@ -345,9 +345,6 @@ type Protocol struct {
 		cand []sim.NodeID
 		nbr  []sim.NodeID
 	}
-	// psiCache hands each planned step's migration ψ-window (a draw-free
-	// overlay ranking) from PlanStep to StepW.
-	psiCache sim.WindowCache
 
 	// pos is the position table: node id's virtual position — the medoid
 	// of its guests, or the last known position when it has none — is the
@@ -397,7 +394,6 @@ func New(cfg Config) (*Protocol, error) {
 		u.UsePositionClock(p.PositionClock)
 	}
 	p.ws = []*scratch{p.newScratch()}
-	p.psiCache = sim.NewWindowCache(cfg.Psi)
 	p.holders.floor = cfg.K + 1
 	return p, nil
 }
@@ -730,14 +726,7 @@ func (p *Protocol) topoAppendNeighbors(ctx *sim.StepCtx, dst []sim.NodeID, id si
 // no allocations.
 func (p *Protocol) migrate(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	e := ctx.Engine()
-	// Batched steps reuse the ψ window their plan already ranked (it is
-	// draw-free, so the stream stays aligned with the plan's replay).
-	var candidates []sim.NodeID
-	if ctx.Batched() {
-		candidates = p.psiCache.Append(scr.nbrBuf[:0], id)
-	} else {
-		candidates = p.cfg.Topology.AppendNeighbors(scr.nbrBuf[:0], id, p.cfg.Psi)
-	}
+	candidates := p.topoAppendNeighbors(ctx, scr.nbrBuf[:0], id, p.cfg.Psi)
 	scr.nbrBuf = candidates
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
 		dup := false
@@ -924,10 +913,8 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	}
 
 	// Mirror migrate's partner selection: ψ-window plus one random peer,
-	// live-filtered, uniform pick. The ranked window is handed to StepW
-	// through the per-node cache.
+	// live-filtered, uniform pick.
 	cand := p.planTopoNeighbors(p.plan.cand[:0], id, p.cfg.Psi)
-	p.psiCache.Put(id, cand)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {
 		dup := false
 		for _, c := range cand {

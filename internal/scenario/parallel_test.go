@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"polystyrene/internal/fd"
+	"polystyrene/internal/sim"
 	"polystyrene/internal/xrand"
 )
 
@@ -146,6 +147,37 @@ func TestRunOptsComposeExchangeParallelism(t *testing.T) {
 	for _, c := range [][2]int{{2, 1}, {1, 4}, {4, 2}} {
 		if rows := run(c[0], c[1]); !reflect.DeepEqual(rows, ref) {
 			t.Fatalf("TableII(parallel=%d, exchange=%d) diverged from the reference composition", c[0], c[1])
+		}
+	}
+}
+
+// TestExchangeParallelismPlainTManPinned pins the plain T-Man trajectory —
+// no Polystyrene, so T-Man ranks over fixed positions under its static
+// clock — through convergence, the half-torus catastrophe and
+// reinjection, sequentially and at exchange parallelism 2. Each
+// fingerprint covers the per-round metric series and every node's final
+// ten closest neighbours. (The name keeps it inside CI's race-enabled
+// byte-identity steps.)
+func TestExchangeParallelismPlainTManPinned(t *testing.T) {
+	want := map[int]uint64{0: 0x4c12072460634879, 2: 0x238259d2f418b8a0}
+	for _, workers := range []int{0, 2} {
+		sc, res, err := RunPaper(Config{Seed: 7, W: 20, H: 10, ExchangeParallelism: workers},
+			Phases{FailAt: 8, ReinjectAt: 20, End: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := resultFingerprint(res)
+		var nbrs []sim.NodeID
+		for id := 0; id < sc.Engine.NumNodes(); id++ {
+			nbrs = sc.topo.AppendNeighbors(nbrs[:0], sim.NodeID(id), 10)
+			for _, nb := range nbrs {
+				h = (h ^ uint64(nb)) * 1099511628211
+			}
+			h = (h ^ 0xff) * 1099511628211
+		}
+		sc.Close()
+		if h != want[workers] {
+			t.Errorf("workers=%d: plain T-Man fingerprint %#x, want %#x", workers, h, want[workers])
 		}
 	}
 }

@@ -107,32 +107,6 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExchangeParallelismTailCoalescing pins tail coalescing at the
-// full-stack level: the per-round metric record and final reliability are
-// byte-identical with coalescing disabled, at the default threshold, and
-// with the whole round coalesced onto the engine goroutine. (The name
-// keeps it inside CI's race-enabled determinism step.)
-func TestExchangeParallelismTailCoalescing(t *testing.T) {
-	run := func(minBatch int) (*Result, float64) {
-		sc := MustNew(Config{Seed: 42, W: 20, H: 10, Polystyrene: true, ExchangeParallelism: 3})
-		defer sc.Close()
-		sc.Engine.SetTailCoalescing(minBatch)
-		sc.Run(8)
-		killed := sc.FailRightHalf()
-		sc.Run(12)
-		sc.Reinject(killed)
-		sc.Run(12)
-		return sc.Result(), sc.Reliability()
-	}
-	refRes, refRel := run(1) // coalescing off: every batch dispatched
-	for _, minBatch := range []int{0, 6, 1 << 20} {
-		res, rel := run(minBatch)
-		if !reflect.DeepEqual(res, refRes) || rel != refRel {
-			t.Errorf("minBatch=%d: trajectory diverged from the uncoalesced reference", minBatch)
-		}
-	}
-}
-
 // TestRunOptsMemBudgetBoundsParallelism pins the memory side of the
 // budget composition: a budget sized for two cells caps cell parallelism
 // at two even on a wider worker budget, and the floor is always one cell.

@@ -33,18 +33,18 @@ package sim
 // goroutines (the engine goroutine itself executes as worker slot 0)
 // parked on per-worker wake channels across batches, rounds and even
 // Engine.Reset, so dispatching a batch costs a few channel operations
-// instead of goroutine spawns. Batches below a threshold — the tail of a
-// round, where the greedy matcher is down to a handful of conflicting
-// stragglers — are coalesced onto the inline slot-0 path and skip the
-// dispatch entirely (see SetTailCoalescing); because admitted steps are
-// node-disjoint and randomness is pre-split, the execution vehicle is
-// unobservable and results stay byte-identical with coalescing on or off,
-// at every worker count, and across pool resizes.
+// instead of goroutine spawns. Batches smaller than twice the worker
+// count — the tail of a round, where the greedy matcher is down to a
+// handful of conflicting stragglers — run inline on slot 0 and skip the
+// dispatch entirely; because admitted steps are node-disjoint and
+// randomness is pre-split, the execution vehicle is unobservable and
+// results stay byte-identical at every worker count and across pool
+// resizes.
 //
-// Execution replays the plan: StepW re-derives the selected peer from the
-// same stream state PlanStep saw, so the plan stores nothing and the two
-// cannot drift without tripping the StepCtx.Touch assertion, which panics
-// the moment a step touches a node outside its planned conflict set.
+// Execution replays the plan: StepW re-derives every selection from the
+// same state and stream PlanStep saw, so the plan stores nothing and the
+// two cannot drift without tripping the StepCtx.Touch assertion, which
+// panics the moment a step touches a node outside its planned conflict set.
 //
 // The batched trajectory is a different (equally valid) trajectory from
 // the legacy sequential one — pre-splitting changes the draw sequence — so
@@ -172,9 +172,8 @@ type Batched interface {
 	// the engine caches plans across batch barriers and re-plans a step
 	// only after an executed batch touched the step's own node. Reading
 	// another node's mutable state during selection would make cached
-	// plans stale — which is also why implementations may hand their
-	// plan's draw-free selection work (e.g. a ranked candidate window)
-	// to StepW through a per-node cache instead of recomputing it.
+	// plans stale. PlanStep may write only its layer's own plan scratch,
+	// never state keyed by node: StepW re-derives every selection itself.
 	PlanStep(e *Engine, rng *xrand.Rand, id NodeID, dst []NodeID) []NodeID
 
 	// StepW is Step under the batch scheduler: randomness from
@@ -190,40 +189,6 @@ type Batched interface {
 	// EndBatchedRound is called after the layer's last batch of the
 	// round, before observers run (core drops its position snapshot).
 	EndBatchedRound(e *Engine)
-}
-
-// WindowCache hands a planned step's ranked candidate window (a draw-free
-// selection such as the ψ closest overlay neighbours) from PlanStep to
-// StepW: a flat arena of width+1 slots per node — [count, ids...] —
-// written single-threaded at plan time and read only by the node's own
-// step, which the engine guarantees executes under its latest plan. The
-// zero value is ready to use at a fixed width.
-type WindowCache struct {
-	width int
-	slots []NodeID
-}
-
-// NewWindowCache returns a cache holding up to width candidates per node.
-func NewWindowCache(width int) WindowCache {
-	return WindowCache{width: width}
-}
-
-// Put stores node id's ranked window; len(sel) must not exceed the width.
-func (c *WindowCache) Put(id NodeID, sel []NodeID) {
-	w := c.width + 1
-	for len(c.slots) < (int(id)+1)*w {
-		c.slots = append(c.slots, None)
-	}
-	slot := c.slots[int(id)*w : (int(id)+1)*w]
-	slot[0] = NodeID(len(sel))
-	copy(slot[1:], sel)
-}
-
-// Append appends node id's cached window to dst and returns it.
-func (c *WindowCache) Append(dst []NodeID, id NodeID) []NodeID {
-	w := c.width + 1
-	slot := c.slots[int(id)*w : (int(id)+1)*w]
-	return append(dst, slot[1:1+int(slot[0])]...)
 }
 
 // PlanInvariant is an optional marker a Batched layer implements when its
@@ -268,34 +233,9 @@ func (e *Engine) SetExchangeParallelism(n int) {
 	e.resizePool(n - 1)
 }
 
-// SetTailCoalescing sets the smallest batch size worth dispatching to the
-// worker pool: batches with fewer admitted steps — typically the tail of
-// a round, where only conflicting stragglers remain — execute inline on
-// the engine goroutine (worker slot 0) and skip the wake/park round-trip.
-// minBatch == 1 disables coalescing (every batch is dispatched while the
-// pool is non-empty); minBatch <= 0 restores the default of twice the
-// worker count. The threshold is a pure throughput knob: the batch
-// partition is unchanged and admitted steps are node-disjoint, so results
-// are byte-identical at every setting.
-func (e *Engine) SetTailCoalescing(minBatch int) {
-	if minBatch < 0 {
-		minBatch = 0
-	}
-	e.coalesceMin = minBatch
-}
-
-// TailCoalescing returns the configured coalescing threshold (0 = the
-// default of twice the worker count).
-func (e *Engine) TailCoalescing() int { return e.coalesceMin }
-
-// dispatchMin returns the effective smallest batch size handed to the
-// pool; smaller batches run inline on slot 0.
-func (e *Engine) dispatchMin() int {
-	if e.coalesceMin != 0 {
-		return e.coalesceMin
-	}
-	return 2 * (len(e.pool.workers) + 1)
-}
+// dispatchMin returns the smallest batch size handed to the pool, twice
+// the worker count; smaller batches run inline on slot 0.
+func (e *Engine) dispatchMin() int { return 2 * (len(e.pool.workers) + 1) }
 
 // Close releases the engine's pool goroutines (joining them before it
 // returns) and is idempotent. The engine stays usable — batched passes
@@ -500,7 +440,7 @@ func (e *Engine) runBatched(bp Batched) {
 // execBatch steps every admitted step of the open batch and waits at the
 // barrier. Batches of at least dispatchMin steps wake helpers from the
 // persistent pool (the engine claims steps too, as slot 0); smaller ones
-// — the coalesced tail — run inline on slot 0 with no dispatch at all.
+// — the round's tail — run inline on slot 0 with no dispatch at all.
 // Per-worker meter charges are flushed after the barrier (sums commute).
 func (e *Engine) execBatch(bp Batched) {
 	bs := &e.bs

@@ -111,26 +111,20 @@ func TestWorkerPoolResizeMidRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTailCoalescingByteIdentical pins the coalescing knob's determinism
-// contract: for a fixed seed, results are identical with coalescing off
-// (minBatch 1), at the default threshold, at an aggressive threshold and
-// with every batch coalesced (huge threshold: the pool is never woken) —
-// across worker counts. The partition is unchanged; only the execution
-// vehicle differs.
-func TestTailCoalescingByteIdentical(t *testing.T) {
-	run := func(workers, minBatch int) uint64 {
+// TestChurnyPoolWorkerCountByteIdentical pins that the execution vehicle
+// is unobservable through churn: at one worker every batch runs inline on
+// slot 0, at two to four workers batches of at least twice the worker
+// count are dispatched to the pool, and the fingerprint is the same.
+func TestChurnyPoolWorkerCountByteIdentical(t *testing.T) {
+	run := func(workers int) uint64 {
 		proto, e := churnyPairSim(t, 0xabcdef99, 300, workers)
-		e.SetTailCoalescing(minBatch)
 		e.RunRounds(10)
 		return proto.fingerprint()
 	}
-	ref := run(1, 1)
-	for _, workers := range []int{1, 2, 4} {
-		for _, minBatch := range []int{1, 0, 8, 1 << 20} {
-			if got := run(workers, minBatch); got != ref {
-				t.Errorf("workers=%d minBatch=%d: fingerprint %#x, want %#x",
-					workers, minBatch, got, ref)
-			}
+	ref := run(1)
+	for _, workers := range []int{2, 3, 4} {
+		if got := run(workers); got != ref {
+			t.Errorf("workers=%d: fingerprint %#x, want %#x", workers, got, ref)
 		}
 	}
 }
@@ -213,24 +207,23 @@ func TestBatchSchedulerSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzBatchCoalesce drives the scripted exchange protocol over fuzzed
-// (worker count, coalescing threshold, population, churn) and pins the
-// scheduler's invariants at every point: batches stay node-disjoint and
-// every live node steps exactly once per round (pairProto's checks), and
-// the final state and ledger are byte-identical to the single-worker,
-// never-coalescing reference — the determinism contract over the whole
-// (batch partition x execution vehicle) space.
+// (worker count, population, churn) and pins the scheduler's invariants at
+// every point: batches stay node-disjoint and every live node steps
+// exactly once per round (pairProto's checks), and the final state and
+// ledger are byte-identical to the single-worker reference, whose batches
+// all run inline — the determinism contract over the whole (batch
+// partition x execution vehicle) space.
 func FuzzBatchCoalesce(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(0), uint8(50), uint8(20))
-	f.Add(uint64(0xfeedbeef), uint8(2), uint8(1), uint8(200), uint8(3))
-	f.Add(uint64(42), uint8(7), uint8(255), uint8(90), uint8(70))
-	f.Add(uint64(7777), uint8(1), uint8(16), uint8(2), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, workers, minBatch, nodes, churn uint8) {
+	f.Add(uint64(1), uint8(4), uint8(50), uint8(20))
+	f.Add(uint64(0xfeedbeef), uint8(2), uint8(200), uint8(3))
+	f.Add(uint64(42), uint8(7), uint8(90), uint8(70))
+	f.Add(uint64(7777), uint8(1), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, workers, nodes, churn uint8) {
 		n := int(nodes)%200 + 2
-		run := func(w, coalesce int) (uint64, int) {
+		run := func(w int) (uint64, int) {
 			proto := newPairProto("pairs", func(format string, args ...any) { t.Errorf(format, args...) })
 			e := New(seed, proto)
 			e.SetExchangeParallelism(w)
-			e.SetTailCoalescing(coalesce)
 			defer e.Close()
 			e.AddNodes(n)
 			kills := int(churn) % n
@@ -248,15 +241,14 @@ func FuzzBatchCoalesce(f *testing.F) {
 			e.RunRounds(6)
 			return proto.fingerprint(), e.Meter().TotalCost("pairs")
 		}
-		refFp, refCost := run(1, 1)
-		gotFp, gotCost := run(int(workers)%8+1, int(minBatch))
+		refFp, refCost := run(1)
+		w := int(workers)%8 + 1
+		gotFp, gotCost := run(w)
 		if gotFp != refFp {
-			t.Errorf("workers=%d minBatch=%d: state fingerprint %#x, want %#x",
-				int(workers)%8+1, int(minBatch), gotFp, refFp)
+			t.Errorf("workers=%d: state fingerprint %#x, want %#x", w, gotFp, refFp)
 		}
 		if gotCost != refCost {
-			t.Errorf("workers=%d minBatch=%d: total cost %d, want %d",
-				int(workers)%8+1, int(minBatch), gotCost, refCost)
+			t.Errorf("workers=%d: total cost %d, want %d", w, gotCost, refCost)
 		}
 	})
 }

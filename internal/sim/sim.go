@@ -17,12 +17,11 @@
 // into batches of node-disjoint exchanges that execute across a persistent
 // worker pool — n-1 goroutines parked on wake channels across batches and
 // rounds, the engine goroutine itself being worker slot 0 — while batches
-// below a threshold (the conflict-bound tail of a round) coalesce onto the
-// inline slot-0 path and skip the dispatch (see parallel.go,
-// SetTailCoalescing). Same-seed results are byte-identical at every worker
-// count and every coalescing threshold, though the batched trajectory
-// differs from the sequential one (per-step randomness is pre-split
-// instead of drawn from one shared stream).
+// smaller than twice the worker count (the conflict-bound tail of a round)
+// run inline on slot 0 and skip the dispatch (see parallel.go). Same-seed
+// results are byte-identical at every worker count, though the batched
+// trajectory differs from the sequential one (per-step randomness is
+// pre-split instead of drawn from one shared stream).
 //
 // Engines are reusable: Engine.Reset(seed, layers...) returns one to its
 // freshly-constructed state while keeping every grown backing array and
@@ -109,14 +108,12 @@ type Engine struct {
 	// stream is the engine generator itself, so routing the sequential
 	// path through StepCtx changes nothing observable). pool holds the
 	// persistent exchange workers (exWorkers-1 parked goroutines; the
-	// engine goroutine is slot 0) and coalesceMin the tail-coalescing
-	// threshold (see SetTailCoalescing).
-	exWorkers   int
-	wctx        []*StepCtx
-	bs          batchState
-	seqCtx      *StepCtx
-	pool        exPool
-	coalesceMin int
+	// engine goroutine is slot 0).
+	exWorkers int
+	wctx      []*StepCtx
+	bs        batchState
+	seqCtx    *StepCtx
+	pool      exPool
 }
 
 // New returns an engine seeded with seed and running the given layers,

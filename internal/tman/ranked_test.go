@@ -105,8 +105,9 @@ func TestRankedViewsReseedAndRestoreDropStamps(t *testing.T) {
 
 // polyNet stacks rps → T-Man → probe → Polystyrene on a torus grid: the
 // stack in which core hands T-Man its position table and move clock, so
-// views are ranked and positions move. The probe layer runs afterTMan once
-// per round, between the T-Man pass and core's pass.
+// positions move. Without Polystyrene (newPlainNet) it is rps → T-Man →
+// probe over fixed positions under T-Man's static clock. The probe layer
+// runs afterTMan once per round, right after the T-Man pass.
 type polyNet struct {
 	engine    *sim.Engine
 	tman      *Protocol
@@ -125,19 +126,39 @@ func newPolyNet(t *testing.T, seed uint64, w, h int) *polyNet {
 		Position: func(id sim.NodeID) space.Point { return n.poly.Position(id) }})
 	n.poly = core.MustNew(core.Config{Space: tor, Topology: n.tman, Sampler: sampler, K: 3,
 		InitialPoint: func(id sim.NodeID) (space.Point, bool) {
-			if int(id) < len(n.points) {
-				return n.points[id], true
-			}
-			// Later joiners arrive empty-handed on the half-step grid.
-			base := n.points[(int(id)-len(n.points))%len(n.points)]
-			return tor.Wrap(space.Point{base[0] + 0.5, base[1] + 0.5}), false
+			return n.spot(tor, id), int(id) < len(n.points)
 		}})
-	if n.tman.clock == nil {
-		t.Fatal("core.New did not install its position clock on T-Man")
-	}
 	n.engine = sim.New(seed, sampler, n.tman, n, n.poly)
 	n.engine.AddNodes(w * h)
+	if moved, _ := n.tman.clock(); moved == nil {
+		t.Fatal("core.New did not install its position clock on T-Man")
+	}
 	return n
+}
+
+// newPlainNet is newPolyNet without Polystyrene: every node keeps the spot
+// it joined at, and T-Man keeps its static clock.
+func newPlainNet(t *testing.T, seed uint64, w, h int) *polyNet {
+	t.Helper()
+	n := &polyNet{points: space.TorusGrid(w, h, 1), probed: -1}
+	tor := space.TorusForGrid(w, h, 1)
+	sampler := rps.New(rps.Config{})
+	n.tman = MustNew(Config{Space: tor, Sampler: sampler,
+		Position: func(id sim.NodeID) space.Point { return n.spot(tor, id) }})
+	n.engine = sim.New(seed, sampler, n.tman, n)
+	n.engine.AddNodes(w * h)
+	return n
+}
+
+// spot is node id's joining position: its grid point, or for later joiners
+// (which arrive empty-handed under Polystyrene) a point of the half-step
+// grid.
+func (n *polyNet) spot(tor space.Torus, id sim.NodeID) space.Point {
+	if int(id) < len(n.points) {
+		return n.points[id]
+	}
+	base := n.points[(int(id)-len(n.points))%len(n.points)]
+	return tor.Wrap(space.Point{base[0] + 0.5, base[1] + 0.5})
 }
 
 // Name, InitNode and Step make polyNet the probe layer.
@@ -176,63 +197,80 @@ func checkRankedViews(t *testing.T, e *sim.Engine, tm *Protocol, phase string) (
 	return live
 }
 
-// TestRankedViewsUnderChurn runs T-Man under Polystyrene through a
-// catastrophe (the right half crashes), a reinjection of empty-handed
-// nodes and then 1% churn per round, at exchange parallelism 0 and 2. Twice
-// a round — right after the T-Man pass, when the views were just ranked,
-// and after core's pass, when projections have invalidated most of them on
-// this small torus — it checks that ranked views really are sorted and that
-// every neighbour query form, prefix reads of ranked views included,
-// equals the fresh-slice Neighbors oracle. Halfway through the churn the
-// views are restored from a snapshot of themselves, which unranks them
-// all, and the next T-Man pass must rank every live one again.
+// TestRankedViewsUnderChurn runs T-Man under Polystyrene, and plain T-Man
+// over fixed positions, through a catastrophe (the right half crashes), a
+// reinjection of fresh nodes and then 1% churn per round, at exchange
+// parallelism 0 and 2. Twice a round — right after the T-Man pass, when
+// the views were just ranked, and at the end of the round, when core's
+// projections have invalidated most of them on this small torus — it
+// checks that ranked views really are sorted and that every neighbour
+// query form, prefix reads of ranked views included, equals the
+// fresh-slice Neighbors oracle. Halfway through the churn the views are
+// restored from a snapshot of themselves, which unranks them all, and the
+// next T-Man pass must rank every live one again. Without Polystyrene no
+// position moves, so every live view must also be ranked at the end of
+// each round.
 func TestRankedViewsUnderChurn(t *testing.T) {
+	for _, stack := range []struct {
+		name string
+		net  func(t *testing.T, seed uint64, w, h int) *polyNet
+	}{{"polystyrene", newPolyNet}, {"plain", newPlainNet}} {
+		for _, workers := range []int{0, 2} {
+			runRankedChurn(t, stack.net, fmt.Sprintf("%s w=%d", stack.name, workers), workers)
+		}
+	}
+}
+
+// runRankedChurn is one TestRankedViewsUnderChurn script over a net built
+// by newNet.
+func runRankedChurn(t *testing.T, newNet func(t *testing.T, seed uint64, w, h int) *polyNet, name string, workers int) {
 	const w, h = 16, 8
-	for _, workers := range []int{0, 2} {
-		n := newPolyNet(t, 41, w, h)
-		n.engine.SetExchangeParallelism(workers)
-		var phase string
-		n.afterTMan = func() {
-			at := phase + " after the T-Man pass"
-			// Every live node initiated an exchange, which ranks its view,
-			// no position moves during the T-Man pass, and on this script
-			// no partner's view was re-seeded after its owner's step.
-			if got, want := checkRankedViews(t, n.engine, n.tman, at), n.engine.NumLive(); got < want {
-				t.Fatalf("%s: only %d of %d live views ranked", at, got, want)
-			}
-			checkNeighborForms(t, n.engine, n.tman, at)
+	n := newNet(t, 41, w, h)
+	n.engine.SetExchangeParallelism(workers)
+	defer n.engine.Close()
+	var phase string
+	n.afterTMan = func() {
+		at := phase + " after the T-Man pass"
+		// Every live node initiated an exchange, which ranks its view,
+		// no position moves during the T-Man pass, and on this script
+		// no partner's view was re-seeded after its owner's step.
+		if got, want := checkRankedViews(t, n.engine, n.tman, at), n.engine.NumLive(); got < want {
+			t.Fatalf("%s: only %d of %d live views ranked", at, got, want)
 		}
-		rng := xrand.New(77)
-		for round := 0; round < 40; round++ {
-			phase = fmt.Sprintf("w=%d round %d", workers, round)
-			switch {
-			case round == 8:
-				for i, pt := range n.points {
-					if space.RightHalf(pt, w) {
-						n.engine.Kill(sim.NodeID(i))
-					}
-				}
-			case round == 18:
-				n.engine.AddNodes(w * h / 4)
-			case round > 22:
-				churn := max(1, n.engine.NumLive()/100)
-				for range churn {
-					live := n.engine.LiveIDs()
-					n.engine.Kill(live[rng.Intn(len(live))])
-				}
-				n.engine.AddNodes(churn)
-			}
-			if round == 30 {
-				var sw snap.Writer
-				n.tman.SnapshotState(&sw)
-				if err := n.tman.RestoreState(snap.NewReader(sw.Bytes())); err != nil {
-					t.Fatal(err)
+		checkNeighborForms(t, n.engine, n.tman, at)
+	}
+	rng := xrand.New(77)
+	for round := 0; round < 40; round++ {
+		phase = fmt.Sprintf("%s round %d", name, round)
+		switch {
+		case round == 8:
+			for i, pt := range n.points {
+				if space.RightHalf(pt, w) {
+					n.engine.Kill(sim.NodeID(i))
 				}
 			}
-			n.engine.RunRounds(1)
-			checkRankedViews(t, n.engine, n.tman, phase)
-			checkNeighborForms(t, n.engine, n.tman, phase)
+		case round == 18:
+			n.engine.AddNodes(w * h / 4)
+		case round > 22:
+			churn := max(1, n.engine.NumLive()/100)
+			for range churn {
+				live := n.engine.LiveIDs()
+				n.engine.Kill(live[rng.Intn(len(live))])
+			}
+			n.engine.AddNodes(churn)
 		}
-		n.engine.Close()
+		if round == 30 {
+			var sw snap.Writer
+			n.tman.SnapshotState(&sw)
+			if err := n.tman.RestoreState(snap.NewReader(sw.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.engine.RunRounds(1)
+		got := checkRankedViews(t, n.engine, n.tman, phase)
+		if want := n.engine.NumLive(); n.poly == nil && got < want {
+			t.Fatalf("%s: only %d of %d live views ranked over fixed positions", phase, got, want)
+		}
+		checkNeighborForms(t, n.engine, n.tman, phase)
 	}
 }

@@ -8,9 +8,9 @@ import (
 var _ sim.Snapshotter = (*Protocol)(nil)
 
 // SnapshotState implements sim.Snapshotter. The per-node neighbour views
-// are the protocol's only cross-round state; worker scratch, the plan
-// mirrors and the ψ-window cache are rebuilt within each round, and the
-// ranked-view stamps are reset on restore.
+// are the protocol's only cross-round state; worker scratch and the plan
+// mirrors are rebuilt within each round, and the ranked-view stamps are
+// reset on restore.
 func (p *Protocol) SnapshotState(w *snap.Writer) {
 	w.Len(len(p.views))
 	for _, v := range p.views {

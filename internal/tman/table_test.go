@@ -24,15 +24,39 @@ func useFlatTable(n *testNet) (sync func()) {
 	return sync
 }
 
+// useMoveClock installs a position clock over the net's positions, every
+// node stamped at 1, and returns the function that stamps a move of ids.
+// Views ranked against a node that moved are then re-ranked, as under
+// Polystyrene's clock; joiners need no stamp, since nothing ranked against
+// them before they joined.
+func useMoveClock(n *testNet) (move func(ids ...sim.NodeID)) {
+	moved := slices.Repeat([]uint64{1}, len(n.positions))
+	now := uint64(1)
+	n.tman.UsePositionClock(func() ([]uint64, uint64) {
+		for len(moved) < len(n.positions) {
+			moved = append(moved, 0)
+		}
+		return moved, now
+	})
+	return func(ids ...sim.NodeID) {
+		now++
+		for _, id := range ids {
+			moved[id] = now
+		}
+	}
+}
+
 // TestPositionTableMatchesPositionFunc: ranking over an installed table is
 // the same trajectory as ranking through Config.Position — the reference
-// path — through convergence, a teleport, a correlated kill and joins.
+// path — through convergence, a teleport (stamped through a move clock),
+// a correlated kill and joins.
 func TestPositionTableMatchesPositionFunc(t *testing.T) {
 	const w, h = 16, 8
 	tor := space.TorusForGrid(w, h, 1)
 	ref := newTestNet(t, 12, tor, space.TorusGrid(w, h, 1), Config{})
 	tab := newTestNet(t, 12, tor, space.TorusGrid(w, h, 1), Config{})
 	sync := useFlatTable(tab)
+	moves := []func(ids ...sim.NodeID){useMoveClock(ref), useMoveClock(tab)}
 	same := func(phase string) {
 		t.Helper()
 		for id := range ref.tman.views {
@@ -46,8 +70,9 @@ func TestPositionTableMatchesPositionFunc(t *testing.T) {
 		n.engine.RunRounds(6)
 	}
 	same("converged")
-	for _, n := range []*testNet{ref, tab} {
+	for i, n := range []*testNet{ref, tab} {
 		n.positions[3] = space.Point{12.5, 4}
+		moves[i](3)
 		for i, p := range n.positions {
 			if p[0] >= 12 && i != 3 {
 				n.engine.Kill(sim.NodeID(i))
@@ -65,21 +90,16 @@ func TestPositionTableMatchesPositionFunc(t *testing.T) {
 }
 
 // TestGossipRoundAllocs pins the warmed steady-state gossip round at 0
-// allocs, through Config.Position, with a position table installed, and
-// with a table and a position clock (ranked views) installed.
+// allocs, through Config.Position and with a position table installed,
+// and that under the static clock every view ends each round ranked.
 func TestGossipRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
 	}
-	for _, c := range []struct{ table, clock bool }{{false, false}, {true, false}, {true, true}} {
+	for _, table := range []bool{false, true} {
 		n := newTestNet(t, 13, space.TorusForGrid(40, 20, 1), space.TorusGrid(40, 20, 1), Config{})
-		if c.table {
+		if table {
 			useFlatTable(n)
-		}
-		if c.clock {
-			// Positions never move here: every row was stamped once, at 1.
-			moved := slices.Repeat([]uint64{1}, len(n.positions))
-			n.tman.UsePositionClock(func() ([]uint64, uint64) { return moved, 1 })
 		}
 		// Views and pooled buffers reach their working sizes over the
 		// first ~30 rounds; AllocsPerRun then averages (rounding down)
@@ -87,11 +107,11 @@ func TestGossipRoundAllocs(t *testing.T) {
 		// defined on (BenchmarkGossipRound's, 800 nodes).
 		n.engine.RunRounds(30)
 		if avg := testing.AllocsPerRun(30, func() { n.engine.RunRounds(1) }); avg != 0 {
-			t.Errorf("table=%v clock=%v: steady-state gossip round allocates %.1f objects, want 0", c.table, c.clock, avg)
+			t.Errorf("table=%v: steady-state gossip round allocates %.1f objects, want 0", table, avg)
 		}
 		for id := range n.tman.views {
-			if ranked := n.tman.ranked(sim.NodeID(id)); ranked != c.clock {
-				t.Fatalf("table=%v clock=%v: view of node %d ranked=%v", c.table, c.clock, id, ranked)
+			if !n.tman.ranked(sim.NodeID(id)) {
+				t.Fatalf("table=%v: view of node %d not ranked", table, id)
 			}
 		}
 	}

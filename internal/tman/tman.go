@@ -35,17 +35,18 @@
 // indexed by the engine's dense NodeIDs.
 //
 // Most rankings need not run at all: a view's order against its owner
-// changes only when the owner or an entry moves. With Polystyrene on top,
-// core also installs its per-node move clock (UsePositionClock) and every
-// view is kept sorted by (distance to its owner, id) and stamped with the
-// clock value it was sorted at. A stamped view whose owner and entries
+// changes only when the owner or an entry moves. Every view is kept sorted
+// by (distance to its owner, id) and stamped with the value of a position
+// clock at which it was sorted. A stamped view whose owner and entries
 // have not moved since is ranked: the ψ-window, every neighbour query and
 // PlanStep's mirror read its prefix, and a merge ranks only the m received
 // entries and merges them in linearly. StepW re-ranks an initiator's view
 // that is not ranked; buildBuffer, which ranks against the partner's
-// position, always ranks in full. Plain T-Man (no clock) ranks everything
-// from scratch, as before. The sequential engine only ever
-// uses slot 0; under intra-round exchange batching (sim.Batched) each
+// position, always ranks in full. With Polystyrene on top, core installs
+// its per-node move clock (UsePositionClock); plain T-Man keeps the static
+// clock New installs, under which positions never move and a stamped view
+// stays ranked until a re-seed or a restore. The sequential engine only
+// ever uses slot 0; under intra-round exchange batching (sim.Batched) each
 // worker owns a slot and the batch matcher plans on a dedicated mirror
 // scratch. An exchange's conflict set is {initiator, partner}: Step reads
 // and writes only those two views (it reads the *positions* of ranked
@@ -55,9 +56,8 @@
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
 // EachNeighbor (zero-copy visitor over the pooled selection scratch).
-// Pooled buffers are trimmed against a decaying high-water mark so the
-// merge wave after a catastrophic failure does not pin worst-case capacity
-// for the rest of a run.
+// Every selection ranks at most ViewCap + MsgSize + 1 candidates, so the
+// pooled buffers are bounded by construction.
 package tman
 
 import (
@@ -96,7 +96,10 @@ type Config struct {
 	Space space.Space
 	// Sampler is the underlying peer-sampling layer.
 	Sampler *rps.Protocol
-	// Position resolves a node's current virtual position.
+	// Position resolves a node's current virtual position. Unless the
+	// position owner installs a clock that reports moves
+	// (UsePositionClock), it must return each node's fixed position: a
+	// view ranked against it stays ranked until it is re-seeded.
 	Position PositionFunc
 	// ViewCap bounds the view size.
 	ViewCap int
@@ -133,16 +136,11 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Pooled-scratch trimming parameters: every scratchTrimInterval steps a
-// worker slot compares its pooled buffer capacities against
-// scratchTrimSlack times the high-water candidate size of the elapsed
-// window and releases buffers above it. A 50%-failure round balloons merge
-// candidate sets for a few rounds; without the trim those transients would
-// pin worst-case capacity for the remainder of a run.
-const (
-	scratchTrimInterval = 4096
-	scratchTrimSlack    = 2
-)
+// viewSlack bounds a view's backing array: purgeDead compacts a view
+// whose capacity exceeds viewSlack times its surviving entries (at least
+// InitDegree), so the aftermath of a catastrophic failure does not pin
+// dead capacity for the rest of a run.
+const viewSlack = 2
 
 // scratch is one worker slot's pooled exchange state.
 type scratch struct {
@@ -157,11 +155,6 @@ type scratch struct {
 	msgB []sim.NodeID
 	// seen is the pooled membership set over dense NodeIDs used by merges.
 	seen genset.Set
-
-	// hwMark is the largest selection candidate set of the current trim
-	// window; hwSteps counts the steps elapsed in it.
-	hwMark  int
-	hwSteps int
 }
 
 // Protocol is the T-Man layer. It implements sim.Protocol, sim.Batched
@@ -172,26 +165,24 @@ type Protocol struct {
 
 	// ws holds one scratch per worker slot (slot 0 is the sequential
 	// engine's and the external query path's); plan backs the matcher's
-	// read-only selection mirrors.
+	// read-only selection mirrors and is all PlanStep writes.
 	ws   []*scratch
 	plan struct {
 		sel  topk.Scratch[sim.NodeID]
 		cand []sim.NodeID
 		part []sim.NodeID
 	}
-	// psiCache hands each planned step's ψ-window ranking (the expensive,
-	// draw-free part of partner selection) from PlanStep to StepW.
-	psiCache sim.WindowCache
 
 	// table, when installed by the position owner above, returns the flat
 	// position table (stride dim) that rankings read instead of
 	// cfg.Position; see UsePositionTable.
 	table func() []float64
 	dim   int
-	// clock, when installed by the position owner above, reports which
-	// positions moved since a given clock value; see UsePositionClock.
-	// rankedAt[id] is the clock value at which id's view was last left
-	// sorted by (distance to id, id), or 0 when it is not known sorted.
+	// clock reports which positions moved since a given clock value: the
+	// static clock New installs, or the position owner's; see
+	// UsePositionClock. rankedAt[id] is the clock value at which id's view
+	// was last left sorted by (distance to id, id), or 0 when it is not
+	// known sorted.
 	clock    func() (moved []uint64, now uint64)
 	rankedAt []uint64
 }
@@ -205,7 +196,7 @@ func New(cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Protocol{cfg: cfg, ws: []*scratch{{}}, psiCache: sim.NewWindowCache(cfg.Psi), dim: cfg.Space.Dim()}, nil
+	return &Protocol{cfg: cfg, ws: []*scratch{{}}, dim: cfg.Space.Dim(), clock: staticClock}, nil
 }
 
 // MustNew is New but panics on configuration errors; intended for tests
@@ -229,14 +220,17 @@ func (p *Protocol) Name() string { return "tman" }
 // hold the same positions Config.Position would return.
 func (p *Protocol) UsePositionTable(table func() []float64) { p.table = table }
 
-// UsePositionClock implements core.PositionClockUser and turns on ranked
-// views: from now on every view is kept sorted by (distance to its owner,
-// id) and stamped with the clock value it was sorted at, and a view stays
-// valid while neither its owner nor any entry has moved since — moved[x]
-// is the clock value at which node x's position last changed, now the
-// current value. clock is called once per validity check. It must
-// describe the positions rankings read; without it every ranking starts
-// from scratch, as plain T-Man through Config.Position does.
+// staticClock is the position clock of an overlay whose positions never
+// move: it always reads 1 and reports no moves, so a view stamped at 1
+// stays ranked until it is re-seeded or restored.
+func staticClock() (moved []uint64, now uint64) { return nil, 1 }
+
+// UsePositionClock implements core.PositionClockUser, replacing the static
+// clock New installs: a ranked view stays valid while neither its owner
+// nor any entry has moved since it was stamped — moved[x] is the clock
+// value at which node x's position last changed, now the current value.
+// clock is called once per validity check and must describe the positions
+// rankings read.
 func (p *Protocol) UsePositionClock(clock func() (moved []uint64, now uint64)) {
 	p.clock = clock
 }
@@ -269,13 +263,12 @@ func (p *Protocol) Step(e *sim.Engine, id sim.NodeID) {
 func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	e := ctx.Engine()
 	scr := p.ws[ctx.Worker()]
-	p.maybeTrimScratch(scr)
 	p.purgeDead(ctx, id)
 	// Refresh stale coordinates of the whole view: positions move every
 	// round under Polystyrene, and the paper attributes most communication
 	// traffic to these per-round position updates.
 	ctx.Charge(len(p.views[id]) * sim.PointCost(p.cfg.Space.Dim()))
-	if p.clock != nil && !p.ranked(id) {
+	if !p.ranked(id) {
 		p.rankView(scr, id)
 	}
 
@@ -310,15 +303,8 @@ func (p *Protocol) pos(id sim.NodeID) space.Point {
 // selectPartner draws the exchange partner uniformly from the ψ closest
 // live view entries, augmented with one random peer from the sampling
 // layer (which guarantees convergence and re-connects isolated nodes).
-// Batched steps reuse the ψ ranking their plan already computed (it is
-// draw-free, so the stream stays aligned with the plan's replay).
 func (p *Protocol) selectPartner(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) sim.NodeID {
-	var candidates []sim.NodeID
-	if ctx.Batched() {
-		candidates = p.psiCache.Append(scr.candBuf[:0], id)
-	} else {
-		candidates = append(scr.candBuf[:0], p.closest(scr, id, p.cfg.Psi)...)
-	}
+	candidates := append(scr.candBuf[:0], p.closest(scr, id, p.cfg.Psi)...)
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
 		dup := false
 		for _, c := range candidates {
@@ -355,14 +341,13 @@ func (p *Protocol) buildBuffer(scr *scratch, dst []sim.NodeID, owner sim.NodeID,
 // scratch: it is only valid until the slot's next selection and must not
 // be retained. Nothing is allocated.
 func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
-	p.noteScratch(scr, len(cand))
 	return p.rank(&scr.sel, cand, target, k)
 }
 
-// rank is the selection shared by selectClosest and planSelectClosest:
-// the keys are filled by space.RowDistances over the installed position
-// table, or through Config.Position without one, and topk selects over
-// sel.
+// rank is the selection behind selectClosest and the matcher's mirrors
+// (over plan.sel): the keys are filled by space.RowDistances over the
+// installed position table, or through Config.Position without one, and
+// topk selects over sel.
 func (p *Protocol) rank(sel *topk.Scratch[sim.NodeID], cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
 	dist, ids := sel.Get(len(cand))
 	copy(ids, cand)
@@ -386,11 +371,12 @@ func (p *Protocol) distances(dist []float64, ids []sim.NodeID, target space.Poin
 
 // ranked reports whether id's view is sorted by (distance to id, id)
 // under the current positions: it was sorted at clock value rankedAt[id]
-// and neither id nor any entry has moved since. Without a clock no view is
-// ranked. It only reads, so queries stay safe on concurrent workers.
+// and neither id nor any entry has moved since. Under the static clock
+// every stamped view is ranked. It only reads, so queries stay safe on
+// concurrent workers.
 func (p *Protocol) ranked(id sim.NodeID) bool {
 	at := p.rankedAt[id]
-	if p.clock == nil || at == 0 {
+	if at == 0 {
 		return false
 	}
 	moved, now := p.clock()
@@ -434,10 +420,10 @@ func prefix(s []sim.NodeID, k int) []sim.NodeID { return s[:min(k, len(s))] }
 // merge folds received descriptors into owner's view and keeps the
 // entries closest to owner's position, up to the view cap. The capped
 // selection writes back into the view's own backing array, so steady-state
-// merges allocate nothing. With a position clock installed every merge
-// that adds entries (or finds the view over the cap) leaves it sorted and
-// stamped: a ranked view only ranks the new entries and merges them in
-// linearly (mergeRanked); any other view is selected in full.
+// merges allocate nothing. Every merge that adds entries (or finds the
+// view over the cap) leaves it sorted and stamped: a ranked view only
+// ranks the new entries and merges them in linearly (mergeRanked); any
+// other view is selected in full.
 func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []sim.NodeID) {
 	view := p.views[owner]
 	wasRanked := p.ranked(owner)
@@ -454,11 +440,6 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 		}
 	}
 	switch {
-	case p.clock == nil:
-		if len(view) > p.cfg.ViewCap {
-			sel := p.selectClosest(scr, view, p.pos(owner), p.cfg.ViewCap)
-			view = view[:copy(view, sel)]
-		}
 	case len(view) == n0 && len(view) <= p.cfg.ViewCap:
 		// Nothing new and nothing to cut: the order and stamp stand.
 	default:
@@ -481,7 +462,6 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 // replaces the selection over the whole view. The result equals
 // selectClosest(view, target, min(len(view), ViewCap)).
 func (p *Protocol) mergeRanked(scr *scratch, view []sim.NodeID, n0 int, target space.Point) []sim.NodeID {
-	p.noteScratch(scr, len(view))
 	dist, ids := scr.sel.Get(len(view))
 	copy(ids, view)
 	p.distances(dist, ids, target)
@@ -522,7 +502,7 @@ func (p *Protocol) purgeDead(ctx *sim.StepCtx, id sim.NodeID) {
 	if floor < p.cfg.InitDegree {
 		floor = p.cfg.InitDegree
 	}
-	if len(kept) > 0 && cap(kept) > scratchTrimSlack*floor {
+	if len(kept) > 0 && cap(kept) > viewSlack*floor {
 		compact := make([]sim.NodeID, len(kept))
 		copy(compact, kept)
 		kept = compact
@@ -535,41 +515,6 @@ func (p *Protocol) purgeDead(ctx *sim.StepCtx, id sim.NodeID) {
 		p.views[id] = p.cfg.Sampler.AppendRandomPeersW(ctx, kept, id, p.cfg.InitDegree)
 		p.rankedAt[id] = 0
 	}
-}
-
-// noteScratch records a selection candidate size in the slot's trim
-// window's high-water mark.
-func (p *Protocol) noteScratch(scr *scratch, n int) {
-	if n > scr.hwMark {
-		scr.hwMark = n
-	}
-}
-
-// maybeTrimScratch closes a slot's trim window: when the pooled selection
-// and message buffers grew beyond scratchTrimSlack times the window's
-// largest actual use, they are released and reallocated at working size on
-// next use. This bounds the memory a transient worst case (a
-// post-catastrophe merge wave) can pin.
-func (p *Protocol) maybeTrimScratch(scr *scratch) {
-	scr.hwSteps++
-	if scr.hwSteps < scratchTrimInterval {
-		return
-	}
-	limit := scratchTrimSlack * scr.hwMark
-	if limit < p.cfg.InitDegree {
-		limit = p.cfg.InitDegree
-	}
-	scr.sel.Shrink(limit)
-	if cap(scr.candBuf) > limit {
-		scr.candBuf = nil
-	}
-	if cap(scr.msgA) > limit {
-		scr.msgA = nil
-	}
-	if cap(scr.msgB) > limit {
-		scr.msgB = nil
-	}
-	scr.hwMark, scr.hwSteps = 0, 0
 }
 
 // --- sim.Batched ---
@@ -606,15 +551,13 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	}
 	p.plan.cand = view
 
-	// Mirror selectPartner over the (possibly re-seeded) view, handing
-	// the ranked window to StepW through the per-node cache. Purging keeps
-	// a ranked view sorted, so its window is a prefix.
+	// Mirror selectPartner over the (possibly re-seeded) view. Purging
+	// keeps a ranked view sorted, so its window is a prefix.
 	window := prefix(view, p.cfg.Psi)
 	if !ranked {
-		window = p.planSelectClosest(view, p.pos(id), p.cfg.Psi)
+		window = p.rank(&p.plan.sel, view, p.pos(id), p.cfg.Psi)
 	}
 	candidates := append(p.plan.part[:0], window...)
-	p.psiCache.Put(id, candidates)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {
 		dup := false
 		for _, c := range candidates {
@@ -632,12 +575,6 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 		return dst
 	}
 	return append(dst, candidates[rng.Intn(len(candidates))])
-}
-
-// planSelectClosest is selectClosest over the matcher's mirror scratch
-// (no high-water accounting: planning must not perturb worker trims).
-func (p *Protocol) planSelectClosest(cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
-	return p.rank(&p.plan.sel, cand, target, k)
 }
 
 // FlushBatch implements sim.Batched (the exchange defers nothing).
@@ -682,7 +619,7 @@ func (p *Protocol) AppendNeighborsPlan(dst []sim.NodeID, id sim.NodeID, k int) [
 	if p.ranked(id) {
 		return append(dst, prefix(p.views[id], k)...)
 	}
-	return append(dst, p.planSelectClosest(p.views[id], p.pos(id), k)...)
+	return append(dst, p.rank(&p.plan.sel, p.views[id], p.pos(id), k)...)
 }
 
 // EachNeighbor implements core.Topology: it calls yield for each of the k

@@ -220,10 +220,12 @@ func TestDynamicPositionsAreHonoured(t *testing.T) {
 	pts := space.TorusGrid(w, h, 1)
 	s := space.TorusForGrid(w, h, 1)
 	net := newTestNet(t, 8, s, pts, Config{})
+	move := useMoveClock(net)
 	net.engine.RunRounds(15)
 	// Teleport node 0 to the far corner of the torus.
 	target := space.Point{12, 4}
 	net.positions[0] = target
+	move(0)
 	net.engine.RunRounds(15)
 	nbs := net.tman.Neighbors(0, 4)
 	if len(nbs) == 0 {

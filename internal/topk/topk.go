@@ -188,16 +188,3 @@ func (s *Scratch[P]) Get(n int) ([]float64, []P) {
 	}
 	return s.keys[:n], s.payload[:n]
 }
-
-// Cap returns the current backing capacity (test/trim introspection).
-func (s *Scratch[P]) Cap() int { return cap(s.keys) }
-
-// Shrink releases the backing arrays when their capacity exceeds limit,
-// so a transient worst-case selection (e.g. the merge wave right after a
-// catastrophic failure) does not pin peak memory for the rest of a run.
-// The next Get reallocates at the then-current working size.
-func (s *Scratch[P]) Shrink(limit int) {
-	if cap(s.keys) > limit {
-		s.keys, s.payload = nil, nil
-	}
-}
