@@ -1,7 +1,7 @@
 // Benchmark harness: one testing.B per table and figure of the paper's
 // evaluation section (Sec. IV). Each benchmark runs the corresponding
-// experiment at a laptop-friendly scale (the cmd/ tools run the full
-// 80x40 = 3200-node and up-to-51200-node versions) and reports the
+// experiment at a laptop-friendly scale (the scripts/paper/ specs run the
+// full 80x40 = 3200-node and up-to-51200-node versions through polygrid) and reports the
 // domain results via b.ReportMetric, so `go test -bench=. -benchmem`
 // regenerates the paper's rows/series alongside the timing data:
 //
@@ -31,6 +31,7 @@ import (
 	"polystyrene/internal/scenario"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
+	"polystyrene/internal/trace"
 	"polystyrene/internal/viz"
 )
 
@@ -192,37 +193,41 @@ func BenchmarkFig9Reinjection(b *testing.B) {
 // BenchmarkTableIIReshaping reproduces Table II: reshaping time grows with
 // K while reliability approaches 1 - 0.5^(K+1) (87.5% / 96.9% / 99.8%).
 func BenchmarkTableIIReshaping(b *testing.B) {
+	const reps = 3
 	for _, k := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
-			var rows []scenario.TableIIRow
+			var rounds, reliability float64
 			for i := 0; i < b.N; i++ {
-				var err error
-				rows, err = scenario.TableII(
-					scenario.Config{Seed: 7, W: benchW, H: benchH},
-					[]int{k}, scenario.RunOpts{Reps: 3, ConvergeRounds: 20, MaxRounds: 60})
-				if err != nil {
-					b.Fatal(err)
+				rounds, reliability = 0, 0
+				for rep := 0; rep < reps; rep++ {
+					cfg := benchCfg(scenario.CellSeed(7, "tableII", uint64(k), uint64(rep)), true, k)
+					out, err := scenario.MeasureReshaping(cfg, 20, 60)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds += float64(out.Rounds) / reps
+					reliability += 100 * out.Reliability / reps
 				}
 			}
-			b.ReportMetric(rows[0].ReshapingTime.Mean(), "reshaping_rounds")
-			b.ReportMetric(rows[0].ReliabilityPct.Mean(), "reliability_%")
+			b.ReportMetric(rounds, "reshaping_rounds")
+			b.ReportMetric(reliability, "reliability_%")
 		})
 	}
 }
 
 // BenchmarkFig10aScalability reproduces Fig. 10a: reshaping time grows
-// roughly logarithmically with network size for each K (the cmd/polysweep
-// tool extends the sweep to the paper's 51 200 nodes). The unsuffixed
-// variants run the sequential engine; the _w2 variants run the same cells
-// under intra-round exchange batching with two workers (the polysweep
-// `-exchange-parallel` path) — a different, equally valid deterministic
+// roughly logarithmically with network size for each K (scripts/paper/
+// fig10a.json extends the sweep to the paper's 51 200 nodes). The
+// unsuffixed variants run the sequential engine; the _w2 variants run the
+// same cells under intra-round exchange batching with two workers (the
+// grid's exchange_parallelism axis) — a different, equally valid deterministic
 // trajectory, so their reshaping_rounds may differ slightly from the
 // sequential ones while the published growth shape is preserved.
 func BenchmarkFig10aScalability(b *testing.B) {
-	for _, size := range []scenario.GridSize{{W: 16, H: 8}, {W: 40, H: 20}, {W: 80, H: 40}} {
+	for _, size := range [][2]int{{16, 8}, {40, 20}, {80, 40}} {
 		for _, k := range []int{2, 8} {
 			for _, workers := range []int{0, 2} {
-				name := fmt.Sprintf("N%d_K%d", size.W*size.H, k)
+				name := fmt.Sprintf("N%d_K%d", size[0]*size[1], k)
 				if workers > 0 {
 					if k != 2 {
 						continue // one parallel series tracks the scheduler
@@ -233,7 +238,7 @@ func BenchmarkFig10aScalability(b *testing.B) {
 					var rounds float64
 					for i := 0; i < b.N; i++ {
 						cfg := scenario.Config{
-							Seed: 8, W: size.W, H: size.H, Polystyrene: true, K: k,
+							Seed: 8, W: size[0], H: size[1], Polystyrene: true, K: k,
 							ExchangeParallelism: workers,
 						}
 						out, err := scenario.MeasureReshaping(cfg, 20, 80)
@@ -377,19 +382,30 @@ func BenchmarkAppRouting(b *testing.B) {
 
 // BenchmarkExtensionChurn measures the sustained-churn extension: shape
 // retention (homogeneity vs reference H) under 1% per-round churn with
-// replacement — the regime the paper's conclusion points at.
+// replacement — the regime the paper's conclusion points at. It converges
+// for 20 rounds, churns for 30 and settles for 20, the window of
+// scripts/paper/churn.json.
 func BenchmarkExtensionChurn(b *testing.B) {
-	var out scenario.ChurnOutcome
+	const failAt, churnRounds, settle = 20, 30, 20
+	sched, err := trace.UniformChurn(benchW*benchH, churnRounds, 0.01, true, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range sched.Events {
+		sched.Events[i].Round += failAt
+	}
+	var h, ref, rel float64
 	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = scenario.RunChurn(
-			scenario.Config{Seed: 14, W: benchW, H: benchH, Polystyrene: true, K: 6},
-			scenario.ChurnConfig{Rate: 0.01, Replace: true, Rounds: 30}, 20, 20)
+		cfg := benchCfg(14, true, 6)
+		cfg.SkipMetrics = true
+		sc, _, err := scenario.RunSchedule(cfg, sched, failAt+churnRounds+settle)
 		if err != nil {
 			b.Fatal(err)
 		}
+		h, ref, rel = sc.Homogeneity(), sc.ReferenceHomogeneity(), sc.Reliability()
+		sc.Close()
 	}
-	b.ReportMetric(out.FinalHomogeneity, "homogeneity")
-	b.ReportMetric(out.FinalReference, "reference_H")
-	b.ReportMetric(100*out.Reliability, "reliability_%")
+	b.ReportMetric(h, "homogeneity")
+	b.ReportMetric(ref, "reference_H")
+	b.ReportMetric(100*rel, "reliability_%")
 }

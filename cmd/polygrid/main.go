@@ -5,9 +5,11 @@
 // results folder (grid.csv, per-cell series, aggregate.csv, paper-ready
 // tables.md). -dry-run prints the expanded grid — cell IDs and derived
 // seeds — without running anything; -analyze re-derives the aggregate
-// outputs from an existing results folder.
+// outputs from an existing results folder. The paper's Table II, Fig. 10a,
+// Fig. 10b and churn sweep are specs under scripts/paper/.
 //
 //	polygrid -spec scripts/paper/experiments.json -out results
+//	polygrid -spec scripts/paper/table2.json -out results
 //	polygrid -spec scripts/paper/smoke.json -dry-run
 //	polygrid -analyze results/paper-20260808-120000
 package main
@@ -29,7 +31,6 @@ func main() {
 		dryRun    = flag.Bool("dry-run", false, "print the expanded grid (cells, seeds) and exit without running")
 		parallel  = flag.Int("parallel", 0, "concurrent cells (0 = GOMAXPROCS)")
 		memBudget = flag.Int64("mem-budget", 0, "memory budget in bytes bounding concurrent cells (0 = unbounded)")
-		pool      = flag.Bool("pool-engines", true, "recycle engines across equal-size cells")
 		analyze   = flag.String("analyze", "", "re-analyze an existing results folder and exit")
 		quiet     = flag.Bool("q", false, "suppress per-cell progress lines")
 	)
@@ -59,7 +60,6 @@ func main() {
 	opts := experiments.RunOpts{
 		Parallelism:    *parallel,
 		MemBudgetBytes: *memBudget,
-		PoolEngines:    *pool,
 	}
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }

@@ -16,6 +16,8 @@ import (
 // summaries, the paper-table granularity.
 type AggregateRow struct {
 	Scenario string
+	// Kind is the scenario name; "reshape" rows render as Table II.
+	Kind     string
 	W, H, K  int
 	Detector string
 	Exchange int
@@ -25,6 +27,8 @@ type AggregateRow struct {
 	Homogeneity    metrics.Accumulator
 	ReferenceH     metrics.Accumulator
 	ReliabilityPct metrics.Accumulator
+	// ReshapeRounds folds the reshaping time of reshape cells.
+	ReshapeRounds metrics.Accumulator
 }
 
 // Aggregate groups cell results by grid point, preserving first-seen
@@ -45,6 +49,7 @@ func Aggregate(results []CellResult) []*AggregateRow {
 		if !ok {
 			row = &AggregateRow{
 				Scenario: c.Scenario.Label,
+				Kind:     c.Scenario.Name,
 				W:        c.W, H: c.H, K: c.K,
 				Detector: c.Detector,
 				Exchange: c.Exchange,
@@ -59,6 +64,7 @@ func Aggregate(results []CellResult) []*AggregateRow {
 		row.Homogeneity.Add(r.FinalHomogeneity)
 		row.ReferenceH.Add(r.ReferenceH)
 		row.ReliabilityPct.Add(r.ReliabilityPct)
+		row.ReshapeRounds.Add(float64(r.ReshapeRounds))
 	}
 	return rows
 }
@@ -67,21 +73,23 @@ func Aggregate(results []CellResult) []*AggregateRow {
 // columns.
 func WriteAggregateCSV(w io.Writer, rows []*AggregateRow) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "scenario,nodes,w,h,k,detector,exchange,reps,shape_held,homogeneity_mean,homogeneity_ci95,reference_h_mean,reliability_pct_mean,reliability_pct_ci95")
+	fmt.Fprintln(bw, "scenario,nodes,w,h,k,detector,exchange,reps,shape_held,homogeneity_mean,homogeneity_ci95,reference_h_mean,reliability_pct_mean,reliability_pct_ci95,reshape_rounds_mean,reshape_rounds_ci95")
 	for _, r := range rows {
-		fmt.Fprintf(bw, "%s,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%s,%s,%s\n",
+		fmt.Fprintf(bw, "%s,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s\n",
 			r.Scenario, r.W*r.H, r.W, r.H, r.K, r.Detector, r.Exchange, r.Reps, r.ShapeHeld,
 			ftoa(r.Homogeneity.Mean()), ftoa(r.Homogeneity.CI95()),
 			ftoa(r.ReferenceH.Mean()),
-			ftoa(r.ReliabilityPct.Mean()), ftoa(r.ReliabilityPct.CI95()))
+			ftoa(r.ReliabilityPct.Mean()), ftoa(r.ReliabilityPct.CI95()),
+			ftoa(r.ReshapeRounds.Mean()), ftoa(r.ReshapeRounds.CI95()))
 	}
 	return bw.Flush()
 }
 
 // WriteTables renders the aggregate as paper-ready markdown: one table
-// per scenario (rows ordered as expanded) and a determinism-audit footer
-// — the grid's exchange axis shares seeds, so equal-trajectory groups
-// must agree; `groups` is AuditDeterminism's count.
+// per scenario (rows ordered as expanded; a reshape scenario in Table II's
+// columns) and a determinism-audit footer — the grid's exchange axis
+// shares seeds, so equal-trajectory groups must agree; `groups` is
+// AuditDeterminism's count.
 func WriteTables(w io.Writer, name string, rows []*AggregateRow, groups int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n", name)
@@ -94,10 +102,23 @@ func WriteTables(w io.Writer, name string, rows []*AggregateRow, groups int) err
 		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
 	}
 	headers := []string{"nodes", "k", "detector", "w", "reps", "shape held", "homogeneity h", "reference H", "reliability %"}
+	tableII := []string{"nodes", "k", "detector", "w", "reps", "reshaped", "reshaping rounds", "reliability %"}
 	for _, scn := range order {
 		fmt.Fprintf(bw, "\n## %s\n\n", scn)
 		var md [][]any
+		hdr := headers
 		for _, r := range byScenario[scn] {
+			if r.Kind == "reshape" {
+				hdr = tableII
+				md = append(md, []any{
+					r.W * r.H, r.K, r.Detector, r.Exchange,
+					r.Reps,
+					fmt.Sprintf("%d/%d", r.ShapeHeld, r.Reps),
+					fmt.Sprintf("%.2f ± %.3f", r.ReshapeRounds.Mean(), r.ReshapeRounds.CI95()),
+					fmt.Sprintf("%.2f ± %.2f", r.ReliabilityPct.Mean(), r.ReliabilityPct.CI95()),
+				})
+				continue
+			}
 			md = append(md, []any{
 				r.W * r.H, r.K, r.Detector, r.Exchange,
 				r.Reps,
@@ -107,7 +128,7 @@ func WriteTables(w io.Writer, name string, rows []*AggregateRow, groups int) err
 				fmt.Sprintf("%.1f ± %.1f", r.ReliabilityPct.Mean(), r.ReliabilityPct.CI95()),
 			})
 		}
-		if err := trace.MarkdownTable(bw, headers, md); err != nil {
+		if err := trace.MarkdownTable(bw, hdr, md); err != nil {
 			return err
 		}
 	}

@@ -1,13 +1,13 @@
-// Package experiments is the declarative experiment-grid pipeline: an
-// experiments.json describes a grid of (scenario × size × K × detector ×
-// exchange-parallelism × repeats), and the package expands it
-// deterministically into cells (splitmix64-derived per-cell seeds via
-// scenario.CellSeed), executes every cell under a runner.Budget with
-// engine pooling, writes per-cell CSVs plus a grid summary into a results
-// folder, and aggregates them into a paper-ready CSV and markdown tables.
-// It replaces the bespoke loops of the polysim/polysweep/polytable/
-// polychurn CLIs with one reproducible workflow (cmd/polygrid,
-// scripts/paper/run_all.sh).
+// Package experiments is the declarative experiment-grid pipeline and the
+// repo's one sweep harness: an experiments.json describes a grid of
+// (scenario × size × K × detector × exchange-parallelism × repeats), and
+// the package expands it deterministically into cells (splitmix64-derived
+// per-cell seeds via scenario.CellSeed), executes every cell under a
+// runner.Budget on pooled engines, writes per-cell CSVs plus a grid
+// summary into a results folder, and aggregates them into a paper-ready
+// CSV and markdown tables. The paper's Table II, Fig. 10a, Fig. 10b and
+// the sustained-churn sweep are checked-in specs under scripts/paper/,
+// run through cmd/polygrid or scripts/paper/run_all.sh.
 //
 // Rejection happens up front: unknown JSON keys, malformed axes and
 // invalid scenario/parameter combinations all fail at parse/validate time
@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"polystyrene/internal/core"
 	"polystyrene/internal/fd"
 	"polystyrene/internal/scenario"
 	"polystyrene/internal/trace"
@@ -74,7 +75,9 @@ type Spec struct {
 //     reinjection.
 //   - "churn": uniform random churn at `rate` per round (required),
 //     every crash matched by a fresh joiner, pre-computed as a
-//     replayable schedule (trace.UniformChurn).
+//     replayable schedule (trace.UniformChurn). Churn runs over the
+//     window [fail_at, rejoin_at) (defaults 0 and rounds, the whole
+//     horizon): converge, churn, then settle until the horizon.
 //   - "flash-crowd": `crowd` × N fresh nodes (default 0.5) join at
 //     fail_at and all leave at rejoin_at (trace.FlashCrowd).
 //   - "rolling-partition": the torus is cut into `bands` (default 4)
@@ -92,6 +95,11 @@ type Spec struct {
 //   - "trace": replays the schedule CSV at `trace` (path resolved
 //     relative to the spec file). Its initial population must match
 //     every size in the grid — checked up front.
+//   - "reshape": the Table II / Fig. 10 measurement
+//     (scenario.MeasureReshaping): converge for fail_at rounds (default
+//     20), crash the right half, and count the rounds until h < H, up to
+//     the horizon. `split` selects the split function (basic, md, pd or
+//     advanced, the default). It records no per-round series.
 type ScenarioSpec struct {
 	Name string `json:"name"`
 	// Label distinguishes two entries of the same Name (defaults to
@@ -111,6 +119,7 @@ type ScenarioSpec struct {
 	Shape    float64 `json:"shape,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Trace    string  `json:"trace,omitempty"`
+	Split    string  `json:"split,omitempty"`
 
 	// unset tracks which optional fields the JSON actually set, for
 	// invalid-combination rejection (a zero value is indistinguishable
@@ -122,12 +131,13 @@ type ScenarioSpec struct {
 // consumes; any other set field is rejected.
 var scenarioFields = map[string][]string{
 	"paper":             {"fail_at", "rejoin_at"},
-	"churn":             {"rate"},
+	"churn":             {"rate", "fail_at", "rejoin_at"},
 	"flash-crowd":       {"fail_at", "rejoin_at", "crowd"},
 	"rolling-partition": {"fail_at", "rejoin_at", "bands", "stride"},
 	"rack-failure":      {"fail_at", "rejoin_at", "datacenters", "racks_per_dc"},
 	"weibull":           {"shape", "scale"},
 	"trace":             {"trace"},
+	"reshape":           {"fail_at", "split"},
 }
 
 // Parse decodes and validates an experiments.json. Unknown keys anywhere
@@ -310,6 +320,13 @@ func (sc *ScenarioSpec) validate(s *Spec, baseDir string) error {
 		if !sc.setFields["rate"] || sc.Rate <= 0 || sc.Rate >= 1 {
 			return fmt.Errorf("experiments: scenario %q needs a churn rate in (0,1) (got %v)", sc.Label, sc.Rate)
 		}
+		if !sc.setFields["rejoin_at"] {
+			sc.RejoinAt = sc.Rounds
+		}
+		if sc.FailAt < 0 || sc.RejoinAt <= sc.FailAt || sc.RejoinAt > sc.Rounds {
+			return fmt.Errorf("experiments: scenario %q needs a churn window 0 <= fail_at < rejoin_at <= rounds (got %d, %d, %d)",
+				sc.Label, sc.FailAt, sc.RejoinAt, sc.Rounds)
+		}
 	case "flash-crowd":
 		if !sc.setFields["crowd"] {
 			sc.Crowd = 0.5
@@ -400,6 +417,19 @@ func (sc *ScenarioSpec) validate(s *Spec, baseDir string) error {
 				return fmt.Errorf("experiments: scenario %q: trace %s has initial population %d but the grid includes size %dx%d (%d nodes)",
 					sc.Label, sc.Trace, sched.Initial, sz[0], sz[1], n)
 			}
+		}
+	case "reshape":
+		if !sc.setFields["fail_at"] {
+			sc.FailAt = 20
+		}
+		if !sc.setFields["split"] {
+			sc.Split = "advanced"
+		}
+		if _, err := core.ParseSplitKind(sc.Split); err != nil {
+			return fmt.Errorf("experiments: scenario %q: %w", sc.Label, err)
+		}
+		if sc.FailAt <= 0 || sc.FailAt >= sc.Rounds {
+			return fmt.Errorf("experiments: scenario %q needs 0 < fail_at < rounds (got %d, %d)", sc.Label, sc.FailAt, sc.Rounds)
 		}
 	}
 	return nil

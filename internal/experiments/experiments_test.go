@@ -3,10 +3,14 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"polystyrene/internal/core"
 	"polystyrene/internal/scenario"
+	"polystyrene/internal/trace"
 )
 
 const smokeSpec = "../../scripts/paper/smoke.json"
@@ -51,6 +55,15 @@ func TestParseRejects(t *testing.T) {
 		{"weibull bad shape", `{"name":"x","rounds":20,"scenarios":[{"name":"weibull","shape":-1}],"sizes":[[16,8]]}`, "shape"},
 		{"trace without path", `{"name":"x","rounds":20,"scenarios":[{"name":"trace"}],"sizes":[[16,8]]}`, "trace path"},
 		{"paper invalid phases", `{"name":"x","rounds":20,"scenarios":[{"name":"paper","fail_at":30,"rejoin_at":40}],"sizes":[[16,8]]}`, "paper"},
+		{"split outside reshape", `{"name":"x","rounds":20,"scenarios":[{"name":"paper","split":"md"}],"sizes":[[16,8]]}`, "does not take"},
+		{"reshape unknown split", `{"name":"x","rounds":20,"scenarios":[{"name":"reshape","fail_at":5,"split":"zigzag"}],"sizes":[[16,8]]}`, "split kind"},
+		{"reshape fail_at at horizon", `{"name":"x","rounds":20,"scenarios":[{"name":"reshape","fail_at":20}],"sizes":[[16,8]]}`, "fail_at < rounds"},
+		{"reshape fail_at zero", `{"name":"x","rounds":20,"scenarios":[{"name":"reshape","fail_at":0}],"sizes":[[16,8]]}`, "fail_at < rounds"},
+		{"reshape default fail_at past horizon", `{"name":"x","rounds":20,"scenarios":[{"name":"reshape"}],"sizes":[[16,8]]}`, "fail_at < rounds"},
+		{"reshape rejects rejoin_at", `{"name":"x","rounds":40,"scenarios":[{"name":"reshape","rejoin_at":30}],"sizes":[[16,8]]}`, "does not take"},
+		{"churn empty window", `{"name":"x","rounds":20,"scenarios":[{"name":"churn","rate":0.1,"fail_at":10,"rejoin_at":10}],"sizes":[[16,8]]}`, "churn window"},
+		{"churn window past horizon", `{"name":"x","rounds":20,"scenarios":[{"name":"churn","rate":0.1,"fail_at":5,"rejoin_at":25}],"sizes":[[16,8]]}`, "churn window"},
+		{"churn rate 0", `{"name":"x","rounds":20,"scenarios":[{"name":"churn","rate":0}],"sizes":[[16,8]]}`, "churn rate"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src), ".")
@@ -202,17 +215,26 @@ func TestGridCSVRoundTrip(t *testing.T) {
 	results := []CellResult{
 		{
 			Cell: Cell{
-				Scenario: ScenarioSpec{Name: "churn", Label: "churn"},
+				Scenario: ScenarioSpec{Name: "churn", Label: "churn-fast"},
 				W:        16, H: 8, K: 2, Detector: "delayed:2", Exchange: 1, Rep: 3,
 				Seed: 0xdeadbeef, ScheduleSeed: 0xfeed, Rounds: 24,
 			},
 			FinalHomogeneity: 0.125, ReferenceH: 0.5, ShapeHeld: true,
 			ReliabilityPct: 98.4375, Fingerprint: 0xabc123,
+			Series: &scenario.Result{},
+		},
+		{
+			Cell: Cell{
+				Scenario: ScenarioSpec{Name: "reshape", Label: "md"},
+				W:        20, H: 10, K: 4, Detector: "perfect", Rep: 1,
+				Seed: 0xbeef, ScheduleSeed: 0xcafe, Rounds: 30,
+			},
+			FinalHomogeneity: 0.25, ReferenceH: 0.375, ShapeHeld: true,
+			ReliabilityPct: 96.5, ReshapeRounds: 7, Fingerprint: 0xfeedface,
 		},
 	}
 	// Write through the real writer, read back, compare the round trip.
 	dir := t.TempDir()
-	results[0].Series = &scenario.Result{}
 	if err := WriteResults(dir, []byte("{}"), results); err != nil {
 		t.Fatal(err)
 	}
@@ -225,19 +247,31 @@ func TestGridCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 {
-		t.Fatalf("read %d rows, want 1", len(back))
+	if len(back) != len(results) {
+		t.Fatalf("read %d rows, want %d", len(back), len(results))
 	}
-	got, want := back[0], results[0]
-	if got.Cell.ID() != want.Cell.ID() ||
-		got.Cell.Seed != want.Cell.Seed ||
-		got.Cell.ScheduleSeed != want.Cell.ScheduleSeed ||
-		got.FinalHomogeneity != want.FinalHomogeneity ||
-		got.ReferenceH != want.ReferenceH ||
-		got.ShapeHeld != want.ShapeHeld ||
-		got.ReliabilityPct != want.ReliabilityPct ||
-		got.Fingerprint != want.Fingerprint {
-		t.Errorf("grid.csv round trip mismatch:\n got %+v\nwant %+v", got, want)
+	for i := range results {
+		got, want := back[i], results[i]
+		if got.Cell.ID() != want.Cell.ID() ||
+			got.Cell.Scenario.Name != want.Cell.Scenario.Name ||
+			got.Cell.Scenario.Label != want.Cell.Scenario.Label ||
+			got.Cell.Seed != want.Cell.Seed ||
+			got.Cell.ScheduleSeed != want.Cell.ScheduleSeed ||
+			got.FinalHomogeneity != want.FinalHomogeneity ||
+			got.ReferenceH != want.ReferenceH ||
+			got.ShapeHeld != want.ShapeHeld ||
+			got.ReliabilityPct != want.ReliabilityPct ||
+			got.ReshapeRounds != want.ReshapeRounds ||
+			got.Fingerprint != want.Fingerprint {
+			t.Errorf("grid.csv round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
+	}
+	// A reshape cell records no series, so it writes no cell CSV.
+	if _, err := os.Stat(dir + "/cells/" + results[0].Cell.ID() + ".csv"); err != nil {
+		t.Errorf("churn cell CSV missing: %v", err)
+	}
+	if _, err := os.Stat(dir + "/cells/" + results[1].Cell.ID() + ".csv"); !os.IsNotExist(err) {
+		t.Errorf("reshape cell wrote a series CSV (stat err %v)", err)
 	}
 }
 
@@ -251,8 +285,271 @@ func TestReadGridCSVRejects(t *testing.T) {
 	if _, err := ReadGridCSV(strings.NewReader(gridHeader + "\na,b\n")); err == nil {
 		t.Error("short row accepted")
 	}
-	if _, err := ReadGridCSV(strings.NewReader(gridHeader + "\n" + strings.Repeat("x,", 15) + "x\n")); err == nil {
+	if _, err := ReadGridCSV(strings.NewReader(gridHeader + "\n" + strings.Repeat("x,", gridFields-1) + "x\n")); err == nil {
 		t.Error("non-numeric row accepted")
+	}
+	// A well-formed row, then the same row with a non-numeric
+	// reshape_rounds.
+	row := "c,reshape,reshape,16,8,2,perfect,0,0,0000000000000001,0000000000000002,24,0.1,0.5,1,90,6,00000000000000ff"
+	if _, err := ReadGridCSV(strings.NewReader(gridHeader + "\n" + row + "\n")); err != nil {
+		t.Fatalf("well-formed row rejected: %v", err)
+	}
+	bad := strings.Replace(row, ",90,6,", ",90,six,", 1)
+	if _, err := ReadGridCSV(strings.NewReader(gridHeader + "\n" + bad + "\n")); err == nil {
+		t.Error("non-numeric reshape_rounds accepted")
+	}
+	// The pre-kind 16-column header is a different format.
+	old := "cell,scenario,w,h,k,detector,exchange,rep,seed,schedule_seed,rounds,final_homogeneity,reference_h,shape_held,reliability_pct,fingerprint"
+	if _, err := ReadGridCSV(strings.NewReader(old + "\n")); err == nil {
+		t.Error("header without kind and reshape_rounds accepted")
+	}
+}
+
+// TestPaperSpecsParse parses and expands every checked-in spec, and pins
+// the cell counts of the paper's Table II, Fig. 10a, Fig. 10b and churn
+// sweep.
+func TestPaperSpecsParse(t *testing.T) {
+	paths, err := filepath.Glob("../../scripts/paper/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"table2.json": 75, "fig10a.json": 54, "fig10b.json": 72, "churn.json": 12}
+	seen := 0
+	for _, path := range paths {
+		spec, _, err := ParseFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		cells := spec.Expand()
+		if len(cells) == 0 {
+			t.Errorf("%s expands to no cells", path)
+		}
+		if n, ok := want[filepath.Base(path)]; ok {
+			seen++
+			if len(cells) != n {
+				t.Errorf("%s expands to %d cells, want %d", path, len(cells), n)
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("found %d of the %d paper specs", seen, len(want))
+	}
+}
+
+// cellsOf parses and expands an inline spec.
+func cellsOf(t *testing.T, src string) []Cell {
+	t.Helper()
+	return parseValid(t, src).Expand()
+}
+
+// TestReshapeCellIsMeasureReshaping pins the spec → Config mapping of a
+// reshape cell: its outcome is scenario.MeasureReshaping on a hand-built
+// Config (seed, grid, K, split, fail_at and budget), for every split
+// function and on both engines.
+func TestReshapeCellIsMeasureReshaping(t *testing.T) {
+	cells := cellsOf(t, `{
+		"name": "x", "seed": 5, "rounds": 30,
+		"scenarios": [
+			{"name": "reshape", "label": "basic", "fail_at": 8, "split": "basic"},
+			{"name": "reshape", "label": "md", "fail_at": 8, "split": "md"},
+			{"name": "reshape", "label": "pd", "fail_at": 8, "split": "pd"},
+			{"name": "reshape", "label": "advanced", "fail_at": 8}
+		],
+		"sizes": [[16, 8]], "ks": [2], "exchange_parallelism": [0, 2]
+	}`)
+	for _, c := range cells {
+		split := c.Scenario.Label
+		kind, err := core.ParseSplitKind(split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunCell(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := scenario.MeasureReshaping(scenario.Config{
+			Seed: c.Seed, W: 16, H: 8, Polystyrene: true, K: 2, Split: kind,
+			ExchangeParallelism: c.Exchange,
+		}, 8, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ReshapeRounds != o.Rounds || got.ShapeHeld != o.Reached ||
+			got.ReliabilityPct != 100*o.Reliability ||
+			got.FinalHomogeneity != o.Homogeneity || got.ReferenceH != o.ReferenceH ||
+			got.Fingerprint != outcomeFingerprint(o) || got.Series != nil {
+			t.Errorf("%s: reshape cell %+v does not match MeasureReshaping %+v", c.ID(), got, o)
+		}
+		if !o.Reached {
+			t.Errorf("%s: never reshaped within the budget", c.ID())
+		}
+	}
+}
+
+// TestChurnWindowDefaultsKeepSchedule pins the churn window: with no
+// window set, a churn cell's schedule is event-for-event UniformChurn over
+// the whole horizon; a window [fail_at, rejoin_at) is the same generator
+// over the window's length, shifted to start at fail_at.
+func TestChurnWindowDefaultsKeepSchedule(t *testing.T) {
+	cells := cellsOf(t, `{
+		"name": "x", "seed": 3, "rounds": 30,
+		"scenarios": [
+			{"name": "churn", "rate": 0.05},
+			{"name": "churn", "label": "windowed", "rate": 0.05, "fail_at": 10, "rejoin_at": 22}
+		],
+		"sizes": [[16, 8]]
+	}`)
+	whole, err := BuildSchedule(cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.UniformChurn(128, 30, 0.05, true, cells[0].ScheduleSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(whole, want) {
+		t.Fatal("default churn window changed the schedule")
+	}
+
+	windowed, err := BuildSchedule(cells[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := windowed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	base, err := trace.UniformChurn(128, 12, 0.05, true, cells[1].ScheduleSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(windowed.Events) == 0 || len(windowed.Events) != len(base.Events) {
+		t.Fatalf("windowed schedule has %d events, unshifted generator %d", len(windowed.Events), len(base.Events))
+	}
+	for i, ev := range windowed.Events {
+		if ev.Round < 10 || ev.Round >= 22 {
+			t.Fatalf("event %v outside the window [10, 22)", ev)
+		}
+		if shifted := base.Events[i]; ev.Round != shifted.Round+10 || ev.Op != shifted.Op || ev.Node != shifted.Node {
+			t.Fatalf("event %d = %v, want %v shifted by 10", i, ev, shifted)
+		}
+	}
+}
+
+// churnCell runs one churn cell of a single-scenario spec.
+func churnCell(t *testing.T, src string) CellResult {
+	t.Helper()
+	cells := cellsOf(t, src)
+	if len(cells) != 1 {
+		t.Fatalf("spec expands to %d cells, want 1", len(cells))
+	}
+	r, err := RunCell(cells[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestShapeSurvivesModerateChurn: converge, then 1% churn per round with
+// replacement for 30 rounds, then settle — the shape must hold
+// (homogeneity below the reference) and nearly all points live. Over
+// grid seeds 1–12 this cell keeps 94.5–97.5% of its points (94% at seed
+// 31), so the bound is 92%.
+func TestShapeSurvivesModerateChurn(t *testing.T) {
+	src := `{
+		"name": "x", "seed": 31, "rounds": 60,
+		"scenarios": [{"name": "churn", "rate": 0.01, "fail_at": 15, "rejoin_at": 45}],
+		"sizes": [[20, 10]], "ks": [6]
+	}`
+	sched, err := BuildSchedule(cellsOf(t, src)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed, joined int
+	for _, ev := range sched.Events {
+		if ev.Op == trace.OpLeave {
+			crashed++
+		} else {
+			joined++
+		}
+	}
+	if crashed == 0 || joined != crashed {
+		t.Fatalf("churn bookkeeping: crashed=%d joined=%d", crashed, joined)
+	}
+	r := churnCell(t, src)
+	if !r.ShapeHeld {
+		t.Fatalf("shape lost under 1%% churn: h=%v ref=%v", r.FinalHomogeneity, r.ReferenceH)
+	}
+	if r.ReliabilityPct < 92 {
+		t.Fatalf("reliability %.2f%% under churn with K=6", r.ReliabilityPct)
+	}
+}
+
+// TestChurnRateMonotoneDamage: over the same converge → churn → settle
+// window, heavier churn must not leave more data points alive.
+func TestChurnRateMonotoneDamage(t *testing.T) {
+	spec := func(rate string) string {
+		return `{"name": "x", "seed": 32, "rounds": 40,
+			"scenarios": [{"name": "churn", "rate": ` + rate + `, "fail_at": 10, "rejoin_at": 30}],
+			"sizes": [[20, 10]]}`
+	}
+	light := churnCell(t, spec("0.005"))
+	heavy := churnCell(t, spec("0.05"))
+	if light.ReliabilityPct < heavy.ReliabilityPct {
+		t.Fatalf("reliability should not improve with churn: %.2f%% at 0.5%% vs %.2f%% at 5%%",
+			light.ReliabilityPct, heavy.ReliabilityPct)
+	}
+}
+
+// TestSmokeGridPooledMatchesFresh is the grid's byte-identity suite: Run
+// on pooled engines — four concurrent cells, and again under a memory
+// budget that fits one cell, so every engine is recycled — folds to
+// exactly what a serial loop of fresh-engine RunCell calls produces, over
+// paper, windowed churn and reshape cells at exchange parallelism 0, 1
+// and 2. CI runs it in the race-enabled determinism steps.
+func TestSmokeGridPooledMatchesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-cell grid identity run; exercised by CI's dedicated race step")
+	}
+	spec := parseValid(t, `{
+		"name": "pooled", "seed": 7, "rounds": 24,
+		"scenarios": [
+			{"name": "paper", "fail_at": 8, "rejoin_at": 16},
+			{"name": "churn", "rate": 0.02, "fail_at": 4, "rejoin_at": 16},
+			{"name": "reshape", "fail_at": 8}
+		],
+		"sizes": [[16, 8]], "ks": [2], "exchange_parallelism": [0, 1, 2]
+	}`)
+	cells := spec.Expand()
+	fresh := make([]CellResult, len(cells))
+	for i, c := range cells {
+		r, err := RunCell(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = r
+	}
+	if groups, err := AuditDeterminism(fresh); err != nil || groups != 3 {
+		t.Fatalf("fresh audit = (%d, %v), want (3, nil)", groups, err)
+	}
+	oneCell := scenario.Config{W: 16, H: 8, Polystyrene: true, K: 2}.EstimatedFootprintBytes()
+	for _, opts := range []RunOpts{
+		{Parallelism: 4},
+		{Parallelism: 4, MemBudgetBytes: oneCell},
+	} {
+		pooled, err := Run(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cells {
+			got, want := pooled[i], fresh[i]
+			if got.Fingerprint != want.Fingerprint ||
+				got.FinalHomogeneity != want.FinalHomogeneity || got.ReferenceH != want.ReferenceH ||
+				got.ShapeHeld != want.ShapeHeld || got.ReliabilityPct != want.ReliabilityPct ||
+				got.ReshapeRounds != want.ReshapeRounds || !reflect.DeepEqual(got.Series, want.Series) {
+				t.Errorf("%+v: pooled %s diverged from the fresh-engine reference", opts, cells[i].ID())
+			}
+		}
 	}
 }
 
@@ -267,7 +564,7 @@ func TestSmokeGridEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(spec, RunOpts{PoolEngines: true})
+	results, err := Run(spec, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,8 @@ import (
 //
 //	experiments.json   the spec, byte-for-byte as given (provenance)
 //	grid.csv           one row per cell: identity, seed and final summary
-//	cells/<id>.csv     the cell's per-round series (trace.Table CSV)
+//	cells/<id>.csv     the cell's per-round series (trace.Table CSV);
+//	                   reshape cells record no series and write none
 //	aggregate.csv      repetitions folded: mean and CI95 per grid point
 //	tables.md          paper-ready markdown tables + determinism audit
 //
@@ -24,7 +25,10 @@ import (
 // aggregate.csv and tables.md from it alone, so a results folder stays
 // re-analyzable long after the run.
 
-const gridHeader = "cell,scenario,w,h,k,detector,exchange,rep,seed,schedule_seed,rounds,final_homogeneity,reference_h,shape_held,reliability_pct,fingerprint"
+const gridHeader = "cell,scenario,kind,w,h,k,detector,exchange,rep,seed,schedule_seed,rounds,final_homogeneity,reference_h,shape_held,reliability_pct,reshape_rounds,fingerprint"
+
+// gridFields is the column count of gridHeader.
+const gridFields = 18
 
 // WriteResults lays down a results folder for one executed grid:
 // the spec copy, grid.csv and the per-cell series CSVs, then runs the
@@ -48,10 +52,10 @@ func WriteResults(dir string, specData []byte, results []CellResult) error {
 		if r.ShapeHeld {
 			held = 1
 		}
-		fmt.Fprintf(bw, "%s,%s,%d,%d,%d,%s,%d,%d,%016x,%016x,%d,%s,%s,%d,%s,%016x\n",
-			c.ID(), c.Scenario.Label, c.W, c.H, c.K, c.Detector, c.Exchange, c.Rep,
+		fmt.Fprintf(bw, "%s,%s,%s,%d,%d,%d,%s,%d,%d,%016x,%016x,%d,%s,%s,%d,%s,%d,%016x\n",
+			c.ID(), c.Scenario.Label, c.Scenario.Name, c.W, c.H, c.K, c.Detector, c.Exchange, c.Rep,
 			c.Seed, c.ScheduleSeed, c.Rounds,
-			ftoa(r.FinalHomogeneity), ftoa(r.ReferenceH), held, ftoa(r.ReliabilityPct), r.Fingerprint)
+			ftoa(r.FinalHomogeneity), ftoa(r.ReferenceH), held, ftoa(r.ReliabilityPct), r.ReshapeRounds, r.Fingerprint)
 	}
 	if err := bw.Flush(); err != nil {
 		g.Close()
@@ -61,6 +65,9 @@ func WriteResults(dir string, specData []byte, results []CellResult) error {
 		return err
 	}
 	for _, r := range results {
+		if r.Series == nil {
+			continue
+		}
 		if err := writeCellCSV(dir+"/cells/"+r.Cell.ID()+".csv", r.Series); err != nil {
 			return err
 		}
@@ -129,8 +136,8 @@ func ReadGridCSV(r io.Reader) ([]CellResult, error) {
 			continue
 		}
 		f := strings.Split(text, ",")
-		if len(f) != 16 {
-			return nil, fmt.Errorf("experiments: grid.csv line %d has %d fields, want 16", line, len(f))
+		if len(f) != gridFields {
+			return nil, fmt.Errorf("experiments: grid.csv line %d has %d fields, want %d", line, len(f), gridFields)
 		}
 		var r CellResult
 		var err error
@@ -160,22 +167,23 @@ func ReadGridCSV(r io.Reader) ([]CellResult, error) {
 		}
 		r.Cell = Cell{
 			Index:        len(out),
-			Scenario:     ScenarioSpec{Name: f[1], Label: f[1]},
-			W:            atoi(f[2]),
-			H:            atoi(f[3]),
-			K:            atoi(f[4]),
-			Detector:     f[5],
-			Exchange:     atoi(f[6]),
-			Rep:          atoi(f[7]),
-			Seed:         hexu(f[8]),
-			ScheduleSeed: hexu(f[9]),
-			Rounds:       atoi(f[10]),
+			Scenario:     ScenarioSpec{Name: f[2], Label: f[1]},
+			W:            atoi(f[3]),
+			H:            atoi(f[4]),
+			K:            atoi(f[5]),
+			Detector:     f[6],
+			Exchange:     atoi(f[7]),
+			Rep:          atoi(f[8]),
+			Seed:         hexu(f[9]),
+			ScheduleSeed: hexu(f[10]),
+			Rounds:       atoi(f[11]),
 		}
-		r.FinalHomogeneity = atof(f[11])
-		r.ReferenceH = atof(f[12])
-		r.ShapeHeld = atoi(f[13]) != 0
-		r.ReliabilityPct = atof(f[14])
-		r.Fingerprint = hexu(f[15])
+		r.FinalHomogeneity = atof(f[12])
+		r.ReferenceH = atof(f[13])
+		r.ShapeHeld = atoi(f[14]) != 0
+		r.ReliabilityPct = atof(f[15])
+		r.ReshapeRounds = atoi(f[16])
+		r.Fingerprint = hexu(f[17])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: grid.csv line %d: %w", line, err)
 		}

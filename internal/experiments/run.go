@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 
+	"polystyrene/internal/core"
 	"polystyrene/internal/failures"
 	"polystyrene/internal/runner"
 	"polystyrene/internal/scenario"
@@ -17,20 +18,39 @@ import (
 // CSV) and a fingerprint of that series for determinism audits.
 type CellResult struct {
 	Cell Cell
-	// FinalHomogeneity and ReferenceH are h and H after the last round;
-	// ShapeHeld reports h < H (the shape survived, Sec. IV-A criterion).
+	// FinalHomogeneity and ReferenceH are h and H after the last round
+	// (for a reshape cell: at the round it stopped); ShapeHeld reports
+	// h < H (the shape survived, Sec. IV-A criterion — for a reshape cell,
+	// that it reshaped within the horizon).
 	FinalHomogeneity float64
 	ReferenceH       float64
 	ShapeHeld        bool
 	// ReliabilityPct is the surviving fraction of original data points,
 	// in percent (Table II measure).
 	ReliabilityPct float64
+	// ReshapeRounds is a reshape cell's reshaping time (Table II): rounds
+	// from the catastrophe until h < H, or the budget + 1 when never
+	// reached. Zero for every other scenario.
+	ReshapeRounds int
 	// Fingerprint hashes the entire per-round series (FNV-1a over the
-	// raw float bits plus the live-node trace); two cells ran the same
-	// trajectory iff their fingerprints match.
+	// raw float bits plus the live-node trace) — for a reshape cell, its
+	// outcome; two cells ran the same trajectory iff their fingerprints
+	// match.
 	Fingerprint uint64
-	// Series is the per-round metric record.
+	// Series is the per-round metric record; nil for a reshape cell.
 	Series *scenario.Result
+}
+
+// fnv1a is an FNV-1a digest fed one little-endian uint64 at a time.
+type fnv1a uint64
+
+func newFNV1a() fnv1a { return 14695981039346656037 }
+
+func (h *fnv1a) mix(v uint64) {
+	for i := 0; i < 8; i++ {
+		*h ^= fnv1a((v >> (8 * i)) & 0xff)
+		*h *= 1099511628211
+	}
 }
 
 // Fingerprint digests a per-round metric record with FNV-1a over the
@@ -38,43 +58,58 @@ type CellResult struct {
 // only those — collide. This is the identity the grid's exchange axis is
 // audited against.
 func Fingerprint(r *scenario.Result) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
+	h := newFNV1a()
 	for _, col := range [][]float64{r.Homogeneity, r.Proximity, r.DataPoints, r.MsgCost} {
-		mix(uint64(len(col)))
+		h.mix(uint64(len(col)))
 		for _, v := range col {
-			mix(math.Float64bits(v))
+			h.mix(math.Float64bits(v))
 		}
 	}
-	mix(uint64(len(r.LiveNodes)))
+	h.mix(uint64(len(r.LiveNodes)))
 	for _, v := range r.LiveNodes {
-		mix(uint64(v))
+		h.mix(uint64(v))
 	}
-	return h
+	return uint64(h)
+}
+
+// outcomeFingerprint digests a reshaping outcome — rounds, reached, and
+// the bit patterns of reliability, h and H — the reshape cell's stand-in
+// for a series fingerprint in the determinism audit.
+func outcomeFingerprint(o scenario.ReshapingOutcome) uint64 {
+	h := newFNV1a()
+	reached := uint64(0)
+	if o.Reached {
+		reached = 1
+	}
+	for _, v := range []uint64{uint64(o.Rounds), reached,
+		math.Float64bits(o.Reliability), math.Float64bits(o.Homogeneity), math.Float64bits(o.ReferenceH)} {
+		h.mix(v)
+	}
+	return uint64(h)
 }
 
 // BuildSchedule materializes the cell's availability schedule, nil for
-// the scripted-phases "paper" scenario. The schedule is a pure function
-// of (scenario spec, grid size, ScheduleSeed) — deliberately independent
-// of K, detector and exchange parallelism, so every protocol variant in
-// one (size, rep) slice faces the exact same trace.
+// the scripted "paper" and "reshape" scenarios. The schedule is a pure
+// function of (scenario spec, grid size, ScheduleSeed) — deliberately
+// independent of K, detector and exchange parallelism, so every protocol
+// variant in one (size, rep) slice faces the exact same trace.
 func BuildSchedule(cell Cell) (*trace.Schedule, error) {
 	n := cell.W * cell.H
 	sp := cell.Scenario
 	switch sp.Name {
-	case "paper":
+	case "paper", "reshape":
 		return nil, nil
 	case "churn":
-		return trace.UniformChurn(n, cell.Rounds, sp.Rate, true, cell.ScheduleSeed)
+		// Generate the window's churn from round 0, then shift it to start
+		// at fail_at; the default window (0, rounds) shifts by nothing.
+		s, err := trace.UniformChurn(n, sp.RejoinAt-sp.FailAt, sp.Rate, true, cell.ScheduleSeed)
+		if err != nil {
+			return nil, err
+		}
+		for i := range s.Events {
+			s.Events[i].Round += sp.FailAt
+		}
+		return s, nil
 	case "flash-crowd":
 		return trace.FlashCrowd(n, sp.FailAt, int(sp.Crowd*float64(n)), sp.RejoinAt)
 	case "rolling-partition":
@@ -100,10 +135,11 @@ func BuildSchedule(cell Cell) (*trace.Schedule, error) {
 	return nil, fmt.Errorf("experiments: unknown scenario %q", sp.Name)
 }
 
-// RunCell executes one cell to completion. pool may be nil (no engine
-// reuse); with a pool, the cell borrows an engine sized for its grid and
-// parks it back when done — the pooled trajectory is byte-identical to a
-// fresh engine's, which the grid's repeat runs audit.
+// RunCell executes one cell to completion. pool may be nil (a fresh
+// engine, the reference form); with a pool, the cell borrows an engine
+// sized for its grid and parks it back when done — the pooled trajectory
+// is byte-identical to a fresh engine's
+// (TestSmokeGridPooledMatchesFresh).
 func RunCell(cell Cell, pool *scenario.EnginePool) (CellResult, error) {
 	det, err := ParseDetector(cell.Detector, scenario.CellSeed(cell.Seed, "detector"))
 	if err != nil {
@@ -118,18 +154,20 @@ func RunCell(cell Cell, pool *scenario.EnginePool) (CellResult, error) {
 		Detector:            det,
 		ExchangeParallelism: cell.Exchange,
 	}
-	release := pool.Acquire(&cfg)
-	defer release()
+	defer pool.Acquire(&cfg)()
 
 	var sc *scenario.Scenario
-	if cell.Scenario.Name == "paper" {
+	switch cell.Scenario.Name {
+	case "reshape":
+		return runReshape(cell, cfg)
+	case "paper":
 		sc, err = scenario.New(cfg)
 		if err != nil {
 			return CellResult{}, err
 		}
 		ph := scenario.Phases{FailAt: cell.Scenario.FailAt, ReinjectAt: cell.Scenario.RejoinAt, End: cell.Rounds}
 		scenario.DrivePhases(sc, ph, cell.Rounds)
-	} else {
+	default:
 		sched, berr := BuildSchedule(cell)
 		if berr != nil {
 			return CellResult{}, berr
@@ -155,6 +193,29 @@ func RunCell(cell Cell, pool *scenario.EnginePool) (CellResult, error) {
 	return out, nil
 }
 
+// runReshape measures one reshape cell: MeasureReshaping with fail_at
+// convergence rounds and the rest of the horizon as the reshaping budget.
+func runReshape(cell Cell, cfg scenario.Config) (CellResult, error) {
+	split, err := core.ParseSplitKind(cell.Scenario.Split)
+	if err != nil {
+		return CellResult{}, err
+	}
+	cfg.Split = split
+	o, err := scenario.MeasureReshaping(cfg, cell.Scenario.FailAt, cell.Rounds-cell.Scenario.FailAt)
+	if err != nil {
+		return CellResult{}, err
+	}
+	return CellResult{
+		Cell:             cell,
+		FinalHomogeneity: o.Homogeneity,
+		ReferenceH:       o.ReferenceH,
+		ShapeHeld:        o.Homogeneity < o.ReferenceH,
+		ReliabilityPct:   100 * o.Reliability,
+		ReshapeRounds:    o.Rounds,
+		Fingerprint:      outcomeFingerprint(o),
+	}, nil
+}
+
 // RunOpts bounds a grid execution.
 type RunOpts struct {
 	// Parallelism is the worker budget for concurrent cells; <= 0 means
@@ -164,17 +225,16 @@ type RunOpts struct {
 	// footprint (<= 0: unbounded); the largest cell in the grid is used
 	// as the per-job estimate.
 	MemBudgetBytes int64
-	// PoolEngines recycles engines across equal-size cells.
-	PoolEngines bool
 	// Progress, when non-nil, receives one line per finished cell (order
 	// reflects completion, not expansion; results always fold in
 	// expansion order).
 	Progress func(line string)
 }
 
-// Run expands the spec and executes every cell under the given budget.
-// Results come back in expansion order regardless of scheduling, so a
-// grid run is deterministic at every parallelism level.
+// Run expands the spec and executes every cell under the given budget,
+// recycling engines across equal-size cells. Results come back in
+// expansion order regardless of scheduling, so a grid run is
+// deterministic at every parallelism level.
 func Run(spec *Spec, opts RunOpts) ([]CellResult, error) {
 	cells := spec.Expand()
 	results := make([]CellResult, len(cells))
@@ -185,15 +245,12 @@ func Run(spec *Spec, opts RunOpts) ([]CellResult, error) {
 			maxBytes = b
 		}
 	}
-	par, _ := runner.Budget{
+	par := runner.Budget{
 		Workers:  opts.Parallelism,
 		MemBytes: opts.MemBudgetBytes,
 		JobBytes: maxBytes,
 	}.Split(len(cells))
-	var pool *scenario.EnginePool
-	if opts.PoolEngines {
-		pool = scenario.NewEnginePool()
-	}
+	pool := scenario.NewEnginePool()
 	defer pool.Drain()
 	err := runner.Map(par, len(cells), func(i int) error {
 		r, err := RunCell(cells[i], pool)

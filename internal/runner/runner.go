@@ -1,21 +1,17 @@
 // Package runner executes independent simulation jobs with bounded
-// parallelism. Repeated experiments (Table II repetitions, Fig. 10 sweep
-// cells) are embarrassingly parallel — every run owns its engine and PRNG —
-// so on multi-core machines the harness fans them out across goroutines.
+// parallelism. Experiment-grid cells are embarrassingly parallel — every
+// run owns its engine and PRNG — so on multi-core machines the grid fans
+// them out across goroutines.
 //
 // Determinism is preserved by construction: each job writes only to its
 // own index of a pre-sized result slice, and callers fold results in index
 // order, so the output is identical regardless of scheduling.
 //
-// Jobs may themselves be internally parallel (engines running intra-round
-// exchange batching, sim.SetExchangeParallelism); a Budget splits one
-// machine-wide worker budget between the two levels so a sweep does not
-// oversubscribe the cores, and additionally bounds how many jobs may run
-// at once by memory — each sweep cell owns a full engine whose footprint
-// scales with its node count, and at large grids memory, not cores, is
-// the wall hit first. The split never affects results: cell-level results
-// fold in index order, and exchange results are byte-identical at every
-// worker count >= 1.
+// A Budget bounds how many jobs run at once, by cores and additionally by
+// memory — each grid cell owns a full engine whose footprint scales with
+// its node count, and at large grids memory, not cores, is the wall hit
+// first. The bound never affects results: cell results fold in index
+// order.
 package runner
 
 import (
@@ -25,20 +21,13 @@ import (
 )
 
 // Budget describes the resources a fan-out may consume: a goroutine
-// budget split between concurrent jobs and per-job exchange workers, and
-// an optional memory budget that further bounds concurrent jobs by their
-// estimated footprint. The zero value means "all cores, sequential
-// engines, unbounded memory".
+// budget for concurrent jobs, and an optional memory budget that further
+// bounds concurrent jobs by their estimated footprint. The zero value
+// means "all cores, unbounded memory".
 type Budget struct {
-	// Workers is the total goroutine budget across concurrent jobs and
-	// their exchange workers; <= 0 means GOMAXPROCS.
+	// Workers is the number of jobs that may run at once; <= 0 means
+	// GOMAXPROCS.
 	Workers int
-	// ExchangeCap caps the exchange workers inside each job: 0 keeps jobs
-	// on the legacy sequential engine (a semantically different
-	// trajectory, so it is never enabled implicitly), any value >= 1
-	// switches jobs to the batched engine, whose results are identical at
-	// every worker count >= 1.
-	ExchangeCap int
 	// MemBytes bounds the total estimated footprint of concurrently
 	// running jobs; <= 0 means unbounded.
 	MemBytes int64
@@ -49,22 +38,18 @@ type Budget struct {
 	JobBytes int64
 }
 
-// Split resolves the budget for a fan-out of the given job count:
-// parallelism is how many jobs may run at once and perJob the exchange
-// worker count inside each. Jobs fan out first — outer parallelism scales
-// with no coordination cost — bounded by the memory budget when one is
-// given (always allowing at least one job, or nothing would ever run);
-// leftover worker budget is spent inside each job: perJob =
-// min(ExchangeCap, max(1, Workers/parallelism)).
-func (b Budget) Split(jobs int) (parallelism, perJob int) {
-	budget := b.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
+// Split resolves the budget for a fan-out of the given job count: how
+// many jobs may run at once. That is the worker budget, capped by the job
+// count and by the memory budget when one is given (always allowing at
+// least one job, or nothing would ever run).
+func (b Budget) Split(jobs int) (parallelism int) {
+	parallelism = b.Workers
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
 	}
 	if jobs < 1 {
 		jobs = 1
 	}
-	parallelism = budget
 	if parallelism > jobs {
 		parallelism = jobs
 	}
@@ -77,25 +62,7 @@ func (b Budget) Split(jobs int) (parallelism, perJob int) {
 			parallelism = memJobs
 		}
 	}
-	if b.ExchangeCap <= 0 {
-		return parallelism, 0
-	}
-	perJob = budget / parallelism
-	if perJob < 1 {
-		perJob = 1
-	}
-	if perJob > b.ExchangeCap {
-		perJob = b.ExchangeCap
-	}
-	return parallelism, perJob
-}
-
-// ComposeBudget splits a total worker budget between concurrently running
-// jobs and per-job exchange workers: Budget{Workers: budget, ExchangeCap:
-// exchangeCap}.Split(jobs) — the memory-unbounded composition, kept for
-// callers without a footprint estimate.
-func ComposeBudget(budget, jobs, exchangeCap int) (parallelism, perJob int) {
-	return Budget{Workers: budget, ExchangeCap: exchangeCap}.Split(jobs)
+	return parallelism
 }
 
 // Map runs fn(0), ..., fn(n-1) using at most parallelism concurrent
@@ -143,7 +110,7 @@ func Map(parallelism, n int, fn func(i int) error) error {
 }
 
 // safeCall converts a panicking job into an error so one bad experiment
-// cannot take the whole sweep down.
+// cannot take the whole grid down.
 func safeCall(fn func(int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -104,41 +104,32 @@ func TestMapSequentialDeterministicFold(t *testing.T) {
 	}
 }
 
-func TestComposeBudget(t *testing.T) {
+func TestBudgetSplitWorkers(t *testing.T) {
 	cases := []struct {
-		budget, jobs, exchangeCap int
-		wantPar, wantPerJob       int
+		workers, jobs, want int
 	}{
-		// exchangeCap 0 disables intra-round workers entirely.
-		{budget: 8, jobs: 4, exchangeCap: 0, wantPar: 4, wantPerJob: 0},
-		{budget: 2, jobs: 10, exchangeCap: 0, wantPar: 2, wantPerJob: 0},
-		// Jobs fan out first; leftover budget goes inside each job.
-		{budget: 8, jobs: 2, exchangeCap: 16, wantPar: 2, wantPerJob: 4},
-		{budget: 8, jobs: 2, exchangeCap: 3, wantPar: 2, wantPerJob: 3},
-		// More jobs than budget: every running job still gets one worker.
-		{budget: 4, jobs: 100, exchangeCap: 8, wantPar: 4, wantPerJob: 1},
-		// A requested cap always yields at least one worker per job.
-		{budget: 1, jobs: 1, exchangeCap: 8, wantPar: 1, wantPerJob: 1},
+		{workers: 8, jobs: 4, want: 4},   // never more workers than jobs
+		{workers: 2, jobs: 10, want: 2},  // the worker budget caps the fan-out
+		{workers: 4, jobs: 0, want: 1},   // an empty fan-out still reports one
+		{workers: 1, jobs: 100, want: 1}, // serial
 	}
 	for _, c := range cases {
-		par, perJob := ComposeBudget(c.budget, c.jobs, c.exchangeCap)
-		if par != c.wantPar || perJob != c.wantPerJob {
-			t.Errorf("ComposeBudget(%d, %d, %d) = (%d, %d), want (%d, %d)",
-				c.budget, c.jobs, c.exchangeCap, par, perJob, c.wantPar, c.wantPerJob)
+		if got := (Budget{Workers: c.workers}).Split(c.jobs); got != c.want {
+			t.Errorf("Budget{Workers: %d}.Split(%d) = %d, want %d", c.workers, c.jobs, got, c.want)
 		}
 	}
-	// budget <= 0 means GOMAXPROCS: never zero concurrent jobs.
-	if par, _ := ComposeBudget(0, 3, 0); par < 1 {
-		t.Fatalf("default budget produced parallelism %d", par)
+	// Workers <= 0 means GOMAXPROCS: never zero concurrent jobs.
+	if got := (Budget{}).Split(3); got < 1 {
+		t.Fatalf("default budget produced parallelism %d", got)
 	}
 }
 
 func TestBudgetSplitMemoryBound(t *testing.T) {
 	cases := []struct {
-		name                string
-		b                   Budget
-		jobs                int
-		wantPar, wantPerJob int
+		name    string
+		b       Budget
+		jobs    int
+		wantPar int
 	}{
 		{
 			name: "memory caps parallelism below the worker budget",
@@ -165,23 +156,10 @@ func TestBudgetSplitMemoryBound(t *testing.T) {
 			b:    Budget{Workers: 4, JobBytes: 1 << 30},
 			jobs: 8, wantPar: 4,
 		},
-		{
-			name: "memory-freed workers move inside the jobs",
-			b:    Budget{Workers: 8, ExchangeCap: 16, MemBytes: 2 << 20, JobBytes: 1 << 20},
-			jobs: 8, wantPar: 2, wantPerJob: 4,
-		},
 	}
 	for _, c := range cases {
-		par, perJob := c.b.Split(c.jobs)
-		if par != c.wantPar || perJob != c.wantPerJob {
-			t.Errorf("%s: Split(%d) = (%d, %d), want (%d, %d)",
-				c.name, c.jobs, par, perJob, c.wantPar, c.wantPerJob)
+		if par := c.b.Split(c.jobs); par != c.wantPar {
+			t.Errorf("%s: Split(%d) = %d, want %d", c.name, c.jobs, par, c.wantPar)
 		}
-	}
-	// The zero Budget behaves like ComposeBudget(0, jobs, 0).
-	par, perJob := Budget{}.Split(5)
-	refPar, refPerJob := ComposeBudget(0, 5, 0)
-	if par != refPar || perJob != refPerJob {
-		t.Errorf("zero Budget = (%d, %d), want ComposeBudget default (%d, %d)", par, perJob, refPar, refPerJob)
 	}
 }

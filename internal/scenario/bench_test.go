@@ -253,20 +253,3 @@ func BenchmarkMeasureReshaping(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSizeSweepParallel measures a small multi-cell sweep with the
-// runner fan-out across all cores, the polysweep execution path.
-func BenchmarkSizeSweepParallel(b *testing.B) {
-	sizes := []GridSize{{16, 8}, {20, 10}}
-	variants := map[string]func(Config) Config{
-		"K2": func(c Config) Config { c.K = 2; return c },
-		"K4": func(c Config) Config { c.K = 4; return c },
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SizeSweep(Config{Seed: 2}, sizes, variants,
-			RunOpts{Reps: 2, ConvergeRounds: 15, MaxRounds: 40}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -124,33 +124,6 @@ func TestExchangeParallelismChangesTrajectory(t *testing.T) {
 	}
 }
 
-// TestRunOptsComposeExchangeParallelism pins that the sweep harnesses
-// give byte-identical output whether cells run sequential engines, or
-// batched engines at any composed budget — the property that lets the
-// CLI expose -exchange-parallel as a pure throughput knob.
-func TestRunOptsComposeExchangeParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-stack exchange-parallel identity run; exercised by CI's dedicated race step")
-	}
-	base := Config{Seed: 7, W: 16, H: 8}
-	run := func(par, exchange int) []TableIIRow {
-		rows, err := TableII(base, []int{2}, RunOpts{
-			Reps: 2, ConvergeRounds: 8, MaxRounds: 30,
-			Parallelism: par, ExchangeParallelism: exchange,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	ref := run(1, 1)
-	for _, c := range [][2]int{{2, 1}, {1, 4}, {4, 2}} {
-		if rows := run(c[0], c[1]); !reflect.DeepEqual(rows, ref) {
-			t.Fatalf("TableII(parallel=%d, exchange=%d) diverged from the reference composition", c[0], c[1])
-		}
-	}
-}
-
 // TestExchangeParallelismPlainTManPinned pins the plain T-Man trajectory —
 // no Polystyrene, so T-Man ranks over fixed positions under its static
 // clock — through convergence, the half-torus catastrophe and

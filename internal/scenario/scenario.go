@@ -71,7 +71,7 @@ type Config struct {
 	ExchangeParallelism int
 	// Engine, when non-nil, is reused via sim.Engine.Reset(Seed, layers)
 	// instead of allocating a fresh engine — the pooled-cell path of the
-	// sweep harnesses, which recycles one engine across cells of equal
+	// experiment grid, which recycles one engine across cells of equal
 	// size. A reset engine's trajectory is byte-identical to a fresh
 	// one's. The caller keeps ownership: Close is never called on a
 	// supplied engine.
@@ -271,7 +271,7 @@ func (sc *Scenario) Run(n int) { sc.Engine.RunRounds(n) }
 
 // Close releases the engine's persistent exchange-worker pool. Call it
 // when discarding a scenario whose ExchangeParallelism was >= 2 (the
-// sweep harnesses do this for the scenarios they own); it is idempotent
+// measurement helpers do this for the scenarios they own); it is idempotent
 // and a no-op for sequential configurations. The scenario stays readable
 // — metrics, snapshots and even further (inline-executed) rounds all
 // still work.
@@ -289,7 +289,7 @@ func (sc *Scenario) Close() { sc.Engine.Close() }
 // ignore: guest sets and the holders index scale with points, not nodes,
 // so dense data universes under-estimated and runner.Budget over-admitted
 // cells. Both constants are deliberately a little generous — the estimate
-// bounds sweep parallelism, where overshooting trades throughput and
+// bounds grid parallelism, where overshooting trades throughput and
 // undershooting trades the machine.
 const (
 	estFootprintBytesPerNodeLayer = 896
@@ -300,8 +300,8 @@ const (
 // cell of this configuration: nodes x protocol-layer count x a per-node
 // constant, plus — under Polystyrene — the interned point universe (the
 // target shape holds one data point per grid cell) x a per-point
-// constant. It is the default per-cell cost the memory-budgeted sweep
-// harnesses (RunOpts.MemBudgetBytes) divide their budget by.
+// constant. It is the per-cell cost the memory-budgeted experiment grid
+// (experiments.RunOpts.MemBudgetBytes) divides its budget by.
 func (c Config) EstimatedFootprintBytes() int64 {
 	c = c.withDefaults()
 	nodes := int64(c.W) * int64(c.H)

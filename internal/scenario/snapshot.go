@@ -238,7 +238,7 @@ func readFloats(r *snap.Reader) []float64 {
 
 // ConvergedSnapshot wires cfg, runs convergeRounds quiet rounds and
 // returns the serialized checkpoint — the "pay convergence once" half of
-// a warm-started sweep. Metrics recording is disabled for the converge
+// a warm-started measurement (MeasureReshapingFrom). Metrics recording is disabled for the converge
 // run; warm-started cells measure from their own restored state. A
 // pooled cfg.Engine is honoured and left open for its owner.
 func ConvergedSnapshot(cfg Config, convergeRounds int) ([]byte, error) {
@@ -290,21 +290,4 @@ func MeasureReshapingFrom(cfg Config, snapshot []byte, maxRounds int) (Reshaping
 		defer sc.Close()
 	}
 	return measureReshapingTail(sc, maxRounds), nil
-}
-
-// RunChurnFrom is RunChurn with the convergence phase replaced by
-// restoring a ConvergedSnapshot of an equivalent configuration.
-func RunChurnFrom(cfg Config, snapshot []byte, churn ChurnConfig, settleRounds int) (ChurnOutcome, error) {
-	if churn.Rate < 0 || churn.Rate >= 1 {
-		return ChurnOutcome{}, fmt.Errorf("scenario: churn rate %v out of [0,1)", churn.Rate)
-	}
-	cfg.SkipMetrics = true
-	sc, err := restoreWarm(cfg, snapshot)
-	if err != nil {
-		return ChurnOutcome{}, err
-	}
-	if cfg.Engine == nil {
-		defer sc.Close()
-	}
-	return runChurnTail(sc, churn, settleRounds), nil
 }

@@ -242,82 +242,50 @@ func TestSnapshotAllocsScaleFree(t *testing.T) {
 	}
 }
 
-// TestWarmStartedSweeps pins the warm-start harness path: sweeps that
-// restore one converged checkpoint into every cell produce deterministic
-// results (same output when run twice), identical across engine pooling,
-// and agree with manually chaining ConvergedSnapshot + the *From runners.
+// TestWarmStartedSweeps pins the warm-start path the repo benchmark's
+// reshaping cells take: MeasureReshapingFrom over one ConvergedSnapshot is
+// deterministic, and an engine recycled through an EnginePool reproduces
+// the fresh engine's outcome — sequentially and under exchange batching.
 func TestWarmStartedSweeps(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-cell sweep; exercised by CI's dedicated race step")
+		t.Skip("multi-cell warm-start run; exercised by CI's dedicated race step")
 	}
-	base := Config{Seed: 7, W: 16, H: 8}
-	opts := RunOpts{
-		Reps: 2, ConvergeRounds: 8, MaxRounds: 30,
-		Parallelism: 2, ExchangeParallelism: 2, WarmStart: true,
-	}
-	sizes := []GridSize{{16, 8}, {20, 10}}
-	variants := map[string]func(Config) Config{
-		"K2": func(c Config) Config { c.K = 2; return c },
-		"K4": func(c Config) Config { c.K = 4; return c },
-	}
-	ref, err := SizeSweep(base, sizes, variants, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := SizeSweep(base, sizes, variants, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, ref) {
-		t.Error("warm-started SizeSweep is not deterministic")
-	}
-	pooled := opts
-	pooled.PoolEngines = true
-	pooledOut, err := SizeSweep(base, sizes, variants, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pooledOut, ref) {
-		t.Error("pooled warm-started SizeSweep diverged from the unpooled one")
-	}
-
-	churnOpts := ChurnSweepOpts{
-		ChurnRounds: 6, ConvergeRounds: 8, SettleRounds: 6,
-		Parallelism: 2, ExchangeParallelism: 2, WarmStart: true,
-	}
-	rates := []float64{0.01, 0.02}
-	churnRef, err := ChurnSweep(base, rates, churnOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churnAgain, err := ChurnSweep(base, rates, churnOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(churnAgain, churnRef) {
-		t.Error("warm-started ChurnSweep is not deterministic")
-	}
-
-	// Supplying the equivalent snapshot externally (the polychurn -resume
-	// path) must reproduce the WarmStart-computed outcomes.
-	warmCfg := base
-	warmCfg.Polystyrene = true
-	_, exPar := RunOpts{Parallelism: churnOpts.Parallelism, ExchangeParallelism: churnOpts.ExchangeParallelism}.compose(len(rates), warmCfg.EstimatedFootprintBytes())
-	warmCfg.ExchangeParallelism = exPar
-	warmCfg.Seed = sweepSeed(base.Seed, "churn-warm")
-	snapBytes, err := ConvergedSnapshot(warmCfg, churnOpts.ConvergeRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	supplied := churnOpts
-	supplied.WarmStart = false
-	supplied.WarmSnapshot = snapBytes
-	churnSupplied, err := ChurnSweep(base, rates, supplied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(churnSupplied, churnRef) {
-		t.Error("externally supplied warm snapshot diverged from WarmStart")
+	for _, workers := range []int{0, 2} {
+		base := Config{Seed: 7, W: 16, H: 8, Polystyrene: true, K: 4, ExchangeParallelism: workers}
+		warm, err := ConvergedSnapshot(base, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ConvergedSnapshot(base, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, warm) {
+			t.Fatalf("workers=%d: ConvergedSnapshot is not deterministic", workers)
+		}
+		pool := NewEnginePool()
+		for rep := 0; rep < 2; rep++ {
+			cfg := base
+			cfg.Seed = CellSeed(base.Seed, "warm", uint64(rep))
+			ref, err := MeasureReshapingFrom(cfg, warm, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ref.Reached {
+				t.Errorf("workers=%d rep=%d: warm cell never reshaped: %+v", workers, rep, ref)
+			}
+			if out, err := MeasureReshapingFrom(cfg, warm, 30); err != nil || out != ref {
+				t.Errorf("workers=%d rep=%d: warm-started outcome not deterministic: %+v vs %+v (err %v)", workers, rep, out, ref, err)
+			}
+			pooled := cfg
+			release := pool.Acquire(&pooled)
+			out, err := MeasureReshapingFrom(pooled, warm, 30)
+			release()
+			if err != nil || out != ref {
+				t.Errorf("workers=%d rep=%d: pooled-engine outcome %+v diverged from fresh %+v (err %v)", workers, rep, out, ref, err)
+			}
+		}
+		pool.Drain()
 	}
 }
 

@@ -48,13 +48,36 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
+// settledGoroutines returns the process goroutine count once it has held
+// steady for 50 consecutive 1 ms samples: pool workers retired by earlier
+// tests' Close may still be counted for a moment after Close returns, and
+// a baseline taken during that window would sit above the true one.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	n, steady := runtime.NumGoroutine(), 0
+	for steady < 50 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", n)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		if got := runtime.NumGoroutine(); got == n {
+			steady++
+		} else {
+			n, steady = got, 0
+		}
+	}
+	return n
+}
+
 // TestWorkerPoolLifecycle pins the persistent pool's goroutine
 // accounting: SetExchangeParallelism(n) parks exactly n-1 workers, they
 // stay parked across rounds (no per-batch spawns), resizing down joins
 // the retired workers, and Close (idempotent) releases them all — no
 // leak, asserted via runtime.NumGoroutine deltas.
 func TestWorkerPoolLifecycle(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines(t)
 	_, e := churnyPairSim(t, 0xfeedbeef, 240, 6)
 	waitGoroutines(t, base+5)
 

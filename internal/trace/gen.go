@@ -43,11 +43,12 @@ func FlashCrowd(initial, joinRound, joiners, leaveRound int) (*Schedule, error) 
 // UniformChurn pre-computes the uniform random churn regime as a
 // replayable schedule: every round for `rounds` rounds, a `rate` fraction
 // of the then-alive population crashes, each crash matched by a fresh
-// joiner when replace is set. Unlike the in-band churn harness
-// (scenario.RunChurn), which draws victims from the engine's own stream
-// mid-run, the entire script is fixed up front by `seed` — so the same
-// churn replays bit-exactly through checkpoints, engine pools and every
-// exchange-parallelism level, and can be written to CSV and shared.
+// joiner when replace is set. Victims are drawn from the generator's own
+// stream, never the engine's, so the entire script is fixed up front by
+// `seed` — the same churn replays bit-exactly through checkpoints, engine
+// pools and every exchange-parallelism level, and can be written to CSV
+// and shared. The experiment grid's "churn" scenario shifts it to start
+// at its window's first round.
 func UniformChurn(initial, rounds int, rate float64, replace bool, seed uint64) (*Schedule, error) {
 	if initial < 0 || rounds < 0 {
 		return nil, fmt.Errorf("trace: uniform churn needs non-negative initial/rounds (got %d, %d)", initial, rounds)

@@ -159,35 +159,6 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	return out, nil
 }
 
-// GnuplotScript emits a gnuplot script that plots the given y columns of
-// csvPath against the x column, in the visual style of the paper's line
-// charts (Figs. 6, 7, 10). logX turns on a logarithmic x axis (Fig. 10).
-func GnuplotScript(w io.Writer, csvPath, title, xLabel, yLabel, xColumn string,
-	yColumns []string, logX bool) error {
-	if len(yColumns) == 0 {
-		return fmt.Errorf("trace: no y columns")
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "set datafile separator ','\n")
-	fmt.Fprintf(&b, "set key top right\n")
-	fmt.Fprintf(&b, "set title %q\n", title)
-	fmt.Fprintf(&b, "set xlabel %q\n", xLabel)
-	fmt.Fprintf(&b, "set ylabel %q\n", yLabel)
-	if logX {
-		fmt.Fprintf(&b, "set logscale x\n")
-	}
-	fmt.Fprintf(&b, "plot ")
-	for i, col := range yColumns {
-		if i > 0 {
-			b.WriteString(", \\\n     ")
-		}
-		fmt.Fprintf(&b, "%q using %q:%q with lines title %q", csvPath, xColumn, col, col)
-	}
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // MarkdownTable renders rows as a GitHub-flavoured markdown table with the
 // given headers. Cell values are rendered with %g (numbers) or %v.
 func MarkdownTable(w io.Writer, headers []string, rows [][]any) error {
@@ -214,26 +185,6 @@ func MarkdownTable(w io.Writer, headers []string, rows [][]any) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Summarize returns basic descriptive statistics of a column: min, max and
-// mean. It is a convenience for quick report lines.
-func Summarize(values []float64) (minV, maxV, mean float64) {
-	if len(values) == 0 {
-		return 0, 0, 0
-	}
-	minV, maxV = values[0], values[0]
-	sum := 0.0
-	for _, v := range values {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-		sum += v
-	}
-	return minV, maxV, sum / float64(len(values))
 }
 
 // SortedKeys returns map keys in sorted order (report helper).

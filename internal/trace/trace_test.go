@@ -206,35 +206,6 @@ func TestReadCSVRejectsDuplicateHeader(t *testing.T) {
 	}
 }
 
-func TestGnuplotScript(t *testing.T) {
-	var buf strings.Builder
-	err := GnuplotScript(&buf, "fig6a.csv", "Homogeneity", "Rounds", "h", "round",
-		[]string{"K2", "K4", "K8", "TMan"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"set title \"Homogeneity\"", "plot ", "\"K8\"", "with lines"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("script missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "logscale") {
-		t.Fatal("logscale emitted without logX")
-	}
-
-	buf.Reset()
-	if err := GnuplotScript(&buf, "f.csv", "t", "x", "y", "nodes", []string{"K4"}, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "set logscale x") {
-		t.Fatal("logX not honoured")
-	}
-	if err := GnuplotScript(&buf, "f.csv", "t", "x", "y", "nodes", nil, false); err == nil {
-		t.Fatal("no y columns accepted")
-	}
-}
-
 func TestMarkdownTable(t *testing.T) {
 	var buf strings.Builder
 	err := MarkdownTable(&buf, []string{"K", "reshaping"}, [][]any{
@@ -252,16 +223,6 @@ func TestMarkdownTable(t *testing.T) {
 	}
 	if err := MarkdownTable(&buf, []string{"a"}, [][]any{{1, 2}}); err == nil {
 		t.Fatal("ragged row accepted")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	minV, maxV, mean := Summarize([]float64{3, 1, 2})
-	if minV != 1 || maxV != 3 || mean != 2 {
-		t.Fatalf("Summarize = %v %v %v", minV, maxV, mean)
-	}
-	if a, b, c := Summarize(nil); a != 0 || b != 0 || c != 0 {
-		t.Fatal("empty Summarize not zero")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"polystyrene/internal/experiments"
 	"polystyrene/internal/scenario"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
@@ -374,47 +375,33 @@ func TestDeterminismFullScenarioMetrics(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossParallelism demands that the sweep harnesses
-// produce byte-identical results at every runner.Map parallelism level:
-// each cell owns its engine and PRNG, and results fold in index order,
-// so scheduling must never leak into the output.
+// TestDeterminismAcrossParallelism runs a small Table II / Fig. 10a grid —
+// reshape and paper cells over two sizes, two replication factors and two
+// repetitions — one cell at a time and four at once, and demands
+// identical results: summaries, fingerprints and per-round series.
 func TestDeterminismAcrossParallelism(t *testing.T) {
-	base := scenario.Config{Seed: 7, W: 16, H: 8}
-	opts := func(par int) scenario.RunOpts {
-		return scenario.RunOpts{Reps: 3, ConvergeRounds: 10, MaxRounds: 40, Parallelism: par}
-	}
-
-	refRows, err := scenario.TableII(base, []int{2, 4}, opts(1))
+	spec, err := experiments.Parse([]byte(`{
+		"name": "parallel", "seed": 3, "rounds": 30, "repeats": 2,
+		"scenarios": [{"name": "reshape", "fail_at": 10}, {"name": "paper", "fail_at": 8, "rejoin_at": 16}],
+		"sizes": [[16, 8], [20, 10]], "ks": [2, 4]
+	}`), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 8} {
-		rows, err := scenario.TableII(base, []int{2, 4}, opts(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rows, refRows) {
-			t.Fatalf("TableII at parallelism %d diverged from serial run:\n%+v\nvs\n%+v",
-				par, rows, refRows)
-		}
-	}
-
-	sizes := []scenario.GridSize{{W: 16, H: 8}, {W: 20, H: 10}}
-	variants := map[string]func(scenario.Config) scenario.Config{
-		"K2": func(c scenario.Config) scenario.Config { c.K = 2; return c },
-		"K4": func(c scenario.Config) scenario.Config { c.K = 4; return c },
-	}
-	refSweep, err := scenario.SizeSweep(base, sizes, variants, opts(1))
+	serial, err := experiments.Run(spec, experiments.RunOpts{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{4, 16} {
-		sweep, err := scenario.SizeSweep(base, sizes, variants, opts(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sweep, refSweep) {
-			t.Fatalf("SizeSweep at parallelism %d diverged from serial run", par)
+	parallel, err := experiments.Run(spec, experiments.RunOpts{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != 16 || len(parallel) != len(serial) {
+		t.Fatalf("got %d serial and %d parallel cells, want 16 each", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if !reflect.DeepEqual(parallel[i], serial[i]) {
+			t.Errorf("cell %s: parallel result diverged from serial", serial[i].Cell.ID())
 		}
 	}
 }

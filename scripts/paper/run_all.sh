@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Runs the paper's full experiment grid (scripts/paper/experiments.json)
-# through cmd/polygrid into a timestamped results folder.
+# Runs every experiment spec in scripts/paper/ except smoke.json — the
+# scenario grid (experiments.json), Table II (table2.json), Fig. 10a
+# (fig10a.json), Fig. 10b (fig10b.json) and the churn sweep (churn.json)
+# — through cmd/polygrid, each into its own timestamped results folder.
 #
 # --smoke runs the tiny CI grid (scripts/paper/smoke.json) end-to-end
 # with a fixed stamp and diffs the analyzer's tables.md and the -dry-run
 # grid expansion against the goldens in scripts/paper/testdata/ — the
 # from-fresh-clone reproducibility check. Everything after --smoke (or
-# the full grid's own extra flags) is passed through to polygrid.
+# every other extra flag) is passed through to polygrid.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -22,5 +24,8 @@ if [ "${1:-}" = "--smoke" ]; then
         { echo "run_all.sh: smoke tables.md diverged from golden" >&2; exit 1; }
     echo "smoke grid reproduced the golden analyzer table"
 else
-    exec go run ./cmd/polygrid -spec scripts/paper/experiments.json -out results "$@"
+    for spec in scripts/paper/*.json; do
+        [ "$spec" = scripts/paper/smoke.json ] && continue
+        go run ./cmd/polygrid -spec "$spec" -out results "$@"
+    done
 fi
