@@ -6,9 +6,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
 
-	"polystyrene/internal/sim"
+	"polystyrene/internal/scenario"
 	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
 )
@@ -41,8 +40,8 @@ func (s *System) digest() systemDigest {
 		spaceKind:  s.cfg.Space.kind,
 		spaceDim:   s.cfg.Space.dim,
 		widthsHash: hashFloats(s.cfg.Space.widths),
-		shapeLen:   len(s.shape),
-		shapeHash:  hashPoints(s.shape),
+		shapeLen:   len(s.stack.Points),
+		shapeHash:  hashPoints(s.stack.Points),
 		k:          s.cfg.ReplicationFactor,
 		split:      s.cfg.Split,
 		baseline:   s.cfg.Baseline,
@@ -113,22 +112,8 @@ func (s *System) Snapshot(w io.Writer) error {
 	var sw snap.Writer
 	s.digest().write(&sw)
 
-	ids := make([]sim.NodeID, 0, len(s.fixedPos))
-	for id := range s.fixedPos {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sw.Len(len(ids))
-	for _, id := range ids {
-		sw.Int(int(id))
-		p := s.fixedPos[id]
-		sw.Len(len(p))
-		for _, c := range p {
-			sw.F64(c)
-		}
-	}
-
-	if err := s.engine.SnapshotState(&sw); err != nil {
+	scenario.WritePinned(&sw, s.fixedPos)
+	if err := s.stack.Engine.SnapshotState(&sw); err != nil {
 		return err
 	}
 	return snap.WriteEnvelope(w, systemKind, sw.Bytes())
@@ -148,18 +133,7 @@ func (s *System) Restore(rd io.Reader) error {
 	r := snap.NewReader(body)
 	got := readSystemDigest(r)
 
-	nFixed := r.Len(16)
-	fixedIDs := make([]sim.NodeID, nFixed)
-	fixedPts := make([]space.Point, nFixed)
-	for i := 0; i < nFixed; i++ {
-		fixedIDs[i] = sim.NodeID(r.Int())
-		n := r.Len(8)
-		p := make(space.Point, n)
-		for j := range p {
-			p[j] = r.F64()
-		}
-		fixedPts[i] = p
-	}
+	pinned := scenario.ReadPinned(r)
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -167,7 +141,7 @@ func (s *System) Restore(rd io.Reader) error {
 		return fmt.Errorf("polystyrene: snapshot configuration %+v does not match this system %+v", got, want)
 	}
 
-	if err := s.engine.RestoreState(r); err != nil {
+	if err := s.stack.Engine.RestoreState(r); err != nil {
 		return err
 	}
 	if err := r.Err(); err != nil {
@@ -177,9 +151,6 @@ func (s *System) Restore(rd io.Reader) error {
 		return fmt.Errorf("polystyrene: %d trailing bytes in snapshot", r.Remaining())
 	}
 
-	clear(s.fixedPos)
-	for i, id := range fixedIDs {
-		s.fixedPos[id] = fixedPts[i]
-	}
+	s.fixedPos = pinned
 	return nil
 }

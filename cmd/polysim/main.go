@@ -50,69 +50,6 @@ func main() {
 	}
 }
 
-type driveOutcome int
-
-const (
-	driveCompleted   driveOutcome = iota
-	driveStopped                  // reached the -checkpoint-at round
-	driveInterrupted              // SIGINT/SIGTERM
-)
-
-type driveOpts struct {
-	stopAt    int                        // checkpoint-and-stop round; -1 = none
-	auto      *scenario.AutoCheckpointer // nil = no auto-checkpointing
-	interrupt <-chan os.Signal           // nil = no graceful-stop channel
-	watchdog  *scenario.Watchdog         // nil = no stall detection
-	onSave    func(ckpt.Generation)      // called after each durable save
-}
-
-// drive advances sc through the paper's schedule one round at a time,
-// firing each phase event at the start of its round. Checkpoints — the
-// auto cadence, the -checkpoint-at stop and the interrupt check — all
-// happen at round start BEFORE that round's events, so a resumed run
-// re-enters the loop at the same point and fires them itself. This one
-// loop serves fresh, checkpointing, interrupted and resumed runs alike,
-// which is what makes a resumed CSV byte-identical to an uninterrupted
-// one.
-func drive(sc *scenario.Scenario, phases scenario.Phases, o driveOpts) (driveOutcome, error) {
-	total := sc.Cfg.W * sc.Cfg.H
-	for sc.Engine.Round() < phases.End {
-		r := sc.Engine.Round()
-		if o.watchdog != nil {
-			o.watchdog.Tick(r)
-		}
-		if o.interrupt != nil {
-			select {
-			case <-o.interrupt:
-				return driveInterrupted, nil
-			default:
-			}
-		}
-		if r == o.stopAt {
-			return driveStopped, nil
-		}
-		if o.auto != nil {
-			g, saved, err := o.auto.MaybeSave(r)
-			if err != nil {
-				return driveCompleted, fmt.Errorf("auto-checkpoint at round %d: %w", r, err)
-			}
-			if saved && o.onSave != nil {
-				o.onSave(g)
-			}
-		}
-		if r == phases.FailAt {
-			sc.FailRightHalf()
-		}
-		if r == phases.ReinjectAt {
-			// Replace exactly the nodes still missing, so the schedule is
-			// insensitive to where a checkpoint interrupted it.
-			sc.Reinject(total - sc.Engine.NumLive())
-		}
-		sc.Run(1)
-	}
-	return driveCompleted, nil
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("polysim", flag.ContinueOnError)
 	var (
@@ -242,19 +179,48 @@ func run(args []string, out io.Writer) error {
 	stopAt := -1
 	if *checkpointFile != "" {
 		stopAt = *checkpointAt
+		if r := sc.Engine.Round(); stopAt < r {
+			return fmt.Errorf("-checkpoint-at %d is before round %d, where the resumed run starts", stopAt, r)
+		}
 	}
-	outcome, err := drive(sc, phases, driveOpts{
-		stopAt:    stopAt,
-		auto:      auto,
-		interrupt: sigc,
-		watchdog:  wd,
-		onSave:    func(g ckpt.Generation) { lastCkpt.Store(g.Path(*checkpointDir)) },
+	// Checkpoints — the auto cadence, the -checkpoint-at stop and the
+	// interrupt check — all happen at round start BEFORE that round's
+	// phase events, so a resumed run re-enters the drive at the same
+	// point and fires them itself. This one callback serves fresh,
+	// checkpointing, interrupted and resumed runs alike, which is what
+	// makes a resumed CSV byte-identical to an uninterrupted one.
+	var stopped, interrupted bool
+	var saveErr error
+	scenario.DrivePhasesFunc(sc, phases, phases.End, func(r int) bool {
+		if wd != nil {
+			wd.Tick(r)
+		}
+		select {
+		case <-sigc:
+			interrupted = true
+			return false
+		default:
+		}
+		if r == stopAt {
+			stopped = true
+			return false
+		}
+		if auto != nil {
+			g, saved, err := auto.MaybeSave(r)
+			if err != nil {
+				saveErr = fmt.Errorf("auto-checkpoint at round %d: %w", r, err)
+				return false
+			}
+			if saved {
+				lastCkpt.Store(g.Path(*checkpointDir))
+			}
+		}
+		return true
 	})
-	if err != nil {
-		return err
-	}
-	switch outcome {
-	case driveStopped:
+	switch {
+	case saveErr != nil:
+		return saveErr
+	case stopped:
 		var buf bytes.Buffer
 		if err := sc.SnapshotTo(&buf); err != nil {
 			return fmt.Errorf("checkpoint %s: %w", *checkpointFile, err)
@@ -265,7 +231,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "# checkpoint written to %s at round %d; finish with -resume %s\n",
 			*checkpointFile, sc.Engine.Round(), *checkpointFile)
 		return nil
-	case driveInterrupted:
+	case interrupted:
 		r := sc.Engine.Round()
 		if auto == nil {
 			fmt.Fprintf(out, "# interrupted at round %d; no -checkpoint-dir, nothing saved\n", r)

@@ -291,3 +291,27 @@ func TestResumeLatestSkipsCorruptNewest(t *testing.T) {
 		t.Fatal("resume past the corrupt generation is not byte-identical to the uninterrupted run")
 	}
 }
+
+// TestResumeRejectsCheckpointBeforeResumedRound pins that a -checkpoint-at
+// round the resumed run has already passed is an error naming both
+// rounds, not a silently skipped save.
+func TestResumeRejectsCheckpointBeforeResumedRound(t *testing.T) {
+	base := []string{"-w", "16", "-h", "8", "-fail-at", "8", "-reinject-at", "20", "-end", "30"}
+	dir := t.TempDir()
+	snapFile := dir + "/state.snap"
+	var b strings.Builder
+	if err := run(append(append([]string{}, base...),
+		"-checkpoint", snapFile, "-checkpoint-at", "12"), &b); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	later := dir + "/later.snap"
+	err := run(append(append([]string{}, base...),
+		"-resume", snapFile, "-checkpoint", later, "-checkpoint-at", "5"), &b)
+	if err == nil || !strings.Contains(err.Error(), "5") || !strings.Contains(err.Error(), "12") {
+		t.Fatalf("-checkpoint-at 5 on a run resumed at round 12 not refused: %v\n%s", err, b.String())
+	}
+	if _, statErr := os.Stat(later); !os.IsNotExist(statErr) {
+		t.Fatalf("refused run wrote %s (stat: %v)", later, statErr)
+	}
+}

@@ -216,7 +216,7 @@ func (sc *Scenario) Snapshot() []NodeSnapshot {
 		nbrs = sc.topo.AppendNeighbors(nbrs, id, sc.Cfg.NeighborK)
 		out = append(out, NodeSnapshot{
 			ID:        id,
-			Pos:       sc.position(id).Clone(),
+			Pos:       sc.Position(id).Clone(),
 			Neighbors: nbrs[start:len(nbrs):len(nbrs)],
 		})
 	}

@@ -59,6 +59,46 @@ func TestGoldenSnapshotRestores(t *testing.T) {
 	}
 }
 
+// goldenBaselineCfg and goldenBaselinePhases are the configuration and
+// schedule testdata/tman_8x4_r7.psysnap was taken from: the plain T-Man
+// baseline driven to round 7, past its reinjection at round 5, so the
+// snapshot's pinned-position section holds the reinjected nodes.
+var (
+	goldenBaselineCfg    = Config{Seed: 33, W: 8, H: 4}
+	goldenBaselinePhases = Phases{FailAt: 3, ReinjectAt: 5, End: 20}
+)
+
+// TestGoldenBaselineSnapshotRestores is TestGoldenSnapshotRestores for
+// the baseline: the checked-in snapshot restores with its pinned
+// positions, re-snapshots to the identical bytes, and five more rounds
+// from it equal an uninterrupted run to round 12.
+func TestGoldenBaselineSnapshotRestores(t *testing.T) {
+	golden := readGolden(t, "tman_8x4_r7.psysnap")
+
+	restored := MustNew(goldenBaselineCfg)
+	defer restored.Close()
+	if err := restored.Restore(bytes.NewReader(golden)); err != nil {
+		t.Fatalf("golden snapshot refused: %v", err)
+	}
+	if got := restored.Engine.Round(); got != 7 {
+		t.Fatalf("restored round = %d, want 7", got)
+	}
+	if len(restored.fixedPos) == 0 {
+		t.Fatal("golden baseline snapshot restored no pinned positions")
+	}
+	if !bytes.Equal(snapshotBytes(t, restored), golden) {
+		t.Fatal("re-snapshot of the golden snapshot is not byte-identical to the file")
+	}
+
+	fresh := MustNew(goldenBaselineCfg)
+	defer fresh.Close()
+	DrivePhases(fresh, goldenBaselinePhases, 12)
+	DrivePhases(restored, goldenBaselinePhases, 12)
+	if !bytes.Equal(snapshotBytes(t, restored), snapshotBytes(t, fresh)) {
+		t.Fatal("golden snapshot + 5 rounds diverged from an uninterrupted run to round 12")
+	}
+}
+
 // TestShardedSnapshotDigest pins the refusal of snapshots taken under the
 // removed sharded topology: the checked-in 2-shard snapshot fails with an
 // error naming the shard count, and the target scenario is left as it was.

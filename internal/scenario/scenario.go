@@ -1,6 +1,8 @@
 // Package scenario assembles the full experimental stack of the paper
 // (RPS → T-Man → Polystyrene over a torus grid) and drives the evaluation
-// scenario of Sec. IV-A:
+// scenario of Sec. IV-A. The stack itself is Stack, over any space and
+// shape; the polystyrene facade builds one too. Scenario runs a Stack over
+// the torus grid through the paper's phases:
 //
 //   - Phase 1, Convergence (rounds [0, 20)): the topology converges while
 //     Polystyrene replicates data points and monitors nodes.
@@ -16,17 +18,13 @@
 package scenario
 
 import (
-	"fmt"
-
 	"polystyrene/internal/core"
 	"polystyrene/internal/fd"
 	"polystyrene/internal/metrics"
-	"polystyrene/internal/rps"
 	"polystyrene/internal/shape"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
 	"polystyrene/internal/tman"
-	"polystyrene/internal/vicinity"
 )
 
 // Config describes one experiment.
@@ -100,31 +98,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Scenario is a wired, running experiment.
+// Scenario is a wired, running experiment: a Stack over the torus grid,
+// driven by the paper's scripts and recording its metrics every round.
 type Scenario struct {
-	Cfg    Config
-	Engine *sim.Engine
-	Space  space.Torus
-	// Points are the original data points — the target shape. Index i is
-	// the original position of node i. PointIDs carries their interned
-	// identities in lockstep: the scenario owns the interner shared with
-	// the Polystyrene layer, so the indexed metrics resolve the same IDs
-	// the protocol maintains.
-	Points   []space.Point
-	PointIDs []space.PointID
-	Interner *space.Interner
-
-	sampler *rps.Protocol
-	topo    topology
-	poly    *core.Protocol // nil when running the plain baseline
+	*Stack
+	Cfg   Config
+	Space space.Torus
 
 	// fixedPos holds positions of reinjected nodes in the plain T-Man
-	// configuration (indexed by NodeID; nil entries fall back to Points).
+	// configuration. Polystyrene joiners are never stored: their position
+	// is the reinjection grid's until the layer moves them.
 	fixedPos map[sim.NodeID]space.Point
-
-	// sys is the persistent metrics view (polySystem or tmanSystem); its
-	// live-ID buffer is reused across rounds.
-	sys metrics.System
 
 	result *Result
 }
@@ -147,76 +131,17 @@ func New(cfg Config) (*Scenario, error) {
 	sc := &Scenario{
 		Cfg:      cfg,
 		Space:    space.TorusForGrid(cfg.W, cfg.H, cfg.Step),
-		Points:   shape.Grid(cfg.W, cfg.H, cfg.Step),
-		Interner: space.NewInterner(),
-		sampler:  rps.New(rps.Config{}),
 		fixedPos: make(map[sim.NodeID]space.Point),
 		result:   &Result{},
 	}
-	// Generated shapes register into the interner once at setup
-	// (intern-before-use); the IDs feed the indexed metrics.
-	sc.PointIDs = shape.Intern(sc.Interner, sc.Points)
-
-	switch cfg.Overlay {
-	case "", "tman":
-		tmCfg := cfg.TMan
-		tmCfg.Space = sc.Space
-		tmCfg.Sampler = sc.sampler
-		tmCfg.Position = sc.position
-		tm, err := tman.New(tmCfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		sc.topo = tm
-	case "vicinity":
-		vic, err := vicinity.New(vicinity.Config{
-			Space:    sc.Space,
-			Sampler:  sc.sampler,
-			Position: sc.position,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		sc.topo = vic
-	default:
-		return nil, fmt.Errorf("scenario: unknown overlay %q (want tman|vicinity)", cfg.Overlay)
+	st, err := NewStack(cfg, sc.Space, shape.Grid(cfg.W, cfg.H, cfg.Step), sc.joinPosition)
+	if err != nil {
+		return nil, err
 	}
-
-	layers := []sim.Protocol{sc.sampler, sc.topo}
-	if cfg.Polystyrene {
-		poly, err := core.New(core.Config{
-			Space:          sc.Space,
-			Topology:       sc.topo,
-			Sampler:        sc.sampler,
-			Detector:       cfg.Detector,
-			Interner:       sc.Interner,
-			K:              cfg.K,
-			Split:          cfg.Split,
-			Placement:      cfg.Placement,
-			FullCopyBackup: cfg.FullCopyBackup,
-			InitialPoint:   sc.initialPoint,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		sc.poly = poly
-		layers = append(layers, poly)
-		sc.sys = &polySystem{sc: sc}
-	} else {
-		sc.sys = &tmanSystem{sc: sc}
-	}
-
-	if cfg.Engine != nil {
-		cfg.Engine.Reset(cfg.Seed, layers...)
-		sc.Engine = cfg.Engine
-	} else {
-		sc.Engine = sim.New(cfg.Seed, layers...)
-	}
-	sc.Engine.SetExchangeParallelism(cfg.ExchangeParallelism)
+	sc.Stack = st
 	if !cfg.SkipMetrics {
 		sc.Engine.Observe(sc.record)
 	}
-	sc.Engine.AddNodes(cfg.W * cfg.H)
 	return sc, nil
 }
 
@@ -229,14 +154,13 @@ func MustNew(cfg Config) *Scenario {
 	return sc
 }
 
-// initialPoint supplies a joining node's original position. Nodes of the
-// initial population seed their own data point; later (reinjected) nodes
-// start empty on the offset parallel grid.
-func (sc *Scenario) initialPoint(id sim.NodeID) (space.Point, bool) {
-	if int(id) < len(sc.Points) {
-		return sc.Points[id], true
+// joinPosition places a node that arrives after set-up: a reinjected
+// baseline node is pinned, everything else lands on the reinjection grid.
+func (sc *Scenario) joinPosition(id sim.NodeID) space.Point {
+	if p, ok := sc.fixedPos[id]; ok {
+		return p
 	}
-	return sc.reinjectionPosition(id), false
+	return sc.reinjectionPosition(id)
 }
 
 // reinjectionPosition places node id on a grid parallel to the original,
@@ -253,29 +177,6 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 	half := sc.Cfg.Step / 2
 	return sc.Space.Wrap(space.Point{base[0] + half, base[1] + half})
 }
-
-// position is the PositionFunc fed to T-Man: the Polystyrene projection
-// when enabled, otherwise the node's fixed original (or reinjection) spot.
-func (sc *Scenario) position(id sim.NodeID) space.Point {
-	if sc.poly != nil {
-		return sc.poly.Position(id)
-	}
-	if p, ok := sc.fixedPos[id]; ok {
-		return p
-	}
-	return sc.Points[id]
-}
-
-// Run executes n rounds.
-func (sc *Scenario) Run(n int) { sc.Engine.RunRounds(n) }
-
-// Close releases the engine's persistent exchange-worker pool. Call it
-// when discarding a scenario whose ExchangeParallelism was >= 2 (the
-// measurement helpers do this for the scenarios they own); it is idempotent
-// and a no-op for sequential configurations. The scenario stays readable
-// — metrics, snapshots and even further (inline-executed) rounds all
-// still work.
-func (sc *Scenario) Close() { sc.Engine.Close() }
 
 // Footprint heuristics behind EstimatedFootprintBytes, calibrated
 // against live runtime.MemStats sampling of converged mid-size cells
@@ -328,19 +229,6 @@ func (sc *Scenario) FailRightHalf() int {
 	return sc.FailRegion(func(p space.Point) bool { return space.RightHalf(p, w) })
 }
 
-// FailRegion crashes every live node whose current position satisfies the
-// predicate, returning how many crashed.
-func (sc *Scenario) FailRegion(in func(space.Point) bool) int {
-	killed := 0
-	for _, id := range sc.Engine.LiveIDs() {
-		if in(sc.position(id)) {
-			sc.Engine.Kill(id)
-			killed++
-		}
-	}
-	return killed
-}
-
 // Reinject adds n fresh nodes. Under Polystyrene they hold no data point
 // but have initialised positions on the parallel grid; under plain T-Man
 // they are ordinary nodes fixed at those positions.
@@ -370,95 +258,7 @@ func (sc *Scenario) record(e *sim.Engine, round int) {
 // Result returns the metric record accumulated so far.
 func (sc *Scenario) Result() *Result { return sc.result }
 
-// System returns the metrics view of the current configuration. The view
-// is persistent and reuses an internal live-ID buffer across Live calls.
-func (sc *Scenario) System() metrics.System { return sc.sys }
-
 // ReferenceHomogeneity returns H for the current live population.
 func (sc *Scenario) ReferenceHomogeneity() float64 {
 	return metrics.ReferenceHomogeneity(sc.Space.Area(), sc.Engine.NumLive())
-}
-
-// Reliability returns the fraction of original data points still hosted.
-func (sc *Scenario) Reliability() float64 {
-	if sc.poly != nil {
-		return metrics.ReliabilityIndexed(sc.sys, sc.poly, sc.PointIDs)
-	}
-	return metrics.Reliability(sc.sys, sc.Points)
-}
-
-// Homogeneity computes the current homogeneity on demand (useful when
-// SkipMetrics is set). It reads the Polystyrene holders index when the
-// layer is present and falls back to the full scan for the baseline.
-func (sc *Scenario) Homogeneity() float64 {
-	if sc.poly != nil {
-		return metrics.HomogeneityIndexed(sc.sys, sc.poly, sc.Points, sc.PointIDs)
-	}
-	return metrics.Homogeneity(sc.sys, sc.Points)
-}
-
-// topology is what the scenario needs from the overlay layer: it must be
-// steppable by the engine and expose closest-neighbour queries.
-type topology interface {
-	sim.Protocol
-	core.Topology
-}
-
-// Topology exposes the topology-construction layer (for snapshots, tests
-// and application layers such as routing).
-func (sc *Scenario) Topology() core.Topology { return sc.topo }
-
-// Poly exposes the Polystyrene layer, nil in the baseline configuration.
-func (sc *Scenario) Poly() *core.Protocol { return sc.poly }
-
-// polySystem adapts the full stack to metrics.System. liveBuf and
-// guestBuf back Live and Guests so per-round metric sweeps reuse two
-// allocations instead of cloning per node.
-type polySystem struct {
-	sc       *Scenario
-	liveBuf  []sim.NodeID
-	guestBuf []space.Point
-}
-
-func (s *polySystem) Space() space.Space { return s.sc.Space }
-func (s *polySystem) Live() []sim.NodeID {
-	s.liveBuf = s.sc.Engine.AppendLiveIDs(s.liveBuf[:0])
-	return s.liveBuf
-}
-func (s *polySystem) Alive(id sim.NodeID) bool           { return s.sc.Engine.Alive(id) }
-func (s *polySystem) Position(id sim.NodeID) space.Point { return s.sc.poly.Position(id) }
-func (s *polySystem) Guests(id sim.NodeID) []space.Point {
-	s.guestBuf = s.sc.poly.AppendGuests(id, s.guestBuf[:0])
-	return s.guestBuf
-}
-func (s *polySystem) NumGuests(id sim.NodeID) int { return s.sc.poly.NumGuests(id) }
-func (s *polySystem) NumGhosts(id sim.NodeID) int { return s.sc.poly.NumGhosts(id) }
-func (s *polySystem) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
-	s.sc.topo.EachNeighbor(id, k, yield)
-}
-
-// tmanSystem adapts the baseline: a node's single "guest" is its fixed
-// position and it stores no ghosts (paper Sec. IV-A). guestBuf backs the
-// single-point Guests answer so metric sweeps do not allocate per node.
-type tmanSystem struct {
-	sc       *Scenario
-	liveBuf  []sim.NodeID
-	guestBuf [1]space.Point
-}
-
-func (s *tmanSystem) Space() space.Space { return s.sc.Space }
-func (s *tmanSystem) Live() []sim.NodeID {
-	s.liveBuf = s.sc.Engine.AppendLiveIDs(s.liveBuf[:0])
-	return s.liveBuf
-}
-func (s *tmanSystem) Alive(id sim.NodeID) bool           { return s.sc.Engine.Alive(id) }
-func (s *tmanSystem) Position(id sim.NodeID) space.Point { return s.sc.position(id) }
-func (s *tmanSystem) Guests(id sim.NodeID) []space.Point {
-	s.guestBuf[0] = s.sc.position(id)
-	return s.guestBuf[:]
-}
-func (s *tmanSystem) NumGuests(sim.NodeID) int { return 1 }
-func (s *tmanSystem) NumGhosts(sim.NodeID) int { return 0 }
-func (s *tmanSystem) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
-	s.sc.topo.EachNeighbor(id, k, yield)
 }

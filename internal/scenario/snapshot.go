@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"polystyrene/internal/fd"
-	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
-	"polystyrene/internal/space"
 )
 
 // SnapshotKind is the snap envelope kind of scenario checkpoints; pass
@@ -122,20 +119,7 @@ func (sc *Scenario) SnapshotTo(w io.Writer) error {
 	var sw snap.Writer
 	digestOf(sc.Cfg).write(&sw)
 
-	ids := make([]sim.NodeID, 0, len(sc.fixedPos))
-	for id := range sc.fixedPos {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sw.Len(len(ids))
-	for _, id := range ids {
-		sw.Int(int(id))
-		p := sc.fixedPos[id]
-		sw.Len(len(p))
-		for _, c := range p {
-			sw.F64(c)
-		}
-	}
+	WritePinned(&sw, sc.fixedPos)
 
 	writeFloats(&sw, sc.result.Homogeneity)
 	writeFloats(&sw, sc.result.Proximity)
@@ -166,18 +150,7 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 	r := snap.NewReader(body)
 	got := readDigest(r)
 
-	nFixed := r.Len(16)
-	fixedIDs := make([]sim.NodeID, nFixed)
-	fixedPts := make([]space.Point, nFixed)
-	for i := 0; i < nFixed; i++ {
-		fixedIDs[i] = sim.NodeID(r.Int())
-		n := r.Len(8)
-		p := make(space.Point, n)
-		for j := range p {
-			p[j] = r.F64()
-		}
-		fixedPts[i] = p
-	}
+	pinned := ReadPinned(r)
 
 	homog := readFloats(r)
 	prox := readFloats(r)
@@ -208,10 +181,7 @@ func (sc *Scenario) Restore(rd io.Reader) error {
 		return fmt.Errorf("scenario: %d trailing bytes in snapshot", r.Remaining())
 	}
 
-	clear(sc.fixedPos)
-	for i, id := range fixedIDs {
-		sc.fixedPos[id] = fixedPts[i]
-	}
+	sc.fixedPos = pinned
 	sc.result.Homogeneity = homog
 	sc.result.Proximity = prox
 	sc.result.DataPoints = dataPts

@@ -1,0 +1,361 @@
+package scenario
+
+import (
+	"fmt"
+	"sort"
+
+	"polystyrene/internal/core"
+	"polystyrene/internal/metrics"
+	"polystyrene/internal/rps"
+	"polystyrene/internal/serve"
+	"polystyrene/internal/shape"
+	"polystyrene/internal/sim"
+	"polystyrene/internal/snap"
+	"polystyrene/internal/space"
+	"polystyrene/internal/tman"
+	"polystyrene/internal/vicinity"
+)
+
+// Stack is the paper's layer stack (Figs. 2/3) wired over one engine and
+// one target shape: peer sampling, then topology construction (T-Man, or
+// Vicinity), then — unless Config.Polystyrene is false, the plain
+// baseline — the Polystyrene layer. Scenario and the polystyrene facade
+// both run on a Stack; it owns the stack's construction, its node
+// positions, its metrics and serving views and its region crashes, and
+// leaves scripts, pinned joiner positions and snapshots to its owner.
+type Stack struct {
+	Engine *sim.Engine
+	// Points are the original data points — the target shape. Index i is
+	// the original position of node i. PointIDs carries their interned
+	// identities in lockstep: the stack owns the interner shared with the
+	// Polystyrene layer, so the indexed metrics resolve the same IDs the
+	// protocol maintains.
+	Points   []space.Point
+	PointIDs []space.PointID
+	Interner *space.Interner
+
+	spc     space.Space
+	sampler *rps.Protocol
+	topo    topology
+	poly    *core.Protocol // nil when running the plain baseline
+	// join positions a node that arrives after set-up (id >= len(Points)).
+	join func(sim.NodeID) space.Point
+
+	// sys is the persistent metrics view; its buffers are reused across
+	// rounds. row is FailRegion's copy of the position under test.
+	sys *systemView
+	row space.Point
+}
+
+// topology is what the stack needs from the overlay layer: it must be
+// steppable by the engine and expose closest-neighbour queries.
+type topology interface {
+	sim.Protocol
+	core.Topology
+}
+
+// NewStack wires the stack for cfg over spc and creates one node per
+// shape point, node i starting at points[i] (hosting it under
+// Polystyrene). join supplies the position of every later node: under
+// Polystyrene that node joins empty-handed there, under the baseline it
+// stays fixed there. Of cfg, NewStack reads the layer and engine knobs
+// (Seed, Polystyrene, K, Split, Detector, Placement, FullCopyBackup,
+// Overlay, TMan, ExchangeParallelism, Engine); the grid size and metric
+// settings belong to the owner.
+func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.NodeID) space.Point) (*Stack, error) {
+	cfg = cfg.withDefaults()
+	s := &Stack{
+		Points:   points,
+		Interner: space.NewInterner(),
+		spc:      spc,
+		sampler:  rps.New(rps.Config{}),
+		join:     join,
+	}
+	s.sys = &systemView{s: s}
+	// The shape registers into the interner once at setup
+	// (intern-before-use); the IDs feed the indexed metrics.
+	s.PointIDs = shape.Intern(s.Interner, points)
+
+	switch cfg.Overlay {
+	case "", "tman":
+		tmCfg := cfg.TMan
+		tmCfg.Space = spc
+		tmCfg.Sampler = s.sampler
+		tmCfg.Position = s.Position
+		tm, err := tman.New(tmCfg)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		s.topo = tm
+	case "vicinity":
+		vic, err := vicinity.New(vicinity.Config{
+			Space:    spc,
+			Sampler:  s.sampler,
+			Position: s.Position,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		s.topo = vic
+	default:
+		return nil, fmt.Errorf("scenario: unknown overlay %q (want tman|vicinity)", cfg.Overlay)
+	}
+
+	layers := []sim.Protocol{s.sampler, s.topo}
+	if cfg.Polystyrene {
+		poly, err := core.New(core.Config{
+			Space:          spc,
+			Topology:       s.topo,
+			Sampler:        s.sampler,
+			Detector:       cfg.Detector,
+			Interner:       s.Interner,
+			K:              cfg.K,
+			Split:          cfg.Split,
+			Placement:      cfg.Placement,
+			FullCopyBackup: cfg.FullCopyBackup,
+			InitialPoint:   s.initialPoint,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		s.poly = poly
+		layers = append(layers, poly)
+	}
+
+	if cfg.Engine != nil {
+		cfg.Engine.Reset(cfg.Seed, layers...)
+		s.Engine = cfg.Engine
+	} else {
+		s.Engine = sim.New(cfg.Seed, layers...)
+	}
+	s.Engine.SetExchangeParallelism(cfg.ExchangeParallelism)
+	s.Engine.AddNodes(len(points))
+	return s, nil
+}
+
+// initialPoint supplies a joining node's original position. Nodes of the
+// initial population seed their own data point; later nodes start empty
+// at their join position.
+func (s *Stack) initialPoint(id sim.NodeID) (space.Point, bool) {
+	if int(id) < len(s.Points) {
+		return s.Points[id], true
+	}
+	return s.join(id), false
+}
+
+// Position is the PositionFunc fed to the overlay: the Polystyrene
+// projection when enabled, otherwise the node's fixed original (or join)
+// position.
+func (s *Stack) Position(id sim.NodeID) space.Point {
+	if s.poly != nil {
+		return s.poly.Position(id)
+	}
+	if int(id) < len(s.Points) {
+		return s.Points[id]
+	}
+	return s.join(id)
+}
+
+// Run executes n rounds.
+func (s *Stack) Run(n int) { s.Engine.RunRounds(n) }
+
+// Close releases the engine's persistent exchange-worker pool. Call it
+// when discarding a stack whose ExchangeParallelism was >= 2 (the
+// measurement helpers do this for the scenarios they own); it is idempotent
+// and a no-op for sequential configurations. The stack stays readable
+// — metrics, snapshots and even further (inline-executed) rounds all
+// still work.
+func (s *Stack) Close() { s.Engine.Close() }
+
+// Topology exposes the topology-construction layer (for snapshots, tests
+// and application layers such as routing).
+func (s *Stack) Topology() core.Topology { return s.topo }
+
+// Poly exposes the Polystyrene layer, nil in the baseline configuration.
+func (s *Stack) Poly() *core.Protocol { return s.poly }
+
+// FailRegion crashes every live node whose current position satisfies the
+// predicate, returning how many crashed. The predicate sees a copy of
+// each position, valid only during the call: writing into it moves no
+// node.
+func (s *Stack) FailRegion(in func(space.Point) bool) int {
+	killed := 0
+	for _, id := range s.Engine.LiveIDs() {
+		s.row = append(s.row[:0], s.Position(id)...)
+		if in(s.row) {
+			s.Engine.Kill(id)
+			killed++
+		}
+	}
+	return killed
+}
+
+// System returns the metrics view of the stack. The view is persistent
+// and reuses internal live-ID and guest buffers across calls.
+func (s *Stack) System() metrics.System { return s.sys }
+
+// Homogeneity computes the current homogeneity of the target shape. It
+// reads the Polystyrene holders index when the layer is present and falls
+// back to the full scan for the baseline (whose "guest set" is the node
+// position, which no index maintains).
+func (s *Stack) Homogeneity() float64 {
+	if s.poly != nil {
+		return metrics.HomogeneityIndexed(s.sys, s.poly, s.Points, s.PointIDs)
+	}
+	return metrics.Homogeneity(s.sys, s.Points)
+}
+
+// Reliability returns the fraction of original data points still hosted.
+func (s *Stack) Reliability() float64 {
+	if s.poly != nil {
+		return metrics.ReliabilityIndexed(s.sys, s.poly, s.PointIDs)
+	}
+	return metrics.Reliability(s.sys, s.Points)
+}
+
+// systemView adapts the stack to metrics.System. liveBuf and guestBuf
+// back Live and Guests so per-round metric sweeps reuse two allocations
+// instead of cloning per node. A baseline node's single "guest" is its
+// fixed position and it stores no ghosts (paper Sec. IV-A).
+type systemView struct {
+	s        *Stack
+	liveBuf  []sim.NodeID
+	guestBuf []space.Point
+}
+
+func (v *systemView) Space() space.Space { return v.s.spc }
+func (v *systemView) Live() []sim.NodeID {
+	v.liveBuf = v.s.Engine.AppendLiveIDs(v.liveBuf[:0])
+	return v.liveBuf
+}
+func (v *systemView) Alive(id sim.NodeID) bool           { return v.s.Engine.Alive(id) }
+func (v *systemView) Position(id sim.NodeID) space.Point { return v.s.Position(id) }
+func (v *systemView) Guests(id sim.NodeID) []space.Point {
+	if v.s.poly == nil {
+		v.guestBuf = append(v.guestBuf[:0], v.s.Position(id))
+	} else {
+		v.guestBuf = v.s.poly.AppendGuests(id, v.guestBuf[:0])
+	}
+	return v.guestBuf
+}
+func (v *systemView) NumGuests(id sim.NodeID) int {
+	if v.s.poly == nil {
+		return 1
+	}
+	return v.s.poly.NumGuests(id)
+}
+func (v *systemView) NumGhosts(id sim.NodeID) int {
+	if v.s.poly == nil {
+		return 0
+	}
+	return v.s.poly.NumGhosts(id)
+}
+func (v *systemView) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
+	v.s.topo.EachNeighbor(id, k, yield)
+}
+
+// sourceView adapts the stack to serve.Source, so the round loop can
+// publish epochs from the engine it advances. All methods run on the
+// round-driving goroutine while the engine is quiescent. A baseline
+// stack has no data layer: it serves positions and topology only, with
+// zero guests and an empty holders universe.
+type sourceView struct{ s *Stack }
+
+func (v sourceView) Space() space.Space { return v.s.spc }
+func (v sourceView) Round() int         { return v.s.Engine.Round() }
+func (v sourceView) NumNodes() int      { return v.s.Engine.NumNodes() }
+
+func (v sourceView) AppendLive(dst []sim.NodeID) []sim.NodeID {
+	return v.s.Engine.AppendLiveIDs(dst)
+}
+
+func (v sourceView) Position(id sim.NodeID) space.Point { return v.s.Position(id) }
+
+func (v sourceView) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
+	v.s.topo.EachNeighbor(id, k, yield)
+}
+
+func (v sourceView) NumGuests(id sim.NodeID) int {
+	if v.s.poly == nil {
+		return 0
+	}
+	return v.s.poly.NumGuests(id)
+}
+
+func (v sourceView) NumGhosts(id sim.NodeID) int {
+	if v.s.poly == nil {
+		return 0
+	}
+	return v.s.poly.NumGhosts(id)
+}
+
+func (v sourceView) NumPoints() int {
+	if v.s.poly == nil {
+		return 0
+	}
+	return v.s.Interner.Len()
+}
+
+func (v sourceView) EachGuestID(id sim.NodeID, fn func(pid space.PointID)) {
+	if v.s.poly == nil {
+		return
+	}
+	v.s.poly.GuestsFunc(id, func(_ space.Point, pid space.PointID) { fn(pid) })
+}
+
+// ServeSource returns the stack's serve.Source adapter.
+func (s *Stack) ServeSource() serve.Source { return sourceView{s} }
+
+// ServePublisher creates a Publisher with the given router-view fanout
+// (<= 0 means serve.DefaultFanout), publishes an initial epoch of the
+// current state so the service is answerable before the first round
+// completes, and hooks the publisher to the engine's post-barrier
+// publish point: every subsequent round ends by capturing and atomically
+// swapping in a fresh epoch. The engine has a single publish hook, so a
+// second call replaces the first wiring.
+func (s *Stack) ServePublisher(fanout int) *serve.Publisher {
+	pub := serve.NewPublisher(fanout)
+	src := sourceView{s}
+	pub.Publish(src)
+	s.Engine.SetPublishHook(func(*sim.Engine, int) { pub.Publish(src) })
+	return pub
+}
+
+// StopServing detaches the publish hook installed by ServePublisher.
+func (s *Stack) StopServing() { s.Engine.SetPublishHook(nil) }
+
+// WritePinned writes the pinned-position section shared by the scenario
+// and facade snapshot formats: the count, then every (node id, point)
+// pair in ascending id order.
+func WritePinned(w *snap.Writer, pinned map[sim.NodeID]space.Point) {
+	ids := make([]sim.NodeID, 0, len(pinned))
+	for id := range pinned {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	w.Len(len(ids))
+	for _, id := range ids {
+		w.Int(int(id))
+		p := pinned[id]
+		w.Len(len(p))
+		for _, c := range p {
+			w.F64(c)
+		}
+	}
+}
+
+// ReadPinned reads a section written by WritePinned. On a malformed
+// section the reader's error is set and the map is partial.
+func ReadPinned(r *snap.Reader) map[sim.NodeID]space.Point {
+	n := r.Len(16)
+	pinned := make(map[sim.NodeID]space.Point, n)
+	for i := 0; i < n; i++ {
+		id := sim.NodeID(r.Int())
+		p := make(space.Point, r.Len(8))
+		for j := range p {
+			p[j] = r.F64()
+		}
+		pinned[id] = p
+	}
+	return pinned
+}

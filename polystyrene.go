@@ -8,7 +8,10 @@
 //
 // The package exposes a plain-Go facade over the internal packages. A
 // System is a network of simulated nodes holding the data points that
-// define a target shape (a torus, a ring, a profile space ...). Nodes
+// define a target shape (a torus, a ring, a profile space ...), wired by
+// the same scenario.Stack the paper's evaluation harness runs on: a
+// System over the paper's torus grid follows the harness's trajectory
+// node for node. Nodes
 // converge so that each is linked to its closest peers; when a whole
 // region of the network crashes, the survivors adopt the orphaned data
 // points from their replicas and migrate onto them, restoring the shape:
@@ -55,10 +58,9 @@ import (
 	"polystyrene/internal/fd"
 	"polystyrene/internal/metrics"
 	"polystyrene/internal/route"
-	"polystyrene/internal/rps"
+	"polystyrene/internal/scenario"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
-	"polystyrene/internal/tman"
 )
 
 // SpaceSpec selects the metric data space of a System. Construct specs
@@ -164,22 +166,16 @@ type SystemConfig struct {
 	ExchangeParallelism int
 }
 
-// System is a running Polystyrene network.
+// System is a running Polystyrene network: the facade over the stack of
+// internal/scenario, which it builds from its SystemConfig.
 type System struct {
-	cfg     SystemConfig
-	engine  *sim.Engine
-	space   space.Space
-	sampler *rps.Protocol
-	tman    *tman.Protocol
-	poly    *core.Protocol // nil when Baseline
-	router  *route.Router  // greedy overlay descent, backing Lookup
-	shape   []space.Point
-	// interner/shapeIDs carry the shape points' dense interned identities,
-	// shared with the Polystyrene layer so metrics read its holders index.
-	interner *space.Interner
-	shapeIDs []space.PointID
+	cfg    SystemConfig
+	space  space.Space
+	stack  *scenario.Stack
+	router *route.Router // greedy overlay descent, backing Lookup
 
-	// fixedPos pins positions of baseline nodes added after start.
+	// fixedPos pins the positions of nodes added after start: fixed under
+	// Baseline, the join position under Polystyrene.
 	fixedPos map[sim.NodeID]space.Point
 }
 
@@ -207,54 +203,34 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 
-	sys := &System{
-		cfg:      cfg,
-		space:    spc,
-		sampler:  rps.New(rps.Config{}),
-		interner: space.NewInterner(),
-		fixedPos: make(map[sim.NodeID]space.Point),
-	}
-	sys.shape = make([]space.Point, len(cfg.Shape))
+	shape := make([]space.Point, len(cfg.Shape))
 	for i, p := range cfg.Shape {
 		if len(p) != spc.Dim() {
 			return nil, fmt.Errorf("polystyrene: shape point %d has dimension %d, space wants %d",
 				i, len(p), spc.Dim())
 		}
-		sys.shape[i] = space.Point(p).Clone()
+		shape[i] = space.Point(p).Clone()
 	}
-	sys.shapeIDs = sys.interner.InternAll(sys.shape)
+	var det fd.Detector
+	if cfg.DetectionDelay > 0 {
+		det = fd.NewDelayed(cfg.DetectionDelay)
+	}
 
-	tm, err := tman.New(tman.Config{
-		Space:    spc,
-		Sampler:  sys.sampler,
-		Position: sys.position,
-	})
+	sys := &System{
+		cfg:      cfg,
+		space:    spc,
+		fixedPos: make(map[sim.NodeID]space.Point),
+	}
+	sys.stack, err = scenario.NewStack(scenario.Config{
+		Seed:                cfg.Seed,
+		Polystyrene:         !cfg.Baseline,
+		K:                   cfg.ReplicationFactor,
+		Split:               splitKind,
+		Detector:            det,
+		ExchangeParallelism: cfg.ExchangeParallelism,
+	}, spc, shape, func(id sim.NodeID) space.Point { return sys.fixedPos[id] })
 	if err != nil {
 		return nil, err
-	}
-	sys.tman = tm
-
-	layers := []sim.Protocol{sys.sampler, tm}
-	if !cfg.Baseline {
-		var det fd.Detector
-		if cfg.DetectionDelay > 0 {
-			det = fd.NewDelayed(cfg.DetectionDelay)
-		}
-		poly, err := core.New(core.Config{
-			Space:        spc,
-			Topology:     tm,
-			Sampler:      sys.sampler,
-			Detector:     det,
-			Interner:     sys.interner,
-			K:            cfg.ReplicationFactor,
-			Split:        splitKind,
-			InitialPoint: sys.initialPoint,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sys.poly = poly
-		layers = append(layers, poly)
 	}
 
 	// The lookup router descends with a wider fanout than the metric
@@ -262,53 +238,31 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	// shallow local minima on a recovering (half-density) shape.
 	sys.router = &route.Router{
 		Space:    spc,
-		Topology: sys.tman,
-		Position: sys.position,
+		Topology: sys.stack.Topology(),
+		Position: sys.stack.Position,
 		Fanout:   2 * cfg.NeighborK,
 	}
-
-	sys.engine = sim.New(cfg.Seed, layers...)
-	sys.engine.SetExchangeParallelism(cfg.ExchangeParallelism)
-	sys.engine.AddNodes(len(sys.shape))
 	return sys, nil
 }
 
-func (s *System) initialPoint(id sim.NodeID) (space.Point, bool) {
-	if int(id) < len(s.shape) {
-		return s.shape[id], true
-	}
-	// Nodes added later via AddNodes carry their own pinned position.
-	return s.fixedPos[id], false
-}
-
-func (s *System) position(id sim.NodeID) space.Point {
-	if s.poly != nil {
-		return s.poly.Position(id)
-	}
-	if p, ok := s.fixedPos[id]; ok {
-		return p
-	}
-	return s.shape[id]
-}
-
 // Run executes n gossip rounds.
-func (s *System) Run(n int) { s.engine.RunRounds(n) }
+func (s *System) Run(n int) { s.stack.Run(n) }
 
 // Close releases the engine's persistent exchange-worker pool. Call it
 // when discarding a system built with ExchangeParallelism >= 2; it is
 // idempotent, a no-op for sequential configurations, and the system
 // stays fully usable afterwards (batched rounds simply execute inline).
-func (s *System) Close() { s.engine.Close() }
+func (s *System) Close() { s.stack.Close() }
 
 // Round returns the number of completed rounds.
-func (s *System) Round() int { return s.engine.Round() }
+func (s *System) Round() int { return s.stack.Engine.Round() }
 
 // NumLive returns the number of live nodes.
-func (s *System) NumLive() int { return s.engine.NumLive() }
+func (s *System) NumLive() int { return s.stack.Engine.NumLive() }
 
 // Live returns the IDs of live nodes.
 func (s *System) Live() []int {
-	ids := s.engine.LiveIDs()
+	ids := s.stack.Engine.LiveIDs()
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = int(id)
@@ -320,22 +274,16 @@ func (s *System) Live() []int {
 // IDs are ignored.
 func (s *System) CrashNodes(ids ...int) {
 	for _, id := range ids {
-		s.engine.Kill(sim.NodeID(id))
+		s.stack.Engine.Kill(sim.NodeID(id))
 	}
 }
 
 // CrashRegion crashes every live node whose current position satisfies the
 // predicate — the paper's catastrophic correlated failure. It returns the
-// number of crashed nodes.
+// number of crashed nodes. The predicate sees a copy of each position,
+// valid only during the call: writing into it moves no node.
 func (s *System) CrashRegion(in func(pos []float64) bool) int {
-	killed := 0
-	for _, id := range s.engine.LiveIDs() {
-		if in(s.position(id)) {
-			s.engine.Kill(id)
-			killed++
-		}
-	}
-	return killed
+	return s.stack.FailRegion(func(p space.Point) bool { return in(p) })
 }
 
 // AddNodes injects fresh nodes at the given positions. Under Polystyrene
@@ -349,9 +297,9 @@ func (s *System) AddNodes(positions [][]float64) ([]int, error) {
 				len(p), s.space.Dim())
 		}
 		// Record the position before AddNode so InitNode can read it.
-		next := sim.NodeID(s.engine.NumNodes())
+		next := sim.NodeID(s.stack.Engine.NumNodes())
 		s.fixedPos[next] = space.Point(p).Clone()
-		id := s.engine.AddNode()
+		id := s.stack.Engine.AddNode()
 		out = append(out, int(id))
 	}
 	return out, nil
@@ -359,15 +307,16 @@ func (s *System) AddNodes(positions [][]float64) ([]int, error) {
 
 // NodePosition returns a node's current virtual position.
 func (s *System) NodePosition(id int) []float64 {
-	return s.position(sim.NodeID(id)).Clone()
+	return s.stack.Position(sim.NodeID(id)).Clone()
 }
 
 // NodeGuests returns the data points a node currently hosts.
 func (s *System) NodeGuests(id int) [][]float64 {
-	if s.poly == nil {
+	poly := s.stack.Poly()
+	if poly == nil {
 		return [][]float64{s.NodePosition(id)}
 	}
-	guests := s.poly.Guests(sim.NodeID(id))
+	guests := poly.Guests(sim.NodeID(id))
 	out := make([][]float64, len(guests))
 	for i, g := range guests {
 		out[i] = g.Clone()
@@ -380,7 +329,7 @@ func (s *System) NodeGuests(id int) [][]float64 {
 // the allocation-free primary form of the neighbour query (pass a pooled
 // buffer). See also EachNeighbor for the zero-copy visitor form.
 func (s *System) AppendNeighbors(dst []int, id, k int) []int {
-	s.tman.EachNeighbor(sim.NodeID(id), k, func(nb sim.NodeID) bool {
+	s.stack.Topology().EachNeighbor(sim.NodeID(id), k, func(nb sim.NodeID) bool {
 		dst = append(dst, int(nb))
 		return true
 	})
@@ -392,7 +341,7 @@ func (s *System) AppendNeighbors(dst []int, id, k int) []int {
 // without materialising the list. yield must not call back into the
 // System's topology (reading positions is fine).
 func (s *System) EachNeighbor(id, k int, yield func(neighbor int) bool) {
-	s.tman.EachNeighbor(sim.NodeID(id), k, func(nb sim.NodeID) bool {
+	s.stack.Topology().EachNeighbor(sim.NodeID(id), k, func(nb sim.NodeID) bool {
 		return yield(int(nb))
 	})
 }
@@ -425,7 +374,7 @@ const lookupProbes = 8
 // sentinel, the same "no node" answer LookupExact gives. Callers must
 // treat -1 as "nothing to route to", not as a node ID.
 func (s *System) Lookup(query []float64) int {
-	live := s.engine.LiveIDs()
+	live := s.stack.Engine.LiveIDs()
 	if len(live) == 0 || len(query) != s.space.Dim() {
 		return -1
 	}
@@ -437,11 +386,11 @@ func (s *System) Lookup(query []float64) int {
 	start, startD := sim.None, 0.0
 	for i := 0; i < len(live); i += stride {
 		id := live[i]
-		if d := s.space.Distance(q, s.position(id)); start == sim.None || d < startD {
+		if d := s.space.Distance(q, s.stack.Position(id)); start == sim.None || d < startD {
 			start, startD = id, d
 		}
 	}
-	dest, _, err := s.router.Descend(s.engine, start, q)
+	dest, _, err := s.router.Descend(s.stack.Engine, start, q)
 	if err != nil {
 		return s.LookupExact(query)
 	}
@@ -459,8 +408,8 @@ func (s *System) LookupExact(query []float64) int {
 	}
 	best, bestD := -1, 0.0
 	q := space.Point(query)
-	for _, id := range s.engine.LiveIDs() {
-		d := s.space.Distance(q, s.position(id))
+	for _, id := range s.stack.Engine.LiveIDs() {
+		d := s.space.Distance(q, s.stack.Position(id))
 		if best < 0 || d < bestD {
 			best, bestD = int(id), d
 		}
@@ -468,44 +417,10 @@ func (s *System) LookupExact(query []float64) int {
 	return best
 }
 
-// metricsView adapts the system for the internal metrics package.
-type metricsView struct{ s *System }
-
-func (v metricsView) Space() space.Space                 { return v.s.space }
-func (v metricsView) Live() []sim.NodeID                 { return v.s.engine.LiveIDs() }
-func (v metricsView) Alive(id sim.NodeID) bool           { return v.s.engine.Alive(id) }
-func (v metricsView) Position(id sim.NodeID) space.Point { return v.s.position(id) }
-func (v metricsView) Guests(id sim.NodeID) []space.Point {
-	if v.s.poly == nil {
-		return []space.Point{v.s.position(id)}
-	}
-	return v.s.poly.Guests(id)
-}
-func (v metricsView) NumGuests(id sim.NodeID) int {
-	if v.s.poly == nil {
-		return 1
-	}
-	return v.s.poly.NumGuests(id)
-}
-func (v metricsView) NumGhosts(id sim.NodeID) int {
-	if v.s.poly == nil {
-		return 0
-	}
-	return v.s.poly.NumGhosts(id)
-}
-func (v metricsView) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
-	v.s.tman.EachNeighbor(id, k, yield)
-}
-
 // Homogeneity measures how well the original shape is preserved: the mean
 // distance from each original data point to the nearest node hosting it
 // (Sec. IV-A). Lower is better; see ReferenceHomogeneity for the target.
-func (s *System) Homogeneity() float64 {
-	if s.poly != nil {
-		return metrics.HomogeneityIndexed(metricsView{s}, s.poly, s.shape, s.shapeIDs)
-	}
-	return metrics.Homogeneity(metricsView{s}, s.shape)
-}
+func (s *System) Homogeneity() float64 { return s.stack.Homogeneity() }
 
 // ReferenceHomogeneity returns H, the homogeneity an ideal distribution of
 // the current live population would reach on a 2D torus (only meaningful
@@ -513,38 +428,34 @@ func (s *System) Homogeneity() float64 {
 // shape size as area).
 func (s *System) ReferenceHomogeneity() float64 {
 	if t, ok := s.space.(space.Torus); ok && t.Dim() == 2 {
-		return metrics.ReferenceHomogeneity(t.Area(), s.engine.NumLive())
+		return metrics.ReferenceHomogeneity(t.Area(), s.NumLive())
 	}
-	return metrics.ReferenceHomogeneity(float64(len(s.shape)), s.engine.NumLive())
+	return metrics.ReferenceHomogeneity(float64(len(s.stack.Points)), s.NumLive())
 }
 
 // Proximity is the mean distance between each node and its NeighborK
 // closest overlay neighbours (lower is better).
 func (s *System) Proximity() float64 {
-	return metrics.Proximity(metricsView{s}, s.cfg.NeighborK)
+	return metrics.Proximity(s.stack.System(), s.cfg.NeighborK)
 }
 
 // Reliability returns the fraction of the original data points still
 // hosted by a live node.
-func (s *System) Reliability() float64 {
-	if s.poly != nil {
-		return metrics.ReliabilityIndexed(metricsView{s}, s.poly, s.shapeIDs)
-	}
-	return metrics.Reliability(metricsView{s}, s.shape)
-}
+func (s *System) Reliability() float64 { return s.stack.Reliability() }
 
 // DataPointsPerNode returns the mean number of stored points (guests plus
 // ghost replicas) per live node — the paper's memory-overhead metric.
 func (s *System) DataPointsPerNode() float64 {
-	return metrics.DataPointsPerNode(metricsView{s})
+	return metrics.DataPointsPerNode(s.stack.System())
 }
 
 // LastRoundMessageCost returns the communication units charged during the
 // most recently completed round, averaged per live node (Sec. IV-A cost
 // model: 1 unit per node ID and per coordinate).
 func (s *System) LastRoundMessageCost() float64 {
-	if s.engine.Round() == 0 {
+	e := s.stack.Engine
+	if e.Round() == 0 {
 		return 0
 	}
-	return metrics.MessageCostPerNode(s.engine, s.engine.Round()-1)
+	return metrics.MessageCostPerNode(e, e.Round()-1)
 }

@@ -252,8 +252,8 @@ func TestLookupMatchesFullScanOracle(t *testing.T) {
 			if got < 0 || want < 0 {
 				t.Fatalf("%s: lookup failed for %v (got %d, oracle %d)", phase, q, got, want)
 			}
-			dg := sys.space.Distance(space.Point(q), sys.position(sim.NodeID(got)))
-			dw := sys.space.Distance(space.Point(q), sys.position(sim.NodeID(want)))
+			dg := sys.space.Distance(space.Point(q), sys.NodePosition(got))
+			dw := sys.space.Distance(space.Point(q), sys.NodePosition(want))
 			if dg > dw+slack {
 				t.Fatalf("%s: Lookup(%v) landed at distance %v, oracle reaches %v",
 					phase, q, dg, dw)
@@ -427,5 +427,87 @@ func TestDetectionDelaySlowsRecovery(t *testing.T) {
 	slow := measure(8)
 	if slow <= fast {
 		t.Fatalf("detection delay did not slow recovery: delayed h=%v vs perfect h=%v", slow, fast)
+	}
+}
+
+// TestSystemMatchesScenario pins that the facade and internal/scenario
+// run one stack: a System over the paper's torus grid and a Scenario of
+// the same seed and K, driven through convergence, the right-half crash
+// and six more rounds, agree on every live node's position and 4 nearest
+// neighbours and on homogeneity — under Polystyrene and the baseline, on
+// the sequential and the batched engine.
+func TestSystemMatchesScenario(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		for _, exPar := range []int{0, 2} {
+			sys, err := NewSystem(SystemConfig{
+				Seed:                5,
+				Space:               Torus(16, 8),
+				Shape:               TorusShape(16, 8, 1),
+				ReplicationFactor:   3,
+				Baseline:            baseline,
+				ExchangeParallelism: exPar,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := scenario.MustNew(scenario.Config{
+				Seed: 5, W: 16, H: 8, K: 3, Polystyrene: !baseline,
+				ExchangeParallelism: exPar, SkipMetrics: true,
+			})
+			sys.Run(10)
+			sys.CrashRegion(func(p []float64) bool { return p[0] >= 8 })
+			sys.Run(6)
+			sc.Run(10)
+			sc.FailRightHalf()
+			sc.Run(6)
+
+			live := sys.Live()
+			if scLive := sc.Engine.LiveIDs(); len(scLive) != len(live) {
+				t.Fatalf("baseline=%v w=%d: %d live in the facade, %d in the scenario", baseline, exPar, len(live), len(scLive))
+			}
+			for _, id := range live {
+				nid := sim.NodeID(id)
+				if got, want := sys.NodePosition(id), []float64(sc.System().Position(nid)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("baseline=%v w=%d node %d: facade position %v, scenario %v", baseline, exPar, id, got, want)
+				}
+				want := make([]int, 0, 4)
+				for _, nb := range sc.Topology().AppendNeighbors(nil, nid, 4) {
+					want = append(want, int(nb))
+				}
+				if got := sys.Neighbors(id, 4); !reflect.DeepEqual(got, want) {
+					t.Fatalf("baseline=%v w=%d node %d: facade neighbours %v, scenario %v", baseline, exPar, id, got, want)
+				}
+			}
+			if got, want := sys.Homogeneity(), sc.Homogeneity(); got != want {
+				t.Fatalf("baseline=%v w=%d: facade homogeneity %v, scenario %v", baseline, exPar, got, want)
+			}
+			sys.Close()
+			sc.Close()
+		}
+	}
+}
+
+// TestCrashRegionPredicateCannotMoveNodes pins that CrashRegion hands its
+// predicate a copy of each position: a predicate that writes into the
+// slice moves no node, and the next rounds match an untouched run.
+func TestCrashRegionPredicateCannotMoveNodes(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		touched := torusSystem(t, 3, baseline)
+		clean := torusSystem(t, 3, baseline)
+		touched.Run(5)
+		clean.Run(5)
+		if n := touched.CrashRegion(func(p []float64) bool { p[0] += 0.25; return false }); n != 0 {
+			t.Fatalf("baseline=%v: mutating predicate crashed %d nodes", baseline, n)
+		}
+		for _, id := range clean.Live() {
+			if got, want := touched.NodePosition(id), clean.NodePosition(id); !reflect.DeepEqual(got, want) {
+				t.Fatalf("baseline=%v node %d: predicate moved it from %v to %v", baseline, id, want, got)
+			}
+		}
+		touched.Run(3)
+		clean.Run(3)
+		if got, want := systemFingerprint(touched), systemFingerprint(clean); !reflect.DeepEqual(got, want) {
+			t.Fatalf("baseline=%v: 3 rounds after a mutating predicate diverged:\n got %v\nwant %v", baseline, got, want)
+		}
 	}
 }

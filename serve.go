@@ -1,77 +1,25 @@
 package polystyrene
 
-import (
-	"polystyrene/internal/serve"
-	"polystyrene/internal/sim"
-	"polystyrene/internal/space"
-)
+import "polystyrene/internal/serve"
 
-// This file is the facade's serving surface: it adapts a System to
-// internal/serve's Source contract and wires a Publisher to the engine's
-// post-barrier publish point, so an HTTP frontend (internal/serve,
+// This file is the facade's serving surface: the stack's serve.Source
+// adapter and its Publisher wiring to the engine's post-barrier publish
+// point, so an HTTP frontend (internal/serve,
 // cmd/polyserve) can answer queries concurrently with the round loop
 // against immutable epoch snapshots. The returned serve.* types are
 // internal to this module by design — the serving stack is consumed by
 // cmd/polyserve and the benchmarks, not re-exported.
 
-// serveSource adapts a System to serve.Source. All methods run on the
-// round-driving goroutine while the engine is quiescent.
-type serveSource struct{ s *System }
-
-func (v serveSource) Space() space.Space { return v.s.space }
-func (v serveSource) Round() int         { return v.s.engine.Round() }
-func (v serveSource) NumNodes() int      { return v.s.engine.NumNodes() }
-
-func (v serveSource) AppendLive(dst []sim.NodeID) []sim.NodeID {
-	return v.s.engine.AppendLiveIDs(dst)
-}
-
-func (v serveSource) Position(id sim.NodeID) space.Point { return v.s.position(id) }
-
-func (v serveSource) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
-	v.s.tman.EachNeighbor(id, k, yield)
-}
-
-// Baseline systems have no data layer: they serve positions and topology
-// only, with zero guests and an empty holders universe.
-func (v serveSource) NumGuests(id sim.NodeID) int {
-	if v.s.poly == nil {
-		return 0
-	}
-	return v.s.poly.NumGuests(id)
-}
-
-func (v serveSource) NumGhosts(id sim.NodeID) int {
-	if v.s.poly == nil {
-		return 0
-	}
-	return v.s.poly.NumGhosts(id)
-}
-
-func (v serveSource) NumPoints() int {
-	if v.s.poly == nil {
-		return 0
-	}
-	return v.s.interner.Len()
-}
-
-func (v serveSource) EachGuestID(id sim.NodeID, fn func(pid space.PointID)) {
-	if v.s.poly == nil {
-		return
-	}
-	v.s.poly.GuestsFunc(id, func(_ space.Point, pid space.PointID) { fn(pid) })
-}
-
 // ServeSource returns the system's serve.Source adapter, for callers
 // wiring their own Publisher or capturing ad-hoc epochs.
-func (s *System) ServeSource() serve.Source { return serveSource{s} }
+func (s *System) ServeSource() serve.Source { return s.stack.ServeSource() }
 
 // ServeSnapshot captures one ad-hoc immutable epoch of the system's
 // current state (fanout <= 0 means serve.DefaultFanout). The epoch's
 // Seq is 0, marking it as unpublished; it is safe to query from any
 // goroutine, but the capture itself must not run concurrently with Run.
 func (s *System) ServeSnapshot(fanout int) *serve.Epoch {
-	return serve.Capture(serveSource{s}, fanout, 0)
+	return serve.Capture(s.stack.ServeSource(), fanout, 0)
 }
 
 // ServePublisher creates a Publisher with the given router-view fanout
@@ -86,15 +34,9 @@ func (s *System) ServeSnapshot(fanout int) *serve.Epoch {
 // The engine has a single publish hook, so a second ServePublisher call
 // replaces the first wiring (the orphaned publisher just stops
 // advancing). StopServing unhooks; Publisher.Close drains.
-func (s *System) ServePublisher(fanout int) *serve.Publisher {
-	pub := serve.NewPublisher(fanout)
-	src := serveSource{s}
-	pub.Publish(src)
-	s.engine.SetPublishHook(func(*sim.Engine, int) { pub.Publish(src) })
-	return pub
-}
+func (s *System) ServePublisher(fanout int) *serve.Publisher { return s.stack.ServePublisher(fanout) }
 
 // StopServing detaches the publish hook installed by ServePublisher.
 // The last published epoch stays queryable until the publisher is
 // closed; rounds simply stop producing new ones.
-func (s *System) StopServing() { s.engine.SetPublishHook(nil) }
+func (s *System) StopServing() { s.stack.StopServing() }
