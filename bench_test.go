@@ -1,7 +1,7 @@
 // Benchmark harness: one testing.B per table and figure of the paper's
 // evaluation section (Sec. IV). Each benchmark runs the corresponding
 // experiment at a laptop-friendly scale (the scripts/paper/ specs run the
-// full 80x40 = 3200-node and up-to-51200-node versions through polygrid) and reports the
+// full 80x40 = 3200-node and up-to-51200-node versions through poly grid) and reports the
 // domain results via b.ReportMetric, so `go test -bench=. -benchmem`
 // regenerates the paper's rows/series alongside the timing data:
 //

@@ -2,18 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"regexp"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 )
 
-// syncBuffer is an io.Writer safe to read while run() writes from
+// syncBuffer is an io.Writer safe to read while run writes from
 // another goroutine.
 type syncBuffer struct {
 	mu sync.Mutex
@@ -48,26 +47,14 @@ func waitFor(t *testing.T, buf *syncBuffer, re *regexp.Regexp, what string) []st
 	return nil
 }
 
-// sigterm delivers a real SIGTERM to this process. The guard channel
-// must be registered before run() starts so the signal cannot kill the
-// test in the window before run installs its handler.
-func sigterm(t *testing.T) {
-	t.Helper()
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func guardSigterm(t *testing.T) {
-	t.Helper()
-	guard := make(chan os.Signal, 1)
-	signal.Notify(guard, syscall.SIGTERM)
-	t.Cleanup(func() { signal.Stop(guard) })
+// serveRun runs the serve subcommand with args.
+func serveRun(args []string, out io.Writer) error {
+	return run(append([]string{"serve"}, args...), out, io.Discard)
 }
 
 func TestSelftestSmoke(t *testing.T) {
 	var buf syncBuffer
-	err := run([]string{"-selftest", "-duration", "900ms", "-w", "16", "-h", "8", "-workers", "2"}, &buf)
+	err := serveRun([]string{"-selftest", "-duration", "900ms", "-w", "16", "-h", "8", "-workers", "2"}, &buf)
 	if err != nil {
 		t.Fatalf("selftest failed: %v\noutput:\n%s", err, buf.String())
 	}
@@ -92,7 +79,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 	for _, args := range cases {
 		var buf syncBuffer
-		if err := run(args, &buf); err == nil {
+		if err := serveRun(args, &buf); err == nil {
 			t.Fatalf("run(%v) accepted bad flags", args)
 		}
 	}
@@ -103,7 +90,7 @@ func TestServeScenarioSigtermDrain(t *testing.T) {
 	var buf syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-w", "16", "-h", "8",
+		done <- serveRun([]string{"-addr", "127.0.0.1:0", "-w", "16", "-h", "8",
 			"-interval", "1ms"}, &buf)
 	}()
 	m := waitFor(t, &buf, addrRe, "listen address")
@@ -142,7 +129,7 @@ func TestServeProfilesSigtermDrain(t *testing.T) {
 	var buf syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-profiles", "64",
+		done <- serveRun([]string{"-addr", "127.0.0.1:0", "-profiles", "64",
 			"-interval", "1ms"}, &buf)
 	}()
 	m := waitFor(t, &buf, addrRe, "listen address")
@@ -188,7 +175,7 @@ func TestServeSigtermSavesCheckpoint(t *testing.T) {
 	var buf syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-w", "16", "-h", "8",
+		done <- serveRun([]string{"-addr", "127.0.0.1:0", "-w", "16", "-h", "8",
 			"-interval", "1ms", "-checkpoint-dir", dir, "-auto-checkpoint-every", "5"}, &buf)
 	}()
 	waitFor(t, &buf, addrRe, "listen address")
@@ -208,7 +195,7 @@ func TestServeSigtermSavesCheckpoint(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("run failed: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "final checkpoint") {
+	if !strings.Contains(buf.String(), "# checkpoint gen-") {
 		t.Fatalf("no final checkpoint message:\n%s", buf.String())
 	}
 
@@ -217,7 +204,7 @@ func TestServeSigtermSavesCheckpoint(t *testing.T) {
 	var buf2 syncBuffer
 	done2 := make(chan error, 1)
 	go func() {
-		done2 <- run([]string{"-addr", "127.0.0.1:0", "-w", "16", "-h", "8",
+		done2 <- serveRun([]string{"-addr", "127.0.0.1:0", "-w", "16", "-h", "8",
 			"-interval", "1ms", "-checkpoint-dir", dir, "-resume-latest"}, &buf2)
 	}()
 	waitFor(t, &buf2, regexp.MustCompile(`# resumed from (\S+) at round (\d+)`), "resume banner")

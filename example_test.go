@@ -111,7 +111,7 @@ func ExampleSystem_Lookup() {
 // ExampleSystem_ServePublisher serves the profiles workload of
 // examples/profiles while rounds run: the publisher snapshots an
 // immutable epoch after every round, and queries answer from the epoch —
-// never touching (or blocking) the engine. cmd/polyserve wraps exactly
+// never touching (or blocking) the engine. poly serve wraps exactly
 // this wiring in an HTTP frontend.
 func ExampleSystem_ServePublisher() {
 	pts := shape.Profiles(16, 24, 4) // 4 interest communities, 16 users each

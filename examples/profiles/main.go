@@ -39,7 +39,7 @@ func main() {
 // communityProfile builds a profile for user u of community c: a shared
 // 6-topic community core plus a per-user variation topic, so members are
 // mutually close under Hamming distance but not identical. The formula
-// lives in shape.Profile, shared with polyserve -profiles.
+// lives in shape.Profile, shared with poly serve -profiles.
 func communityProfile(c, u int) []float64 {
 	return shape.Profile(c, u, topics, communities)
 }

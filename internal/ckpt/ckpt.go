@@ -431,39 +431,6 @@ func (m *Manager) OpenLatestGoodAtMost(round int) (Generation, []byte, error) {
 		m.opts.Dir, strings.Join(rejected, "\n  "))
 }
 
-// WriteFileAtomic writes data to path with the full atomic dance (temp
-// file → fsync → rename → dir fsync) on fs. It is the single-file
-// little sibling of Manager.Save, for callers that keep exactly one
-// checkpoint at a fixed path.
-func WriteFileAtomic(fs FS, path string, data []byte) error {
-	if fs == nil {
-		fs = OS
-	}
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ckpt: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("ckpt: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("ckpt: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ckpt: close %s: %w", tmp, err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ckpt: rename %s: %w", path, err)
-	}
-	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("ckpt: fsync dir of %s: %w", path, err)
-	}
-	return nil
-}
-
 type countWriter struct {
 	w io.Writer
 	n int64

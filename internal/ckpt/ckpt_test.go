@@ -239,24 +239,6 @@ func TestParseGenRound(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "one.snap")
-	for i := 0; i < 3; i++ {
-		if err := WriteFileAtomic(nil, path, []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatalf("WriteFileAtomic: %v", err)
-		}
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "v2" {
-		t.Fatalf("final contents %q err %v", got, err)
-	}
-	names, err := os.ReadDir(dir)
-	if err != nil || len(names) != 1 {
-		t.Fatalf("dir entries %v err %v", names, err)
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	m := testManager(t, 5)
 	want := []Generation{

@@ -7,12 +7,12 @@
 // summary into a results folder, and aggregates them into a paper-ready
 // CSV and markdown tables. The paper's Table II, Fig. 10a, Fig. 10b and
 // the sustained-churn sweep are checked-in specs under scripts/paper/,
-// run through cmd/polygrid or scripts/paper/run_all.sh.
+// run through poly grid or scripts/paper/run_all.sh.
 //
 // Rejection happens up front: unknown JSON keys, malformed axes and
 // invalid scenario/parameter combinations all fail at parse/validate time
 // — before any cell has burned a core-hour. Expansion is a pure function
-// of the spec, so `polygrid -dry-run` shows the exact blast radius of an
+// of the spec, so `poly grid -dry-run` shows the exact blast radius of an
 // experiments.json edit.
 package experiments
 

@@ -116,7 +116,7 @@ func BenchmarkParallelRound(b *testing.B) {
 
 // BenchmarkSnapshotRestore measures checkpointing the paper's largest
 // configuration — 51,200 nodes on the 320x160 torus — and restoring it
-// into an already wired scenario: the per-checkpoint cost a long polysim
+// into an already wired scenario: the per-checkpoint cost a long poly sim
 // run pays, and the per-cell cost a warm-started sweep pays. Bytes/op is
 // the serialized snapshot size, so MB/s reads as checkpoint throughput.
 func BenchmarkSnapshotRestore(b *testing.B) {

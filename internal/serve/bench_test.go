@@ -161,7 +161,7 @@ func benchServePhase(b *testing.B, catastrophe, churn bool) {
 				}
 				sc.Run(1)
 				round++
-				// Pace rounds like a deployed service (polyserve's
+				// Pace rounds like a deployed service (poly serve's
 				// -interval); an unpaced loop would just monopolise the
 				// CPU and measure scheduler starvation, not serving.
 				time.Sleep(5 * time.Millisecond)

@@ -27,7 +27,7 @@
 //
 // The HTTP frontend (Frontend) exposes the epoch queries as a JSON API;
 // loadgen (a subpackage) drives it with a deterministic closed-loop load
-// generator recording HDR-style latency histograms. cmd/polyserve wires
+// generator recording HDR-style latency histograms. poly serve wires
 // both around a phase-driven engine for a churn-and-catastrophe serving
 // soak.
 package serve

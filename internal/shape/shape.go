@@ -124,7 +124,7 @@ func UniformTorus(n int, t space.Torus, rng *xrand.Rand) []space.Point {
 // members are mutually close under Hamming distance but not identical.
 // This is the semantic-overlay shape of decentralized recommendation
 // (Gossple, WhatsUp; the paper's Sec. II-B), and the profile formula of
-// examples/profiles and polyserve -profiles.
+// examples/profiles and poly serve -profiles.
 func Profile(c, u, topics, communities int) space.Point {
 	core := topics / communities
 	p := make(space.Point, topics)

@@ -25,8 +25,8 @@
 //
 // Engines are reusable: Engine.Reset(seed, layers...) returns one to its
 // freshly-constructed state while keeping every grown backing array and
-// the parked worker pool, which is how sweep harnesses run many same-size
-// cells without per-cell engine allocations. Engines configured with
+// the parked worker pool, which is how the experiment grid runs many
+// same-size cells without per-cell engine allocations. Engines configured with
 // exchange parallelism >= 2 hold pool goroutines; Close releases them.
 //
 // The engine is built for full-paper-scale (51,200-node) sweeps: the live

@@ -5,10 +5,10 @@ import "polystyrene/internal/serve"
 // This file is the facade's serving surface: the stack's serve.Source
 // adapter and its Publisher wiring to the engine's post-barrier publish
 // point, so an HTTP frontend (internal/serve,
-// cmd/polyserve) can answer queries concurrently with the round loop
+// poly serve) can answer queries concurrently with the round loop
 // against immutable epoch snapshots. The returned serve.* types are
 // internal to this module by design — the serving stack is consumed by
-// cmd/polyserve and the benchmarks, not re-exported.
+// poly serve and the benchmarks, not re-exported.
 
 // ServeSource returns the system's serve.Source adapter, for callers
 // wiring their own Publisher or capturing ad-hoc epochs.
