@@ -1,6 +1,8 @@
 package rps
 
 import (
+	"fmt"
+
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
 )
@@ -22,7 +24,9 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 }
 
 // RestoreState implements sim.Snapshotter. The views are carved from one
-// arena and keep exact capacity, so an append to one reallocates it.
+// arena and keep exact capacity, so an append to one reallocates it. An
+// entry outside [0, n), where n is the section's view count, is refused,
+// and on any error the protocol is left as it was.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.Len(8)
 	views := make([][]entry, n)
@@ -31,7 +35,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		ln := r.Len(16)
 		v := arena.Take(ln)
 		for j := range v {
-			v[j].id = sim.NodeID(r.Int())
+			id := r.Int()
+			if id < 0 || id >= n {
+				return fmt.Errorf("rps: snapshot view of node %d holds node %d, outside [0,%d)", i, id, n)
+			}
+			v[j].id = sim.NodeID(id)
 			v[j].age = r.Int()
 		}
 		views[i] = v

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"polystyrene/internal/fd"
@@ -239,6 +240,40 @@ func TestSnapshotAllocsScaleFree(t *testing.T) {
 			t.Errorf("Restore makes %v allocations at %d nodes (%.2f per node), want fewer than 4 per node",
 				s.restore, s.nodes, s.restore/float64(s.nodes))
 		}
+	}
+}
+
+// TestRestoredRoundAllocs pins the first round after a restore to a small
+// constant number of allocations: the restored T-Man views already sit in
+// their fixed-stride rows, so merging into them allocates nothing, and
+// what remains is the fresh scenario's worker scratch reaching its working
+// size. (Exact-capacity views used to regrow and be compacted back in
+// every post-restore round: 1,678 allocations here.)
+func TestRestoredRoundAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are unreliable under -race; the race step runs -short")
+	}
+	cfg := Config{Seed: 5, W: 80, H: 40, Polystyrene: true, K: 4, SkipMetrics: true}
+	sc := MustNew(cfg)
+	defer sc.Close()
+	sc.Run(20)
+	var buf bytes.Buffer
+	if err := sc.SnapshotTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	target := MustNew(cfg)
+	defer target.Close()
+	if err := target.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	target.Run(1)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("first round after restoring %d nodes: %d allocations, %d B", cfg.W*cfg.H, allocs, after.TotalAlloc-before.TotalAlloc)
+	if allocs > 64 {
+		t.Errorf("the first round after a restore makes %d allocations, want at most 64", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
@@ -18,10 +19,7 @@ func (p *Protocol) Neighbors(id sim.NodeID, k int) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return nil
 	}
-	sel := p.selectClosest(p.ws[0], p.views[id], p.pos(id), k)
-	out := make([]sim.NodeID, len(sel))
-	copy(out, sel)
-	return out
+	return appendNodeIDs(nil, p.selectClosest(p.ws[0], p.views[id], p.pos(id), k))
 }
 
 // neighborsOracle is an independent reimplementation of the neighbour
@@ -32,7 +30,7 @@ func neighborsOracle(p *Protocol, id sim.NodeID, k int) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return nil
 	}
-	view := slices.Clone(p.views[id])
+	view := p.View(id)
 	pos := p.pos(id)
 	sort.SliceStable(view, func(i, j int) bool {
 		di := p.cfg.Space.Distance(p.pos(view[i]), pos)
@@ -156,24 +154,18 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 	}
 }
 
-// TestViewCompactionAfterCatastrophe pins purgeDead's view compaction:
-// after a 95% correlated kill, the per-node view backings sized for the
-// 800-node regime must shrink back towards the 40-node working set instead
-// of pinning worst-case capacity forever.
-func TestViewCompactionAfterCatastrophe(t *testing.T) {
+// TestViewRowsBoundedAfterCatastrophe: after a 95% correlated kill and a
+// reinjection, every view — of a live node or a dead one — still sits in
+// its own fixed row of stride ids, live views hold at most ViewCap
+// entries, and the overlay's view memory is exactly its carved rows ×
+// stride × 4 B: whole pages of rows, one row per node ever joined, and no
+// per-node capacity a catastrophe could pin.
+func TestViewRowsBoundedAfterCatastrophe(t *testing.T) {
 	w, h := 40, 20
 	tor := space.TorusForGrid(w, h, 1)
 	pts := space.TorusGrid(w, h, 1)
 	n := newTestNet(t, 7, tor, pts, Config{})
 	n.engine.RunRounds(10)
-
-	before := 0
-	for _, view := range n.tman.views {
-		before = max(before, cap(view))
-	}
-	if before < DefaultViewCap {
-		t.Fatalf("largest view capacity %d before the kill, expected at least the view cap", before)
-	}
 
 	// Kill 95%: keep one node in twenty.
 	for _, id := range slices.Clone(n.engine.LiveIDs()) {
@@ -182,13 +174,40 @@ func TestViewCompactionAfterCatastrophe(t *testing.T) {
 		}
 	}
 	n.engine.RunRounds(10)
+	// Reinject half the grid, half a step off the original points.
+	for _, p := range pts[:len(pts)/2] {
+		n.positions = append(n.positions, tor.Wrap(space.Point{p[0] + 0.5, p[1] + 0.5}))
+	}
+	n.engine.AddNodes(len(pts) / 2)
+	n.engine.RunRounds(10)
 
+	tm := n.tman
+	stride := tm.rows.stride
+	if want := DefaultViewCap + DefaultMsgSize; stride != want {
+		t.Fatalf("stride %d, want ViewCap + MsgSize = %d", stride, want)
+	}
 	for _, id := range n.engine.LiveIDs() {
-		view := n.tman.views[id]
-		floor := max(len(view), n.tman.cfg.InitDegree)
-		if cap(view) > viewSlack*floor {
-			t.Fatalf("node %d view capacity %d pinned (len %d, floor %d)",
-				id, cap(view), len(view), floor)
+		if l := len(tm.views[id]); l > tm.cfg.ViewCap {
+			t.Fatalf("live node %d view holds %d entries, cap %d", id, l, tm.cfg.ViewCap)
 		}
 	}
+	rows := make([]uintptr, len(tm.views))
+	for id, view := range tm.views {
+		if cap(view) != stride {
+			t.Fatalf("node %d view capacity %d (len %d), want the stride %d", id, cap(view), len(view), stride)
+		}
+		rows[id] = uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	}
+	slices.Sort(rows)
+	for i := 1; i < len(rows); i++ {
+		if rows[i]-rows[i-1] < uintptr(stride*4) {
+			t.Fatalf("view rows overlap: %#x and %#x are %d B apart, a row is %d B",
+				rows[i-1], rows[i], rows[i]-rows[i-1], stride*4)
+		}
+	}
+	carved := tm.rows.pages * pageRows
+	if want := (len(tm.views) + pageRows - 1) / pageRows * pageRows; carved != want {
+		t.Fatalf("%d rows carved for %d nodes, want %d (whole pages of %d)", carved, len(tm.views), want, pageRows)
+	}
+	t.Logf("%d nodes, %d rows carved: %d B of view memory", len(tm.views), carved, carved*stride*4)
 }

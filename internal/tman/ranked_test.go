@@ -30,18 +30,18 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 	p := MustNew(Config{Space: tor, Sampler: rps.New(rps.Config{}),
 		Position: func(id sim.NodeID) space.Point { return positions[id] }})
 	scr := p.ws[0]
-	ranked := func(ids []sim.NodeID, target space.Point) []sim.NodeID {
+	ranked := func(ids []int32, target space.Point) []int32 {
 		return slices.Clone(p.selectClosest(scr, ids, target, len(ids)))
 	}
 
 	for trial := 0; trial < 4000; trial++ {
 		p.cfg.ViewCap = 1 + rng.Intn(40)
 		target := positions[rng.Intn(n)]
-		ids := make([]sim.NodeID, 0, n)
+		ids := make([]int32, 0, n)
 		for _, i := range rng.Sample(n, 1+rng.Intn(n)) {
-			ids = append(ids, sim.NodeID(i))
+			ids = append(ids, int32(i))
 		}
-		var pre, tail []sim.NodeID
+		var pre, tail []int32
 		switch mode := trial % 4; mode {
 		case 0: // random split
 			n0 := rng.Intn(len(ids) + 1)
@@ -187,7 +187,7 @@ func checkRankedViews(t *testing.T, e *sim.Engine, tm *Protocol, phase string) (
 		target := tm.pos(id)
 		for j := 1; j < len(view); j++ {
 			a, b := view[j-1], view[j]
-			da, db := tm.cfg.Space.Distance(tm.pos(a), target), tm.cfg.Space.Distance(tm.pos(b), target)
+			da, db := tm.cfg.Space.Distance(tm.pos(sim.NodeID(a)), target), tm.cfg.Space.Distance(tm.pos(sim.NodeID(b)), target)
 			if !(da < db || da == db && a < b) {
 				t.Fatalf("%s: ranked view of node %d out of order at %d: %d (%v) before %d (%v)",
 					phase, id, j, a, da, b, db)

@@ -53,6 +53,16 @@
 // candidates too, but positions are frozen during a T-Man pass, and the
 // Polystyrene layer above snapshots them for its own pass).
 //
+// Views live in fixed-stride rows of one slab. Each node owns a row of
+// stride = max(ViewCap, InitDegree) + MsgSize int32 ids (120 ids, 480 B, at
+// the defaults), carved with its neighbours in pages of contiguous rows
+// when the node joins or the overlay is restored. A view at rest holds at
+// most max(ViewCap, InitDegree) entries and a merge appends at most
+// MsgSize, so every purge, re-seed, merge, ranking and prefix read works
+// in place in the row, and a view's storage never grows or moves. The
+// ids are int32 inside the overlay only (InitNode refuses ids past
+// math.MaxInt32); every exported query speaks sim.NodeID.
+//
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
 // EachNeighbor (zero-copy visitor over the pooled selection scratch).
@@ -62,6 +72,7 @@ package tman
 
 import (
 	"fmt"
+	"math"
 
 	"polystyrene/internal/genset"
 	"polystyrene/internal/rps"
@@ -136,23 +147,47 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// viewSlack bounds a view's backing array: purgeDead compacts a view
-// whose capacity exceeds viewSlack times its surviving entries (at least
-// InitDegree), so the aftermath of a catastrophic failure does not pin
-// dead capacity for the rest of a run.
-const viewSlack = 2
+// pageRows is the number of view rows carved per page: 256 rows of the
+// default stride are 120 KiB, a whole number of the runtime's 8 KiB pages.
+const pageRows = 256
+
+// rowSlab carves fixed-stride view rows from pages of pageRows contiguous
+// rows. A carved row is empty with capacity stride, so appends fill it in
+// place and can never write into the row carved after it.
+type rowSlab struct {
+	stride int
+	free   []int32
+	// pages counts the pages carved so far (view memory is pages ×
+	// pageRows × stride × 4 B).
+	pages int
+}
+
+// carve returns the next unused row, starting a page when the current one
+// is used up.
+func (s *rowSlab) carve() []int32 {
+	if len(s.free) == 0 {
+		s.free = make([]int32, pageRows*s.stride)
+		s.pages++
+	}
+	row := s.free[:0:s.stride]
+	s.free = s.free[s.stride:]
+	return row
+}
 
 // scratch is one worker slot's pooled exchange state.
 type scratch struct {
 	// sel holds the pooled parallel (distance, id) selection arrays.
-	sel topk.Scratch[sim.NodeID]
+	sel topk.Scratch[int32]
 	// candBuf assembles the owner+view candidate set for buildBuffer and
 	// the partner-selection window.
-	candBuf []sim.NodeID
+	candBuf []int32
 	// msgA/msgB are the two in-flight message buffers of Step; both live
 	// across a merge pair, so they need separate backing arrays.
-	msgA []sim.NodeID
-	msgB []sim.NodeID
+	msgA []int32
+	msgB []int32
+	// peers receives the sampling layer's random peers before a re-seed
+	// copies them into the row.
+	peers []sim.NodeID
 	// seen is the pooled membership set over dense NodeIDs used by merges.
 	seen genset.Set
 }
@@ -160,17 +195,20 @@ type scratch struct {
 // Protocol is the T-Man layer. It implements sim.Protocol, sim.Batched
 // and core.Topology.
 type Protocol struct {
-	cfg   Config
-	views [][]sim.NodeID
+	cfg Config
+	// views[id] is id's row: its len is the view size, its cap the stride.
+	views [][]int32
+	rows  rowSlab
 
 	// ws holds one scratch per worker slot (slot 0 is the sequential
 	// engine's and the external query path's); plan backs the matcher's
 	// read-only selection mirrors and is all PlanStep writes.
 	ws   []*scratch
 	plan struct {
-		sel  topk.Scratch[sim.NodeID]
-		cand []sim.NodeID
-		part []sim.NodeID
+		sel   topk.Scratch[int32]
+		cand  []int32
+		part  []int32
+		peers []sim.NodeID
 	}
 
 	// table, when installed by the position owner above, returns the flat
@@ -196,7 +234,13 @@ func New(cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Protocol{cfg: cfg, ws: []*scratch{{}}, dim: cfg.Space.Dim(), clock: staticClock}, nil
+	return &Protocol{
+		cfg:   cfg,
+		rows:  rowSlab{stride: max(cfg.ViewCap, cfg.InitDegree) + cfg.MsgSize},
+		ws:    []*scratch{{}},
+		dim:   cfg.Space.Dim(),
+		clock: staticClock,
+	}, nil
 }
 
 // MustNew is New but panics on configuration errors; intended for tests
@@ -244,13 +288,27 @@ func (p *Protocol) EnsureWorkers(n int) {
 }
 
 // InitNode implements sim.Protocol, seeding the view with random peers.
+// Views hold int32 ids, so it panics for an id past math.MaxInt32.
 func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
+	if id > math.MaxInt32 {
+		panic(fmt.Sprintf("tman: node id %d is past the overlay's limit: views hold int32 ids, at most math.MaxInt32 = %d", id, math.MaxInt32))
+	}
 	for len(p.views) <= int(id) {
-		p.views = append(p.views, nil)
+		p.views = append(p.views, p.rows.carve())
 		p.rankedAt = append(p.rankedAt, 0)
 	}
-	p.views[id] = p.cfg.Sampler.RandomPeers(e, id, p.cfg.InitDegree)
+	scr := p.ws[0]
+	scr.peers = p.cfg.Sampler.AppendRandomPeers(scr.peers[:0], e, id, p.cfg.InitDegree)
+	p.views[id] = appendIDs(p.views[id][:0], scr.peers)
 	p.rankedAt[id] = 0
+}
+
+// appendIDs appends ids to row as int32s.
+func appendIDs(row []int32, ids []sim.NodeID) []int32 {
+	for _, v := range ids {
+		row = append(row, int32(v))
+	}
+	return row
 }
 
 // Step implements sim.Protocol: one T-Man gossip exchange initiated by id.
@@ -281,7 +339,7 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 
 	// Each side sends the m descriptors most useful to the other, drawn
 	// from its view plus its own fresh descriptor. Both buffers are pooled
-	// on the worker slot: merge copies what it keeps into the views.
+	// on the worker slot: merge copies what it keeps into the rows.
 	scr.msgA = p.buildBuffer(scr, scr.msgA[:0], id, p.pos(q))
 	scr.msgB = p.buildBuffer(scr, scr.msgB[:0], q, p.pos(id))
 	descCost := sim.DescriptorCost(p.cfg.Space.Dim())
@@ -306,29 +364,30 @@ func (p *Protocol) pos(id sim.NodeID) space.Point {
 func (p *Protocol) selectPartner(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) sim.NodeID {
 	candidates := append(scr.candBuf[:0], p.closest(scr, id, p.cfg.Psi)...)
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
-		dup := false
-		for _, c := range candidates {
-			if c == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			candidates = append(candidates, r)
-		}
+		candidates = appendAbsent(candidates, int32(r))
 	}
 	scr.candBuf = candidates
 	if len(candidates) == 0 {
 		return sim.None
 	}
-	return candidates[ctx.Rand().Intn(len(candidates))]
+	return sim.NodeID(candidates[ctx.Rand().Intn(len(candidates))])
+}
+
+// appendAbsent appends r to ids unless ids already holds it.
+func appendAbsent(ids []int32, r int32) []int32 {
+	for _, c := range ids {
+		if c == r {
+			return ids
+		}
+	}
+	return append(ids, r)
 }
 
 // buildBuffer appends to dst up to m descriptors from owner's view plus
 // owner itself, ranked by proximity to the receiver's position target.
-func (p *Protocol) buildBuffer(scr *scratch, dst []sim.NodeID, owner sim.NodeID, target space.Point) []sim.NodeID {
+func (p *Protocol) buildBuffer(scr *scratch, dst []int32, owner sim.NodeID, target space.Point) []int32 {
 	view := p.views[owner]
-	cand := append(scr.candBuf[:0], owner)
+	cand := append(scr.candBuf[:0], int32(owner))
 	cand = append(cand, view...)
 	scr.candBuf = cand
 	return append(dst, p.selectClosest(scr, cand, target, p.cfg.MsgSize)...)
@@ -340,7 +399,7 @@ func (p *Protocol) buildBuffer(scr *scratch, dst []sim.NodeID, owner sim.NodeID,
 // topk pass over the slot's pooled scratch and the result aliases that
 // scratch: it is only valid until the slot's next selection and must not
 // be retained. Nothing is allocated.
-func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
+func (p *Protocol) selectClosest(scr *scratch, cand []int32, target space.Point, k int) []int32 {
 	return p.rank(&scr.sel, cand, target, k)
 }
 
@@ -348,7 +407,7 @@ func (p *Protocol) selectClosest(scr *scratch, cand []sim.NodeID, target space.P
 // (over plan.sel): the keys are filled by space.RowDistances over the
 // installed position table, or through Config.Position without one, and
 // topk selects over sel.
-func (p *Protocol) rank(sel *topk.Scratch[sim.NodeID], cand []sim.NodeID, target space.Point, k int) []sim.NodeID {
+func (p *Protocol) rank(sel *topk.Scratch[int32], cand []int32, target space.Point, k int) []int32 {
 	dist, ids := sel.Get(len(cand))
 	copy(ids, cand)
 	p.distances(dist, ids, target)
@@ -359,13 +418,13 @@ func (p *Protocol) rank(sel *topk.Scratch[sim.NodeID], cand []sim.NodeID, target
 // distances fills dist[i] with the distance from ids[i]'s position to
 // target: space.RowDistances over the installed position table, or
 // Config.Position without one.
-func (p *Protocol) distances(dist []float64, ids []sim.NodeID, target space.Point) {
+func (p *Protocol) distances(dist []float64, ids []int32, target space.Point) {
 	if p.table != nil {
 		space.RowDistances(p.cfg.Space, dist, p.table(), ids, target)
 		return
 	}
 	for i, c := range ids {
-		dist[i] = p.cfg.Space.Distance(p.cfg.Position(c), target)
+		dist[i] = p.cfg.Space.Distance(p.cfg.Position(sim.NodeID(c)), target)
 	}
 }
 
@@ -407,7 +466,7 @@ func (p *Protocol) rankView(scr *scratch, id sim.NodeID) {
 // distance order: a prefix of the view itself when it is ranked, otherwise
 // a selection on the slot's scratch. The result aliases the view or the
 // scratch and must not be retained or mutated.
-func (p *Protocol) closest(scr *scratch, id sim.NodeID, k int) []sim.NodeID {
+func (p *Protocol) closest(scr *scratch, id sim.NodeID, k int) []int32 {
 	if p.ranked(id) {
 		return prefix(p.views[id], k)
 	}
@@ -415,17 +474,21 @@ func (p *Protocol) closest(scr *scratch, id sim.NodeID, k int) []sim.NodeID {
 }
 
 // prefix returns the first min(k, len(s)) elements of s.
-func prefix(s []sim.NodeID, k int) []sim.NodeID { return s[:min(k, len(s))] }
+func prefix(s []int32, k int) []int32 { return s[:min(k, len(s))] }
 
 // merge folds received descriptors into owner's view and keeps the
-// entries closest to owner's position, up to the view cap. The capped
-// selection writes back into the view's own backing array, so steady-state
-// merges allocate nothing. Every merge that adds entries (or finds the
-// view over the cap) leaves it sorted and stamped: a ranked view only
-// ranks the new entries and merges them in linearly (mergeRanked); any
-// other view is selected in full.
-func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []sim.NodeID) {
+// entries closest to owner's position, up to the view cap. It appends the
+// new entries into owner's row and the capped selection writes back into
+// the same row, so merges allocate nothing. Every merge that adds entries
+// (or finds the view over the cap) leaves it sorted and stamped: a ranked
+// view only ranks the new entries and merges them in linearly
+// (mergeRanked); any other view is selected in full.
+func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []int32) {
 	view := p.views[owner]
+	if len(view)+len(received) > cap(view) {
+		panic(fmt.Sprintf("tman: merging %d descriptors into node %d's view of %d overflows its row of %d",
+			len(received), owner, len(view), cap(view)))
+	}
 	wasRanked := p.ranked(owner)
 	stamp, gen := scr.seen.Next(e.NumNodes())
 	stamp[owner] = gen
@@ -434,7 +497,7 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 	}
 	n0 := len(view)
 	for _, r := range received {
-		if stamp[r] != gen && e.Alive(r) {
+		if stamp[r] != gen && e.Alive(sim.NodeID(r)) {
 			stamp[r] = gen
 			view = append(view, r)
 		}
@@ -461,7 +524,7 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 // same target, so that is one insertion-sort pass); one linear merge then
 // replaces the selection over the whole view. The result equals
 // selectClosest(view, target, min(len(view), ViewCap)).
-func (p *Protocol) mergeRanked(scr *scratch, view []sim.NodeID, n0 int, target space.Point) []sim.NodeID {
+func (p *Protocol) mergeRanked(scr *scratch, view []int32, n0 int, target space.Point) []int32 {
 	dist, ids := scr.sel.Get(len(view))
 	copy(ids, view)
 	p.distances(dist, ids, target)
@@ -482,39 +545,25 @@ func (p *Protocol) mergeRanked(scr *scratch, view []sim.NodeID, n0 int, target s
 	return view[:out]
 }
 
-// purgeDead removes crashed nodes from id's view, which keeps a ranked
-// view ranked; if the view empties out it is re-seeded from the sampling
-// layer (healing after failures), unranked, appending into the view's own
-// backing so the re-seed allocates nothing.
-// A view whose backing array vastly exceeds the surviving entries — the
-// aftermath of a catastrophic failure on a small surviving population —
-// is compacted so dead capacity is not pinned for the rest of the run.
+// purgeDead removes crashed nodes from id's view in place, which keeps a
+// ranked view ranked; if the view empties out it is re-seeded from the
+// sampling layer (healing after failures), unranked, into the same row.
 func (p *Protocol) purgeDead(ctx *sim.StepCtx, id sim.NodeID) {
 	e := ctx.Engine()
 	view := p.views[id]
 	kept := view[:0]
 	for _, v := range view {
-		if e.Alive(v) {
+		if e.Alive(sim.NodeID(v)) {
 			kept = append(kept, v)
 		}
 	}
-	floor := len(kept)
-	if floor < p.cfg.InitDegree {
-		floor = p.cfg.InitDegree
-	}
-	if len(kept) > 0 && cap(kept) > viewSlack*floor {
-		compact := make([]sim.NodeID, len(kept))
-		copy(compact, kept)
-		kept = compact
-	}
-	p.views[id] = kept
 	if len(kept) == 0 {
-		if cap(kept) < p.cfg.InitDegree {
-			kept = make([]sim.NodeID, 0, p.cfg.InitDegree)
-		}
-		p.views[id] = p.cfg.Sampler.AppendRandomPeersW(ctx, kept, id, p.cfg.InitDegree)
+		scr := p.ws[ctx.Worker()]
+		scr.peers = p.cfg.Sampler.AppendRandomPeersW(ctx, scr.peers[:0], id, p.cfg.InitDegree)
+		kept = appendIDs(kept, scr.peers)
 		p.rankedAt[id] = 0
 	}
+	p.views[id] = kept
 }
 
 // --- sim.Batched ---
@@ -541,13 +590,14 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	// is re-seeded from the sampling layer.
 	view := p.plan.cand[:0]
 	for _, v := range p.views[id] {
-		if e.Alive(v) {
+		if e.Alive(sim.NodeID(v)) {
 			view = append(view, v)
 		}
 	}
 	ranked := len(view) > 0 && p.ranked(id)
 	if len(view) == 0 {
-		view = p.cfg.Sampler.AppendPlanRandomPeers(view, e, rng, id, p.cfg.InitDegree)
+		p.plan.peers = p.cfg.Sampler.AppendPlanRandomPeers(p.plan.peers[:0], e, rng, id, p.cfg.InitDegree)
+		view = appendIDs(view, p.plan.peers)
 	}
 	p.plan.cand = view
 
@@ -559,22 +609,13 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	}
 	candidates := append(p.plan.part[:0], window...)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {
-		dup := false
-		for _, c := range candidates {
-			if c == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			candidates = append(candidates, r)
-		}
+		candidates = appendAbsent(candidates, int32(r))
 	}
 	p.plan.part = candidates
 	if len(candidates) == 0 {
 		return dst
 	}
-	return append(dst, candidates[rng.Intn(len(candidates))])
+	return append(dst, sim.NodeID(candidates[rng.Intn(len(candidates))]))
 }
 
 // FlushBatch implements sim.Batched (the exchange defers nothing).
@@ -606,7 +647,16 @@ func (p *Protocol) AppendNeighborsW(w int, dst []sim.NodeID, id sim.NodeID, k in
 	if id < 0 || int(id) >= len(p.views) || k <= 0 {
 		return dst
 	}
-	return append(dst, p.closest(p.ws[w], id, k)...)
+	return appendNodeIDs(dst, p.closest(p.ws[w], id, k))
+}
+
+// appendNodeIDs appends the int32 ids of a row or selection to dst as
+// sim.NodeIDs.
+func appendNodeIDs(dst []sim.NodeID, ids []int32) []sim.NodeID {
+	for _, v := range ids {
+		dst = append(dst, sim.NodeID(v))
+	}
+	return dst
 }
 
 // AppendNeighborsPlan implements core.WorkerTopology: AppendNeighbors over
@@ -617,9 +667,9 @@ func (p *Protocol) AppendNeighborsPlan(dst []sim.NodeID, id sim.NodeID, k int) [
 		return dst
 	}
 	if p.ranked(id) {
-		return append(dst, prefix(p.views[id], k)...)
+		return appendNodeIDs(dst, prefix(p.views[id], k))
 	}
-	return append(dst, p.rank(&p.plan.sel, p.views[id], p.pos(id), k)...)
+	return appendNodeIDs(dst, p.rank(&p.plan.sel, p.views[id], p.pos(id), k))
 }
 
 // EachNeighbor implements core.Topology: it calls yield for each of the k
@@ -633,7 +683,7 @@ func (p *Protocol) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) boo
 		return
 	}
 	for _, nb := range p.closest(p.ws[0], id, k) {
-		if !yield(nb) {
+		if !yield(sim.NodeID(nb)) {
 			return
 		}
 	}
@@ -652,7 +702,5 @@ func (p *Protocol) View(id sim.NodeID) []sim.NodeID {
 	if id < 0 || int(id) >= len(p.views) {
 		return nil
 	}
-	out := make([]sim.NodeID, len(p.views[id]))
-	copy(out, p.views[id])
-	return out
+	return appendNodeIDs(make([]sim.NodeID, 0, len(p.views[id])), p.views[id])
 }
