@@ -17,9 +17,10 @@
 //	Fig. 10b — BenchmarkFig10bSplitAblation     (reshaping time per split function)
 //
 // Scale note: benches use a 40x20 torus (800 nodes) and compressed phases
-// (fail at 20, reinject at 60, end at 100); the published shape — who
-// wins, by what factor, where the crossovers sit — is preserved, as
-// EXPERIMENTS.md documents against full-scale runs.
+// (fail at 20, reinject at 60, end at 100); the benches check the
+// published shape — who wins, by what factor, where the crossovers sit —
+// and the full-scale numbers come from the scripts/paper/ specs
+// (ARCHITECTURE.md, "The paper's results as specs").
 package polystyrene
 
 import (
@@ -49,17 +50,25 @@ func benchCfg(seed uint64, poly bool, k int) scenario.Config {
 	return scenario.Config{Seed: seed, W: benchW, H: benchH, Polystyrene: poly, K: k}
 }
 
+// runPaper wires cfg and drives the paper's three phases up to ph.End,
+// returning the scenario in its final state and its per-round record.
+func runPaper(tb testing.TB, cfg scenario.Config, ph scenario.Phases) (*scenario.Scenario, *scenario.Result) {
+	tb.Helper()
+	sc, err := scenario.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	scenario.DrivePhases(sc, ph, ph.End)
+	return sc, sc.Result()
+}
+
 // runPaperBench executes the 3-phase scenario once per b.N iteration and
 // returns the last iteration's result.
 func runPaperBench(b *testing.B, cfg scenario.Config) *scenario.Result {
 	b.Helper()
 	var res *scenario.Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		_, res, err = scenario.RunPaper(cfg, benchPhases())
-		if err != nil {
-			b.Fatal(err)
-		}
+		_, res = runPaper(b, cfg, benchPhases())
 	}
 	return res
 }
@@ -138,10 +147,7 @@ func BenchmarkFig7bMessageCost(b *testing.B) {
 			var tmanShare float64
 			var res *scenario.Result
 			for i := 0; i < b.N; i++ {
-				sc, r, err := scenario.RunPaper(benchCfg(4, poly, k), phases)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sc, r := runPaper(b, benchCfg(4, poly, k), phases)
 				res = r
 				m := sc.Engine.Meter()
 				total := m.TotalCost("tman") + m.TotalCost("polystyrene")

@@ -83,6 +83,21 @@ func (c *serveCmd) run(out, _ io.Writer) error {
 	return c.serveScenario(out)
 }
 
+// HTTP server limits. The queries are small GETs, so these only bound
+// slow or abusive clients: a client that has not sent its whole request
+// header within readHeaderTimeout is disconnected (no slow-loris can hold
+// a connection open), an idle keep-alive connection is closed after
+// idleTimeout, and a request header over maxHeaderBytes is answered 431.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+	maxHeaderBytes    = 8 << 10
+)
+
+// headerTimeout is the server's ReadHeaderTimeout: readHeaderTimeout,
+// which the slow-loris test shortens.
+var headerTimeout = readHeaderTimeout
+
 // service bundles the HTTP half: publisher, frontend, listener, server.
 type service struct {
 	pub   *serve.Publisher
@@ -98,7 +113,13 @@ func startService(addr string, pub *serve.Publisher) (*service, error) {
 		return nil, err
 	}
 	front := serve.NewFrontend(pub)
-	s := &service{pub: pub, front: front, ln: ln, srv: &http.Server{Handler: front}, done: make(chan error, 1)}
+	srv := &http.Server{
+		Handler:           front,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+	s := &service{pub: pub, front: front, ln: ln, srv: srv, done: make(chan error, 1)}
 	go func() { s.done <- s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -10,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"polystyrene/internal/serve"
 )
 
 // syncBuffer is an io.Writer safe to read while run writes from
@@ -235,4 +240,64 @@ func getOK(t *testing.T, url string, into any) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("GET %s never returned 200: %v", url, lastErr)
+}
+
+// TestServiceDropsSlowHeader is the slow-loris check: a client that sends
+// half a request header and then stalls is disconnected once the header
+// timeout passes, instead of holding its connection forever.
+func TestServiceDropsSlowHeader(t *testing.T) {
+	defer func(d time.Duration) { headerTimeout = d }(headerTimeout)
+	headerTimeout = 100 * time.Millisecond
+	svc, err := startService("127.0.0.1:0", serve.NewPublisher(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.drain(io.Discard)
+
+	conn, err := net.Dial("tcp", svc.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: poly\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the server writes before it hangs up, the connection must
+	// end long before this client-side deadline.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	_, err = io.Copy(io.Discard, conn)
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatalf("connection with a half-sent header still open after %v", time.Since(start))
+	}
+}
+
+// TestServiceRejectsOversizedHeader: a request header past maxHeaderBytes
+// gets 431 Request Header Fields Too Large.
+func TestServiceRejectsOversizedHeader(t *testing.T) {
+	svc, err := startService("127.0.0.1:0", serve.NewPublisher(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.drain(io.Discard)
+
+	conn, err := net.Dial("tcp", svc.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	big := strings.Repeat("x", 4*maxHeaderBytes)
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: poly\r\nX-Big: "+big+"\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header answered %d, want 431", resp.StatusCode)
+	}
 }

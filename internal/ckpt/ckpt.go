@@ -219,15 +219,6 @@ func NewManager(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.opts.Dir }
-
-// Generations returns the retained generations, ascending by round.
-// The slice is a copy.
-func (m *Manager) Generations() []Generation {
-	return append([]Generation(nil), m.gens...)
-}
-
 // Save durably writes one generation for round: the write callback
 // streams the snapshot envelope into the temp file, which is then
 // fsynced and renamed into place. On success the manifest is rewritten

@@ -57,12 +57,12 @@ func TestSaveAndRecoverLatest(t *testing.T) {
 		t.Fatalf("recovered round %d body %q", g.Round, body)
 	}
 	// Rotation: only the last 3 generations (30, 40, 50) remain.
-	gens := m.Generations()
+	gens := m.gens
 	if len(gens) != 3 || gens[0].Round != 30 || gens[2].Round != 50 {
 		t.Fatalf("retained %+v", gens)
 	}
 	for _, round := range []int{10, 20} {
-		if _, err := os.Stat(filepath.Join(m.Dir(), GenName(round))); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(m.opts.Dir, GenName(round))); !os.IsNotExist(err) {
 			t.Errorf("dropped generation %d still on disk (err=%v)", round, err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 	saveBlob(t, m, 1, "old")
 	g2 := saveBlob(t, m, 2, "new")
 	// Torn write: truncate the newest generation mid-file.
-	path := g2.Path(m.Dir())
+	path := g2.Path(m.opts.Dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +93,11 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 func TestRecoveryWithoutManifest(t *testing.T) {
 	m := testManager(t, 3)
 	saveBlob(t, m, 7, "orphan")
-	if err := os.Remove(filepath.Join(m.Dir(), ManifestName)); err != nil {
+	if err := os.Remove(filepath.Join(m.opts.Dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh manager over the same dir finds the generation by scan.
-	m2, err := NewManager(Options{Dir: m.Dir(), Kind: "blob"})
+	m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: "blob"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestOpenLatestGoodAtMost(t *testing.T) {
 func TestRecoveryRejectsWrongKind(t *testing.T) {
 	m := testManager(t, 3)
 	saveBlob(t, m, 1, "blob-body")
-	other, err := NewManager(Options{Dir: m.Dir(), Kind: "scenario"})
+	other, err := NewManager(Options{Dir: m.opts.Dir, Kind: "scenario"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +245,11 @@ func TestManifestRoundTrip(t *testing.T) {
 		saveBlob(t, m, 4, "a"),
 		saveBlob(t, m, 8, "bb"),
 	}
-	m2, err := NewManager(Options{Dir: m.Dir(), Kind: "blob"})
+	m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: "blob"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m2.Generations()
+	got := m2.gens
 	if len(got) != len(want) {
 		t.Fatalf("reloaded %d generations, want %d", len(got), len(want))
 	}
@@ -318,14 +318,14 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 		newest := saved[len(saved)-1]
 		switch i % 3 {
 		case 1: // torn
-			data, _ := os.ReadFile(newest.Path(m.Dir()))
-			if err := os.WriteFile(newest.Path(m.Dir()), data[:rng.IntN(len(data))], 0o644); err != nil {
+			data, _ := os.ReadFile(newest.Path(m.opts.Dir))
+			if err := os.WriteFile(newest.Path(m.opts.Dir), data[:rng.IntN(len(data))], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		case 2: // corrupt
-			data, _ := os.ReadFile(newest.Path(m.Dir()))
+			data, _ := os.ReadFile(newest.Path(m.opts.Dir))
 			data[rng.IntN(len(data))] ^= 0x10
-			if err := os.WriteFile(newest.Path(m.Dir()), data, 0o644); err != nil {
+			if err := os.WriteFile(newest.Path(m.opts.Dir), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -342,11 +342,11 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 		if g != want || g.Sum != h.Sum64() || g.Size != int64(len(data)) {
 			t.Fatalf("case %d: opened %+v (FNV-1a of its bytes %#x), want %+v", i, g, h.Sum64(), want)
 		}
-		m2, err := NewManager(Options{Dir: m.Dir(), Kind: kind})
+		m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m2.Generations(); !slices.Equal(got, saved) {
+		if got := m2.gens; !slices.Equal(got, saved) {
 			t.Fatalf("case %d: manifest reloaded as %+v, want %+v", i, got, saved)
 		}
 	}

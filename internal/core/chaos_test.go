@@ -41,7 +41,7 @@ func checkInvariants(t *testing.T, st *stack) {
 			t.Fatalf("node %d has malformed position %v", id, pos)
 		}
 		backups := st.poly.Backups(id)
-		wantBackups := st.poly.K()
+		wantBackups := st.poly.cfg.K
 		if avail := len(live) - 1; wantBackups > avail {
 			wantBackups = avail
 		}

@@ -412,15 +412,6 @@ func (p *Protocol) ensureWorkers(n int) {
 	}
 }
 
-// MustNew is New but panics on configuration errors.
-func MustNew(cfg Config) *Protocol {
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "polystyrene" }
 
@@ -1105,33 +1096,6 @@ func (p *Protocol) NumGhosts(id sim.NodeID) int {
 	}
 	return n
 }
-
-// Backups returns a copy of the node's current backup targets.
-func (p *Protocol) Backups(id sim.NodeID) []sim.NodeID {
-	refs := p.nodes[id].backups
-	out := make([]sim.NodeID, len(refs))
-	for i, b := range refs {
-		out[i] = b.node
-	}
-	return out
-}
-
-// GhostOrigins returns the origins that have replicated state to id.
-func (p *Protocol) GhostOrigins(id sim.NodeID) []sim.NodeID {
-	st := p.nodes[id]
-	out := make([]sim.NodeID, 0, len(st.ghosts))
-	for origin := range st.ghosts {
-		out = append(out, origin)
-	}
-	return out
-}
-
-// K returns the configured replication factor.
-func (p *Protocol) K() int { return p.cfg.K }
-
-// Interner returns the protocol's point interner: the authority on the
-// PointIDs used by GuestsFunc and HoldersOf.
-func (p *Protocol) Interner() *space.Interner { return p.cfg.Interner }
 
 // HoldersOf returns the nodes currently hosting the interned point as a
 // guest. The returned slice is the protocol's live index — callers must

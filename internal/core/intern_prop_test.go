@@ -125,7 +125,7 @@ func TestHoldersIndexMatchesFullScanUnderChurn(t *testing.T) {
 	// in lockstep with its IDs.
 	st := newStack(t, stackOpts{seed: 321, w: 12, h: 6, cfg: Config{K: 3}})
 	rng := xrand.New(999)
-	in := st.poly.Interner()
+	in := st.poly.cfg.Interner
 
 	check := func(round int) {
 		t.Helper()

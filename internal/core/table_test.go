@@ -266,10 +266,16 @@ func TestRestoreRefusesWrongPositionDimension(t *testing.T) {
 	ring := space.NewRing(n)
 	sampler := rps.New(rps.Config{})
 	var poly1 *Protocol
-	tm := tman.MustNew(tman.Config{Space: ring, Sampler: sampler,
+	tm, err := tman.New(tman.Config{Space: ring, Sampler: sampler,
 		Position: func(id sim.NodeID) space.Point { return poly1.Position(id) }})
-	poly1 = MustNew(Config{Space: ring, Topology: tm, Sampler: sampler,
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly1, err = New(Config{Space: ring, Topology: tm, Sampler: sampler,
 		InitialPoint: func(id sim.NodeID) (space.Point, bool) { return space.Point{float64(id)}, true }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := sim.New(5, sampler, tm, poly1)
 	e.AddNodes(n)
 	e.RunRounds(2)
@@ -279,16 +285,16 @@ func TestRestoreRefusesWrongPositionDimension(t *testing.T) {
 	st.engine.RunRounds(3)
 	before := snapshotBytes(st.poly)
 	table := slices.Clone(st.poly.PositionTable())
-	internLen := st.poly.Interner().Len()
+	internLen := st.poly.cfg.Interner.Len()
 
-	err := st.poly.RestoreState(snap.NewReader(ringSnap))
+	err = st.poly.RestoreState(snap.NewReader(ringSnap))
 	if err == nil || !strings.Contains(err.Error(), "dimension 1, space wants 2") {
 		t.Fatalf("restore of a 1-D snapshot into a 2-D protocol: err = %v", err)
 	}
 	if after := snapshotBytes(st.poly); !bytes.Equal(after, before) {
 		t.Fatal("refused restore changed the protocol's state")
 	}
-	if !slices.Equal(st.poly.PositionTable(), table) || st.poly.Interner().Len() != internLen {
+	if !slices.Equal(st.poly.PositionTable(), table) || st.poly.cfg.Interner.Len() != internLen {
 		t.Fatal("refused restore changed the position table or the interner")
 	}
 	// The untouched protocol keeps running.

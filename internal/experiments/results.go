@@ -78,8 +78,8 @@ func WriteResults(dir string, specData []byte, results []CellResult) error {
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // writeCellCSV emits the per-round series through the shared table
-// writer, so cell CSVs read back with trace.ReadCSV like every other
-// trace in the repo.
+// writer: a header row, then one row per round with every value in its
+// shortest exact decimal form.
 func writeCellCSV(path string, res *scenario.Result) error {
 	t := trace.NewTable()
 	n := len(res.LiveNodes)

@@ -8,8 +8,8 @@
 // A Hierarchy assigns every node a (datacenter, rack) coordinate, either
 // correlated with the node's position in the data space (the dangerous
 // deployment the paper warns about) or random (the classic assumption).
-// Injectors then crash whole domains, and the tests compare how much of
-// the shape each placement policy loses.
+// The schedule generators of schedule.go then crash whole domains, and the
+// tests compare how much of the shape each placement policy loses.
 package failures
 
 import (
@@ -89,15 +89,6 @@ func NewHierarchy(datacenters, racksPerDC int, placement Placement,
 	return h, nil
 }
 
-// Assign places a (possibly late-joining) node explicitly.
-func (h *Hierarchy) Assign(id sim.NodeID, datacenter, rack int) error {
-	if datacenter < 0 || datacenter >= h.Datacenters || rack < 0 || rack >= h.RacksPerDC {
-		return fmt.Errorf("failures: coordinates (%d,%d) out of range", datacenter, rack)
-	}
-	h.assignment[id] = datacenter*h.RacksPerDC + rack
-	return nil
-}
-
 // Datacenter returns id's datacenter index (-1 when unknown).
 func (h *Hierarchy) Datacenter(id sim.NodeID) int {
 	rack, ok := h.assignment[id]
@@ -114,87 +105,4 @@ func (h *Hierarchy) Rack(id sim.NodeID) int {
 		return -1
 	}
 	return rack % h.RacksPerDC
-}
-
-// FailDatacenter crashes every live node of the given datacenter and
-// returns how many died.
-func (h *Hierarchy) FailDatacenter(e *sim.Engine, dc int) int {
-	killed := 0
-	for _, id := range e.LiveIDs() {
-		if h.Datacenter(id) == dc {
-			e.Kill(id)
-			killed++
-		}
-	}
-	return killed
-}
-
-// FailRack crashes every live node of one rack and returns how many died.
-func (h *Hierarchy) FailRack(e *sim.Engine, dc, rack int) int {
-	killed := 0
-	for _, id := range e.LiveIDs() {
-		if h.Datacenter(id) == dc && h.Rack(id) == rack {
-			e.Kill(id)
-			killed++
-		}
-	}
-	return killed
-}
-
-// Members returns the live members of a datacenter.
-func (h *Hierarchy) Members(e *sim.Engine, dc int) []sim.NodeID {
-	var out []sim.NodeID
-	for _, id := range e.LiveIDs() {
-		if h.Datacenter(id) == dc {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// LargestHole measures the damage a failure leaves in the shape: given
-// the positions of the *surviving* nodes, it returns the widest
-// contiguous fraction of the torus width (bucketed into resolution bands,
-// with wrap-around) containing no survivor. A correlated datacenter crash
-// leaves one wide hole (≈ the datacenter's slab); the same number of
-// scattered crashes leaves only slivers — which is exactly the structural
-// difference of the paper's Sec. II-A.
-func LargestHole(survivors []space.Point, width float64, resolution int) float64 {
-	if resolution <= 0 {
-		return 0
-	}
-	if len(survivors) == 0 {
-		return 1
-	}
-	covered := make([]bool, resolution)
-	for _, p := range survivors {
-		b := int(p[0] / width * float64(resolution))
-		if b >= resolution {
-			b = resolution - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		covered[b] = true
-	}
-	// Longest run of uncovered bands on the circle: scan two laps to
-	// handle wrap-around, capping the run at resolution.
-	longest, run := 0, 0
-	for i := 0; i < 2*resolution; i++ {
-		if covered[i%resolution] {
-			run = 0
-			continue
-		}
-		run++
-		if run > longest {
-			longest = run
-		}
-		if longest >= resolution {
-			break
-		}
-	}
-	if longest > resolution {
-		longest = resolution
-	}
-	return float64(longest) / float64(resolution)
 }

@@ -61,18 +61,14 @@ func TestScatteredAssignmentIsSpread(t *testing.T) {
 }
 
 func TestAssignAndLookup(t *testing.T) {
-	h, err := NewHierarchy(2, 3, Scattered, nil, 0, xrand.New(2))
+	// Six racks in two datacenters over a width-6 line: node x sits in
+	// global rack x, i.e. datacenter x/3, rack x%3.
+	h, err := NewHierarchy(2, 3, Correlated, gridPositions(6, 1), 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Assign(7, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if h.Datacenter(7) != 1 || h.Rack(7) != 2 {
-		t.Fatalf("lookup = (%d,%d)", h.Datacenter(7), h.Rack(7))
-	}
-	if err := h.Assign(8, 5, 0); err == nil {
-		t.Fatal("out-of-range assign accepted")
+	if h.Datacenter(5) != 1 || h.Rack(5) != 2 {
+		t.Fatalf("lookup = (%d,%d)", h.Datacenter(5), h.Rack(5))
 	}
 	if h.Datacenter(99) != -1 || h.Rack(99) != -1 {
 		t.Fatal("unknown node should be (-1,-1)")
@@ -98,8 +94,10 @@ func TestFailDatacenterAndRack(t *testing.T) {
 	if got := sc.Engine.NumLive(); got != before-96 {
 		t.Fatalf("live = %d", got)
 	}
-	if members := h.Members(sc.Engine, 1); len(members) != 0 {
-		t.Fatalf("dead datacenter still has %d members", len(members))
+	for _, id := range sc.Engine.LiveIDs() {
+		if h.Datacenter(id) == 1 {
+			t.Fatalf("node %d of the dead datacenter is still live", id)
+		}
 	}
 }
 
@@ -177,4 +175,80 @@ func TestDatacenterFailureRecoveryEndToEnd(t *testing.T) {
 	if rel := sc.Reliability(); rel < 0.95 {
 		t.Fatalf("reliability %v with K=6", rel)
 	}
+}
+
+// FailDatacenter, FailRack and LargestHole are the tests' direct
+// injectors and damage measure; the runs crash domains through the
+// schedules of schedule.go instead.
+
+// FailDatacenter crashes every live node of the given datacenter and
+// returns how many died.
+func (h *Hierarchy) FailDatacenter(e *sim.Engine, dc int) int {
+	killed := 0
+	for _, id := range e.LiveIDs() {
+		if h.Datacenter(id) == dc {
+			e.Kill(id)
+			killed++
+		}
+	}
+	return killed
+}
+
+// FailRack crashes every live node of one rack and returns how many died.
+func (h *Hierarchy) FailRack(e *sim.Engine, dc, rack int) int {
+	killed := 0
+	for _, id := range e.LiveIDs() {
+		if h.Datacenter(id) == dc && h.Rack(id) == rack {
+			e.Kill(id)
+			killed++
+		}
+	}
+	return killed
+}
+
+// LargestHole measures the damage a failure leaves in the shape: given
+// the positions of the *surviving* nodes, it returns the widest
+// contiguous fraction of the torus width (bucketed into resolution bands,
+// with wrap-around) containing no survivor. A correlated datacenter crash
+// leaves one wide hole (≈ the datacenter's slab); the same number of
+// scattered crashes leaves only slivers — which is exactly the structural
+// difference of the paper's Sec. II-A.
+func LargestHole(survivors []space.Point, width float64, resolution int) float64 {
+	if resolution <= 0 {
+		return 0
+	}
+	if len(survivors) == 0 {
+		return 1
+	}
+	covered := make([]bool, resolution)
+	for _, p := range survivors {
+		b := int(p[0] / width * float64(resolution))
+		if b >= resolution {
+			b = resolution - 1
+		}
+		if b < 0 {
+			b = 0
+		}
+		covered[b] = true
+	}
+	// Longest run of uncovered bands on the circle: scan two laps to
+	// handle wrap-around, capping the run at resolution.
+	longest, run := 0, 0
+	for i := 0; i < 2*resolution; i++ {
+		if covered[i%resolution] {
+			run = 0
+			continue
+		}
+		run++
+		if run > longest {
+			longest = run
+		}
+		if longest >= resolution {
+			break
+		}
+	}
+	if longest > resolution {
+		longest = resolution
+	}
+	return float64(longest) / float64(resolution)
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // This file turns the failure-domain models into replayable availability
-// schedules (trace.Schedule): the same correlated outages the injectors
-// (FailRack, FailDatacenter) apply live to an engine, expressed as
-// pre-computed join/leave scripts that replay through
+// schedules (trace.Schedule): the same correlated outages the tests'
+// direct injectors (FailRack, FailDatacenter) apply live to an engine,
+// expressed as pre-computed join/leave scripts that replay through
 // scenario.DriveSchedule — so scripted attacks, real traces and the
 // paper's catastrophes all share one deterministic code path. Property
 // tests pin each generator to direct event-by-event application of its

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Accumulator computes running mean and variance with Welford's algorithm,
 // numerically stable for long experiment series.
@@ -20,9 +17,6 @@ func (a *Accumulator) Add(x float64) {
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the sample mean (0 when empty).
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -47,11 +41,6 @@ func (a *Accumulator) CI95() float64 {
 		return 0
 	}
 	return tCritical95(a.n-1) * a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// Summary renders "mean ± ci" in the style of the paper's tables.
-func (a *Accumulator) Summary() string {
-	return fmt.Sprintf("%.2f ± %.3f", a.Mean(), a.CI95())
 }
 
 // tCritical95 returns the two-tailed 5% critical value of Student's t
@@ -81,51 +70,4 @@ func tCritical95(df int) float64 {
 	default:
 		return 1.96
 	}
-}
-
-// Series is a per-round time series of one metric across an experiment.
-type Series struct {
-	// Name labels the metric (e.g. "homogeneity").
-	Name string
-	// Values holds one entry per round.
-	Values []float64
-}
-
-// At returns the value at a given round, or NaN when out of range.
-func (s *Series) At(round int) float64 {
-	if round < 0 || round >= len(s.Values) {
-		return math.NaN()
-	}
-	return s.Values[round]
-}
-
-// Append records the next round's value.
-func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
-
-// Len returns the number of recorded rounds.
-func (s *Series) Len() int { return len(s.Values) }
-
-// MeanSeries averages several runs of the same metric point-wise, along
-// with the per-round CI95 half-widths. All runs must have equal length.
-func MeanSeries(runs [][]float64) (mean, ci []float64, err error) {
-	if len(runs) == 0 {
-		return nil, nil, fmt.Errorf("metrics: MeanSeries needs at least one run")
-	}
-	length := len(runs[0])
-	for i, r := range runs {
-		if len(r) != length {
-			return nil, nil, fmt.Errorf("metrics: run %d has length %d, want %d", i, len(r), length)
-		}
-	}
-	mean = make([]float64, length)
-	ci = make([]float64, length)
-	for i := 0; i < length; i++ {
-		var acc Accumulator
-		for _, r := range runs {
-			acc.Add(r[i])
-		}
-		mean[i] = acc.Mean()
-		ci[i] = acc.CI95()
-	}
-	return mean, ci, nil
 }

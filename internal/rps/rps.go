@@ -337,25 +337,10 @@ func idsContain(ids []sim.NodeID, id sim.NodeID) bool {
 
 // --- queries used by the layers above ---
 
-// View returns a copy of id's current view (live and stale entries alike).
-func (p *Protocol) View(id sim.NodeID) []sim.NodeID {
-	view := p.views[id]
-	out := make([]sim.NodeID, len(view))
-	for i, en := range view {
-		out[i] = en.id
-	}
-	return out
-}
-
-// RandomPeer returns a uniformly random live peer from id's view, or
+// RandomPeerW returns a uniformly random live peer from id's view, or
 // sim.None when the view holds no live peer. Layers above use this as
-// their source of fresh random nodes.
-func (p *Protocol) RandomPeer(e *sim.Engine, id sim.NodeID) sim.NodeID {
-	return p.RandomPeerW(e.SeqCtx(), id)
-}
-
-// RandomPeerW is RandomPeer under an explicit step context: the drawing
-// stream comes from the context, as do the caller's scratch slots.
+// their source of fresh random nodes. The drawing stream comes from the
+// step context, as do the caller's scratch slots.
 func (p *Protocol) RandomPeerW(ctx *sim.StepCtx, id sim.NodeID) sim.NodeID {
 	p.purgeDead(ctx.Engine(), id)
 	view := p.views[id]

@@ -67,8 +67,8 @@ func TestSingleNodeNetwork(t *testing.T) {
 	if len(p.View(0)) != 0 {
 		t.Fatalf("lone node should have an empty view, got %v", p.View(0))
 	}
-	if p.RandomPeer(e, 0) != sim.None {
-		t.Fatal("lone node RandomPeer should be None")
+	if p.RandomPeerW(e.SeqCtx(), 0) != sim.None {
+		t.Fatal("lone node RandomPeerW should be None")
 	}
 }
 
@@ -118,12 +118,12 @@ func TestRandomPeerLiveAndCovering(t *testing.T) {
 	e.RunRounds(10)
 	covered := map[sim.NodeID]bool{}
 	for i := 0; i < 2000; i++ {
-		peer := p.RandomPeer(e, 0)
+		peer := p.RandomPeerW(e.SeqCtx(), 0)
 		if peer == sim.None {
-			t.Fatal("RandomPeer returned None in a populated network")
+			t.Fatal("RandomPeerW returned None in a populated network")
 		}
 		if !e.Alive(peer) {
-			t.Fatalf("RandomPeer returned dead node %d", peer)
+			t.Fatalf("RandomPeerW returned dead node %d", peer)
 		}
 		covered[peer] = true
 		// Keep shuffling so the view refreshes and coverage grows.
@@ -134,7 +134,7 @@ func TestRandomPeerLiveAndCovering(t *testing.T) {
 	// Over 40 rounds of shuffling, node 0 should have seen a large part of
 	// the 59 other nodes through its view.
 	if len(covered) < 40 {
-		t.Fatalf("RandomPeer coverage too small: %d distinct peers", len(covered))
+		t.Fatalf("RandomPeerW coverage too small: %d distinct peers", len(covered))
 	}
 }
 
@@ -260,4 +260,14 @@ func TestGossipRoundAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(30, func() { e.RunRounds(1) }); avg != 0 {
 		t.Errorf("steady-state gossip round allocates %.1f objects, want 0", avg)
 	}
+}
+
+// View returns a copy of id's current view (live and stale entries alike).
+func (p *Protocol) View(id sim.NodeID) []sim.NodeID {
+	view := p.views[id]
+	out := make([]sim.NodeID, len(view))
+	for i, en := range view {
+		out[i] = en.id
+	}
+	return out
 }

@@ -29,9 +29,6 @@ func NewAutoCheckpointer(sc *Scenario, mgr *ckpt.Manager, every int) *AutoCheckp
 	return &AutoCheckpointer{sc: sc, mgr: mgr, every: every, lastSaved: -1}
 }
 
-// Manager exposes the underlying checkpoint manager.
-func (a *AutoCheckpointer) Manager() *ckpt.Manager { return a.mgr }
-
 // MaybeSave checkpoints if round is on the cadence and has not been
 // saved already (a run resumed from round r re-enters the loop at r;
 // MarkSaved suppresses the redundant re-save). Returns the generation
@@ -111,29 +108,4 @@ func DrivePhasesFunc(sc *Scenario, ph Phases, to int, atRound func(round int) bo
 		}
 		sc.Run(1)
 	}
-}
-
-// ReplayFromCheckpoint is the time-travel debugging seed: given a
-// checkpoint directory of a phased soak and a failing round, it wires a
-// fresh scenario, restores the newest retained generation at or before
-// that round and replays forward to it — a minimal reproduction that
-// skips every round before the last checkpoint. Returns the positioned
-// scenario and the generation it started from; the caller owns Close.
-func ReplayFromCheckpoint(cfg Config, mgr *ckpt.Manager, ph Phases, failRound int) (*Scenario, ckpt.Generation, error) {
-	g, data, err := mgr.OpenLatestGoodAtMost(failRound)
-	if err != nil {
-		return nil, ckpt.Generation{}, err
-	}
-	sc, err := New(cfg)
-	if err != nil {
-		return nil, ckpt.Generation{}, err
-	}
-	if err := sc.Restore(bytes.NewReader(data)); err != nil {
-		if cfg.Engine == nil {
-			sc.Close()
-		}
-		return nil, ckpt.Generation{}, fmt.Errorf("restoring %s: %w", g.Name, err)
-	}
-	DrivePhases(sc, ph, failRound)
-	return sc, g, nil
 }

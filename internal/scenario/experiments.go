@@ -29,24 +29,6 @@ func (p Phases) Validate() error {
 	return nil
 }
 
-// RunPaper executes the full 3-phase scenario and returns the scenario in
-// its final state together with its per-round metric record.
-func RunPaper(cfg Config, phases Phases) (*Scenario, *Result, error) {
-	if err := phases.Validate(); err != nil {
-		return nil, nil, err
-	}
-	sc, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sc.Run(phases.FailAt)
-	killed := sc.FailRightHalf()
-	sc.Run(phases.ReinjectAt - phases.FailAt)
-	sc.Reinject(killed)
-	sc.Run(phases.End - phases.ReinjectAt)
-	return sc, sc.Result(), nil
-}
-
 // ReshapingOutcome is one observation for Table II.
 type ReshapingOutcome struct {
 	// Rounds is the reshaping time: rounds from the failure until the

@@ -16,10 +16,7 @@ import (
 // cfg.Engine stays open for reuse.
 func paperRun(t *testing.T, cfg Config) (*Result, float64) {
 	t.Helper()
-	sc, res, err := RunPaper(cfg, Phases{FailAt: 8, ReinjectAt: 20, End: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, res := runPaper(t, cfg, Phases{FailAt: 8, ReinjectAt: 20, End: 32})
 	rel := sc.Reliability()
 	if cfg.Engine == nil {
 		sc.Close()
@@ -134,11 +131,8 @@ func TestExchangeParallelismChangesTrajectory(t *testing.T) {
 func TestExchangeParallelismPlainTManPinned(t *testing.T) {
 	want := map[int]uint64{0: 0x4c12072460634879, 2: 0x238259d2f418b8a0}
 	for _, workers := range []int{0, 2} {
-		sc, res, err := RunPaper(Config{Seed: 7, W: 20, H: 10, ExchangeParallelism: workers},
+		sc, res := runPaper(t, Config{Seed: 7, W: 20, H: 10, ExchangeParallelism: workers},
 			Phases{FailAt: 8, ReinjectAt: 20, End: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
 		h := resultFingerprint(res)
 		var nbrs []sim.NodeID
 		for id := 0; id < sc.Engine.NumNodes(); id++ {

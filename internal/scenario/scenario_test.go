@@ -16,6 +16,18 @@ func smallCfg(seed uint64, poly bool) Config {
 // smallPhases scales the paper's phases down to a 20x10 grid.
 func smallPhases() Phases { return Phases{FailAt: 15, ReinjectAt: 50, End: 90} }
 
+// runPaper wires cfg and drives the paper's three phases up to ph.End,
+// returning the scenario in its final state and its per-round record.
+func runPaper(t *testing.T, cfg Config, ph Phases) (*Scenario, *Result) {
+	t.Helper()
+	sc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	DrivePhases(sc, ph, ph.End)
+	return sc, sc.Result()
+}
+
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.W != 80 || cfg.H != 40 || cfg.Step != 1 || cfg.K != core.DefaultK || cfg.NeighborK != 4 {
@@ -85,14 +97,8 @@ func TestPolystyreneReshapesTManDoesNot(t *testing.T) {
 	// reference H while plain T-Man stays far above it.
 	phases := smallPhases()
 
-	scP, resP, err := RunPaper(smallCfg(4, true), phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scT, resT, err := RunPaper(smallCfg(4, false), phases)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scP, resP := runPaper(t, smallCfg(4, true), phases)
+	scT, resT := runPaper(t, smallCfg(4, false), phases)
 
 	// Reference H for ~100 survivors on a 200-cell torus ~ 0.5*sqrt(2).
 	checkRound := phases.ReinjectAt - 1
@@ -117,10 +123,7 @@ func TestPolystyreneReshapesTManDoesNot(t *testing.T) {
 
 func TestReinjectionRebalances(t *testing.T) {
 	phases := smallPhases()
-	sc, res, err := RunPaper(smallCfg(5, true), phases)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, res := runPaper(t, smallCfg(5, true), phases)
 	// After reinjection the node count is back to ~200 and homogeneity
 	// approaches the full-population reference 0.5 (paper: an order of
 	// magnitude below the T-Man baseline of ~0.35 on their grid; on this
@@ -143,10 +146,7 @@ func TestTManReinjectionStaysOffset(t *testing.T) {
 	// the original points: homogeneity converges to ~ mean(0, step/sqrt(2))
 	// (≈ 0.35 for step 1, paper Sec. IV-B).
 	phases := smallPhases()
-	_, res, err := RunPaper(smallCfg(6, false), phases)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runPaper(t, smallCfg(6, false), phases)
 	got := res.Homogeneity[phases.End-1]
 	want := (0 + math.Sqrt2/2) / 2
 	if math.Abs(got-want) > 0.1 {
@@ -322,12 +322,6 @@ func TestDeterministicScenario(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at round %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestRunPaperRejectsBadPhases(t *testing.T) {
-	if _, _, err := RunPaper(smallCfg(1, true), Phases{}); err == nil {
-		t.Fatal("bad phases accepted")
 	}
 }
 

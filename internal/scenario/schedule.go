@@ -14,7 +14,7 @@ import (
 // checkpoint taken at round start re-fires that round's pending events
 // exactly once on resume), with warm starts (a schedule whose events
 // begin after the converge horizon replays on top of a restored
-// ConvergedSnapshot — DriveSchedule fast-forwards past already-applied
+// converged snapshot — DriveSchedule fast-forwards past already-applied
 // rounds), and with phases (drive a phase window, then a schedule window,
 // or express the phases themselves as a schedule via the generators).
 

@@ -206,28 +206,6 @@ func readFloats(r *snap.Reader) []float64 {
 	return s
 }
 
-// ConvergedSnapshot wires cfg, runs convergeRounds quiet rounds and
-// returns the serialized checkpoint — the "pay convergence once" half of
-// a warm-started measurement (MeasureReshapingFrom). Metrics recording is disabled for the converge
-// run; warm-started cells measure from their own restored state. A
-// pooled cfg.Engine is honoured and left open for its owner.
-func ConvergedSnapshot(cfg Config, convergeRounds int) ([]byte, error) {
-	cfg.SkipMetrics = true
-	sc, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Engine == nil {
-		defer sc.Close()
-	}
-	sc.Run(convergeRounds)
-	var buf bytes.Buffer
-	if err := sc.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // restoreWarm wires cfg, restores the shared converged snapshot into it
 // and forks the cell's own trajectory by reseeding the engine generator
 // from cfg.Seed — every warm cell continues from the same topology but
@@ -248,8 +226,8 @@ func restoreWarm(cfg Config, snapshot []byte) (*Scenario, error) {
 }
 
 // MeasureReshapingFrom is MeasureReshaping with the convergence phase
-// replaced by restoring a ConvergedSnapshot of an equivalent
-// configuration.
+// replaced by restoring snapshot: the SnapshotTo output of an equivalent
+// configuration that has already converged.
 func MeasureReshapingFrom(cfg Config, snapshot []byte, maxRounds int) (ReshapingOutcome, error) {
 	cfg.SkipMetrics = true
 	sc, err := restoreWarm(cfg, snapshot)

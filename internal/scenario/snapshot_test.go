@@ -383,3 +383,26 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// ConvergedSnapshot wires cfg, runs convergeRounds quiet rounds and
+// returns the serialized checkpoint — the "pay convergence once" half of
+// a warm-started measurement (MeasureReshapingFrom). Metrics recording is
+// disabled for the converge run; warm-started cells measure from their
+// own restored state. A pooled cfg.Engine is honoured and left open for
+// its owner.
+func ConvergedSnapshot(cfg Config, convergeRounds int) ([]byte, error) {
+	cfg.SkipMetrics = true
+	sc, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Engine == nil {
+		defer sc.Close()
+	}
+	sc.Run(convergeRounds)
+	var buf bytes.Buffer
+	if err := sc.SnapshotTo(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}

@@ -22,7 +22,6 @@ type Watchdog struct {
 
 	lastRound atomic.Int64
 	ticks     atomic.Int64
-	fired     atomic.Bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -49,9 +48,6 @@ func (w *Watchdog) Tick(round int) {
 	w.lastRound.Store(int64(round))
 	w.ticks.Add(1)
 }
-
-// Fired reports whether the stall callback has run.
-func (w *Watchdog) Fired() bool { return w.fired.Load() }
 
 // Stop disarms the watchdog and waits for its goroutine to exit. After
 // Stop returns, onStall will never fire (unless it already has).
@@ -82,7 +78,6 @@ func (w *Watchdog) loop() {
 				continue
 			}
 			if time.Since(lastProgress) >= w.stall {
-				w.fired.Store(true)
 				w.onStall(int(w.lastRound.Load()))
 				return
 			}
@@ -92,8 +87,8 @@ func (w *Watchdog) loop() {
 
 // StallReport writes the standard stall diagnosis: the stuck round, the
 // most recent durable checkpoint (empty string for none) and a full
-// all-goroutine stack dump — everything needed to time-travel into the
-// stall with ReplayFromCheckpoint.
+// all-goroutine stack dump — everything needed to resume from that
+// checkpoint and reproduce the stall.
 func StallReport(w io.Writer, lastRound int, lastCheckpoint string) {
 	fmt.Fprintf(w, "watchdog: no round progress; last round worked on: %d\n", lastRound)
 	if lastCheckpoint != "" {

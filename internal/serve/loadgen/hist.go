@@ -32,8 +32,6 @@ const (
 // records into its own and the runner merges them with Add.
 type Hist struct {
 	n       uint64
-	sum     uint64
-	min     uint64
 	max     uint64
 	buckets [histBuckets]uint32
 }
@@ -62,14 +60,10 @@ func bucketMid(idx int) uint64 {
 
 // Record adds one observation (nanoseconds).
 func (h *Hist) Record(v uint64) {
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
 	h.n++
-	h.sum += v
 	h.buckets[histIndex(v)]++
 }
 
@@ -78,14 +72,10 @@ func (h *Hist) Add(other *Hist) {
 	if other.n == 0 {
 		return
 	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
 	if other.max > h.max {
 		h.max = other.max
 	}
 	h.n += other.n
-	h.sum += other.sum
 	for i, c := range other.buckets {
 		h.buckets[i] += c
 	}
@@ -94,17 +84,8 @@ func (h *Hist) Add(other *Hist) {
 // Count returns how many observations were recorded.
 func (h *Hist) Count() uint64 { return h.n }
 
-// Min and Max return the exact extreme observations (0 when empty).
-func (h *Hist) Min() uint64 { return h.min }
+// Max returns the exact largest observation (0 when empty).
 func (h *Hist) Max() uint64 { return h.max }
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
 
 // Quantile returns the value at quantile q in [0,1] — the bucket
 // midpoint covering the ceil(q*n)-th smallest observation, so the

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,47 +14,15 @@ import (
 	"polystyrene/internal/xrand"
 )
 
-// Target is one query backend the generator can drive. EpochTarget
-// executes against the published epoch in-process (measuring the bare
-// read path); HTTPTarget goes through real sockets and JSON (measuring
-// the full service stack). Epoch supplies the current snapshot for
-// query *generation*; Lookup/Neighbors execute the queries. Targets
-// must be safe for concurrent use by all workers.
+// Target is one query backend the generator can drive. HTTPTarget goes
+// through real sockets and JSON (measuring the full service stack); the
+// tests also drive the published epoch in-process. Epoch supplies the
+// current snapshot for query *generation*; Lookup/Neighbors execute the
+// queries. Targets must be safe for concurrent use by all workers.
 type Target interface {
 	Epoch() *serve.Epoch
 	Lookup(q []float64) (sim.NodeID, bool, error)
 	Neighbors(id sim.NodeID, k int) (int, error)
-}
-
-// EpochTarget queries the publisher's current epoch directly.
-type EpochTarget struct {
-	Pub *serve.Publisher
-}
-
-func (t EpochTarget) Epoch() *serve.Epoch { return t.Pub.Current() }
-
-func (t EpochTarget) Lookup(q []float64) (sim.NodeID, bool, error) {
-	ep := t.Pub.Current()
-	if ep == nil {
-		return sim.None, false, errors.New("no epoch")
-	}
-	id, _, _, ok := ep.Lookup(q)
-	return id, ok, nil
-}
-
-func (t EpochTarget) Neighbors(id sim.NodeID, k int) (int, error) {
-	ep := t.Pub.Current()
-	if ep == nil {
-		return 0, errors.New("no epoch")
-	}
-	var buf [serve.DefaultFanout]sim.NodeID
-	nbs, ok := ep.AppendNeighbors(buf[:0], id, k)
-	if !ok {
-		// Dead in a newer epoch than the one that named it: a routine
-		// churn outcome, not an error.
-		return 0, nil
-	}
-	return len(nbs), nil
 }
 
 // HTTPTarget queries a Frontend over real HTTP. Pub is still consulted

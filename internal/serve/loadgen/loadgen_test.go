@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -153,4 +154,36 @@ func TestHTTPTargetToleratesChurnedNode(t *testing.T) {
 	if _, _, err := (HTTPTarget{Base: srv.URL, Client: &http.Client{}, Pub: pub}).Lookup([]float64{1, 2}); err == nil {
 		t.Fatal("dimension-mismatch lookup over HTTP did not error")
 	}
+}
+
+// EpochTarget queries the publisher's current epoch directly: the
+// in-process Target the tests drive Run against.
+type EpochTarget struct {
+	Pub *serve.Publisher
+}
+
+func (t EpochTarget) Epoch() *serve.Epoch { return t.Pub.Current() }
+
+func (t EpochTarget) Lookup(q []float64) (sim.NodeID, bool, error) {
+	ep := t.Pub.Current()
+	if ep == nil {
+		return sim.None, false, errors.New("no epoch")
+	}
+	id, _, _, ok := ep.Lookup(q)
+	return id, ok, nil
+}
+
+func (t EpochTarget) Neighbors(id sim.NodeID, k int) (int, error) {
+	ep := t.Pub.Current()
+	if ep == nil {
+		return 0, errors.New("no epoch")
+	}
+	var buf [serve.DefaultFanout]sim.NodeID
+	nbs, ok := ep.AppendNeighbors(buf[:0], id, k)
+	if !ok {
+		// Dead in a newer epoch than the one that named it: a routine
+		// churn outcome, not an error.
+		return 0, nil
+	}
+	return len(nbs), nil
 }

@@ -38,11 +38,12 @@ import (
 )
 
 // Source is the state a Capture copies an Epoch from: the read surface of
-// a running system (the polystyrene.System facade and scenario.Scenario
-// both provide one). All methods are called from the round-driving
-// goroutine while the engine is quiescent, so implementations need no
-// locking; buffers returned by AppendLive-style methods are copied before
-// Capture returns.
+// a running system. scenario.Stack's adapter is the one implementation;
+// the polystyrene.System facade and scenario.Scenario both hand it out
+// through their ServeSource methods. All methods are called from the
+// round-driving goroutine while the engine is quiescent, so
+// implementations need no locking; buffers returned by AppendLive-style
+// methods are copied before Capture returns.
 type Source interface {
 	// Space is the metric data space (shared, immutable).
 	Space() space.Space

@@ -3,17 +3,13 @@
 // evaluation uses a regular torus grid, but the mechanism is
 // shape-agnostic: the set of initial data points *is* the shape
 // (Sec. III-A), so anything expressible as points in a metric space can be
-// maintained. This package provides generators for the common cases
-// (grids, rings, clusters, crosses, spheres, uniform clouds) used by the
-// examples and the generality tests.
+// maintained. This package provides the shapes that the scenarios, the
+// facade and the examples build: the paper's torus grid and the
+// Hamming-space interest profiles of examples/profiles and poly serve
+// -profiles.
 package shape
 
-import (
-	"math"
-
-	"polystyrene/internal/space"
-	"polystyrene/internal/xrand"
-)
+import "polystyrene/internal/space"
 
 // Grid is the paper's w x h torus grid with the given step (re-exported
 // here so shape consumers need a single import).
@@ -29,92 +25,6 @@ func Grid(w, h int, step float64) []space.Point {
 // Points must already be canonical for the target space.
 func Intern(in *space.Interner, pts []space.Point) []space.PointID {
 	return in.InternAll(pts)
-}
-
-// Ring returns n points evenly spaced on a 1D ring.
-func Ring(n int, circumference float64) []space.Point {
-	return space.RingPoints(n, circumference)
-}
-
-// Clusters returns Gaussian blobs: for each centre, perCluster points
-// drawn from an isotropic normal with the given standard deviation. This
-// is the semantic-community shape of recommendation overlays.
-func Clusters(centers []space.Point, perCluster int, stddev float64, rng *xrand.Rand) []space.Point {
-	if perCluster <= 0 || len(centers) == 0 {
-		return nil
-	}
-	out := make([]space.Point, 0, len(centers)*perCluster)
-	for _, c := range centers {
-		for i := 0; i < perCluster; i++ {
-			p := make(space.Point, len(c))
-			for d := range c {
-				p[d] = c[d] + stddev*rng.NormFloat64()
-			}
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Cross returns a plus-sign shape centred in a w x h box: points along the
-// horizontal and vertical centre lines with the given step. Non-convex
-// shapes like this exercise the medoid projection (a centroid would fall
-// off the shape at the junction).
-func Cross(w, h, step float64) []space.Point {
-	if w <= 0 || h <= 0 || step <= 0 {
-		return nil
-	}
-	var out []space.Point
-	cy := h / 2
-	for x := 0.0; x < w; x += step {
-		out = append(out, space.Point{x, cy})
-	}
-	cx := w / 2
-	for y := 0.0; y < h; y += step {
-		if y == cy {
-			continue // junction already present
-		}
-		out = append(out, space.Point{cx, y})
-	}
-	return out
-}
-
-// Sphere returns n points approximately evenly distributed on the surface
-// of a 3D sphere (Fibonacci lattice) with the given radius, centred at the
-// origin — a shape for 3D Euclidean deployments.
-func Sphere(n int, radius float64) []space.Point {
-	if n <= 0 || radius <= 0 {
-		return nil
-	}
-	out := make([]space.Point, n)
-	golden := math.Pi * (3 - math.Sqrt(5))
-	for i := 0; i < n; i++ {
-		y := 1 - 2*float64(i)/float64(maxInt(n-1, 1))
-		r := math.Sqrt(math.Max(0, 1-y*y))
-		theta := golden * float64(i)
-		out[i] = space.Point{
-			radius * r * math.Cos(theta),
-			radius * y,
-			radius * r * math.Sin(theta),
-		}
-	}
-	return out
-}
-
-// UniformTorus returns n points drawn uniformly at random on the torus.
-func UniformTorus(n int, t space.Torus, rng *xrand.Rand) []space.Point {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]space.Point, n)
-	for i := range out {
-		p := make(space.Point, t.Dim())
-		for d := range p {
-			p[d] = rng.Float64() * t.Width(d)
-		}
-		out[i] = p
-	}
-	return out
 }
 
 // Profile builds the interest profile of user u of community c (for a
@@ -163,37 +73,4 @@ func Profiles(usersPerCommunity, topics, communities int) []space.Point {
 		}
 	}
 	return out
-}
-
-// BoundingTorus returns a torus just enclosing the points' coordinate
-// ranges (with the given margin per dimension), convenient for wrapping an
-// arbitrary 2D shape into a modular space.
-func BoundingTorus(points []space.Point, margin float64) space.Torus {
-	if len(points) == 0 {
-		return space.NewTorus(1, 1)
-	}
-	dim := len(points[0])
-	maxs := make([]float64, dim)
-	for _, p := range points {
-		for d, c := range p {
-			if c > maxs[d] {
-				maxs[d] = c
-			}
-		}
-	}
-	widths := make([]float64, dim)
-	for d := range widths {
-		widths[d] = maxs[d] + margin
-		if widths[d] <= 0 {
-			widths[d] = margin
-		}
-	}
-	return space.NewTorus(widths...)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -154,14 +154,17 @@ func TestCrossShapeSurvivesCatastrophe(t *testing.T) {
 	tor := BoundingTorus(pts, 4)
 	sampler := rps.New(rps.Config{})
 	var poly *core.Protocol
-	tm := tman.MustNew(tman.Config{
+	tm, err := tman.New(tman.Config{
 		Space:   tor,
 		Sampler: sampler,
 		Position: func(id sim.NodeID) space.Point {
 			return poly.Position(id)
 		},
 	})
-	poly = core.MustNew(core.Config{
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly, err = core.New(core.Config{
 		Space:    tor,
 		Topology: tm,
 		Sampler:  sampler,
@@ -171,6 +174,9 @@ func TestCrossShapeSurvivesCatastrophe(t *testing.T) {
 			return pts[id], true
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := sim.New(42, sampler, tm, poly)
 	e.AddNodes(len(pts))
 	e.RunRounds(15)
@@ -219,4 +225,120 @@ func (s shapeSystem) NumGuests(id sim.NodeID) int        { return s.poly.NumGues
 func (s shapeSystem) NumGhosts(id sim.NodeID) int        { return s.poly.NumGhosts(id) }
 func (s shapeSystem) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool) {
 	s.tm.EachNeighbor(id, k, yield)
+}
+
+// The generators below build shapes that no production path uses. Cross
+// and BoundingTorus are the fixtures of TestCrossShapeSurvivesCatastrophe;
+// the others are tested only by their own tests.
+
+// Ring returns n points evenly spaced on a 1D ring.
+func Ring(n int, circumference float64) []space.Point {
+	return space.RingPoints(n, circumference)
+}
+
+// Clusters returns Gaussian blobs: for each centre, perCluster points
+// drawn from an isotropic normal with the given standard deviation. This
+// is the semantic-community shape of recommendation overlays.
+func Clusters(centers []space.Point, perCluster int, stddev float64, rng *xrand.Rand) []space.Point {
+	if perCluster <= 0 || len(centers) == 0 {
+		return nil
+	}
+	out := make([]space.Point, 0, len(centers)*perCluster)
+	for _, c := range centers {
+		for i := 0; i < perCluster; i++ {
+			p := make(space.Point, len(c))
+			for d := range c {
+				p[d] = c[d] + stddev*math.Sqrt(-2*math.Log(1-rng.Float64()))*math.Cos(2*math.Pi*rng.Float64())
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Cross returns a plus-sign shape centred in a w x h box: points along the
+// horizontal and vertical centre lines with the given step. Non-convex
+// shapes like this exercise the medoid projection (a centroid would fall
+// off the shape at the junction).
+func Cross(w, h, step float64) []space.Point {
+	if w <= 0 || h <= 0 || step <= 0 {
+		return nil
+	}
+	var out []space.Point
+	cy := h / 2
+	for x := 0.0; x < w; x += step {
+		out = append(out, space.Point{x, cy})
+	}
+	cx := w / 2
+	for y := 0.0; y < h; y += step {
+		if y == cy {
+			continue // junction already present
+		}
+		out = append(out, space.Point{cx, y})
+	}
+	return out
+}
+
+// Sphere returns n points approximately evenly distributed on the surface
+// of a 3D sphere (Fibonacci lattice) with the given radius, centred at the
+// origin — a shape for 3D Euclidean deployments.
+func Sphere(n int, radius float64) []space.Point {
+	if n <= 0 || radius <= 0 {
+		return nil
+	}
+	out := make([]space.Point, n)
+	golden := math.Pi * (3 - math.Sqrt(5))
+	for i := 0; i < n; i++ {
+		y := 1 - 2*float64(i)/float64(max(n-1, 1))
+		r := math.Sqrt(math.Max(0, 1-y*y))
+		theta := golden * float64(i)
+		out[i] = space.Point{
+			radius * r * math.Cos(theta),
+			radius * y,
+			radius * r * math.Sin(theta),
+		}
+	}
+	return out
+}
+
+// UniformTorus returns n points drawn uniformly at random on the torus.
+func UniformTorus(n int, t space.Torus, rng *xrand.Rand) []space.Point {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]space.Point, n)
+	for i := range out {
+		p := make(space.Point, t.Dim())
+		for d := range p {
+			p[d] = rng.Float64() * t.Width(d)
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// BoundingTorus returns a torus just enclosing the points' coordinate
+// ranges (with the given margin per dimension), convenient for wrapping an
+// arbitrary 2D shape into a modular space.
+func BoundingTorus(points []space.Point, margin float64) space.Torus {
+	if len(points) == 0 {
+		return space.NewTorus(1, 1)
+	}
+	dim := len(points[0])
+	maxs := make([]float64, dim)
+	for _, p := range points {
+		for d, c := range p {
+			if c > maxs[d] {
+				maxs[d] = c
+			}
+		}
+	}
+	widths := make([]float64, dim)
+	for d := range widths {
+		widths[d] = maxs[d] + margin
+		if widths[d] <= 0 {
+			widths[d] = margin
+		}
+	}
+	return space.NewTorus(widths...)
 }

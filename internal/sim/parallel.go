@@ -319,10 +319,6 @@ func (e *Engine) runBatchSteps(bp Batched, ctx *StepCtx) {
 	ctx.planned = nil
 }
 
-// ExchangeParallelism returns the configured exchange worker count (0 =
-// sequential legacy engine).
-func (e *Engine) ExchangeParallelism() int { return e.exWorkers }
-
 // pendStep is one not-yet-executed step of the current pass, together
 // with its cached plan: arena[off:off+n] is the planned conflict set when
 // valid. Plans stay valid across batches because PlanStep may only read

@@ -40,7 +40,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"polystyrene/internal/xrand"
 )
@@ -375,26 +374,6 @@ func (e *Engine) runOne() {
 	e.round++
 }
 
-// Layer returns the layer with the given name, or nil. Useful for tests
-// and tools that need to reach a specific protocol in an assembled stack.
-func (e *Engine) Layer(name string) Protocol {
-	for _, l := range e.layers {
-		if l.Name() == name {
-			return l
-		}
-	}
-	return nil
-}
-
-// LayerNames returns the names of all layers, bottom first.
-func (e *Engine) LayerNames() []string {
-	names := make([]string, len(e.layers))
-	for i, l := range e.layers {
-		names[i] = l.Name()
-	}
-	return names
-}
-
 // Meter accumulates communication cost in abstract units, per layer and per
 // round, following the paper's accounting model (Sec. IV-A): a node ID and
 // a single coordinate both cost 1 unit, so a node descriptor (ID + 2D
@@ -477,18 +456,6 @@ func (m *Meter) TotalCost(layer string) int {
 		total += units
 	}
 	return total
-}
-
-// Layers returns the names of all layers that have been charged, sorted.
-func (m *Meter) Layers() []string {
-	names := make([]string, 0, len(m.names))
-	for i, name := range m.names {
-		if m.charged[i] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Unit costs of the paper's communication model.

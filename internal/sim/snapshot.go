@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"polystyrene/internal/snap"
 )
@@ -21,8 +20,6 @@ type Snapshotter interface {
 	SnapshotState(w *snap.Writer)
 	RestoreState(r *snap.Reader) error
 }
-
-const engineKind = "engine"
 
 // SnapshotState serializes the complete run state of the engine — RNG,
 // round counter, liveness sets, meter ledgers and every layer's section —
@@ -165,37 +162,6 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		if err := snap.CloseSection(s.name, s.body); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Snapshot writes a standalone, checksummed engine snapshot to w.
-func (e *Engine) Snapshot(w io.Writer) error {
-	var sw snap.Writer
-	if err := e.SnapshotState(&sw); err != nil {
-		return err
-	}
-	return snap.WriteEnvelope(w, engineKind, sw.Bytes())
-}
-
-// Restore reads a snapshot written by Snapshot into the engine. The
-// entire file is checksum- and version-verified before any state is
-// mutated, so a corrupted or truncated snapshot never produces a
-// partial restore.
-func (e *Engine) Restore(rd io.Reader) error {
-	body, err := snap.ReadEnvelope(rd, engineKind)
-	if err != nil {
-		return err
-	}
-	r := snap.NewReader(body)
-	if err := e.RestoreState(r); err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("sim: %d trailing bytes in engine snapshot", r.Remaining())
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 
 	"polystyrene/internal/snap"
@@ -54,6 +54,32 @@ func (statelessLayer) Name() string              { return "stateless" }
 func (statelessLayer) InitNode(*Engine, NodeID)  {}
 func (statelessLayer) Step(e *Engine, id NodeID) { e.Charge(2) }
 
+// snapshotState serializes e's run state, failing the test on error.
+func snapshotState(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var w snap.Writer
+	if err := e.SnapshotState(&w); err != nil {
+		t.Fatalf("SnapshotState: %v", err)
+	}
+	return w.Bytes()
+}
+
+// restoreState restores e from a SnapshotState image that must be
+// consumed exactly.
+func restoreState(e *Engine, b []byte) error {
+	r := snap.NewReader(b)
+	if err := e.RestoreState(r); err != nil {
+		return err
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%d trailing bytes", r.Remaining())
+	}
+	return nil
+}
+
 func TestEngineSnapshotRoundTrip(t *testing.T) {
 	la := &snapLayer{name: "counter"}
 	e := New(5, la, statelessLayer{})
@@ -63,15 +89,12 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	e.Kill(11)
 	e.RunRounds(3)
 
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	state := snapshotState(t, e)
 
 	lb := &snapLayer{name: "counter"}
 	e2 := New(0, lb, statelessLayer{})
-	if err := e2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := restoreState(e2, state); err != nil {
+		t.Fatalf("RestoreState: %v", err)
 	}
 	if e2.Round() != e.Round() || e2.NumNodes() != e.NumNodes() || e2.NumLive() != e.NumLive() {
 		t.Fatalf("restored engine shape (round=%d nodes=%d live=%d) != original (%d, %d, %d)",
@@ -109,8 +132,8 @@ func TestEngineSnapshotRejectsPendingEvents(t *testing.T) {
 	if err := e.ScheduleAt(10, func(*Engine) {}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err == nil {
+	var w snap.Writer
+	if err := e.SnapshotState(&w); err == nil {
 		t.Fatal("snapshot with pending events accepted")
 	}
 }
@@ -119,42 +142,33 @@ func TestEngineRestoreRejectsLayerMismatch(t *testing.T) {
 	e := New(1, &snapLayer{name: "counter"})
 	e.AddNodes(4)
 	e.RunRounds(2)
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	state := snapshotState(t, e)
 
 	other := New(0, &snapLayer{name: "renamed"})
-	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := restoreState(other, state); err == nil {
 		t.Fatal("restore into a different layer stack accepted")
 	}
 	fewer := New(0)
-	if err := fewer.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := restoreState(fewer, state); err == nil {
 		t.Fatal("restore into an engine with fewer layers accepted")
 	}
 }
 
+// TestEngineRestoreRejectsCorruption cuts the state image short at
+// several points; bit flips inside an intact image are the checksummed
+// envelope's to catch (internal/snap's envelope tests).
 func TestEngineRestoreRejectsCorruption(t *testing.T) {
 	e := New(1, &snapLayer{name: "counter"})
 	e.AddNodes(4)
 	e.RunRounds(2)
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := snapshotState(t, e)
 	target := New(0, &snapLayer{name: "counter"})
-	for _, pos := range []int{0, 9, len(good) / 2, len(good) - 1} {
-		bad := append([]byte(nil), good...)
-		bad[pos] ^= 0x10
-		if err := target.Restore(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("corrupted snapshot (flip@%d) accepted", pos)
+	for _, cut := range []int{0, 9, len(good) / 2, len(good) - 1} {
+		if err := restoreState(target, good[:cut]); err == nil {
+			t.Fatalf("state cut at %d of %d bytes accepted", cut, len(good))
 		}
 	}
-	if err := target.Restore(bytes.NewReader(good[:len(good)/2])); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	if err := target.Restore(bytes.NewReader(good)); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
+	if err := restoreState(target, good); err != nil {
+		t.Fatalf("pristine state rejected: %v", err)
 	}
 }

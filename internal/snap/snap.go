@@ -19,10 +19,10 @@
 // A section is a length-prefixed nested body that the code owning it
 // reads through a bounded sub-reader. Writers build sections in place:
 // BeginSection reserves the length, the owner writes its body straight
-// into the same buffer, and EndSection patches the length in — the bytes
-// equal Section over a separately written body, without the copy. The
-// buffer grows by doubling, and WriteEnvelope streams the header, the
-// body and the checksum without assembling the file first.
+// into the same buffer, and EndSection patches the length in, so no body
+// is ever copied. The buffer grows by doubling, and WriteEnvelope streams
+// the header, the body and the checksum without assembling the file
+// first.
 //
 // Reader carries a sticky error: after the first malformed read every
 // subsequent call returns a zero value, and the error is reported once at
@@ -113,19 +113,10 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Section appends a length-prefixed nested body, so a reader can hand a
-// bounded sub-reader to the code that owns the section and detect
-// over- or under-reads at the section boundary.
-func (w *Writer) Section(body []byte) {
-	w.Len(len(body))
-	w.grow(len(body))
-	w.buf = append(w.buf, body...)
-}
-
 // BeginSection starts a section written in place: it reserves the
 // section's length and returns the mark EndSection needs. Everything
-// written in between is the section body, and the resulting bytes equal
-// Section over that body written separately. Sections nest.
+// written in between is the section body; the result is the body's
+// length (as Len writes it) followed by the body. Sections nest.
 func (w *Writer) BeginSection() int {
 	w.U64(0)
 	return len(w.buf)

@@ -578,3 +578,11 @@ func TestFileSumIsWholeFileFNV(t *testing.T) {
 		}
 	}
 }
+
+// Section appends a length-prefixed body written separately: the
+// reference encoding the in-place BeginSection/EndSection must match.
+func (w *Writer) Section(body []byte) {
+	w.Len(len(body))
+	w.grow(len(body))
+	w.buf = append(w.buf, body...)
+}

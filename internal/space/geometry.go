@@ -44,26 +44,6 @@ func MedoidPoint(s Space, points []Point) Point {
 	return points[i]
 }
 
-// Centroid returns the arithmetic mean of points. It is only meaningful in
-// vector spaces (Euclidean, Manhattan); do not use it on modular spaces.
-// It returns nil for an empty slice.
-func Centroid(points []Point) Point {
-	if len(points) == 0 {
-		return nil
-	}
-	c := make(Point, len(points[0]))
-	for _, p := range points {
-		for i, v := range p {
-			c[i] += v
-		}
-	}
-	inv := 1 / float64(len(points))
-	for i := range c {
-		c[i] *= inv
-	}
-	return c
-}
-
 // Diameter returns the indices (i, j) of a farthest pair in points under s,
 // by exhaustive O(n^2) search, together with their distance. For n < 2 it
 // returns (-1, -1, 0).
@@ -104,17 +84,6 @@ func DiameterSampled(s Space, points []Point, maxPairs int, rng *xrand.Rand) (i,
 		}
 	}
 	return i, j, dist
-}
-
-// SumSquaredTo returns the sum of squared distances from x to every element
-// of points.
-func SumSquaredTo(s Space, x Point, points []Point) float64 {
-	sum := 0.0
-	for _, p := range points {
-		d := s.Distance(x, p)
-		sum += d * d
-	}
-	return sum
 }
 
 // Scatter returns the within-set sum of squared pairwise distances —

@@ -22,19 +22,6 @@ func TorusGrid(w, h int, step float64) []Point {
 	return pts
 }
 
-// TorusGridOffset is TorusGrid shifted by (dx, dy): the paper's reinjection
-// phase places 1600 fresh nodes "on a grid parallel to the original one",
-// which we realise as the original grid offset by half a step in each
-// dimension.
-func TorusGridOffset(w, h int, step, dx, dy float64) []Point {
-	pts := TorusGrid(w, h, step)
-	for _, p := range pts {
-		p[0] += dx
-		p[1] += dy
-	}
-	return pts
-}
-
 // TorusForGrid returns the torus that TorusGrid(w, h, step) tiles.
 func TorusForGrid(w, h int, step float64) Torus {
 	return NewTorus(float64(w)*step, float64(h)*step)

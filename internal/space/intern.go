@@ -6,10 +6,6 @@ package space
 // membership sets and holder indexes instead of string-keyed maps.
 type PointID uint32
 
-// NoPointID is the sentinel for "no interned point". An Interner never
-// assigns it (it would take 2^32-1 interned points to reach).
-const NoPointID PointID = ^PointID(0)
-
 // Interner assigns each distinct canonical Point a dense PointID, exactly
 // once. The data points of a Polystyrene system form a fixed,
 // generator-produced universe (the shape is the point set, Sec. III-A), so
@@ -72,7 +68,7 @@ func (in *Interner) Lookup(p Point) (PointID, bool) {
 
 // PointOf returns the canonical point with the given ID. It panics on IDs
 // the interner never assigned, as that is a programming error (an ID from a
-// different interner, or NoPointID).
+// different interner).
 func (in *Interner) PointOf(id PointID) Point {
 	return in.pts[id]
 }

@@ -133,37 +133,6 @@ func (e Euclidean) Distance(a, b Point) float64 {
 	return math.Sqrt(sum)
 }
 
-// Manhattan is the L1 metric over R^dim. It is not used by the paper's
-// evaluation but demonstrates the protocol's metric-space generality and is
-// exercised by examples and tests.
-type Manhattan struct {
-	dim int
-}
-
-var _ Space = Manhattan{}
-
-// NewManhattan returns the L1 space of the given dimension.
-func NewManhattan(dim int) Manhattan {
-	if dim <= 0 {
-		panic("space: NewManhattan requires dim > 0")
-	}
-	return Manhattan{dim: dim}
-}
-
-// Dim implements Space.
-func (m Manhattan) Dim() int { return m.dim }
-
-// Distance implements Space.
-func (m Manhattan) Distance(a, b Point) float64 {
-	checkDim(m.dim, a)
-	checkDim(m.dim, b)
-	sum := 0.0
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum
-}
-
 // Torus is a flat torus: each coordinate i lives on a circle of
 // circumference Widths[i] and distances wrap around. This is the "logical
 // torus" of the paper's evaluation (an 80x40 grid with step 1 lives on a

@@ -493,3 +493,79 @@ func BenchmarkRowDistances(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*viewLen), "ns/distance")
 }
+
+// The helpers below have no production caller. SumSquaredTo is the
+// objective the medoid tests check Medoid against; Centroid,
+// TorusGridOffset and the Manhattan space are tested only by their own
+// tests.
+
+// Centroid returns the arithmetic mean of points. It is only meaningful in
+// vector spaces (Euclidean, Manhattan); do not use it on modular spaces.
+// It returns nil for an empty slice.
+func Centroid(points []Point) Point {
+	if len(points) == 0 {
+		return nil
+	}
+	c := make(Point, len(points[0]))
+	for _, p := range points {
+		for i, v := range p {
+			c[i] += v
+		}
+	}
+	inv := 1 / float64(len(points))
+	for i := range c {
+		c[i] *= inv
+	}
+	return c
+}
+
+// SumSquaredTo returns the sum of squared distances from x to every element
+// of points.
+func SumSquaredTo(s Space, x Point, points []Point) float64 {
+	sum := 0.0
+	for _, p := range points {
+		d := s.Distance(x, p)
+		sum += d * d
+	}
+	return sum
+}
+
+// TorusGridOffset is TorusGrid shifted by (dx, dy).
+func TorusGridOffset(w, h int, step, dx, dy float64) []Point {
+	pts := TorusGrid(w, h, step)
+	for _, p := range pts {
+		p[0] += dx
+		p[1] += dy
+	}
+	return pts
+}
+
+// Manhattan is the L1 metric over R^dim. It is a non-modular metric for the
+// metric-axiom tests.
+type Manhattan struct {
+	dim int
+}
+
+var _ Space = Manhattan{}
+
+// NewManhattan returns the L1 space of the given dimension.
+func NewManhattan(dim int) Manhattan {
+	if dim <= 0 {
+		panic("space: NewManhattan requires dim > 0")
+	}
+	return Manhattan{dim: dim}
+}
+
+// Dim implements Space.
+func (m Manhattan) Dim() int { return m.dim }
+
+// Distance implements Space.
+func (m Manhattan) Distance(a, b Point) float64 {
+	checkDim(m.dim, a)
+	checkDim(m.dim, b)
+	sum := 0.0
+	for i := range a {
+		sum += math.Abs(a[i] - b[i])
+	}
+	return sum
+}

@@ -27,8 +27,11 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 	for i := range positions {
 		positions[i] = space.Point{float64(rng.Intn(4)), float64(rng.Intn(3))}
 	}
-	p := MustNew(Config{Space: tor, Sampler: rps.New(rps.Config{}),
+	p, err := New(Config{Space: tor, Sampler: rps.New(rps.Config{}),
 		Position: func(id sim.NodeID) space.Point { return positions[id] }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	scr := p.ws[0]
 	ranked := func(ids []int32, target space.Point) []int32 {
 		return slices.Clone(p.selectClosest(scr, ids, target, len(ids)))
@@ -122,12 +125,19 @@ func newPolyNet(t *testing.T, seed uint64, w, h int) *polyNet {
 	n := &polyNet{points: space.TorusGrid(w, h, 1), probed: -1}
 	tor := space.TorusForGrid(w, h, 1)
 	sampler := rps.New(rps.Config{})
-	n.tman = MustNew(Config{Space: tor, Sampler: sampler,
+	var err error
+	n.tman, err = New(Config{Space: tor, Sampler: sampler,
 		Position: func(id sim.NodeID) space.Point { return n.poly.Position(id) }})
-	n.poly = core.MustNew(core.Config{Space: tor, Topology: n.tman, Sampler: sampler, K: 3,
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.poly, err = core.New(core.Config{Space: tor, Topology: n.tman, Sampler: sampler, K: 3,
 		InitialPoint: func(id sim.NodeID) (space.Point, bool) {
 			return n.spot(tor, id), int(id) < len(n.points)
 		}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.engine = sim.New(seed, sampler, n.tman, n, n.poly)
 	n.engine.AddNodes(w * h)
 	if moved, _ := n.tman.clock(); moved == nil {
@@ -143,8 +153,12 @@ func newPlainNet(t *testing.T, seed uint64, w, h int) *polyNet {
 	n := &polyNet{points: space.TorusGrid(w, h, 1), probed: -1}
 	tor := space.TorusForGrid(w, h, 1)
 	sampler := rps.New(rps.Config{})
-	n.tman = MustNew(Config{Space: tor, Sampler: sampler,
+	var err error
+	n.tman, err = New(Config{Space: tor, Sampler: sampler,
 		Position: func(id sim.NodeID) space.Point { return n.spot(tor, id) }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.engine = sim.New(seed, sampler, n.tman, n)
 	n.engine.AddNodes(w * h)
 	return n

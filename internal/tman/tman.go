@@ -243,16 +243,6 @@ func New(cfg Config) (*Protocol, error) {
 	}, nil
 }
 
-// MustNew is New but panics on configuration errors; intended for tests
-// and examples where the configuration is statically known to be valid.
-func MustNew(cfg Config) *Protocol {
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "tman" }
 
@@ -687,20 +677,4 @@ func (p *Protocol) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) boo
 			return
 		}
 	}
-}
-
-// ViewSize returns the current view size of id (test/metrics helper).
-func (p *Protocol) ViewSize(id sim.NodeID) int {
-	if id < 0 || int(id) >= len(p.views) {
-		return 0
-	}
-	return len(p.views[id])
-}
-
-// View returns a copy of id's raw view.
-func (p *Protocol) View(id sim.NodeID) []sim.NodeID {
-	if id < 0 || int(id) >= len(p.views) {
-		return nil
-	}
-	return appendNodeIDs(make([]sim.NodeID, 0, len(p.views[id])), p.views[id])
 }

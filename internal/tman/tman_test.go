@@ -56,12 +56,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Space: space.NewEuclidean(2)}); err == nil {
 		t.Fatal("config without sampler accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic on bad config")
-		}
-	}()
-	MustNew(Config{})
 }
 
 func TestDefaultsApplied(t *testing.T) {
@@ -269,4 +263,22 @@ func TestNeighborsEdgeCases(t *testing.T) {
 	if got := net.tman.ViewSize(99); got != 0 {
 		t.Fatalf("unknown node view size = %d", got)
 	}
+}
+
+// ViewSize and View expose raw views to the tests.
+
+// ViewSize returns the current view size of id.
+func (p *Protocol) ViewSize(id sim.NodeID) int {
+	if id < 0 || int(id) >= len(p.views) {
+		return 0
+	}
+	return len(p.views[id])
+}
+
+// View returns a copy of id's raw view.
+func (p *Protocol) View(id sim.NodeID) []sim.NodeID {
+	if id < 0 || int(id) >= len(p.views) {
+		return nil
+	}
+	return appendNodeIDs(make([]sim.NodeID, 0, len(p.views[id])), p.views[id])
 }

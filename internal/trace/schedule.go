@@ -92,20 +92,6 @@ func (s *Schedule) Universe() int {
 	return s.Initial + joins
 }
 
-// Horizon returns the first round by which every event has fired: one
-// past the last event's round (events fire at round start, so the last
-// event needs its round to actually run). An event-free schedule has
-// horizon 0.
-func (s *Schedule) Horizon() int {
-	h := 0
-	for _, ev := range s.Events {
-		if ev.Round+1 > h {
-			h = ev.Round + 1
-		}
-	}
-	return h
-}
-
 // Canonicalize sorts the events into canonical replay order — by (Round,
 // Op, Node), joins before leaves within a round — and then validates the
 // schedule, returning the first violation. Generators and parsers both
@@ -200,31 +186,16 @@ const scheduleMagic = "# polystyrene-schedule v1 initial="
 // scheduleHeader is the fixed event-row header.
 const scheduleHeader = "round,op,node"
 
-// WriteCSV emits the schedule in its canonical CSV form:
+// ReadScheduleCSV parses a schedule CSV, canonicalizes and validates it.
+// The format is a directive line carrying the initial population, the
+// event header and one row per event:
 //
 //	# polystyrene-schedule v1 initial=3200
 //	round,op,node
 //	20,leave,1612
 //	100,join,3200
 //
-// The schedule must be canonical (Canonicalize has run); the written form
-// round-trips bit-exactly through ReadScheduleCSV.
-func (s *Schedule) WriteCSV(w io.Writer) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s%d\n", scheduleMagic, s.Initial)
-	fmt.Fprintln(bw, scheduleHeader)
-	for _, ev := range s.Events {
-		fmt.Fprintf(bw, "%d,%s,%d\n", ev.Round, ev.Op, ev.Node)
-	}
-	return bw.Flush()
-}
-
-// ReadScheduleCSV parses a schedule written by Schedule.WriteCSV (or by
-// hand / external tooling in the same schema), canonicalizes and validates
-// it. Blank lines and non-directive comment lines are skipped; malformed
+// Blank lines and non-directive comment lines are skipped; malformed
 // rows, out-of-range values, duplicate or impossible events are all
 // rejected with the offending line number — never a panic.
 func ReadScheduleCSV(r io.Reader) (*Schedule, error) {

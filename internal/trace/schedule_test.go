@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -207,4 +210,37 @@ func FuzzSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Horizon and WriteCSV are the tests' oracles: nothing outside the tests
+// needs a schedule's horizon or writes a schedule file.
+
+// Horizon returns the first round by which every event has fired: one
+// past the last event's round (events fire at round start, so the last
+// event needs its round to actually run). An event-free schedule has
+// horizon 0.
+func (s *Schedule) Horizon() int {
+	h := 0
+	for _, ev := range s.Events {
+		if ev.Round+1 > h {
+			h = ev.Round + 1
+		}
+	}
+	return h
+}
+
+// WriteCSV emits the schedule in the canonical form ReadScheduleCSV
+// parses. The schedule must be canonical (Canonicalize has run); the
+// written form round-trips bit-exactly through ReadScheduleCSV.
+func (s *Schedule) WriteCSV(w io.Writer) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "%s%d\n", scheduleMagic, s.Initial)
+	fmt.Fprintln(bw, scheduleHeader)
+	for _, ev := range s.Events {
+		fmt.Fprintf(bw, "%d,%s,%d\n", ev.Round, ev.Op, ev.Node)
+	}
+	return bw.Flush()
 }

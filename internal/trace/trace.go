@@ -1,8 +1,7 @@
-// Package trace persists and renders experiment results: CSV emission and
-// parsing for per-round metric series, gnuplot scripts that redraw the
-// paper's figures from those CSVs, and markdown tables for reports such as
-// EXPERIMENTS.md. The cmd/ tools print CSV directly; this package is the
-// library form used when results need to be post-processed or re-plotted.
+// Package trace holds the plain-data formats of the experiment pipeline:
+// the per-round metric Table and its CSV writer, which `poly grid` uses
+// for each cell's series, markdown tables for the analyzer's tables.md,
+// and churn schedules with their generators and CSV parser.
 package trace
 
 import (
@@ -47,27 +46,6 @@ func (t *Table) AddColumn(name string, values []float64) error {
 	return nil
 }
 
-// Names returns the column names in insertion order.
-func (t *Table) Names() []string {
-	out := make([]string, len(t.names))
-	copy(out, t.names)
-	return out
-}
-
-// Rows returns the number of rows.
-func (t *Table) Rows() int { return t.rows }
-
-// Column returns a copy of the named column, or nil when absent.
-func (t *Table) Column(name string) []float64 {
-	col, ok := t.columns[name]
-	if !ok {
-		return nil
-	}
-	out := make([]float64, len(col))
-	copy(out, col)
-	return out
-}
-
 // WriteCSV emits the table with a header row.
 func (t *Table) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -91,72 +69,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a table previously written by WriteCSV (comment lines
-// starting with '#' are skipped). The first non-comment row must be a
-// header: a fully numeric first row is rejected with a "missing header
-// row?" diagnosis instead of silently becoming column names, and
-// duplicate header names fail immediately rather than after the whole
-// file has been parsed.
-func ReadCSV(r io.Reader) (*Table, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var names []string
-	var cols [][]float64
-	line := 0
-	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		line++
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if names == nil {
-			numeric := 0
-			for _, f := range fields {
-				if _, err := strconv.ParseFloat(strings.TrimSpace(f), 64); err == nil {
-					numeric++
-				}
-			}
-			if numeric == len(fields) {
-				return nil, fmt.Errorf("trace: line %d: header row %q is fully numeric — missing header row?", line, text)
-			}
-			seen := make(map[string]bool, len(fields))
-			for i, n := range fields {
-				if seen[n] {
-					return nil, fmt.Errorf("trace: line %d: duplicate column %q in header (field %d)", line, n, i+1)
-				}
-				seen[n] = true
-			}
-			names = fields
-			cols = make([][]float64, len(names))
-			continue
-		}
-		if len(fields) != len(names) {
-			return nil, fmt.Errorf("trace: line %d has %d fields, header has %d", line, len(fields), len(names))
-		}
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d field %d: %w", line, i, err)
-			}
-			cols[i] = append(cols[i], v)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if names == nil {
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	out := NewTable()
-	for i, name := range names {
-		if err := out.AddColumn(name, cols[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // MarkdownTable renders rows as a GitHub-flavoured markdown table with the

@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,30 +13,24 @@ import (
 
 func TestTableBasics(t *testing.T) {
 	tb := NewTable()
-	if err := tb.AddColumn("round", []float64{0, 1, 2}); err != nil {
+	round := []float64{0, 1, 2}
+	if err := tb.AddColumn("round", round); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AddColumn("homogeneity", []float64{5, 1, 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 3 {
-		t.Fatalf("rows = %d", tb.Rows())
+	// Mutating the added slice must not affect the table.
+	round[0] = 99
+	header, rows := readCSV(t, tb)
+	if len(header) != 2 || header[0] != "round" || header[1] != "homogeneity" {
+		t.Fatalf("header = %v", header)
 	}
-	names := tb.Names()
-	if len(names) != 2 || names[0] != "round" {
-		t.Fatalf("names = %v", names)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	col := tb.Column("homogeneity")
-	if col[2] != 0.5 {
-		t.Fatalf("column = %v", col)
-	}
-	// Mutating the returned slice must not affect the table.
-	col[0] = 99
-	if tb.Column("homogeneity")[0] != 5 {
-		t.Fatal("Column aliases internal storage")
-	}
-	if tb.Column("nope") != nil {
-		t.Fatal("missing column should be nil")
+	if rows[0][0] != 0 || rows[2][1] != 0.5 {
+		t.Fatalf("rows = %v", rows)
 	}
 }
 
@@ -55,25 +53,75 @@ func TestTableValidation(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tb := NewTable()
-	_ = tb.AddColumn("round", []float64{0, 1, 2})
-	_ = tb.AddColumn("h", []float64{5.25, 0.61, 0.035})
+// readCSV writes tb with WriteCSV and parses the output back, field by
+// field with strconv.ParseFloat, into the header and the rows.
+func readCSV(t *testing.T, tb *Table) (header []string, rows [][]float64) {
+	t.Helper()
 	var buf strings.Builder
 	if err := tb.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
+	out := buf.String()
+	if !strings.HasSuffix(out, "\n") {
+		t.Fatalf("output does not end in a newline: %q", out)
 	}
-	if back.Rows() != 3 {
-		t.Fatalf("round-trip rows = %d", back.Rows())
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	header = strings.Split(lines[0], ",")
+	for i, line := range lines[1:] {
+		fields := strings.Split(line, ",")
+		if len(fields) != len(header) {
+			t.Fatalf("row %d has %d fields, header has %d", i, len(fields), len(header))
+		}
+		row := make([]float64, len(fields))
+		for j, f := range fields {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatalf("row %d field %d: %v", i, j, err)
+			}
+			row[j] = v
+		}
+		rows = append(rows, row)
+	}
+	return header, rows
+}
+
+func TestCSVRoundTrip(t *testing.T) {
+	tb := NewTable()
+	_ = tb.AddColumn("round", []float64{0, 1, 2})
+	_ = tb.AddColumn("h", []float64{5.25, 0.61, 0.035})
+	header, rows := readCSV(t, tb)
+	if len(header) != 2 || header[0] != "round" || header[1] != "h" {
+		t.Fatalf("round-trip header = %v", header)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("round-trip rows = %d", len(rows))
 	}
 	for i, want := range []float64{5.25, 0.61, 0.035} {
-		if got := back.Column("h")[i]; got != want {
+		if got := rows[i][1]; got != want {
 			t.Fatalf("round-trip h[%d] = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestWriteCSVBytes pins the exact bytes: a header row in insertion
+// order, then one row per index with the shortest 'g' rendering of each
+// value.
+func TestWriteCSVBytes(t *testing.T) {
+	tb := NewTable()
+	_ = tb.AddColumn("round", []float64{0, 1, 2, 3})
+	_ = tb.AddColumn("h", []float64{5.25, 1e21, math.Inf(1), 1234567})
+	_ = tb.AddColumn("d", []float64{-0.035, math.Copysign(0, -1), math.NaN(), 1e-7})
+	var buf strings.Builder
+	if err := tb.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "round,h,d\n" +
+		"0,5.25,-0.035\n" +
+		"1,1e+21,-0\n" +
+		"2,+Inf,NaN\n" +
+		"3,1.234567e+06,1e-07\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteCSV wrote\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -93,17 +141,13 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := tb.AddColumn("b", b); err != nil {
 			return false
 		}
-		var buf strings.Builder
-		if err := tb.WriteCSV(&buf); err != nil {
+		header, rows := readCSV(t, tb)
+		if len(header) != 2 || header[0] != "a" || header[1] != "b" || len(rows) != len(a) {
 			return false
 		}
-		back, err := ReadCSV(strings.NewReader(buf.String()))
-		if err != nil {
-			return false
-		}
-		ra, rb := back.Column("a"), back.Column("b")
 		for i := range a {
-			if !sameFloat(ra[i], a[i]) || !sameFloat(rb[i], b[i]) {
+			if math.Float64bits(rows[i][0]) != math.Float64bits(a[i]) ||
+				math.Float64bits(rows[i][1]) != math.Float64bits(b[i]) {
 				return false
 			}
 		}
@@ -114,16 +158,6 @@ func TestCSVRoundTripProperty(t *testing.T) {
 	}
 }
 
-// sameFloat is exact equality except that any NaN matches any NaN:
-// FormatFloat renders every NaN payload as "NaN" and ParseFloat returns
-// the canonical quiet NaN, so NaN-ness survives the trip, payloads don't.
-func sameFloat(got, want float64) bool {
-	if math.IsNaN(want) {
-		return math.IsNaN(got)
-	}
-	return got == want
-}
-
 func TestCSVRoundTripNonFinite(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0,
 		math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64,
@@ -132,24 +166,23 @@ func TestCSVRoundTripNonFinite(t *testing.T) {
 	if err := tb.AddColumn("v", vals); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	_, rows := readCSV(t, tb)
+	if len(rows) != len(vals) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(vals))
 	}
-	back, err := ReadCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := back.Column("v")
+	// FormatFloat renders every NaN payload as "NaN" and ParseFloat
+	// returns the canonical quiet NaN, so NaN-ness survives the trip,
+	// payloads don't. Every other value survives bit-exactly.
 	for i, want := range vals {
-		if !sameFloat(got[i], want) {
-			t.Errorf("v[%d] round-tripped to %v (bits %#x), want %v", i, got[i], math.Float64bits(got[i]), want)
+		got := rows[i][0]
+		if math.IsNaN(want) {
+			if !math.IsNaN(got) {
+				t.Errorf("v[%d] round-tripped to %v, want NaN", i, got)
+			}
+			continue
 		}
-	}
-	// ±Inf and signed zero must survive bit-exactly.
-	for _, i := range []int{1, 2, 3, 4} {
-		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-			t.Errorf("v[%d] bits %#x, want %#x", i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("v[%d] bits %#x, want %#x", i, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }
@@ -232,4 +265,88 @@ func TestSortedKeys(t *testing.T) {
 	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
 		t.Fatalf("keys = %v", keys)
 	}
+}
+
+// ReadCSV and the Rows/Column accessors have no production caller (no
+// production path reads a table back); the TestReadCSV tests are their
+// only tests.
+
+// Rows returns the number of rows.
+func (t *Table) Rows() int { return t.rows }
+
+// Column returns a copy of the named column, or nil when absent.
+func (t *Table) Column(name string) []float64 {
+	col, ok := t.columns[name]
+	if !ok {
+		return nil
+	}
+	out := make([]float64, len(col))
+	copy(out, col)
+	return out
+}
+
+// ReadCSV parses a table previously written by WriteCSV (comment lines
+// starting with '#' are skipped). The first non-comment row must be a
+// header: a fully numeric first row is rejected with a "missing header
+// row?" diagnosis instead of silently becoming column names, and
+// duplicate header names fail immediately rather than after the whole
+// file has been parsed.
+func ReadCSV(r io.Reader) (*Table, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var names []string
+	var cols [][]float64
+	line := 0
+	for sc.Scan() {
+		text := strings.TrimSpace(sc.Text())
+		line++
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Split(text, ",")
+		if names == nil {
+			numeric := 0
+			for _, f := range fields {
+				if _, err := strconv.ParseFloat(strings.TrimSpace(f), 64); err == nil {
+					numeric++
+				}
+			}
+			if numeric == len(fields) {
+				return nil, fmt.Errorf("trace: line %d: header row %q is fully numeric — missing header row?", line, text)
+			}
+			seen := make(map[string]bool, len(fields))
+			for i, n := range fields {
+				if seen[n] {
+					return nil, fmt.Errorf("trace: line %d: duplicate column %q in header (field %d)", line, n, i+1)
+				}
+				seen[n] = true
+			}
+			names = fields
+			cols = make([][]float64, len(names))
+			continue
+		}
+		if len(fields) != len(names) {
+			return nil, fmt.Errorf("trace: line %d has %d fields, header has %d", line, len(fields), len(names))
+		}
+		for i, f := range fields {
+			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil {
+				return nil, fmt.Errorf("trace: line %d field %d: %w", line, i, err)
+			}
+			cols[i] = append(cols[i], v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if names == nil {
+		return nil, fmt.Errorf("trace: empty input")
+	}
+	out := NewTable()
+	for i, name := range names {
+		if err := out.AddColumn(name, cols[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -12,8 +12,6 @@
 // engine hand every node its own generator without correlated sequences.
 package xrand
 
-import "math"
-
 // Rand is a deterministic pseudo-random number generator.
 //
 // The zero value is not usable; construct instances with New or Split.
@@ -131,19 +129,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a normally distributed value with mean 0 and standard
-// deviation 1, using the Marsaglia polar method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

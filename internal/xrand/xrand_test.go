@@ -317,3 +317,19 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(1000)
 	}
 }
+
+// NormFloat64 has no production caller; TestNormFloat64Moments is its
+// only test.
+
+// NormFloat64 returns a normally distributed value with mean 0 and standard
+// deviation 1, using the Marsaglia polar method.
+func (r *Rand) NormFloat64() float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}

@@ -361,12 +361,9 @@ func TestDeterminism(t *testing.T) {
 // and liveness sample, not just a final scalar.
 func TestDeterminismFullScenarioMetrics(t *testing.T) {
 	run := func() *scenario.Result {
-		_, res, err := scenario.RunPaper(
+		_, res := runPaper(t,
 			scenario.Config{Seed: 42, W: 20, H: 10, Polystyrene: true, K: 4},
 			scenario.Phases{FailAt: 10, ReinjectAt: 25, End: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	a, b := run(), run()
