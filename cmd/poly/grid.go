@@ -12,12 +12,12 @@ import (
 
 // gridCmd runs a declarative experiment grid: it parses an
 // experiments.json (scenario × size × K × detector × exchange-parallelism
-// × repeats), expands it deterministically, executes every cell under a
-// worker/memory budget with engine pooling, and writes a timestamped
-// results folder (grid.csv, per-cell series, aggregate.csv, paper-ready
-// tables.md). -dry-run prints the expanded grid — cell IDs and derived
-// seeds — without running anything; -analyze re-derives the aggregate
-// outputs from an existing results folder. The paper's Table II, Fig. 10a,
+// × repeats), expands it deterministically, executes every cell on an
+// engine of its own under a worker/memory budget, and writes a
+// timestamped results folder (grid.csv, per-cell series, aggregate.csv,
+// paper-ready tables.md). -dry-run prints the expanded grid — cell IDs
+// and derived seeds — without running anything; -analyze re-derives the
+// aggregate outputs from an existing results folder. The paper's Table II, Fig. 10a,
 // Fig. 10b and churn sweep are specs under scripts/paper/.
 //
 //	poly grid -spec scripts/paper/experiments.json -out results

@@ -2,8 +2,8 @@
 // repo's one sweep harness: an experiments.json describes a grid of
 // (scenario × size × K × detector × exchange-parallelism × repeats), and
 // the package expands it deterministically into cells (splitmix64-derived
-// per-cell seeds via scenario.CellSeed), executes every cell under a
-// runner.Budget on pooled engines, writes per-cell CSVs plus a grid
+// per-cell seeds via scenario.CellSeed), executes every cell on an engine
+// of its own under a runner.Budget, writes per-cell CSVs plus a grid
 // summary into a results folder, and aggregates them into a paper-ready
 // CSV and markdown tables. The paper's Table II, Fig. 10a, Fig. 10b and
 // the sustained-churn sweep are checked-in specs under scripts/paper/,

@@ -364,7 +364,7 @@ func TestReshapeCellIsMeasureReshaping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunCell(c, nil)
+		got, err := RunCell(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func churnCell(t *testing.T, src string) CellResult {
 	if len(cells) != 1 {
 		t.Fatalf("spec expands to %d cells, want 1", len(cells))
 	}
-	r, err := RunCell(cells[0], nil)
+	r, err := RunCell(cells[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,18 +501,18 @@ func TestChurnRateMonotoneDamage(t *testing.T) {
 	}
 }
 
-// TestSmokeGridPooledMatchesFresh is the grid's byte-identity suite: Run
-// on pooled engines — four concurrent cells, and again under a memory
-// budget that fits one cell, so every engine is recycled — folds to
-// exactly what a serial loop of fresh-engine RunCell calls produces, over
-// paper, windowed churn and reshape cells at exchange parallelism 0, 1
-// and 2. CI runs it in the race-enabled determinism steps.
-func TestSmokeGridPooledMatchesFresh(t *testing.T) {
+// TestSmokeGridParallelMatchesSerial is the grid's byte-identity suite:
+// Run with four concurrent cells, and again under a memory budget that
+// fits one cell, folds to exactly what a serial loop of RunCell calls
+// produces, over paper, windowed churn and reshape cells at exchange
+// parallelism 0, 1 and 2. CI runs it in the race-enabled determinism
+// steps.
+func TestSmokeGridParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell grid identity run; exercised by CI's dedicated race step")
 	}
 	spec := parseValid(t, `{
-		"name": "pooled", "seed": 7, "rounds": 24,
+		"name": "parallel", "seed": 7, "rounds": 24,
 		"scenarios": [
 			{"name": "paper", "fail_at": 8, "rejoin_at": 16},
 			{"name": "churn", "rate": 0.02, "fail_at": 4, "rejoin_at": 16},
@@ -521,33 +521,33 @@ func TestSmokeGridPooledMatchesFresh(t *testing.T) {
 		"sizes": [[16, 8]], "ks": [2], "exchange_parallelism": [0, 1, 2]
 	}`)
 	cells := spec.Expand()
-	fresh := make([]CellResult, len(cells))
+	serial := make([]CellResult, len(cells))
 	for i, c := range cells {
-		r, err := RunCell(c, nil)
+		r, err := RunCell(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[i] = r
+		serial[i] = r
 	}
-	if groups, err := AuditDeterminism(fresh); err != nil || groups != 3 {
-		t.Fatalf("fresh audit = (%d, %v), want (3, nil)", groups, err)
+	if groups, err := AuditDeterminism(serial); err != nil || groups != 3 {
+		t.Fatalf("serial audit = (%d, %v), want (3, nil)", groups, err)
 	}
 	oneCell := scenario.Config{W: 16, H: 8, Polystyrene: true, K: 2}.EstimatedFootprintBytes()
 	for _, opts := range []RunOpts{
 		{Parallelism: 4},
 		{Parallelism: 4, MemBudgetBytes: oneCell},
 	} {
-		pooled, err := Run(spec, opts)
+		parallel, err := Run(spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range cells {
-			got, want := pooled[i], fresh[i]
+			got, want := parallel[i], serial[i]
 			if got.Fingerprint != want.Fingerprint ||
 				got.FinalHomogeneity != want.FinalHomogeneity || got.ReferenceH != want.ReferenceH ||
 				got.ShapeHeld != want.ShapeHeld || got.ReliabilityPct != want.ReliabilityPct ||
 				got.ReshapeRounds != want.ReshapeRounds || !reflect.DeepEqual(got.Series, want.Series) {
-				t.Errorf("%+v: pooled %s diverged from the fresh-engine reference", opts, cells[i].ID())
+				t.Errorf("%+v: %s diverged from the serial reference", opts, cells[i].ID())
 			}
 		}
 	}

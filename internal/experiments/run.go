@@ -135,12 +135,8 @@ func BuildSchedule(cell Cell) (*trace.Schedule, error) {
 	return nil, fmt.Errorf("experiments: unknown scenario %q", sp.Name)
 }
 
-// RunCell executes one cell to completion. pool may be nil (a fresh
-// engine, the reference form); with a pool, the cell borrows an engine
-// sized for its grid and parks it back when done — the pooled trajectory
-// is byte-identical to a fresh engine's
-// (TestSmokeGridPooledMatchesFresh).
-func RunCell(cell Cell, pool *scenario.EnginePool) (CellResult, error) {
+// RunCell executes one cell to completion on an engine of its own.
+func RunCell(cell Cell) (CellResult, error) {
 	det, err := ParseDetector(cell.Detector, scenario.CellSeed(cell.Seed, "detector"))
 	if err != nil {
 		return CellResult{}, err
@@ -154,7 +150,6 @@ func RunCell(cell Cell, pool *scenario.EnginePool) (CellResult, error) {
 		Detector:            det,
 		ExchangeParallelism: cell.Exchange,
 	}
-	defer pool.Acquire(&cfg)()
 
 	var sc *scenario.Scenario
 	switch cell.Scenario.Name {
@@ -177,9 +172,7 @@ func RunCell(cell Cell, pool *scenario.EnginePool) (CellResult, error) {
 			return CellResult{}, err
 		}
 	}
-	if cfg.Engine == nil {
-		defer sc.Close()
-	}
+	defer sc.Close()
 
 	out := CellResult{
 		Cell:             cell,
@@ -231,10 +224,9 @@ type RunOpts struct {
 	Progress func(line string)
 }
 
-// Run expands the spec and executes every cell under the given budget,
-// recycling engines across equal-size cells. Results come back in
-// expansion order regardless of scheduling, so a grid run is
-// deterministic at every parallelism level.
+// Run expands the spec and executes every cell under the given budget.
+// Results come back in expansion order regardless of scheduling, so a
+// grid run is deterministic at every parallelism level.
 func Run(spec *Spec, opts RunOpts) ([]CellResult, error) {
 	cells := spec.Expand()
 	results := make([]CellResult, len(cells))
@@ -250,10 +242,8 @@ func Run(spec *Spec, opts RunOpts) ([]CellResult, error) {
 		MemBytes: opts.MemBudgetBytes,
 		JobBytes: maxBytes,
 	}.Split(len(cells))
-	pool := scenario.NewEnginePool()
-	defer pool.Drain()
 	err := runner.Map(par, len(cells), func(i int) error {
-		r, err := RunCell(cells[i], pool)
+		r, err := RunCell(cells[i])
 		if err != nil {
 			return fmt.Errorf("experiments: cell %s: %w", cells[i].ID(), err)
 		}

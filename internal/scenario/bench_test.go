@@ -37,7 +37,7 @@ func BenchmarkMetricsRound(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink += metrics.HomogeneityIndexed(sys, sc.Poly(), sc.Points, sc.PointIDs)
 			sink += metrics.ReliabilityIndexed(sys, sc.Poly(), sc.PointIDs)
-			sink += metrics.Proximity(sys, sc.Cfg.NeighborK)
+			sink += metrics.Proximity(sys, neighborK)
 			sink += metrics.DataPointsPerNode(sys)
 		}
 		_ = sink
@@ -51,7 +51,7 @@ func BenchmarkMetricsRound(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink += metrics.Homogeneity(sys, sc.Points)
 			sink += metrics.Reliability(sys, sc.Points)
-			sink += metrics.Proximity(sys, sc.Cfg.NeighborK)
+			sink += metrics.Proximity(sys, neighborK)
 			sink += metrics.DataPointsPerNode(sys)
 		}
 		_ = sink
@@ -77,7 +77,7 @@ func BenchmarkProximityRound(b *testing.B) {
 		b.ResetTimer()
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += metrics.Proximity(sys, sc.Cfg.NeighborK)
+			sink += metrics.Proximity(sys, neighborK)
 		}
 		_ = sink
 	})

@@ -374,9 +374,7 @@ func ReplayFromCheckpoint(cfg Config, mgr *ckpt.Manager, ph Phases, failRound in
 		return nil, ckpt.Generation{}, err
 	}
 	if err := sc.Restore(bytes.NewReader(data)); err != nil {
-		if cfg.Engine == nil {
-			sc.Close()
-		}
+		sc.Close()
 		return nil, ckpt.Generation{}, fmt.Errorf("restoring %s: %w", g.Name, err)
 	}
 	DrivePhases(sc, ph, failRound)

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
@@ -49,18 +48,15 @@ type ReshapingOutcome struct {
 
 // MeasureReshaping converges a fresh system for convergeRounds, triggers
 // the half-torus catastrophe, and counts the rounds needed for the
-// homogeneity to drop below the reference value (Sec. IV-A). An engine it
-// allocates itself is closed before returning (a supplied cfg.Engine
-// stays open — the pooling caller owns it).
+// homogeneity to drop below the reference value (Sec. IV-A). The engine is
+// closed before returning.
 func MeasureReshaping(cfg Config, convergeRounds, maxRounds int) (ReshapingOutcome, error) {
 	cfg.SkipMetrics = true
 	sc, err := New(cfg)
 	if err != nil {
 		return ReshapingOutcome{}, err
 	}
-	if cfg.Engine == nil {
-		defer sc.Close()
-	}
+	defer sc.Close()
 	sc.Run(convergeRounds)
 	return measureReshapingTail(sc, maxRounds), nil
 }
@@ -115,66 +111,6 @@ func CellSeed(base uint64, label string, parts ...uint64) uint64 {
 	return x
 }
 
-// EnginePool recycles engines across the cells of one experiment grid,
-// keyed by initial node count so equal-size cells reuse fully-sized
-// backing arrays. Concurrent cells each hold a distinct engine; a cell
-// that finds the pool empty gets a fresh engine that joins the pool when
-// it is released. Drain closes every pooled engine (releasing parked
-// exchange workers) once the run has folded its results. A nil
-// *EnginePool means pooling is off: Acquire is a no-op and Drain does
-// nothing, so callers thread one variable either way.
-type EnginePool struct {
-	mu   sync.Mutex
-	free map[int][]*sim.Engine
-}
-
-// NewEnginePool returns an empty pool.
-func NewEnginePool() *EnginePool { return &EnginePool{} }
-
-// Acquire hands cfg a pooled engine (pool == nil means pooling is off and
-// Acquire is a no-op) and returns the release that parks it back.
-func (p *EnginePool) Acquire(cfg *Config) (release func()) {
-	if p == nil {
-		return func() {}
-	}
-	c := cfg.withDefaults()
-	nodes := c.W * c.H
-	p.mu.Lock()
-	var eng *sim.Engine
-	if l := p.free[nodes]; len(l) > 0 {
-		eng = l[len(l)-1]
-		p.free[nodes] = l[:len(l)-1]
-	}
-	p.mu.Unlock()
-	if eng == nil {
-		eng = sim.New(0)
-	}
-	cfg.Engine = eng
-	return func() {
-		p.mu.Lock()
-		if p.free == nil {
-			p.free = make(map[int][]*sim.Engine)
-		}
-		p.free[nodes] = append(p.free[nodes], eng)
-		p.mu.Unlock()
-	}
-}
-
-// Drain closes every parked engine and empties the pool.
-func (p *EnginePool) Drain() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, l := range p.free {
-		for _, e := range l {
-			e.Close()
-		}
-	}
-	p.free = nil
-}
-
 // NodeSnapshot is the rendered state of one node (Figs. 1, 8, 9). The
 // Neighbors slices of one Snapshot call share a single backing array —
 // read them freely (as the viz renderers do), but do not append to them.
@@ -184,18 +120,18 @@ type NodeSnapshot struct {
 	Neighbors []sim.NodeID
 }
 
-// Snapshot captures every live node's position and its NeighborK closest
+// Snapshot captures every live node's position and its neighborK closest
 // overlay neighbours for rendering. All neighbour lists append into one
-// exact-capacity backing array (at most NeighborK entries per live node),
+// exact-capacity backing array (at most neighborK entries per live node),
 // so a snapshot costs two allocations plus the cloned positions instead
 // of one slice per node.
 func (sc *Scenario) Snapshot() []NodeSnapshot {
 	live := sc.Engine.LiveIDs()
 	out := make([]NodeSnapshot, 0, len(live))
-	nbrs := make([]sim.NodeID, 0, len(live)*sc.Cfg.NeighborK)
+	nbrs := make([]sim.NodeID, 0, len(live)*neighborK)
 	for _, id := range live {
 		start := len(nbrs)
-		nbrs = sc.topo.AppendNeighbors(nbrs, id, sc.Cfg.NeighborK)
+		nbrs = sc.topo.AppendNeighbors(nbrs, id, neighborK)
 		out = append(out, NodeSnapshot{
 			ID:        id,
 			Pos:       sc.Position(id).Clone(),

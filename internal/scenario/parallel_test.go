@@ -11,16 +11,13 @@ import (
 )
 
 // paperRun executes a compressed 3-phase paper scenario and returns its
-// full per-round metric record plus the final reliability. Scenarios it
-// owns are closed (their exchange workers released); a caller-supplied
-// cfg.Engine stays open for reuse.
+// full per-round metric record plus the final reliability, closing the
+// scenario (its exchange workers released).
 func paperRun(t *testing.T, cfg Config) (*Result, float64) {
 	t.Helper()
 	sc, res := runPaper(t, cfg, Phases{FailAt: 8, ReinjectAt: 20, End: 32})
 	rel := sc.Reliability()
-	if cfg.Engine == nil {
-		sc.Close()
-	}
+	sc.Close()
 	return res, rel
 }
 

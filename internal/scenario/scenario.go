@@ -24,17 +24,15 @@ import (
 	"polystyrene/internal/shape"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
-	"polystyrene/internal/tman"
 )
 
 // Config describes one experiment.
 type Config struct {
 	// Seed makes the run reproducible.
 	Seed uint64
-	// W, H are the torus grid dimensions (N = W*H nodes); zero means the
-	// paper's 80x40. Step is the grid step (zero means 1).
+	// W, H are the torus grid dimensions (N = W*H nodes, one per unit
+	// grid cell); zero means the paper's 80x40.
 	W, H int
-	Step float64
 	// Polystyrene selects the full stack; false runs plain T-Man.
 	Polystyrene bool
 	// K is the replication factor (Polystyrene only).
@@ -52,12 +50,6 @@ type Config struct {
 	// (default, the paper's host) or "vicinity" (the alternative host
 	// named in the paper's Fig. 3).
 	Overlay string
-	// TMan overrides T-Man parameters; zero fields take paper defaults.
-	// Ignored when Overlay is "vicinity".
-	TMan tman.Config
-	// NeighborK is the neighbourhood size used by the proximity metric
-	// and snapshots ("we represent the 4 closest nodes", Sec. IV-A).
-	NeighborK int
 	// SkipMetrics disables per-round metric collection (for sweeps that
 	// only need the final state or reshaping time).
 	SkipMetrics bool
@@ -67,14 +59,15 @@ type Config struct {
 	// knob only); 0 keeps the legacy sequential engine, whose trajectory
 	// differs. See sim.SetExchangeParallelism.
 	ExchangeParallelism int
-	// Engine, when non-nil, is reused via sim.Engine.Reset(Seed, layers)
-	// instead of allocating a fresh engine — the pooled-cell path of the
-	// experiment grid, which recycles one engine across cells of equal
-	// size. A reset engine's trajectory is byte-identical to a fresh
-	// one's. The caller keeps ownership: Close is never called on a
-	// supplied engine.
-	Engine *sim.Engine
 }
+
+const (
+	// gridStep is the spacing of the torus grid's nodes.
+	gridStep = 1.0
+	// neighborK is the neighbourhood size used by the proximity metric
+	// and snapshots ("we represent the 4 closest nodes", Sec. IV-A).
+	neighborK = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.W == 0 {
@@ -83,17 +76,11 @@ func (c Config) withDefaults() Config {
 	if c.H == 0 {
 		c.H = 40
 	}
-	if c.Step == 0 {
-		c.Step = 1
-	}
 	if c.K == 0 {
 		c.K = core.DefaultK
 	}
 	if c.Split == 0 {
 		c.Split = core.SplitAdvanced
-	}
-	if c.NeighborK == 0 {
-		c.NeighborK = 4
 	}
 	return c
 }
@@ -130,11 +117,11 @@ func New(cfg Config) (*Scenario, error) {
 	cfg = cfg.withDefaults()
 	sc := &Scenario{
 		Cfg:      cfg,
-		Space:    space.TorusForGrid(cfg.W, cfg.H, cfg.Step),
+		Space:    space.TorusForGrid(cfg.W, cfg.H, gridStep),
 		fixedPos: make(map[sim.NodeID]space.Point),
 		result:   &Result{},
 	}
-	st, err := NewStack(cfg, sc.Space, shape.Grid(cfg.W, cfg.H, cfg.Step), sc.joinPosition)
+	st, err := NewStack(cfg, sc.Space, shape.Grid(cfg.W, cfg.H, gridStep), sc.joinPosition)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +161,7 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 	n := len(sc.Points)
 	cell := ((2*idx)%n + (2 * idx / n)) % n
 	base := sc.Points[cell]
-	half := sc.Cfg.Step / 2
+	const half = gridStep / 2
 	return sc.Space.Wrap(space.Point{base[0] + half, base[1] + half})
 }
 
@@ -225,7 +212,7 @@ func (c Config) EstimatedFootprintBytes() int64 {
 // half of the torus — the catastrophic correlated failure of Fig. 1 and
 // phase 2. It returns the number of crashed nodes.
 func (sc *Scenario) FailRightHalf() int {
-	w := float64(sc.Cfg.W) * sc.Cfg.Step
+	w := float64(sc.Cfg.W) * gridStep
 	return sc.FailRegion(func(p space.Point) bool { return space.RightHalf(p, w) })
 }
 
@@ -249,7 +236,7 @@ func (sc *Scenario) Reinject(n int) []sim.NodeID {
 func (sc *Scenario) record(e *sim.Engine, round int) {
 	r := sc.result
 	r.Homogeneity = append(r.Homogeneity, sc.Homogeneity())
-	r.Proximity = append(r.Proximity, metrics.Proximity(sc.sys, sc.Cfg.NeighborK))
+	r.Proximity = append(r.Proximity, metrics.Proximity(sc.sys, neighborK))
 	r.DataPoints = append(r.DataPoints, metrics.DataPointsPerNode(sc.sys))
 	r.MsgCost = append(r.MsgCost, metrics.MessageCostPerNode(e, round))
 	r.LiveNodes = append(r.LiveNodes, e.NumLive())

@@ -30,7 +30,7 @@ func runPaper(t *testing.T, cfg Config, ph Phases) (*Scenario, *Result) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.W != 80 || cfg.H != 40 || cfg.Step != 1 || cfg.K != core.DefaultK || cfg.NeighborK != 4 {
+	if cfg.W != 80 || cfg.H != 40 || cfg.K != core.DefaultK || cfg.Split != core.SplitAdvanced {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

@@ -29,9 +29,7 @@ func RunSchedule(cfg Config, sched *trace.Schedule, rounds int) (*Scenario, *Res
 		return nil, nil, err
 	}
 	if err := DriveSchedule(sc, sched, rounds); err != nil {
-		if cfg.Engine == nil {
-			sc.Close()
-		}
+		sc.Close()
 		return nil, nil, err
 	}
 	return sc, sc.Result(), nil

@@ -12,8 +12,8 @@ import (
 
 // replaySchedule returns the canonical test trace: uniform churn with
 // replacement on the 16x8 grid — joins and leaves nearly every round, so
-// every replay path (parallel exchanges, pooled engines, checkpoint
-// resume) exercises both event kinds repeatedly.
+// every replay path (parallel exchanges, checkpoint resume) exercises both
+// event kinds repeatedly.
 func replaySchedule(t *testing.T, rounds int) *trace.Schedule {
 	t.Helper()
 	sched, err := trace.UniformChurn(16*8, rounds, 0.05, true, 1234)
@@ -63,9 +63,7 @@ func runReplay(t *testing.T, cfg Config, sched *trace.Schedule, rounds int) *Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Engine == nil {
-		defer sc.Close()
-	}
+	sc.Close()
 	return res
 }
 
@@ -102,39 +100,6 @@ func TestScheduleReplayGolden(t *testing.T) {
 		if got := resultFingerprint(res); got != want {
 			t.Errorf("w=%d: replay fingerprint %#016x, want %#016x", w, got, want)
 		}
-	}
-}
-
-// TestScheduleReplayPooledIdentity: a replay on a pooled, Reset engine —
-// dirtied by a prior run of a different seed — is byte-identical to one
-// on a fresh engine.
-func TestScheduleReplayPooledIdentity(t *testing.T) {
-	const rounds = 30
-	sched := replaySchedule(t, rounds)
-	fresh := runReplay(t, replayConfig(2), sched, rounds)
-
-	pool := NewEnginePool()
-	defer pool.Drain()
-	dirty := replayConfig(2)
-	dirty.Seed = 999
-	rel := pool.Acquire(&dirty)
-	sc, _, err := RunSchedule(dirty, sched, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sc
-	rel()
-
-	cfg := replayConfig(2)
-	rel = pool.Acquire(&cfg)
-	if cfg.Engine == nil {
-		t.Fatal("pool did not hand back the dirtied engine")
-	}
-	pooled := runReplay(t, cfg, sched, rounds)
-	rel()
-	if !reflect.DeepEqual(fresh, pooled) {
-		t.Errorf("pooled replay diverged from fresh engine: fp %016x vs %016x",
-			resultFingerprint(pooled), resultFingerprint(fresh))
 	}
 }
 

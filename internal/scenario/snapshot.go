@@ -65,10 +65,10 @@ func digestOf(cfg Config) configDigest {
 		overlay = "tman"
 	}
 	return configDigest{
-		w: cfg.W, h: cfg.H, step: cfg.Step,
+		w: cfg.W, h: cfg.H, step: gridStep,
 		polystyrene: cfg.Polystyrene, overlay: overlay,
 		k: cfg.K, split: int(cfg.Split), placement: int(cfg.Placement),
-		fullCopyBackup: cfg.FullCopyBackup, neighborK: cfg.NeighborK,
+		fullCopyBackup: cfg.FullCopyBackup, neighborK: neighborK,
 		detector: detectorIdentity(cfg.Detector),
 		shards:   1,
 	}
@@ -206,36 +206,22 @@ func readFloats(r *snap.Reader) []float64 {
 	return s
 }
 
-// restoreWarm wires cfg, restores the shared converged snapshot into it
-// and forks the cell's own trajectory by reseeding the engine generator
-// from cfg.Seed — every warm cell continues from the same topology but
-// diverges randomly, mirroring how cold cells differ only by seed.
-func restoreWarm(cfg Config, snapshot []byte) (*Scenario, error) {
-	sc, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.Restore(bytes.NewReader(snapshot)); err != nil {
-		if cfg.Engine == nil {
-			sc.Close()
-		}
-		return nil, err
-	}
-	sc.Engine.Rand().Reseed(cfg.Seed)
-	return sc, nil
-}
-
 // MeasureReshapingFrom is MeasureReshaping with the convergence phase
 // replaced by restoring snapshot: the SnapshotTo output of an equivalent
-// configuration that has already converged.
+// configuration that has already converged. Reseeding the engine
+// generator from cfg.Seed forks the cell's own trajectory: every warm cell
+// continues from the same topology but diverges randomly, mirroring how
+// cold cells differ only by seed.
 func MeasureReshapingFrom(cfg Config, snapshot []byte, maxRounds int) (ReshapingOutcome, error) {
 	cfg.SkipMetrics = true
-	sc, err := restoreWarm(cfg, snapshot)
+	sc, err := New(cfg)
 	if err != nil {
 		return ReshapingOutcome{}, err
 	}
-	if cfg.Engine == nil {
-		defer sc.Close()
+	defer sc.Close()
+	if err := sc.Restore(bytes.NewReader(snapshot)); err != nil {
+		return ReshapingOutcome{}, err
 	}
+	sc.Engine.Rand().Reseed(cfg.Seed)
 	return measureReshapingTail(sc, maxRounds), nil
 }

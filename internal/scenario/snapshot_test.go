@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"polystyrene/internal/fd"
-	"polystyrene/internal/sim"
 )
 
 // snapPhases is the compressed paper schedule the snapshot tests run
@@ -18,10 +17,9 @@ var snapPhases = Phases{FailAt: 8, ReinjectAt: 20, End: 32}
 
 // interruptedRun replicates the snapPhases schedule but checkpoints at
 // stopAt rounds, restores the checkpoint into a freshly wired scenario
-// (or one wired over restoreInto, e.g. a pooled engine) and finishes the
-// schedule there. The returned record must be byte-identical to an
-// uninterrupted run's.
-func interruptedRun(t *testing.T, cfg Config, stopAt int, restoreInto *sim.Engine) (*Result, float64) {
+// and finishes the schedule there. The returned record must be
+// byte-identical to an uninterrupted run's.
+func interruptedRun(t *testing.T, cfg Config, stopAt int) (*Result, float64) {
 	t.Helper()
 	run := func(sc *Scenario, from, to int) {
 		for r := from; r < to; r++ {
@@ -42,12 +40,8 @@ func interruptedRun(t *testing.T, cfg Config, stopAt int, restoreInto *sim.Engin
 	}
 	first.Close()
 
-	resumedCfg := cfg
-	resumedCfg.Engine = restoreInto
-	resumed := MustNew(resumedCfg)
-	if restoreInto == nil {
-		defer resumed.Close()
-	}
+	resumed := MustNew(cfg)
+	defer resumed.Close()
 	if err := resumed.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -88,7 +82,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 				if tc.name == "delayedfd/w2" {
 					cfg.Detector = fd.NewDelayed(2)
 				}
-				res, rel := interruptedRun(t, cfg, stopAt, nil)
+				res, rel := interruptedRun(t, cfg, stopAt)
 				if !reflect.DeepEqual(res, refRes) {
 					t.Errorf("stopAt=%d: resumed metric record diverged from uninterrupted run", stopAt)
 				}
@@ -97,33 +91,6 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSnapshotRestoreIntoPooledReset pins restore composing with engine
-// pooling: restoring a checkpoint into an engine that already ran a
-// different experiment (and was recycled via Config.Engine → Reset)
-// continues byte-identically to restoring into a fresh engine.
-func TestSnapshotRestoreIntoPooledReset(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		cfg := Config{Seed: 23, W: 16, H: 8, Polystyrene: true, ExchangeParallelism: workers}
-		refRes, refRel := paperRun(t, cfg)
-
-		eng := sim.New(0)
-		defer eng.Close()
-		dirty := cfg
-		dirty.Seed = 99
-		dirty.ExchangeParallelism = 3 - workers
-		dirty.Engine = eng
-		paperRun(t, dirty)
-
-		res, rel := interruptedRun(t, cfg, 14, eng)
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("workers=%d: restore-into-Reset record diverged from fresh run", workers)
-		}
-		if rel != refRel {
-			t.Errorf("workers=%d: restore-into-Reset reliability %v, want %v", workers, rel, refRel)
-		}
 	}
 }
 
@@ -279,8 +246,7 @@ func TestRestoredRoundAllocs(t *testing.T) {
 
 // TestWarmStartedSweeps pins the warm-start path the repo benchmark's
 // reshaping cells take: MeasureReshapingFrom over one ConvergedSnapshot is
-// deterministic, and an engine recycled through an EnginePool reproduces
-// the fresh engine's outcome — sequentially and under exchange batching.
+// deterministic, sequentially and under exchange batching.
 func TestWarmStartedSweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell warm-start run; exercised by CI's dedicated race step")
@@ -298,7 +264,6 @@ func TestWarmStartedSweeps(t *testing.T) {
 		if !bytes.Equal(again, warm) {
 			t.Fatalf("workers=%d: ConvergedSnapshot is not deterministic", workers)
 		}
-		pool := NewEnginePool()
 		for rep := 0; rep < 2; rep++ {
 			cfg := base
 			cfg.Seed = CellSeed(base.Seed, "warm", uint64(rep))
@@ -312,15 +277,7 @@ func TestWarmStartedSweeps(t *testing.T) {
 			if out, err := MeasureReshapingFrom(cfg, warm, 30); err != nil || out != ref {
 				t.Errorf("workers=%d rep=%d: warm-started outcome not deterministic: %+v vs %+v (err %v)", workers, rep, out, ref, err)
 			}
-			pooled := cfg
-			release := pool.Acquire(&pooled)
-			out, err := MeasureReshapingFrom(pooled, warm, 30)
-			release()
-			if err != nil || out != ref {
-				t.Errorf("workers=%d rep=%d: pooled-engine outcome %+v diverged from fresh %+v (err %v)", workers, rep, out, ref, err)
-			}
 		}
-		pool.Drain()
 	}
 }
 
@@ -388,17 +345,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // returns the serialized checkpoint — the "pay convergence once" half of
 // a warm-started measurement (MeasureReshapingFrom). Metrics recording is
 // disabled for the converge run; warm-started cells measure from their
-// own restored state. A pooled cfg.Engine is honoured and left open for
-// its owner.
+// own restored state.
 func ConvergedSnapshot(cfg Config, convergeRounds int) ([]byte, error) {
 	cfg.SkipMetrics = true
 	sc, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine == nil {
-		defer sc.Close()
-	}
+	defer sc.Close()
 	sc.Run(convergeRounds)
 	var buf bytes.Buffer
 	if err := sc.SnapshotTo(&buf); err != nil {

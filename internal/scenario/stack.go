@@ -60,8 +60,8 @@ type topology interface {
 // Polystyrene that node joins empty-handed there, under the baseline it
 // stays fixed there. Of cfg, NewStack reads the layer and engine knobs
 // (Seed, Polystyrene, K, Split, Detector, Placement, FullCopyBackup,
-// Overlay, TMan, ExchangeParallelism, Engine); the grid size and metric
-// settings belong to the owner.
+// Overlay, ExchangeParallelism); the grid size and metric settings belong
+// to the owner. T-Man runs with the paper's defaults.
 func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.NodeID) space.Point) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	s := &Stack{
@@ -78,11 +78,7 @@ func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.N
 
 	switch cfg.Overlay {
 	case "", "tman":
-		tmCfg := cfg.TMan
-		tmCfg.Space = spc
-		tmCfg.Sampler = s.sampler
-		tmCfg.Position = s.Position
-		tm, err := tman.New(tmCfg)
+		tm, err := tman.New(tman.Config{Space: spc, Sampler: s.sampler, Position: s.Position})
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
@@ -122,12 +118,7 @@ func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.N
 		layers = append(layers, poly)
 	}
 
-	if cfg.Engine != nil {
-		cfg.Engine.Reset(cfg.Seed, layers...)
-		s.Engine = cfg.Engine
-	} else {
-		s.Engine = sim.New(cfg.Seed, layers...)
-	}
+	s.Engine = sim.New(cfg.Seed, layers...)
 	s.Engine.SetExchangeParallelism(cfg.ExchangeParallelism)
 	s.Engine.AddNodes(len(points))
 	return s, nil

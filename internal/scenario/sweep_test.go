@@ -24,10 +24,9 @@ func (c sweepCell) config() Config {
 	}
 }
 
-// runSweep measures every cell with at most par cells in flight, each on
-// an engine borrowed from pool (nil: a fresh engine per cell), and folds
+// runSweep measures every cell with at most par cells in flight and folds
 // the outcomes in cell order. peak is the most cells seen in flight at once.
-func runSweep(t *testing.T, cells []sweepCell, par int, pool *EnginePool) (outs []ReshapingOutcome, peak int) {
+func runSweep(t *testing.T, cells []sweepCell, par int) (outs []ReshapingOutcome, peak int) {
 	t.Helper()
 	outs = make([]ReshapingOutcome, len(cells))
 	var mu sync.Mutex
@@ -42,9 +41,7 @@ func runSweep(t *testing.T, cells []sweepCell, par int, pool *EnginePool) (outs 
 			inFlight--
 			mu.Unlock()
 		}()
-		cfg := cells[i].config()
-		defer pool.Acquire(&cfg)()
-		o, err := MeasureReshaping(cfg, 8, 30)
+		o, err := MeasureReshaping(cells[i].config(), 8, 30)
 		outs[i] = o
 		return err
 	})
@@ -65,11 +62,10 @@ func sameOutcomes(t *testing.T, what string, cells []sweepCell, got, want []Resh
 	}
 }
 
-// TestPooledSweepByteIdentical pins engine recycling across a sweep:
-// cells of two sizes and two replication factors, run on engines borrowed
-// from one EnginePool — serially, concurrently, and again on the engines
-// the first passes parked — reproduce the fresh-engine outcomes exactly.
-func TestPooledSweepByteIdentical(t *testing.T) {
+// TestSweepParallelMatchesSerial pins that concurrent cells share no
+// state: cells of two sizes and two replication factors, run three at a
+// time, twice over, reproduce the serial outcomes exactly.
+func TestSweepParallelMatchesSerial(t *testing.T) {
 	var cells []sweepCell
 	for _, size := range [][2]int{{16, 8}, {20, 10}} {
 		for _, k := range []int{2, 4} {
@@ -78,21 +74,16 @@ func TestPooledSweepByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	fresh, _ := runSweep(t, cells, 1, nil)
-	pool := NewEnginePool()
-	defer pool.Drain()
-	serial, _ := runSweep(t, cells, 1, pool)
-	sameOutcomes(t, "pooled serial", cells, serial, fresh)
+	serial, _ := runSweep(t, cells, 1)
 	for pass := 0; pass < 2; pass++ {
-		par, _ := runSweep(t, cells, 3, pool)
-		sameOutcomes(t, "pooled parallel", cells, par, fresh)
+		par, _ := runSweep(t, cells, 3)
+		sameOutcomes(t, "parallel", cells, par, serial)
 	}
 }
 
 // TestRunOptsComposeExchangeParallelism pins that job parallelism composes
-// with exchange parallelism: pooled cells at exchange levels 1, 2 and 4,
-// three in flight at once, each reproduce the serial fresh-engine outcome
-// at level 1 — the engine's contract that levels >= 1 share one
+// with exchange parallelism: cells at exchange levels 1, 2 and 4, three
+// in flight at once, each reproduce the serial outcome at level 1 — the engine's contract that levels >= 1 share one
 // trajectory — and sequential (level 0) cells reproduce their own serial
 // reference under the same fan-out.
 func TestRunOptsComposeExchangeParallelism(t *testing.T) {
@@ -105,10 +96,8 @@ func TestRunOptsComposeExchangeParallelism(t *testing.T) {
 			}
 		}
 	}
-	want, _ := runSweep(t, refCells, 1, nil)
-	pool := NewEnginePool()
-	defer pool.Drain()
-	got, peak := runSweep(t, cells, 3, pool)
+	want, _ := runSweep(t, refCells, 1)
+	got, peak := runSweep(t, cells, 3)
 	sameOutcomes(t, "composed", cells, got, want)
 	if peak > 3 {
 		t.Errorf("%d cells in flight, job budget 3", peak)
@@ -119,7 +108,7 @@ func TestRunOptsComposeExchangeParallelism(t *testing.T) {
 // a budget of two and a half cells' estimated footprint caps an
 // eight-worker fan-out at two cells in flight (one cell when the budget
 // is below one footprint), and the bounded sweep's outcomes equal the
-// serial fresh-engine ones.
+// serial ones.
 func TestRunOptsMemBudgetBoundsParallelism(t *testing.T) {
 	var cells []sweepCell
 	for _, k := range []int{2, 4} {
@@ -138,10 +127,8 @@ func TestRunOptsMemBudgetBoundsParallelism(t *testing.T) {
 	if par != 2 {
 		t.Fatalf("budget of 2.5 cells allows %d cells in flight, want 2", par)
 	}
-	want, _ := runSweep(t, cells, 1, nil)
-	pool := NewEnginePool()
-	defer pool.Drain()
-	got, peak := runSweep(t, cells, par, pool)
+	want, _ := runSweep(t, cells, 1)
+	got, peak := runSweep(t, cells, par)
 	sameOutcomes(t, "memory-bounded", cells, got, want)
 	if peak > par {
 		t.Errorf("%d cells in flight under a %d-cell memory budget", peak, par)

@@ -49,18 +49,14 @@ func goldenRun() uint64 {
 	top := &gossipish{name: "top", trace: trace}
 	e := New(0xdecafbad, bottom, top)
 	e.AddNodes(64)
-	if err := e.ScheduleAt(2, func(e *Engine) {
-		for id := NodeID(20); id < 40; id++ {
-			e.Kill(id)
-		}
-	}); err != nil {
-		panic(err)
-	}
-	if err := e.ScheduleAt(5, func(e *Engine) { e.AddNodes(8) }); err != nil {
-		panic(err)
-	}
 	e.Observe(func(e *Engine, round int) { trace.add(uint64(e.NumLive())) })
-	e.RunRounds(10)
+	e.RunRounds(2)
+	for id := NodeID(20); id < 40; id++ {
+		e.Kill(id)
+	}
+	e.RunRounds(3)
+	e.AddNodes(8)
+	e.RunRounds(5)
 
 	for _, id := range e.LiveIDs() {
 		trace.add(uint64(id))

@@ -31,9 +31,9 @@ package sim
 //
 // The worker pool is persistent: SetExchangeParallelism(n) keeps n-1 pool
 // goroutines (the engine goroutine itself executes as worker slot 0)
-// parked on per-worker wake channels across batches, rounds and even
-// Engine.Reset, so dispatching a batch costs a few channel operations
-// instead of goroutine spawns. Batches smaller than twice the worker
+// parked on per-worker wake channels across batches and rounds, so
+// dispatching a batch costs a few channel operations instead of goroutine
+// spawns. Batches smaller than twice the worker
 // count — the tail of a round, where the greedy matcher is down to a
 // handful of conflicting stragglers — run inline on slot 0 and skip the
 // dispatch entirely; because admitted steps are node-disjoint and

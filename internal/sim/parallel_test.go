@@ -138,19 +138,15 @@ func runPairSim(t *testing.T, workers int) (*pairProto, *Engine) {
 	e := New(0xfeedbeef, proto)
 	e.SetExchangeParallelism(workers)
 	e.AddNodes(300)
-	if err := e.ScheduleAt(3, func(e *Engine) {
-		for id := NodeID(40); id < 190; id++ {
-			e.Kill(id)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ScheduleAt(6, func(e *Engine) { e.AddNodes(75) }); err != nil {
-		t.Fatal(err)
-	}
 	observeExactlyOnce(t, e, proto)
 	t.Cleanup(e.Close)
-	e.RunRounds(10)
+	e.RunRounds(3)
+	for id := NodeID(40); id < 190; id++ {
+		e.Kill(id)
+	}
+	e.RunRounds(3)
+	e.AddNodes(75)
+	e.RunRounds(4)
 	return proto, e
 }
 

@@ -8,27 +8,39 @@ import (
 	"polystyrene/internal/xrand"
 )
 
-// churnyPairSim assembles the scripted churny run of runPairSim without
-// executing it, so tests can drive rounds and resize the pool themselves.
-func churnyPairSim(t testing.TB, seed uint64, nodes, workers int) (*pairProto, *Engine) {
+// churnySim is the scripted churny run of runPairSim, assembled but not
+// executed, so tests can drive rounds and resize the pool themselves.
+type churnySim struct {
+	e     *Engine
+	proto *pairProto
+	nodes int
+}
+
+func churnyPairSim(t testing.TB, seed uint64, nodes, workers int) *churnySim {
 	t.Helper()
 	proto := newPairProto("pairs", func(format string, args ...any) { t.Errorf(format, args...) })
 	e := New(seed, proto)
 	e.SetExchangeParallelism(workers)
 	e.AddNodes(nodes)
-	if err := e.ScheduleAt(3, func(e *Engine) {
-		for id := NodeID(nodes / 8); id < NodeID(nodes*5/8); id++ {
-			e.Kill(id)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ScheduleAt(6, func(e *Engine) { e.AddNodes(nodes / 4) }); err != nil {
-		t.Fatal(err)
-	}
 	observeExactlyOnce(t, e, proto)
 	t.Cleanup(e.Close)
-	return proto, e
+	return &churnySim{e: e, proto: proto, nodes: nodes}
+}
+
+// run executes n rounds of the script: before round 3 it kills nodes
+// [nodes/8, nodes*5/8), and before round 6 it adds nodes/4 fresh ones.
+func (c *churnySim) run(n int) {
+	for ; n > 0; n-- {
+		switch c.e.Round() {
+		case 3:
+			for id := NodeID(c.nodes / 8); id < NodeID(c.nodes*5/8); id++ {
+				c.e.Kill(id)
+			}
+		case 6:
+			c.e.AddNodes(c.nodes / 4)
+		}
+		c.e.RunRounds(1)
+	}
 }
 
 // waitGoroutines retries until the process goroutine count settles at
@@ -78,19 +90,20 @@ func settledGoroutines(t *testing.T) int {
 // leak, asserted via runtime.NumGoroutine deltas.
 func TestWorkerPoolLifecycle(t *testing.T) {
 	base := settledGoroutines(t)
-	_, e := churnyPairSim(t, 0xfeedbeef, 240, 6)
+	c := churnyPairSim(t, 0xfeedbeef, 240, 6)
+	e := c.e
 	waitGoroutines(t, base+5)
 
-	e.RunRounds(4)
+	c.run(4)
 	waitGoroutines(t, base+5) // parked between rounds, not respawned
 
 	e.SetExchangeParallelism(2)
 	waitGoroutines(t, base+1)
-	e.RunRounds(2)
+	c.run(2)
 
 	e.SetExchangeParallelism(8)
 	waitGoroutines(t, base+7)
-	e.RunRounds(2)
+	c.run(2)
 
 	e.Close()
 	waitGoroutines(t, base)
@@ -98,13 +111,13 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 	waitGoroutines(t, base)
 
 	// A closed engine stays usable: batched passes execute inline.
-	e.RunRounds(2)
+	c.run(2)
 	waitGoroutines(t, base)
 
 	// And re-configuring re-spawns a fresh pool.
 	e.SetExchangeParallelism(3)
 	waitGoroutines(t, base+2)
-	e.RunRounds(1)
+	c.run(1)
 }
 
 // TestWorkerPoolResizeMidRunByteIdentical pins that resizing the pool
@@ -112,23 +125,22 @@ func TestWorkerPoolLifecycle(t *testing.T) {
 // the trajectory byte-identical to a constant-worker run: the partition
 // and the pre-split randomness never depend on the pool size.
 func TestWorkerPoolResizeMidRunByteIdentical(t *testing.T) {
-	protoRef, eRef := churnyPairSim(t, 0xfeedbeef, 240, 1)
-	eRef.RunRounds(10)
-	ref := protoRef.fingerprint()
+	ref := churnyPairSim(t, 0xfeedbeef, 240, 1)
+	ref.run(10)
 
 	schedule := map[int]int{1: 4, 3: 2, 5: 8, 7: 1, 8: 3}
-	proto, e := churnyPairSim(t, 0xfeedbeef, 240, 2)
-	e.Observe(func(e *Engine, round int) {
+	c := churnyPairSim(t, 0xfeedbeef, 240, 2)
+	c.e.Observe(func(e *Engine, round int) {
 		if w, ok := schedule[round]; ok {
 			e.SetExchangeParallelism(w)
 		}
 	})
-	e.RunRounds(10)
-	if got := proto.fingerprint(); got != ref {
-		t.Errorf("resized run fingerprint %#x, want %#x", got, ref)
+	c.run(10)
+	if got, want := c.proto.fingerprint(), ref.proto.fingerprint(); got != want {
+		t.Errorf("resized run fingerprint %#x, want %#x", got, want)
 	}
 	for r := 0; r < 10; r++ {
-		if got, want := e.Meter().RoundCost("pairs", r), eRef.Meter().RoundCost("pairs", r); got != want {
+		if got, want := c.e.Meter().RoundCost("pairs", r), ref.e.Meter().RoundCost("pairs", r); got != want {
 			t.Errorf("round %d: cost %d, want %d", r, got, want)
 		}
 	}
@@ -140,9 +152,9 @@ func TestWorkerPoolResizeMidRunByteIdentical(t *testing.T) {
 // count are dispatched to the pool, and the fingerprint is the same.
 func TestChurnyPoolWorkerCountByteIdentical(t *testing.T) {
 	run := func(workers int) uint64 {
-		proto, e := churnyPairSim(t, 0xabcdef99, 300, workers)
-		e.RunRounds(10)
-		return proto.fingerprint()
+		c := churnyPairSim(t, 0xabcdef99, 300, workers)
+		c.run(10)
+		return c.proto.fingerprint()
 	}
 	ref := run(1)
 	for _, workers := range []int{2, 3, 4} {
@@ -250,18 +262,14 @@ func FuzzBatchCoalesce(f *testing.F) {
 			defer e.Close()
 			e.AddNodes(n)
 			kills := int(churn) % n
-			if err := e.ScheduleAt(2, func(e *Engine) {
-				for id := NodeID(0); id < NodeID(kills); id++ {
-					e.Kill(id)
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.ScheduleAt(4, func(e *Engine) { e.AddNodes(kills / 2) }); err != nil {
-				t.Fatal(err)
-			}
 			observeExactlyOnce(t, e, proto)
-			e.RunRounds(6)
+			e.RunRounds(2)
+			for id := NodeID(0); id < NodeID(kills); id++ {
+				e.Kill(id)
+			}
+			e.RunRounds(2)
+			e.AddNodes(kills / 2)
+			e.RunRounds(2)
 			return proto.fingerprint(), e.Meter().TotalCost("pairs")
 		}
 		refFp, refCost := run(1)

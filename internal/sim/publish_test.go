@@ -41,7 +41,7 @@ func TestPublishHookRunsAfterObservers(t *testing.T) {
 	}
 }
 
-func TestPublishHookClearedByReset(t *testing.T) {
+func TestPublishHookClearedByNil(t *testing.T) {
 	e := New(1, noopLayer{name: "noop"})
 	e.AddNodes(2)
 	fired := 0
@@ -50,14 +50,6 @@ func TestPublishHookClearedByReset(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("hook fired %d times, want 2", fired)
 	}
-	e.Reset(1, noopLayer{name: "noop"})
-	e.AddNodes(2)
-	e.RunRounds(2)
-	if fired != 2 {
-		t.Fatalf("hook survived Reset: fired %d times, want 2", fired)
-	}
-	// And nil explicitly clears it too.
-	e.SetPublishHook(func(e *Engine, round int) { fired++ })
 	e.SetPublishHook(nil)
 	e.RunRounds(1)
 	if fired != 2 {

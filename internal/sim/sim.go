@@ -2,10 +2,10 @@
 // runs on. It is our substitute for PeerSim (Montresor & Jelasity, P2P'09),
 // which the paper used: protocols are layered, the engine steps every live
 // node once per layer per round (in a random order drawn fresh each round),
-// events such as catastrophic failures and node reinjection are scheduled
-// at specific rounds, and a cost meter records the communication units each
-// layer spends, using the paper's unit model (1 node ID = 1 coordinate = 1
-// unit).
+// the driver applies catastrophic failures and node reinjection between
+// rounds (Kill, AddNodes), and a cost meter records the communication units
+// each layer spends, using the paper's unit model (1 node ID = 1 coordinate
+// = 1 unit).
 //
 // The engine is sequential by default: gossip exchanges are pair-wise
 // atomic by construction ("q should not be interacting with anyone else
@@ -23,11 +23,9 @@
 // trajectory differs from the sequential one (per-step randomness is
 // pre-split instead of drawn from one shared stream).
 //
-// Engines are reusable: Engine.Reset(seed, layers...) returns one to its
-// freshly-constructed state while keeping every grown backing array and
-// the parked worker pool, which is how the experiment grid runs many
-// same-size cells without per-cell engine allocations. Engines configured with
-// exchange parallelism >= 2 hold pool goroutines; Close releases them.
+// An engine runs one simulation: it is built by New and driven from
+// outside. Engines configured with exchange parallelism >= 2 hold pool
+// goroutines; Close releases them.
 //
 // The engine is built for full-paper-scale (51,200-node) sweeps: the live
 // population is tracked in a dense swap-remove set so RandomLive is O(1)
@@ -38,7 +36,6 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 
 	"polystyrene/internal/xrand"
@@ -66,13 +63,9 @@ type Protocol interface {
 	Step(e *Engine, id NodeID)
 }
 
-// Observer is called after every completed round, before any events of the
-// next round fire.
+// Observer is called after every completed round, before the publish hook
+// and before control returns to the driver.
 type Observer func(e *Engine, round int)
-
-// Event is a scheduled state change (crash, reinjection, ...). Events for
-// round r run before the protocols step in round r.
-type Event func(e *Engine)
 
 // Engine drives a layered gossip simulation.
 type Engine struct {
@@ -86,7 +79,6 @@ type Engine struct {
 	livePos []int32
 	round   int
 
-	events    map[int][]Event
 	observers []Observer
 	// publish is the post-barrier publish hook (see SetPublishHook); nil
 	// when no serving surface is attached.
@@ -121,7 +113,6 @@ func New(seed uint64, layers ...Protocol) *Engine {
 	e := &Engine{
 		rng:      xrand.New(seed),
 		layers:   layers,
-		events:   make(map[int][]Event),
 		meter:    newMeter(),
 		curLayer: -1,
 	}
@@ -134,38 +125,6 @@ func New(seed uint64, layers ...Protocol) *Engine {
 	// degenerates to a single worker.
 	e.wctx = []*StepCtx{{e: e, rng: xrand.New(0), batched: true}}
 	return e
-}
-
-// Reset returns the engine to the state New(seed, layers...) would have
-// produced, while retaining every backing array it has grown — the live
-// set, the step-order buffer, the batch scheduler's arenas and per-worker
-// contexts, the meter's ledgers — and the persistent exchange-worker pool
-// (the configured parallelism and tail-coalescing threshold survive the
-// reset; they describe the engine, not the run). Sweeps that execute many
-// same-size cells reuse one engine per concurrent worker this way instead
-// of allocating (and, at worker counts >= 2, re-spawning pool goroutines
-// for) a fresh engine per cell.
-//
-// A reset engine is observably indistinguishable from a fresh one: for a
-// fixed seed and layer stack, the trajectory is byte-identical (pinned by
-// the scenario-level reset identity test).
-func (e *Engine) Reset(seed uint64, layers ...Protocol) {
-	e.rng.Reseed(seed)
-	e.layers = layers
-	e.alive = e.alive[:0]
-	e.live = e.live[:0]
-	e.livePos = e.livePos[:0]
-	e.order = e.order[:0]
-	e.round = 0
-	clear(e.events)
-	e.observers = e.observers[:0]
-	e.publish = nil
-	e.meter.reset()
-	e.curLayer = -1
-	e.layerLedger = e.layerLedger[:0]
-	for _, l := range layers {
-		e.layerLedger = append(e.layerLedger, e.meter.ledgerIndex(l.Name()))
-	}
 }
 
 // SeqCtx returns the engine's sequential step context: worker slot 0,
@@ -274,17 +233,6 @@ func (e *Engine) RandomLive() NodeID {
 	return e.live[e.rng.Intn(len(e.live))]
 }
 
-// ScheduleAt registers fn to run at the start of the given round. Multiple
-// events for one round run in registration order. Scheduling in the past
-// returns an error rather than silently dropping the event.
-func (e *Engine) ScheduleAt(round int, fn Event) error {
-	if round < e.round {
-		return fmt.Errorf("sim: cannot schedule event at past round %d (current %d)", round, e.round)
-	}
-	e.events[round] = append(e.events[round], fn)
-	return nil
-}
-
 // Observe registers an observer called after every round.
 func (e *Engine) Observe(o Observer) {
 	e.observers = append(e.observers, o)
@@ -298,8 +246,7 @@ func (e *Engine) Observe(o Observer) {
 // state into an immutable epoch and swaps it in for concurrent readers:
 // the hook runs on the round-driving goroutine, so it sees a quiescent,
 // fully-flushed engine, and nothing the readers do can block the loop.
-// One hook is supported; fn == nil clears it. Reset also clears it (the
-// hook is run wiring, not engine state).
+// One hook is supported; fn == nil clears it.
 func (e *Engine) SetPublishHook(fn func(e *Engine, round int)) { e.publish = fn }
 
 // Meter returns the engine's communication cost meter.
@@ -316,9 +263,9 @@ func (e *Engine) Charge(units int) {
 	e.meter.charge(idx, e.round, units)
 }
 
-// RunRounds executes n rounds. Each round: fire the round's events, then
-// step each layer bottom-up, visiting live nodes in a random order drawn
-// once per round and shared by all layers.
+// RunRounds executes n rounds. Each round steps each layer bottom-up,
+// visiting live nodes in a random order drawn once per round and shared
+// by all layers.
 func (e *Engine) RunRounds(n int) {
 	for i := 0; i < n; i++ {
 		e.runOne()
@@ -340,11 +287,6 @@ func (e *Engine) RunUntil(maxRounds int, stop func(e *Engine, round int) bool) (
 }
 
 func (e *Engine) runOne() {
-	for _, ev := range e.events[e.round] {
-		ev(e)
-	}
-	delete(e.events, e.round)
-
 	// One shuffle per round, into a buffer reused across rounds; every
 	// layer walks the same order. A node may die mid-round (killed by a
 	// peer's step in extended protocols), hence the aliveness guard.
@@ -390,15 +332,6 @@ type Meter struct {
 
 func newMeter() *Meter {
 	return &Meter{index: make(map[string]int)}
-}
-
-// reset empties every ledger for an Engine.Reset, keeping the registered
-// layer names (and their slots) so reused ledgers keep their capacity.
-func (m *Meter) reset() {
-	for i := range m.ledgers {
-		m.ledgers[i] = m.ledgers[i][:0]
-		m.charged[i] = false
-	}
 }
 
 // ledgerIndex returns the ledger slot for layer, registering it on first

@@ -98,24 +98,44 @@ func TestKillIsIdempotentAndCrashStop(t *testing.T) {
 	}
 }
 
-func TestNodeKilledMidRoundDoesNotStep(t *testing.T) {
-	// If a node dies during the round (e.g. killed by a peer's step in an
-	// extended protocol), it must not be stepped afterwards.
-	killer := newRecorder("killer")
-	e := New(5, killer)
-	e.AddNodes(30)
-	victim := NodeID(7)
-	other := newRecorder("other")
-	// Simulate by killing from an event mid-run instead: schedule kill at
-	// round 1 and verify round 1 excludes the victim.
-	_ = other
-	if err := e.ScheduleAt(1, func(e *Engine) { e.Kill(victim) }); err != nil {
-		t.Fatal(err)
+// peerKiller is a recorder whose first step of round killRound kills the
+// node last in that round's step order, which has not stepped yet.
+type peerKiller struct {
+	*recorder
+	killRound int
+	victim    NodeID
+}
+
+func (k *peerKiller) Step(e *Engine, id NodeID) {
+	k.recorder.Step(e, id)
+	if e.Round() == k.killRound && k.victim == None {
+		k.victim = e.order[len(e.order)-1]
+		if k.victim == id {
+			k.victim = e.order[len(e.order)-2]
+		}
+		e.Kill(k.victim)
 	}
+}
+
+func TestNodeKilledMidRoundDoesNotStep(t *testing.T) {
+	// A node killed by a peer's step mid-round must not be stepped later
+	// in that round, by its own layer or by any layer above it.
+	killer := &peerKiller{recorder: newRecorder("killer"), killRound: 1, victim: None}
+	above := newRecorder("above")
+	e := New(5, killer, above)
+	e.AddNodes(30)
 	e.RunRounds(2)
-	for _, id := range killer.stepped[1] {
-		if id == victim {
-			t.Fatal("victim stepped after scheduled kill")
+	if killer.victim == None || e.Alive(killer.victim) {
+		t.Fatalf("no victim killed in round 1 (victim %d)", killer.victim)
+	}
+	for _, r := range []*recorder{killer.recorder, above} {
+		if got := len(r.stepped[1]); got != 29 {
+			t.Errorf("%s stepped %d nodes in round 1, want 29", r.name, got)
+		}
+		for _, id := range r.stepped[1] {
+			if id == killer.victim {
+				t.Errorf("%s stepped victim %d after it was killed mid-round", r.name, id)
+			}
 		}
 	}
 }
@@ -133,33 +153,6 @@ func TestSelfKillDuringStep(t *testing.T) {
 		if id == 5 {
 			t.Fatal("dead node stepped in later round")
 		}
-	}
-}
-
-func TestEventsFireBeforeStepping(t *testing.T) {
-	r := newRecorder("p")
-	e := New(7, r)
-	e.AddNodes(4)
-	if err := e.ScheduleAt(0, func(e *Engine) { e.Kill(0) }); err != nil {
-		t.Fatal(err)
-	}
-	e.RunRounds(1)
-	for _, id := range r.stepped[0] {
-		if id == 0 {
-			t.Fatal("event did not fire before stepping")
-		}
-	}
-}
-
-func TestScheduleInPastFails(t *testing.T) {
-	e := New(8, newRecorder("p"))
-	e.AddNodes(1)
-	e.RunRounds(3)
-	if err := e.ScheduleAt(1, func(*Engine) {}); err == nil {
-		t.Fatal("scheduling in the past succeeded")
-	}
-	if err := e.ScheduleAt(3, func(*Engine) {}); err != nil {
-		t.Fatalf("scheduling at current round failed: %v", err)
 	}
 }
 

@@ -23,10 +23,7 @@ type Snapshotter interface {
 
 // SnapshotState serializes the complete run state of the engine — RNG,
 // round counter, liveness sets, meter ledgers and every layer's section —
-// into w. It fails if events are still scheduled: events are arbitrary
-// closures and cannot be serialized, so harnesses that checkpoint drive
-// failures/reinjections inline (as the scenario drivers do) instead of
-// scheduling them ahead.
+// into w.
 //
 // Worker-pool configuration (exchange parallelism, tail coalescing) and
 // registered observers are deliberately not part of a snapshot: they
@@ -35,9 +32,6 @@ type Snapshotter interface {
 // generator, so restoring the RNG state alone reproduces batched
 // trajectories byte-identically at any worker count.
 func (e *Engine) SnapshotState(w *snap.Writer) error {
-	if len(e.events) > 0 {
-		return fmt.Errorf("sim: cannot snapshot with %d pending scheduled event rounds", len(e.events))
-	}
 	for _, s := range e.rng.State() {
 		w.U64(s)
 	}
@@ -67,9 +61,9 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 
 // RestoreState is the inverse of SnapshotState. The engine must already
 // be configured with the same layer stack the snapshot was taken from
-// (layers are matched by position and name); pending events are
-// discarded, observers are left registered, and the RNG is mutated in
-// place so contexts aliasing it keep working. The snapshot is parsed and
+// (layers are matched by position and name); observers are left
+// registered, and the RNG is mutated in place so contexts aliasing it
+// keep working. The snapshot is parsed and
 // validated in full before any engine state is touched.
 func (e *Engine) RestoreState(r *snap.Reader) error {
 	// Phase 1: parse everything into temporaries.
@@ -145,7 +139,6 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		e.livePos[id] = int32(i)
 		e.live = append(e.live, id)
 	}
-	clear(e.events)
 	meter.apply(e.meter)
 	e.curLayer = -1
 	e.layerLedger = e.layerLedger[:0]

@@ -126,18 +126,6 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEngineSnapshotRejectsPendingEvents(t *testing.T) {
-	e := New(1, &snapLayer{name: "counter"})
-	e.AddNodes(4)
-	if err := e.ScheduleAt(10, func(*Engine) {}); err != nil {
-		t.Fatal(err)
-	}
-	var w snap.Writer
-	if err := e.SnapshotState(&w); err == nil {
-		t.Fatal("snapshot with pending events accepted")
-	}
-}
-
 func TestEngineRestoreRejectsLayerMismatch(t *testing.T) {
 	e := New(1, &snapLayer{name: "counter"})
 	e.AddNodes(4)

@@ -305,13 +305,21 @@ func (s *System) AddNodes(positions [][]float64) ([]int, error) {
 	return out, nil
 }
 
-// NodePosition returns a node's current virtual position.
+// NodePosition returns a node's current virtual position, or nil for an
+// ID the system never created, such as Lookup's -1.
 func (s *System) NodePosition(id int) []float64 {
+	if id < 0 || id >= s.stack.Engine.NumNodes() {
+		return nil
+	}
 	return s.stack.Position(sim.NodeID(id)).Clone()
 }
 
-// NodeGuests returns the data points a node currently hosts.
+// NodeGuests returns the data points a node currently hosts, or nil for
+// an ID the system never created, such as Lookup's -1.
 func (s *System) NodeGuests(id int) [][]float64 {
+	if id < 0 || id >= s.stack.Engine.NumNodes() {
+		return nil
+	}
 	poly := s.stack.Poly()
 	if poly == nil {
 		return [][]float64{s.NodePosition(id)}

@@ -508,3 +508,36 @@ func TestCrashRegionPredicateCannotMoveNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeAccessorsUnknownID pins that the per-node accessors answer nil,
+// rather than panicking, for IDs the system never created: -1, the next
+// unassigned ID, and the -1 that Lookup returns once every node crashed.
+func TestNodeAccessorsUnknownID(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		sys := torusSystem(t, 9, baseline)
+		sys.Run(3)
+		added, err := sys.AddNodes([][]float64{{0.5, 0.5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		numNodes := added[0] + 1
+		for _, id := range []int{0, added[0]} {
+			if sys.NodePosition(id) == nil || sys.NodeGuests(id) == nil {
+				t.Fatalf("baseline=%v: created node %d has no position or guests", baseline, id)
+			}
+		}
+		sys.CrashRegion(func([]float64) bool { return true })
+		lookup := sys.Lookup([]float64{1, 1})
+		if lookup != -1 {
+			t.Fatalf("baseline=%v: Lookup on an all-crashed system = %d, want -1", baseline, lookup)
+		}
+		for _, id := range []int{-1, numNodes, lookup} {
+			if got := sys.NodePosition(id); got != nil {
+				t.Errorf("baseline=%v: NodePosition(%d) = %v, want nil", baseline, id, got)
+			}
+			if got := sys.NodeGuests(id); got != nil {
+				t.Errorf("baseline=%v: NodeGuests(%d) = %v, want nil", baseline, id, got)
+			}
+		}
+	}
+}
