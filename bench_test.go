@@ -329,29 +329,6 @@ func BenchmarkAblationBackupPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOverlayHost compares the two topology-construction
-// hosts the paper names for Polystyrene (Fig. 3): reshaping time over
-// T-Man vs over Vicinity.
-func BenchmarkAblationOverlayHost(b *testing.B) {
-	for _, overlay := range []string{"tman", "vicinity"} {
-		b.Run(overlay, func(b *testing.B) {
-			var rounds float64
-			for i := 0; i < b.N; i++ {
-				cfg := scenario.Config{
-					Seed: 12, W: benchW, H: benchH, Polystyrene: true, K: 4,
-					Overlay: overlay,
-				}
-				out, err := scenario.MeasureReshaping(cfg, 25, 80)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = float64(out.Rounds)
-			}
-			b.ReportMetric(rounds, "reshaping_rounds")
-		})
-	}
-}
-
 // BenchmarkAppRouting quantifies the paper's routing motivation (Sec. I):
 // greedy geometric routing into the crashed half of the torus lands ~on
 // target over a Polystyrene-recovered shape and stalls half a torus away

@@ -42,13 +42,13 @@
 // Node positions live in one flat []float64 indexed by NodeID with stride
 // Space.Dim(): InitNode, projection and RestoreState write rows, and
 // Position returns allocation-free row views. New hands the table to the
-// overlay below through PositionTableUser, so T-Man and Vicinity rank
-// candidates straight off its rows (space.RowDistances) rather than
-// through one function call and one separately allocated point per
-// candidate. Beside the table, a per-node move clock (PositionClock,
-// handed over through PositionClockUser) records when each row last
-// changed, which lets T-Man keep its views ranked across rounds and
-// re-rank only after a position moved.
+// overlay below through PositionTableUser, so T-Man ranks candidates
+// straight off its rows (space.RowDistances) rather than through one
+// function call and one separately allocated point per candidate. Beside
+// the table, a per-node move clock (PositionClock, handed over through
+// PositionClockUser) records when each row last changed, which lets T-Man
+// keep its views ranked across rounds and re-rank only after a position
+// moved.
 //
 // # Batched execution
 //
@@ -83,9 +83,12 @@ import (
 
 // Topology is the view Polystyrene needs of the topology-construction
 // layer below it: the ability to enumerate a node's k closest overlay
-// neighbours. Both T-Man and Vicinity satisfy it — the paper presents
-// Polystyrene as "an add-on layer that can be plugged into any
-// decentralized topology construction algorithm" (Sec. II-C).
+// neighbours. The paper presents Polystyrene as "an add-on layer that can
+// be plugged into any decentralized topology construction algorithm"
+// (Sec. II-C), and this interface is all the layer requires of a host.
+// T-Man, the paper's host, implements it together with every optional
+// extension below; the package tests run the layer over a bare host that
+// implements Topology alone.
 //
 // The overlay is queried constantly — backup placement (Sec. III-D), the
 // migration candidate window (Sec. III-F) and every per-round metric ask
@@ -114,9 +117,10 @@ type Topology interface {
 // under the engine's batch scheduler: AppendNeighbors variants whose
 // selection scratch is owned by an explicit worker slot (so concurrent
 // batched Polystyrene steps can query the overlay without sharing
-// buffers) or by the matcher's plan mirror. Both T-Man and Vicinity
-// implement it; a Topology without it keeps the layer on the sequential
-// path (Batchable returns false).
+// buffers) or by the matcher's plan mirror. T-Man implements it; a
+// Topology without it, such as the tests' bare host, keeps the layer on
+// the sequential path at every exchange parallelism (Batchable returns
+// false).
 type WorkerTopology interface {
 	Topology
 	// AppendNeighborsW is AppendNeighbors over worker slot w's scratch.
@@ -137,7 +141,8 @@ type WorkerTopology interface {
 // ranking, which yields the snapshot during the layer's batched pass and
 // the live table otherwise. An overlay that accepts it must rank by this
 // layer's positions — which is what stacking the layer on it means (the
-// projection loop of Fig. 3). Both T-Man and Vicinity implement it.
+// projection loop of Fig. 3). T-Man implements it; a host without it
+// ranks by positions of its own.
 type PositionTableUser interface {
 	UsePositionTable(table func() []float64)
 }
@@ -183,7 +188,10 @@ const (
 type Config struct {
 	// Space is the metric data space.
 	Space space.Space
-	// Topology is the topology-construction layer below (T-Man, Vicinity, ...).
+	// Topology is the topology-construction layer below: T-Man in the
+	// scenario stack, a bare Topology-only host in this package's tests.
+	// A host that does not also implement WorkerTopology keeps the layer
+	// sequential.
 	Topology Topology
 	// Sampler is the peer-sampling layer, used for random backup targets
 	// and the random migration candidate.

@@ -243,11 +243,17 @@ func TestDuplicatesFromRecoveryAreCleaned(t *testing.T) {
 }
 
 func TestCatastrophicFailureShapeRecovery(t *testing.T) {
-	// The headline behaviour at unit-test scale: crash half the torus and
-	// check that (a) nearly all data points survive, (b) survivors migrate
-	// so that the right half of the shape is populated again, and (c) the
-	// average load doubles.
 	st := newStack(t, stackOpts{seed: 8, cfg: Config{K: 4}})
+	checkHalfCrashRecovery(t, st)
+}
+
+// checkHalfCrashRecovery is the headline behaviour at unit-test scale:
+// crash half the torus and check that (a) nearly all data points
+// survive, (b) survivors migrate so that the right half of the shape is
+// populated again, and (c) the average load doubles. The stack must run
+// K = 4.
+func checkHalfCrashRecovery(t *testing.T, st *stack) {
+	t.Helper()
 	st.engine.RunRounds(10)
 	for i, p := range st.points {
 		if space.RightHalf(p, float64(st.w)) {

@@ -36,7 +36,7 @@ const (
 type Router struct {
 	// Space supplies the metric.
 	Space space.Space
-	// Topology enumerates overlay neighbours (T-Man or Vicinity).
+	// Topology enumerates overlay neighbours (T-Man).
 	Topology core.Topology
 	// Position resolves current node positions.
 	Position func(id sim.NodeID) space.Point

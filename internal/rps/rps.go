@@ -368,23 +368,9 @@ func (p *Protocol) PlanRandomPeer(e *sim.Engine, rng *xrand.Rand, id sim.NodeID)
 	return live[rng.Intn(len(live))]
 }
 
-// RandomPeers returns up to n distinct live peers from id's view as a
-// fresh slice. Hot paths use AppendRandomPeers, which does not allocate.
-func (p *Protocol) RandomPeers(e *sim.Engine, id sim.NodeID, n int) []sim.NodeID {
-	if n <= 0 {
-		return nil
-	}
-	out := p.AppendRandomPeers(make([]sim.NodeID, 0, n), e, id, n)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // AppendRandomPeers appends up to n distinct live peers from id's view to
-// dst and returns the extended slice — the allocation-free variant of
-// RandomPeers for callers with a reusable buffer (backup top-up, view
-// re-seeding). The draw sequence is identical to RandomPeers'.
+// dst and returns the extended slice. Callers pool the buffer (backup
+// top-up, view re-seeding), so the query does not allocate.
 func (p *Protocol) AppendRandomPeers(dst []sim.NodeID, e *sim.Engine, id sim.NodeID, n int) []sim.NodeID {
 	return p.AppendRandomPeersW(e.SeqCtx(), dst, id, n)
 }

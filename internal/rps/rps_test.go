@@ -141,9 +141,9 @@ func TestRandomPeerLiveAndCovering(t *testing.T) {
 func TestRandomPeersDistinct(t *testing.T) {
 	e, p := newNetwork(t, 7, 50, Config{})
 	e.RunRounds(5)
-	peers := p.RandomPeers(e, 0, 5)
+	peers := p.AppendRandomPeers(nil, e, 0, 5)
 	if len(peers) == 0 {
-		t.Fatal("RandomPeers returned nothing")
+		t.Fatal("AppendRandomPeers returned nothing")
 	}
 	seen := map[sim.NodeID]bool{}
 	for _, peer := range peers {
@@ -156,9 +156,9 @@ func TestRandomPeersDistinct(t *testing.T) {
 		seen[peer] = true
 	}
 	// Asking for more than the view holds returns what is available.
-	many := p.RandomPeers(e, 0, 1000)
+	many := p.AppendRandomPeers(nil, e, 0, 1000)
 	if len(many) > p.cfg.ViewSize {
-		t.Fatalf("RandomPeers returned %d > view cap", len(many))
+		t.Fatalf("AppendRandomPeers returned %d > view cap", len(many))
 	}
 }
 

@@ -26,7 +26,7 @@ func paperRun(t *testing.T, cfg Config) (*Result, float64) {
 // enabled, every per-round metric series — homogeneity, proximity, data
 // points, message cost, liveness — is byte-identical across worker counts
 // {1, 2, GOMAXPROCS}, through convergence, the half-torus catastrophe and
-// reinjection, for both overlay hosts, the baseline, a delayed failure
+// reinjection, for the Polystyrene stack, the baseline, a delayed failure
 // detector and the full-copy backup ablation.
 func TestExchangeParallelismByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -34,7 +34,6 @@ func TestExchangeParallelismByteIdentical(t *testing.T) {
 	}
 	cases := map[string]Config{
 		"poly-tman":     {Seed: 42, W: 20, H: 10, Polystyrene: true},
-		"poly-vicinity": {Seed: 42, W: 20, H: 10, Polystyrene: true, Overlay: "vicinity"},
 		"baseline-tman": {Seed: 42, W: 20, H: 10},
 		"delayed-fd":    {Seed: 43, W: 20, H: 10, Polystyrene: true, Detector: fd.NewDelayed(2)},
 		"full-copy":     {Seed: 44, W: 16, H: 8, Polystyrene: true, FullCopyBackup: true, K: 2},

@@ -46,10 +46,6 @@ type Config struct {
 	Placement core.BackupPlacement
 	// FullCopyBackup disables the incremental-delta backup optimisation.
 	FullCopyBackup bool
-	// Overlay selects the topology-construction protocol: "tman"
-	// (default, the paper's host) or "vicinity" (the alternative host
-	// named in the paper's Fig. 3).
-	Overlay string
 	// SkipMetrics disables per-round metric collection (for sweeps that
 	// only need the final state or reshaping time).
 	SkipMetrics bool

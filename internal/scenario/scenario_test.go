@@ -340,29 +340,3 @@ func TestReinjectionPositionsOnOffsetGrid(t *testing.T) {
 		}
 	}
 }
-
-func TestVicinityHostAlsoReshapes(t *testing.T) {
-	// The paper presents Polystyrene as an add-on for any topology
-	// construction protocol (Fig. 3 names T-Man, Vicinity, Gossple).
-	// Verify the Vicinity host converges and recovers the shape too.
-	cfg := smallCfg(20, true)
-	cfg.Overlay = "vicinity"
-	out, err := MeasureReshaping(cfg, 25, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Reached {
-		t.Fatal("Polystyrene-over-Vicinity never reshaped")
-	}
-	if out.Reliability < 0.9 {
-		t.Fatalf("reliability %v over Vicinity", out.Reliability)
-	}
-}
-
-func TestUnknownOverlayRejected(t *testing.T) {
-	cfg := smallCfg(21, true)
-	cfg.Overlay = "gossple"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("unknown overlay accepted")
-	}
-}

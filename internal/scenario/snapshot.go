@@ -25,7 +25,8 @@ const scenarioKind = SnapshotKind
 // not a Perfect one, and resuming across that divide must fail loudly.
 // The shard count is a field of the format from when a sharded topology
 // existed: it is always written as 1, and a snapshot carrying any other
-// count is refused (see Restore).
+// count is refused (see Restore). The overlay field is always written as
+// "tman", the one overlay host, so snapshots keep their bytes.
 type configDigest struct {
 	w, h           int
 	step           float64
@@ -60,13 +61,9 @@ func detectorIdentity(d fd.Detector) string {
 
 func digestOf(cfg Config) configDigest {
 	cfg = cfg.withDefaults()
-	overlay := cfg.Overlay
-	if overlay == "" {
-		overlay = "tman"
-	}
 	return configDigest{
 		w: cfg.W, h: cfg.H, step: gridStep,
-		polystyrene: cfg.Polystyrene, overlay: overlay,
+		polystyrene: cfg.Polystyrene, overlay: "tman",
 		k: cfg.K, split: int(cfg.Split), placement: int(cfg.Placement),
 		fullCopyBackup: cfg.FullCopyBackup, neighborK: neighborK,
 		detector: detectorIdentity(cfg.Detector),

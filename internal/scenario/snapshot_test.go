@@ -57,7 +57,7 @@ func interruptedRun(t *testing.T, cfg Config, stopAt int) (*Result, float64) {
 // schedule — every per-round metric series and the final reliability are
 // byte-identical to the uninterrupted run, for the sequential engine and
 // batched engines at w ∈ {2, 4}, across checkpoint rounds in every phase,
-// for both stacks, both overlays and a stateful failure detector.
+// for both stacks and a stateful failure detector.
 func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -67,7 +67,6 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		{"poly/w2", Config{Seed: 11, W: 16, H: 8, Polystyrene: true, ExchangeParallelism: 2}},
 		{"poly/w4", Config{Seed: 11, W: 16, H: 8, Polystyrene: true, ExchangeParallelism: 4}},
 		{"baseline/w0", Config{Seed: 13, W: 16, H: 8}},
-		{"vicinity/w2", Config{Seed: 17, W: 16, H: 8, Polystyrene: true, Overlay: "vicinity", ExchangeParallelism: 2}},
 		{"delayedfd/w2", Config{Seed: 19, W: 16, H: 8, Polystyrene: true, Detector: fd.NewDelayed(2), ExchangeParallelism: 2}},
 	}
 	for _, tc := range cases {

@@ -13,16 +13,15 @@ import (
 	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
 	"polystyrene/internal/tman"
-	"polystyrene/internal/vicinity"
 )
 
 // Stack is the paper's layer stack (Figs. 2/3) wired over one engine and
-// one target shape: peer sampling, then topology construction (T-Man, or
-// Vicinity), then — unless Config.Polystyrene is false, the plain
-// baseline — the Polystyrene layer. Scenario and the polystyrene facade
-// both run on a Stack; it owns the stack's construction, its node
-// positions, its metrics and serving views and its region crashes, and
-// leaves scripts, pinned joiner positions and snapshots to its owner.
+// one target shape: peer sampling, then topology construction (T-Man),
+// then — unless Config.Polystyrene is false, the plain baseline — the
+// Polystyrene layer. Scenario and the polystyrene facade both run on a
+// Stack; it owns the stack's construction, its node positions, its
+// metrics and serving views and its region crashes, and leaves scripts,
+// pinned joiner positions and snapshots to its owner.
 type Stack struct {
 	Engine *sim.Engine
 	// Points are the original data points — the target shape. Index i is
@@ -36,7 +35,7 @@ type Stack struct {
 
 	spc     space.Space
 	sampler *rps.Protocol
-	topo    topology
+	topo    *tman.Protocol
 	poly    *core.Protocol // nil when running the plain baseline
 	// join positions a node that arrives after set-up (id >= len(Points)).
 	join func(sim.NodeID) space.Point
@@ -47,21 +46,14 @@ type Stack struct {
 	row space.Point
 }
 
-// topology is what the stack needs from the overlay layer: it must be
-// steppable by the engine and expose closest-neighbour queries.
-type topology interface {
-	sim.Protocol
-	core.Topology
-}
-
 // NewStack wires the stack for cfg over spc and creates one node per
 // shape point, node i starting at points[i] (hosting it under
 // Polystyrene). join supplies the position of every later node: under
 // Polystyrene that node joins empty-handed there, under the baseline it
 // stays fixed there. Of cfg, NewStack reads the layer and engine knobs
 // (Seed, Polystyrene, K, Split, Detector, Placement, FullCopyBackup,
-// Overlay, ExchangeParallelism); the grid size and metric settings belong
-// to the owner. T-Man runs with the paper's defaults.
+// ExchangeParallelism); the grid size and metric settings belong to the
+// owner. T-Man runs with the paper's defaults.
 func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.NodeID) space.Point) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	s := &Stack{
@@ -76,26 +68,11 @@ func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.N
 	// (intern-before-use); the IDs feed the indexed metrics.
 	s.PointIDs = shape.Intern(s.Interner, points)
 
-	switch cfg.Overlay {
-	case "", "tman":
-		tm, err := tman.New(tman.Config{Space: spc, Sampler: s.sampler, Position: s.Position})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		s.topo = tm
-	case "vicinity":
-		vic, err := vicinity.New(vicinity.Config{
-			Space:    spc,
-			Sampler:  s.sampler,
-			Position: s.Position,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		s.topo = vic
-	default:
-		return nil, fmt.Errorf("scenario: unknown overlay %q (want tman|vicinity)", cfg.Overlay)
+	topo, err := tman.New(tman.Config{Space: spc, Sampler: s.sampler, Position: s.Position})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	s.topo = topo
 
 	layers := []sim.Protocol{s.sampler, s.topo}
 	if cfg.Polystyrene {

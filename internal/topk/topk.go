@@ -1,8 +1,8 @@
 // Package topk provides allocation-free partial selection of the k
 // smallest elements of a keyed slice pair.
 //
-// The gossip layers (T-Man, Vicinity) spend most of their time ranking
-// view entries by distance and keeping the closest k. Sorting the whole
+// The gossip layer (T-Man) spends most of its time ranking view entries
+// by distance and keeping the closest k. Sorting the whole
 // candidate set with sort.Slice costs O(n log n) comparator closure calls
 // and allocates (indices, reflect-based swapper); SmallestK touches only
 // the caller's slices and picks one of two selection paths by k:

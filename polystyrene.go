@@ -288,14 +288,18 @@ func (s *System) CrashRegion(in func(pos []float64) bool) int {
 
 // AddNodes injects fresh nodes at the given positions. Under Polystyrene
 // they join empty-handed (no data point) and acquire points through
-// migration; under Baseline they are ordinary fixed nodes.
+// migration; under Baseline they are ordinary fixed nodes. The batch is
+// validated whole first: if any position has the wrong dimension,
+// AddNodes returns an error and adds no node.
 func (s *System) AddNodes(positions [][]float64) ([]int, error) {
-	out := make([]int, 0, len(positions))
 	for _, p := range positions {
 		if len(p) != s.space.Dim() {
-			return out, fmt.Errorf("polystyrene: position has dimension %d, space wants %d",
+			return nil, fmt.Errorf("polystyrene: position has dimension %d, space wants %d",
 				len(p), s.space.Dim())
 		}
+	}
+	out := make([]int, 0, len(positions))
+	for _, p := range positions {
 		// Record the position before AddNode so InitNode can read it.
 		next := sim.NodeID(s.stack.Engine.NumNodes())
 		s.fixedPos[next] = space.Point(p).Clone()
@@ -356,9 +360,9 @@ func (s *System) EachNeighbor(id, k int, yield func(neighbor int) bool) {
 
 // Neighbors returns the k closest overlay neighbours of a node as a fresh
 // slice — a thin convenience wrapper over AppendNeighbors for callers
-// without a reusable buffer.
+// without a reusable buffer. k <= 0 is an empty query.
 func (s *System) Neighbors(id, k int) []int {
-	return s.AppendNeighbors(make([]int, 0, k), id, k)
+	return s.AppendNeighbors(make([]int, 0, max(k, 0)), id, k)
 }
 
 // lookupProbes is how many evenly strided live nodes Lookup samples to

@@ -148,6 +148,30 @@ func TestAddNodesDimensionCheck(t *testing.T) {
 	}
 }
 
+// TestAddNodesRejectsBatchAtomically pins that a batch with one bad
+// position adds no node at all, not the valid positions before it.
+func TestAddNodesRejectsBatchAtomically(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{
+		Seed:              5,
+		Space:             Torus(8, 8),
+		Shape:             TorusShape(8, 8, 1),
+		ReplicationFactor: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, live := sys.stack.Engine.NumNodes(), sys.NumLive()
+	if _, err := sys.AddNodes([][]float64{{1, 2}, {1}}); err == nil {
+		t.Fatal("batch with a dimension mismatch accepted")
+	}
+	if got := sys.stack.Engine.NumNodes(); got != nodes {
+		t.Fatalf("rejected batch changed NumNodes %d -> %d", nodes, got)
+	}
+	if got := sys.NumLive(); got != live {
+		t.Fatalf("rejected batch changed NumLive %d -> %d", live, got)
+	}
+}
+
 func TestLookupRoutesToNearestNode(t *testing.T) {
 	sys := torusSystem(t, 6, false)
 	sys.Run(15)
@@ -198,6 +222,18 @@ func TestNeighborsExposed(t *testing.T) {
 	for _, id := range []int{-1, 100000} {
 		if got := sys.Neighbors(id, 4); len(got) != 0 {
 			t.Fatalf("Neighbors(%d) = %v, want empty", id, got)
+		}
+	}
+}
+
+// TestNeighborsNonPositiveK pins that k <= 0 is an empty query, as the
+// overlay contract answers it, not a panic.
+func TestNeighborsNonPositiveK(t *testing.T) {
+	sys := torusSystem(t, 8, false)
+	sys.Run(3)
+	for _, k := range []int{0, -1} {
+		if got := sys.Neighbors(0, k); len(got) != 0 {
+			t.Fatalf("Neighbors(0, %d) = %v, want empty", k, got)
 		}
 	}
 }

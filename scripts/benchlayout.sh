@@ -64,5 +64,5 @@ if diff "$tmp/base.txt" "$tmp/head.txt" >"$tmp/diff.txt"; then
 fi
 moved="$(grep -c '^<' "$tmp/diff.txt" || true)"
 echo "benchlayout: $moved of $(wc -l <"$tmp/base.txt") text symbols of $rev moved, resized or left; first rows (< $rev, > working tree; address size type name):"
-grep '^[<>]' "$tmp/diff.txt" | head -20 | sed 's/^/  /'
+grep -m 20 '^[<>]' "$tmp/diff.txt" | sed 's/^/  /'
 exit 1
