@@ -3,7 +3,10 @@ package polystyrene
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
+
+	"polystyrene/internal/snap"
 )
 
 // goldenSystemConfig is the configuration the checked-in facade snapshots
@@ -47,9 +50,11 @@ func systemSnapshotBytes(t *testing.T, sys *System) []byte {
 }
 
 // TestGoldenSystemSnapshotRestores pins the facade's snapshot format in
-// both modes: each checked-in snapshot restores, re-snapshots to the
-// identical bytes, and five more rounds from it equal an uninterrupted
-// run of the same script.
+// both modes. Each checked-in version 1 snapshot restores; its
+// re-snapshot carries the file's body byte for byte and equals the
+// version 2 twin beside it (*.v2.psysnap, written once by restoring and
+// snapshotting again); the twin restores too; and five more rounds from
+// either equal an uninterrupted run of the same script.
 func TestGoldenSystemSnapshotRestores(t *testing.T) {
 	for _, tc := range []struct {
 		file     string
@@ -59,25 +64,45 @@ func TestGoldenSystemSnapshotRestores(t *testing.T) {
 		{"system_baseline_8x4_r8.psysnap", true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			golden, err := os.ReadFile("testdata/" + tc.file)
+			v1, err := os.ReadFile("testdata/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := os.ReadFile("testdata/" + strings.TrimSuffix(tc.file, ".psysnap") + ".v2.psysnap")
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := goldenSystemConfig(tc.baseline)
 
-			restored, err := NewSystem(cfg)
+			var restored []*System
+			for _, golden := range [][]byte{v1, v2} {
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				if err := sys.Restore(bytes.NewReader(golden)); err != nil {
+					t.Fatalf("golden snapshot refused: %v", err)
+				}
+				if got := sys.Round(); got != 8 {
+					t.Fatalf("restored round = %d, want 8", got)
+				}
+				restored = append(restored, sys)
+			}
+			resnap := systemSnapshotBytes(t, restored[0])
+			body, err := snap.Decode(systemKind, resnap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer restored.Close()
-			if err := restored.Restore(bytes.NewReader(golden)); err != nil {
-				t.Fatalf("golden snapshot refused: %v", err)
+			v1Body, err := snap.Decode(systemKind, v1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := restored.Round(); got != 8 {
-				t.Fatalf("restored round = %d, want 8", got)
+			if !bytes.Equal(body, v1Body) {
+				t.Fatal("re-snapshot of the version 1 golden snapshot does not carry its body byte for byte")
 			}
-			if !bytes.Equal(systemSnapshotBytes(t, restored), golden) {
-				t.Fatal("re-snapshot of the golden snapshot is not byte-identical to the file")
+			if !bytes.Equal(resnap, v2) {
+				t.Fatal("re-snapshot of the version 1 golden snapshot is not byte-identical to its version 2 twin")
 			}
 
 			fresh, err := NewSystem(cfg)
@@ -87,9 +112,12 @@ func TestGoldenSystemSnapshotRestores(t *testing.T) {
 			defer fresh.Close()
 			goldenSystemScript(t, fresh)
 			fresh.Run(5)
-			restored.Run(5)
-			if !bytes.Equal(systemSnapshotBytes(t, restored), systemSnapshotBytes(t, fresh)) {
-				t.Fatal("golden snapshot + 5 rounds diverged from an uninterrupted run")
+			want := systemSnapshotBytes(t, fresh)
+			for i, sys := range restored {
+				sys.Run(5)
+				if !bytes.Equal(systemSnapshotBytes(t, sys), want) {
+					t.Fatalf("golden snapshot v%d + 5 rounds diverged from an uninterrupted run", i+1)
+				}
 			}
 		})
 	}

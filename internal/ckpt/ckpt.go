@@ -18,8 +18,11 @@
 // snap envelope's checksum, returning the newest generation that decodes
 // cleanly. A torn or corrupted newest generation therefore degrades to
 // the previous one instead of failing the resume. A generation's Sum is
-// FNV-1a over the whole file; recovery derives it from the verified
-// checksum instead of hashing the file twice.
+// the whole-file checksum under the file's own envelope version: CRC-32C
+// for the version 2 files this build writes, FNV-1a for version 1 files
+// an earlier build left behind. Save computes it while the file streams
+// out; recovery derives it from the verified checksum (snap.FileSum)
+// instead of hashing the file twice.
 //
 // Transient write errors (anything carrying Transient() bool, see
 // IsTransient) are retried with doubling backoff up to Options.Retries
@@ -29,7 +32,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -45,6 +48,9 @@ const ManifestName = "MANIFEST.snap"
 
 // manifestKind is the snap envelope kind of the manifest file.
 const manifestKind = "ckpt-manifest"
+
+// castagnoli is the CRC-32C table, the version 2 snap envelope's checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // genPattern is the generation filename layout; the zero-padded round
 // makes lexical and numeric order agree.
@@ -127,7 +133,7 @@ type Generation struct {
 	Name  string // filename within the checkpoint directory
 	Round int    // simulation round the snapshot was taken at
 	Size  int64  // file size in bytes
-	Sum   uint64 // FNV-1a over the whole file
+	Sum   uint64 // whole-file checksum under the file's envelope version (see snap.FileSum)
 }
 
 // Path returns the generation's full path under dir.
@@ -288,7 +294,9 @@ func (m *Manager) retry(attempt func() error) error {
 }
 
 // writeGen runs one attempt of the atomic write dance for a single
-// file, returning the byte count and FNV-1a sum of what was written.
+// file, returning the byte count and the CRC-32C, zero-extended, of what
+// was written. For the version 2 envelope a save streams, that is
+// snap.FileSum of the file.
 func (m *Manager) writeGen(final string, write func(io.Writer) error) (int64, uint64, error) {
 	fs := m.opts.FS
 	tmp := final + ".tmp"
@@ -296,7 +304,7 @@ func (m *Manager) writeGen(final string, write func(io.Writer) error) (int64, ui
 	if err != nil {
 		return 0, 0, fmt.Errorf("create %s: %w", tmp, err)
 	}
-	h := fnv.New64a()
+	h := crc32.New(castagnoli)
 	cw := &countWriter{w: io.MultiWriter(f, h)}
 	if err := write(cw); err != nil {
 		f.Close()
@@ -315,7 +323,7 @@ func (m *Manager) writeGen(final string, write func(io.Writer) error) (int64, ui
 	if err := fs.SyncDir(filepath.Dir(final)); err != nil {
 		return 0, 0, fmt.Errorf("fsync dir of %s: %w", final, err)
 	}
-	return cw.n, h.Sum64(), nil
+	return cw.n, uint64(h.Sum32()), nil
 }
 
 func (m *Manager) writeManifest(gens []Generation) error {

@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math/rand/v2"
@@ -291,12 +293,14 @@ func FuzzManifest(f *testing.F) {
 }
 
 // TestOpenDerivesWholeFileSum pins the Sum recovery reports without
-// hashing the file twice: for random kinds and bodies it equals FNV-1a over
-// the file and the Sum Save computed while writing, the manifest
+// hashing the file twice: for random kinds and bodies it equals CRC-32C
+// over the file and the Sum Save computed while writing, the manifest
 // round-trips unchanged, and a torn or corrupt newest candidate is still
-// refused before any sum is taken.
+// refused before any sum is taken. A version 1 generation an earlier
+// build left behind opens with FNV-1a over the file as its Sum.
 func TestOpenDerivesWholeFileSum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for i := range 40 {
 		kind := fmt.Sprintf("kind-%d", rng.IntN(1000))
 		m, err := NewManager(Options{Dir: t.TempDir(), Kind: kind, Keep: 4})
@@ -337,10 +341,9 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenLatestGood: %v", err)
 		}
-		h := fnv.New64a()
-		h.Write(data)
-		if g != want || g.Sum != h.Sum64() || g.Size != int64(len(data)) {
-			t.Fatalf("case %d: opened %+v (FNV-1a of its bytes %#x), want %+v", i, g, h.Sum64(), want)
+		sum := uint64(crc32.Checksum(data, castagnoli))
+		if g != want || g.Sum != sum || g.Size != int64(len(data)) {
+			t.Fatalf("case %d: opened %+v (CRC-32C of its bytes %#x), want %+v", i, g, sum, want)
 		}
 		m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: kind})
 		if err != nil {
@@ -349,5 +352,31 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 		if got := m2.gens; !slices.Equal(got, saved) {
 			t.Fatalf("case %d: manifest reloaded as %+v, want %+v", i, got, saved)
 		}
+	}
+
+	m := testManager(t, 3)
+	v1 := []byte("PSYSNAP\x00")
+	v1 = binary.LittleEndian.AppendUint64(v1, uint64(len("blob")))
+	v1 = append(v1, "blob"...)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, uint64(len("older state")))
+	v1 = append(v1, "older state"...)
+	h := fnv.New64a()
+	h.Write(v1)
+	v1 = binary.LittleEndian.AppendUint64(v1, h.Sum64())
+	h.Reset()
+	h.Write(v1)
+	if err := os.WriteFile(filepath.Join(m.opts.Dir, GenName(9)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, data, err := m.OpenLatestGood()
+	if err != nil {
+		t.Fatalf("version 1 generation refused: %v", err)
+	}
+	if want := (Generation{Name: GenName(9), Round: 9, Size: int64(len(v1)), Sum: h.Sum64()}); g != want {
+		t.Fatalf("version 1 generation opened as %+v, want %+v (FNV-1a over the file)", g, want)
+	}
+	if got := decodeBlob(t, data); got != "older state" {
+		t.Fatalf("version 1 generation body %q", got)
 	}
 }

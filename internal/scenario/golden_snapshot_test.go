@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"polystyrene/internal/snap"
 )
 
 // goldenCfg is the configuration both checked-in snapshots were taken
@@ -12,6 +14,8 @@ import (
 // testdata/sharded2_8x4_r6.psysnap under the since-removed 2-shard
 // topology. The files are never regenerated: they pin that snapshots
 // written by earlier builds keep restoring (or fail with a diagnosis).
+// Both are version 1 envelopes; each restorable one has a version 2 twin
+// (*.v2.psysnap), written once by restoring it and snapshotting again.
 var goldenCfg = Config{Seed: 31, W: 8, H: 4, Polystyrene: true}
 
 func readGolden(t *testing.T, name string) []byte {
@@ -32,30 +36,62 @@ func snapshotBytes(t *testing.T, sc *Scenario) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenSnapshotRestores pins format compatibility: the checked-in
-// single-engine snapshot restores, re-snapshots to the identical bytes,
-// and six more rounds from it equal an uninterrupted 12-round run.
-func TestGoldenSnapshotRestores(t *testing.T) {
-	golden := readGolden(t, "single_8x4_r6.psysnap")
+// restoreGolden restores the checked-in version 1 snapshot name and its
+// version 2 twin (name.v2.psysnap) into scenarios built from cfg, and
+// pins the format change between them: the v1 file restores at round, its
+// re-snapshot carries the v1 file's body byte for byte and equals the
+// twin's bytes, and the twin restores at round too. It returns the two
+// restored scenarios, v1 first; the test closes them.
+func restoreGolden(t *testing.T, cfg Config, name string, round int) []*Scenario {
+	t.Helper()
+	v1 := readGolden(t, name)
+	v2 := readGolden(t, strings.TrimSuffix(name, ".psysnap")+".v2.psysnap")
+	var restored []*Scenario
+	for _, golden := range [][]byte{v1, v2} {
+		sc := MustNew(cfg)
+		t.Cleanup(sc.Close)
+		if err := sc.Restore(bytes.NewReader(golden)); err != nil {
+			t.Fatalf("golden snapshot refused: %v", err)
+		}
+		if got := sc.Engine.Round(); got != round {
+			t.Fatalf("restored round = %d, want %d", got, round)
+		}
+		restored = append(restored, sc)
+	}
+	resnap := snapshotBytes(t, restored[0])
+	body, err := snap.Decode(SnapshotKind, resnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Body, err := snap.Decode(SnapshotKind, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, v1Body) {
+		t.Fatal("re-snapshot of the version 1 golden snapshot does not carry its body byte for byte")
+	}
+	if !bytes.Equal(resnap, v2) {
+		t.Fatal("re-snapshot of the version 1 golden snapshot is not byte-identical to its version 2 twin")
+	}
+	return restored
+}
 
-	restored := MustNew(goldenCfg)
-	defer restored.Close()
-	if err := restored.Restore(bytes.NewReader(golden)); err != nil {
-		t.Fatalf("golden snapshot refused: %v", err)
-	}
-	if got := restored.Engine.Round(); got != 6 {
-		t.Fatalf("restored round = %d, want 6", got)
-	}
-	if !bytes.Equal(snapshotBytes(t, restored), golden) {
-		t.Fatal("re-snapshot of the golden snapshot is not byte-identical to the file")
-	}
+// TestGoldenSnapshotRestores pins format compatibility: the checked-in
+// single-engine snapshot and its version 2 twin restore, the first
+// re-snapshots to the second (see restoreGolden), and six more rounds from
+// either equal an uninterrupted 12-round run.
+func TestGoldenSnapshotRestores(t *testing.T) {
+	restored := restoreGolden(t, goldenCfg, "single_8x4_r6.psysnap", 6)
 
 	fresh := MustNew(goldenCfg)
 	defer fresh.Close()
 	fresh.Run(12)
-	restored.Run(6)
-	if !bytes.Equal(snapshotBytes(t, restored), snapshotBytes(t, fresh)) {
-		t.Fatal("golden snapshot + 6 rounds diverged from an uninterrupted 12-round run")
+	want := snapshotBytes(t, fresh)
+	for i, sc := range restored {
+		sc.Run(6)
+		if !bytes.Equal(snapshotBytes(t, sc), want) {
+			t.Fatalf("golden snapshot v%d + 6 rounds diverged from an uninterrupted 12-round run", i+1)
+		}
 	}
 }
 
@@ -69,33 +105,24 @@ var (
 )
 
 // TestGoldenBaselineSnapshotRestores is TestGoldenSnapshotRestores for
-// the baseline: the checked-in snapshot restores with its pinned
-// positions, re-snapshots to the identical bytes, and five more rounds
-// from it equal an uninterrupted run to round 12.
+// the baseline: the checked-in snapshot and its twin restore with their
+// pinned positions, the first re-snapshots to the second, and five more
+// rounds from either equal an uninterrupted run to round 12.
 func TestGoldenBaselineSnapshotRestores(t *testing.T) {
-	golden := readGolden(t, "tman_8x4_r7.psysnap")
-
-	restored := MustNew(goldenBaselineCfg)
-	defer restored.Close()
-	if err := restored.Restore(bytes.NewReader(golden)); err != nil {
-		t.Fatalf("golden snapshot refused: %v", err)
-	}
-	if got := restored.Engine.Round(); got != 7 {
-		t.Fatalf("restored round = %d, want 7", got)
-	}
-	if len(restored.fixedPos) == 0 {
-		t.Fatal("golden baseline snapshot restored no pinned positions")
-	}
-	if !bytes.Equal(snapshotBytes(t, restored), golden) {
-		t.Fatal("re-snapshot of the golden snapshot is not byte-identical to the file")
-	}
+	restored := restoreGolden(t, goldenBaselineCfg, "tman_8x4_r7.psysnap", 7)
 
 	fresh := MustNew(goldenBaselineCfg)
 	defer fresh.Close()
 	DrivePhases(fresh, goldenBaselinePhases, 12)
-	DrivePhases(restored, goldenBaselinePhases, 12)
-	if !bytes.Equal(snapshotBytes(t, restored), snapshotBytes(t, fresh)) {
-		t.Fatal("golden snapshot + 5 rounds diverged from an uninterrupted run to round 12")
+	want := snapshotBytes(t, fresh)
+	for i, sc := range restored {
+		if len(sc.fixedPos) == 0 {
+			t.Fatalf("golden baseline snapshot v%d restored no pinned positions", i+1)
+		}
+		DrivePhases(sc, goldenBaselinePhases, 12)
+		if !bytes.Equal(snapshotBytes(t, sc), want) {
+			t.Fatalf("golden snapshot v%d + 5 rounds diverged from an uninterrupted run to round 12", i+1)
+		}
 	}
 }
 

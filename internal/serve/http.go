@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -104,8 +106,12 @@ var vecPool = sync.Pool{
 	New: func() any { s := make([]float64, 0, 64); return &s },
 }
 
+// errNonFinite refuses a NaN or infinite query coordinate: no node is
+// at a finite distance from it, so it has no nearest node to answer with.
+var errNonFinite = errors.New("non-finite coordinate")
+
 // parseVec parses a comma-separated float vector ("1.5,2,-0.25") into
-// dst, returning the extended slice.
+// dst, returning the extended slice. Every component must be finite.
 func parseVec(s string, dst []float64) ([]float64, error) {
 	for s != "" {
 		field := s
@@ -117,6 +123,9 @@ func parseVec(s string, dst []float64) ([]float64, error) {
 		v, err := strconv.ParseFloat(field, 64)
 		if err != nil {
 			return dst, err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return dst, errNonFinite
 		}
 		dst = append(dst, v)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"polystyrene/internal/space"
@@ -112,6 +113,26 @@ func TestFrontendBadInput(t *testing.T) {
 	getJSON(t, f, "/node/banana", 400, nil)
 	if f.Queries() != 0 {
 		t.Fatalf("failed requests counted as queries: %d", f.Queries())
+	}
+}
+
+// TestLookupRejectsNonFiniteQuery pins that a query with a NaN or
+// infinite coordinate is a client error: 400 with a JSON error naming the
+// cause, never a 200 whose body the JSON encoder could not write, and it
+// is not counted as a served query.
+func TestLookupRejectsNonFiniteQuery(t *testing.T) {
+	p := NewPublisher(4)
+	f := NewFrontend(p)
+	p.Publish(newFakeSource(8))
+	for _, q := range []string{"NaN", "Inf", "-Inf", "+inf", "NaN,NaN", "Inf,1", "1,NaN", "-Inf,-Inf"} {
+		var er errResponse
+		getJSON(t, f, "/lookup?q="+url.QueryEscape(q), 400, &er)
+		if er.Error != "bad q: non-finite coordinate" {
+			t.Fatalf("q=%s: error %q, want %q", q, er.Error, "bad q: non-finite coordinate")
+		}
+	}
+	if f.Queries() != 0 {
+		t.Fatalf("non-finite lookups counted as queries: %d", f.Queries())
 	}
 }
 

@@ -2,7 +2,9 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -189,17 +191,32 @@ func TestEnvelopeRejectsWrongKind(t *testing.T) {
 }
 
 func TestEnvelopeRejectsWrongVersion(t *testing.T) {
-	// Hand-build an envelope with version+1 and a valid checksum: the
-	// version gate, not the checksum, must reject it.
-	var w Writer
-	w.buf = append(w.buf, magic[:]...)
-	w.String("engine")
-	w.U32(Version + 1)
-	w.Section([]byte("future state"))
-	enc := appendChecksum(w.Bytes())
-	_, err := Decode("engine", enc)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version accepted or unclear error: %v", err)
+	// Hand-build envelopes with an unknown version and a checksum valid
+	// under either algorithm: the version gate, not the checksum, must
+	// reject them.
+	for _, version := range []uint32{0, Version + 1} {
+		for _, sumVersion := range []uint32{1, 2} {
+			enc := appendChecksum(sumVersion, envelopeHeader("engine", version, []byte("future state")))
+			_, err := Decode("engine", enc)
+			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+				t.Fatalf("version %d (checksummed as %d) accepted or unclear error: %v", version, sumVersion, err)
+			}
+		}
+	}
+}
+
+// TestEnvelopeV1StillDecodes pins the read-only version 1 branch: a
+// hand-built envelope with a 64-bit FNV-1a trailer decodes to its body.
+// FuzzDecodeEnvelope's version 1 seeds check that every single-byte
+// change of one is refused.
+func TestEnvelopeV1StillDecodes(t *testing.T) {
+	body := []byte("state written by a version 1 build")
+	got, err := Decode("engine", appendChecksum(1, envelopeHeader("engine", 1, body)))
+	if err != nil {
+		t.Fatalf("version 1 envelope refused: %v", err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("version 1 body = %q, want %q", got, body)
 	}
 }
 
@@ -253,14 +270,33 @@ func flipByte(b []byte, i int) []byte {
 	return out
 }
 
-func appendChecksum(b []byte) []byte {
-	// Mirrors Encode's trailer for hand-built test envelopes.
-	h := fnv.New64a()
-	h.Write(b)
+// envelopeHeader hand-builds an envelope up to its trailer, following
+// the layout the package comment documents.
+func envelopeHeader(kind string, version uint32, body []byte) []byte {
 	var w Writer
-	w.buf = append(w.buf, b...)
-	w.U64(h.Sum64())
-	return w.buf
+	w.buf = append(w.buf, magic[:]...)
+	w.String(kind)
+	w.U32(version)
+	w.Section(body)
+	return w.Bytes()
+}
+
+// appendChecksum appends the trailer of the given envelope version to a
+// hand-built envelope, computed here rather than by the code under test:
+// FNV-1a for version 1, CRC-32C zero-extended for version 2.
+func appendChecksum(version uint32, b []byte) []byte {
+	var sum uint64
+	switch version {
+	case 1:
+		h := fnv.New64a()
+		h.Write(b)
+		sum = h.Sum64()
+	case 2:
+		sum = uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+	default:
+		panic(fmt.Sprintf("no checksum for version %d", version))
+	}
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), b...), sum)
 }
 
 // secTree is a test body: a sequence of primitives and nested sections.
@@ -540,12 +576,7 @@ func TestReadEnvelopeSizedSources(t *testing.T) {
 // the package comment documents, built by hand with Section.
 func TestStreamedEnvelopeLayout(t *testing.T) {
 	for _, body := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("state"), 1000)} {
-		var w Writer
-		w.buf = append(w.buf, magic[:]...)
-		w.String("scenario")
-		w.U32(Version)
-		w.Section(body)
-		want := appendChecksum(w.Bytes())
+		want := appendChecksum(2, envelopeHeader("scenario", 2, body))
 		var buf bytes.Buffer
 		if err := WriteEnvelope(&buf, "scenario", body); err != nil {
 			t.Fatal(err)
@@ -559,8 +590,13 @@ func TestStreamedEnvelopeLayout(t *testing.T) {
 	}
 }
 
-func TestFileSumIsWholeFileFNV(t *testing.T) {
+// TestFileSumIsWholeFileChecksum pins FileSum to the whole-file checksum
+// under each envelope version, computed here over the file's bytes:
+// FNV-1a for a hand-built version 1 envelope, CRC-32C zero-extended for
+// the version 2 envelope Encode writes.
+func TestFileSumIsWholeFileChecksum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for range 2000 {
 		kind := make([]byte, rng.IntN(12))
 		for i := range kind {
@@ -570,12 +606,137 @@ func TestFileSumIsWholeFileFNV(t *testing.T) {
 		for i := range body {
 			body[i] = byte(rng.IntN(256))
 		}
-		enc := Encode(string(kind), body)
-		h := fnv.New64a()
-		h.Write(enc)
-		if got, want := FileSum(enc), h.Sum64(); got != want {
-			t.Fatalf("FileSum %#x, FNV-1a over the file %#x (kind %q, %d-byte body)", got, want, kind, len(body))
+		v1 := appendChecksum(1, envelopeHeader(string(kind), 1, body))
+		if _, err := Decode(string(kind), v1); err != nil {
+			t.Fatalf("version 1 envelope refused: %v", err)
 		}
+		h := fnv.New64a()
+		h.Write(v1)
+		if got, want := FileSum(v1), h.Sum64(); got != want {
+			t.Fatalf("v1 FileSum %#x, FNV-1a over the file %#x (kind %q, %d-byte body)", got, want, kind, len(body))
+		}
+		v2 := Encode(string(kind), body)
+		if got, want := FileSum(v2), uint64(crc32.Checksum(v2, castagnoli)); got != want {
+			t.Fatalf("v2 FileSum %#x, CRC-32C over the file %#x (kind %q, %d-byte body)", got, want, kind, len(body))
+		}
+	}
+}
+
+// FuzzDecodeEnvelope feeds Decode arbitrary bytes under an arbitrary
+// kind. Decode must never panic; a body it accepts must be a sub-slice of
+// the input; every single-byte change of an accepted envelope must be
+// refused; and Encode of the accepted body must decode to the same body
+// (and, for a version 2 input, reproduce the input byte for byte).
+func FuzzDecodeEnvelope(f *testing.F) {
+	for _, body := range [][]byte{nil, []byte("state"), bytes.Repeat([]byte{0, 1, 0xff}, 40)} {
+		f.Add("engine", appendChecksum(1, envelopeHeader("engine", 1, body)))
+		f.Add("engine", Encode("engine", body))
+	}
+	f.Add("scenario", Encode("engine", []byte("state")))
+	f.Add("engine", appendChecksum(2, envelopeHeader("engine", 3, []byte("state"))))
+	f.Add("engine", []byte("PSYSNAP\x00"))
+	f.Fuzz(func(t *testing.T, kind string, data []byte) {
+		body, err := Decode(kind, data)
+		if err != nil {
+			if body != nil {
+				t.Fatalf("refused envelope returned a %d-byte body: %v", len(body), err)
+			}
+			return
+		}
+		if len(body) > 0 && !subSlice(body, data) {
+			t.Fatal("accepted body is not a sub-slice of the input")
+		}
+		// Exhaustive over every value at every position while that is
+		// cheap; past 512 bytes, three values a position.
+		deltas := []byte{0x01, 0x80, 0xff}
+		if len(data) <= 512 {
+			deltas = deltas[:0]
+			for d := 1; d < 256; d++ {
+				deltas = append(deltas, byte(d))
+			}
+		}
+		bad := append([]byte(nil), data...)
+		for i := range bad {
+			for _, d := range deltas {
+				bad[i] ^= d
+				if _, err := Decode(kind, bad); err == nil {
+					t.Fatalf("byte %d xor %#02x accepted", i, d)
+				}
+				bad[i] ^= d
+			}
+		}
+		enc := Encode(kind, body)
+		again, err := Decode(kind, enc)
+		if err != nil || !bytes.Equal(again, body) {
+			t.Fatalf("Encode of the accepted body does not decode back: %v", err)
+		}
+		if envelopeVersion(data) == 2 && !bytes.Equal(enc, data) {
+			t.Fatal("Encode of an accepted version 2 envelope's body differs from it")
+		}
+	})
+}
+
+// subSlice reports whether the non-empty sub lies within data's elements.
+func subSlice(sub, data []byte) bool {
+	for off := range data {
+		if &data[off] == &sub[0] {
+			return off+len(sub) <= len(data)
+		}
+	}
+	return false
+}
+
+// benchBody is an 8 MB pseudo-random body for the codec benchmarks.
+func benchBody() []byte {
+	rng := rand.New(rand.NewPCG(9, 10))
+	body := make([]byte, 8<<20)
+	for i := 0; i < len(body); i += 8 {
+		binary.LittleEndian.PutUint64(body[i:], rng.Uint64())
+	}
+	return body
+}
+
+// BenchmarkDecode verifies an 8 MB envelope of each version; its MB/s is
+// the checksum's throughput, the one pass Decode makes over the body.
+func BenchmarkDecode(b *testing.B) {
+	body := benchBody()
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"v1", appendChecksum(1, envelopeHeader("engine", 1, body))},
+		{"v2", Encode("engine", body)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(tc.enc)))
+			for range b.N {
+				if _, err := Decode("engine", tc.enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncode writes an 8 MB envelope of each version. Nothing in
+// the package writes version 1 any more, so v1 times the test's
+// hand-built encoder: the same FNV-1a pass an earlier Encode made, plus
+// two body copies that are small beside it.
+func BenchmarkEncode(b *testing.B) {
+	body := benchBody()
+	for _, tc := range []struct {
+		name   string
+		encode func() []byte
+	}{
+		{"v1", func() []byte { return appendChecksum(1, envelopeHeader("engine", 1, body)) }},
+		{"v2", func() []byte { return Encode("engine", body) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(tc.encode())))
+			for range b.N {
+				tc.encode()
+			}
+		})
 	}
 }
 

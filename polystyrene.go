@@ -53,6 +53,7 @@ package polystyrene
 
 import (
 	"fmt"
+	"math"
 
 	"polystyrene/internal/core"
 	"polystyrene/internal/fd"
@@ -381,13 +382,14 @@ const lookupProbes = 8
 // full-scan answer of LookupExact.
 //
 // Lookup never panics on degenerate input: when the live set is empty
-// (every node crashed — CrashRegion over the whole space) or the query's
-// dimension does not match the system's space, it returns the -1
-// sentinel, the same "no node" answer LookupExact gives. Callers must
-// treat -1 as "nothing to route to", not as a node ID.
+// (every node crashed — CrashRegion over the whole space), the query's
+// dimension does not match the system's space, or a query coordinate is
+// NaN or infinite (no node is at a finite distance from it), it returns
+// the -1 sentinel, the same "no node" answer LookupExact gives. Callers
+// must treat -1 as "nothing to route to", not as a node ID.
 func (s *System) Lookup(query []float64) int {
 	live := s.stack.Engine.LiveIDs()
-	if len(live) == 0 || len(query) != s.space.Dim() {
+	if len(live) == 0 || !s.validQuery(query) {
 		return -1
 	}
 	q := space.Point(query)
@@ -412,10 +414,10 @@ func (s *System) Lookup(query []float64) int {
 // LookupExact returns the live node whose position is globally closest to
 // the query point, by scanning the whole live set — the O(live) oracle
 // Lookup approximates (and falls back to). Like Lookup it returns the -1
-// sentinel, never panicking, when the system is empty or the query's
-// dimension does not match the space.
+// sentinel, never panicking, when the system is empty, the query's
+// dimension does not match the space or a query coordinate is not finite.
 func (s *System) LookupExact(query []float64) int {
-	if len(query) != s.space.Dim() {
+	if !s.validQuery(query) {
 		return -1
 	}
 	best, bestD := -1, 0.0
@@ -427,6 +429,20 @@ func (s *System) LookupExact(query []float64) int {
 		}
 	}
 	return best
+}
+
+// validQuery reports whether query is a point of the system's space: the
+// space's dimension, every coordinate finite.
+func (s *System) validQuery(query []float64) bool {
+	if len(query) != s.space.Dim() {
+		return false
+	}
+	for _, v := range query {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Homogeneity measures how well the original shape is preserved: the mean

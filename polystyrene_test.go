@@ -186,6 +186,27 @@ func TestLookupRoutesToNearestNode(t *testing.T) {
 	}
 }
 
+// TestLookupNonFiniteQuery pins the "no node" sentinel for a query with
+// a NaN or infinite coordinate: no node is at a finite distance from it,
+// so neither lookup may answer with a real node.
+func TestLookupNonFiniteQuery(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{Seed: 1, Space: Torus(8, 4), Shape: TorusShape(8, 4, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Run(3)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, q := range [][]float64{{nan, nan}, {inf, 1}, {1, nan}, {-inf, -inf}} {
+		if got := sys.Lookup(q); got != -1 {
+			t.Fatalf("Lookup(%v) = %d, want -1", q, got)
+		}
+		if got := sys.LookupExact(q); got != -1 {
+			t.Fatalf("LookupExact(%v) = %d, want -1", q, got)
+		}
+	}
+}
+
 func TestLookupAfterCatastropheStillCoversSpace(t *testing.T) {
 	sys := torusSystem(t, 7, false)
 	sys.Run(15)
