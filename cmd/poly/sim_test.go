@@ -123,6 +123,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := simRun([]string{"-checkpoint-at", "5"}, &b); err == nil {
 		t.Fatal("-checkpoint-at without -checkpoint-dir accepted")
 	}
+	if err := simRun(with(smallScenario, "-k", "-3"), &b); err == nil {
+		t.Fatal("negative -k accepted")
+	}
+	if err := simRun(with(smallScenario, "-w", "-8"), &b); err == nil {
+		t.Fatal("negative -w accepted")
+	}
 	if err := simRun(with(smallScenario, "-checkpoint-dir", t.TempDir(), "-checkpoint-at", "30"), &b); err == nil {
 		t.Fatal("-checkpoint-at past -end accepted")
 	}

@@ -161,24 +161,9 @@ const (
 	// DefaultK is the replication factor (the paper evaluates 2, 4 and 8;
 	// 4 is the middle setting used for the illustrative figures).
 	DefaultK = 4
-	// DefaultPsi is ψ, the size of the neighbour window the migration
-	// partner is drawn from (Algorithm 3, line 1).
-	DefaultPsi = 5
-)
-
-// BackupPlacement selects where a node places its K replicas.
-type BackupPlacement int
-
-const (
-	// PlaceRandom spreads copies uniformly at random via the peer-sampling
-	// layer — the paper's default, chosen to survive spatially correlated
-	// failures (Sec. III-D).
-	PlaceRandom BackupPlacement = iota + 1
-	// PlaceNeighbors replicates to topologically close nodes instead. The
-	// paper discusses this variant: faster percolation after localized
-	// failures, but vulnerable to correlated regional crashes. Provided
-	// for the ablation benches.
-	PlaceNeighbors
+	// psi is ψ, the size of the neighbour window the migration partner is
+	// drawn from (Algorithm 3, line 1).
+	psi = 5
 )
 
 // Config parameterises the Polystyrene layer. Space, Topology and Sampler are
@@ -210,18 +195,8 @@ type Config struct {
 	Interner *space.Interner
 	// K is the replication factor (copies per data point).
 	K int
-	// Psi is the migration candidate window ψ.
-	Psi int
 	// Split selects the migration split strategy; zero means SplitAdvanced.
 	Split SplitKind
-	// DiameterSampleCap bounds diameter search cost; see Splitter.
-	DiameterSampleCap int
-	// Placement selects backup placement; zero means PlaceRandom.
-	Placement BackupPlacement
-	// FullCopyBackup disables the incremental-delta optimisation of
-	// Algorithm 1 (Sec. III-D) so each round re-sends full copies. Only
-	// the charged message cost differs; provided for the ablation bench.
-	FullCopyBackup bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -246,14 +221,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.K <= 0 {
 		c.K = DefaultK
 	}
-	if c.Psi <= 0 {
-		c.Psi = DefaultPsi
-	}
 	if c.Split == 0 {
 		c.Split = SplitAdvanced
-	}
-	if c.Placement == 0 {
-		c.Placement = PlaceRandom
 	}
 	return c, nil
 }
@@ -386,13 +355,9 @@ func New(cfg Config) (*Protocol, error) {
 		return nil, err
 	}
 	p := &Protocol{
-		cfg: cfg,
-		splitter: Splitter{
-			Kind:              cfg.Split,
-			Space:             cfg.Space,
-			DiameterSampleCap: cfg.DiameterSampleCap,
-		},
-		dim: cfg.Space.Dim(),
+		cfg:      cfg,
+		splitter: Splitter{Kind: cfg.Split, Space: cfg.Space},
+		dim:      cfg.Space.Dim(),
 	}
 	p.wtopo, _ = cfg.Topology.(WorkerTopology)
 	if u, ok := cfg.Topology.(PositionTableUser); ok {
@@ -407,11 +372,7 @@ func New(cfg Config) (*Protocol, error) {
 }
 
 func (p *Protocol) newScratch() *scratch {
-	return &scratch{splitter: Splitter{
-		Kind:              p.cfg.Split,
-		Space:             p.cfg.Space,
-		DiameterSampleCap: p.cfg.DiameterSampleCap,
-	}}
+	return &scratch{splitter: Splitter{Kind: p.cfg.Split, Space: p.cfg.Space}}
 }
 
 func (p *Protocol) ensureWorkers(n int) {
@@ -600,19 +561,11 @@ func (p *Protocol) backup(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 
 	// Push guests to every backup (lines 3-4). The stored ghosts are a
 	// full replacement; the *charged* traffic is the incremental delta
-	// (Sec. III-D optimisation) unless FullCopyBackup is set.
+	// (Sec. III-D optimisation).
 	if len(st.backups) == 0 {
 		return
 	}
 	ptCost := sim.PointCost(p.cfg.Space.Dim())
-	if p.cfg.FullCopyBackup {
-		for i := range st.backups {
-			ctx.Touch(st.backups[i].node)
-			p.pushGhosts(id, st.backups[i].node, st)
-			ctx.Charge(len(st.guests) * ptCost)
-		}
-		return
-	}
 	// One generation pass marks the current guest set; each target's delta
 	// then prices against its own previously-pushed set, with no maps and
 	// no key strings.
@@ -661,10 +614,11 @@ func (p *Protocol) pushGhosts(id, b sim.NodeID, st *nodeState) {
 	gs.ids = append(gs.ids[:0], st.guestIDs...)
 }
 
-// pickBackupTargets appends up to n fresh backup nodes to id's target list
-// according to the configured placement, excluding self and current
-// targets via the pooled node-generation set. The candidate draw appends
-// into the slot's pooled buffer, so the top-up allocates nothing.
+// pickBackupTargets appends up to n fresh backup nodes to id's target list,
+// drawn at random through the peer-sampling layer (Sec. III-D: random
+// placement survives spatially correlated failures), excluding self and
+// current targets via the pooled node-generation set. The candidate draw
+// appends into the slot's pooled buffer, so the top-up allocates nothing.
 func (p *Protocol) pickBackupTargets(ctx *sim.StepCtx, scr *scratch, id sim.NodeID, n int) {
 	e := ctx.Engine()
 	st := p.nodes[id]
@@ -674,15 +628,8 @@ func (p *Protocol) pickBackupTargets(ctx *sim.StepCtx, scr *scratch, id sim.Node
 		exclude[b.node] = gen
 	}
 
-	var candidates []sim.NodeID
-	switch p.cfg.Placement {
-	case PlaceNeighbors:
-		candidates = p.topoAppendNeighbors(ctx, scr.nbrBuf[:0], id, n+len(st.backups)+1)
-		scr.nbrBuf = candidates
-	default:
-		candidates = p.cfg.Sampler.AppendRandomPeersW(ctx, scr.nbrBuf[:0], id, n+len(st.backups)+1)
-		scr.nbrBuf = candidates
-	}
+	candidates := p.cfg.Sampler.AppendRandomPeersW(ctx, scr.nbrBuf[:0], id, n+len(st.backups)+1)
+	scr.nbrBuf = candidates
 
 	added := 0
 	for _, c := range candidates {
@@ -721,11 +668,11 @@ func (p *Protocol) topoAppendNeighbors(ctx *sim.StepCtx, dst []sim.NodeID, id si
 
 // migrate performs the pair-wise pull-push exchange of guest points with a
 // partner drawn from the ψ closest T-Man neighbours plus one random peer.
-// The candidate window lands in pooled scratch, so the Psi-scan performs
+// The candidate window lands in pooled scratch, so the ψ-scan performs
 // no allocations.
 func (p *Protocol) migrate(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	e := ctx.Engine()
-	candidates := p.topoAppendNeighbors(ctx, scr.nbrBuf[:0], id, p.cfg.Psi)
+	candidates := p.topoAppendNeighbors(ctx, scr.nbrBuf[:0], id, psi)
 	scr.nbrBuf = candidates
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
 		dup := false
@@ -913,7 +860,7 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 
 	// Mirror migrate's partner selection: ψ-window plus one random peer,
 	// live-filtered, uniform pick.
-	cand := p.planTopoNeighbors(p.plan.cand[:0], id, p.cfg.Psi)
+	cand := p.planTopoNeighbors(p.plan.cand[:0], id, psi)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {
 		dup := false
 		for _, c := range cand {
@@ -949,14 +896,8 @@ func (p *Protocol) planPickBackupTargets(e *sim.Engine, rng *xrand.Rand, id sim.
 		exclude[b] = gen
 	}
 
-	var candidates []sim.NodeID
 	want := n + (len(dst) - keptOff) + 1
-	switch p.cfg.Placement {
-	case PlaceNeighbors:
-		candidates = p.planTopoNeighbors(p.plan.nbr[:0], id, want)
-	default:
-		candidates = p.cfg.Sampler.AppendPlanRandomPeers(p.plan.nbr[:0], e, rng, id, want)
-	}
+	candidates := p.cfg.Sampler.AppendPlanRandomPeers(p.plan.nbr[:0], e, rng, id, want)
 	p.plan.nbr = candidates
 
 	added := 0

@@ -71,12 +71,6 @@ type Splitter struct {
 	Kind SplitKind
 	// Space supplies the metric.
 	Space space.Space
-	// DiameterSampleCap bounds the number of candidate pairs examined
-	// when approximating a diameter over large point sets (the paper
-	// suggests sampling once a set exceeds ~30 points). Zero means the
-	// default of 500 pairs; exact search is used whenever the set has no
-	// more pairs than the cap.
-	DiameterSampleCap int
 	// Rng supplies randomness for diameter sampling. Required only when
 	// point sets can exceed the exact-search threshold.
 	Rng *xrand.Rand
@@ -87,7 +81,11 @@ type Splitter struct {
 	aIDs, bIDs []space.PointID
 }
 
-const defaultDiameterSampleCap = 500
+// diameterSampleCap bounds the number of candidate pairs examined when
+// approximating a diameter over large point sets (the paper suggests
+// sampling once a set exceeds ~30 points); exact search is used whenever
+// the set has no more pairs than the cap.
+const diameterSampleCap = 500
 
 // Split distributes points between the nodes at posP and posQ. ids carries
 // the points' interned identities in lockstep and is partitioned alongside
@@ -132,13 +130,9 @@ func (sp *Splitter) diameter(points []space.Point) (u, v space.Point, ok bool) {
 	if len(points) < 2 {
 		return nil, nil, false
 	}
-	maxPairs := sp.DiameterSampleCap
-	if maxPairs <= 0 {
-		maxPairs = defaultDiameterSampleCap
-	}
 	var i, j int
 	if sp.Rng != nil {
-		i, j, _ = space.DiameterSampled(sp.Space, points, maxPairs, sp.Rng)
+		i, j, _ = space.DiameterSampled(sp.Space, points, diameterSampleCap, sp.Rng)
 	} else {
 		i, j, _ = space.Diameter(sp.Space, points)
 	}

@@ -212,7 +212,7 @@ func TestSplitLargeSetUsesSampledDiameter(t *testing.T) {
 	for i := range pts {
 		pts[i] = space.Point{rng.Float64() * 100, rng.Float64() * 100}
 	}
-	sp := &Splitter{Kind: SplitAdvanced, Space: s, DiameterSampleCap: 300, Rng: rng}
+	sp := &Splitter{Kind: SplitAdvanced, Space: s, Rng: rng}
 	toP, toQ := splitPts(sp, pts, space.Point{0, 0}, space.Point{100, 100})
 	if len(toP)+len(toQ) != 200 || len(toP) == 0 || len(toQ) == 0 {
 		t.Fatalf("sampled split sizes %d/%d", len(toP), len(toQ))

@@ -9,13 +9,16 @@ import (
 	"polystyrene/internal/snap"
 )
 
-// goldenCfg is the configuration both checked-in snapshots were taken
-// from, at round 6: testdata/single_8x4_r6.psysnap on the single engine,
+// goldenCfg is the configuration the checked-in round-6 snapshots were
+// taken from: testdata/single_8x4_r6.psysnap on the single engine,
 // testdata/sharded2_8x4_r6.psysnap under the since-removed 2-shard
-// topology. The files are never regenerated: they pin that snapshots
+// topology, and neighbors_8x4_r6.psysnap and fullcopy_8x4_r6.psysnap
+// under the since-removed neighbour backup placement and full-copy
+// backups. The files are never regenerated: they pin that snapshots
 // written by earlier builds keep restoring (or fail with a diagnosis).
-// Both are version 1 envelopes; each restorable one has a version 2 twin
-// (*.v2.psysnap), written once by restoring it and snapshotting again.
+// The first two are version 1 envelopes, the restorable one with a
+// version 2 twin (*.v2.psysnap), written once by restoring it and
+// snapshotting again; the two ablation snapshots are version 2.
 var goldenCfg = Config{Seed: 31, W: 8, H: 4, Polystyrene: true}
 
 func readGolden(t *testing.T, name string) []byte {
@@ -146,5 +149,27 @@ func TestShardedSnapshotDigest(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotBytes(t, target), before) {
 		t.Fatal("refused restore mutated the target scenario")
+	}
+}
+
+// TestRemovedBackupAblationSnapshotsRefused pins the refusal of snapshots
+// taken under the removed backup ablations: the checked-in neighbour
+// placement and full-copy snapshots fail the configuration check, and the
+// target scenario is left as it was.
+func TestRemovedBackupAblationSnapshotsRefused(t *testing.T) {
+	for _, name := range []string{"neighbors_8x4_r6.psysnap", "fullcopy_8x4_r6.psysnap"} {
+		golden := readGolden(t, name)
+		target := MustNew(goldenCfg)
+		t.Cleanup(target.Close)
+		target.Run(3)
+		before := snapshotBytes(t, target)
+
+		err := target.Restore(bytes.NewReader(golden))
+		if err == nil || !strings.Contains(err.Error(), "does not match") {
+			t.Fatalf("%s: restore error = %v, want a configuration mismatch", name, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, target), before) {
+			t.Fatalf("%s: refused restore mutated the target scenario", name)
+		}
 	}
 }

@@ -27,7 +27,7 @@ func paperRun(t *testing.T, cfg Config) (*Result, float64) {
 // points, message cost, liveness — is byte-identical across worker counts
 // {1, 2, GOMAXPROCS}, through convergence, the half-torus catastrophe and
 // reinjection, for the Polystyrene stack, the baseline, a delayed failure
-// detector and the full-copy backup ablation.
+// detector and a replication factor of K = 2 on a 16x8 grid.
 func TestExchangeParallelismByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack exchange-parallel identity run; exercised by CI's dedicated race step")
@@ -36,7 +36,7 @@ func TestExchangeParallelismByteIdentical(t *testing.T) {
 		"poly-tman":     {Seed: 42, W: 20, H: 10, Polystyrene: true},
 		"baseline-tman": {Seed: 42, W: 20, H: 10},
 		"delayed-fd":    {Seed: 43, W: 20, H: 10, Polystyrene: true, Detector: fd.NewDelayed(2)},
-		"full-copy":     {Seed: 44, W: 16, H: 8, Polystyrene: true, FullCopyBackup: true, K: 2},
+		"k2":            {Seed: 44, W: 16, H: 8, Polystyrene: true, K: 2},
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for name, base := range cases {

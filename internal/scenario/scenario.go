@@ -18,6 +18,8 @@
 package scenario
 
 import (
+	"fmt"
+
 	"polystyrene/internal/core"
 	"polystyrene/internal/fd"
 	"polystyrene/internal/metrics"
@@ -42,10 +44,6 @@ type Config struct {
 	Split core.SplitKind
 	// Detector overrides the failure detector; nil means perfect.
 	Detector fd.Detector
-	// Placement overrides backup placement; zero means random.
-	Placement core.BackupPlacement
-	// FullCopyBackup disables the incremental-delta backup optimisation.
-	FullCopyBackup bool
 	// SkipMetrics disables per-round metric collection (for sweeps that
 	// only need the final state or reshaping time).
 	SkipMetrics bool
@@ -64,6 +62,18 @@ const (
 	// and snapshots ("we represent the 4 closest nodes", Sec. IV-A).
 	neighborK = 4
 )
+
+// validate refuses negative grid sides and replication factors; zero
+// keeps meaning the default.
+func (c Config) validate() error {
+	if c.W < 0 || c.H < 0 {
+		return fmt.Errorf("scenario: grid %dx%d has a negative side", c.W, c.H)
+	}
+	if c.K < 0 {
+		return fmt.Errorf("scenario: replication factor K=%d is negative", c.K)
+	}
+	return nil
+}
 
 func (c Config) withDefaults() Config {
 	if c.W == 0 {
@@ -110,6 +120,9 @@ type Result struct {
 
 // New wires a scenario and creates its initial node population.
 func New(cfg Config) (*Scenario, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	sc := &Scenario{
 		Cfg:      cfg,

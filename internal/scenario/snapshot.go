@@ -26,7 +26,10 @@ const scenarioKind = SnapshotKind
 // The shard count is a field of the format from when a sharded topology
 // existed: it is always written as 1, and a snapshot carrying any other
 // count is refused (see Restore). The overlay field is always written as
-// "tman", the one overlay host, so snapshots keep their bytes.
+// "tman", the one overlay host, and the placement and fullCopyBackup
+// fields as 0 and false, the random placement and incremental backups
+// that are the only ones left, so snapshots keep their bytes and one
+// taken under a removed backup ablation is refused.
 type configDigest struct {
 	w, h           int
 	step           float64
@@ -64,8 +67,7 @@ func digestOf(cfg Config) configDigest {
 	return configDigest{
 		w: cfg.W, h: cfg.H, step: gridStep,
 		polystyrene: cfg.Polystyrene, overlay: "tman",
-		k: cfg.K, split: int(cfg.Split), placement: int(cfg.Placement),
-		fullCopyBackup: cfg.FullCopyBackup, neighborK: neighborK,
+		k: cfg.K, split: int(cfg.Split), neighborK: neighborK,
 		detector: detectorIdentity(cfg.Detector),
 		shards:   1,
 	}

@@ -51,10 +51,13 @@ type Stack struct {
 // Polystyrene). join supplies the position of every later node: under
 // Polystyrene that node joins empty-handed there, under the baseline it
 // stays fixed there. Of cfg, NewStack reads the layer and engine knobs
-// (Seed, Polystyrene, K, Split, Detector, Placement, FullCopyBackup,
-// ExchangeParallelism); the grid size and metric settings belong to the
-// owner. T-Man runs with the paper's defaults.
+// (Seed, Polystyrene, K, Split, Detector, ExchangeParallelism); the grid
+// size and metric settings belong to the owner. T-Man runs with the
+// paper's defaults.
 func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.NodeID) space.Point) (*Stack, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	s := &Stack{
 		Points:   points,
@@ -77,16 +80,14 @@ func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.N
 	layers := []sim.Protocol{s.sampler, s.topo}
 	if cfg.Polystyrene {
 		poly, err := core.New(core.Config{
-			Space:          spc,
-			Topology:       s.topo,
-			Sampler:        s.sampler,
-			Detector:       cfg.Detector,
-			Interner:       s.Interner,
-			K:              cfg.K,
-			Split:          cfg.Split,
-			Placement:      cfg.Placement,
-			FullCopyBackup: cfg.FullCopyBackup,
-			InitialPoint:   s.initialPoint,
+			Space:        spc,
+			Topology:     s.topo,
+			Sampler:      s.sampler,
+			Detector:     cfg.Detector,
+			Interner:     s.Interner,
+			K:            cfg.K,
+			Split:        cfg.Split,
+			InitialPoint: s.initialPoint,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)

@@ -30,14 +30,14 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // memory in proportion to the bytes it really holds. The new rows replace
 // the current ones only once the whole section has parsed; on any error
 // the protocol is left as it was. A view longer than max(ViewCap,
-// InitDegree), the most a row holds between merges, and an entry outside
+// initDegree), the most a row holds between merges, and an entry outside
 // [0, n), where n is the section's view count, are refused.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.Len(8)
 	if n > math.MaxInt32+1 {
 		return fmt.Errorf("tman: snapshot has %d views, the overlay's limit is %d", n, math.MaxInt32+1)
 	}
-	maxView := max(p.cfg.ViewCap, p.cfg.InitDegree)
+	maxView := max(p.cfg.ViewCap, initDegree)
 	views := make([][]int32, n)
 	rows := rowSlab{stride: p.rows.stride}
 	for i := range views {

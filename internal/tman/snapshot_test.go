@@ -72,7 +72,7 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 		}
 		return encodeViews(out)
 	}
-	maxView := max(n.tman.cfg.ViewCap, n.tman.cfg.InitDegree)
+	maxView := max(n.tman.cfg.ViewCap, initDegree)
 	cases := []struct {
 		name    string
 		section []byte

@@ -54,10 +54,10 @@
 // Polystyrene layer above snapshots them for its own pass).
 //
 // Views live in fixed-stride rows of one slab. Each node owns a row of
-// stride = max(ViewCap, InitDegree) + MsgSize int32 ids (120 ids, 480 B, at
+// stride = max(ViewCap, initDegree) + MsgSize int32 ids (120 ids, 480 B, at
 // the defaults), carved with its neighbours in pages of contiguous rows
 // when the node joins or the overlay is restored. A view at rest holds at
-// most max(ViewCap, InitDegree) entries and a merge appends at most
+// most max(ViewCap, initDegree) entries and a merge appends at most
 // MsgSize, so every purge, re-seed, merge, ranking and prefix read works
 // in place in the row, and a view's storage never grows or moves. The
 // ids are int32 inside the overlay only (InitNode refuses ids past
@@ -88,12 +88,12 @@ const (
 	DefaultViewCap = 100
 	// DefaultMsgSize is m, the number of descriptors per message.
 	DefaultMsgSize = 20
-	// DefaultPsi is ψ, the number of closest neighbours the exchange
-	// partner is drawn from.
-	DefaultPsi = 5
-	// DefaultInitDegree is the number of random peers a node's view is
-	// seeded with ("initialized with 10 random neighbors from RPS").
-	DefaultInitDegree = 10
+	// psi is ψ, the number of closest neighbours the exchange partner is
+	// drawn from.
+	psi = 5
+	// initDegree is the number of random peers a node's view is seeded
+	// with ("initialized with 10 random neighbors from RPS").
+	initDegree = 10
 )
 
 // PositionFunc reports the current virtual position of a node. It must
@@ -116,10 +116,6 @@ type Config struct {
 	ViewCap int
 	// MsgSize is the number of descriptors per exchanged message (m).
 	MsgSize int
-	// Psi is the partner-selection window (ψ).
-	Psi int
-	// InitDegree seeds a joining node's view with this many random peers.
-	InitDegree int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -137,12 +133,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MsgSize <= 0 {
 		c.MsgSize = DefaultMsgSize
-	}
-	if c.Psi <= 0 {
-		c.Psi = DefaultPsi
-	}
-	if c.InitDegree <= 0 {
-		c.InitDegree = DefaultInitDegree
 	}
 	return c, nil
 }
@@ -236,7 +226,7 @@ func New(cfg Config) (*Protocol, error) {
 	}
 	return &Protocol{
 		cfg:   cfg,
-		rows:  rowSlab{stride: max(cfg.ViewCap, cfg.InitDegree) + cfg.MsgSize},
+		rows:  rowSlab{stride: max(cfg.ViewCap, initDegree) + cfg.MsgSize},
 		ws:    []*scratch{{}},
 		dim:   cfg.Space.Dim(),
 		clock: staticClock,
@@ -288,7 +278,7 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 		p.rankedAt = append(p.rankedAt, 0)
 	}
 	scr := p.ws[0]
-	scr.peers = p.cfg.Sampler.AppendRandomPeers(scr.peers[:0], e, id, p.cfg.InitDegree)
+	scr.peers = p.cfg.Sampler.AppendRandomPeers(scr.peers[:0], e, id, initDegree)
 	p.views[id] = appendIDs(p.views[id][:0], scr.peers)
 	p.rankedAt[id] = 0
 }
@@ -352,7 +342,7 @@ func (p *Protocol) pos(id sim.NodeID) space.Point {
 // live view entries, augmented with one random peer from the sampling
 // layer (which guarantees convergence and re-connects isolated nodes).
 func (p *Protocol) selectPartner(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) sim.NodeID {
-	candidates := append(scr.candBuf[:0], p.closest(scr, id, p.cfg.Psi)...)
+	candidates := append(scr.candBuf[:0], p.closest(scr, id, psi)...)
 	if r := p.cfg.Sampler.RandomPeerW(ctx, id); r != sim.None && r != id {
 		candidates = appendAbsent(candidates, int32(r))
 	}
@@ -549,7 +539,7 @@ func (p *Protocol) purgeDead(ctx *sim.StepCtx, id sim.NodeID) {
 	}
 	if len(kept) == 0 {
 		scr := p.ws[ctx.Worker()]
-		scr.peers = p.cfg.Sampler.AppendRandomPeersW(ctx, scr.peers[:0], id, p.cfg.InitDegree)
+		scr.peers = p.cfg.Sampler.AppendRandomPeersW(ctx, scr.peers[:0], id, initDegree)
 		kept = appendIDs(kept, scr.peers)
 		p.rankedAt[id] = 0
 	}
@@ -586,16 +576,16 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	}
 	ranked := len(view) > 0 && p.ranked(id)
 	if len(view) == 0 {
-		p.plan.peers = p.cfg.Sampler.AppendPlanRandomPeers(p.plan.peers[:0], e, rng, id, p.cfg.InitDegree)
+		p.plan.peers = p.cfg.Sampler.AppendPlanRandomPeers(p.plan.peers[:0], e, rng, id, initDegree)
 		view = appendIDs(view, p.plan.peers)
 	}
 	p.plan.cand = view
 
 	// Mirror selectPartner over the (possibly re-seeded) view. Purging
 	// keeps a ranked view sorted, so its window is a prefix.
-	window := prefix(view, p.cfg.Psi)
+	window := prefix(view, psi)
 	if !ranked {
-		window = p.rank(&p.plan.sel, view, p.pos(id), p.cfg.Psi)
+		window = p.rank(&p.plan.sel, view, p.pos(id), psi)
 	}
 	candidates := append(p.plan.part[:0], window...)
 	if r := p.cfg.Sampler.PlanRandomPeer(e, rng, id); r != sim.None && r != id {

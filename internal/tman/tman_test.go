@@ -67,8 +67,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ViewCap != DefaultViewCap || cfg.MsgSize != DefaultMsgSize ||
-		cfg.Psi != DefaultPsi || cfg.InitDegree != DefaultInitDegree {
+	if cfg.ViewCap != DefaultViewCap || cfg.MsgSize != DefaultMsgSize {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

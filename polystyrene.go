@@ -196,6 +196,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Split == "" {
 		cfg.Split = "advanced"
 	}
+	if cfg.NeighborK < 0 {
+		return nil, fmt.Errorf("polystyrene: SystemConfig.NeighborK is %d, want >= 0", cfg.NeighborK)
+	}
 	if cfg.NeighborK == 0 {
 		cfg.NeighborK = 4
 	}

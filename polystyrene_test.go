@@ -49,6 +49,17 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(SystemConfig{Space: SpaceSpec{}, Shape: [][]float64{{1}}}); err == nil {
 		t.Fatal("zero SpaceSpec accepted")
 	}
+	// Zero means the default; below zero is refused, not run as it.
+	for name, cfg := range map[string]SystemConfig{
+		"ReplicationFactor": {ReplicationFactor: -3},
+		"NeighborK":         {NeighborK: -2},
+	} {
+		cfg.Space, cfg.Shape = Torus(8, 4), TorusShape(8, 4, 1)
+		if sys, err := NewSystem(cfg); err == nil {
+			sys.Close()
+			t.Errorf("negative %s accepted", name)
+		}
+	}
 }
 
 func TestShapeBuilders(t *testing.T) {
