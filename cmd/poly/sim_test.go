@@ -129,6 +129,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := simRun(with(smallScenario, "-w", "-8"), &b); err == nil {
 		t.Fatal("negative -w accepted")
 	}
+	if err := simRun(with(smallScenario, "-exchange-parallel", "-2"), &b); err == nil {
+		t.Fatal("negative -exchange-parallel accepted")
+	}
 	if err := simRun(with(smallScenario, "-checkpoint-dir", t.TempDir(), "-checkpoint-at", "30"), &b); err == nil {
 		t.Fatal("-checkpoint-at past -end accepted")
 	}

@@ -12,7 +12,8 @@
 // sampling protocol in our measurements", Sec. IV-A), this layer does not
 // charge the engine's cost meter.
 //
-// Views are small (tens of entries), so membership tests are linear scans
+// Views are small (at most 20 entries, 10 exchanged per shuffle: the
+// paper's Sec. IV-A constants), so membership tests are linear scans
 // and per-exchange buffers are pooled per worker slot — a shuffle performs
 // no map operations and no steady-state allocations. Under the sequential
 // engine only slot 0 is ever used; under intra-round exchange batching
@@ -26,33 +27,17 @@ import (
 	"polystyrene/internal/xrand"
 )
 
-// DefaultViewSize is the Cyclon view size used when Config.ViewSize is 0.
-const DefaultViewSize = 20
+// The Cyclon parameters of the paper's setting (Sec. IV-A).
+const (
+	// viewSize is the maximum number of neighbours a node keeps.
+	viewSize = 20
+	// shuffleLen is the number of descriptors exchanged per shuffle.
+	shuffleLen = 10
+)
 
-// DefaultShuffleLen is the number of descriptors exchanged per shuffle
-// when Config.ShuffleLen is 0.
-const DefaultShuffleLen = 10
-
-// Config parameterises the protocol.
-type Config struct {
-	// ViewSize is the maximum number of neighbours a node keeps.
-	ViewSize int
-	// ShuffleLen is the number of descriptors exchanged per shuffle.
-	ShuffleLen int
-}
-
-func (c Config) withDefaults() Config {
-	if c.ViewSize <= 0 {
-		c.ViewSize = DefaultViewSize
-	}
-	if c.ShuffleLen <= 0 {
-		c.ShuffleLen = DefaultShuffleLen
-	}
-	if c.ShuffleLen > c.ViewSize {
-		c.ShuffleLen = c.ViewSize
-	}
-	return c
-}
+// Config has no fields: the view size and the shuffle length are the
+// paper's constants.
+type Config struct{}
 
 // entry is a view slot: a neighbour ID plus its gossip age.
 type entry struct {
@@ -72,7 +57,6 @@ type scratch struct {
 // Protocol is the peer-sampling layer. It implements sim.Protocol and
 // sim.Batched.
 type Protocol struct {
-	cfg   Config
 	views [][]entry
 
 	// ws holds one scratch per worker slot (slot 0 is the sequential
@@ -91,9 +75,9 @@ type planScratch struct {
 var _ sim.Protocol = (*Protocol)(nil)
 var _ sim.Batched = (*Protocol)(nil)
 
-// New returns a peer-sampling protocol with the given configuration.
-func New(cfg Config) *Protocol {
-	return &Protocol{cfg: cfg.withDefaults(), ws: make([]scratch, 1)}
+// New returns a peer-sampling protocol.
+func New(Config) *Protocol {
+	return &Protocol{ws: make([]scratch, 1)}
 }
 
 // Name implements sim.Protocol.
@@ -112,7 +96,7 @@ func (p *Protocol) ensureWorkers(n int) {
 }
 
 // InitNode implements sim.Protocol: a joining node is bootstrapped with up
-// to ViewSize random live peers (this models the out-of-band introduction
+// to viewSize random live peers (this models the out-of-band introduction
 // every gossip system needs).
 func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 	for len(p.views) <= int(id) {
@@ -122,10 +106,10 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 }
 
 func (p *Protocol) bootstrapView(ctx *sim.StepCtx, id sim.NodeID) []entry {
-	view := make([]entry, 0, p.cfg.ViewSize)
+	view := make([]entry, 0, viewSize)
 	// Sample without replacement from the live set via rejection; the
 	// join-time live set is usually much larger than the view.
-	for attempts := 0; len(view) < p.cfg.ViewSize && attempts < 20*p.cfg.ViewSize; attempts++ {
+	for attempts := 0; len(view) < viewSize && attempts < 20*viewSize; attempts++ {
 		peer := ctx.RandomLive()
 		if peer == sim.None || peer == id || viewContains(view, peer) {
 			continue
@@ -187,10 +171,10 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 
 	scr := p.scr(ctx.Worker())
 	p.purgeDead(e, q)
-	sentToQ := p.sampleForShuffle(ctx, scr, id, q, p.cfg.ShuffleLen-1, &scr.bufA)
+	sentToQ := p.sampleForShuffle(ctx, scr, id, q, shuffleLen-1, &scr.bufA)
 	sentToQ = append(sentToQ, entry{id: id, age: 0}) // fresh self-descriptor
 	scr.bufA = sentToQ
-	sentToP := p.sampleForShuffle(ctx, scr, q, id, p.cfg.ShuffleLen, &scr.bufB)
+	sentToP := p.sampleForShuffle(ctx, scr, q, id, shuffleLen, &scr.bufB)
 
 	p.merge(id, sentToP, sentToQ)
 	p.merge(q, sentToQ, sentToP)
@@ -233,7 +217,7 @@ func (p *Protocol) merge(owner sim.NodeID, received, sent []entry) {
 		if en.id == owner || viewContains(view, en.id) {
 			continue
 		}
-		if len(view) < p.cfg.ViewSize {
+		if len(view) < viewSize {
 			view = append(view, en)
 			continue
 		}
@@ -295,7 +279,7 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 		// draw-for-draw on the throwaway stream; the bootstrapped view's
 		// entries all carry age 0, so the partner is its first entry.
 		sv := p.plan.peers[:0]
-		for attempts := 0; len(sv) < p.cfg.ViewSize && attempts < 20*p.cfg.ViewSize; attempts++ {
+		for attempts := 0; len(sv) < viewSize && attempts < 20*viewSize; attempts++ {
 			peer := planRandomLive(e, rng)
 			if peer == sim.None || peer == id || idsContain(sv, peer) {
 				continue

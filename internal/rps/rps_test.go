@@ -6,9 +6,9 @@ import (
 	"polystyrene/internal/sim"
 )
 
-func newNetwork(t *testing.T, seed uint64, n int, cfg Config) (*sim.Engine, *Protocol) {
+func newNetwork(t *testing.T, seed uint64, n int) (*sim.Engine, *Protocol) {
 	t.Helper()
-	p := New(cfg)
+	p := New(Config{})
 	e := sim.New(seed, p)
 	e.AddNodes(n)
 	return e, p
@@ -18,8 +18,8 @@ func checkViewInvariants(t *testing.T, e *sim.Engine, p *Protocol) {
 	t.Helper()
 	for _, id := range e.LiveIDs() {
 		view := p.View(id)
-		if len(view) > p.cfg.ViewSize {
-			t.Fatalf("node %d view size %d exceeds cap %d", id, len(view), p.cfg.ViewSize)
+		if len(view) > viewSize {
+			t.Fatalf("node %d view size %d exceeds cap %d", id, len(view), viewSize)
 		}
 		seen := map[sim.NodeID]bool{}
 		for _, peer := range view {
@@ -35,7 +35,7 @@ func checkViewInvariants(t *testing.T, e *sim.Engine, p *Protocol) {
 }
 
 func TestBootstrapViews(t *testing.T) {
-	e, p := newNetwork(t, 1, 100, Config{})
+	e, p := newNetwork(t, 1, 100)
 	checkViewInvariants(t, e, p)
 	// The very first node joins an empty network and legitimately starts
 	// with no neighbours; every later joiner must know someone.
@@ -54,7 +54,7 @@ func TestBootstrapViews(t *testing.T) {
 }
 
 func TestInvariantsHoldOverRounds(t *testing.T) {
-	e, p := newNetwork(t, 2, 200, Config{ViewSize: 15, ShuffleLen: 8})
+	e, p := newNetwork(t, 2, 200)
 	for i := 0; i < 30; i++ {
 		e.RunRounds(1)
 		checkViewInvariants(t, e, p)
@@ -62,7 +62,7 @@ func TestInvariantsHoldOverRounds(t *testing.T) {
 }
 
 func TestSingleNodeNetwork(t *testing.T) {
-	e, p := newNetwork(t, 3, 1, Config{})
+	e, p := newNetwork(t, 3, 1)
 	e.RunRounds(5) // must not panic or loop
 	if len(p.View(0)) != 0 {
 		t.Fatalf("lone node should have an empty view, got %v", p.View(0))
@@ -75,7 +75,7 @@ func TestSingleNodeNetwork(t *testing.T) {
 func TestConnectivityAfterShuffles(t *testing.T) {
 	// The union of views must keep the network connected (reachability from
 	// node 0 covers everyone) after many shuffles.
-	e, p := newNetwork(t, 4, 300, Config{})
+	e, p := newNetwork(t, 4, 300)
 	e.RunRounds(20)
 	reached := map[sim.NodeID]bool{0: true}
 	frontier := []sim.NodeID{0}
@@ -97,7 +97,7 @@ func TestConnectivityAfterShuffles(t *testing.T) {
 }
 
 func TestDeadNeighboursPurged(t *testing.T) {
-	e, p := newNetwork(t, 5, 100, Config{ViewSize: 10, ShuffleLen: 5})
+	e, p := newNetwork(t, 5, 100)
 	e.RunRounds(5)
 	// Kill half the network; stale links must disappear from live views.
 	for id := sim.NodeID(50); id < 100; id++ {
@@ -114,7 +114,7 @@ func TestDeadNeighboursPurged(t *testing.T) {
 }
 
 func TestRandomPeerLiveAndCovering(t *testing.T) {
-	e, p := newNetwork(t, 6, 60, Config{})
+	e, p := newNetwork(t, 6, 60)
 	e.RunRounds(10)
 	covered := map[sim.NodeID]bool{}
 	for i := 0; i < 2000; i++ {
@@ -139,7 +139,7 @@ func TestRandomPeerLiveAndCovering(t *testing.T) {
 }
 
 func TestRandomPeersDistinct(t *testing.T) {
-	e, p := newNetwork(t, 7, 50, Config{})
+	e, p := newNetwork(t, 7, 50)
 	e.RunRounds(5)
 	peers := p.AppendRandomPeers(nil, e, 0, 5)
 	if len(peers) == 0 {
@@ -157,7 +157,7 @@ func TestRandomPeersDistinct(t *testing.T) {
 	}
 	// Asking for more than the view holds returns what is available.
 	many := p.AppendRandomPeers(nil, e, 0, 1000)
-	if len(many) > p.cfg.ViewSize {
+	if len(many) > viewSize {
 		t.Fatalf("AppendRandomPeers returned %d > view cap", len(many))
 	}
 }
@@ -165,7 +165,7 @@ func TestRandomPeersDistinct(t *testing.T) {
 func TestIndegreeBalance(t *testing.T) {
 	// Cyclon keeps in-degrees concentrated: no node should be referenced
 	// wildly more than average after mixing.
-	e, p := newNetwork(t, 8, 200, Config{})
+	e, p := newNetwork(t, 8, 200)
 	e.RunRounds(30)
 	indeg := map[sim.NodeID]int{}
 	total := 0
@@ -184,7 +184,7 @@ func TestIndegreeBalance(t *testing.T) {
 }
 
 func TestLateJoinersIntegrate(t *testing.T) {
-	e, p := newNetwork(t, 9, 50, Config{})
+	e, p := newNetwork(t, 9, 50)
 	e.RunRounds(10)
 	newcomers := e.AddNodes(50)
 	e.RunRounds(15)
@@ -209,7 +209,7 @@ func TestLateJoinersIntegrate(t *testing.T) {
 
 func TestReBootstrapAfterTotalViewLoss(t *testing.T) {
 	// If every neighbour of a node dies, the node re-bootstraps.
-	e, p := newNetwork(t, 10, 30, Config{ViewSize: 5, ShuffleLen: 3})
+	e, p := newNetwork(t, 10, 30)
 	e.RunRounds(3)
 	victim := sim.NodeID(0)
 	for _, peer := range p.View(victim) {
@@ -227,19 +227,19 @@ func TestReBootstrapAfterTotalViewLoss(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults: the view size is the paper's 20, so a node joining
+// 100 live ones bootstraps exactly viewSize entries.
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.ViewSize != DefaultViewSize || cfg.ShuffleLen != DefaultShuffleLen {
-		t.Fatalf("defaults = %+v", cfg)
+	e, p := newNetwork(t, 12, 100)
+	joiner := e.AddNodes(1)[0]
+	if got := len(p.View(joiner)); got != viewSize {
+		t.Fatalf("late joiner bootstrapped %d entries, want %d", got, viewSize)
 	}
-	cfg = Config{ViewSize: 4, ShuffleLen: 10}.withDefaults()
-	if cfg.ShuffleLen != 4 {
-		t.Fatalf("shuffle length not clamped to view size: %+v", cfg)
-	}
+	checkViewInvariants(t, e, p)
 }
 
 func TestRPSChargesNothing(t *testing.T) {
-	e, _ := newNetwork(t, 11, 50, Config{})
+	e, _ := newNetwork(t, 11, 50)
 	e.RunRounds(10)
 	if cost := e.Meter().TotalCost("rps"); cost != 0 {
 		t.Fatalf("rps charged %d units; the paper excludes peer sampling from cost accounting", cost)
@@ -255,7 +255,7 @@ func TestGossipRoundAllocs(t *testing.T) {
 	// Views and pooled buffers reach their working sizes over the first
 	// rounds; AllocsPerRun then averages (rounding down) over 30 warm
 	// rounds at BenchmarkGossipRound's 2,000 nodes.
-	e, _ := newNetwork(t, 1, 2000, Config{})
+	e, _ := newNetwork(t, 1, 2000)
 	e.RunRounds(30)
 	if avg := testing.AllocsPerRun(30, func() { e.RunRounds(1) }); avg != 0 {
 		t.Errorf("steady-state gossip round allocates %.1f objects, want 0", avg)

@@ -24,20 +24,27 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 }
 
 // RestoreState implements sim.Snapshotter. The views are carved from one
-// arena and keep exact capacity, so an append to one reallocates it. An
-// entry outside [0, n), where n is the section's view count, is refused,
-// and on any error the protocol is left as it was.
+// arena and keep exact capacity, so an append to one reallocates it. A
+// view longer than viewSize, an entry outside [0, n), where n is the
+// section's view count, and an entry naming the view's own node are
+// refused, and on any error the protocol is left as it was.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.Len(8)
 	views := make([][]entry, n)
 	var arena snap.Arena[entry]
 	for i := range views {
 		ln := r.Len(16)
+		if ln > viewSize {
+			return fmt.Errorf("rps: snapshot view of node %d holds %d entries, more than the %d a view keeps", i, ln, viewSize)
+		}
 		v := arena.Take(ln)
 		for j := range v {
 			id := r.Int()
 			if id < 0 || id >= n {
 				return fmt.Errorf("rps: snapshot view of node %d holds node %d, outside [0,%d)", i, id, n)
+			}
+			if id == i {
+				return fmt.Errorf("rps: snapshot view of node %d holds the node itself", i)
 			}
 			v[j].id = sim.NodeID(id)
 			v[j].age = r.Int()

@@ -51,7 +51,8 @@ type Config struct {
 	// intra-round exchange batching with that many workers. Results are
 	// byte-identical for every value >= 1 (worker count is a throughput
 	// knob only); 0 keeps the legacy sequential engine, whose trajectory
-	// differs. See sim.SetExchangeParallelism.
+	// differs, and a negative value is refused. See
+	// sim.SetExchangeParallelism.
 	ExchangeParallelism int
 }
 
@@ -71,6 +72,9 @@ func (c Config) validate() error {
 	}
 	if c.K < 0 {
 		return fmt.Errorf("scenario: replication factor K=%d is negative", c.K)
+	}
+	if c.ExchangeParallelism < 0 {
+		return fmt.Errorf("scenario: exchange parallelism %d is negative", c.ExchangeParallelism)
 	}
 	return nil
 }

@@ -118,7 +118,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 		w, h := 12, 6
 		tor := space.TorusForGrid(w, h, 1)
 		pts := space.TorusGrid(w, h, 1)
-		n := newTestNet(t, seed, tor, pts, Config{})
+		n := newTestNet(t, seed, tor, pts)
 
 		n.engine.RunRounds(8)
 		checkNeighborForms(t, n.engine, n.tman, "converged")
@@ -156,7 +156,7 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 
 // TestViewRowsBoundedAfterCatastrophe: after a 95% correlated kill and a
 // reinjection, every view — of a live node or a dead one — still sits in
-// its own fixed row of stride ids, live views hold at most ViewCap
+// its own fixed row of stride ids, live views hold at most viewCap
 // entries, and the overlay's view memory is exactly its carved rows ×
 // stride × 4 B: whole pages of rows, one row per node ever joined, and no
 // per-node capacity a catastrophe could pin.
@@ -164,7 +164,7 @@ func TestViewRowsBoundedAfterCatastrophe(t *testing.T) {
 	w, h := 40, 20
 	tor := space.TorusForGrid(w, h, 1)
 	pts := space.TorusGrid(w, h, 1)
-	n := newTestNet(t, 7, tor, pts, Config{})
+	n := newTestNet(t, 7, tor, pts)
 	n.engine.RunRounds(10)
 
 	// Kill 95%: keep one node in twenty.
@@ -182,13 +182,9 @@ func TestViewRowsBoundedAfterCatastrophe(t *testing.T) {
 	n.engine.RunRounds(10)
 
 	tm := n.tman
-	stride := tm.rows.stride
-	if want := DefaultViewCap + DefaultMsgSize; stride != want {
-		t.Fatalf("stride %d, want ViewCap + MsgSize = %d", stride, want)
-	}
 	for _, id := range n.engine.LiveIDs() {
-		if l := len(tm.views[id]); l > tm.cfg.ViewCap {
-			t.Fatalf("live node %d view holds %d entries, cap %d", id, l, tm.cfg.ViewCap)
+		if l := len(tm.views[id]); l > viewCap {
+			t.Fatalf("live node %d view holds %d entries, cap %d", id, l, viewCap)
 		}
 	}
 	rows := make([]uintptr, len(tm.views))

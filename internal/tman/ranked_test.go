@@ -16,11 +16,11 @@ import (
 // TestRankedViewsMergeMatchesSelection: mergeRanked — rank the new tail,
 // then one linear merge with the ranked prefix — returns exactly what a
 // full selection over the union returns, for random views over positions
-// that collide (so distance ties, broken by id, are everywhere), caps
-// below and above the union size, an empty prefix, no new entries, and new
-// entries that all order ahead of the prefix.
+// that collide (so distance ties, broken by id, are everywhere), unions
+// below and above the cap of viewCap, an empty prefix, no new entries, and
+// new entries that all order ahead of the prefix.
 func TestRankedViewsMergeMatchesSelection(t *testing.T) {
-	const n = 60
+	const n = 160
 	rng := xrand.New(5)
 	tor := space.TorusForGrid(4, 3, 1)
 	positions := make([]space.Point, n)
@@ -38,7 +38,6 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 	}
 
 	for trial := 0; trial < 4000; trial++ {
-		p.cfg.ViewCap = 1 + rng.Intn(40)
 		target := positions[rng.Intn(n)]
 		ids := make([]int32, 0, n)
 		for _, i := range rng.Sample(n, 1+rng.Intn(n)) {
@@ -60,11 +59,11 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 			rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
 		}
 		view := append(slices.Clone(pre), tail...)
-		want := slices.Clone(p.selectClosest(scr, view, target, min(len(view), p.cfg.ViewCap)))
+		want := slices.Clone(p.selectClosest(scr, view, target, min(len(view), viewCap)))
 		got := p.mergeRanked(scr, slices.Clone(view), len(pre), target)
 		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (cap %d): mergeRanked(prefix %v, new %v) = %v, selection %v",
-				trial, p.cfg.ViewCap, pre, tail, got, want)
+			t.Fatalf("trial %d (union %d): mergeRanked(prefix %v, new %v) = %v, selection %v",
+				trial, len(view), pre, tail, got, want)
 		}
 	}
 }
@@ -75,7 +74,7 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 // not carry stamps over.
 func TestRankedViewsReseedAndRestoreDropStamps(t *testing.T) {
 	const w, h = 20, 10
-	n := newTestNet(t, 3, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1), Config{ViewCap: 8, MsgSize: 4})
+	n := newTestNet(t, 3, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1))
 	moved := slices.Repeat([]uint64{1}, w*h)
 	n.tman.UsePositionClock(func() ([]uint64, uint64) { return moved, 1 })
 	n.engine.RunRounds(6)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"polystyrene/internal/rps"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
@@ -33,12 +35,12 @@ func snapshotOf(p *Protocol) []byte {
 }
 
 // TestRestoreRefusesCraftedSections: a section must name only nodes in
-// [0, n), n being its own view count, and no view may hold more entries
-// than a row keeps at rest. Each refusal leaves the protocol as it was,
+// [0, n), n being its own view count, no view may hold its own node, and
+// no view may hold more entries than a row keeps at rest. Each refusal leaves the protocol as it was,
 // and an honest section round-trips byte for byte.
 func TestRestoreRefusesCraftedSections(t *testing.T) {
 	const w, h = 8, 8
-	n := newTestNet(t, 4, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1), Config{})
+	n := newTestNet(t, 4, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1))
 	n.engine.RunRounds(5)
 	saved := snapshotOf(n.tman)
 	views := make([][]int, w*h)
@@ -72,7 +74,6 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 		}
 		return encodeViews(out)
 	}
-	maxView := max(n.tman.cfg.ViewCap, initDegree)
 	cases := []struct {
 		name    string
 		section []byte
@@ -82,8 +83,9 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 		{"entry n", crafted(w*h, 0), "outside [0,64)"},
 		{"entry -1", crafted(-1, 0), "outside [0,64)"},
 		{"entry 1<<32+5 (aliases node 5 as int32)", crafted(1<<32+5, 0), "outside [0,64)"},
-		{"view one past a row at rest", crafted(5, maxView+1), "more than the 100 a row keeps"},
-		{"view past the stride", crafted(5, n.tman.rows.stride+1), "more than the 100 a row keeps"},
+		{"view one past a row at rest", crafted(5, restCap+1), "more than the 100 a row keeps"},
+		{"view past the stride", crafted(5, stride+1), "more than the 100 a row keeps"},
+		{"entry names its own node", crafted(3, 0), "node 3 holds the node itself"},
 		{"last view cut short", saved[:len(saved)-4], "implausible count"},
 	}
 	for _, c := range cases {
@@ -111,7 +113,7 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 // is sized from it, and leaves the protocol unchanged.
 func TestRestoreLyingCountStaysCheap(t *testing.T) {
 	const w, h = 8, 8
-	n := newTestNet(t, 4, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1), Config{})
+	n := newTestNet(t, 4, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1))
 	n.engine.RunRounds(3)
 	saved := snapshotOf(n.tman)
 
@@ -138,7 +140,7 @@ func TestRestoreLyingCountStaysCheap(t *testing.T) {
 // refuses an id past math.MaxInt32 with a panic naming the limit, before
 // it grows any table.
 func TestInitNodeRefusesIDsPastInt32(t *testing.T) {
-	n := newTestNet(t, 1, space.TorusForGrid(4, 4, 1), space.TorusGrid(4, 4, 1), Config{})
+	n := newTestNet(t, 1, space.TorusForGrid(4, 4, 1), space.TorusGrid(4, 4, 1))
 	views, pages := len(n.tman.views), n.tman.rows.pages
 	defer func() {
 		msg, _ := recover().(string)
@@ -150,4 +152,50 @@ func TestInitNodeRefusesIDsPastInt32(t *testing.T) {
 		}
 	}()
 	n.tman.InitNode(n.engine, 1<<31)
+}
+
+// FuzzRestoreState: no byte string makes RestoreState panic. A section it
+// accepts leaves every view in a row of stride ids, within restCap, in
+// [0, n) and free of its own node, and re-snapshots to the bytes it
+// consumed; a section it refuses leaves the protocol as it was.
+func FuzzRestoreState(f *testing.F) {
+	const w, h = 8, 8
+	pts := space.TorusGrid(w, h, 1)
+	sampler := rps.New(rps.Config{})
+	tm, err := New(Config{Space: space.TorusForGrid(w, h, 1), Sampler: sampler,
+		Position: func(id sim.NodeID) space.Point { return pts[id] }})
+	if err != nil {
+		f.Fatal(err)
+	}
+	e := sim.New(4, sampler, tm)
+	e.AddNodes(w * h)
+	e.RunRounds(5)
+	honest := snapshotOf(tm)
+	f.Add(honest)
+	f.Add(encodeViews([][]int{{1}, {1}}))                                // node 1 holds itself
+	f.Add(encodeViews([][]int{slices.Repeat([]int{1}, restCap+1), {0}})) // one past a row at rest
+	f.Add(honest[:len(honest)-3])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := snapshotOf(tm)
+		r := snap.NewReader(data)
+		if err := tm.RestoreState(r); err != nil {
+			if !bytes.Equal(snapshotOf(tm), before) {
+				t.Fatalf("refused restore (%v) changed the protocol", err)
+			}
+			return
+		}
+		for id, v := range tm.views {
+			if len(v) > restCap || cap(v) != stride {
+				t.Fatalf("restored view of node %d holds %d entries in a row of %d", id, len(v), cap(v))
+			}
+			for _, x := range v {
+				if x < 0 || int(x) >= len(tm.views) || int(x) == id {
+					t.Fatalf("restored view of node %d holds node %d (n = %d)", id, x, len(tm.views))
+				}
+			}
+		}
+		if got, used := snapshotOf(tm), data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {
+			t.Fatalf("accepted section re-snapshots to %d bytes, consumed %d", len(got), len(used))
+		}
+	})
 }

@@ -53,8 +53,8 @@ func useMoveClock(n *testNet) (move func(ids ...sim.NodeID)) {
 func TestPositionTableMatchesPositionFunc(t *testing.T) {
 	const w, h = 16, 8
 	tor := space.TorusForGrid(w, h, 1)
-	ref := newTestNet(t, 12, tor, space.TorusGrid(w, h, 1), Config{})
-	tab := newTestNet(t, 12, tor, space.TorusGrid(w, h, 1), Config{})
+	ref := newTestNet(t, 12, tor, space.TorusGrid(w, h, 1))
+	tab := newTestNet(t, 12, tor, space.TorusGrid(w, h, 1))
 	sync := useFlatTable(tab)
 	moves := []func(ids ...sim.NodeID){useMoveClock(ref), useMoveClock(tab)}
 	same := func(phase string) {
@@ -97,7 +97,7 @@ func TestGossipRoundAllocs(t *testing.T) {
 		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
 	}
 	for _, table := range []bool{false, true} {
-		n := newTestNet(t, 13, space.TorusForGrid(40, 20, 1), space.TorusGrid(40, 20, 1), Config{})
+		n := newTestNet(t, 13, space.TorusForGrid(40, 20, 1), space.TorusGrid(40, 20, 1))
 		if table {
 			useFlatTable(n)
 		}

@@ -54,19 +54,21 @@
 // Polystyrene layer above snapshots them for its own pass).
 //
 // Views live in fixed-stride rows of one slab. Each node owns a row of
-// stride = max(ViewCap, initDegree) + MsgSize int32 ids (120 ids, 480 B, at
-// the defaults), carved with its neighbours in pages of contiguous rows
-// when the node joins or the overlay is restored. A view at rest holds at
-// most max(ViewCap, initDegree) entries and a merge appends at most
-// MsgSize, so every purge, re-seed, merge, ranking and prefix read works
-// in place in the row, and a view's storage never grows or moves. The
-// ids are int32 inside the overlay only (InitNode refuses ids past
-// math.MaxInt32); every exported query speaks sim.NodeID.
+// stride = max(viewCap, initDegree) + DefaultMsgSize = 120 int32 ids (480
+// B), carved with its neighbours in pages of contiguous rows when the node
+// joins or the overlay is restored. The stride is a compile-time constant:
+// the view cap (100), the init degree (10) and m (20) are the paper's Sec.
+// IV-A values. A view at rest holds at most restCap = max(viewCap,
+// initDegree) entries and a merge appends at most DefaultMsgSize, so every
+// purge, re-seed, merge, ranking and prefix read works in place in the
+// row, and a view's storage never grows or moves. The ids are int32 inside
+// the overlay only (InitNode refuses ids past math.MaxInt32); every
+// exported query speaks sim.NodeID.
 //
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
 // EachNeighbor (zero-copy visitor over the pooled selection scratch).
-// Every selection ranks at most ViewCap + MsgSize + 1 candidates, so the
+// Every selection ranks at most stride + 1 = 121 candidates, so the
 // pooled buffers are bounded by construction.
 package tman
 
@@ -82,10 +84,10 @@ import (
 	"polystyrene/internal/xrand"
 )
 
-// Defaults from the paper's experimental setting (Sec. IV-A).
+// The paper's experimental setting (Sec. IV-A).
 const (
-	// DefaultViewCap bounds the T-Man view ("capped to 100 peers").
-	DefaultViewCap = 100
+	// viewCap bounds the T-Man view ("capped to 100 peers").
+	viewCap = 100
 	// DefaultMsgSize is m, the number of descriptors per message.
 	DefaultMsgSize = 20
 	// psi is ψ, the number of closest neighbours the exchange partner is
@@ -94,14 +96,20 @@ const (
 	// initDegree is the number of random peers a node's view is seeded
 	// with ("initialized with 10 random neighbors from RPS").
 	initDegree = 10
+	// restCap is the most entries a view holds between merges: the cap,
+	// or a re-seed's initDegree random peers if that were larger.
+	restCap = max(viewCap, initDegree)
+	// stride is a view row's capacity: a view at rest plus one merged
+	// message.
+	stride = restCap + DefaultMsgSize
 )
 
 // PositionFunc reports the current virtual position of a node. It must
 // return a valid point for every live node.
 type PositionFunc func(id sim.NodeID) space.Point
 
-// Config parameterises the protocol. Space, Sampler and Position are
-// required; zero-valued numeric fields take the paper's defaults.
+// Config wires the protocol to the layers it reads. Every field is
+// required.
 type Config struct {
 	// Space is the metric space positions live in.
 	Space space.Space
@@ -112,41 +120,30 @@ type Config struct {
 	// (UsePositionClock), it must return each node's fixed position: a
 	// view ranked against it stays ranked until it is re-seeded.
 	Position PositionFunc
-	// ViewCap bounds the view size.
-	ViewCap int
-	// MsgSize is the number of descriptors per exchanged message (m).
-	MsgSize int
 }
 
-func (c Config) withDefaults() (Config, error) {
+func (c Config) validate() error {
 	if c.Space == nil {
-		return c, fmt.Errorf("tman: Config.Space is required")
+		return fmt.Errorf("tman: Config.Space is required")
 	}
 	if c.Sampler == nil {
-		return c, fmt.Errorf("tman: Config.Sampler is required")
+		return fmt.Errorf("tman: Config.Sampler is required")
 	}
 	if c.Position == nil {
-		return c, fmt.Errorf("tman: Config.Position is required")
+		return fmt.Errorf("tman: Config.Position is required")
 	}
-	if c.ViewCap <= 0 {
-		c.ViewCap = DefaultViewCap
-	}
-	if c.MsgSize <= 0 {
-		c.MsgSize = DefaultMsgSize
-	}
-	return c, nil
+	return nil
 }
 
-// pageRows is the number of view rows carved per page: 256 rows of the
-// default stride are 120 KiB, a whole number of the runtime's 8 KiB pages.
+// pageRows is the number of view rows carved per page: 256 rows of 120
+// int32 ids are 120 KiB, a whole number of the runtime's 8 KiB pages.
 const pageRows = 256
 
-// rowSlab carves fixed-stride view rows from pages of pageRows contiguous
+// rowSlab carves view rows of stride ids from pages of pageRows contiguous
 // rows. A carved row is empty with capacity stride, so appends fill it in
 // place and can never write into the row carved after it.
 type rowSlab struct {
-	stride int
-	free   []int32
+	free []int32
 	// pages counts the pages carved so far (view memory is pages ×
 	// pageRows × stride × 4 B).
 	pages int
@@ -156,11 +153,11 @@ type rowSlab struct {
 // is used up.
 func (s *rowSlab) carve() []int32 {
 	if len(s.free) == 0 {
-		s.free = make([]int32, pageRows*s.stride)
+		s.free = make([]int32, pageRows*stride)
 		s.pages++
 	}
-	row := s.free[:0:s.stride]
-	s.free = s.free[s.stride:]
+	row := s.free[:0:stride]
+	s.free = s.free[stride:]
 	return row
 }
 
@@ -220,13 +217,11 @@ var _ sim.Batched = (*Protocol)(nil)
 
 // New returns a T-Man layer with the given configuration.
 func New(cfg Config) (*Protocol, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &Protocol{
 		cfg:   cfg,
-		rows:  rowSlab{stride: max(cfg.ViewCap, initDegree) + cfg.MsgSize},
 		ws:    []*scratch{{}},
 		dim:   cfg.Space.Dim(),
 		clock: staticClock,
@@ -370,7 +365,7 @@ func (p *Protocol) buildBuffer(scr *scratch, dst []int32, owner sim.NodeID, targ
 	cand := append(scr.candBuf[:0], int32(owner))
 	cand = append(cand, view...)
 	scr.candBuf = cand
-	return append(dst, p.selectClosest(scr, cand, target, p.cfg.MsgSize)...)
+	return append(dst, p.selectClosest(scr, cand, target, DefaultMsgSize)...)
 }
 
 // selectClosest partially selects the up-to-k IDs of cand whose positions
@@ -483,13 +478,13 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 		}
 	}
 	switch {
-	case len(view) == n0 && len(view) <= p.cfg.ViewCap:
+	case len(view) == n0 && len(view) <= viewCap:
 		// Nothing new and nothing to cut: the order and stamp stand.
 	default:
 		if wasRanked {
 			view = p.mergeRanked(scr, view, n0, p.pos(owner))
 		} else {
-			sel := p.selectClosest(scr, view, p.pos(owner), min(len(view), p.cfg.ViewCap))
+			sel := p.selectClosest(scr, view, p.pos(owner), min(len(view), viewCap))
 			view = view[:copy(view, sel)]
 		}
 		_, p.rankedAt[owner] = p.clock()
@@ -498,18 +493,18 @@ func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received
 }
 
 // mergeRanked returns, in view's own backing array, the min(len(view),
-// ViewCap) entries of view closest to target, sorted by (distance, id),
+// viewCap) entries of view closest to target, sorted by (distance, id),
 // given that view[:n0] is already so sorted. Only the new entries
 // view[n0:] are sorted (received buffers usually arrive sorted against the
 // same target, so that is one insertion-sort pass); one linear merge then
 // replaces the selection over the whole view. The result equals
-// selectClosest(view, target, min(len(view), ViewCap)).
+// selectClosest(view, target, min(len(view), viewCap)).
 func (p *Protocol) mergeRanked(scr *scratch, view []int32, n0 int, target space.Point) []int32 {
 	dist, ids := scr.sel.Get(len(view))
 	copy(ids, view)
 	p.distances(dist, ids, target)
 	topk.SmallestK(dist[n0:], ids[n0:], len(view)-n0)
-	out := min(len(view), p.cfg.ViewCap)
+	out := min(len(view), viewCap)
 	i, j := 0, n0
 	for k := 0; k < out; k++ {
 		// Take the ranked entry unless the new one orders first; ties on

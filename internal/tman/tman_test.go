@@ -17,13 +17,11 @@ type testNet struct {
 	space     space.Space
 }
 
-func newTestNet(t *testing.T, seed uint64, s space.Space, pts []space.Point, cfg Config) *testNet {
+func newTestNet(t *testing.T, seed uint64, s space.Space, pts []space.Point) *testNet {
 	t.Helper()
 	n := &testNet{sampler: rps.New(rps.Config{}), positions: pts, space: s}
-	cfg.Space = s
-	cfg.Sampler = n.sampler
-	cfg.Position = func(id sim.NodeID) space.Point { return n.positions[id] }
-	tm, err := New(cfg)
+	tm, err := New(Config{Space: s, Sampler: n.sampler,
+		Position: func(id sim.NodeID) space.Point { return n.positions[id] }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,23 +56,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultsApplied: a carved row holds a view at the paper's cap of
+// 100 plus one message of m = 20 descriptors.
 func TestDefaultsApplied(t *testing.T) {
-	cfg, err := Config{
-		Space:    space.NewEuclidean(2),
-		Sampler:  rps.New(rps.Config{}),
-		Position: func(sim.NodeID) space.Point { return space.Point{0, 0} },
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ViewCap != DefaultViewCap || cfg.MsgSize != DefaultMsgSize {
-		t.Fatalf("defaults = %+v", cfg)
+	net := newTestNet(t, 1, space.TorusForGrid(4, 4, 1), space.TorusGrid(4, 4, 1))
+	for id, view := range net.tman.views {
+		if cap(view) != 120 {
+			t.Fatalf("node %d row capacity %d, want 120", id, cap(view))
+		}
 	}
 }
 
 func TestInitSeedsViews(t *testing.T) {
 	pts := space.TorusGrid(10, 10, 1)
-	net := newTestNet(t, 1, space.TorusForGrid(10, 10, 1), pts, Config{})
+	net := newTestNet(t, 1, space.TorusForGrid(10, 10, 1), pts)
 	empty := 0
 	for _, id := range net.engine.LiveIDs() {
 		if net.tman.ViewSize(id) == 0 {
@@ -94,7 +89,7 @@ func TestConvergenceOnTorusGrid(t *testing.T) {
 	// rounds for 3200 nodes; our smaller grid is faster.
 	const w, h = 20, 10
 	pts := space.TorusGrid(w, h, 1)
-	net := newTestNet(t, 2, space.TorusForGrid(w, h, 1), pts, Config{})
+	net := newTestNet(t, 2, space.TorusForGrid(w, h, 1), pts)
 	net.engine.RunRounds(20)
 	if prox := net.proximity(4); prox > 1.05 {
 		t.Fatalf("proximity after 20 rounds = %v, want ~1.0", prox)
@@ -104,7 +99,7 @@ func TestConvergenceOnTorusGrid(t *testing.T) {
 func TestNeighborsSortedByDistance(t *testing.T) {
 	pts := space.TorusGrid(10, 10, 1)
 	s := space.TorusForGrid(10, 10, 1)
-	net := newTestNet(t, 3, s, pts, Config{})
+	net := newTestNet(t, 3, s, pts)
 	net.engine.RunRounds(10)
 	for _, id := range net.engine.LiveIDs() {
 		nbs := net.tman.Neighbors(id, 6)
@@ -118,20 +113,31 @@ func TestNeighborsSortedByDistance(t *testing.T) {
 	}
 }
 
+// TestViewCapRespected: on 256 nodes, views grow to the cap of 100 and no
+// further.
 func TestViewCapRespected(t *testing.T) {
-	pts := space.TorusGrid(12, 12, 1)
-	net := newTestNet(t, 4, space.TorusForGrid(12, 12, 1), pts, Config{ViewCap: 7})
+	pts := space.TorusGrid(16, 16, 1)
+	net := newTestNet(t, 4, space.TorusForGrid(16, 16, 1), pts)
 	net.engine.RunRounds(15)
+	full := 0
 	for _, id := range net.engine.LiveIDs() {
-		if got := net.tman.ViewSize(id); got > 7 {
-			t.Fatalf("node %d view size %d exceeds cap 7", id, got)
+		got := net.tman.ViewSize(id)
+		if got > viewCap {
+			t.Fatalf("node %d view size %d exceeds cap %d", id, got, viewCap)
+		}
+		if got == viewCap {
+			full++
 		}
 	}
+	if full == 0 {
+		t.Fatalf("no view reached the cap of %d; the test does not exercise it", viewCap)
+	}
+	t.Logf("%d of %d views at the cap", full, len(pts))
 }
 
 func TestNoSelfOrDuplicateInView(t *testing.T) {
 	pts := space.TorusGrid(8, 8, 1)
-	net := newTestNet(t, 5, space.TorusForGrid(8, 8, 1), pts, Config{})
+	net := newTestNet(t, 5, space.TorusForGrid(8, 8, 1), pts)
 	net.engine.RunRounds(10)
 	for _, id := range net.engine.LiveIDs() {
 		seen := map[sim.NodeID]bool{}
@@ -150,7 +156,7 @@ func TestNoSelfOrDuplicateInView(t *testing.T) {
 func TestHealingAfterUncorrelatedChurn(t *testing.T) {
 	pts := space.TorusGrid(12, 12, 1)
 	s := space.TorusForGrid(12, 12, 1)
-	net := newTestNet(t, 6, s, pts, Config{})
+	net := newTestNet(t, 6, s, pts)
 	net.engine.RunRounds(15)
 	// Kill 30% of nodes at random (uncorrelated churn).
 	rng := net.engine.Rand()
@@ -180,7 +186,7 @@ func TestShapeLossAfterCorrelatedFailure(t *testing.T) {
 	const w, h = 16, 8
 	pts := space.TorusGrid(w, h, 1)
 	s := space.TorusForGrid(w, h, 1)
-	net := newTestNet(t, 7, s, pts, Config{})
+	net := newTestNet(t, 7, s, pts)
 	net.engine.RunRounds(20)
 	for i, p := range pts {
 		if space.RightHalf(p, float64(w)) {
@@ -212,7 +218,7 @@ func TestDynamicPositionsAreHonoured(t *testing.T) {
 	const w, h = 16, 8
 	pts := space.TorusGrid(w, h, 1)
 	s := space.TorusForGrid(w, h, 1)
-	net := newTestNet(t, 8, s, pts, Config{})
+	net := newTestNet(t, 8, s, pts)
 	move := useMoveClock(net)
 	net.engine.RunRounds(15)
 	// Teleport node 0 to the far corner of the torus.
@@ -233,7 +239,7 @@ func TestDynamicPositionsAreHonoured(t *testing.T) {
 
 func TestMessageCostCharged(t *testing.T) {
 	pts := space.TorusGrid(10, 10, 1)
-	net := newTestNet(t, 9, space.TorusForGrid(10, 10, 1), pts, Config{})
+	net := newTestNet(t, 9, space.TorusForGrid(10, 10, 1), pts)
 	net.engine.RunRounds(5)
 	if cost := net.engine.Meter().TotalCost("tman"); cost == 0 {
 		t.Fatal("T-Man charged no communication cost")
@@ -241,7 +247,7 @@ func TestMessageCostCharged(t *testing.T) {
 	// Per-round, per-node cost must be bounded by refresh (viewCap*2) plus
 	// two buffers per exchange and a node can partner in several exchanges.
 	perNode := float64(net.engine.Meter().RoundCost("tman", 4)) / 100
-	upper := float64(DefaultViewCap*2 + 10*2*DefaultMsgSize*3)
+	upper := float64(viewCap*2 + 10*2*DefaultMsgSize*3)
 	if perNode <= 0 || perNode > upper {
 		t.Fatalf("per-node round cost %v outside (0, %v]", perNode, upper)
 	}
@@ -249,7 +255,7 @@ func TestMessageCostCharged(t *testing.T) {
 
 func TestNeighborsEdgeCases(t *testing.T) {
 	pts := space.TorusGrid(4, 4, 1)
-	net := newTestNet(t, 10, space.TorusForGrid(4, 4, 1), pts, Config{})
+	net := newTestNet(t, 10, space.TorusForGrid(4, 4, 1), pts)
 	if got := net.tman.Neighbors(99, 4); got != nil {
 		t.Fatalf("unknown node neighbours = %v", got)
 	}

@@ -152,7 +152,8 @@ type SystemConfig struct {
 	// comparisons.
 	Baseline bool
 	// DetectionDelay, when positive, replaces the perfect failure
-	// detector with one that reports crashes only after that many rounds.
+	// detector with one that reports crashes only after that many rounds;
+	// a negative delay is refused.
 	DetectionDelay int
 	// NeighborK is the overlay degree used by Neighbors-driven metrics
 	// (default 4, as in the paper's figures).
@@ -163,7 +164,8 @@ type SystemConfig struct {
 	// concurrently. Results stay deterministic — byte-identical for every
 	// value >= 1 under the same Seed — so the knob only changes
 	// throughput. 0 (the default) keeps the sequential engine, whose
-	// (equally deterministic) trajectory differs from the batched one.
+	// (equally deterministic) trajectory differs from the batched one. A
+	// negative value is refused.
 	ExchangeParallelism int
 }
 
@@ -198,6 +200,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	if cfg.NeighborK < 0 {
 		return nil, fmt.Errorf("polystyrene: SystemConfig.NeighborK is %d, want >= 0", cfg.NeighborK)
+	}
+	if cfg.DetectionDelay < 0 {
+		return nil, fmt.Errorf("polystyrene: SystemConfig.DetectionDelay is %d, want >= 0", cfg.DetectionDelay)
 	}
 	if cfg.NeighborK == 0 {
 		cfg.NeighborK = 4

@@ -51,8 +51,10 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	// Zero means the default; below zero is refused, not run as it.
 	for name, cfg := range map[string]SystemConfig{
-		"ReplicationFactor": {ReplicationFactor: -3},
-		"NeighborK":         {NeighborK: -2},
+		"ReplicationFactor":   {ReplicationFactor: -3},
+		"NeighborK":           {NeighborK: -2},
+		"DetectionDelay":      {DetectionDelay: -1},
+		"ExchangeParallelism": {ExchangeParallelism: -2},
 	} {
 		cfg.Space, cfg.Shape = Torus(8, 4), TorusShape(8, 4, 1)
 		if sys, err := NewSystem(cfg); err == nil {
