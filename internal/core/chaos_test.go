@@ -10,9 +10,13 @@ package core
 //     distinct, never self;
 //   - a data point with at least one live copy (guest or active-able
 //     ghost) is eventually hosted again (conservation under recovery);
-//   - positions are always valid points of the data space.
+//   - positions are always valid points of the data space;
+//   - every target of a live origin holds exactly what the origin last
+//     pushed (checkReplicaRuns).
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"polystyrene/internal/sim"
@@ -122,39 +126,87 @@ func TestChaosRepeatedCatastrophes(t *testing.T) {
 	}
 }
 
+// checkReplicaRuns asserts the replica layout: every live holder's ghost
+// runs ascend strictly by origin, none names the holder, and their lengths
+// sum to NumGhosts; and every target of a live origin holds a run for it
+// equal to the origin's pushed set — the identity that lets one pushed set
+// per node price every kept target's delta.
+func checkReplicaRuns(t *testing.T, st *stack) {
+	t.Helper()
+	p := st.poly
+	for _, h := range st.engine.LiveIDs() {
+		ns := p.nodes[h]
+		sum := 0
+		for j, r := range ns.ghostRuns {
+			if sim.NodeID(r.origin) == h {
+				t.Fatalf("node %d holds a ghost run from itself", h)
+			}
+			if j > 0 && r.origin <= ns.ghostRuns[j-1].origin {
+				t.Fatalf("node %d's ghost origins do not strictly ascend: %d after %d", h, r.origin, ns.ghostRuns[j-1].origin)
+			}
+			sum += int(r.n)
+		}
+		if got := p.NumGhosts(h); got != sum {
+			t.Fatalf("node %d: NumGhosts %d, runs sum to %d", h, got, sum)
+		}
+	}
+	for _, o := range st.engine.LiveIDs() {
+		ns := p.nodes[o]
+		for _, b := range ns.backups {
+			run, ok := p.ghostRun(b, o)
+			if !ok || !slices.Equal(run, ns.pushed) {
+				t.Fatalf("target %d holds %v (present %v) for origin %d, which pushed %v", b, run, ok, o, ns.pushed)
+			}
+		}
+	}
+}
+
 func TestChaosChurnPlusReinjection(t *testing.T) {
 	// Mixed workload: converge, crash a region, trickle-inject newcomers
-	// while random churn continues.
-	st := newStack(t, stackOpts{seed: 102, w: 16, h: 8, cfg: Config{K: 4}})
-	rng := xrand.New(4242)
-	st.engine.RunRounds(8)
-	for i, p := range st.points {
-		if space.RightHalf(p, 16) {
-			st.engine.Kill(sim.NodeID(i))
-		}
-	}
-	for round := 0; round < 30; round++ {
-		if round%3 == 0 {
-			st.engine.AddNodes(2) // trickle reinjection
-		}
-		if rng.Bool(0.3) && st.engine.NumLive() > 40 {
-			live := st.engine.LiveIDs()
-			st.engine.Kill(live[rng.Intn(len(live))])
-		}
-		st.engine.RunRounds(1)
-		checkInvariants(t, st)
-	}
-	// Recovery duplicates are only removed when two holders meet in a
-	// migration exchange, so give the system a quiet settling period after
-	// the churn stops before asserting full deduplication.
-	st.engine.RunRounds(25)
-	total := 0
-	for _, id := range st.engine.LiveIDs() {
-		total += st.poly.NumGuests(id)
-	}
-	unique := len(st.uniqueActivePoints())
-	if total != unique {
-		t.Fatalf("duplicates survive mixed churn: %d guests vs %d unique", total, unique)
+	// while random churn continues. The replica layout is checked after
+	// every round, sequentially and under the batch scheduler.
+	for _, w := range []int{0, 2} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			st := newStack(t, stackOpts{seed: 102, w: 16, h: 8, cfg: Config{K: 4}})
+			st.engine.SetExchangeParallelism(w)
+			rng := xrand.New(4242)
+			for range 8 {
+				st.engine.RunRounds(1)
+				checkReplicaRuns(t, st)
+			}
+			for i, p := range st.points {
+				if space.RightHalf(p, 16) {
+					st.engine.Kill(sim.NodeID(i))
+				}
+			}
+			for round := 0; round < 30; round++ {
+				if round%3 == 0 {
+					st.engine.AddNodes(2) // trickle reinjection
+				}
+				if rng.Bool(0.3) && st.engine.NumLive() > 40 {
+					live := st.engine.LiveIDs()
+					st.engine.Kill(live[rng.Intn(len(live))])
+				}
+				st.engine.RunRounds(1)
+				checkInvariants(t, st)
+				checkReplicaRuns(t, st)
+			}
+			// Recovery duplicates are only removed when two holders meet in a
+			// migration exchange, so give the system a quiet settling period
+			// after the churn stops before asserting full deduplication.
+			for range 25 {
+				st.engine.RunRounds(1)
+				checkReplicaRuns(t, st)
+			}
+			total := 0
+			for _, id := range st.engine.LiveIDs() {
+				total += st.poly.NumGuests(id)
+			}
+			unique := len(st.uniqueActivePoints())
+			if total != unique {
+				t.Fatalf("duplicates survive mixed churn: %d guests vs %d unique", total, unique)
+			}
+		})
 	}
 }
 
@@ -219,11 +271,12 @@ func TestPointConservationProperty(t *testing.T) {
 // ghostPointsOf exposes a node's ghost points from one origin for the
 // conservation property test.
 func ghostPointsOf(st *stack, id, origin sim.NodeID) []space.Point {
-	gs := st.poly.nodes[id].ghosts[origin]
-	if gs == nil {
-		return nil
+	var out []space.Point
+	run, _ := st.poly.ghostRun(id, origin)
+	for _, pid := range run {
+		out = append(out, st.poly.cfg.Interner.PointOf(pid))
 	}
-	return gs.pts
+	return out
 }
 
 func TestProjectionStaysInShapeNeighborhood(t *testing.T) {

@@ -23,13 +23,15 @@
 // Data points form a fixed, generator-produced universe (the shape is the
 // point set, Sec. III-A), so every point is interned into a space.Interner
 // exactly once — when a seed node first hosts it — and all point-set state
-// carries dense space.PointID identities in lockstep with the points:
-// guest sets, ghost sets and the per-backup pushed sets are (Point,
-// PointID) pairs. Set operations on the hot path (the migration union, the
-// incremental backup delta, ghost adoption) run on generation-stamped ID
-// arrays and pooled scratch buffers instead of string-keyed maps, and the
-// layer maintains an incremental guests⁻¹ holders index (PointID → holder
-// nodes) that the evaluation metrics consume in O(holders) per point.
+// carries dense space.PointID identities: guest sets are (Point, PointID)
+// pairs in lockstep, while replicas — each holder's ghost runs and each
+// origin's pushed set — are PointIDs alone, resolved to points through the
+// interner only when a ghost is adopted. Set operations on the hot path
+// (the migration union, the incremental backup delta, ghost adoption) run
+// on generation-stamped ID arrays and pooled scratch buffers instead of
+// string-keyed maps, and the layer maintains an incremental guests⁻¹
+// holders index (PointID → holder nodes) that the evaluation metrics
+// consume in O(holders) per point.
 //
 // Invariants (see space.Interner): only canonical points enter the layer —
 // Config.InitialPoint must return canonical (e.g. torus-wrapped)
@@ -227,20 +229,15 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// ghostSet is one origin's inactive replica: its guest set as of the last
-// push, points and interned IDs in lockstep. Buffers are reused across
-// pushes from the same origin.
-type ghostSet struct {
-	pts []space.Point
-	ids []space.PointID
-}
-
-// backupRef is one replication target together with the ID set of the
-// guests most recently pushed there, which prices the incremental delta of
-// Algorithm 1 (Sec. III-D).
-type backupRef struct {
-	node   sim.NodeID
-	pushed []space.PointID
+// ghostRun is one origin's inactive replica at its holder: the origin and
+// the length of its run of IDs in the holder's ghostIDs. A holder's runs
+// sort by origin, and a run of length zero is kept — it is an origin that
+// pushed an empty guest set, which recover still asks the detector about.
+// Both fields are int32: node ids stay below 2³¹, the limit T-Man's
+// int32 rows already set.
+type ghostRun struct {
+	origin int32
+	n      int32
 }
 
 // nodeState is the per-node state of Table I in the paper.
@@ -255,10 +252,20 @@ type nodeState struct {
 	// medoid scan only reruns on transitions (steady-state migrations that
 	// hand every point back skip it).
 	posDirty bool
-	// ghosts maps an origin node to the inactive copies it pushed here.
-	ghosts map[sim.NodeID]*ghostSet
-	// backups lists the nodes this node replicates its guests to.
-	backups []backupRef
+	// ghostRuns and ghostIDs are the inactive copies other nodes pushed
+	// here: ghostIDs concatenates one run of PointIDs per origin, in
+	// ghostRuns' ascending origin order, each run in its origin's push
+	// order. Ghosts carry IDs only; adoption resolves their points through
+	// the interner.
+	ghostRuns []ghostRun
+	ghostIDs  []space.PointID
+	// backups lists the nodes this node replicates its guests to, and
+	// pushed is the guest ID set it last pushed. Every push goes to every
+	// current target, so each target kept from an earlier step holds
+	// exactly pushed, which prices the incremental delta of Algorithm 1
+	// (Sec. III-D); a target picked in this step holds nothing yet.
+	backups []sim.NodeID
+	pushed  []space.PointID
 }
 
 // holderOp is one deferred holders-index mutation of a batched step,
@@ -405,7 +412,7 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 	}
 	p.clock++
 	p.moved[id] = p.clock
-	st := &nodeState{ghosts: make(map[sim.NodeID]*ghostSet)}
+	st := &nodeState{}
 	if seed {
 		pt := pos.Clone()
 		pid := p.cfg.Interner.Intern(pt)
@@ -472,43 +479,64 @@ func (p *Protocol) holderRemove(ctx *sim.StepCtx, scr *scratch, pid space.PointI
 func (p *Protocol) recover(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	e := ctx.Engine()
 	st := p.nodes[id]
-	if len(st.ghosts) == 0 {
+	if len(st.ghostRuns) == 0 {
 		return
 	}
-	// Collect the origins first and only then consult the detector, in ID
-	// order: map iteration order is randomised in Go, and both the merge
-	// order (guest-slice order, hence medoid tie-breaks) and the
-	// detector's query order (a probabilistic detector consumes a random
-	// stream per query) would otherwise make runs non-reproducible.
+	// Consult the detector for every origin first, in the runs' ascending
+	// origin order, and only then adopt: both the merge order (guest-slice
+	// order, hence medoid tie-breaks) and the detector's query order (a
+	// probabilistic detector consumes a random stream per query) are part
+	// of the trajectory.
 	failed := scr.failedBuf[:0]
-	for origin := range st.ghosts {
-		failed = append(failed, origin)
-	}
-	slices.Sort(failed)
-	n := 0
-	for _, origin := range failed {
-		if p.cfg.Detector.Failed(e, id, origin) {
-			failed[n] = origin
-			n++
+	for _, r := range st.ghostRuns {
+		if o := sim.NodeID(r.origin); p.cfg.Detector.Failed(e, id, o) {
+			failed = append(failed, o)
 		}
 	}
-	failed = failed[:n]
-	for _, origin := range failed {
-		p.adoptGhosts(ctx, scr, st, id, origin, st.ghosts[origin])
-		delete(st.ghosts, origin)
-	}
 	scr.failedBuf = failed
+	if len(failed) == 0 {
+		return
+	}
+	// Adopt the failed origins' runs and compact the rest down over them.
+	// A kept run only ever moves towards the front, onto IDs already read.
+	runs, ids := st.ghostRuns, st.ghostIDs
+	keptRuns, keptIDs, off := 0, 0, 0
+	for _, r := range runs {
+		run := ids[off : off+int(r.n)]
+		off += int(r.n)
+		if len(failed) > 0 && sim.NodeID(r.origin) == failed[0] {
+			failed = failed[1:]
+			p.adoptGhosts(ctx, scr, st, id, sim.NodeID(r.origin), run)
+			continue
+		}
+		runs[keptRuns] = r
+		keptRuns++
+		keptIDs += copy(ids[keptIDs:], run)
+	}
+	st.ghostRuns, st.ghostIDs = runs[:keptRuns], ids[:keptIDs]
 }
 
-// adoptGhosts merges a failed origin's ghost set into id's guests,
-// skipping points already hosted (set union by interned ID), and retires
+// adoptGhosts merges a failed origin's ghost run into id's guests,
+// skipping points already hosted (set union by interned ID, novel points
+// appended in run order and resolved through the interner), and retires
 // the dead origin's stale entries from the holders index.
-func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, id, origin sim.NodeID, gs *ghostSet) {
-	for _, pid := range gs.ids {
+func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, id, origin sim.NodeID, run []space.PointID) {
+	for _, pid := range run {
 		p.holderRemove(ctx, scr, pid, origin)
 	}
+	in := p.cfg.Interner
+	mark, gen := scr.pset.Next(in.Len())
+	for _, pid := range st.guestIDs {
+		mark[pid] = gen
+	}
 	before := len(st.guestIDs)
-	st.guests, st.guestIDs = p.unionInto(scr, st.guests, st.guestIDs, gs.pts, gs.ids)
+	for _, pid := range run {
+		if mark[pid] != gen {
+			mark[pid] = gen
+			st.guests = append(st.guests, in.PointOf(pid))
+			st.guestIDs = append(st.guestIDs, pid)
+		}
+	}
 	for _, pid := range st.guestIDs[before:] {
 		p.holderAdd(ctx, scr, pid, id)
 	}
@@ -518,9 +546,9 @@ func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, id
 }
 
 // unionInto appends to (dstPts, dstIDs) every point of (srcPts, srcIDs)
-// whose ID is not already present — the ID-keyed set union behind ghost
-// adoption and the migration merge, equivalent to the string-keyed
-// mergePoints test oracle but touching only the pooled generation stamps.
+// whose ID is not already present — the ID-keyed set union behind the
+// migration merge, equivalent to the string-keyed mergePoints test oracle
+// but touching only the pooled generation stamps.
 // Existing dst order is preserved and novel points append in src order.
 func (p *Protocol) unionInto(scr *scratch, dstPts []space.Point, dstIDs []space.PointID, srcPts []space.Point, srcIDs []space.PointID) ([]space.Point, []space.PointID) {
 	mark, gen := scr.pset.Next(p.cfg.Interner.Len())
@@ -548,11 +576,12 @@ func (p *Protocol) backup(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	// backups ← backups \ failed (line 1).
 	kept := st.backups[:0]
 	for _, b := range st.backups {
-		if !p.cfg.Detector.Failed(e, id, b.node) {
+		if !p.cfg.Detector.Failed(e, id, b) {
 			kept = append(kept, b)
 		}
 	}
 	st.backups = kept
+	nKept := len(kept)
 
 	// backups ← backups ∪ {(K − |backups|) random nodes} (line 2).
 	if missing := p.cfg.K - len(st.backups); missing > 0 {
@@ -565,30 +594,29 @@ func (p *Protocol) backup(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	if len(st.backups) == 0 {
 		return
 	}
-	ptCost := sim.PointCost(p.cfg.Space.Dim())
-	// One generation pass marks the current guest set; each target's delta
-	// then prices against its own previously-pushed set, with no maps and
-	// no key strings.
+	// A kept target holds exactly the last push, so one generation pass
+	// marks the current guest set and one delta prices every kept target;
+	// a freshly picked target holds nothing and receives the whole set.
 	mark, gen := scr.pset.Next(p.cfg.Interner.Len())
 	for _, pid := range st.guestIDs {
 		mark[pid] = gen
 	}
-	for i := range st.backups {
-		b := &st.backups[i]
-		ctx.Touch(b.node)
-		p.pushGhosts(id, b.node, st)
-		delta := pushDelta(mark, gen, len(st.guestIDs), b.pushed)
-		b.pushed = append(b.pushed[:0], st.guestIDs...)
-		ctx.Charge(delta * ptCost)
+	delta := pushDelta(mark, gen, len(st.guestIDs), st.pushed)
+	for _, b := range st.backups {
+		ctx.Touch(b)
+		p.pushGhosts(id, b, st.guestIDs)
 	}
+	st.pushed = append(st.pushed[:0], st.guestIDs...)
+	fresh := len(st.backups) - nKept
+	ctx.Charge((nKept*delta + fresh*len(st.guestIDs)) * sim.PointCost(p.cfg.Space.Dim()))
 }
 
 // pushDelta returns the incremental backup traffic of Algorithm 1
 // (Sec. III-D): points added since the last push plus removal tombstones,
 // i.e. |cur| + |prev| − 2·|cur ∩ prev|. The current guest set must already
-// be stamped with gen in mark; prev is the target's previously-pushed ID
-// set. It equals the string-keyed two-map count it replaced (see the
-// oracle property test).
+// be stamped with gen in mark; prev is the previously-pushed ID set. It
+// equals the string-keyed two-map count it replaced (see the oracle
+// property test).
 func pushDelta(mark []uint32, gen uint32, curLen int, prev []space.PointID) int {
 	common := 0
 	for _, pid := range prev {
@@ -599,19 +627,24 @@ func pushDelta(mark []uint32, gen uint32, curLen int, prev []space.PointID) int 
 	return curLen + len(prev) - 2*common
 }
 
-// pushGhosts replaces the ghost copy of id's guests stored at target b,
-// reusing b's existing buffers for this origin. Ghost points are slice
-// headers onto immutable point data, so later guest-set mutations at the
-// origin never disturb a stored ghost.
-func (p *Protocol) pushGhosts(id, b sim.NodeID, st *nodeState) {
+// pushGhosts replaces origin id's ghost run at target b with ids, or
+// inserts the run at its place in b's origin order. The run is a copy, so
+// later guest-set mutations at the origin never disturb a stored ghost. In
+// steady state the run keeps its length and is overwritten in place.
+func (p *Protocol) pushGhosts(id, b sim.NodeID, ids []space.PointID) {
 	tgt := p.nodes[b]
-	gs := tgt.ghosts[id]
-	if gs == nil {
-		gs = &ghostSet{}
-		tgt.ghosts[id] = gs
+	runs := tgt.ghostRuns
+	i, off := 0, 0
+	for ; i < len(runs) && sim.NodeID(runs[i].origin) < id; i++ {
+		off += int(runs[i].n)
 	}
-	gs.pts = append(gs.pts[:0], st.guests...)
-	gs.ids = append(gs.ids[:0], st.guestIDs...)
+	if i < len(runs) && sim.NodeID(runs[i].origin) == id {
+		tgt.ghostIDs = slices.Replace(tgt.ghostIDs, off, off+int(runs[i].n), ids...)
+		runs[i].n = int32(len(ids))
+		return
+	}
+	tgt.ghostRuns = slices.Insert(runs, i, ghostRun{origin: int32(id), n: int32(len(ids))})
+	tgt.ghostIDs = slices.Insert(tgt.ghostIDs, off, ids...)
 }
 
 // pickBackupTargets appends up to n fresh backup nodes to id's target list,
@@ -625,7 +658,7 @@ func (p *Protocol) pickBackupTargets(ctx *sim.StepCtx, scr *scratch, id sim.Node
 	exclude, gen := scr.nset.Next(e.NumNodes())
 	exclude[id] = gen
 	for _, b := range st.backups {
-		exclude[b.node] = gen
+		exclude[b] = gen
 	}
 
 	candidates := p.cfg.Sampler.AppendRandomPeersW(ctx, scr.nbrBuf[:0], id, n+len(st.backups)+1)
@@ -638,7 +671,7 @@ func (p *Protocol) pickBackupTargets(ctx *sim.StepCtx, scr *scratch, id sim.Node
 		}
 		if exclude[c] != gen && e.Alive(c) {
 			exclude[c] = gen
-			st.backups = append(st.backups, backupRef{node: c})
+			st.backups = append(st.backups, c)
 			added++
 		}
 	}
@@ -648,7 +681,7 @@ func (p *Protocol) pickBackupTargets(ctx *sim.StepCtx, scr *scratch, id sim.Node
 		c := ctx.RandomLive()
 		if c != sim.None && exclude[c] != gen {
 			exclude[c] = gen
-			st.backups = append(st.backups, backupRef{node: c})
+			st.backups = append(st.backups, c)
 			added++
 		}
 	}
@@ -849,8 +882,8 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	// pushed to.
 	base := len(dst)
 	for _, b := range st.backups {
-		if !p.cfg.Detector.Failed(e, id, b.node) {
-			dst = append(dst, b.node)
+		if !p.cfg.Detector.Failed(e, id, b) {
+			dst = append(dst, b)
 		}
 	}
 	kept := len(dst) - base
@@ -1038,13 +1071,7 @@ func (p *Protocol) AppendGuests(id sim.NodeID, dst []space.Point) []space.Point 
 func (p *Protocol) NumGuests(id sim.NodeID) int { return len(p.nodes[id].guests) }
 
 // NumGhosts returns how many ghost points the node stores.
-func (p *Protocol) NumGhosts(id sim.NodeID) int {
-	n := 0
-	for _, gs := range p.nodes[id].ghosts {
-		n += len(gs.pts)
-	}
-	return n
-}
+func (p *Protocol) NumGhosts(id sim.NodeID) int { return len(p.nodes[id].ghostIDs) }
 
 // HoldersOf returns the nodes currently hosting the interned point as a
 // guest. The returned slice is the protocol's live index — callers must

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"polystyrene/internal/fd"
@@ -506,20 +507,30 @@ func TestBackupsRestoredAfterBackupCrash(t *testing.T) {
 
 // Backups returns a copy of the node's current backup targets.
 func (p *Protocol) Backups(id sim.NodeID) []sim.NodeID {
-	refs := p.nodes[id].backups
-	out := make([]sim.NodeID, len(refs))
-	for i, b := range refs {
-		out[i] = b.node
+	return slices.Clone(p.nodes[id].backups)
+}
+
+// GhostOrigins returns the origins that have replicated state to id, in
+// ascending order.
+func (p *Protocol) GhostOrigins(id sim.NodeID) []sim.NodeID {
+	st := p.nodes[id]
+	out := make([]sim.NodeID, 0, len(st.ghostRuns))
+	for _, r := range st.ghostRuns {
+		out = append(out, sim.NodeID(r.origin))
 	}
 	return out
 }
 
-// GhostOrigins returns the origins that have replicated state to id.
-func (p *Protocol) GhostOrigins(id sim.NodeID) []sim.NodeID {
+// ghostRun returns id's run of ghost IDs from origin, and whether id
+// holds one (a run may be empty). The slice aliases the node's state.
+func (p *Protocol) ghostRun(id, origin sim.NodeID) ([]space.PointID, bool) {
 	st := p.nodes[id]
-	out := make([]sim.NodeID, 0, len(st.ghosts))
-	for origin := range st.ghosts {
-		out = append(out, origin)
+	off := 0
+	for _, r := range st.ghostRuns {
+		if sim.NodeID(r.origin) == origin {
+			return st.ghostIDs[off : off+int(r.n)], true
+		}
+		off += int(r.n)
 	}
-	return out
+	return nil, false
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
@@ -45,9 +44,9 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		w.Bool(false)
 	}
 
-	// Per-node state.
+	// Per-node state. The format carries one pushed list per backup
+	// target; each is the node's one pushed set.
 	w.Len(len(p.nodes))
-	var origins []sim.NodeID
 	for i, st := range p.nodes {
 		if st == nil {
 			w.Bool(false)
@@ -60,25 +59,21 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		}
 		writePoint(w, p.row(sim.NodeID(i)))
 		w.Bool(st.posDirty)
-		origins = origins[:0]
-		for o := range st.ghosts {
-			origins = append(origins, o)
-		}
-		slices.Sort(origins)
-		w.Len(len(origins))
-		for _, o := range origins {
-			w.Int(int(o))
-			gs := st.ghosts[o]
-			w.Len(len(gs.ids))
-			for _, pid := range gs.ids {
+		w.Len(len(st.ghostRuns))
+		off := 0
+		for _, r := range st.ghostRuns {
+			w.Int(int(r.origin))
+			w.Len(int(r.n))
+			for _, pid := range st.ghostIDs[off : off+int(r.n)] {
 				w.U32(uint32(pid))
 			}
+			off += int(r.n)
 		}
 		w.Len(len(st.backups))
 		for _, b := range st.backups {
-			w.Int(int(b.node))
-			w.Len(len(b.pushed))
-			for _, pid := range b.pushed {
+			w.Int(int(b))
+			w.Len(len(st.pushed))
+			for _, pid := range st.pushed {
 				w.U32(uint32(pid))
 			}
 		}
@@ -107,28 +102,35 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 	}
 }
 
-// RestoreState implements sim.Snapshotter. The snapshot is parsed and
-// validated in full before anything is applied, so one that is refused
-// while parsing — truncated, an out-of-range PointID, a node position
-// whose dimension is not the space's — leaves the protocol and its shared
-// interner as they were. Until the interner is repopulated, PointIDs
-// resolve against the parsed point table directly: the interner retains
-// the very points it is given, so the guest and ghost slices are the same
-// either way.
+// RestoreState implements sim.Snapshotter. Until the interner is
+// repopulated, PointIDs resolve against the parsed point table directly:
+// the interner retains the very points it is given, so the guest slices
+// are the same either way.
 //
-// Every per-node slice — guests, ghosts, pushed sets, holders lists and
-// the interned points' coordinates — and every ghost set is carved from
-// an arena, and the node records from one array, so a restore allocates
-// per chunk rather than per object. Arena slices have exact capacity, as separately made
-// ones would: the first append to any of them reallocates it.
+// A refused section leaves the protocol, its shared interner and its
+// detector as they were. Parsing refuses, before anything is applied, a
+// truncated section, a PointID outside the point table, a node position
+// whose dimension is not the space's, a ghost origin or backup target
+// outside [0, n) or naming its own node, ghost origins that do not
+// strictly ascend, a repeated target, targets whose pushed lists differ,
+// and a holders entry outside [0, n), n being the section's node count.
+// Two refusals show only while applying — a duplicate point in the
+// interner table, and a detector section the detector refuses or does not
+// consume exactly — and both put back what they changed.
+//
+// Every per-node slice — guests, ghost runs and their IDs, backup targets,
+// pushed sets, holders lists and the interned points' coordinates — is
+// carved from an arena, and the node records from one array, so a restore
+// allocates per chunk rather than per object. Arena slices have exact
+// capacity, as separately made ones would: the first append to any of
+// them reallocates it.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	var (
 		coords snap.Arena[float64]
 		points snap.Arena[space.Point]
 		pids   snap.Arena[space.PointID]
 		nids   snap.Arena[sim.NodeID]
-		refs   snap.Arena[backupRef]
-		sets   snap.Arena[ghostSet]
+		runs   snap.Arena[ghostRun]
 	)
 	nPts := r.Len(8)
 	pts := make([]space.Point, nPts)
@@ -152,6 +154,18 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	nodes := make([]*nodeState, nNodes)
 	states := make([]nodeState, nNodes)
 	pos := make([]float64, nNodes*dim)
+	// other refuses a ghost origin or backup target that is not another
+	// node of the section.
+	other := func(i, v int, what string) error {
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if v < 0 || v >= nNodes || v == i {
+			return fmt.Errorf("core: snapshot node %d names %s %d (n = %d)", i, what, v, nNodes)
+		}
+		return nil
+	}
+	var runIDs []space.PointID
 	for i := range nodes {
 		if !r.Bool() {
 			continue
@@ -160,10 +174,10 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		ng := r.Len(4)
 		st.guestIDs = pids.Take(ng)
 		st.guests = points.Take(ng)
-		for j := 0; j < ng; j++ {
-			pid := space.PointID(r.U32())
-			if int(pid) >= nPts {
-				return fmt.Errorf("core: snapshot guest PointID %d out of range", pid)
+		for j := range st.guestIDs {
+			pid, err := readPID(r, nPts, "guest")
+			if err != nil {
+				return err
 			}
 			st.guestIDs[j] = pid
 			st.guests[j] = pts[pid]
@@ -180,32 +194,67 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			pos[k] = r.F64()
 		}
 		st.posDirty = r.Bool()
-		nGhost := r.Len(2)
-		st.ghosts = make(map[sim.NodeID]*ghostSet, nGhost)
-		for j := 0; j < nGhost; j++ {
-			origin := sim.NodeID(r.Int())
+
+		// Ghost runs, origins ascending; their IDs gather in runIDs and
+		// land in one exact slice.
+		st.ghostRuns = runs.Take(r.Len(16))
+		runIDs = runIDs[:0]
+		for j := range st.ghostRuns {
+			origin := r.Int()
 			gn := r.Len(4)
-			gs := &sets.Take(1)[0]
-			gs.ids = pids.Take(gn)
-			gs.pts = points.Take(gn)
-			for k := 0; k < gn; k++ {
-				pid := space.PointID(r.U32())
-				if int(pid) >= nPts {
-					return fmt.Errorf("core: snapshot ghost PointID %d out of range", pid)
-				}
-				gs.ids[k] = pid
-				gs.pts[k] = pts[pid]
+			if err := other(i, origin, "ghost origin"); err != nil {
+				return err
 			}
-			st.ghosts[origin] = gs
+			if j > 0 && origin <= int(st.ghostRuns[j-1].origin) {
+				return fmt.Errorf("core: snapshot node %d's ghost origins do not strictly ascend (%d after %d)", i, origin, st.ghostRuns[j-1].origin)
+			}
+			st.ghostRuns[j] = ghostRun{origin: int32(origin), n: int32(gn)}
+			for range gn {
+				pid, err := readPID(r, nPts, "ghost")
+				if err != nil {
+					return err
+				}
+				runIDs = append(runIDs, pid)
+			}
 		}
-		nBk := r.Len(2)
-		st.backups = refs.Take(nBk)
-		for j := 0; j < nBk; j++ {
-			st.backups[j].node = sim.NodeID(r.Int())
+		st.ghostIDs = pids.Take(len(runIDs))
+		copy(st.ghostIDs, runIDs)
+
+		// Backup targets, each with the one pushed set.
+		st.backups = nids.Take(r.Len(16))
+		seen, gen := p.ws[0].nset.Next(nNodes)
+		for j := range st.backups {
+			b := r.Int()
 			np := r.Len(4)
-			st.backups[j].pushed = pids.Take(np)
-			for k := 0; k < np; k++ {
-				st.backups[j].pushed[k] = space.PointID(r.U32())
+			if err := other(i, b, "backup target"); err != nil {
+				return err
+			}
+			if seen[b] == gen {
+				return fmt.Errorf("core: snapshot node %d names backup target %d twice", i, b)
+			}
+			seen[b] = gen
+			st.backups[j] = sim.NodeID(b)
+			if j == 0 {
+				st.pushed = pids.Take(np)
+				for k := range st.pushed {
+					pid, err := readPID(r, nPts, "pushed")
+					if err != nil {
+						return err
+					}
+					st.pushed[k] = pid
+				}
+				continue
+			}
+			same := np == len(st.pushed)
+			for k := range np {
+				pid := space.PointID(r.U32())
+				same = same && pid == st.pushed[k]
+			}
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if !same {
+				return fmt.Errorf("core: snapshot node %d pushed target %d a set other than target %d's", i, b, st.backups[0])
 			}
 		}
 		nodes[i] = st
@@ -214,10 +263,16 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	nLists := r.Len(1)
 	lists := make([][]sim.NodeID, nLists)
 	for i := range lists {
-		ln := r.Len(8)
-		l := nids.Take(ln)
+		l := nids.Take(r.Len(8))
 		for j := range l {
-			l[j] = sim.NodeID(r.Int())
+			v := r.Int()
+			if v < 0 || v >= nNodes {
+				if err := r.Err(); err != nil {
+					return err
+				}
+				return fmt.Errorf("core: snapshot holders list of PointID %d names node %d (n = %d)", i, v, nNodes)
+			}
+			l[j] = sim.NodeID(v)
 		}
 		lists[i] = l
 	}
@@ -238,19 +293,21 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	}
 
 	// Apply. The interner is repopulated in the snapshot's ID order, so
-	// every PointID parsed above resolves against the restored table.
+	// every PointID parsed above resolves against the restored table; its
+	// old table is kept to put back if this one holds a duplicate or the
+	// detector refuses its section.
 	in := p.cfg.Interner
-	in.Reset()
-	for i, pt := range pts {
-		if id := in.Intern(pt); id != space.PointID(i) {
-			return fmt.Errorf("core: snapshot interner table has duplicate point at ID %d", i)
-		}
+	old := make([]space.Point, in.Len())
+	for i := range old {
+		old[i] = in.PointOf(space.PointID(i))
+	}
+	if err := internAll(in, pts); err != nil {
+		internAll(in, old)
+		return err
 	}
 	if hasDet {
-		if err := ds.RestoreState(detSub); err != nil {
-			return fmt.Errorf("core: restoring detector: %w", err)
-		}
-		if err := snap.CloseSection("detector", detSub); err != nil {
+		if err := restoreDetector(ds, detSub); err != nil {
+			internAll(in, old)
 			return err
 		}
 	}
@@ -278,6 +335,49 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	p.holders.steps = steps
 	p.holders.hwMark = hwMark
 	p.snapOn = false
+	return nil
+}
+
+// readPID reads one PointID and refuses one outside the point table.
+func readPID(r *snap.Reader, nPts int, what string) (space.PointID, error) {
+	pid := space.PointID(r.U32())
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if int(pid) >= nPts {
+		return 0, fmt.Errorf("core: snapshot %s PointID %d out of range", what, pid)
+	}
+	return pid, nil
+}
+
+// internAll resets in to exactly pts, in ID order. It refuses a table that
+// holds a duplicate point, which cannot take its own ID.
+func internAll(in *space.Interner, pts []space.Point) error {
+	in.Reset()
+	for i, pt := range pts {
+		if id := in.Intern(pt); id != space.PointID(i) {
+			return fmt.Errorf("core: snapshot interner table has duplicate point at ID %d", i)
+		}
+	}
+	return nil
+}
+
+// restoreDetector restores a stateful detector from its section. A section
+// the detector refuses, or does not consume exactly, puts back the state
+// the detector had, which is saved first.
+func restoreDetector(ds sim.Snapshotter, sub *snap.Reader) error {
+	var saved snap.Writer
+	ds.SnapshotState(&saved)
+	err := ds.RestoreState(sub)
+	if err == nil {
+		err = snap.CloseSection("detector", sub)
+	}
+	if err != nil {
+		if rerr := ds.RestoreState(snap.NewReader(saved.Bytes())); rerr != nil {
+			panic(fmt.Sprintf("core: detector cannot restore its own state: %v", rerr))
+		}
+		return fmt.Errorf("core: restoring detector: %w", err)
+	}
 	return nil
 }
 

@@ -1,0 +1,354 @@
+package core
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+
+	"polystyrene/internal/fd"
+	"polystyrene/internal/sim"
+	"polystyrene/internal/snap"
+	"polystyrene/internal/space"
+)
+
+func snapshotOf(p *Protocol) []byte {
+	var w snap.Writer
+	p.SnapshotState(&w)
+	return w.Bytes()
+}
+
+// section is a decoded core section, field for field as SnapshotState
+// writes it, so a test can edit one field and encode the rest unchanged.
+type section struct {
+	pts           []space.Point
+	rng           []uint64 // nil when the splitter has no stream
+	nodes         []*nodeSection
+	lists         [][]int
+	steps, hwMark int
+	det           *string // the detector section's body, nil when absent
+}
+
+type nodeSection struct {
+	guests  []uint32
+	pos     []float64
+	dirty   bool
+	ghosts  []runSection
+	backups []runSection // origin is the target, ids its pushed list
+}
+
+type runSection struct {
+	origin int
+	ids    []uint32
+}
+
+func decodeSection(t testing.TB, b []byte) section {
+	t.Helper()
+	r := snap.NewReader(b)
+	var s section
+	readIDs := func() []uint32 {
+		ids := make([]uint32, r.Len(4))
+		for i := range ids {
+			ids[i] = r.U32()
+		}
+		return ids
+	}
+	readF64s := func() []float64 {
+		v := make([]float64, r.Len(8))
+		for i := range v {
+			v[i] = r.F64()
+		}
+		return v
+	}
+	readRuns := func() []runSection {
+		runs := make([]runSection, r.Len(16))
+		for i := range runs {
+			runs[i].origin = r.Int()
+			runs[i].ids = readIDs()
+		}
+		return runs
+	}
+	s.pts = make([]space.Point, r.Len(8))
+	for i := range s.pts {
+		s.pts[i] = readF64s()
+	}
+	if r.Bool() {
+		s.rng = make([]uint64, 4)
+		for i := range s.rng {
+			s.rng[i] = r.U64()
+		}
+	}
+	s.nodes = make([]*nodeSection, r.Len(1))
+	for i := range s.nodes {
+		if !r.Bool() {
+			continue
+		}
+		s.nodes[i] = &nodeSection{guests: readIDs(), pos: readF64s(), dirty: r.Bool(), ghosts: readRuns(), backups: readRuns()}
+	}
+	s.lists = make([][]int, r.Len(1))
+	for i := range s.lists {
+		s.lists[i] = make([]int, r.Len(8))
+		for j := range s.lists[i] {
+			s.lists[i][j] = r.Int()
+		}
+	}
+	s.steps, s.hwMark = r.Int(), r.Int()
+	if r.Bool() {
+		body := r.String() // a section is laid out as a length-prefixed string
+		s.det = &body
+	}
+	if err := r.Err(); err != nil || r.Remaining() != 0 {
+		t.Fatalf("decodeSection: %v, %d bytes left", err, r.Remaining())
+	}
+	return s
+}
+
+func (s section) encode() []byte {
+	var w snap.Writer
+	writeIDs := func(ids []uint32) {
+		w.Len(len(ids))
+		for _, id := range ids {
+			w.U32(id)
+		}
+	}
+	writeF64s := func(v []float64) {
+		w.Len(len(v))
+		for _, x := range v {
+			w.F64(x)
+		}
+	}
+	writeRuns := func(runs []runSection) {
+		w.Len(len(runs))
+		for _, r := range runs {
+			w.Int(r.origin)
+			writeIDs(r.ids)
+		}
+	}
+	w.Len(len(s.pts))
+	for _, pt := range s.pts {
+		writeF64s(pt)
+	}
+	w.Bool(s.rng != nil)
+	for _, v := range s.rng {
+		w.U64(v)
+	}
+	w.Len(len(s.nodes))
+	for _, n := range s.nodes {
+		w.Bool(n != nil)
+		if n == nil {
+			continue
+		}
+		writeIDs(n.guests)
+		writeF64s(n.pos)
+		w.Bool(n.dirty)
+		writeRuns(n.ghosts)
+		writeRuns(n.backups)
+	}
+	w.Len(len(s.lists))
+	for _, l := range s.lists {
+		w.Len(len(l))
+		for _, v := range l {
+			w.Int(v)
+		}
+	}
+	w.Int(s.steps)
+	w.Int(s.hwMark)
+	w.Bool(s.det != nil)
+	if s.det != nil {
+		w.String(*s.det)
+	}
+	return w.Bytes()
+}
+
+// clone deep-copies the parts of s that crafted sections edit.
+func (s section) clone() section {
+	c := s
+	c.pts = slices.Clone(s.pts)
+	c.nodes = make([]*nodeSection, len(s.nodes))
+	for i, n := range s.nodes {
+		if n == nil {
+			continue
+		}
+		cn := *n
+		cn.ghosts = slices.Clone(n.ghosts)
+		cn.backups = slices.Clone(n.backups)
+		for j := range cn.backups {
+			cn.backups[j].ids = slices.Clone(n.backups[j].ids)
+		}
+		c.nodes[i] = &cn
+	}
+	c.lists = slices.Clone(s.lists)
+	for i := range c.lists {
+		c.lists[i] = slices.Clone(s.lists[i])
+	}
+	return c
+}
+
+// afterCatastrophe returns a 64-node stack (K = 4) whose right half
+// crashed and whose survivors adopted its ghosts, with 8 nodes then
+// reinjected: their empty guest sets reach their targets as zero-length
+// runs.
+func afterCatastrophe(t testing.TB, cfg Config) *stack {
+	t.Helper()
+	cfg.K = 4
+	st := newStack(t, stackOpts{seed: 43, w: 8, h: 8, cfg: cfg})
+	st.engine.RunRounds(8)
+	for i, pt := range st.points {
+		if space.RightHalf(pt, 8) {
+			st.engine.Kill(sim.NodeID(i))
+		}
+	}
+	st.engine.RunRounds(3)
+	st.engine.AddNodes(8)
+	st.engine.RunRounds(1)
+	return st
+}
+
+// craft is one section RestoreState must refuse, and a fragment of the
+// error it must give.
+type craft struct {
+	name    string
+	section []byte
+	want    string
+}
+
+// craftedSections derives from an honest section one crafted section per
+// refusal RestoreState makes while parsing.
+func craftedSections(t testing.TB, honest section) []craft {
+	t.Helper()
+	n := len(honest.nodes)
+	// i is a live node holding at least two ghost runs and two targets
+	// with a non-empty pushed list.
+	i := slices.IndexFunc(honest.nodes, func(ns *nodeSection) bool {
+		return ns != nil && len(ns.ghosts) >= 2 && len(ns.backups) >= 2 && len(ns.backups[0].ids) > 0
+	})
+	if i < 0 {
+		t.Fatal("no node holds two ghost runs and two targets")
+	}
+	var out []craft
+	add := func(name, want string, edit func(s *section, ns *nodeSection)) {
+		s := honest.clone()
+		edit(&s, s.nodes[i])
+		out = append(out, craft{name, s.encode(), want})
+	}
+	last := func(ns *nodeSection) *runSection { return &ns.ghosts[len(ns.ghosts)-1] }
+	add("ghost origin n", "names ghost origin", func(_ *section, ns *nodeSection) { last(ns).origin = n })
+	add("ghost origin -1", "names ghost origin", func(_ *section, ns *nodeSection) { ns.ghosts[0].origin = -1 })
+	add("ghost origin names its own node", "names ghost origin", func(_ *section, ns *nodeSection) {
+		at, _ := slices.BinarySearchFunc(ns.ghosts, i, func(r runSection, o int) int { return r.origin - o })
+		ns.ghosts = slices.Insert(ns.ghosts, at, runSection{origin: i})
+	})
+	add("ghost origins descend", "do not strictly ascend", func(_ *section, ns *nodeSection) {
+		ns.ghosts[0], ns.ghosts[1] = ns.ghosts[1], ns.ghosts[0]
+	})
+	add("ghost origin repeated", "do not strictly ascend", func(_ *section, ns *nodeSection) {
+		ns.ghosts = slices.Insert(ns.ghosts, 1, ns.ghosts[0])
+	})
+	add("backup target n", "names backup target", func(_ *section, ns *nodeSection) { ns.backups[0].origin = n })
+	add("backup target -1", "names backup target", func(_ *section, ns *nodeSection) { ns.backups[1].origin = -1 })
+	add("backup target names its own node", "names backup target", func(_ *section, ns *nodeSection) { ns.backups[0].origin = i })
+	add("backup target repeated", "twice", func(_ *section, ns *nodeSection) { ns.backups[1].origin = ns.backups[0].origin })
+	add("pushed lists differ", "a set other than", func(_ *section, ns *nodeSection) {
+		ns.backups[1].ids = ns.backups[1].ids[1:]
+	})
+	add("pushed PointID out of range", "pushed PointID", func(s *section, ns *nodeSection) {
+		for j := range ns.backups {
+			ns.backups[j].ids[0] = uint32(len(s.pts))
+		}
+	})
+	add("holders entry n", "holders list", func(s *section, _ *nodeSection) { s.lists[0] = append(s.lists[0], n) })
+	add("holders entry -1", "holders list", func(s *section, _ *nodeSection) { s.lists[1] = append(s.lists[1], -1) })
+	add("duplicate point", "duplicate point", func(s *section, _ *nodeSection) { s.pts[1] = s.pts[0] })
+	return out
+}
+
+// TestRestoreRefusesCraftedSections: every ghost origin and backup target
+// must name another node of the section, origins must strictly ascend,
+// targets must be distinct and share one pushed list, and holders entries
+// must name nodes of the section. The interner table must hold no
+// duplicate point, and the detector must accept and consume its section
+// exactly. Each refusal leaves the protocol, its interner and its detector
+// as they were, and an honest section round-trips byte for byte.
+func TestRestoreRefusesCraftedSections(t *testing.T) {
+	st := afterCatastrophe(t, Config{})
+	p := st.poly
+	saved := snapshotOf(p)
+	honest := decodeSection(t, saved)
+	if !bytes.Equal(honest.encode(), saved) {
+		t.Fatal("the test's section codec does not round-trip an honest section")
+	}
+	refuse := func(t *testing.T, p *Protocol, c craft) {
+		t.Helper()
+		before, nodes := snapshotOf(p), p.nodes
+		err := p.RestoreState(snap.NewReader(c.section))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("RestoreState = %v, want an error containing %q", err, c.want)
+		}
+		if &p.nodes[0] != &nodes[0] || !bytes.Equal(snapshotOf(p), before) {
+			t.Fatal("a refused restore changed the protocol")
+		}
+	}
+	for _, c := range craftedSections(t, honest) {
+		t.Run(c.name, func(t *testing.T) { refuse(t, p, c) })
+	}
+	if err := p.RestoreState(snap.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshotOf(p), saved) {
+		t.Fatal("an honest section does not round-trip")
+	}
+
+	// A stateful detector: a section taken earlier, whose detector body
+	// carries one trailing byte, is refused after the detector read it, and
+	// must still leave the later detector state in place.
+	t.Run("detector section with a trailing byte", func(t *testing.T) {
+		ds := afterCatastrophe(t, Config{Detector: fd.NewDelayed(2)})
+		early := decodeSection(t, snapshotOf(ds.poly))
+		body := *early.det + "\x00"
+		early.det = &body
+		for _, id := range ds.engine.LiveIDs()[:4] {
+			ds.engine.Kill(id)
+		}
+		ds.engine.RunRounds(1)
+		refuse(t, ds.poly, craft{section: early.encode(), want: "trailing bytes"})
+	})
+}
+
+// FuzzRestoreState: no byte string makes RestoreState panic. A section it
+// accepts re-snapshots to the bytes it consumed; a section it refuses
+// leaves the protocol as it was. The seeds are an honest section taken
+// after a catastrophe and reinjection (so it holds adopted ghosts and
+// zero-length runs) and one crafted section per refusal.
+func FuzzRestoreState(f *testing.F) {
+	st := afterCatastrophe(f, Config{})
+	p := st.poly
+	honest := snapshotOf(p)
+	sec := decodeSection(f, honest)
+	zeroRun := false
+	for _, ns := range sec.nodes {
+		for _, r := range ns.ghosts {
+			zeroRun = zeroRun || len(r.ids) == 0
+		}
+	}
+	if !zeroRun {
+		f.Fatal("the honest seed holds no zero-length ghost run")
+	}
+	f.Add(honest)
+	for _, c := range craftedSections(f, sec) {
+		f.Add(c.section)
+	}
+	f.Add(honest[:len(honest)-5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := snapshotOf(p)
+		r := snap.NewReader(data)
+		if err := p.RestoreState(r); err != nil {
+			if !bytes.Equal(snapshotOf(p), before) {
+				t.Fatalf("refused restore (%v) changed the protocol", err)
+			}
+			return
+		}
+		if got, used := snapshotOf(p), data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {
+			t.Fatalf("accepted section re-snapshots to %d bytes, consumed %d", len(got), len(used))
+		}
+	})
+}

@@ -182,19 +182,20 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 // against live runtime.MemStats sampling of converged mid-size cells
 // (TestEstimatedFootprintTracksMeasuredHeap re-runs the calibration and
 // pins the estimate to measured heap within a documented factor): one
-// node of one protocol layer costs ~900 B at rest (views, guest/ghost
-// sets, pooled scratch, engine bookkeeping), and each interned point of
-// the Polystyrene data universe costs ~450 B on top (the interner's
-// point storage and id map, a holders-index row, and the per-point share
-// of guest/ghost set slots). The point term is what the estimate used to
+// node of one protocol layer costs ~770 B at rest (views, guest sets,
+// ghost runs and backup targets, pooled scratch, engine bookkeeping), and
+// each interned point of the Polystyrene data universe costs ~160 B on
+// top (the interner's point storage, key string and id map entry, and a
+// holders-index row). The point term is what the estimate used to
 // ignore: guest sets and the holders index scale with points, not nodes,
 // so dense data universes under-estimated and runner.Budget over-admitted
-// cells. Both constants are deliberately a little generous — the estimate
-// bounds grid parallelism, where overshooting trades throughput and
-// undershooting trades the machine.
+// cells. Both constants are deliberately a little generous — the
+// estimate reads 1.5–1.75× the measured heap — because it bounds grid
+// parallelism, where overshooting trades throughput and undershooting
+// trades the machine.
 const (
-	estFootprintBytesPerNodeLayer = 896
-	estFootprintBytesPerPoint     = 448
+	estFootprintBytesPerNodeLayer = 768
+	estFootprintBytesPerPoint     = 160
 )
 
 // EstimatedFootprintBytes estimates the resident memory of one running
@@ -214,8 +215,8 @@ func (c Config) EstimatedFootprintBytes() int64 {
 	if c.Polystyrene {
 		// The data universe: one interned original point per node, plus
 		// the reinjection wave's half-offset positions interned as nodes
-		// re-join. Priced per point, not per node-layer, because guest
-		// sets, ghost sets and the holders index scale with it.
+		// re-join. Priced per point, not per node-layer, because the
+		// interner and the holders index scale with it.
 		est += nodes * estFootprintBytesPerPoint
 	}
 	return est

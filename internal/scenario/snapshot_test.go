@@ -159,8 +159,9 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // contract on converged 40x20 and 80x40 scenarios. A save writes every
 // section in place into one doubling buffer, so quadrupling the node
 // count may add only a few buffer doublings. A restore carves per-node
-// slices from arenas, so what remains per node is the ghost map and the
-// interner's key string.
+// slices from arenas and core keeps its replicas as PointID runs, so what
+// remains per node is the interner's key string for its point, plus a
+// share of the arena chunks and per-restore tables.
 func TestSnapshotAllocsScaleFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun is unreliable under -race; the race step runs -short")
@@ -202,8 +203,8 @@ func TestSnapshotAllocsScaleFree(t *testing.T) {
 		t.Errorf("SnapshotTo allocations grow with the node count: %v at %d nodes, %v at %d", small.save, small.nodes, large.save, large.nodes)
 	}
 	for _, s := range []sample{small, large} {
-		if s.restore >= 4*float64(s.nodes) {
-			t.Errorf("Restore makes %v allocations at %d nodes (%.2f per node), want fewer than 4 per node",
+		if s.restore >= 1.1*float64(s.nodes) {
+			t.Errorf("Restore makes %v allocations at %d nodes (%.2f per node), want fewer than 1.1 per node",
 				s.restore, s.nodes, s.restore/float64(s.nodes))
 		}
 	}
