@@ -20,9 +20,23 @@
 // (sim.Batched) each worker owns a slot, and the matcher plans on a
 // dedicated plan scratch. A shuffle's conflict set is {initiator, shuffle
 // partner}: Step reads and writes only those two views.
+//
+// Views live in fixed-stride rows of one paged slab. An entry is an int32
+// id and an int32 age, 8 B, and each node owns a row of viewSize = 20
+// entries (160 B) in a page of pageRows contiguous rows, carved when the
+// node joins or the layer is restored. Node id's row is slot id%pageRows
+// of page id/pageRows, and its view is the row's first lens[id] entries:
+// there is no per-node slice. Every purge, bootstrap, swap-remove and
+// merge works in place in the row, so a view's storage never grows or
+// moves, and re-bootstrapping after a crash wave allocates nothing. The
+// ids are int32 inside the layer only (InitNode refuses ids past
+// math.MaxInt32); every exported query speaks sim.NodeID.
 package rps
 
 import (
+	"fmt"
+	"math"
+
 	"polystyrene/internal/sim"
 	"polystyrene/internal/xrand"
 )
@@ -41,9 +55,16 @@ type Config struct{}
 
 // entry is a view slot: a neighbour ID plus its gossip age.
 type entry struct {
-	id  sim.NodeID
-	age int
+	id  int32
+	age int32
 }
+
+// pageRows is the number of view rows carved per page: 512 rows of 20
+// 8-byte entries are 80 KiB, a whole number of the runtime's 8 KiB pages.
+const pageRows = 512
+
+// page is pageRows contiguous view rows.
+type page [pageRows][viewSize]entry
 
 // scratch is the reusable per-exchange state of one worker slot:
 // candidate indices for sampling and the two in-flight message buffers
@@ -57,7 +78,12 @@ type scratch struct {
 // Protocol is the peer-sampling layer. It implements sim.Protocol and
 // sim.Batched.
 type Protocol struct {
-	views [][]entry
+	// pages hold the view rows: node id's row is
+	// pages[id/pageRows][id%pageRows].
+	pages []*page
+	// lens[id] is the length of id's view, the first lens[id] entries of
+	// its row.
+	lens []uint8
 
 	// ws holds one scratch per worker slot (slot 0 is the sequential
 	// engine's); plan is the matcher's dedicated read-only-mirror scratch.
@@ -97,16 +123,32 @@ func (p *Protocol) ensureWorkers(n int) {
 
 // InitNode implements sim.Protocol: a joining node is bootstrapped with up
 // to viewSize random live peers (this models the out-of-band introduction
-// every gossip system needs).
+// every gossip system needs). Views hold int32 ids, so it panics for an id
+// past math.MaxInt32.
 func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
-	for len(p.views) <= int(id) {
-		p.views = append(p.views, nil)
+	if id > math.MaxInt32 {
+		panic(fmt.Sprintf("rps: node id %d is past the layer's limit: views hold int32 ids, at most math.MaxInt32 = %d", id, math.MaxInt32))
 	}
-	p.views[id] = p.bootstrapView(e.SeqCtx(), id)
+	for len(p.lens) <= int(id) {
+		if len(p.lens)%pageRows == 0 {
+			p.pages = append(p.pages, new(page))
+		}
+		p.lens = append(p.lens, 0)
+	}
+	p.lens[id] = 0
+	p.bootstrap(e.SeqCtx(), id)
 }
 
-func (p *Protocol) bootstrapView(ctx *sim.StepCtx, id sim.NodeID) []entry {
-	view := make([]entry, 0, viewSize)
+// view returns id's view: the first lens[id] entries of its row, with the
+// row's capacity, so appends fill the row in place.
+func (p *Protocol) view(id sim.NodeID) []entry {
+	return p.pages[id/pageRows][id%pageRows][:p.lens[id]]
+}
+
+// bootstrap fills id's empty view, in place, with up to viewSize random
+// live peers and returns it.
+func (p *Protocol) bootstrap(ctx *sim.StepCtx, id sim.NodeID) []entry {
+	view := p.view(id)
 	// Sample without replacement from the live set via rejection; the
 	// join-time live set is usually much larger than the view.
 	for attempts := 0; len(view) < viewSize && attempts < 20*viewSize; attempts++ {
@@ -114,8 +156,9 @@ func (p *Protocol) bootstrapView(ctx *sim.StepCtx, id sim.NodeID) []entry {
 		if peer == sim.None || peer == id || viewContains(view, peer) {
 			continue
 		}
-		view = append(view, entry{id: peer})
+		view = append(view, entry{id: int32(peer)})
 	}
+	p.lens[id] = uint8(len(view))
 	return view
 }
 
@@ -123,7 +166,7 @@ func (p *Protocol) bootstrapView(ctx *sim.StepCtx, id sim.NodeID) []entry {
 // tens of entries, so a linear scan beats any set structure.
 func viewContains(view []entry, id sim.NodeID) bool {
 	for _, en := range view {
-		if en.id == id {
+		if sim.NodeID(en.id) == id {
 			return true
 		}
 	}
@@ -140,11 +183,9 @@ func (p *Protocol) Step(e *sim.Engine, id sim.NodeID) {
 // shared context, byte-identically).
 func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	e := ctx.Engine()
-	p.purgeDead(e, id)
-	view := p.views[id]
+	view := p.purgeDead(e, id)
 	if len(view) == 0 {
-		p.views[id] = p.bootstrapView(ctx, id)
-		view = p.views[id]
+		view = p.bootstrap(ctx, id)
 		if len(view) == 0 {
 			return // alone in the system
 		}
@@ -159,11 +200,11 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 			oldest = i
 		}
 	}
-	q := view[oldest].id
+	q := sim.NodeID(view[oldest].id)
 	// Remove q from p's view; if the exchange succeeds q is replaced by
 	// fresh entries, and if q is dead the stale link is gone either way.
 	view[oldest] = view[len(view)-1]
-	p.views[id] = view[:len(view)-1]
+	p.lens[id]--
 	if !e.Alive(q) {
 		return
 	}
@@ -172,7 +213,7 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	scr := p.scr(ctx.Worker())
 	p.purgeDead(e, q)
 	sentToQ := p.sampleForShuffle(ctx, scr, id, q, shuffleLen-1, &scr.bufA)
-	sentToQ = append(sentToQ, entry{id: id, age: 0}) // fresh self-descriptor
+	sentToQ = append(sentToQ, entry{id: int32(id), age: 0}) // fresh self-descriptor
 	scr.bufA = sentToQ
 	sentToP := p.sampleForShuffle(ctx, scr, q, id, shuffleLen, &scr.bufB)
 
@@ -183,10 +224,10 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 // sampleForShuffle picks up to n random entries from owner's view,
 // excluding peer itself, into the pooled buffer buf.
 func (p *Protocol) sampleForShuffle(ctx *sim.StepCtx, scr *scratch, owner, peer sim.NodeID, n int, buf *[]entry) []entry {
-	view := p.views[owner]
+	view := p.view(owner)
 	cand := scr.idxBuf[:0]
 	for i, en := range view {
-		if en.id != peer {
+		if sim.NodeID(en.id) != peer {
 			cand = append(cand, i)
 		}
 	}
@@ -207,14 +248,14 @@ func (p *Protocol) sampleForShuffle(ctx *sim.StepCtx, scr *scratch, owner, peer 
 	return out
 }
 
-// merge installs received entries into owner's view, Cyclon style: skip
-// self and duplicates, fill free slots first, then overwrite the slots of
-// the entries owner just sent away.
+// merge installs received entries into owner's view, in place in its
+// row, Cyclon style: skip self and duplicates, fill free slots first, then
+// overwrite the slots of the entries owner just sent away.
 func (p *Protocol) merge(owner sim.NodeID, received, sent []entry) {
-	view := p.views[owner]
+	view := p.view(owner)
 	sentIdx := 0
 	for _, en := range received {
-		if en.id == owner || viewContains(view, en.id) {
+		if sim.NodeID(en.id) == owner || viewContains(view, sim.NodeID(en.id)) {
 			continue
 		}
 		if len(view) < viewSize {
@@ -224,7 +265,7 @@ func (p *Protocol) merge(owner sim.NodeID, received, sent []entry) {
 		// Replace one of the entries we sent away, if any remain.
 		replaced := false
 		for ; sentIdx < len(view); sentIdx++ {
-			if viewContains(sent, view[sentIdx].id) {
+			if viewContains(sent, sim.NodeID(view[sentIdx].id)) {
 				view[sentIdx] = en
 				sentIdx++
 				replaced = true
@@ -235,19 +276,25 @@ func (p *Protocol) merge(owner sim.NodeID, received, sent []entry) {
 			break // view full and nothing left to replace
 		}
 	}
-	p.views[owner] = view
+	p.lens[owner] = uint8(len(view))
 }
 
-// purgeDead removes entries for crashed nodes from id's view.
-func (p *Protocol) purgeDead(e *sim.Engine, id sim.NodeID) {
-	view := p.views[id]
+// purgeDead removes entries for crashed nodes from id's view, in place,
+// and returns the view. Views hold ids below the layer's node count, so
+// while all of those are alive there is nothing to remove.
+func (p *Protocol) purgeDead(e *sim.Engine, id sim.NodeID) []entry {
+	view := p.view(id)
+	if e.AllAlive(len(p.lens)) {
+		return view
+	}
 	kept := view[:0]
 	for _, en := range view {
-		if e.Alive(en.id) {
+		if e.Alive(sim.NodeID(en.id)) {
 			kept = append(kept, en)
 		}
 	}
-	p.views[id] = kept
+	p.lens[id] = uint8(len(kept))
+	return kept
 }
 
 // --- sim.Batched ---
@@ -268,10 +315,10 @@ func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst [
 	dst = append(dst, id)
 	// Mirror of purge + age + argmax: purging preserves order and ageing
 	// is uniform, so the partner is the first strictly-oldest live entry.
-	q, bestAge, found := sim.None, 0, false
-	for _, en := range p.views[id] {
-		if e.Alive(en.id) && (!found || en.age > bestAge) {
-			q, bestAge, found = en.id, en.age, true
+	q, bestAge, found := sim.None, int32(0), false
+	for _, en := range p.view(id) {
+		if e.Alive(sim.NodeID(en.id)) && (!found || en.age > bestAge) {
+			q, bestAge, found = sim.NodeID(en.id), en.age, true
 		}
 	}
 	if !found {
@@ -326,12 +373,11 @@ func idsContain(ids []sim.NodeID, id sim.NodeID) bool {
 // their source of fresh random nodes. The drawing stream comes from the
 // step context, as do the caller's scratch slots.
 func (p *Protocol) RandomPeerW(ctx *sim.StepCtx, id sim.NodeID) sim.NodeID {
-	p.purgeDead(ctx.Engine(), id)
-	view := p.views[id]
+	view := p.purgeDead(ctx.Engine(), id)
 	if len(view) == 0 {
 		return sim.None
 	}
-	return view[ctx.Rand().Intn(len(view))].id
+	return sim.NodeID(view[ctx.Rand().Intn(len(view))].id)
 }
 
 // PlanRandomPeer predicts what RandomPeerW(ctx, id) will return for a
@@ -340,9 +386,9 @@ func (p *Protocol) RandomPeerW(ctx *sim.StepCtx, id sim.NodeID) sim.NodeID {
 // iff the view holds a live peer, matching RandomPeerW draw-for-draw.
 func (p *Protocol) PlanRandomPeer(e *sim.Engine, rng *xrand.Rand, id sim.NodeID) sim.NodeID {
 	live := p.plan.peers[:0]
-	for _, en := range p.views[id] {
-		if e.Alive(en.id) {
-			live = append(live, en.id)
+	for _, en := range p.view(id) {
+		if e.Alive(sim.NodeID(en.id)) {
+			live = append(live, sim.NodeID(en.id))
 		}
 	}
 	p.plan.peers = live
@@ -361,8 +407,7 @@ func (p *Protocol) AppendRandomPeers(dst []sim.NodeID, e *sim.Engine, id sim.Nod
 
 // AppendRandomPeersW is AppendRandomPeers under an explicit step context.
 func (p *Protocol) AppendRandomPeersW(ctx *sim.StepCtx, dst []sim.NodeID, id sim.NodeID, n int) []sim.NodeID {
-	p.purgeDead(ctx.Engine(), id)
-	view := p.views[id]
+	view := p.purgeDead(ctx.Engine(), id)
 	if n > len(view) {
 		n = len(view)
 	}
@@ -379,7 +424,7 @@ func (p *Protocol) AppendRandomPeersW(ctx *sim.StepCtx, dst []sim.NodeID, id sim
 	for i := 0; i < n; i++ {
 		j := i + rng.Intn(len(cand)-i)
 		cand[i], cand[j] = cand[j], cand[i]
-		dst = append(dst, view[cand[i]].id)
+		dst = append(dst, sim.NodeID(view[cand[i]].id))
 	}
 	return dst
 }
@@ -390,9 +435,9 @@ func (p *Protocol) AppendRandomPeersW(ctx *sim.StepCtx, dst []sim.NodeID, id sim
 // plan scratch.
 func (p *Protocol) AppendPlanRandomPeers(dst []sim.NodeID, e *sim.Engine, rng *xrand.Rand, id sim.NodeID, n int) []sim.NodeID {
 	live := p.plan.peers[:0]
-	for _, en := range p.views[id] {
-		if e.Alive(en.id) {
-			live = append(live, en.id)
+	for _, en := range p.view(id) {
+		if e.Alive(sim.NodeID(en.id)) {
+			live = append(live, sim.NodeID(en.id))
 		}
 	}
 	p.plan.peers = live

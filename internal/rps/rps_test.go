@@ -264,10 +264,19 @@ func TestGossipRoundAllocs(t *testing.T) {
 
 // View returns a copy of id's current view (live and stale entries alike).
 func (p *Protocol) View(id sim.NodeID) []sim.NodeID {
-	view := p.views[id]
+	view := p.view(id)
 	out := make([]sim.NodeID, len(view))
 	for i, en := range view {
-		out[i] = en.id
+		out[i] = sim.NodeID(en.id)
+	}
+	return out
+}
+
+// views returns every node's view, each a reslice of its row.
+func (p *Protocol) views() [][]entry {
+	out := make([][]entry, len(p.lens))
+	for id := range out {
+		out[id] = p.view(sim.NodeID(id))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package rps
 
 import (
 	"fmt"
+	"math"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
@@ -13,32 +14,42 @@ var _ sim.Snapshotter = (*Protocol)(nil)
 // ages) are the protocol's only cross-round state; worker scratch and the
 // matcher's plan mirrors are rebuilt every round.
 func (p *Protocol) SnapshotState(w *snap.Writer) {
-	w.Len(len(p.views))
-	for _, v := range p.views {
+	w.Len(len(p.lens))
+	for id := range p.lens {
+		v := p.view(sim.NodeID(id))
 		w.Len(len(v))
 		for _, e := range v {
 			w.Int(int(e.id))
-			w.Int(e.age)
+			w.Int(int(e.age))
 		}
 	}
 }
 
-// RestoreState implements sim.Snapshotter. The views are carved from one
-// arena and keep exact capacity, so an append to one reallocates it. A
-// view longer than viewSize, an entry outside [0, n), where n is the
-// section's view count, and an entry naming the view's own node are
-// refused, and on any error the protocol is left as it was.
+// RestoreState implements sim.Snapshotter. Each view is parsed into a
+// row, carved page by page from pages of its own as the views are read,
+// so a section that lies about its view count costs memory in proportion
+// to the bytes it really holds. The new rows replace the current ones
+// only once the whole section has parsed; on any error the protocol is
+// left as it was. A view longer than viewSize, an entry outside [0, n),
+// where n is the section's view count, an entry naming the view's own
+// node and an age outside [0, math.MaxInt32] are refused.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.Len(8)
-	views := make([][]entry, n)
-	var arena snap.Arena[entry]
-	for i := range views {
+	if n > math.MaxInt32+1 {
+		return fmt.Errorf("rps: snapshot has %d views, the layer's limit is %d", n, math.MaxInt32+1)
+	}
+	lens := make([]uint8, n)
+	var pages []*page
+	for i := range lens {
 		ln := r.Len(16)
 		if ln > viewSize {
 			return fmt.Errorf("rps: snapshot view of node %d holds %d entries, more than the %d a view keeps", i, ln, viewSize)
 		}
-		v := arena.Take(ln)
-		for j := range v {
+		if i%pageRows == 0 {
+			pages = append(pages, new(page))
+		}
+		row := pages[i/pageRows][i%pageRows][:ln]
+		for j := range row {
 			id := r.Int()
 			if id < 0 || id >= n {
 				return fmt.Errorf("rps: snapshot view of node %d holds node %d, outside [0,%d)", i, id, n)
@@ -46,14 +57,17 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			if id == i {
 				return fmt.Errorf("rps: snapshot view of node %d holds the node itself", i)
 			}
-			v[j].id = sim.NodeID(id)
-			v[j].age = r.Int()
+			age := r.Int()
+			if age < 0 || age > math.MaxInt32 {
+				return fmt.Errorf("rps: snapshot view of node %d holds age %d, outside [0,%d]", i, age, math.MaxInt32)
+			}
+			row[j] = entry{id: int32(id), age: int32(age)}
 		}
-		views[i] = v
+		lens[i] = uint8(ln)
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	p.views = views
+	p.pages, p.lens = pages, lens
 	return nil
 }

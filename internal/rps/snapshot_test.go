@@ -2,6 +2,8 @@ package rps
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,7 +19,8 @@ func snapshotOf(p *Protocol) []byte {
 
 // TestRestoreRefusesCraftedSections: every view entry must name a node in
 // [0, n), n being the section's own view count, other than the view's own
-// node, and no view may hold more than viewSize entries. Each refusal
+// node, with an age in [0, math.MaxInt32], and no view may hold more than
+// viewSize entries. Each refusal
 // leaves the protocol as it was, and an honest section round-trips byte
 // for byte.
 func TestRestoreRefusesCraftedSections(t *testing.T) {
@@ -29,8 +32,8 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 	// of every view when all is set, replaced by fill.
 	crafted := func(fill int, all bool) []byte {
 		var w snap.Writer
-		w.Len(len(p.views))
-		for id, v := range p.views {
+		w.Len(len(p.lens))
+		for id, v := range p.views() {
 			w.Len(len(v))
 			for _, en := range v {
 				peer := int(en.id)
@@ -38,7 +41,7 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 					peer = fill
 				}
 				w.Int(peer)
-				w.Int(en.age)
+				w.Int(int(en.age))
 			}
 		}
 		return w.Bytes()
@@ -47,8 +50,8 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 	// distinct entries, none of them node 3.
 	grown := func(ln int) []byte {
 		var w snap.Writer
-		w.Len(len(p.views))
-		for id, v := range p.views {
+		w.Len(len(p.lens))
+		for id, v := range p.views() {
 			if id == 3 {
 				w.Len(ln)
 				for j := range ln {
@@ -60,12 +63,30 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 			w.Len(len(v))
 			for _, en := range v {
 				w.Int(int(en.id))
-				w.Int(en.age)
+				w.Int(int(en.age))
 			}
 		}
 		return w.Bytes()
 	}
-	if len(p.views[3]) == 0 {
+	// aged re-encodes the views with the first entry of node 3's view aged
+	// age.
+	aged := func(age int) []byte {
+		var w snap.Writer
+		w.Len(len(p.lens))
+		for id, v := range p.views() {
+			w.Len(len(v))
+			for j, en := range v {
+				w.Int(int(en.id))
+				if id == 3 && j == 0 {
+					w.Int(age)
+				} else {
+					w.Int(int(en.age))
+				}
+			}
+		}
+		return w.Bytes()
+	}
+	if p.lens[3] == 0 {
 		t.Fatal("node 3 has an empty view; the crafted sections would not change it")
 	}
 	var lying snap.Writer
@@ -82,15 +103,17 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 		{"view count past the bytes", lying.Bytes(), "implausible count"},
 		{"view one past viewSize", grown(viewSize + 1), "more than the 20 a view keeps"},
 		{"entry names its own node", crafted(3, false), "node 3 holds the node itself"},
+		{"age -1", aged(-1), "holds age -1, outside [0,2147483647]"},
+		{"age past int32", aged(math.MaxInt32 + 1), "holds age 2147483648, outside [0,2147483647]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			before := p.views
+			before := p.pages
 			err := p.RestoreState(snap.NewReader(c.section))
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("RestoreState = %v, want an error containing %q", err, c.want)
 			}
-			if &p.views[0] != &before[0] || !bytes.Equal(snapshotOf(p), saved) {
+			if &p.pages[0] != &before[0] || !bytes.Equal(snapshotOf(p), saved) {
 				t.Fatal("a refused restore changed the protocol")
 			}
 		})
@@ -104,8 +127,8 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 }
 
 // FuzzRestoreState: no byte string makes RestoreState panic. A section it
-// accepts leaves every view within viewSize, in [0, n) and free of its
-// own node, and re-snapshots to the bytes it consumed; a section it
+// accepts leaves every view within viewSize, in [0, n), free of its own
+// node and with no negative age, and re-snapshots to the bytes it consumed; a section it
 // refuses leaves the protocol as it was.
 func FuzzRestoreState(f *testing.F) {
 	p := New(Config{})
@@ -136,6 +159,17 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	f.Add(long.Bytes())
 	f.Add(honest[:len(honest)-3])
+	// Node 0's view holding node 1 at age -1, and at age 2³¹: ages are
+	// int32 in a row.
+	for _, age := range []int{-1, math.MaxInt32 + 1} {
+		var w snap.Writer
+		w.Len(2)
+		w.Len(1)
+		w.Int(1)
+		w.Int(age)
+		w.Len(0)
+		f.Add(w.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := snapshotOf(p)
 		r := snap.NewReader(data)
@@ -145,13 +179,16 @@ func FuzzRestoreState(f *testing.F) {
 			}
 			return
 		}
-		for id, v := range p.views {
+		for id, v := range p.views() {
 			if len(v) > viewSize {
 				t.Fatalf("restored view of node %d holds %d entries, cap %d", id, len(v), viewSize)
 			}
 			for _, en := range v {
-				if en.id < 0 || int(en.id) >= len(p.views) || int(en.id) == id {
-					t.Fatalf("restored view of node %d holds node %d (n = %d)", id, en.id, len(p.views))
+				if en.id < 0 || int(en.id) >= len(p.lens) || int(en.id) == id {
+					t.Fatalf("restored view of node %d holds node %d (n = %d)", id, en.id, len(p.lens))
+				}
+				if en.age < 0 {
+					t.Fatalf("restored view of node %d holds age %d", id, en.age)
 				}
 			}
 		}
@@ -159,4 +196,31 @@ func FuzzRestoreState(f *testing.F) {
 			t.Fatalf("accepted section re-snapshots to %d bytes, consumed %d", len(got), len(used))
 		}
 	})
+}
+
+// TestRestoreLyingCountStaysCheap: a section that claims more views than
+// its bytes can hold fails at the count itself, before any length or page
+// is sized from it, and leaves the protocol unchanged.
+func TestRestoreLyingCountStaysCheap(t *testing.T) {
+	e, p := newNetwork(t, 4, 64)
+	e.RunRounds(3)
+	saved := snapshotOf(p)
+
+	var sw snap.Writer
+	sw.Len(math.MaxInt32) // 2³¹−1 views claimed, none present
+	sw.Len(0)
+	before := p.pages
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := p.RestoreState(snap.NewReader(sw.Bytes()))
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "implausible count") {
+		t.Fatalf("RestoreState = %v, want the count refused", err)
+	}
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 64<<10 {
+		t.Errorf("refusing a lying count allocated %d B", b)
+	}
+	if &p.pages[0] != &before[0] || !bytes.Equal(snapshotOf(p), saved) {
+		t.Fatal("a refused restore changed the protocol")
+	}
 }

@@ -182,7 +182,7 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 // against live runtime.MemStats sampling of converged mid-size cells
 // (TestEstimatedFootprintTracksMeasuredHeap re-runs the calibration and
 // pins the estimate to measured heap within a documented factor): one
-// node of one protocol layer costs ~770 B at rest (views, guest sets,
+// node of one protocol layer costs ~620 B at rest (views, guest sets,
 // ghost runs and backup targets, pooled scratch, engine bookkeeping), and
 // each interned point of the Polystyrene data universe costs ~160 B on
 // top (the interner's point storage, key string and id map entry, and a
@@ -194,7 +194,7 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 // parallelism, where overshooting trades throughput and undershooting
 // trades the machine.
 const (
-	estFootprintBytesPerNodeLayer = 768
+	estFootprintBytesPerNodeLayer = 620
 	estFootprintBytesPerPoint     = 160
 )
 

@@ -178,6 +178,14 @@ func (e *Engine) Alive(id NodeID) bool {
 	return id >= 0 && int(id) < len(e.alive) && e.alive[id]
 }
 
+// AllAlive reports whether no node has died and n is within NumNodes, so
+// that every NodeID in [0, n) is a live node (NodeIDs are never reused).
+// It is O(1), and conservative: it reads false after any crash, even one
+// at or past n.
+func (e *Engine) AllAlive(n int) bool {
+	return len(e.live) == len(e.alive) && n <= len(e.alive)
+}
+
 // Kill crashes node id (crash-stop: it never recovers). Killing a dead or
 // unknown node is a no-op, mirroring the idempotence of real crashes.
 func (e *Engine) Kill(id NodeID) {

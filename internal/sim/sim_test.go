@@ -98,6 +98,25 @@ func TestKillIsIdempotentAndCrashStop(t *testing.T) {
 	}
 }
 
+// TestAllAlive: AllAlive holds for every n up to NumNodes until the first
+// crash, never for n past NumNodes, and never again once a node has died,
+// joins afterwards included.
+func TestAllAlive(t *testing.T) {
+	e := New(4, newRecorder("p"))
+	if !e.AllAlive(0) || e.AllAlive(1) {
+		t.Fatal("empty engine: want AllAlive(0) and not AllAlive(1)")
+	}
+	e.AddNodes(5)
+	if !e.AllAlive(5) || !e.AllAlive(3) || e.AllAlive(6) {
+		t.Fatal("5 live nodes: want AllAlive(3) and AllAlive(5), not AllAlive(6)")
+	}
+	e.Kill(4)
+	e.AddNodes(2)
+	if e.AllAlive(7) || e.AllAlive(1) {
+		t.Fatal("AllAlive holds after a crash")
+	}
+}
+
 // peerKiller is a recorder whose first step of round killRound kills the
 // node last in that round's step order, which has not stepped yet.
 type peerKiller struct {

@@ -156,9 +156,9 @@ func TestNeighborQueryFormsUnderChurn(t *testing.T) {
 
 // TestViewRowsBoundedAfterCatastrophe: after a 95% correlated kill and a
 // reinjection, every view — of a live node or a dead one — still sits in
-// its own fixed row of stride ids, live views hold at most viewCap
+// its own fixed row of restCap ids, live views hold at most viewCap
 // entries, and the overlay's view memory is exactly its carved rows ×
-// stride × 4 B: whole pages of rows, one row per node ever joined, and no
+// restCap × 4 B: whole pages of rows, one row per node ever joined, and no
 // per-node capacity a catastrophe could pin.
 func TestViewRowsBoundedAfterCatastrophe(t *testing.T) {
 	w, h := 40, 20
@@ -189,21 +189,21 @@ func TestViewRowsBoundedAfterCatastrophe(t *testing.T) {
 	}
 	rows := make([]uintptr, len(tm.views))
 	for id, view := range tm.views {
-		if cap(view) != stride {
-			t.Fatalf("node %d view capacity %d (len %d), want the stride %d", id, cap(view), len(view), stride)
+		if cap(view) != restCap {
+			t.Fatalf("node %d view capacity %d (len %d), want the stride %d", id, cap(view), len(view), restCap)
 		}
 		rows[id] = uintptr(unsafe.Pointer(unsafe.SliceData(view)))
 	}
 	slices.Sort(rows)
 	for i := 1; i < len(rows); i++ {
-		if rows[i]-rows[i-1] < uintptr(stride*4) {
+		if rows[i]-rows[i-1] < uintptr(restCap*4) {
 			t.Fatalf("view rows overlap: %#x and %#x are %d B apart, a row is %d B",
-				rows[i-1], rows[i], rows[i]-rows[i-1], stride*4)
+				rows[i-1], rows[i], rows[i]-rows[i-1], restCap*4)
 		}
 	}
 	carved := tm.rows.pages * pageRows
 	if want := (len(tm.views) + pageRows - 1) / pageRows * pageRows; carved != want {
 		t.Fatalf("%d rows carved for %d nodes, want %d (whole pages of %d)", carved, len(tm.views), want, pageRows)
 	}
-	t.Logf("%d nodes, %d rows carved: %d B of view memory", len(tm.views), carved, carved*stride*4)
+	t.Logf("%d nodes, %d rows carved: %d B of view memory", len(tm.views), carved, carved*restCap*4)
 }

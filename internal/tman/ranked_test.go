@@ -60,7 +60,7 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 		}
 		view := append(slices.Clone(pre), tail...)
 		want := slices.Clone(p.selectClosest(scr, view, target, min(len(view), viewCap)))
-		got := p.mergeRanked(scr, slices.Clone(view), len(pre), target)
+		got := p.mergeRanked(scr, make([]int32, 0, viewCap), view, len(pre), target)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (union %d): mergeRanked(prefix %v, new %v) = %v, selection %v",
 				trial, len(view), pre, tail, got, want)

@@ -84,7 +84,7 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 		{"entry -1", crafted(-1, 0), "outside [0,64)"},
 		{"entry 1<<32+5 (aliases node 5 as int32)", crafted(1<<32+5, 0), "outside [0,64)"},
 		{"view one past a row at rest", crafted(5, restCap+1), "more than the 100 a row keeps"},
-		{"view past the stride", crafted(5, stride+1), "more than the 100 a row keeps"},
+		{"view past the stride", crafted(5, restCap+1), "more than the 100 a row keeps"},
 		{"entry names its own node", crafted(3, 0), "node 3 holds the node itself"},
 		{"last view cut short", saved[:len(saved)-4], "implausible count"},
 	}
@@ -155,7 +155,7 @@ func TestInitNodeRefusesIDsPastInt32(t *testing.T) {
 }
 
 // FuzzRestoreState: no byte string makes RestoreState panic. A section it
-// accepts leaves every view in a row of stride ids, within restCap, in
+// accepts leaves every view in a row of restCap ids, within restCap, in
 // [0, n) and free of its own node, and re-snapshots to the bytes it
 // consumed; a section it refuses leaves the protocol as it was.
 func FuzzRestoreState(f *testing.F) {
@@ -185,7 +185,7 @@ func FuzzRestoreState(f *testing.F) {
 			return
 		}
 		for id, v := range tm.views {
-			if len(v) > restCap || cap(v) != stride {
+			if len(v) > restCap || cap(v) != restCap {
 				t.Fatalf("restored view of node %d holds %d entries in a row of %d", id, len(v), cap(v))
 			}
 			for _, x := range v {

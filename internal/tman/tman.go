@@ -54,22 +54,23 @@
 // Polystyrene layer above snapshots them for its own pass).
 //
 // Views live in fixed-stride rows of one slab. Each node owns a row of
-// stride = max(viewCap, initDegree) + DefaultMsgSize = 120 int32 ids (480
-// B), carved with its neighbours in pages of contiguous rows when the node
-// joins or the overlay is restored. The stride is a compile-time constant:
-// the view cap (100), the init degree (10) and m (20) are the paper's Sec.
-// IV-A values. A view at rest holds at most restCap = max(viewCap,
-// initDegree) entries and a merge appends at most DefaultMsgSize, so every
-// purge, re-seed, merge, ranking and prefix read works in place in the
-// row, and a view's storage never grows or moves. The ids are int32 inside
-// the overlay only (InitNode refuses ids past math.MaxInt32); every
-// exported query speaks sim.NodeID.
+// restCap = max(viewCap, initDegree) = 100 int32 ids (400 B), carved with
+// its neighbours in pages of contiguous rows when the node joins or the
+// overlay is restored. The stride is a compile-time constant: the view cap
+// (100) and the init degree (10) are the paper's Sec. IV-A values. A view
+// never holds more than restCap entries: a merge assembles its candidates
+// (the view plus at most DefaultMsgSize received ids) on the worker
+// slot's scratch and writes only the survivors back. So every purge,
+// re-seed, merge, ranking and prefix read works in place in the row, and
+// a view's storage never grows or moves. The ids are int32 inside the
+// overlay only (InitNode refuses ids past math.MaxInt32); every exported
+// query speaks sim.NodeID.
 //
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
 // EachNeighbor (zero-copy visitor over the pooled selection scratch).
-// Every selection ranks at most stride + 1 = 121 candidates, so the
-// pooled buffers are bounded by construction.
+// Every selection ranks at most restCap + DefaultMsgSize = 120
+// candidates, so the pooled buffers are bounded by construction.
 package tman
 
 import (
@@ -96,12 +97,10 @@ const (
 	// initDegree is the number of random peers a node's view is seeded
 	// with ("initialized with 10 random neighbors from RPS").
 	initDegree = 10
-	// restCap is the most entries a view holds between merges: the cap,
-	// or a re-seed's initDegree random peers if that were larger.
+	// restCap is the most entries a view holds, and so a view row's
+	// capacity: the cap, or a re-seed's initDegree random peers if that
+	// were larger.
 	restCap = max(viewCap, initDegree)
-	// stride is a view row's capacity: a view at rest plus one merged
-	// message.
-	stride = restCap + DefaultMsgSize
 )
 
 // PositionFunc reports the current virtual position of a node. It must
@@ -135,17 +134,17 @@ func (c Config) validate() error {
 	return nil
 }
 
-// pageRows is the number of view rows carved per page: 256 rows of 120
-// int32 ids are 120 KiB, a whole number of the runtime's 8 KiB pages.
-const pageRows = 256
+// pageRows is the number of view rows carved per page: 512 rows of 100
+// int32 ids are 200 KiB, a whole number of the runtime's 8 KiB pages.
+const pageRows = 512
 
-// rowSlab carves view rows of stride ids from pages of pageRows contiguous
-// rows. A carved row is empty with capacity stride, so appends fill it in
-// place and can never write into the row carved after it.
+// rowSlab carves view rows of restCap ids from pages of pageRows
+// contiguous rows. A carved row is empty with capacity restCap, so appends
+// fill it in place and can never write into the row carved after it.
 type rowSlab struct {
 	free []int32
 	// pages counts the pages carved so far (view memory is pages ×
-	// pageRows × stride × 4 B).
+	// pageRows × restCap × 4 B).
 	pages int
 }
 
@@ -153,11 +152,11 @@ type rowSlab struct {
 // is used up.
 func (s *rowSlab) carve() []int32 {
 	if len(s.free) == 0 {
-		s.free = make([]int32, pageRows*stride)
+		s.free = make([]int32, pageRows*restCap)
 		s.pages++
 	}
-	row := s.free[:0:stride]
-	s.free = s.free[stride:]
+	row := s.free[:0:restCap]
+	s.free = s.free[restCap:]
 	return row
 }
 
@@ -165,8 +164,8 @@ func (s *rowSlab) carve() []int32 {
 type scratch struct {
 	// sel holds the pooled parallel (distance, id) selection arrays.
 	sel topk.Scratch[int32]
-	// candBuf assembles the owner+view candidate set for buildBuffer and
-	// the partner-selection window.
+	// candBuf assembles the owner+view candidate set for buildBuffer, the
+	// partner-selection window and a merge's view+received candidates.
 	candBuf []int32
 	// msgA/msgB are the two in-flight message buffers of Step; both live
 	// across a merge pair, so they need separate backing arrays.
@@ -452,84 +451,87 @@ func (p *Protocol) closest(scr *scratch, id sim.NodeID, k int) []int32 {
 func prefix(s []int32, k int) []int32 { return s[:min(k, len(s))] }
 
 // merge folds received descriptors into owner's view and keeps the
-// entries closest to owner's position, up to the view cap. It appends the
-// new entries into owner's row and the capped selection writes back into
-// the same row, so merges allocate nothing. Every merge that adds entries
-// (or finds the view over the cap) leaves it sorted and stamped: a ranked
-// view only ranks the new entries and merges them in linearly
-// (mergeRanked); any other view is selected in full.
+// entries closest to owner's position, up to the view cap. The candidates
+// (the view plus the received ids it lacks) are assembled on the worker
+// slot's scratch and only the capped selection is written back into
+// owner's row, so merges allocate nothing and a row never holds more than
+// restCap ids. Every merge that adds entries leaves the view sorted and
+// stamped: a ranked view only ranks the new entries and merges them in
+// linearly (mergeRanked); any other view is selected in full.
 func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []int32) {
 	view := p.views[owner]
-	if len(view)+len(received) > cap(view) {
-		panic(fmt.Sprintf("tman: merging %d descriptors into node %d's view of %d overflows its row of %d",
-			len(received), owner, len(view), cap(view)))
-	}
 	wasRanked := p.ranked(owner)
 	stamp, gen := scr.seen.Next(e.NumNodes())
 	stamp[owner] = gen
 	for _, v := range view {
 		stamp[v] = gen
 	}
-	n0 := len(view)
+	cand := append(scr.candBuf[:0], view...)
 	for _, r := range received {
 		if stamp[r] != gen && e.Alive(sim.NodeID(r)) {
 			stamp[r] = gen
-			view = append(view, r)
+			cand = append(cand, r)
 		}
 	}
-	switch {
-	case len(view) == n0 && len(view) <= viewCap:
-		// Nothing new and nothing to cut: the order and stamp stand.
-	default:
-		if wasRanked {
-			view = p.mergeRanked(scr, view, n0, p.pos(owner))
-		} else {
-			sel := p.selectClosest(scr, view, p.pos(owner), min(len(view), viewCap))
-			view = view[:copy(view, sel)]
-		}
-		_, p.rankedAt[owner] = p.clock()
+	scr.candBuf = cand
+	if len(cand) == len(view) {
+		// Nothing new, and a view never exceeds the cap: the order and
+		// stamp stand.
+		return
 	}
-	p.views[owner] = view
+	if wasRanked {
+		p.views[owner] = p.mergeRanked(scr, view, cand, len(view), p.pos(owner))
+	} else {
+		sel := p.selectClosest(scr, cand, p.pos(owner), min(len(cand), viewCap))
+		p.views[owner] = view[:copy(view[:len(sel)], sel)]
+	}
+	_, p.rankedAt[owner] = p.clock()
 }
 
-// mergeRanked returns, in view's own backing array, the min(len(view),
-// viewCap) entries of view closest to target, sorted by (distance, id),
-// given that view[:n0] is already so sorted. Only the new entries
-// view[n0:] are sorted (received buffers usually arrive sorted against the
-// same target, so that is one insertion-sort pass); one linear merge then
-// replaces the selection over the whole view. The result equals
-// selectClosest(view, target, min(len(view), viewCap)).
-func (p *Protocol) mergeRanked(scr *scratch, view []int32, n0 int, target space.Point) []int32 {
-	dist, ids := scr.sel.Get(len(view))
-	copy(ids, view)
+// mergeRanked writes into row's backing array, and returns, the
+// min(len(cand), viewCap) entries of cand closest to target, sorted by
+// (distance, id), given that cand[:n0] is already so sorted; row's
+// capacity must hold them. Only the new entries cand[n0:] are sorted
+// (received buffers usually arrive sorted against the same target, so
+// that is one insertion-sort pass); one linear merge then replaces the
+// selection over all candidates. The result equals selectClosest(cand,
+// target, min(len(cand), viewCap)).
+func (p *Protocol) mergeRanked(scr *scratch, row, cand []int32, n0 int, target space.Point) []int32 {
+	dist, ids := scr.sel.Get(len(cand))
+	copy(ids, cand)
 	p.distances(dist, ids, target)
-	topk.SmallestK(dist[n0:], ids[n0:], len(view)-n0)
-	out := min(len(view), viewCap)
+	topk.SmallestK(dist[n0:], ids[n0:], len(ids)-n0)
+	out := row[:min(len(ids), viewCap)]
 	i, j := 0, n0
-	for k := 0; k < out; k++ {
+	for k := range out {
 		// Take the ranked entry unless the new one orders first; ties on
 		// distance break toward the lower id, as in topk.
 		if j == len(ids) || i < n0 && (dist[i] < dist[j] || dist[i] == dist[j] && ids[i] < ids[j]) {
-			view[k] = ids[i]
+			out[k] = ids[i]
 			i++
 		} else {
-			view[k] = ids[j]
+			out[k] = ids[j]
 			j++
 		}
 	}
-	return view[:out]
+	return out
 }
 
 // purgeDead removes crashed nodes from id's view in place, which keeps a
 // ranked view ranked; if the view empties out it is re-seeded from the
 // sampling layer (healing after failures), unranked, into the same row.
+// Views hold ids below the overlay's node count, so while all of those
+// are alive there is nothing to remove and only an empty view is touched.
 func (p *Protocol) purgeDead(ctx *sim.StepCtx, id sim.NodeID) {
 	e := ctx.Engine()
 	view := p.views[id]
-	kept := view[:0]
-	for _, v := range view {
-		if e.Alive(sim.NodeID(v)) {
-			kept = append(kept, v)
+	kept := view
+	if !e.AllAlive(len(p.views)) {
+		kept = view[:0]
+		for _, v := range view {
+			if e.Alive(sim.NodeID(v)) {
+				kept = append(kept, v)
+			}
 		}
 	}
 	if len(kept) == 0 {

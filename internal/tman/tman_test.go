@@ -56,13 +56,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultsApplied: a carved row holds a view at the paper's cap of
-// 100 plus one message of m = 20 descriptors.
+// TestDefaultsApplied: a carved row holds exactly a view at the paper's
+// cap of 100; a merge's received descriptors never land in the row.
 func TestDefaultsApplied(t *testing.T) {
 	net := newTestNet(t, 1, space.TorusForGrid(4, 4, 1), space.TorusGrid(4, 4, 1))
 	for id, view := range net.tman.views {
-		if cap(view) != 120 {
-			t.Fatalf("node %d row capacity %d, want 120", id, cap(view))
+		if cap(view) != 100 {
+			t.Fatalf("node %d row capacity %d, want 100", id, cap(view))
 		}
 	}
 }
