@@ -126,11 +126,10 @@ func (s *System) Snapshot(w io.Writer) error {
 // so a corrupted, truncated or mismatched snapshot never yields a
 // partially restored system.
 func (s *System) Restore(rd io.Reader) error {
-	body, err := snap.ReadEnvelope(rd, systemKind)
+	r, err := snap.ReadEnvelope(rd, systemKind)
 	if err != nil {
 		return err
 	}
-	r := snap.NewReader(body)
 	got := readSystemDigest(r)
 
 	pinned := scenario.ReadPinned(r)

@@ -50,11 +50,12 @@ func systemSnapshotBytes(t *testing.T, sys *System) []byte {
 }
 
 // TestGoldenSystemSnapshotRestores pins the facade's snapshot format in
-// both modes. Each checked-in version 1 snapshot restores; its
-// re-snapshot carries the file's body byte for byte and equals the
-// version 2 twin beside it (*.v2.psysnap, written once by restoring and
-// snapshotting again); the twin restores too; and five more rounds from
-// either equal an uninterrupted run of the same script.
+// both modes. Each checked-in version 1 snapshot and its version 2 twin
+// (*.v2.psysnap) carry one body; both restore, and each re-snapshot equals
+// the version 3 twin (*.v3.psysnap, written once by restoring the version
+// 1 file and snapshotting again), which restores and re-snapshots to
+// itself. Five more rounds from any of the three equal an uninterrupted
+// run of the same script.
 func TestGoldenSystemSnapshotRestores(t *testing.T) {
 	for _, tc := range []struct {
 		file     string
@@ -64,45 +65,45 @@ func TestGoldenSystemSnapshotRestores(t *testing.T) {
 		{"system_baseline_8x4_r8.psysnap", true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			v1, err := os.ReadFile("testdata/" + tc.file)
+			var goldens [][]byte // versions 1, 2 and 3
+			stem := strings.TrimSuffix(tc.file, ".psysnap")
+			for _, name := range []string{tc.file, stem + ".v2.psysnap", stem + ".v3.psysnap"} {
+				b, err := os.ReadFile("testdata/" + name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				goldens = append(goldens, b)
+			}
+			v1Body, err := snap.Decode(systemKind, goldens[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := os.ReadFile("testdata/" + strings.TrimSuffix(tc.file, ".psysnap") + ".v2.psysnap")
+			v2Body, err := snap.Decode(systemKind, goldens[1])
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(v1Body, v2Body) {
+				t.Fatal("the version 1 golden snapshot and its version 2 twin carry different bodies")
 			}
 			cfg := goldenSystemConfig(tc.baseline)
 
 			var restored []*System
-			for _, golden := range [][]byte{v1, v2} {
+			for i, golden := range goldens {
 				sys, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer sys.Close()
 				if err := sys.Restore(bytes.NewReader(golden)); err != nil {
-					t.Fatalf("golden snapshot refused: %v", err)
+					t.Fatalf("golden snapshot v%d refused: %v", i+1, err)
 				}
 				if got := sys.Round(); got != 8 {
 					t.Fatalf("restored round = %d, want 8", got)
 				}
+				if !bytes.Equal(systemSnapshotBytes(t, sys), goldens[2]) {
+					t.Fatalf("re-snapshot of the version %d golden snapshot is not byte-identical to its version 3 twin", i+1)
+				}
 				restored = append(restored, sys)
-			}
-			resnap := systemSnapshotBytes(t, restored[0])
-			body, err := snap.Decode(systemKind, resnap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1Body, err := snap.Decode(systemKind, v1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(body, v1Body) {
-				t.Fatal("re-snapshot of the version 1 golden snapshot does not carry its body byte for byte")
-			}
-			if !bytes.Equal(resnap, v2) {
-				t.Fatal("re-snapshot of the version 1 golden snapshot is not byte-identical to its version 2 twin")
 			}
 
 			fresh, err := NewSystem(cfg)

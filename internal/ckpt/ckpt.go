@@ -345,11 +345,10 @@ func (m *Manager) writeManifest(gens []Generation) error {
 }
 
 func decodeManifest(data []byte) ([]Generation, error) {
-	body, err := snap.Decode(manifestKind, data)
+	r, err := snap.Open(manifestKind, data)
 	if err != nil {
 		return nil, err
 	}
-	r := snap.NewReader(body)
 	n := r.Len(8 + 8 + 8 + 8 + 1) // name len + round + size + sum + ≥1 name byte
 	gens := make([]Generation, 0, n)
 	for i := 0; i < n; i++ {

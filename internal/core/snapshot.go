@@ -29,7 +29,7 @@ var _ sim.Snapshotter = (*Protocol)(nil)
 func (p *Protocol) SnapshotState(w *snap.Writer) {
 	// Interner table, in ID order.
 	in := p.cfg.Interner
-	w.Len(in.Len())
+	w.Count(in.Len())
 	for id := 0; id < in.Len(); id++ {
 		writePoint(w, in.PointOf(space.PointID(id)))
 	}
@@ -46,33 +46,33 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 
 	// Per-node state. The format carries one pushed list per backup
 	// target; each is the node's one pushed set.
-	w.Len(len(p.nodes))
+	w.Count(len(p.nodes))
 	for i, st := range p.nodes {
 		if st == nil {
 			w.Bool(false)
 			continue
 		}
 		w.Bool(true)
-		w.Len(len(st.guestIDs))
+		w.Count(len(st.guestIDs))
 		for _, pid := range st.guestIDs {
 			w.U32(uint32(pid))
 		}
 		writePoint(w, p.row(sim.NodeID(i)))
 		w.Bool(st.posDirty)
-		w.Len(len(st.ghostRuns))
+		w.Count(len(st.ghostRuns))
 		off := 0
 		for _, r := range st.ghostRuns {
-			w.Int(int(r.origin))
-			w.Len(int(r.n))
+			w.I32(int(r.origin))
+			w.Count(int(r.n))
 			for _, pid := range st.ghostIDs[off : off+int(r.n)] {
 				w.U32(uint32(pid))
 			}
 			off += int(r.n)
 		}
-		w.Len(len(st.backups))
+		w.Count(len(st.backups))
 		for _, b := range st.backups {
-			w.Int(int(b))
-			w.Len(len(st.pushed))
+			w.I32(int(b))
+			w.Count(len(st.pushed))
 			for _, pid := range st.pushed {
 				w.U32(uint32(pid))
 			}
@@ -81,11 +81,11 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 
 	// Holders index with its trim high-water state. floor is config
 	// (K+1) and is not serialized.
-	w.Len(len(p.holders.lists))
+	w.Count(len(p.holders.lists))
 	for _, l := range p.holders.lists {
-		w.Len(len(l))
+		w.Count(len(l))
 		for _, n := range l {
-			w.Int(int(n))
+			w.I32(int(n))
 		}
 	}
 	w.Int(p.holders.steps)
@@ -109,14 +109,15 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 //
 // A refused section leaves the protocol, its shared interner and its
 // detector as they were. Parsing refuses, before anything is applied, a
-// truncated section, a PointID outside the point table, a node position
-// whose dimension is not the space's, a ghost origin or backup target
-// outside [0, n) or naming its own node, ghost origins that do not
-// strictly ascend, a repeated target, targets whose pushed lists differ,
-// and a holders entry outside [0, n), n being the section's node count.
-// Two refusals show only while applying — a duplicate point in the
-// interner table, and a detector section the detector refuses or does not
-// consume exactly — and both put back what they changed.
+// truncated section, a node count other than the engine's, a PointID
+// outside the point table, a node position whose dimension is not the
+// space's, a ghost origin or backup target outside [0, n) or naming its
+// own node, ghost origins that do not strictly ascend, a repeated target,
+// targets whose pushed lists differ, and a holders entry outside [0, n),
+// n being the section's node count. Two refusals show only while applying
+// — a duplicate point in the interner table, and a detector section the
+// detector refuses or does not consume exactly — and both put back what
+// they changed.
 //
 // Every per-node slice — guests, ghost runs and their IDs, backup targets,
 // pushed sets, holders lists and the interned points' coordinates — is
@@ -132,7 +133,7 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		nids   snap.Arena[sim.NodeID]
 		runs   snap.Arena[ghostRun]
 	)
-	nPts := r.Len(8)
+	nPts := r.Count(4)
 	pts := make([]space.Point, nPts)
 	for i := range pts {
 		pts[i] = readPoint(r, &coords)
@@ -150,7 +151,7 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	}
 
 	dim := p.dim
-	nNodes := r.Len(1)
+	nNodes := r.NodeCount(1)
 	nodes := make([]*nodeState, nNodes)
 	states := make([]nodeState, nNodes)
 	pos := make([]float64, nNodes*dim)
@@ -165,13 +166,14 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		}
 		return nil
 	}
-	var runIDs []space.PointID
+	var runBuf [256]space.PointID // a node's ghost IDs, moved to the heap only past 256
+	runIDs := runBuf[:0]
 	for i := range nodes {
 		if !r.Bool() {
 			continue
 		}
 		st := &states[i]
-		ng := r.Len(4)
+		ng := r.Count(4)
 		st.guestIDs = pids.Take(ng)
 		st.guests = points.Take(ng)
 		for j := range st.guestIDs {
@@ -184,7 +186,7 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		}
 		// The position row: a reinjected node's position is deliberately
 		// not a data point, so it travels as raw coordinates.
-		if n := r.Len(8); n != dim {
+		if n := r.Count(8); n != dim {
 			if err := r.Err(); err != nil {
 				return err
 			}
@@ -197,11 +199,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 
 		// Ghost runs, origins ascending; their IDs gather in runIDs and
 		// land in one exact slice.
-		st.ghostRuns = runs.Take(r.Len(16))
+		st.ghostRuns = runs.Take(r.Count(8))
 		runIDs = runIDs[:0]
 		for j := range st.ghostRuns {
-			origin := r.Int()
-			gn := r.Len(4)
+			origin := r.I32()
+			gn := r.Count(4)
 			if err := other(i, origin, "ghost origin"); err != nil {
 				return err
 			}
@@ -221,11 +223,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		copy(st.ghostIDs, runIDs)
 
 		// Backup targets, each with the one pushed set.
-		st.backups = nids.Take(r.Len(16))
+		st.backups = nids.Take(r.Count(8))
 		seen, gen := p.ws[0].nset.Next(nNodes)
 		for j := range st.backups {
-			b := r.Int()
-			np := r.Len(4)
+			b := r.I32()
+			np := r.Count(4)
 			if err := other(i, b, "backup target"); err != nil {
 				return err
 			}
@@ -260,12 +262,12 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		nodes[i] = st
 	}
 
-	nLists := r.Len(1)
+	nLists := r.Count(4)
 	lists := make([][]sim.NodeID, nLists)
 	for i := range lists {
-		l := nids.Take(r.Len(8))
+		l := nids.Take(r.Count(4))
 		for j := range l {
-			v := r.Int()
+			v := r.I32()
 			if v < 0 || v >= nNodes {
 				if err := r.Err(); err != nil {
 					return err
@@ -294,20 +296,15 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 
 	// Apply. The interner is repopulated in the snapshot's ID order, so
 	// every PointID parsed above resolves against the restored table; its
-	// old table is kept to put back if this one holds a duplicate or the
-	// detector refuses its section.
+	// old table is put back if the detector refuses its section.
 	in := p.cfg.Interner
-	old := make([]space.Point, in.Len())
-	for i := range old {
-		old[i] = in.PointOf(space.PointID(i))
-	}
-	if err := internAll(in, pts); err != nil {
-		internAll(in, old)
-		return err
+	old, err := in.Replace(pts)
+	if err != nil {
+		return fmt.Errorf("core: snapshot interner table: %w", err)
 	}
 	if hasDet {
 		if err := restoreDetector(ds, detSub); err != nil {
-			internAll(in, old)
+			in.Replace(old)
 			return err
 		}
 	}
@@ -350,18 +347,6 @@ func readPID(r *snap.Reader, nPts int, what string) (space.PointID, error) {
 	return pid, nil
 }
 
-// internAll resets in to exactly pts, in ID order. It refuses a table that
-// holds a duplicate point, which cannot take its own ID.
-func internAll(in *space.Interner, pts []space.Point) error {
-	in.Reset()
-	for i, pt := range pts {
-		if id := in.Intern(pt); id != space.PointID(i) {
-			return fmt.Errorf("core: snapshot interner table has duplicate point at ID %d", i)
-		}
-	}
-	return nil
-}
-
 // restoreDetector restores a stateful detector from its section. A section
 // the detector refuses, or does not consume exactly, puts back the state
 // the detector had, which is saved first.
@@ -382,14 +367,14 @@ func restoreDetector(ds sim.Snapshotter, sub *snap.Reader) error {
 }
 
 func writePoint(w *snap.Writer, p space.Point) {
-	w.Len(len(p))
+	w.Count(len(p))
 	for _, c := range p {
 		w.F64(c)
 	}
 }
 
 func readPoint(r *snap.Reader, coords *snap.Arena[float64]) space.Point {
-	n := r.Len(8)
+	n := r.Count(8)
 	p := space.Point(coords.Take(n))
 	for i := range p {
 		p[i] = r.F64()

@@ -42,33 +42,43 @@ type runSection struct {
 	ids    []uint32
 }
 
-func decodeSection(t testing.TB, b []byte) section {
+// readerOf returns a reader over the section b of version 2 or 3.
+func readerOf(b []byte, v2 bool) *snap.Reader {
+	if v2 {
+		return snap.NewVersionReader(b, 2)
+	}
+	return snap.NewReader(b)
+}
+
+// decodeSection parses a section of version 3 or, with v2 set, of version
+// 2.
+func decodeSection(t testing.TB, b []byte, v2 bool) section {
 	t.Helper()
-	r := snap.NewReader(b)
+	r := readerOf(b, v2)
 	var s section
 	readIDs := func() []uint32 {
-		ids := make([]uint32, r.Len(4))
+		ids := make([]uint32, r.Count(4))
 		for i := range ids {
 			ids[i] = r.U32()
 		}
 		return ids
 	}
 	readF64s := func() []float64 {
-		v := make([]float64, r.Len(8))
+		v := make([]float64, r.Count(8))
 		for i := range v {
 			v[i] = r.F64()
 		}
 		return v
 	}
 	readRuns := func() []runSection {
-		runs := make([]runSection, r.Len(16))
+		runs := make([]runSection, r.Count(8))
 		for i := range runs {
-			runs[i].origin = r.Int()
+			runs[i].origin = r.I32()
 			runs[i].ids = readIDs()
 		}
 		return runs
 	}
-	s.pts = make([]space.Point, r.Len(8))
+	s.pts = make([]space.Point, r.Count(4))
 	for i := range s.pts {
 		s.pts[i] = readF64s()
 	}
@@ -78,18 +88,18 @@ func decodeSection(t testing.TB, b []byte) section {
 			s.rng[i] = r.U64()
 		}
 	}
-	s.nodes = make([]*nodeSection, r.Len(1))
+	s.nodes = make([]*nodeSection, r.Count(1))
 	for i := range s.nodes {
 		if !r.Bool() {
 			continue
 		}
 		s.nodes[i] = &nodeSection{guests: readIDs(), pos: readF64s(), dirty: r.Bool(), ghosts: readRuns(), backups: readRuns()}
 	}
-	s.lists = make([][]int, r.Len(1))
+	s.lists = make([][]int, r.Count(4))
 	for i := range s.lists {
-		s.lists[i] = make([]int, r.Len(8))
+		s.lists[i] = make([]int, r.Count(4))
 		for j := range s.lists[i] {
-			s.lists[i][j] = r.Int()
+			s.lists[i][j] = r.I32()
 		}
 	}
 	s.steps, s.hwMark = r.Int(), r.Int()
@@ -103,28 +113,35 @@ func decodeSection(t testing.TB, b []byte) section {
 	return s
 }
 
-func (s section) encode() []byte {
+// encode writes s in version 3 or, with v2 set, in version 2, whose 8-byte
+// fields can hold a value past int32. A detector section is copied as it
+// was decoded.
+func (s section) encode(v2 bool) []byte {
 	var w snap.Writer
+	id, count := w.I32, w.Count
+	if v2 {
+		id, count = w.Int, w.Len
+	}
 	writeIDs := func(ids []uint32) {
-		w.Len(len(ids))
+		count(len(ids))
 		for _, id := range ids {
 			w.U32(id)
 		}
 	}
 	writeF64s := func(v []float64) {
-		w.Len(len(v))
+		count(len(v))
 		for _, x := range v {
 			w.F64(x)
 		}
 	}
 	writeRuns := func(runs []runSection) {
-		w.Len(len(runs))
+		count(len(runs))
 		for _, r := range runs {
-			w.Int(r.origin)
+			id(r.origin)
 			writeIDs(r.ids)
 		}
 	}
-	w.Len(len(s.pts))
+	count(len(s.pts))
 	for _, pt := range s.pts {
 		writeF64s(pt)
 	}
@@ -132,7 +149,7 @@ func (s section) encode() []byte {
 	for _, v := range s.rng {
 		w.U64(v)
 	}
-	w.Len(len(s.nodes))
+	count(len(s.nodes))
 	for _, n := range s.nodes {
 		w.Bool(n != nil)
 		if n == nil {
@@ -144,11 +161,11 @@ func (s section) encode() []byte {
 		writeRuns(n.ghosts)
 		writeRuns(n.backups)
 	}
-	w.Len(len(s.lists))
+	count(len(s.lists))
 	for _, l := range s.lists {
-		w.Len(len(l))
+		count(len(l))
 		for _, v := range l {
-			w.Int(v)
+			id(v)
 		}
 	}
 	w.Int(s.steps)
@@ -204,12 +221,12 @@ func afterCatastrophe(t testing.TB, cfg Config) *stack {
 	return st
 }
 
-// craft is one section RestoreState must refuse, and a fragment of the
-// error it must give.
+// craft is one section RestoreState must refuse, in either version, and
+// a fragment of the error it must give.
 type craft struct {
-	name    string
-	section []byte
-	want    string
+	name string
+	sec  section
+	want string
 }
 
 // craftedSections derives from an honest section one crafted section per
@@ -229,7 +246,7 @@ func craftedSections(t testing.TB, honest section) []craft {
 	add := func(name, want string, edit func(s *section, ns *nodeSection)) {
 		s := honest.clone()
 		edit(&s, s.nodes[i])
-		out = append(out, craft{name, s.encode(), want})
+		out = append(out, craft{name, s, want})
 	}
 	last := func(ns *nodeSection) *runSection { return &ns.ghosts[len(ns.ghosts)-1] }
 	add("ghost origin n", "names ghost origin", func(_ *section, ns *nodeSection) { last(ns).origin = n })
@@ -268,34 +285,51 @@ func craftedSections(t testing.TB, honest section) []craft {
 // must name nodes of the section. The interner table must hold no
 // duplicate point, and the detector must accept and consume its section
 // exactly. Each refusal leaves the protocol, its interner and its detector
-// as they were, and an honest section round-trips byte for byte.
+// as they were, and an honest section round-trips byte for byte from
+// either version.
 func TestRestoreRefusesCraftedSections(t *testing.T) {
 	st := afterCatastrophe(t, Config{})
 	p := st.poly
 	saved := snapshotOf(p)
-	honest := decodeSection(t, saved)
-	if !bytes.Equal(honest.encode(), saved) {
+	honest := decodeSection(t, saved, false)
+	if !bytes.Equal(honest.encode(false), saved) {
 		t.Fatal("the test's section codec does not round-trip an honest section")
 	}
-	refuse := func(t *testing.T, p *Protocol, c craft) {
+	refuse := func(t *testing.T, p *Protocol, c craft, v2 bool) {
 		t.Helper()
 		before, nodes := snapshotOf(p), p.nodes
-		err := p.RestoreState(snap.NewReader(c.section))
+		err := p.RestoreState(readerOf(c.sec.encode(v2), v2))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("RestoreState = %v, want an error containing %q", err, c.want)
+			t.Fatalf("v2=%v: RestoreState = %v, want an error containing %q", v2, err, c.want)
 		}
 		if &p.nodes[0] != &nodes[0] || !bytes.Equal(snapshotOf(p), before) {
-			t.Fatal("a refused restore changed the protocol")
+			t.Fatalf("v2=%v: a refused restore changed the protocol", v2)
 		}
 	}
 	for _, c := range craftedSections(t, honest) {
-		t.Run(c.name, func(t *testing.T) { refuse(t, p, c) })
+		t.Run(c.name, func(t *testing.T) {
+			refuse(t, p, c, false)
+			refuse(t, p, c, true)
+		})
 	}
-	if err := p.RestoreState(snap.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapshotOf(p), saved) {
-		t.Fatal("an honest section does not round-trip")
+	t.Run("node count other than the engine's", func(t *testing.T) {
+		r := snap.NewReader(saved)
+		r.SetNodes(len(honest.nodes) + 1)
+		err := p.RestoreState(r)
+		if err == nil || !strings.Contains(err.Error(), "section holds 72 nodes, the engine 73") {
+			t.Fatalf("RestoreState = %v, want the node count refused", err)
+		}
+		if !bytes.Equal(snapshotOf(p), saved) {
+			t.Fatal("a refused restore changed the protocol")
+		}
+	})
+	for _, v2 := range []bool{false, true} {
+		if err := p.RestoreState(readerOf(honest.encode(v2), v2)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshotOf(p), saved) {
+			t.Fatalf("v2=%v: an honest section does not round-trip", v2)
+		}
 	}
 
 	// A stateful detector: a section taken earlier, whose detector body
@@ -303,27 +337,29 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 	// must still leave the later detector state in place.
 	t.Run("detector section with a trailing byte", func(t *testing.T) {
 		ds := afterCatastrophe(t, Config{Detector: fd.NewDelayed(2)})
-		early := decodeSection(t, snapshotOf(ds.poly))
+		early := decodeSection(t, snapshotOf(ds.poly), false)
 		body := *early.det + "\x00"
 		early.det = &body
 		for _, id := range ds.engine.LiveIDs()[:4] {
 			ds.engine.Kill(id)
 		}
 		ds.engine.RunRounds(1)
-		refuse(t, ds.poly, craft{section: early.encode(), want: "trailing bytes"})
+		refuse(t, ds.poly, craft{sec: early, want: "trailing bytes"}, false)
 	})
 }
 
-// FuzzRestoreState: no byte string makes RestoreState panic. A section it
-// accepts re-snapshots to the bytes it consumed; a section it refuses
-// leaves the protocol as it was. The seeds are an honest section taken
-// after a catastrophe and reinjection (so it holds adopted ghosts and
-// zero-length runs) and one crafted section per refusal.
+// FuzzRestoreState: no byte string makes RestoreState panic, read as
+// version 3 or as version 2. A section it accepts re-snapshots to the
+// bytes it consumed (re-encoded in version 2 when it was read as version
+// 2); a section it refuses leaves the protocol as it was. The seeds, each
+// in both versions, are an honest section taken after a catastrophe and
+// reinjection (so it holds adopted ghosts and zero-length runs) and one
+// crafted section per refusal.
 func FuzzRestoreState(f *testing.F) {
 	st := afterCatastrophe(f, Config{})
 	p := st.poly
 	honest := snapshotOf(p)
-	sec := decodeSection(f, honest)
+	sec := decodeSection(f, honest, false)
 	zeroRun := false
 	for _, ns := range sec.nodes {
 		for _, r := range ns.ghosts {
@@ -333,21 +369,29 @@ func FuzzRestoreState(f *testing.F) {
 	if !zeroRun {
 		f.Fatal("the honest seed holds no zero-length ghost run")
 	}
-	f.Add(honest)
-	for _, c := range craftedSections(f, sec) {
-		f.Add(c.section)
+	crafts := craftedSections(f, sec)
+	for _, v2 := range []bool{false, true} {
+		b := sec.encode(v2)
+		f.Add(b, v2)
+		for _, c := range crafts {
+			f.Add(c.sec.encode(v2), v2)
+		}
+		f.Add(b[:len(b)-5], v2)
 	}
-	f.Add(honest[:len(honest)-5])
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, v2 bool) {
 		before := snapshotOf(p)
-		r := snap.NewReader(data)
+		r := readerOf(data, v2)
 		if err := p.RestoreState(r); err != nil {
 			if !bytes.Equal(snapshotOf(p), before) {
 				t.Fatalf("refused restore (%v) changed the protocol", err)
 			}
 			return
 		}
-		if got, used := snapshotOf(p), data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {
+		got := snapshotOf(p)
+		if v2 {
+			got = decodeSection(t, got, false).encode(true)
+		}
+		if used := data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {
 			t.Fatalf("accepted section re-snapshots to %d bytes, consumed %d", len(got), len(used))
 		}
 	})

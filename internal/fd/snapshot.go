@@ -27,19 +27,19 @@ func (d *Delayed) SnapshotState(w *snap.Writer) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Len(len(ids))
+	w.Count(len(ids))
 	for _, id := range ids {
-		w.Int(int(id))
+		w.I32(int(id))
 		w.Int(d.deathRound[id])
 	}
 }
 
 // RestoreState implements sim.Snapshotter.
 func (d *Delayed) RestoreState(r *snap.Reader) error {
-	n := r.Len(16)
+	n := r.Count(12)
 	m := make(map[sim.NodeID]int, n)
 	for i := 0; i < n; i++ {
-		id := sim.NodeID(r.Int())
+		id := sim.NodeID(r.I32())
 		m[id] = r.Int()
 	}
 	if err := r.Err(); err != nil {
@@ -71,10 +71,10 @@ func (d *Probabilistic) SnapshotState(w *snap.Writer) {
 		}
 		return ks[i].target < ks[j].target
 	})
-	w.Len(len(ks))
+	w.Count(len(ks))
 	for _, k := range ks {
-		w.Int(int(k.observer))
-		w.Int(int(k.target))
+		w.I32(int(k.observer))
+		w.I32(int(k.target))
 	}
 }
 
@@ -84,10 +84,10 @@ func (d *Probabilistic) RestoreState(r *snap.Reader) error {
 	for i := range st {
 		st[i] = r.U64()
 	}
-	n := r.Len(16)
+	n := r.Count(8)
 	m := make(map[pair]bool, n)
 	for i := 0; i < n; i++ {
-		k := pair{observer: sim.NodeID(r.Int()), target: sim.NodeID(r.Int())}
+		k := pair{observer: sim.NodeID(r.I32()), target: sim.NodeID(r.I32())}
 		m[k] = true
 	}
 	if err := r.Err(); err != nil {

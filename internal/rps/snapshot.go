@@ -2,7 +2,6 @@ package rps
 
 import (
 	"fmt"
-	"math"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
@@ -14,14 +13,15 @@ var _ sim.Snapshotter = (*Protocol)(nil)
 // ages) are the protocol's only cross-round state; worker scratch and the
 // matcher's plan mirrors are rebuilt every round.
 func (p *Protocol) SnapshotState(w *snap.Writer) {
-	w.Len(len(p.lens))
+	w.Count(len(p.lens))
+	var fields [2 * viewSize]int32 // a view's id, age, id, age, ...
 	for id := range p.lens {
 		v := p.view(sim.NodeID(id))
-		w.Len(len(v))
-		for _, e := range v {
-			w.Int(int(e.id))
-			w.Int(int(e.age))
+		w.Count(len(v))
+		for j, e := range v {
+			fields[2*j], fields[2*j+1] = e.id, e.age
 		}
+		w.I32s(fields[:2*len(v)])
 	}
 }
 
@@ -30,18 +30,17 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // so a section that lies about its view count costs memory in proportion
 // to the bytes it really holds. The new rows replace the current ones
 // only once the whole section has parsed; on any error the protocol is
-// left as it was. A view longer than viewSize, an entry outside [0, n),
-// where n is the section's view count, an entry naming the view's own
-// node and an age outside [0, math.MaxInt32] are refused.
+// left as it was. A view count other than the engine's node count, a view
+// longer than viewSize, an entry outside [0, n), where n is the section's
+// view count, an entry naming the view's own node and a negative age are
+// refused.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
-	n := r.Len(8)
-	if n > math.MaxInt32+1 {
-		return fmt.Errorf("rps: snapshot has %d views, the layer's limit is %d", n, math.MaxInt32+1)
-	}
+	n := r.NodeCount(4)
 	lens := make([]uint8, n)
-	var pages []*page
+	pages := make([]*page, 0, (n+pageRows-1)/pageRows)
+	var fields [2 * viewSize]int32 // a view's id, age, id, age, ...
 	for i := range lens {
-		ln := r.Len(16)
+		ln := r.Count(8)
 		if ln > viewSize {
 			return fmt.Errorf("rps: snapshot view of node %d holds %d entries, more than the %d a view keeps", i, ln, viewSize)
 		}
@@ -49,19 +48,21 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			pages = append(pages, new(page))
 		}
 		row := pages[i/pageRows][i%pageRows][:ln]
+		if r.I32s(fields[:2*ln]); r.Err() != nil {
+			return r.Err()
+		}
 		for j := range row {
-			id := r.Int()
-			if id < 0 || id >= n {
+			id, age := fields[2*j], fields[2*j+1]
+			if id < 0 || int(id) >= n {
 				return fmt.Errorf("rps: snapshot view of node %d holds node %d, outside [0,%d)", i, id, n)
 			}
-			if id == i {
+			if int(id) == i {
 				return fmt.Errorf("rps: snapshot view of node %d holds the node itself", i)
 			}
-			age := r.Int()
-			if age < 0 || age > math.MaxInt32 {
-				return fmt.Errorf("rps: snapshot view of node %d holds age %d, outside [0,%d]", i, age, math.MaxInt32)
+			if age < 0 {
+				return fmt.Errorf("rps: snapshot view of node %d holds age %d", i, age)
 			}
-			row[j] = entry{id: int32(id), age: int32(age)}
+			row[j] = entry{id: id, age: age}
 		}
 		lens[i] = uint8(ln)
 	}

@@ -17,8 +17,9 @@ import (
 // backups. The files are never regenerated: they pin that snapshots
 // written by earlier builds keep restoring (or fail with a diagnosis).
 // The first two are version 1 envelopes, the restorable one with a
-// version 2 twin (*.v2.psysnap), written once by restoring it and
-// snapshotting again; the two ablation snapshots are version 2.
+// version 2 and a version 3 twin (*.v2.psysnap, *.v3.psysnap), each
+// written once by restoring it and snapshotting again; the two ablation
+// snapshots are version 2.
 var goldenCfg = Config{Seed: 31, W: 8, H: 4, Polystyrene: true}
 
 func readGolden(t *testing.T, name string) []byte {
@@ -40,49 +41,49 @@ func snapshotBytes(t *testing.T, sc *Scenario) []byte {
 }
 
 // restoreGolden restores the checked-in version 1 snapshot name and its
-// version 2 twin (name.v2.psysnap) into scenarios built from cfg, and
-// pins the format change between them: the v1 file restores at round, its
-// re-snapshot carries the v1 file's body byte for byte and equals the
-// twin's bytes, and the twin restores at round too. It returns the two
-// restored scenarios, v1 first; the test closes them.
+// version 2 and version 3 twins (name.v2.psysnap, name.v3.psysnap) into
+// scenarios built from cfg, and pins the format changes between them: the
+// version 1 file and its version 2 twin carry one body, every file
+// restores at round, and every re-snapshot equals the version 3 twin's
+// bytes. It returns the three restored scenarios, v1 first; the test
+// closes them.
 func restoreGolden(t *testing.T, cfg Config, name string, round int) []*Scenario {
 	t.Helper()
-	v1 := readGolden(t, name)
-	v2 := readGolden(t, strings.TrimSuffix(name, ".psysnap")+".v2.psysnap")
+	stem := strings.TrimSuffix(name, ".psysnap")
+	goldens := [][]byte{readGolden(t, name), readGolden(t, stem+".v2.psysnap"), readGolden(t, stem+".v3.psysnap")}
+	v1Body, err := snap.Decode(SnapshotKind, goldens[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Body, err := snap.Decode(SnapshotKind, goldens[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v1Body, v2Body) {
+		t.Fatal("the version 1 golden snapshot and its version 2 twin carry different bodies")
+	}
 	var restored []*Scenario
-	for _, golden := range [][]byte{v1, v2} {
+	for i, golden := range goldens {
 		sc := MustNew(cfg)
 		t.Cleanup(sc.Close)
 		if err := sc.Restore(bytes.NewReader(golden)); err != nil {
-			t.Fatalf("golden snapshot refused: %v", err)
+			t.Fatalf("golden snapshot v%d refused: %v", i+1, err)
 		}
 		if got := sc.Engine.Round(); got != round {
 			t.Fatalf("restored round = %d, want %d", got, round)
 		}
+		if !bytes.Equal(snapshotBytes(t, sc), goldens[2]) {
+			t.Fatalf("re-snapshot of the version %d golden snapshot is not byte-identical to its version 3 twin", i+1)
+		}
 		restored = append(restored, sc)
-	}
-	resnap := snapshotBytes(t, restored[0])
-	body, err := snap.Decode(SnapshotKind, resnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Body, err := snap.Decode(SnapshotKind, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, v1Body) {
-		t.Fatal("re-snapshot of the version 1 golden snapshot does not carry its body byte for byte")
-	}
-	if !bytes.Equal(resnap, v2) {
-		t.Fatal("re-snapshot of the version 1 golden snapshot is not byte-identical to its version 2 twin")
 	}
 	return restored
 }
 
 // TestGoldenSnapshotRestores pins format compatibility: the checked-in
-// single-engine snapshot and its version 2 twin restore, the first
-// re-snapshots to the second (see restoreGolden), and six more rounds from
-// either equal an uninterrupted 12-round run.
+// single-engine snapshot and its version 2 and 3 twins restore, each
+// re-snapshots to the version 3 twin (see restoreGolden), and six more
+// rounds from any of them equal an uninterrupted 12-round run.
 func TestGoldenSnapshotRestores(t *testing.T) {
 	restored := restoreGolden(t, goldenCfg, "single_8x4_r6.psysnap", 6)
 
@@ -108,9 +109,9 @@ var (
 )
 
 // TestGoldenBaselineSnapshotRestores is TestGoldenSnapshotRestores for
-// the baseline: the checked-in snapshot and its twin restore with their
-// pinned positions, the first re-snapshots to the second, and five more
-// rounds from either equal an uninterrupted run to round 12.
+// the baseline: the checked-in snapshot and its twins restore with their
+// pinned positions, each re-snapshots to the version 3 twin, and five
+// more rounds from any of them equal an uninterrupted run to round 12.
 func TestGoldenBaselineSnapshotRestores(t *testing.T) {
 	restored := restoreGolden(t, goldenBaselineCfg, "tman_8x4_r7.psysnap", 7)
 

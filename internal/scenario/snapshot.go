@@ -142,11 +142,10 @@ func (sc *Scenario) SnapshotTo(w io.Writer) error {
 // checked, before any state is touched — a corrupted, truncated or
 // mismatched snapshot never yields a partial restore.
 func (sc *Scenario) Restore(rd io.Reader) error {
-	body, err := snap.ReadEnvelope(rd, scenarioKind)
+	r, err := snap.ReadEnvelope(rd, scenarioKind)
 	if err != nil {
 		return err
 	}
-	r := snap.NewReader(body)
 	got := readDigest(r)
 
 	pinned := ReadPinned(r)

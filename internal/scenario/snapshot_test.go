@@ -203,8 +203,8 @@ func TestSnapshotAllocsScaleFree(t *testing.T) {
 		t.Errorf("SnapshotTo allocations grow with the node count: %v at %d nodes, %v at %d", small.save, small.nodes, large.save, large.nodes)
 	}
 	for _, s := range []sample{small, large} {
-		if s.restore >= 1.1*float64(s.nodes) {
-			t.Errorf("Restore makes %v allocations at %d nodes (%.2f per node), want fewer than 1.1 per node",
+		if s.restore >= 0.05*float64(s.nodes) {
+			t.Errorf("Restore makes %v allocations at %d nodes (%.2f per node), want fewer than 0.05 per node",
 				s.restore, s.nodes, s.restore/float64(s.nodes))
 		}
 	}

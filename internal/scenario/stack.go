@@ -302,11 +302,11 @@ func WritePinned(w *snap.Writer, pinned map[sim.NodeID]space.Point) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Len(len(ids))
+	w.Count(len(ids))
 	for _, id := range ids {
-		w.Int(int(id))
+		w.I32(int(id))
 		p := pinned[id]
-		w.Len(len(p))
+		w.Count(len(p))
 		for _, c := range p {
 			w.F64(c)
 		}
@@ -316,11 +316,11 @@ func WritePinned(w *snap.Writer, pinned map[sim.NodeID]space.Point) {
 // ReadPinned reads a section written by WritePinned. On a malformed
 // section the reader's error is set and the map is partial.
 func ReadPinned(r *snap.Reader) map[sim.NodeID]space.Point {
-	n := r.Len(16)
+	n := r.Count(8)
 	pinned := make(map[sim.NodeID]space.Point, n)
 	for i := 0; i < n; i++ {
-		id := sim.NodeID(r.Int())
-		p := make(space.Point, r.Len(8))
+		id := sim.NodeID(r.I32())
+		p := make(space.Point, r.Count(8))
 		for j := range p {
 			p[j] = r.F64()
 		}

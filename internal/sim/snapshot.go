@@ -36,12 +36,12 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 		w.U64(s)
 	}
 	w.Int(e.round)
-	w.Int(len(e.alive))
+	w.I32(len(e.alive))
 	// The dense live set is order-sensitive: RandomLive indexes it, and
 	// Kill swap-removes, so the exact ordering is part of the trajectory.
-	w.Len(len(e.live))
+	w.Count(len(e.live))
 	for _, id := range e.live {
-		w.Int(int(id))
+		w.I32(int(id))
 	}
 	e.meter.snapshotState(w)
 	w.Len(len(e.layers))
@@ -64,7 +64,10 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 // (layers are matched by position and name); observers are left
 // registered, and the RNG is mutated in place so contexts aliasing it
 // keep working. The snapshot is parsed and
-// validated in full before any engine state is touched.
+// validated in full before any engine state is touched. Each layer's
+// section reader carries the snapshot's node count (snap.Reader.SetNodes),
+// so a layer refuses a section that holds state for a different number of
+// nodes.
 func (e *Engine) RestoreState(r *snap.Reader) error {
 	// Phase 1: parse everything into temporaries.
 	var rngState [4]uint64
@@ -72,11 +75,11 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		rngState[i] = r.U64()
 	}
 	round := r.Int()
-	numNodes := r.Int()
-	nLive := r.Len(8)
+	numNodes := r.I32()
+	nLive := r.Count(4)
 	live := make([]NodeID, nLive)
 	for i := range live {
-		live[i] = NodeID(r.Int())
+		live[i] = NodeID(r.I32())
 	}
 	var meter meterState
 	meter.parse(r)
@@ -84,14 +87,14 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	type layerSection struct {
 		name string
 		has  bool
-		body *snap.Reader
+		body snap.Reader
 	}
 	sections := make([]layerSection, nLayers)
 	for i := range sections {
 		sections[i].name = r.String()
 		sections[i].has = r.Bool()
 		if sections[i].has {
-			sections[i].body = r.Section()
+			sections[i].body = *r.Section()
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -145,14 +148,16 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	for _, l := range e.layers {
 		e.layerLedger = append(e.layerLedger, e.meter.ledgerIndex(l.Name()))
 	}
-	for i, s := range sections {
+	for i := range sections {
+		s := &sections[i]
 		if !s.has {
 			continue
 		}
-		if err := e.layers[i].(Snapshotter).RestoreState(s.body); err != nil {
+		s.body.SetNodes(numNodes)
+		if err := e.layers[i].(Snapshotter).RestoreState(&s.body); err != nil {
 			return fmt.Errorf("sim: restoring layer %q: %w", s.name, err)
 		}
-		if err := snap.CloseSection(s.name, s.body); err != nil {
+		if err := snap.CloseSection(s.name, &s.body); err != nil {
 			return err
 		}
 	}

@@ -16,12 +16,23 @@
 // returning the body, so callers can guarantee that a corrupted or
 // truncated snapshot is rejected before any state has been mutated.
 //
-// That layout is version 2. Version 1 is the same layout with a 64-bit
-// FNV-1a checksum in the trailer; Decode still reads it, and nothing
-// writes it any more. The version picks the checksum algorithm, so it is
-// the one field Decode trusts before the checksum: CRC-32C (Castagnoli)
-// runs on the SSE4.2 CRC32 instruction, several times faster than the
-// byte-serial FNV-1a chain on a multi-megabyte snapshot.
+// That layout is version 3, and version 2 is the same envelope. Version 1
+// is the same layout with a 64-bit FNV-1a checksum in the trailer. The
+// version picks the checksum algorithm, so it is the one field Decode
+// trusts before the checksum: CRC-32C (Castagnoli) runs on the SSE4.2
+// CRC32 instruction, several times faster than the byte-serial FNV-1a
+// chain on a multi-megabyte snapshot.
+//
+// Versions 2 and 3 differ in the body. Version 3 writes every node ID,
+// every per-node count and every rps age in 4 bytes (Writer.I32 and
+// Writer.Count); versions 1 and 2 wrote them as 8-byte Int and Len
+// fields. PointIDs take 4 bytes in every version, and everything else —
+// RNG state, rounds, meter costs, coordinates, strings and section
+// lengths — keeps 8. Only this package decides a field's width: a Reader
+// knows its body's version, and its I32 and Count read the field that
+// version wrote, refusing an 8-byte one outside int32 rather than
+// truncating it. So one RestoreState per layer reads all three versions,
+// and nothing writes version 1 or 2 any more.
 //
 // A section is a length-prefixed nested body that the code owning it
 // reads through a bounded sub-reader. Writers build sections in place:
@@ -53,10 +64,11 @@ import (
 )
 
 // Version is the snapshot format version this build writes. It reads
-// versions 1 and 2 and writes 2; the two differ only in the trailing
-// checksum's algorithm (FNV-1a for 1, CRC-32C for 2), so a body decoded
-// from either is the same bytes. Any other version is refused outright.
-const Version = 2
+// versions 1 to 3 and writes 3. Versions 1 and 2 differ only in the
+// trailing checksum's algorithm (FNV-1a for 1, CRC-32C for 2 and 3);
+// version 3 narrows the body's ID and count fields to 4 bytes (see the
+// package doc). Any other version is refused outright.
+const Version = 3
 
 var magic = [8]byte{'P', 'S', 'Y', 'S', 'N', 'A', 'P', 0}
 
@@ -116,9 +128,38 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// Len appends a non-negative count. Restore reads it back with
+// Len appends a non-negative count in 8 bytes. Restore reads it back with
 // Reader.Len, which bounds it against the remaining input.
 func (w *Writer) Len(n int) { w.U64(uint64(n)) }
+
+// I32 appends an int32-ranged value — a node ID, an rps age — in 4 bytes.
+// Every such value is bounded by construction, so one outside int32 is a
+// bug, and I32 panics rather than truncate it.
+func (w *Writer) I32(v int) {
+	if v != int(int32(v)) {
+		panic("snap: Writer.I32 of a value outside int32")
+	}
+	w.U32(uint32(v))
+}
+
+// I32s appends every value of src as I32 would, growing the buffer once.
+func (w *Writer) I32s(src []int32) {
+	w.grow(4 * len(src))
+	for _, v := range src {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+	}
+}
+
+// Count appends a non-negative count of at most math.MaxInt32 — a node
+// count, a view's length — in 4 bytes. Restore reads it back with
+// Reader.Count, which bounds it against the remaining input. Like I32 it
+// panics on a value it cannot hold.
+func (w *Writer) Count(n int) {
+	if uint(n) > math.MaxInt32 {
+		panic("snap: Writer.Count of a count outside [0, MaxInt32]")
+	}
+	w.U32(uint32(n))
+}
 
 // String appends a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
@@ -149,10 +190,28 @@ type Reader struct {
 	data []byte
 	off  int
 	err  error
+	// wide is set for a version 1 or 2 body, whose I32 and Count fields
+	// are 8 bytes.
+	wide bool
+	// nodes is the node count of the engine whose section this is, or -1
+	// when the reader is not an engine's layer section (see SetNodes).
+	nodes int
 }
 
-// NewReader returns a reader over body.
-func NewReader(body []byte) *Reader { return &Reader{data: body} }
+// NewReader returns a reader over a body in the current format, such as
+// a zero Writer writes.
+func NewReader(body []byte) *Reader { return &Reader{data: body, nodes: -1} }
+
+// NewVersionReader returns a reader over a body of the given format
+// version, as Open decodes one. A version this build cannot read yields a
+// reader whose every call fails.
+func NewVersionReader(body []byte, version uint32) *Reader {
+	r := &Reader{data: body, wide: version < 3, nodes: -1}
+	if version < 1 || version > Version {
+		r.fail("unsupported body version %d", version)
+	}
+	return r
+}
 
 // Err reports the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -179,22 +238,25 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// U64 reads a little-endian uint64.
+// U64 reads a little-endian uint64. U64 and U32 read an in-bounds field
+// inline; past the end, take latches the truncation error.
 func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+	if b := r.data[r.off:]; len(b) >= 8 && r.err == nil {
+		r.off += 8
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	r.take(8)
+	return 0
 }
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+	if b := r.data[r.off:]; len(b) >= 4 && r.err == nil {
+		r.off += 4
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	r.take(4)
+	return 0
 }
 
 // I64 reads a signed integer.
@@ -227,20 +289,92 @@ func (r *Reader) Bool() bool {
 // item must occupy at least itemBytes of the remaining input (use 1 for
 // variable-size items). This caps allocation on malformed input so a bad
 // length fails cleanly instead of attempting a huge make().
-func (r *Reader) Len(itemBytes int) int {
-	v := r.U64()
+func (r *Reader) Len(itemBytes int) int { return r.bound(r.U64(), 8, itemBytes, math.MaxInt) }
+
+// bound refuses a count v, just read from a field of width bytes, that
+// exceeds limit or claims more items of itemBytes each than remain.
+func (r *Reader) bound(v uint64, width, itemBytes int, limit uint64) int {
 	if r.err != nil {
 		return 0
 	}
 	if itemBytes < 1 {
 		itemBytes = 1
 	}
-	if v > uint64(r.Remaining()/itemBytes) {
-		r.fail("implausible count %d at offset %d (%d bytes remain)", v, r.off-8, r.Remaining())
+	if v > limit || v > uint64(r.Remaining()/itemBytes) {
+		r.fail("implausible count %d at offset %d (%d bytes remain)", v, r.off-width, r.Remaining())
 		return 0
 	}
 	return int(v)
 }
+
+// I32 reads a value written by Writer.I32: 4 bytes from a version 3
+// body, 8 from a version 1 or 2 one, where a value outside int32 is
+// refused.
+func (r *Reader) I32() int {
+	if !r.wide {
+		return int(int32(r.U32()))
+	}
+	return r.wideI32()
+}
+
+// I32s reads len(dst) values written by Writer.I32 into dst, as I32
+// would one by one. From a version 3 body it takes all their bytes at
+// once, so a restore decodes a view's row in one tight loop.
+func (r *Reader) I32s(dst []int32) {
+	if r.wide {
+		for i := range dst {
+			dst[i] = int32(r.wideI32())
+		}
+		return
+	}
+	b := r.take(4 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+// wideI32 is I32 from a version 1 or 2 body.
+func (r *Reader) wideI32() int {
+	v := r.I64()
+	if r.err == nil && v != int64(int32(v)) {
+		r.fail("value %d at offset %d is outside int32", v, r.off-8)
+		return 0
+	}
+	return int(v)
+}
+
+// Count reads a count written by Writer.Count — 4 bytes from a version 3
+// body, 8 from a version 1 or 2 one — and bounds it as Len does; a count
+// past math.MaxInt32 is refused too.
+func (r *Reader) Count(itemBytes int) int {
+	var v uint64
+	width := 4
+	if r.wide {
+		v, width = r.U64(), 8
+	} else {
+		v = uint64(r.U32())
+	}
+	return r.bound(v, width, itemBytes, math.MaxInt32)
+}
+
+// NodeCount reads the Count that opens a layer's section, the number of
+// nodes it holds state for, and refuses one other than the node count of
+// the engine the section belongs to (see SetNodes).
+func (r *Reader) NodeCount(itemBytes int) int {
+	n := r.Count(itemBytes)
+	if r.err == nil && r.nodes >= 0 && n != r.nodes {
+		r.fail("section holds %d nodes, the engine %d", n, r.nodes)
+		return 0
+	}
+	return n
+}
+
+// SetNodes records the node count of the engine whose layer section r
+// reads, for NodeCount to check against; sections r opens inherit it.
+func (r *Reader) SetNodes(n int) { r.nodes = n }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
@@ -253,15 +387,16 @@ func (r *Reader) String() string {
 }
 
 // Section reads a length-prefixed nested body and returns a bounded
-// sub-reader over it.
+// sub-reader over it, of the same version and engine node count. It is
+// small enough to inline, so a caller that keeps the sub-reader by value
+// does not allocate it.
 func (r *Reader) Section() *Reader {
-	n := r.Len(1)
-	b := r.take(n)
-	if b == nil {
-		return &Reader{err: r.err}
-	}
-	return NewReader(b)
+	b := r.sectionBody()
+	return &Reader{data: b, err: r.err, wide: r.wide, nodes: r.nodes}
 }
+
+// sectionBody reads a section's length and returns its body.
+func (r *Reader) sectionBody() []byte { return r.take(r.Len(1)) }
 
 // CloseSection folds a sub-reader's outcome back into an error: the
 // section must have decoded cleanly and been consumed exactly.
@@ -284,7 +419,7 @@ func header(w *Writer, kind string, bodyLen int) {
 	w.Len(bodyLen)
 }
 
-// Encode wraps a body in the version 2 envelope.
+// Encode wraps a body in the current envelope.
 func Encode(kind string, body []byte) []byte {
 	var buf bytes.Buffer
 	buf.Grow(len(magic) + 8 + len(kind) + 4 + 8 + len(body) + 8)
@@ -294,7 +429,7 @@ func Encode(kind string, body []byte) []byte {
 
 // FileSum returns the checksum of the whole of an envelope that Decode
 // has accepted, under the envelope's own version: FNV-1a for version 1,
-// CRC-32C zero-extended for version 2. The trailing checksum is the
+// CRC-32C zero-extended for versions 2 and 3. The trailing checksum is the
 // algorithm's state after every byte before it, so the sum continues that
 // state over the checksum's own eight bytes instead of hashing the file
 // again. On an envelope Decode would refuse the result is meaningless.
@@ -323,8 +458,9 @@ func envelopeVersion(envelope []byte) uint32 {
 // Decode verifies an envelope end to end — magic, kind, version, body
 // length and the checksum over every byte before it — and returns the
 // body. It never returns a partially validated body: any defect yields a
-// nil body and an error. It reads versions 1 and 2, verifying each with
-// its own checksum algorithm.
+// nil body and an error. It reads versions 1 to 3, verifying each with
+// its own checksum algorithm. A body of version 1 or 2 must be read
+// through a Reader of its version, which Open returns.
 //
 // Truncation classes are diagnosed before the checksum so an interrupted
 // or torn write produces an actionable message ("empty snapshot",
@@ -333,21 +469,37 @@ func envelopeVersion(envelope []byte) uint32 {
 // checksum's algorithm; the checksum then covers every defect the
 // structural checks cannot see, and the kind is checked last.
 func Decode(kind string, data []byte) ([]byte, error) {
+	body, _, err := decode(kind, data)
+	return body, err
+}
+
+// Open is Decode returning a Reader over the body that knows the
+// envelope's version.
+func Open(kind string, data []byte) (*Reader, error) {
+	body, version, err := decode(kind, data)
+	if err != nil {
+		return nil, err
+	}
+	return NewVersionReader(body, version), nil
+}
+
+// decode is Decode, also returning the envelope's version.
+func decode(kind string, data []byte) ([]byte, uint32, error) {
 	const tail = 8 // trailing checksum
 	if len(data) == 0 {
-		return nil, fmt.Errorf("snap: empty snapshot (0 bytes): not a snapshot envelope")
+		return nil, 0, fmt.Errorf("snap: empty snapshot (0 bytes): not a snapshot envelope")
 	}
 	if len(data) < len(magic) {
-		return nil, fmt.Errorf("snap: truncated snapshot: %d bytes is shorter than the %d-byte magic (interrupted write?)",
+		return nil, 0, fmt.Errorf("snap: truncated snapshot: %d bytes is shorter than the %d-byte magic (interrupted write?)",
 			len(data), len(magic))
 	}
 	var m [8]byte
 	copy(m[:], data)
 	if m != magic {
-		return nil, fmt.Errorf("snap: bad magic %q: not a snapshot file", m[:])
+		return nil, 0, fmt.Errorf("snap: bad magic %q: not a snapshot file", m[:])
 	}
 	if len(data) < len(magic)+tail {
-		return nil, fmt.Errorf("snap: header-only snapshot: %d bytes cannot hold the trailing checksum (interrupted write?)",
+		return nil, 0, fmt.Errorf("snap: header-only snapshot: %d bytes cannot hold the trailing checksum (interrupted write?)",
 			len(data))
 	}
 	// Structural pass over the unverified envelope, tail excluded: a
@@ -358,15 +510,15 @@ func Decode(kind string, data []byte) ([]byte, error) {
 	version := r.U32()
 	bodyLen := r.U64()
 	if r.Err() == nil && bodyLen > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("snap: truncated snapshot: envelope declares a %d-byte body but only %d bytes remain (interrupted write?)",
+		return nil, 0, fmt.Errorf("snap: truncated snapshot: envelope declares a %d-byte body but only %d bytes remain (interrupted write?)",
 			bodyLen, r.Remaining())
 	}
 	body := r.take(int(bodyLen))
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("snap: malformed envelope header: %w", err)
+		return nil, 0, fmt.Errorf("snap: malformed envelope header: %w", err)
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("snap: %d trailing bytes after body", r.Remaining())
+		return nil, 0, fmt.Errorf("snap: %d trailing bytes after body", r.Remaining())
 	}
 	var sum uint64
 	switch version {
@@ -374,21 +526,21 @@ func Decode(kind string, data []byte) ([]byte, error) {
 		h := fnv.New64a()
 		h.Write(data[:len(data)-tail])
 		sum = h.Sum64()
-	case 2:
+	case 2, 3:
 		sum = uint64(crc32.Checksum(data[:len(data)-tail], castagnoli))
 	default:
-		return nil, fmt.Errorf("snap: unsupported snapshot version %d (this build reads versions 1 and 2)", version)
+		return nil, 0, fmt.Errorf("snap: unsupported snapshot version %d (this build reads versions 1 to 3)", version)
 	}
 	if got := binary.LittleEndian.Uint64(data[len(data)-tail:]); got != sum {
-		return nil, fmt.Errorf("snap: checksum mismatch: file %#016x, computed %#016x (corrupted snapshot)", got, sum)
+		return nil, 0, fmt.Errorf("snap: checksum mismatch: file %#016x, computed %#016x (corrupted snapshot)", got, sum)
 	}
 	if gotKind != kind {
-		return nil, fmt.Errorf("snap: snapshot kind %q, want %q", gotKind, kind)
+		return nil, 0, fmt.Errorf("snap: snapshot kind %q, want %q", gotKind, kind)
 	}
-	return body, nil
+	return body, version, nil
 }
 
-// WriteEnvelope writes body to w in the version 2 envelope, streamed:
+// WriteEnvelope writes body to w in the current envelope, streamed:
 // the header, the body slice itself and the CRC-32C of both, so the body
 // is never copied.
 func WriteEnvelope(w io.Writer, kind string, body []byte) error {
@@ -405,15 +557,15 @@ func WriteEnvelope(w io.Writer, kind string, body []byte) error {
 	return nil
 }
 
-// ReadEnvelope buffers all of r and decodes it. Snapshots are verified
-// whole-file before any restore begins, so streaming decode is
+// ReadEnvelope buffers all of r and opens it as Open does. Snapshots are
+// verified whole-file before any restore begins, so streaming decode is
 // deliberately not offered.
-func ReadEnvelope(r io.Reader, kind string) ([]byte, error) {
+func ReadEnvelope(r io.Reader, kind string) (*Reader, error) {
 	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snap: reading snapshot: %w", err)
 	}
-	return Decode(kind, data)
+	return Open(kind, data)
 }
 
 // readAll is io.ReadAll with the buffer sized up front from what r

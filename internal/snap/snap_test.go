@@ -156,8 +156,8 @@ func TestEnvelopeIORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadEnvelope: %v", err)
 	}
-	if !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("body mismatch: %v", got)
+	if !bytes.Equal(got.data, []byte{1, 2, 3}) || got.wide {
+		t.Fatalf("body mismatch: %v (wide %v)", got.data, got.wide)
 	}
 }
 
@@ -283,7 +283,7 @@ func envelopeHeader(kind string, version uint32, body []byte) []byte {
 
 // appendChecksum appends the trailer of the given envelope version to a
 // hand-built envelope, computed here rather than by the code under test:
-// FNV-1a for version 1, CRC-32C zero-extended for version 2.
+// FNV-1a for version 1, CRC-32C zero-extended for versions 2 and 3.
 func appendChecksum(version uint32, b []byte) []byte {
 	var sum uint64
 	switch version {
@@ -291,7 +291,7 @@ func appendChecksum(version uint32, b []byte) []byte {
 		h := fnv.New64a()
 		h.Write(b)
 		sum = h.Sum64()
-	case 2:
+	case 2, 3:
 		sum = uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 	default:
 		panic(fmt.Sprintf("no checksum for version %d", version))
@@ -566,7 +566,7 @@ func TestReadEnvelopeSizedSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(got, body) {
+		if !bytes.Equal(got.data, body) {
 			t.Fatalf("%s: body differs", name)
 		}
 	}
@@ -576,7 +576,7 @@ func TestReadEnvelopeSizedSources(t *testing.T) {
 // the package comment documents, built by hand with Section.
 func TestStreamedEnvelopeLayout(t *testing.T) {
 	for _, body := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("state"), 1000)} {
-		want := appendChecksum(2, envelopeHeader("scenario", 2, body))
+		want := appendChecksum(Version, envelopeHeader("scenario", Version, body))
 		var buf bytes.Buffer
 		if err := WriteEnvelope(&buf, "scenario", body); err != nil {
 			t.Fatal(err)
@@ -592,8 +592,9 @@ func TestStreamedEnvelopeLayout(t *testing.T) {
 
 // TestFileSumIsWholeFileChecksum pins FileSum to the whole-file checksum
 // under each envelope version, computed here over the file's bytes:
-// FNV-1a for a hand-built version 1 envelope, CRC-32C zero-extended for
-// the version 2 envelope Encode writes.
+// FNV-1a for a hand-built version 1 envelope, CRC-32C zero-extended for a
+// hand-built version 2 envelope and for the version 3 envelope Encode
+// writes.
 func TestFileSumIsWholeFileChecksum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
@@ -615,9 +616,13 @@ func TestFileSumIsWholeFileChecksum(t *testing.T) {
 		if got, want := FileSum(v1), h.Sum64(); got != want {
 			t.Fatalf("v1 FileSum %#x, FNV-1a over the file %#x (kind %q, %d-byte body)", got, want, kind, len(body))
 		}
-		v2 := Encode(string(kind), body)
-		if got, want := FileSum(v2), uint64(crc32.Checksum(v2, castagnoli)); got != want {
-			t.Fatalf("v2 FileSum %#x, CRC-32C over the file %#x (kind %q, %d-byte body)", got, want, kind, len(body))
+		for version, enc := range map[int][]byte{
+			2: appendChecksum(2, envelopeHeader(string(kind), 2, body)),
+			3: Encode(string(kind), body),
+		} {
+			if got, want := FileSum(enc), uint64(crc32.Checksum(enc, castagnoli)); got != want {
+				t.Fatalf("v%d FileSum %#x, CRC-32C over the file %#x (kind %q, %d-byte body)", version, got, want, kind, len(body))
+			}
 		}
 	}
 }
@@ -626,15 +631,16 @@ func TestFileSumIsWholeFileChecksum(t *testing.T) {
 // kind. Decode must never panic; a body it accepts must be a sub-slice of
 // the input; every single-byte change of an accepted envelope must be
 // refused; and Encode of the accepted body must decode to the same body
-// (and, for a version 2 input, reproduce the input byte for byte).
+// (and, for a version 3 input, reproduce the input byte for byte).
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, body := range [][]byte{nil, []byte("state"), bytes.Repeat([]byte{0, 1, 0xff}, 40)} {
 		f.Add("engine", appendChecksum(1, envelopeHeader("engine", 1, body)))
 		f.Add("engine", Encode("engine", body))
 	}
 	f.Add("scenario", Encode("engine", []byte("state")))
-	f.Add("engine", appendChecksum(2, envelopeHeader("engine", 3, []byte("state"))))
+	f.Add("engine", appendChecksum(2, envelopeHeader("engine", Version+1, []byte("state"))))
 	f.Add("engine", []byte("PSYSNAP\x00"))
+	f.Add("engine", appendChecksum(2, envelopeHeader("engine", 2, []byte("state"))))
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		body, err := Decode(kind, data)
 		if err != nil {
@@ -670,8 +676,8 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if err != nil || !bytes.Equal(again, body) {
 			t.Fatalf("Encode of the accepted body does not decode back: %v", err)
 		}
-		if envelopeVersion(data) == 2 && !bytes.Equal(enc, data) {
-			t.Fatal("Encode of an accepted version 2 envelope's body differs from it")
+		if envelopeVersion(data) == Version && !bytes.Equal(enc, data) {
+			t.Fatal("Encode of an accepted version 3 envelope's body differs from it")
 		}
 	})
 }
@@ -705,7 +711,7 @@ func BenchmarkDecode(b *testing.B) {
 		enc  []byte
 	}{
 		{"v1", appendChecksum(1, envelopeHeader("engine", 1, body))},
-		{"v2", Encode("engine", body)},
+		{"v3", Encode("engine", body)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.enc)))
@@ -729,7 +735,7 @@ func BenchmarkEncode(b *testing.B) {
 		encode func() []byte
 	}{
 		{"v1", func() []byte { return appendChecksum(1, envelopeHeader("engine", 1, body)) }},
-		{"v2", func() []byte { return Encode("engine", body) }},
+		{"v3", func() []byte { return Encode("engine", body) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.encode())))
@@ -746,4 +752,157 @@ func (w *Writer) Section(body []byte) {
 	w.Len(len(body))
 	w.grow(len(body))
 	w.buf = append(w.buf, body...)
+}
+
+// TestNarrowFieldsRoundTrip: version 3 writes I32 and Count in 4 bytes
+// each, and a reader of the current version reads back every int32 value
+// and every count up to math.MaxInt32.
+func TestNarrowFieldsRoundTrip(t *testing.T) {
+	ids := []int{0, 1, -1, 64, math.MaxInt32, math.MinInt32}
+	var w Writer
+	for _, v := range ids {
+		w.I32(v)
+	}
+	w.Count(math.MaxInt32)
+	w.Count(0)
+	if got, want := len(w.Bytes()), 4*(len(ids)+2); got != want {
+		t.Fatalf("%d I32 and 2 Count fields take %d bytes, want %d", len(ids), got, want)
+	}
+	r := NewReader(w.Bytes())
+	for _, want := range ids {
+		if got := r.I32(); got != want {
+			t.Fatalf("I32 read %d, wrote %d", got, want)
+		}
+	}
+	if got := r.Count(0); got != 0 {
+		// math.MaxInt32 items cannot fit the 4 bytes that remain.
+		t.Fatalf("Count read %d", got)
+	}
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "implausible count 2147483647") {
+		t.Fatalf("Err = %v, want the count bounded by the remaining bytes", err)
+	}
+	r = NewReader(w.Bytes()[4*len(ids)+4:])
+	if got := r.Count(1); got != 0 || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("Count = %d, err %v, %d bytes left", got, r.Err(), r.Remaining())
+	}
+}
+
+// TestWriterRefusesNarrowOverflow: a value I32 or Count cannot hold is a
+// bug in the caller, and the writer panics rather than truncate it.
+func TestWriterRefusesNarrowOverflow(t *testing.T) {
+	for name, write := range map[string]func(*Writer){
+		"I32(1<<31)":        func(w *Writer) { w.I32(1 << 31) },
+		"I32(-1<<31 - 1)":   func(w *Writer) { w.I32(-1<<31 - 1) },
+		"Count(-1)":         func(w *Writer) { w.Count(-1) },
+		"Count(MaxInt32+1)": func(w *Writer) { w.Count(math.MaxInt32 + 1) },
+	} {
+		func() {
+			var w Writer
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+				if len(w.Bytes()) != 0 {
+					t.Errorf("%s wrote %d bytes before panicking", name, len(w.Bytes()))
+				}
+			}()
+			write(&w)
+		}()
+	}
+}
+
+// TestVersion2ReaderRefusesValuesPastInt32: a version 2 body holds I32 and
+// Count fields in 8 bytes. Its reader reads every value int32 can hold and
+// refuses any other instead of truncating it: 2³² + 5 must not come back
+// as 5.
+func TestVersion2ReaderRefusesValuesPastInt32(t *testing.T) {
+	for _, v := range []int64{0, -1, math.MaxInt32, math.MinInt32} {
+		var w Writer
+		w.I64(v)
+		r := NewVersionReader(w.Bytes(), 2)
+		if got := r.I32(); int64(got) != v || r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("version 2 I32 of %d read %d (err %v)", v, got, r.Err())
+		}
+	}
+	for _, v := range []int64{1<<32 + 5, math.MaxInt32 + 1, math.MinInt32 - 1} {
+		var w Writer
+		w.I64(v)
+		w.I64(7)
+		r := NewVersionReader(w.Bytes(), 2)
+		if got := r.I32(); got != 0 {
+			t.Fatalf("version 2 I32 of %d read %d", v, got)
+		}
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("value %d at offset 0 is outside int32", v)) {
+			t.Fatalf("version 2 I32 of %d: err %v", v, err)
+		}
+		if got := r.I32(); got != 0 {
+			t.Fatalf("read %d after the sticky error", got)
+		}
+	}
+	// A count past int32, with the bytes to back it in principle: refused
+	// by its value, not truncated to 5.
+	var w Writer
+	w.Len(1<<32 + 5)
+	r := NewVersionReader(w.Bytes(), 2)
+	if got := r.Count(0); got != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "implausible count 4294967301") {
+		t.Fatalf("version 2 Count of 2³²+5 = %d, err %v", got, r.Err())
+	}
+}
+
+// TestReaderVersions: Open and ReadEnvelope return a reader of the
+// envelope's version, and its sections inherit the version and the
+// engine's node count, which NodeCount checks.
+func TestReaderVersions(t *testing.T) {
+	// The same values, as version 2 and version 3 write them.
+	var wide, narrow Writer
+	for _, w := range []*Writer{&wide, &narrow} {
+		mark := w.BeginSection()
+		if w == &wide {
+			w.Len(3)
+			w.Int(-7)
+		} else {
+			w.Count(3)
+			w.I32(-7)
+		}
+		w.EndSection(mark)
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"v1", appendChecksum(1, envelopeHeader("engine", 1, wide.Bytes()))},
+		{"v2", appendChecksum(2, envelopeHeader("engine", 2, wide.Bytes()))},
+		{"v3", Encode("engine", narrow.Bytes())},
+	} {
+		for _, open := range []func() (*Reader, error){
+			func() (*Reader, error) { return Open("engine", tc.enc) },
+			func() (*Reader, error) { return ReadEnvelope(bytes.NewReader(tc.enc), "engine") },
+		} {
+			r, err := open()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			r.SetNodes(3)
+			sub := r.Section()
+			if n, id := sub.NodeCount(1), sub.I32(); n != 3 || id != -7 {
+				t.Fatalf("%s: read (%d, %d), want (3, -7)", tc.name, n, id)
+			}
+			if err := CloseSection("layer", sub); err != nil || r.Remaining() != 0 {
+				t.Fatalf("%s: %v, %d bytes left", tc.name, err, r.Remaining())
+			}
+			r, _ = open()
+			r.SetNodes(4)
+			sub = r.Section()
+			if n := sub.NodeCount(1); n != 0 || sub.Err() == nil || !strings.Contains(sub.Err().Error(), "section holds 3 nodes, the engine 4") {
+				t.Fatalf("%s: NodeCount against an engine of 4 = %d, err %v", tc.name, n, sub.Err())
+			}
+		}
+	}
+	if r := NewVersionReader([]byte{0, 0, 0, 0}, Version+1); r.I32() != 0 || r.Err() == nil {
+		t.Fatalf("a reader of version %d read a value (err %v)", Version+1, r.Err())
+	}
+	// Outside an engine's section, NodeCount checks nothing.
+	if r := NewReader(narrow.Bytes()[8:]); r.NodeCount(1) != 3 || r.Err() != nil {
+		t.Fatalf("NodeCount with no engine count: err %v", r.Err())
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"polystyrene/internal/rps"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
+	"polystyrene/internal/xrand"
 )
 
 // liveHeap returns the GC-settled live heap in bytes.
@@ -90,5 +91,36 @@ func TestEmptyViewReseedsWhileNoneDied(t *testing.T) {
 	n.tman.purgeDead(n.engine.SeqCtx(), 0)
 	if got := len(n.tman.views[0]); got != initDegree {
 		t.Fatalf("node 0's empty view was re-seeded with %d entries, want %d", got, initDegree)
+	}
+}
+
+// TestPlanStepReseedLeavesRowWhileNoneDied: while no node has died,
+// PlanStep reads the row in place, and the re-seed of an empty view goes
+// to the plan's scratch: node 0's empty row stays empty, with nothing
+// written past its length, and the plan still names a partner from the
+// re-seeded view.
+func TestPlanStepReseedLeavesRowWhileNoneDied(t *testing.T) {
+	const w, h = 8, 8
+	n := newTestNet(t, 2, space.TorusForGrid(w, h, 1), space.TorusGrid(w, h, 1))
+	n.sampler.Step(n.engine, 0) // bootstraps node 0's sampling view
+	row := n.tman.views[0]
+	if len(row) != 0 || !n.engine.AllAlive(w*h) {
+		t.Fatalf("node 0 holds %d entries (all alive: %v); the test needs an empty row and no death", len(row), n.engine.AllAlive(w*h))
+	}
+	full := row[:cap(row)]
+	for i := range full {
+		full[i] = -7 // a sentinel no re-seed writes
+	}
+	plan := n.tman.PlanStep(n.engine, xrand.New(5), 0, nil)
+	if len(n.tman.views[0]) != 0 || &n.tman.views[0][:1][0] != &full[0] {
+		t.Fatalf("PlanStep changed node 0's row to %v", n.tman.views[0])
+	}
+	for i, v := range full {
+		if v != -7 {
+			t.Fatalf("PlanStep wrote %d at slot %d of node 0's row", v, i)
+		}
+	}
+	if len(plan) != 2 || plan[0] != 0 || plan[1] == 0 {
+		t.Fatalf("plan = %v, want node 0 and a partner", plan)
 	}
 }

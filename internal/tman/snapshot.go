@@ -2,7 +2,6 @@ package tman
 
 import (
 	"fmt"
-	"math"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/snap"
@@ -15,12 +14,10 @@ var _ sim.Snapshotter = (*Protocol)(nil)
 // mirrors are rebuilt within each round, and the ranked-view stamps are
 // reset on restore.
 func (p *Protocol) SnapshotState(w *snap.Writer) {
-	w.Len(len(p.views))
+	w.Count(len(p.views))
 	for _, v := range p.views {
-		w.Len(len(v))
-		for _, id := range v {
-			w.Int(int(id))
-		}
+		w.Count(len(v))
+		w.I32s(v)
 	}
 }
 
@@ -29,31 +26,30 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // so a section that lies about its view count costs memory in proportion
 // to the bytes it really holds. The new rows replace the current ones
 // only once the whole section has parsed; on any error the protocol is
-// left as it was. A view longer than restCap, the most a row holds
-// between merges, an entry outside [0, n), where n is the section's view
-// count, and an entry naming the view's own node are refused.
+// left as it was. A view count other than the engine's node count, a view
+// longer than restCap, the most a row holds between merges, an entry
+// outside [0, n), where n is the section's view count, and an entry naming
+// the view's own node are refused.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
-	n := r.Len(8)
-	if n > math.MaxInt32+1 {
-		return fmt.Errorf("tman: snapshot has %d views, the overlay's limit is %d", n, math.MaxInt32+1)
-	}
+	n := r.NodeCount(4)
 	views := make([][]int32, n)
 	var rows rowSlab
 	for i := range views {
-		ln := r.Len(8)
+		ln := r.Count(4)
 		if ln > restCap {
 			return fmt.Errorf("tman: snapshot view of node %d holds %d entries, more than the %d a row keeps", i, ln, restCap)
 		}
 		row := rows.carve()[:ln]
-		for j := range row {
-			v := r.Int()
-			if v < 0 || v >= n {
+		if r.I32s(row); r.Err() != nil {
+			return r.Err()
+		}
+		for _, v := range row {
+			if v < 0 || int(v) >= n {
 				return fmt.Errorf("tman: snapshot view of node %d holds node %d, outside [0,%d)", i, v, n)
 			}
-			if v == i {
+			if int(v) == i {
 				return fmt.Errorf("tman: snapshot view of node %d holds the node itself", i)
 			}
-			row[j] = int32(v)
 		}
 		views[i] = row
 	}

@@ -564,19 +564,25 @@ func (p *Protocol) BeginBatchedRound(e *sim.Engine, workers int) {
 func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst []sim.NodeID) []sim.NodeID {
 	dst = append(dst, id)
 	// Mirror purgeDead(id): live entries keep their order; an emptied view
-	// is re-seeded from the sampling layer.
-	view := p.plan.cand[:0]
-	for _, v := range p.views[id] {
-		if e.Alive(sim.NodeID(v)) {
-			view = append(view, v)
+	// is re-seeded from the sampling layer. While no node has died the
+	// purge keeps every entry, so the row is read in place; a re-seed goes
+	// to the plan's scratch and never to the row.
+	view := p.views[id]
+	if !e.AllAlive(len(p.views)) {
+		view = p.plan.cand[:0]
+		for _, v := range p.views[id] {
+			if e.Alive(sim.NodeID(v)) {
+				view = append(view, v)
+			}
 		}
+		p.plan.cand = view
 	}
 	ranked := len(view) > 0 && p.ranked(id)
 	if len(view) == 0 {
 		p.plan.peers = p.cfg.Sampler.AppendPlanRandomPeers(p.plan.peers[:0], e, rng, id, initDegree)
-		view = appendIDs(view, p.plan.peers)
+		view = appendIDs(p.plan.cand[:0], p.plan.peers)
+		p.plan.cand = view
 	}
-	p.plan.cand = view
 
 	// Mirror selectPartner over the (possibly re-seeded) view. Purging
 	// keeps a ranked view sorted, so its window is a prefix.
