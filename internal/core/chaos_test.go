@@ -15,11 +15,12 @@ package core
 //     pushed (checkReplicaRuns).
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
+	"polystyrene/internal/fd"
 	"polystyrene/internal/sim"
+	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
 	"polystyrene/internal/xrand"
 )
@@ -164,11 +165,37 @@ func checkReplicaRuns(t *testing.T, st *stack) {
 func TestChaosChurnPlusReinjection(t *testing.T) {
 	// Mixed workload: converge, crash a region, trickle-inject newcomers
 	// while random churn continues. The replica layout is checked after
-	// every round, sequentially and under the batch scheduler.
-	for _, w := range []int{0, 2} {
-		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
-			st := newStack(t, stackOpts{seed: 102, w: 16, h: 8, cfg: Config{K: 4}})
-			st.engine.SetExchangeParallelism(w)
+	// every round, sequentially and under the batch scheduler, with the
+	// perfect detector and with one that reports a crash two rounds late:
+	// a dead target then stays kept, and backup skips the push to it while
+	// the guest set is unchanged. Halfway through the churn the stack is
+	// snapshotted and restored into a fresh one, which carries on.
+	for _, c := range []struct {
+		name  string
+		w     int
+		delay int // detection delay in rounds; -1 is the perfect detector
+	}{{"w0", 0, -1}, {"w2", 2, -1}, {"w0_delayed2", 0, 2}, {"w2_delayed2", 2, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := func() stackOpts {
+				o := stackOpts{seed: 102, w: 16, h: 8, cfg: Config{K: 4}}
+				if c.delay >= 0 {
+					o.cfg.Detector = fd.NewDelayed(c.delay)
+				}
+				return o
+			}
+			st := newStack(t, opts())
+			st.engine.SetExchangeParallelism(c.w)
+			defer func() { st.engine.Close() }()
+			// Under the delayed detector a target dies unnoticed for two
+			// rounds, so the backup invariants (live, K of them) hold only
+			// with the perfect one.
+			check := func() {
+				t.Helper()
+				if c.delay < 0 {
+					checkInvariants(t, st)
+				}
+				checkReplicaRuns(t, st)
+			}
 			rng := xrand.New(4242)
 			for range 8 {
 				st.engine.RunRounds(1)
@@ -187,9 +214,13 @@ func TestChaosChurnPlusReinjection(t *testing.T) {
 					live := st.engine.LiveIDs()
 					st.engine.Kill(live[rng.Intn(len(live))])
 				}
+				if round == 15 {
+					st = restoredStack(t, st, opts())
+					st.engine.SetExchangeParallelism(c.w)
+					checkReplicaRuns(t, st)
+				}
 				st.engine.RunRounds(1)
-				checkInvariants(t, st)
-				checkReplicaRuns(t, st)
+				check()
 			}
 			// Recovery duplicates are only removed when two holders meet in a
 			// migration exchange, so give the system a quiet settling period
@@ -208,6 +239,26 @@ func TestChaosChurnPlusReinjection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// restoredStack snapshots st's engine, closes it, and restores the
+// snapshot into a fresh stack built from o.
+func restoredStack(t *testing.T, st *stack, o stackOpts) *stack {
+	t.Helper()
+	var w snap.Writer
+	if err := st.engine.SnapshotState(&w); err != nil {
+		t.Fatal(err)
+	}
+	st.engine.Close()
+	fresh := newStack(t, o)
+	r := snap.NewReader(w.Bytes())
+	if err := fresh.engine.RestoreState(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Err(); err != nil || r.Remaining() != 0 {
+		t.Fatalf("restore left %d bytes unread (%v)", r.Remaining(), err)
+	}
+	return fresh
 }
 
 func TestPointConservationProperty(t *testing.T) {

@@ -568,7 +568,12 @@ func (p *Protocol) unionInto(scr *scratch, dstPts []space.Point, dstIDs []space.
 // --- Backup (Algorithm 1) ---
 
 // backup prunes failed backup targets, tops the set back up to K random
-// nodes, and pushes the current guest set to every target.
+// nodes, and pushes the current guest set to every target. A target kept
+// from an earlier step already holds exactly the last push (pushed), so
+// when the guest IDs equal pushed, in the same order, the push to it would
+// write the run it holds and is skipped; a freshly picked target always
+// receives the set. Skipped or not, every target is touched and the
+// charge is Algorithm 1's incremental delta.
 func (p *Protocol) backup(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	e := ctx.Engine()
 	st := p.nodes[id]
@@ -602,9 +607,12 @@ func (p *Protocol) backup(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 		mark[pid] = gen
 	}
 	delta := pushDelta(mark, gen, len(st.guestIDs), st.pushed)
-	for _, b := range st.backups {
+	unchanged := slices.Equal(st.guestIDs, st.pushed)
+	for i, b := range st.backups {
 		ctx.Touch(b)
-		p.pushGhosts(id, b, st.guestIDs)
+		if i >= nKept || !unchanged {
+			p.pushGhosts(id, b, st.guestIDs)
+		}
 	}
 	st.pushed = append(st.pushed[:0], st.guestIDs...)
 	fresh := len(st.backups) - nKept

@@ -12,7 +12,10 @@ import (
 // it, and the engine records an empty section for it.
 //
 // SnapshotState must write every bit of state that influences future
-// rounds, in a deterministic order (sort map iterations). RestoreState
+// rounds, in a deterministic order (sort map iterations), and hold at
+// least one byte for each node of the engine: the engine refuses a
+// snapshot whose node count a stateful section is too short for.
+// RestoreState
 // reads the same stream back into a layer that has already been
 // constructed and InitNode'd for the same configuration; it must fully
 // overwrite — never merge with — the state those init paths produced.
@@ -67,7 +70,11 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 // validated in full before any engine state is touched. Each layer's
 // section reader carries the snapshot's node count (snap.Reader.SetNodes),
 // so a layer refuses a section that holds state for a different number of
-// nodes.
+// nodes. Before the engine sizes anything by the node count, it refuses a
+// count larger than the byte length of any stateful section (each holds
+// at least a byte a node), so a body that declares more nodes than it
+// carries costs no allocation in proportion to the count. An engine none
+// of whose layers carries state has no section to bound the count by.
 func (e *Engine) RestoreState(r *snap.Reader) error {
 	// Phase 1: parse everything into temporaries.
 	var rngState [4]uint64
@@ -104,6 +111,11 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	// Phase 2: validate against this engine's configuration.
 	if round < 0 || numNodes < 0 {
 		return fmt.Errorf("sim: snapshot has negative round (%d) or node count (%d)", round, numNodes)
+	}
+	for _, s := range sections {
+		if s.has && numNodes > s.body.Remaining() {
+			return fmt.Errorf("sim: snapshot declares %d nodes, but layer %q's section holds only %d bytes", numNodes, s.name, s.body.Remaining())
+		}
 	}
 	seen := make([]bool, numNodes)
 	for _, id := range live {

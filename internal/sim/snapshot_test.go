@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"polystyrene/internal/snap"
@@ -158,5 +159,44 @@ func TestEngineRestoreRejectsCorruption(t *testing.T) {
 	}
 	if err := restoreState(target, good); err != nil {
 		t.Fatalf("pristine state rejected: %v", err)
+	}
+}
+
+// TestEngineRestoreRefusesNodeCountPastItsBytes: a body that declares
+// 4,000,000 nodes but whose one stateful section holds no node is refused
+// before the engine sizes anything by that count. It allocates at most a
+// small multiple of its own length and leaves the engine as it was.
+func TestEngineRestoreRefusesNodeCountPastItsBytes(t *testing.T) {
+	var w snap.Writer
+	for range 4 {
+		w.U64(1) // RNG state
+	}
+	w.Int(3)         // round
+	w.I32(4_000_000) // node count
+	w.Count(0)       // live set
+	w.Len(0)         // meter ledgers
+	w.Len(1)         // layers
+	w.String("counter")
+	w.Bool(true)
+	mark := w.BeginSection()
+	w.Len(0) // the counter layer's counts
+	w.EndSection(mark)
+	body := w.Bytes()
+
+	e := New(1, &snapLayer{name: "counter"})
+	e.AddNodes(4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := restoreState(e, body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a %d-byte body declaring 4,000,000 nodes was accepted", len(body))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(body)) {
+		t.Fatalf("refusing a %d-byte body allocated %d bytes (%v)", len(body), alloc, err)
+	}
+	if e.NumNodes() != 4 || e.Round() != 0 {
+		t.Fatalf("refused restore left %d nodes at round %d, want 4 at round 0", e.NumNodes(), e.Round())
 	}
 }

@@ -13,12 +13,12 @@ import (
 	"polystyrene/internal/xrand"
 )
 
-// TestRankedViewsMergeMatchesSelection: mergeRanked — rank the new tail,
-// then one linear merge with the ranked prefix — returns exactly what a
-// full selection over the union returns, for random views over positions
-// that collide (so distance ties, broken by id, are everywhere), unions
-// below and above the cap of viewCap, an empty prefix, no new entries, and
-// new entries that all order ahead of the prefix.
+// TestRankedViewsMergeMatchesSelection: mergeSorted — one linear merge of
+// a ranked prefix and the ranked new entries, each with its distances —
+// returns exactly what a full selection over the union returns, for random
+// views over positions that collide (so distance ties, broken by id, are
+// everywhere), unions below and above the cap of viewCap, an empty prefix,
+// no new entries, and new entries that all order ahead of the prefix.
 func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 	const n = 160
 	rng := xrand.New(5)
@@ -36,6 +36,11 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 	ranked := func(ids []int32, target space.Point) []int32 {
 		return slices.Clone(p.selectClosest(scr, ids, target, len(ids)))
 	}
+	distances := func(ids []int32, target space.Point) []float64 {
+		d := make([]float64, len(ids))
+		p.distances(d, ids, target)
+		return d
+	}
 
 	for trial := 0; trial < 4000; trial++ {
 		target := positions[rng.Intn(n)]
@@ -47,24 +52,129 @@ func TestRankedViewsMergeMatchesSelection(t *testing.T) {
 		switch mode := trial % 4; mode {
 		case 0: // random split
 			n0 := rng.Intn(len(ids) + 1)
-			pre, tail = ranked(ids[:n0], target), ids[n0:]
+			pre, tail = ranked(ids[:n0], target), ranked(ids[n0:], target)
 		case 1: // empty prefix: every entry is new
-			tail = ids
+			tail = ranked(ids, target)
 		case 2: // no new entries
 			pre = ranked(ids, target)
 		case 3: // the new entries are the closest ones
 			all := ranked(ids, target)
 			n0 := rng.Intn(len(all) + 1)
-			pre, tail = all[len(all)-n0:], slices.Clone(all[:len(all)-n0])
-			rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+			pre, tail = all[len(all)-n0:], all[:len(all)-n0]
 		}
 		view := append(slices.Clone(pre), tail...)
 		want := slices.Clone(p.selectClosest(scr, view, target, min(len(view), viewCap)))
-		got := p.mergeRanked(scr, make([]int32, 0, viewCap), view, len(pre), target)
+		out := make([]int32, min(len(view), viewCap), viewCap)
+		got := mergeSorted(out, pre, distances(pre, target), tail, distances(tail, target))
 		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (union %d): mergeRanked(prefix %v, new %v) = %v, selection %v",
+			t.Fatalf("trial %d (union %d): mergeSorted(prefix %v, new %v) = %v, selection %v",
 				trial, len(view), pre, tail, got, want)
 		}
+	}
+}
+
+// TestMergeMatchesSelection drives merge itself, as StepW calls it: the
+// received message is a buildBuffer of a random sender's view against the
+// owner, so it carries its distances and may hold the owner, entries the
+// view already has and crashed nodes. Over positions that collide, with
+// views ranked, unranked (in random order) and short (down to empty), and
+// the view's distances either reused from a rankView of the same step or
+// computed by the merge, the view after the merge must equal the capped
+// selection over the view and the live received ids it lacked, and be
+// ranked; a merge that adds nothing must leave the view and its stamp as
+// they were.
+func TestMergeMatchesSelection(t *testing.T) {
+	const side = 12
+	rng := xrand.New(9)
+	tor := space.TorusForGrid(4, 3, 1)
+	pts := make([]space.Point, side*side)
+	for i := range pts {
+		pts[i] = space.Point{float64(rng.Intn(4)), float64(rng.Intn(3))}
+	}
+	net := newTestNet(t, 2, tor, pts)
+	p, e := net.tman, net.engine
+	for _, id := range rng.Sample(len(pts), len(pts)/8) {
+		e.Kill(sim.NodeID(id))
+	}
+	scr := p.ws[0]
+	n := len(pts)
+	// randomView fills id's row with up to maxLen random other nodes, live
+	// or not, in random order, and unstamps it.
+	randomView := func(id sim.NodeID, maxLen int) {
+		row := p.views[id][:0]
+		for _, v := range rng.Sample(n, rng.Intn(maxLen+1)) {
+			if sim.NodeID(v) != id {
+				row = append(row, int32(v))
+			}
+		}
+		p.views[id] = row
+		p.rankedAt[id] = 0
+	}
+
+	counts := map[string]int{}
+	for trial := 0; trial < 6000; trial++ {
+		owner := sim.NodeID(rng.Intn(n))
+		sender := sim.NodeID(rng.Intn(n))
+		if sender == owner {
+			continue
+		}
+		lens := []int{restCap, 30, 3, 0}
+		randomView(owner, lens[trial%len(lens)])
+		randomView(sender, restCap)
+		if rng.Bool(0.3) {
+			// Let the sender offer entries the owner already holds: its
+			// view becomes the owner's, less the sender itself.
+			p.views[sender] = slices.DeleteFunc(append(p.views[sender][:0], p.views[owner]...),
+				func(v int32) bool { return sim.NodeID(v) == sender })
+		}
+		mode := []string{"unranked", "ranked", "reused"}[rng.Intn(3)]
+		var ownIDs []int32
+		var ownDist []float64
+		switch mode {
+		case "ranked":
+			p.rankView(scr, owner)
+		case "reused":
+			ownIDs, ownDist = p.rankView(scr, owner)
+		}
+		before := slices.Clone(p.views[owner])
+		stampBefore := p.rankedAt[owner]
+		recv, recvDist := p.buildBuffer(scr, nil, nil, sender, p.pos(owner))
+
+		union := slices.Clone(before)
+		for _, r := range recv {
+			if sim.NodeID(r) != owner && e.Alive(sim.NodeID(r)) && !slices.Contains(union, r) {
+				union = append(union, r)
+			}
+		}
+		want := slices.Clone(p.selectClosest(scr, union, p.pos(owner), min(len(union), viewCap)))
+
+		p.merge(e, scr, owner, recv, recvDist, ownIDs, ownDist)
+		got := p.views[owner]
+		if len(union) == len(before) {
+			counts["nothing new"]++
+			if !slices.Equal(got, before) || p.rankedAt[owner] != stampBefore {
+				t.Fatalf("trial %d (%s): a merge adding nothing changed view %v (stamp %d) to %v (stamp %d)",
+					trial, mode, before, stampBefore, got, p.rankedAt[owner])
+			}
+			continue
+		}
+		counts[fmt.Sprintf("%s, len %d", mode, lens[trial%len(lens)])]++
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%s): merge of %v into %v = %v, selection %v", trial, mode, recv, before, got, want)
+		}
+		if !p.ranked(owner) {
+			t.Fatalf("trial %d (%s): merged view %v is not ranked", trial, mode, got)
+		}
+	}
+	for _, mode := range []string{"unranked", "ranked", "reused"} {
+		for _, l := range []int{restCap, 30, 3, 0} {
+			if counts[fmt.Sprintf("%s, len %d", mode, l)] < 50 {
+				t.Fatalf("case %s, len %d merged only %d times: %v", mode, l, counts[fmt.Sprintf("%s, len %d", mode, l)], counts)
+			}
+		}
+	}
+	if counts["nothing new"] < 50 {
+		t.Fatalf("only %d merges added nothing: %v", counts["nothing new"], counts)
 	}
 }
 

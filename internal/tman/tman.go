@@ -39,38 +39,48 @@
 // by (distance to its owner, id) and stamped with the value of a position
 // clock at which it was sorted. A stamped view whose owner and entries
 // have not moved since is ranked: the ψ-window, every neighbour query and
-// PlanStep's mirror read its prefix, and a merge ranks only the m received
-// entries and merges them in linearly. StepW re-ranks an initiator's view
+// PlanStep's mirror read its prefix. StepW re-ranks an initiator's view
 // that is not ranked; buildBuffer, which ranks against the partner's
-// position, always ranks in full. With Polystyrene on top, core installs
-// its per-node move clock (UsePositionClock); plain T-Man keeps the static
-// clock New installs, under which positions never move and a stamped view
-// stays ranked until a re-seed or a restore. The sequential engine only
-// ever uses slot 0; under intra-round exchange batching (sim.Batched) each
-// worker owns a slot and the batch matcher plans on a dedicated mirror
-// scratch. An exchange's conflict set is {initiator, partner}: Step reads
-// and writes only those two views (it reads the *positions* of ranked
-// candidates too, but positions are frozen during a T-Man pass, and the
-// Polystyrene layer above snapshots them for its own pass).
+// position, always ranks in full. A merge sorts an unranked view first (one
+// adaptive pass when it was saved sorted) and then merges the received
+// entries in linearly: a message arrives sorted by (distance to its
+// receiver, id), the order buildBuffer selected it in. With Polystyrene on
+// top, core installs its per-node move clock (UsePositionClock); plain
+// T-Man keeps the static clock New installs, under which positions never
+// move and a stamped view stays ranked until a re-seed or a restore. The
+// sequential engine only ever uses slot 0; under intra-round exchange
+// batching (sim.Batched) each worker owns a slot and the batch matcher
+// plans on a dedicated mirror scratch. An exchange's conflict set is
+// {initiator, partner}: Step reads and writes only those two views (it
+// reads the *positions* of ranked candidates too, but positions are frozen
+// during a T-Man pass, and the Polystyrene layer above snapshots them for
+// its own pass).
+//
+// An exchange reuses a distance it already computed, and only for the
+// same (entry, target) pair within one pass: buildBuffer hands each
+// message its entries' distances to the receiver, which the receiver's
+// merge would otherwise recompute, and when StepW ranked the initiator's
+// view the initiator's merge reuses the view's distances. Positions do not
+// move during a T-Man pass, so a reused distance is bit-identical to a
+// recomputed one.
 //
 // Views live in fixed-stride rows of one slab. Each node owns a row of
 // restCap = max(viewCap, initDegree) = 100 int32 ids (400 B), carved with
 // its neighbours in pages of contiguous rows when the node joins or the
 // overlay is restored. The stride is a compile-time constant: the view cap
 // (100) and the init degree (10) are the paper's Sec. IV-A values. A view
-// never holds more than restCap entries: a merge assembles its candidates
-// (the view plus at most DefaultMsgSize received ids) on the worker
-// slot's scratch and writes only the survivors back. So every purge,
-// re-seed, merge, ranking and prefix read works in place in the row, and
-// a view's storage never grows or moves. The ids are int32 inside the
-// overlay only (InitNode refuses ids past math.MaxInt32); every exported
-// query speaks sim.NodeID.
+// never holds more than restCap entries: a merge reads the view and the
+// received ids it lacks from the worker slot's scratch and writes only the
+// survivors back. So every purge, re-seed, merge, ranking and prefix read
+// works in place in the row, and a view's storage never grows or moves.
+// The ids are int32 inside the overlay only (InitNode refuses ids past
+// math.MaxInt32); every exported query speaks sim.NodeID.
 //
 // Neighbour queries are exposed through the allocation-free two-form API
 // of core.Topology — AppendNeighbors (caller-owned buffer) and
 // EachNeighbor (zero-copy visitor over the pooled selection scratch).
-// Every selection ranks at most restCap + DefaultMsgSize = 120
-// candidates, so the pooled buffers are bounded by construction.
+// Every selection ranks at most restCap + 1 = 101 candidates (buildBuffer's
+// owner and view), so the pooled buffers are bounded by construction.
 package tman
 
 import (
@@ -164,13 +174,19 @@ func (s *rowSlab) carve() []int32 {
 type scratch struct {
 	// sel holds the pooled parallel (distance, id) selection arrays.
 	sel topk.Scratch[int32]
-	// candBuf assembles the owner+view candidate set for buildBuffer, the
-	// partner-selection window and a merge's view+received candidates.
+	// own holds one view sorted by (distance to its owner, id) with those
+	// distances: the view StepW ranked, or the one a merge folds into.
+	own topk.Scratch[int32]
+	// candBuf assembles the partner-selection window.
 	candBuf []int32
-	// msgA/msgB are the two in-flight message buffers of Step; both live
+	// msgA/msgB are the two in-flight message buffers of Step and
+	// distA/distB their entries' distances to the receiver; all four live
 	// across a merge pair, so they need separate backing arrays.
-	msgA []int32
-	msgB []int32
+	msgA, msgB   []int32
+	distA, distB []float64
+	// fresh/freshDist collect a merge's new entries with their distances.
+	fresh     []int32
+	freshDist []float64
 	// peers receives the sampling layer's random peers before a re-seed
 	// copies them into the row.
 	peers []sim.NodeID
@@ -300,8 +316,12 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	// round under Polystyrene, and the paper attributes most communication
 	// traffic to these per-round position updates.
 	ctx.Charge(len(p.views[id]) * sim.PointCost(p.cfg.Space.Dim()))
+	// ownIDs/ownDist stay on scr.own, which nothing before id's merge
+	// touches, so that merge reuses the ranking's distances.
+	var ownIDs []int32
+	var ownDist []float64
 	if !p.ranked(id) {
-		p.rankView(scr, id)
+		ownIDs, ownDist = p.rankView(scr, id)
 	}
 
 	q := p.selectPartner(ctx, scr, id)
@@ -314,13 +334,13 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	// Each side sends the m descriptors most useful to the other, drawn
 	// from its view plus its own fresh descriptor. Both buffers are pooled
 	// on the worker slot: merge copies what it keeps into the rows.
-	scr.msgA = p.buildBuffer(scr, scr.msgA[:0], id, p.pos(q))
-	scr.msgB = p.buildBuffer(scr, scr.msgB[:0], q, p.pos(id))
+	scr.msgA, scr.distA = p.buildBuffer(scr, scr.msgA[:0], scr.distA[:0], id, p.pos(q))
+	scr.msgB, scr.distB = p.buildBuffer(scr, scr.msgB[:0], scr.distB[:0], q, p.pos(id))
 	descCost := sim.DescriptorCost(p.cfg.Space.Dim())
 	ctx.Charge((len(scr.msgA) + len(scr.msgB)) * descCost)
 
-	p.merge(e, scr, id, scr.msgB)
-	p.merge(e, scr, q, scr.msgA)
+	p.merge(e, scr, id, scr.msgB, scr.distB, ownIDs, ownDist)
+	p.merge(e, scr, q, scr.msgA, scr.distA, nil, nil)
 }
 
 // pos resolves id's position: a row view of the installed table, or
@@ -357,14 +377,17 @@ func appendAbsent(ids []int32, r int32) []int32 {
 	return append(ids, r)
 }
 
-// buildBuffer appends to dst up to m descriptors from owner's view plus
-// owner itself, ranked by proximity to the receiver's position target.
-func (p *Protocol) buildBuffer(scr *scratch, dst []int32, owner sim.NodeID, target space.Point) []int32 {
+// buildBuffer appends to ids up to m descriptors from owner's view plus
+// owner itself, ranked by proximity to the receiver's position target and
+// so sorted by (distance, id), and to dist their distances to target.
+func (p *Protocol) buildBuffer(scr *scratch, ids []int32, dist []float64, owner sim.NodeID, target space.Point) ([]int32, []float64) {
 	view := p.views[owner]
-	cand := append(scr.candBuf[:0], int32(owner))
-	cand = append(cand, view...)
-	scr.candBuf = cand
-	return append(dst, p.selectClosest(scr, cand, target, DefaultMsgSize)...)
+	cd, cand := scr.sel.Get(1 + len(view))
+	cand[0] = int32(owner)
+	copy(cand[1:], view)
+	p.distances(cd, cand, target)
+	k := topk.SmallestK(cd, cand, DefaultMsgSize)
+	return append(ids, cand[:k]...), append(dist, cd[:k]...)
 }
 
 // selectClosest partially selects the up-to-k IDs of cand whose positions
@@ -427,13 +450,26 @@ func (p *Protocol) ranked(id sim.NodeID) bool {
 	return true
 }
 
-// rankView sorts id's whole view by (distance to id, id) in place and
-// stamps it. SmallestK with k = len runs only its insertion sort, which is
-// adaptive: a view that is still nearly sorted costs about one pass.
-func (p *Protocol) rankView(scr *scratch, id sim.NodeID) {
-	view := p.views[id]
-	copy(view, p.selectClosest(scr, view, p.pos(id), len(view)))
+// rankView sorts id's whole view by (distance to id, id) in place, stamps
+// it, and returns the sorted entries with their distances on the slot's
+// own scratch. SmallestK with k = len runs only its insertion sort, which
+// is adaptive: a view that is still nearly sorted costs about one pass.
+func (p *Protocol) rankView(scr *scratch, id sim.NodeID) ([]int32, []float64) {
+	ids, dist := p.viewDistances(scr, id)
+	topk.SmallestK(dist, ids, len(ids))
+	copy(p.views[id], ids)
 	_, p.rankedAt[id] = p.clock()
+	return ids, dist
+}
+
+// viewDistances copies id's view, in view order, to the slot's own scratch
+// with each entry's distance to id, and returns both.
+func (p *Protocol) viewDistances(scr *scratch, id sim.NodeID) ([]int32, []float64) {
+	view := p.views[id]
+	dist, ids := scr.own.Get(len(view))
+	copy(ids, view)
+	p.distances(dist, ids, p.pos(id))
+	return ids, dist
 }
 
 // closest returns the k closest entries of id's view in increasing
@@ -451,66 +487,60 @@ func (p *Protocol) closest(scr *scratch, id sim.NodeID, k int) []int32 {
 func prefix(s []int32, k int) []int32 { return s[:min(k, len(s))] }
 
 // merge folds received descriptors into owner's view and keeps the
-// entries closest to owner's position, up to the view cap. The candidates
-// (the view plus the received ids it lacks) are assembled on the worker
-// slot's scratch and only the capped selection is written back into
-// owner's row, so merges allocate nothing and a row never holds more than
-// restCap ids. Every merge that adds entries leaves the view sorted and
-// stamped: a ranked view only ranks the new entries and merges them in
-// linearly (mergeRanked); any other view is selected in full.
-func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []int32) {
+// entries closest to owner's position, up to the view cap. received must
+// be sorted by (distance to owner, id), as buildBuffer leaves a message,
+// and recvDist must hold those distances. ownIDs/ownDist, when not nil,
+// are owner's view sorted the same way with its distances, as rankView
+// returns them in the same step; otherwise merge computes them, sorting a
+// view that is not ranked. The new entries (the received ids the view
+// lacks) then merge into the sorted view in one linear pass written back
+// into owner's row, so merges allocate nothing and a row never holds more
+// than restCap ids. Every merge that adds entries leaves the view sorted
+// and stamped; one that adds none changes nothing.
+func (p *Protocol) merge(e *sim.Engine, scr *scratch, owner sim.NodeID, received []int32, recvDist []float64, ownIDs []int32, ownDist []float64) {
 	view := p.views[owner]
-	wasRanked := p.ranked(owner)
 	stamp, gen := scr.seen.Next(e.NumNodes())
 	stamp[owner] = gen
 	for _, v := range view {
 		stamp[v] = gen
 	}
-	cand := append(scr.candBuf[:0], view...)
-	for _, r := range received {
+	fresh, freshDist := scr.fresh[:0], scr.freshDist[:0]
+	for i, r := range received {
 		if stamp[r] != gen && e.Alive(sim.NodeID(r)) {
 			stamp[r] = gen
-			cand = append(cand, r)
+			fresh = append(fresh, r)
+			freshDist = append(freshDist, recvDist[i])
 		}
 	}
-	scr.candBuf = cand
-	if len(cand) == len(view) {
+	scr.fresh, scr.freshDist = fresh, freshDist
+	if len(fresh) == 0 {
 		// Nothing new, and a view never exceeds the cap: the order and
 		// stamp stand.
 		return
 	}
-	if wasRanked {
-		p.views[owner] = p.mergeRanked(scr, view, cand, len(view), p.pos(owner))
-	} else {
-		sel := p.selectClosest(scr, cand, p.pos(owner), min(len(cand), viewCap))
-		p.views[owner] = view[:copy(view[:len(sel)], sel)]
+	if ownIDs == nil {
+		ownIDs, ownDist = p.viewDistances(scr, owner)
+		if !p.ranked(owner) {
+			topk.SmallestK(ownDist, ownIDs, len(ownIDs))
+		}
 	}
+	p.views[owner] = mergeSorted(view[:min(len(view)+len(fresh), viewCap)], ownIDs, ownDist, fresh, freshDist)
 	_, p.rankedAt[owner] = p.clock()
 }
 
-// mergeRanked writes into row's backing array, and returns, the
-// min(len(cand), viewCap) entries of cand closest to target, sorted by
-// (distance, id), given that cand[:n0] is already so sorted; row's
-// capacity must hold them. Only the new entries cand[n0:] are sorted
-// (received buffers usually arrive sorted against the same target, so
-// that is one insertion-sort pass); one linear merge then replaces the
-// selection over all candidates. The result equals selectClosest(cand,
-// target, min(len(cand), viewCap)).
-func (p *Protocol) mergeRanked(scr *scratch, row, cand []int32, n0 int, target space.Point) []int32 {
-	dist, ids := scr.sel.Get(len(cand))
-	copy(ids, cand)
-	p.distances(dist, ids, target)
-	topk.SmallestK(dist[n0:], ids[n0:], len(ids)-n0)
-	out := row[:min(len(ids), viewCap)]
-	i, j := 0, n0
+// mergeSorted fills out with the len(out) first entries, by (distance, id),
+// of the union of two runs that are each sorted so and share no id: a's
+// ids and distances, and b's. It returns out, which must not overlap
+// either run. Ties on distance break toward the lower id, as in topk, so
+// out equals a selection over the union.
+func mergeSorted(out, aIDs []int32, aDist []float64, bIDs []int32, bDist []float64) []int32 {
+	i, j := 0, 0
 	for k := range out {
-		// Take the ranked entry unless the new one orders first; ties on
-		// distance break toward the lower id, as in topk.
-		if j == len(ids) || i < n0 && (dist[i] < dist[j] || dist[i] == dist[j] && ids[i] < ids[j]) {
-			out[k] = ids[i]
+		if j == len(bIDs) || i < len(aIDs) && (aDist[i] < bDist[j] || aDist[i] == bDist[j] && aIDs[i] < bIDs[j]) {
+			out[k] = aIDs[i]
 			i++
 		} else {
-			out[k] = ids[j]
+			out[k] = bIDs[j]
 			j++
 		}
 	}
