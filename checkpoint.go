@@ -124,7 +124,13 @@ func (s *System) Snapshot(w io.Writer) error {
 // ExchangeParallelism may differ). The file's checksum, format version
 // and configuration digest are all verified before any state is touched,
 // so a corrupted, truncated or mismatched snapshot never yields a
-// partially restored system.
+// partially restored system. One case is not covered: a well-formed
+// file whose body is refused once the engine has begun to restore — a
+// protocol layer refuses its section, or bytes trail the engine state;
+// a crafted file or a foreign build's can do either — leaves the system
+// partly restored (the engine's round, liveness and meter and the layers
+// before the refusing one already replaced), so discard the system after
+// such an error.
 func (s *System) Restore(rd io.Reader) error {
 	r, err := snap.ReadEnvelope(rd, systemKind)
 	if err != nil {

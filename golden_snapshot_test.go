@@ -51,11 +51,12 @@ func systemSnapshotBytes(t *testing.T, sys *System) []byte {
 
 // TestGoldenSystemSnapshotRestores pins the facade's snapshot format in
 // both modes. Each checked-in version 1 snapshot and its version 2 twin
-// (*.v2.psysnap) carry one body; both restore, and each re-snapshot equals
-// the version 3 twin (*.v3.psysnap, written once by restoring the version
-// 1 file and snapshotting again), which restores and re-snapshots to
-// itself. Five more rounds from any of the three equal an uninterrupted
-// run of the same script.
+// (*.v2.psysnap) carry one body. Both restore, as does the version 3 twin
+// (*.v3.psysnap), and each re-snapshot equals the version 4 twin
+// (*.v4.psysnap, written once by restoring the version 1 file and
+// snapshotting again), which restores and re-snapshots to itself. Five
+// more rounds from any of the four equal an uninterrupted run of the same
+// script.
 func TestGoldenSystemSnapshotRestores(t *testing.T) {
 	for _, tc := range []struct {
 		file     string
@@ -65,9 +66,9 @@ func TestGoldenSystemSnapshotRestores(t *testing.T) {
 		{"system_baseline_8x4_r8.psysnap", true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			var goldens [][]byte // versions 1, 2 and 3
+			var goldens [][]byte // versions 1 to 4
 			stem := strings.TrimSuffix(tc.file, ".psysnap")
-			for _, name := range []string{tc.file, stem + ".v2.psysnap", stem + ".v3.psysnap"} {
+			for _, name := range []string{tc.file, stem + ".v2.psysnap", stem + ".v3.psysnap", stem + ".v4.psysnap"} {
 				b, err := os.ReadFile("testdata/" + name)
 				if err != nil {
 					t.Fatal(err)
@@ -100,8 +101,8 @@ func TestGoldenSystemSnapshotRestores(t *testing.T) {
 				if got := sys.Round(); got != 8 {
 					t.Fatalf("restored round = %d, want 8", got)
 				}
-				if !bytes.Equal(systemSnapshotBytes(t, sys), goldens[2]) {
-					t.Fatalf("re-snapshot of the version %d golden snapshot is not byte-identical to its version 3 twin", i+1)
+				if !bytes.Equal(systemSnapshotBytes(t, sys), goldens[3]) {
+					t.Fatalf("re-snapshot of the version %d golden snapshot is not byte-identical to its version 4 twin", i+1)
 				}
 				restored = append(restored, sys)
 			}

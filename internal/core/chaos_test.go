@@ -12,7 +12,8 @@ package core
 //     ghost) is eventually hosted again (conservation under recovery);
 //   - positions are always valid points of the data space;
 //   - every target of a live origin holds exactly what the origin last
-//     pushed (checkReplicaRuns).
+//     pushed (checkReplicaRuns);
+//   - HoldersOf is exactly guests⁻¹ over the live nodes (checkHolders).
 
 import (
 	"slices"
@@ -162,14 +163,37 @@ func checkReplicaRuns(t *testing.T, st *stack) {
 	}
 }
 
+// checkHolders asserts that HoldersOf answers guests⁻¹ over the live
+// nodes exactly: for every interned point, the live nodes hosting it as a
+// guest, ascending, and nothing for a point no live node hosts.
+func checkHolders(t *testing.T, st *stack) {
+	t.Helper()
+	p := st.poly
+	want := make([][]sim.NodeID, p.cfg.Interner.Len())
+	for _, id := range st.engine.LiveIDs() {
+		p.GuestsFunc(id, func(_ space.Point, pid space.PointID) {
+			want[pid] = append(want[pid], id)
+		})
+	}
+	for pid, w := range want {
+		if got := p.HoldersOf(space.PointID(pid)); !slices.Equal(got, w) {
+			t.Fatalf("HoldersOf(%d) = %v, live guests⁻¹ %v", pid, got, w)
+		}
+	}
+	if got := p.HoldersOf(space.PointID(len(want))); got != nil {
+		t.Fatalf("HoldersOf past the interner = %v", got)
+	}
+}
+
 func TestChaosChurnPlusReinjection(t *testing.T) {
 	// Mixed workload: converge, crash a region, trickle-inject newcomers
-	// while random churn continues. The replica layout is checked after
-	// every round, sequentially and under the batch scheduler, with the
-	// perfect detector and with one that reports a crash two rounds late:
-	// a dead target then stays kept, and backup skips the push to it while
-	// the guest set is unchanged. Halfway through the churn the stack is
-	// snapshotted and restored into a fresh one, which carries on.
+	// while random churn continues. The replica layout and the guests⁻¹
+	// table are checked after every round, sequentially and under the
+	// batch scheduler, with the perfect detector and with one that reports
+	// a crash two rounds late: a dead target then stays kept, and backup
+	// skips the push to it while the guest set is unchanged. Halfway
+	// through the churn the stack is snapshotted and restored into a fresh
+	// one, which carries on.
 	for _, c := range []struct {
 		name  string
 		w     int
@@ -186,6 +210,11 @@ func TestChaosChurnPlusReinjection(t *testing.T) {
 			st := newStack(t, opts())
 			st.engine.SetExchangeParallelism(c.w)
 			defer func() { st.engine.Close() }()
+			layout := func() {
+				t.Helper()
+				checkReplicaRuns(t, st)
+				checkHolders(t, st)
+			}
 			// Under the delayed detector a target dies unnoticed for two
 			// rounds, so the backup invariants (live, K of them) hold only
 			// with the perfect one.
@@ -194,12 +223,12 @@ func TestChaosChurnPlusReinjection(t *testing.T) {
 				if c.delay < 0 {
 					checkInvariants(t, st)
 				}
-				checkReplicaRuns(t, st)
+				layout()
 			}
 			rng := xrand.New(4242)
 			for range 8 {
 				st.engine.RunRounds(1)
-				checkReplicaRuns(t, st)
+				layout()
 			}
 			for i, p := range st.points {
 				if space.RightHalf(p, 16) {
@@ -217,7 +246,7 @@ func TestChaosChurnPlusReinjection(t *testing.T) {
 				if round == 15 {
 					st = restoredStack(t, st, opts())
 					st.engine.SetExchangeParallelism(c.w)
-					checkReplicaRuns(t, st)
+					layout()
 				}
 				st.engine.RunRounds(1)
 				check()
@@ -227,7 +256,7 @@ func TestChaosChurnPlusReinjection(t *testing.T) {
 			// after the churn stops before asserting full deduplication.
 			for range 25 {
 				st.engine.RunRounds(1)
-				checkReplicaRuns(t, st)
+				layout()
 			}
 			total := 0
 			for _, id := range st.engine.LiveIDs() {

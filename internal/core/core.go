@@ -29,9 +29,9 @@
 // interner only when a ghost is adopted. Set operations on the hot path
 // (the migration union, the incremental backup delta, ghost adoption) run
 // on generation-stamped ID arrays and pooled scratch buffers instead of
-// string-keyed maps, and the layer maintains an incremental guests⁻¹
-// holders index (PointID → holder nodes) that the evaluation metrics
-// consume in O(holders) per point.
+// string-keyed maps. The evaluation metrics read guests⁻¹ (PointID → the
+// live nodes hosting it) through HoldersOf, in O(holders) per point, from
+// a table the layer rebuilds on demand rather than maintains per step.
 //
 // Invariants (see space.Interner): only canonical points enter the layer —
 // Config.InitialPoint must return canonical (e.g. torus-wrapped)
@@ -57,14 +57,14 @@
 // A Polystyrene step's conflict set is {initiator} ∪ {current backup
 // targets after the top-up} ∪ {migration partner}: those are the only
 // nodes whose layer state the step reads or writes, which lets the engine
-// batch disjoint steps concurrently (sim.Batched). Two cross-cutting
-// structures need care: the guests⁻¹ holders index is keyed by PointID,
-// not NodeID, so its mutations are deferred into per-worker logs and
-// applied at each batch barrier in step order; and the neighbour-window
+// batch disjoint steps concurrently (sim.Batched). The neighbour-window
 // rankings read the *positions* of arbitrary overlay candidates, so the
 // layer copies the position table at the start of its batched pass
 // (Position and PositionTable serve the copy while the pass runs) to make
-// rankings independent of concurrent projections. Pooled scratch lives in
+// rankings independent of concurrent projections. The guests⁻¹ table is
+// keyed by PointID, which no conflict set covers, so batched steps leave
+// it alone: EndBatchedRound marks it stale, on the engine goroutine, and
+// the next HoldersOf rebuilds it. Pooled scratch lives in
 // per-worker slots — slot 0 is the sequential engine's — and the batch
 // matcher mirrors the step's peer/target selection on a dedicated plan
 // scratch without mutating anything.
@@ -268,28 +268,13 @@ type nodeState struct {
 	pushed  []space.PointID
 }
 
-// holderOp is one deferred holders-index mutation of a batched step,
-// applied at the batch barrier in step order.
-type holderOp struct {
-	pid  space.PointID
-	node sim.NodeID
-	add  bool
-}
-
-// stepOps locates one step's contiguous run of deferred ops in its
-// worker's log.
-type stepOps struct {
-	step   int32
-	lo, hi int32
-}
-
 // scratch is one worker slot's pooled step state. pset/nset are
 // generation-stamped membership sets over dense PointIDs and NodeIDs
 // respectively; mergedPts/IDs is the migration union buffer; failedBuf
 // backs recover's sorted origin list; nbrBuf backs the neighbour and
 // random-peer queries of migration and backup placement; splitter is the
 // slot's migration splitter (batched steps point its Rng at the step
-// stream); ops/steps hold the slot's deferred holders-index mutations.
+// stream).
 type scratch struct {
 	pset      genset.Set
 	nset      genset.Set
@@ -298,8 +283,6 @@ type scratch struct {
 	failedBuf []sim.NodeID
 	nbrBuf    []sim.NodeID
 	splitter  Splitter
-	ops       []holderOp
-	steps     []stepOps
 }
 
 // Protocol is the Polystyrene layer. It implements sim.Protocol and
@@ -313,16 +296,15 @@ type Protocol struct {
 	// provider does not offer one (which keeps the layer sequential).
 	wtopo WorkerTopology
 
-	// holders is the incremental guests⁻¹ index: holders.lists[pid] are
-	// the nodes hosting point pid as a guest (possibly including crashed
-	// nodes; readers filter by liveness — see HoldersOf).
-	holders holderIndex
+	// eng is the engine the layer's nodes live in, recorded by InitNode:
+	// HoldersOf reads liveness from it.
+	eng *sim.Engine
+	// holders is the guests⁻¹ table HoldersOf answers from.
+	holders holderTable
 
 	// ws holds one scratch per worker slot; slot 0 is the sequential
-	// engine's. plan backs the matcher's selection mirrors, and flushBuf
-	// stages the step-ordered application of deferred holder ops.
-	ws       []*scratch
-	flushBuf []flushRef
+	// engine's. plan backs the matcher's selection mirrors.
+	ws []*scratch
 
 	plan struct {
 		nset genset.Set
@@ -343,13 +325,6 @@ type Protocol struct {
 	// bits; see PositionClock.
 	moved []uint64
 	clock uint64
-}
-
-// flushRef points FlushBatch at one worker's run of ops for one step.
-type flushRef struct {
-	step   int32
-	worker int32
-	lo, hi int32
 }
 
 var _ sim.Protocol = (*Protocol)(nil)
@@ -374,7 +349,6 @@ func New(cfg Config) (*Protocol, error) {
 		u.UsePositionClock(p.PositionClock)
 	}
 	p.ws = []*scratch{p.newScratch()}
-	p.holders.floor = cfg.K + 1
 	return p, nil
 }
 
@@ -396,6 +370,8 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 	if p.splitter.Rng == nil {
 		p.splitter.Rng = e.Rand().Split()
 	}
+	p.eng = e
+	p.holders.stale = true
 	for len(p.nodes) <= int(id) {
 		p.nodes = append(p.nodes, nil)
 	}
@@ -418,7 +394,6 @@ func (p *Protocol) InitNode(e *sim.Engine, id sim.NodeID) {
 		pid := p.cfg.Interner.Intern(pt)
 		st.guests = []space.Point{pt}
 		st.guestIDs = []space.PointID{pid}
-		p.holders.add(e, pid, id)
 	}
 	p.nodes[id] = st
 }
@@ -432,44 +407,24 @@ func (p *Protocol) Step(e *sim.Engine, id sim.NodeID) {
 
 // StepW implements sim.Batched: the full per-node step under an explicit
 // step context (the sequential Step routes through it byte-identically,
-// with scratch slot 0 and immediate holders-index updates).
+// with scratch slot 0).
 func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 	scr := p.ws[ctx.Worker()]
-	opLo := len(scr.ops)
 	p.recover(ctx, scr, id)
 	p.backup(ctx, scr, id)
 	p.migrate(ctx, scr, id)
 	p.project(ctx, id)
-	if ctx.Batched() {
-		if len(scr.ops) > opLo {
-			scr.steps = append(scr.steps, stepOps{step: int32(ctx.StepIndex()), lo: int32(opLo), hi: int32(len(scr.ops))})
-		}
-	} else {
-		// Batched rounds tick once per round from EndBatchedRound instead:
-		// the trim window must only advance on the engine goroutine.
-		p.holders.tick(1)
-	}
 }
 
-// holderAdd records (or, sequentially, applies) a holders-index insert.
-// The index is keyed by PointID, which no conflict set covers, so batched
-// steps must not touch it directly: mutations queue in the worker's log
-// and FlushBatch applies them at the barrier in step order.
-func (p *Protocol) holderAdd(ctx *sim.StepCtx, scr *scratch, pid space.PointID, n sim.NodeID) {
+// guestsChanged records that st's guest set changed: its position must be
+// projected again, and a sequential step marks the guests⁻¹ table stale.
+// A batched step writes nothing shared; EndBatchedRound marks the table
+// stale for the whole pass.
+func (p *Protocol) guestsChanged(ctx *sim.StepCtx, st *nodeState) {
+	st.posDirty = true
 	if !ctx.Batched() {
-		p.holders.add(ctx.Engine(), pid, n)
-		return
+		p.holders.stale = true
 	}
-	scr.ops = append(scr.ops, holderOp{pid: pid, node: n, add: true})
-}
-
-// holderRemove is holderAdd's removal counterpart.
-func (p *Protocol) holderRemove(ctx *sim.StepCtx, scr *scratch, pid space.PointID, n sim.NodeID) {
-	if !ctx.Batched() {
-		p.holders.remove(pid, n)
-		return
-	}
-	scr.ops = append(scr.ops, holderOp{pid: pid, node: n})
 }
 
 // --- Recovery (Algorithm 2) ---
@@ -506,7 +461,7 @@ func (p *Protocol) recover(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 		off += int(r.n)
 		if len(failed) > 0 && sim.NodeID(r.origin) == failed[0] {
 			failed = failed[1:]
-			p.adoptGhosts(ctx, scr, st, id, sim.NodeID(r.origin), run)
+			p.adoptGhosts(ctx, scr, st, run)
 			continue
 		}
 		runs[keptRuns] = r
@@ -516,14 +471,10 @@ func (p *Protocol) recover(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	st.ghostRuns, st.ghostIDs = runs[:keptRuns], ids[:keptIDs]
 }
 
-// adoptGhosts merges a failed origin's ghost run into id's guests,
+// adoptGhosts merges a failed origin's ghost run into st's guests,
 // skipping points already hosted (set union by interned ID, novel points
-// appended in run order and resolved through the interner), and retires
-// the dead origin's stale entries from the holders index.
-func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, id, origin sim.NodeID, run []space.PointID) {
-	for _, pid := range run {
-		p.holderRemove(ctx, scr, pid, origin)
-	}
+// appended in run order and resolved through the interner).
+func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, run []space.PointID) {
 	in := p.cfg.Interner
 	mark, gen := scr.pset.Next(in.Len())
 	for _, pid := range st.guestIDs {
@@ -537,11 +488,8 @@ func (p *Protocol) adoptGhosts(ctx *sim.StepCtx, scr *scratch, st *nodeState, id
 			st.guestIDs = append(st.guestIDs, pid)
 		}
 	}
-	for _, pid := range st.guestIDs[before:] {
-		p.holderAdd(ctx, scr, pid, id)
-	}
 	if len(st.guestIDs) > before {
-		st.posDirty = true
+		p.guestsChanged(ctx, st)
 	}
 }
 
@@ -765,29 +713,22 @@ func (p *Protocol) migrate(ctx *sim.StepCtx, scr *scratch, id sim.NodeID) {
 	// Pull: q ships its guests to p; push: p ships q's new set back.
 	ctx.Charge((len(qst.guests) + len(toQ)) * ptCost)
 
-	p.setGuests(ctx, scr, id, pst, toP, idsP)
-	p.setGuests(ctx, scr, q, qst, toQ, idsQ)
+	p.setGuests(ctx, pst, toP, idsP)
+	p.setGuests(ctx, qst, toQ, idsQ)
 	p.project(ctx, q) // q's position moves with its new guest set
 }
 
 // setGuests replaces st's guest set with a split result (whose slices
-// alias splitter scratch), maintaining the holders index and the
-// projection dirty flag. An unchanged set — the steady-state common case,
-// where migration hands every point back to its holder — costs a single
-// ID-slice comparison and leaves the cached medoid valid.
-func (p *Protocol) setGuests(ctx *sim.StepCtx, scr *scratch, id sim.NodeID, st *nodeState, pts []space.Point, ids []space.PointID) {
+// alias splitter scratch). An unchanged set — the steady-state common
+// case, where migration hands every point back to its holder — costs a
+// single ID-slice comparison and leaves the cached medoid valid.
+func (p *Protocol) setGuests(ctx *sim.StepCtx, st *nodeState, pts []space.Point, ids []space.PointID) {
 	if slices.Equal(st.guestIDs, ids) {
 		return
 	}
-	for _, pid := range st.guestIDs {
-		p.holderRemove(ctx, scr, pid, id)
-	}
-	for _, pid := range ids {
-		p.holderAdd(ctx, scr, pid, id)
-	}
 	st.guests = append(st.guests[:0], pts...)
 	st.guestIDs = append(st.guestIDs[:0], ids...)
-	st.posDirty = true
+	p.guestsChanged(ctx, st)
 }
 
 // --- Projection (Sec. III-C) ---
@@ -880,8 +821,7 @@ func (p *Protocol) BeginBatchedRound(e *sim.Engine, workers int) {
 // {id} ∪ {backup targets surviving the prune} ∪ {targets the top-up will
 // pick} ∪ {the migration partner} — by mirroring the step's selection
 // sequence draw-for-draw on the throwaway stream, without mutating
-// anything. Holder-index updates touch no node state and are excluded by
-// design (they are deferred to FlushBatch).
+// anything.
 func (p *Protocol) PlanStep(e *sim.Engine, rng *xrand.Rand, id sim.NodeID, dst []sim.NodeID) []sim.NodeID {
 	dst = append(dst, id)
 	st := p.nodes[id]
@@ -972,42 +912,17 @@ func (p *Protocol) planTopoNeighbors(dst []sim.NodeID, id sim.NodeID, k int) []s
 	return p.wtopo.AppendNeighborsPlan(dst, id, k)
 }
 
-// FlushBatch implements sim.Batched: it applies every holder-index
-// mutation the batch's steps deferred, in step order — exactly the
-// sequence a sequential execution of the batch would have produced, so
-// the index contents are byte-identical at every worker count.
-func (p *Protocol) FlushBatch(e *sim.Engine) {
-	refs := p.flushBuf[:0]
-	for w, scr := range p.ws {
-		for _, so := range scr.steps {
-			refs = append(refs, flushRef{step: so.step, worker: int32(w), lo: so.lo, hi: so.hi})
-		}
-	}
-	slices.SortFunc(refs, func(a, b flushRef) int { return int(a.step) - int(b.step) })
-	for _, ref := range refs {
-		for _, op := range p.ws[ref.worker].ops[ref.lo:ref.hi] {
-			if op.add {
-				p.holders.add(e, op.pid, op.node)
-			} else {
-				p.holders.remove(op.pid, op.node)
-			}
-		}
-	}
-	p.flushBuf = refs[:0]
-	for _, scr := range p.ws {
-		scr.ops, scr.steps = scr.ops[:0], scr.steps[:0]
-	}
-}
+// FlushBatch implements sim.Batched (a step defers nothing).
+func (p *Protocol) FlushBatch(e *sim.Engine) {}
 
 // EndBatchedRound implements sim.Batched, restoring live Position reads
 // before observers run, stamping the rows the pass moved on the position
-// clock, and advancing the holders-index trim window by the round's step
-// count (the per-step clock and tick of the sequential path must not run
-// on concurrent workers).
+// clock, and marking the guests⁻¹ table stale (the sequential path's
+// per-step clock and stale mark must not run on concurrent workers).
 func (p *Protocol) EndBatchedRound(e *sim.Engine) {
 	p.snapOn = false
 	p.stampMoved()
-	p.holders.tick(e.NumLive())
+	p.holders.stale = true
 }
 
 // --- Accessors (used by the position func, metrics and tests) ---
@@ -1081,150 +996,86 @@ func (p *Protocol) NumGuests(id sim.NodeID) int { return len(p.nodes[id].guests)
 // NumGhosts returns how many ghost points the node stores.
 func (p *Protocol) NumGhosts(id sim.NodeID) int { return len(p.nodes[id].ghostIDs) }
 
-// HoldersOf returns the nodes currently hosting the interned point as a
-// guest. The returned slice is the protocol's live index — callers must
-// not retain or mutate it, and it may contain crashed nodes (a crash is
-// not an observable transition; readers filter by engine liveness). It
-// satisfies metrics.HolderIndex.
+// HoldersOf returns the live nodes hosting the interned point as a guest,
+// in ascending order, and satisfies metrics.HolderIndex. It answers from
+// a table of guests⁻¹ over the live nodes, which it rebuilds first when a
+// guest set may have changed since the last build (a join, a restore, a
+// sequential step that changed guests, a batched pass) or a node has
+// crashed. A round's readers therefore share one build. The result is
+// read-only and valid until the next round, join, crash or restore; like
+// every accessor, HoldersOf must not run concurrently with the engine.
+// Before the first InitNode the layer knows no engine and counts every
+// node with state as live.
 func (p *Protocol) HoldersOf(pid space.PointID) []sim.NodeID {
-	return p.holders.of(pid)
-}
-
-// HoldersIndexFootprint reports the holders index's entry count, its
-// total backing capacity (in entries), and the capacity bound the trim
-// discipline settles under once the system is calm. Diagnostics for the
-// memory soak tests: capacity transiently exceeds the bound during a
-// recovery wave and is trimmed back under it against the decaying
-// high-water mark afterwards.
-func (p *Protocol) HoldersIndexFootprint() (entries, capacity, slackBound int) {
-	return p.holders.footprint()
-}
-
-// --- holders index ---
-
-// Holders-list trimming parameters. A recovery wave reactivates ghosts
-// eagerly, so holder lists transiently grow well past their steady-state
-// length of ~1 — appended to one holder at a time, doubling their backing
-// arrays — and once migration has deduplicated the copies the lists
-// shrink back but their capacity stays pinned, list by list, run-long
-// (~3x the entry count after a couple of waves at 12,800 nodes). The trim
-// window closes every holderTrimWindow protocol steps; the window's
-// largest observed list length is the decaying high-water mark that gates
-// it: a calm window (high-water mark at most K+1, i.e. no recovery wave
-// in flight) compacts every list whose capacity exceeds holderTrimSlack
-// times its current length, while a hot window trims nothing — lists
-// about to regrow should keep their capacity. Trimming only changes
-// capacities, never contents, so it is invisible to results at every
-// worker count.
-const (
-	holderTrimWindow = 4096
-	holderTrimSlack  = 2
-)
-
-// holderIndex is the incremental guests⁻¹ map: for each PointID, the nodes
-// hosting that point as a guest. Lists are tiny (one holder in steady
-// state, ~K+1 transiently after a recovery wave), so membership updates
-// are linear scans and removal is swap-remove; list order is therefore
-// arbitrary, which is fine for the order-independent (min / any-live)
-// queries the metrics run. floor / steps / hwMark drive the decaying
-// high-water-mark capacity trim (see the constants above).
-type holderIndex struct {
-	lists  [][]sim.NodeID
-	floor  int
-	steps  int
-	hwMark int
-}
-
-// add appends n to pid's holder list, first compacting out entries whose
-// nodes have crashed since they were indexed — a crash is not an
-// observable transition for the maintainer, so dead entries are retired
-// here. Only the lists of points that never gain a holder again (lost
-// points) can retain dead entries indefinitely, which bounds the index by
-// the universe size even under sustained churn.
-func (h *holderIndex) add(e *sim.Engine, pid space.PointID, n sim.NodeID) {
-	for len(h.lists) <= int(pid) {
-		h.lists = append(h.lists, nil)
-	}
-	l := h.lists[pid]
-	kept := l[:0]
-	for _, v := range l {
-		if e.Alive(v) {
-			kept = append(kept, v)
-		}
-	}
-	kept = append(kept, n)
-	h.lists[pid] = kept
-	if len(kept) > h.hwMark {
-		h.hwMark = len(kept)
-	}
-}
-
-// tick advances the trim window by n protocol steps and, when a calm
-// window closes (largest list length seen at most the K+1 floor — a
-// recovery wave in flight shows up as longer lists, and its lists should
-// keep their capacity), compacts every list whose capacity outgrew
-// holderTrimSlack times its current length. Lists at capacity <=
-// holderTrimSlack are never compacted: the steady-state 1<->2 holder
-// flutter of migration would otherwise thrash reallocations. Called once
-// per sequential step and once per batched round (with the round's step
-// count) — always from the engine goroutine, so the sweep never races
-// with workers.
-func (h *holderIndex) tick(n int) {
-	h.steps += n
-	if h.steps < holderTrimWindow {
-		return
-	}
-	if h.hwMark <= h.floor {
-		for i, l := range h.lists {
-			if cap(l) > holderTrimSlack*len(l) && cap(l) > holderTrimSlack {
-				compact := make([]sim.NodeID, len(l))
-				copy(compact, l)
-				h.lists[i] = compact
-			}
-		}
-	}
-	h.steps, h.hwMark = 0, 0
-}
-
-// footprint returns the index's entry count, its total list capacity (in
-// entries), and the exact capacity bound the trim discipline promises
-// once a calm window has closed: per allocated list, holderTrimSlack
-// times its length, but never below holderTrimSlack (tick exempts
-// cap <= holderTrimSlack lists to avoid thrash).
-func (h *holderIndex) footprint() (entries, capacity, slackBound int) {
-	for _, l := range h.lists {
-		entries += len(l)
-		capacity += cap(l)
-		if cap(l) > 0 {
-			b := holderTrimSlack * len(l)
-			if b < holderTrimSlack {
-				b = holderTrimSlack
-			}
-			slackBound += b
-		}
-	}
-	return entries, capacity, slackBound
-}
-
-func (h *holderIndex) remove(pid space.PointID, n sim.NodeID) {
-	if int(pid) >= len(h.lists) {
-		return
-	}
-	l := h.lists[pid]
-	for i, v := range l {
-		if v == n {
-			l[i] = l[len(l)-1]
-			h.lists[pid] = l[:len(l)-1]
-			return
-		}
-	}
-}
-
-func (h *holderIndex) of(pid space.PointID) []sim.NodeID {
-	if int(pid) >= len(h.lists) {
+	h := p.holdersTable()
+	if int(pid) >= len(h.off)-1 {
 		return nil
 	}
-	return h.lists[pid]
+	lo, hi := h.off[pid], h.off[pid+1]
+	return h.ids[lo:hi:hi]
+}
+
+// HoldersIndexFootprint reports the guests⁻¹ table HoldersOf reads,
+// rebuilt first if stale: its entry count (live holdings), the capacity
+// of its entry array, and that capacity again as the bound the table
+// never exceeds.
+func (p *Protocol) HoldersIndexFootprint() (entries, capacity, bound int) {
+	h := p.holdersTable()
+	return len(h.ids), cap(h.ids), cap(h.ids)
+}
+
+// holderTable is guests⁻¹ over the live nodes as a counting sort: point
+// pid's holders are ids[off[pid]:off[pid+1]], ascending. stale and live
+// decide when it must be rebuilt: stale is set whenever a guest set may
+// have changed, and live is the engine's live count at the build, which
+// drops with every crash (a join sets stale).
+type holderTable struct {
+	stale bool
+	live  int
+	off   []int32
+	ids   []sim.NodeID
+}
+
+// holdersTable returns the guests⁻¹ table, first rebuilding it if stale:
+// count every live node's guests per point, turn the counts into run ends
+// by a prefix sum, then fill each run back to front from the highest node
+// down, which leaves off[pid] at the run's start and every run ascending.
+func (p *Protocol) holdersTable() *holderTable {
+	h := &p.holders
+	if !h.stale && (p.eng == nil || p.eng.NumLive() == h.live) {
+		return h
+	}
+	alive := func(id int) bool {
+		return p.nodes[id] != nil && (p.eng == nil || p.eng.Alive(sim.NodeID(id)))
+	}
+	np := p.cfg.Interner.Len()
+	off := slices.Grow(h.off[:0], np+1)[:np+1]
+	clear(off)
+	for id, st := range p.nodes {
+		if alive(id) {
+			for _, pid := range st.guestIDs {
+				off[pid]++
+			}
+		}
+	}
+	for i := 1; i <= np; i++ {
+		off[i] += off[i-1]
+	}
+	n := int(off[np])
+	ids := slices.Grow(h.ids[:0], n)[:n]
+	for id := len(p.nodes) - 1; id >= 0; id-- {
+		if alive(id) {
+			for _, pid := range p.nodes[id].guestIDs {
+				off[pid]--
+				ids[off[pid]] = sim.NodeID(id)
+			}
+		}
+	}
+	h.off, h.ids, h.stale = off, ids, false
+	if p.eng != nil {
+		h.live = p.eng.NumLive()
+	}
+	return h
 }
 
 // --- point-set helpers ---

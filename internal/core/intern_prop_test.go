@@ -2,15 +2,17 @@ package core
 
 // Property tests pinning the interned-ID point-set operations to their
 // string-Key() predecessors: the ID-keyed union (unionInto), the
-// generation-stamped backup delta (pushDelta) and the incremental holders
-// index must agree with map-of-Key oracles on random point multisets and
-// under randomised churn. Together with the byte-identical golden
-// trajectories these are the licence for the representation swap.
+// generation-stamped backup delta (pushDelta) and the on-demand guests⁻¹
+// table (HoldersOf) must agree with map-of-Key oracles on random point
+// multisets and under randomised churn. Together with the byte-identical
+// golden trajectories these are the licence for the representation swap.
 
 import (
+	"fmt"
 	"testing"
 
 	"polystyrene/internal/sim"
+	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
 	"polystyrene/internal/xrand"
 )
@@ -118,30 +120,58 @@ func oracleHolders(st *stack) map[string][]sim.NodeID {
 	return out
 }
 
+// TestHoldersIndexMatchesFullScanUnderChurn drives the full stack through
+// convergence, a catastrophe, random churn and reinjection, sequentially
+// and under the batch scheduler; after every round HoldersOf must equal
+// the rebuilt guests⁻¹ map, and guest state must stay in lockstep with
+// its IDs. Then it fires each event that can outdate the table — a join
+// between rounds (paired with a crash, so the live count holds), a Step
+// called directly, a RestoreState of an earlier state with the same live
+// count — right after a build, and checks the table at once.
 func TestHoldersIndexMatchesFullScanUnderChurn(t *testing.T) {
-	// Drive the full stack through convergence, a catastrophe, random
-	// churn and reinjection; after every round the live-filtered holders
-	// index must equal the rebuilt guests⁻¹ map, and guest state must stay
-	// in lockstep with its IDs.
-	st := newStack(t, stackOpts{seed: 321, w: 12, h: 6, cfg: Config{K: 3}})
+	for _, w := range []int{0, 2} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			st := newStack(t, stackOpts{seed: 321, w: 12, h: 6, cfg: Config{K: 3}})
+			st.engine.SetExchangeParallelism(w)
+			defer func() { st.engine.Close() }()
+			holdersMatchUnderChurn(t, st)
+		})
+	}
+	// Adoption alone: one of two nodes crashes, and the survivor's direct
+	// Step adopts its ghosts with no live partner left to migrate with.
+	t.Run("adoption", func(t *testing.T) {
+		st := newStack(t, stackOpts{seed: 5, w: 2, h: 1, cfg: Config{K: 1}})
+		st.engine.RunRounds(3)
+		st.engine.Kill(1)
+		checkHolders(t, st)
+		before := st.poly.NumGuests(0)
+		st.poly.Step(st.engine, 0)
+		if st.poly.NumGuests(0) <= before {
+			t.Fatalf("node 0 hosts %d guests after adopting, %d before", st.poly.NumGuests(0), before)
+		}
+		checkHolders(t, st)
+	})
+}
+
+func holdersMatchUnderChurn(t *testing.T, st *stack) {
 	rng := xrand.New(999)
 	in := st.poly.cfg.Interner
 
-	check := func(round int) {
+	check := func(when string) {
 		t.Helper()
 		oracle := oracleHolders(st)
 		seen := 0
 		for pid := 0; pid < in.Len(); pid++ {
 			pt := in.PointOf(space.PointID(pid))
-			var live []sim.NodeID
-			for _, id := range st.poly.HoldersOf(space.PointID(pid)) {
-				if st.engine.Alive(id) {
-					live = append(live, id)
+			live := st.poly.HoldersOf(space.PointID(pid))
+			for _, id := range live {
+				if !st.engine.Alive(id) {
+					t.Fatalf("%s: point %v has crashed holder %d", when, pt, id)
 				}
 			}
 			want := oracle[pt.Key()]
 			if len(live) != len(want) {
-				t.Fatalf("round %d: point %v holders %v, oracle %v", round, pt, live, want)
+				t.Fatalf("%s: point %v holders %v, oracle %v", when, pt, live, want)
 			}
 			wantSet := map[sim.NodeID]bool{}
 			for _, id := range want {
@@ -149,7 +179,7 @@ func TestHoldersIndexMatchesFullScanUnderChurn(t *testing.T) {
 			}
 			for _, id := range live {
 				if !wantSet[id] {
-					t.Fatalf("round %d: point %v has spurious holder %d (oracle %v)", round, pt, id, want)
+					t.Fatalf("%s: point %v has spurious holder %d (oracle %v)", when, pt, id, want)
 				}
 			}
 			seen += len(live)
@@ -161,24 +191,35 @@ func TestHoldersIndexMatchesFullScanUnderChurn(t *testing.T) {
 			total += len(hs)
 		}
 		if seen != total {
-			t.Fatalf("round %d: index covers %d holdings, oracle %d", round, seen, total)
+			t.Fatalf("%s: index covers %d holdings, oracle %d", when, seen, total)
 		}
 		// Lockstep invariant: guests and guestIDs resolve to each other.
 		for _, id := range st.engine.LiveIDs() {
 			ns := st.poly.nodes[id]
 			if len(ns.guests) != len(ns.guestIDs) {
-				t.Fatalf("round %d: node %d guests/IDs out of lockstep", round, id)
+				t.Fatalf("%s: node %d guests/IDs out of lockstep", when, id)
 			}
 			for i, g := range ns.guests {
 				if !in.PointOf(ns.guestIDs[i]).Equal(g) {
-					t.Fatalf("round %d: node %d guest %d ID mismatch", round, id, i)
+					t.Fatalf("%s: node %d guest %d ID mismatch", when, id, i)
 				}
 			}
 		}
 	}
+	// killHost crashes the lowest live node that hosts a guest.
+	killHost := func() {
+		t.Helper()
+		for _, id := range st.engine.LiveIDs() {
+			if st.poly.NumGuests(id) > 0 {
+				st.engine.Kill(id)
+				return
+			}
+		}
+		t.Fatal("no live node hosts a guest")
+	}
 
 	st.engine.RunRounds(5)
-	check(-1)
+	check("converged")
 	for i, pt := range st.points {
 		if space.RightHalf(pt, 12) {
 			st.engine.Kill(sim.NodeID(i))
@@ -193,6 +234,37 @@ func TestHoldersIndexMatchesFullScanUnderChurn(t *testing.T) {
 			st.engine.Kill(live[rng.Intn(len(live))])
 		}
 		st.engine.RunRounds(1)
-		check(round)
+		check(fmt.Sprintf("round %d", round))
 	}
+
+	// A join: a host crashes and a node joins, so the live count the
+	// table was built at holds, and only the join says it is stale.
+	check("before the join")
+	killHost()
+	st.engine.AddNodes(1)
+	check("after a crash and a join")
+
+	// Steps called directly, outside any round, after a crash: the
+	// crashed host's backup targets adopt its ghosts.
+	killHost()
+	check("after a crash")
+	for _, id := range st.engine.LiveIDs() {
+		st.poly.Step(st.engine, id)
+		check(fmt.Sprintf("after a direct Step of node %d", id))
+	}
+
+	// A restore of an earlier state with the same live count: snapshot
+	// right after a crash, let a round adopt the crashed host's ghosts,
+	// build the table, then restore.
+	killHost()
+	var w snap.Writer
+	if err := st.engine.SnapshotState(&w); err != nil {
+		t.Fatal(err)
+	}
+	st.engine.RunRounds(1)
+	check("after the round past the snapshot")
+	if err := st.engine.RestoreState(snap.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	check("after RestoreState")
 }

@@ -12,15 +12,16 @@ import (
 var _ sim.Snapshotter = (*Protocol)(nil)
 
 // SnapshotState implements sim.Snapshotter for the Polystyrene layer. It
-// owns three pieces of durable state beyond the per-node Table I records:
+// owns two pieces of durable state beyond the per-node Table I records:
 // the shared point interner (the layer is its authority — every PointID
-// in the snapshot is relative to the table serialized here), the
-// incremental holders index including its trim-window counters, and the
+// in the snapshot is relative to the table serialized here) and the
 // splitter's private random stream (consumed by diameter sampling, so it
 // is part of the trajectory). The failure detector travels in this
 // section too: it is configuration from the engine's point of view, but
 // stateful detectors (fd.Delayed) influence recovery and must resume
-// exactly.
+// exactly. The guests⁻¹ table is derived from the guest sets and is not
+// written; snapshot versions 1 to 3 carried an incrementally kept holders
+// index, which RestoreState checks and drops.
 //
 // Guests and ghosts are serialized as interned PointIDs only; their
 // point slices are rebuilt from the restored interner. Node positions are
@@ -79,18 +80,6 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		}
 	}
 
-	// Holders index with its trim high-water state. floor is config
-	// (K+1) and is not serialized.
-	w.Count(len(p.holders.lists))
-	for _, l := range p.holders.lists {
-		w.Count(len(l))
-		for _, n := range l {
-			w.I32(int(n))
-		}
-	}
-	w.Int(p.holders.steps)
-	w.Int(p.holders.hwMark)
-
 	// Stateful detector, if any.
 	if ds, ok := p.cfg.Detector.(sim.Snapshotter); ok {
 		w.Bool(true)
@@ -113,16 +102,16 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // outside the point table, a node position whose dimension is not the
 // space's, a ghost origin or backup target outside [0, n) or naming its
 // own node, ghost origins that do not strictly ascend, a repeated target,
-// targets whose pushed lists differ, and a holders entry outside [0, n),
-// n being the section's node count. Two refusals show only while applying
-// — a duplicate point in the interner table, and a detector section the
-// detector refuses or does not consume exactly — and both put back what
-// they changed.
+// targets whose pushed lists differ, and, in a version 1 to 3 section, a
+// holders entry outside [0, n), n being the section's node count. Two
+// refusals show only while applying — a duplicate point in the interner
+// table, and a detector section the detector refuses or does not consume
+// exactly — and both put back what they changed.
 //
 // Every per-node slice — guests, ghost runs and their IDs, backup targets,
-// pushed sets, holders lists and the interned points' coordinates — is
-// carved from an arena, and the node records from one array, so a restore
-// allocates per chunk rather than per object. Arena slices have exact
+// pushed sets and the interned points' coordinates — is carved from an
+// arena, and the node records from one array, so a restore allocates per
+// chunk rather than per object. Arena slices have exact
 // capacity, as separately made ones would: the first append to any of
 // them reallocates it.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
@@ -262,24 +251,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		nodes[i] = st
 	}
 
-	nLists := r.Count(4)
-	lists := make([][]sim.NodeID, nLists)
-	for i := range lists {
-		l := nids.Take(r.Count(4))
-		for j := range l {
-			v := r.I32()
-			if v < 0 || v >= nNodes {
-				if err := r.Err(); err != nil {
-					return err
-				}
-				return fmt.Errorf("core: snapshot holders list of PointID %d names node %d (n = %d)", i, v, nNodes)
-			}
-			l[j] = sim.NodeID(v)
+	if r.Version() < 4 {
+		if err := skipHolders(r, nNodes); err != nil {
+			return err
 		}
-		lists[i] = l
 	}
-	steps := r.Int()
-	hwMark := r.Int()
 
 	hasDet := r.Bool()
 	ds, statefulDet := p.cfg.Detector.(sim.Snapshotter)
@@ -328,11 +304,31 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 	for range nNodes {
 		p.moved = append(p.moved, p.clock)
 	}
-	p.holders.lists = lists
-	p.holders.steps = steps
-	p.holders.hwMark = hwMark
+	p.holders.stale = true
 	p.snapOn = false
 	return nil
+}
+
+// skipHolders reads the holders index that versions 1 to 3 carry after
+// the nodes, one list of node ids per PointID and the two counters of its
+// old capacity trim, and drops it: the layer derives guests⁻¹ from the
+// guest sets. Each entry is still refused outside [0, nNodes).
+func skipHolders(r *snap.Reader, nNodes int) error {
+	nLists := r.Count(4)
+	for i := range nLists {
+		for range r.Count(4) {
+			v := r.I32()
+			if v < 0 || v >= nNodes {
+				if err := r.Err(); err != nil {
+					return err
+				}
+				return fmt.Errorf("core: snapshot holders list of PointID %d names node %d (n = %d)", i, v, nNodes)
+			}
+		}
+	}
+	r.Int()
+	r.Int()
+	return r.Err()
 }
 
 // readPID reads one PointID and refuses one outside the point table.

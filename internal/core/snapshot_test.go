@@ -20,6 +20,8 @@ func snapshotOf(p *Protocol) []byte {
 
 // section is a decoded core section, field for field as SnapshotState
 // writes it, so a test can edit one field and encode the rest unchanged.
+// lists, steps and hwMark are the holders index versions 1 to 3 carry
+// after the nodes; version 4 has none.
 type section struct {
 	pts           []space.Point
 	rng           []uint64 // nil when the splitter has no stream
@@ -42,19 +44,15 @@ type runSection struct {
 	ids    []uint32
 }
 
-// readerOf returns a reader over the section b of version 2 or 3.
-func readerOf(b []byte, v2 bool) *snap.Reader {
-	if v2 {
-		return snap.NewVersionReader(b, 2)
-	}
-	return snap.NewReader(b)
+// readerOf returns a reader over the section b of the given version.
+func readerOf(b []byte, version uint8) *snap.Reader {
+	return snap.NewVersionReader(b, uint32(version))
 }
 
-// decodeSection parses a section of version 3 or, with v2 set, of version
-// 2.
-func decodeSection(t testing.TB, b []byte, v2 bool) section {
+// decodeSection parses a section of the given version.
+func decodeSection(t testing.TB, b []byte, version uint8) section {
 	t.Helper()
-	r := readerOf(b, v2)
+	r := readerOf(b, version)
 	var s section
 	readIDs := func() []uint32 {
 		ids := make([]uint32, r.Count(4))
@@ -95,14 +93,16 @@ func decodeSection(t testing.TB, b []byte, v2 bool) section {
 		}
 		s.nodes[i] = &nodeSection{guests: readIDs(), pos: readF64s(), dirty: r.Bool(), ghosts: readRuns(), backups: readRuns()}
 	}
-	s.lists = make([][]int, r.Count(4))
-	for i := range s.lists {
-		s.lists[i] = make([]int, r.Count(4))
-		for j := range s.lists[i] {
-			s.lists[i][j] = r.I32()
+	if version < 4 {
+		s.lists = make([][]int, r.Count(4))
+		for i := range s.lists {
+			s.lists[i] = make([]int, r.Count(4))
+			for j := range s.lists[i] {
+				s.lists[i][j] = r.I32()
+			}
 		}
+		s.steps, s.hwMark = r.Int(), r.Int()
 	}
-	s.steps, s.hwMark = r.Int(), r.Int()
 	if r.Bool() {
 		body := r.String() // a section is laid out as a length-prefixed string
 		s.det = &body
@@ -113,13 +113,13 @@ func decodeSection(t testing.TB, b []byte, v2 bool) section {
 	return s
 }
 
-// encode writes s in version 3 or, with v2 set, in version 2, whose 8-byte
-// fields can hold a value past int32. A detector section is copied as it
-// was decoded.
-func (s section) encode(v2 bool) []byte {
+// encode writes s in the given version: version 2's 8-byte fields can
+// hold a value past int32, and version 4 drops the holders index. A
+// detector section is copied as it was decoded.
+func (s section) encode(version uint8) []byte {
 	var w snap.Writer
 	id, count := w.I32, w.Count
-	if v2 {
+	if version < 3 {
 		id, count = w.Int, w.Len
 	}
 	writeIDs := func(ids []uint32) {
@@ -161,15 +161,17 @@ func (s section) encode(v2 bool) []byte {
 		writeRuns(n.ghosts)
 		writeRuns(n.backups)
 	}
-	count(len(s.lists))
-	for _, l := range s.lists {
-		count(len(l))
-		for _, v := range l {
-			id(v)
+	if version < 4 {
+		count(len(s.lists))
+		for _, l := range s.lists {
+			count(len(l))
+			for _, v := range l {
+				id(v)
+			}
 		}
+		w.Int(s.steps)
+		w.Int(s.hwMark)
 	}
-	w.Int(s.steps)
-	w.Int(s.hwMark)
 	w.Bool(s.det != nil)
 	if s.det != nil {
 		w.String(*s.det)
@@ -201,6 +203,22 @@ func (s section) clone() section {
 	return c
 }
 
+// withHolders returns s with the holders index a version 1 to 3 section
+// would carry for its nodes: every point's list names the nodes hosting
+// it, and the trim counters are arbitrary.
+func withHolders(s section) section {
+	s.lists = make([][]int, len(s.pts))
+	for id, ns := range s.nodes {
+		if ns != nil {
+			for _, pid := range ns.guests {
+				s.lists[pid] = append(s.lists[pid], id)
+			}
+		}
+	}
+	s.steps, s.hwMark = 4000, 5
+	return s
+}
+
 // afterCatastrophe returns a 64-node stack (K = 4) whose right half
 // crashed and whose survivors adopted its ghosts, with 8 nodes then
 // reinjected: their empty guest sets reach their targets as zero-length
@@ -221,16 +239,27 @@ func afterCatastrophe(t testing.TB, cfg Config) *stack {
 	return st
 }
 
-// craft is one section RestoreState must refuse, in either version, and
-// a fragment of the error it must give.
+// craft is one section RestoreState must refuse, and a fragment of the
+// error it must give. A holders craft edits the holders index, so it
+// exists in versions 2 and 3 only; every other craft in all three.
 type craft struct {
-	name string
-	sec  section
-	want string
+	name    string
+	sec     section
+	want    string
+	holders bool
+}
+
+// versions lists the section versions c exists in.
+func (c craft) versions() []uint8 {
+	if c.holders {
+		return []uint8{2, 3}
+	}
+	return []uint8{2, 3, 4}
 }
 
 // craftedSections derives from an honest section one crafted section per
-// refusal RestoreState makes while parsing.
+// refusal RestoreState makes while parsing. honest must carry a holders
+// index (see withHolders).
 func craftedSections(t testing.TB, honest section) []craft {
 	t.Helper()
 	n := len(honest.nodes)
@@ -246,7 +275,7 @@ func craftedSections(t testing.TB, honest section) []craft {
 	add := func(name, want string, edit func(s *section, ns *nodeSection)) {
 		s := honest.clone()
 		edit(&s, s.nodes[i])
-		out = append(out, craft{name, s, want})
+		out = append(out, craft{name: name, sec: s, want: want, holders: strings.HasPrefix(name, "holders")})
 	}
 	last := func(ns *nodeSection) *runSection { return &ns.ghosts[len(ns.ghosts)-1] }
 	add("ghost origin n", "names ghost origin", func(_ *section, ns *nodeSection) { last(ns).origin = n })
@@ -281,35 +310,38 @@ func craftedSections(t testing.TB, honest section) []craft {
 
 // TestRestoreRefusesCraftedSections: every ghost origin and backup target
 // must name another node of the section, origins must strictly ascend,
-// targets must be distinct and share one pushed list, and holders entries
-// must name nodes of the section. The interner table must hold no
-// duplicate point, and the detector must accept and consume its section
-// exactly. Each refusal leaves the protocol, its interner and its detector
-// as they were, and an honest section round-trips byte for byte from
-// either version.
+// targets must be distinct and share one pushed list, and a version 2 or
+// 3 section's holders entries must name nodes of the section. The
+// interner table must hold no duplicate point, and the detector must
+// accept and consume its section exactly. Each refusal leaves the
+// protocol, its interner and its detector as they were. An honest section
+// round-trips byte for byte as version 4, and as version 2 or 3 restores
+// to the same state, its holders index dropped.
 func TestRestoreRefusesCraftedSections(t *testing.T) {
 	st := afterCatastrophe(t, Config{})
 	p := st.poly
 	saved := snapshotOf(p)
-	honest := decodeSection(t, saved, false)
-	if !bytes.Equal(honest.encode(false), saved) {
+	honest := decodeSection(t, saved, 4)
+	if !bytes.Equal(honest.encode(4), saved) {
 		t.Fatal("the test's section codec does not round-trip an honest section")
 	}
-	refuse := func(t *testing.T, p *Protocol, c craft, v2 bool) {
+	honest = withHolders(honest)
+	refuse := func(t *testing.T, p *Protocol, c craft, version uint8) {
 		t.Helper()
 		before, nodes := snapshotOf(p), p.nodes
-		err := p.RestoreState(readerOf(c.sec.encode(v2), v2))
+		err := p.RestoreState(readerOf(c.sec.encode(version), version))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("v2=%v: RestoreState = %v, want an error containing %q", v2, err, c.want)
+			t.Fatalf("v%d: RestoreState = %v, want an error containing %q", version, err, c.want)
 		}
 		if &p.nodes[0] != &nodes[0] || !bytes.Equal(snapshotOf(p), before) {
-			t.Fatalf("v2=%v: a refused restore changed the protocol", v2)
+			t.Fatalf("v%d: a refused restore changed the protocol", version)
 		}
 	}
 	for _, c := range craftedSections(t, honest) {
 		t.Run(c.name, func(t *testing.T) {
-			refuse(t, p, c, false)
-			refuse(t, p, c, true)
+			for _, version := range c.versions() {
+				refuse(t, p, c, version)
+			}
 		})
 	}
 	t.Run("node count other than the engine's", func(t *testing.T) {
@@ -323,12 +355,12 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 			t.Fatal("a refused restore changed the protocol")
 		}
 	})
-	for _, v2 := range []bool{false, true} {
-		if err := p.RestoreState(readerOf(honest.encode(v2), v2)); err != nil {
+	for _, version := range []uint8{2, 3, 4} {
+		if err := p.RestoreState(readerOf(honest.encode(version), version)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(snapshotOf(p), saved) {
-			t.Fatalf("v2=%v: an honest section does not round-trip", v2)
+			t.Fatalf("v%d: an honest section does not round-trip", version)
 		}
 	}
 
@@ -337,29 +369,30 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 	// must still leave the later detector state in place.
 	t.Run("detector section with a trailing byte", func(t *testing.T) {
 		ds := afterCatastrophe(t, Config{Detector: fd.NewDelayed(2)})
-		early := decodeSection(t, snapshotOf(ds.poly), false)
+		early := decodeSection(t, snapshotOf(ds.poly), 4)
 		body := *early.det + "\x00"
 		early.det = &body
 		for _, id := range ds.engine.LiveIDs()[:4] {
 			ds.engine.Kill(id)
 		}
 		ds.engine.RunRounds(1)
-		refuse(t, ds.poly, craft{sec: early, want: "trailing bytes"}, false)
+		refuse(t, ds.poly, craft{sec: early, want: "trailing bytes"}, 4)
 	})
 }
 
-// FuzzRestoreState: no byte string makes RestoreState panic, read as
-// version 3 or as version 2. A section it accepts re-snapshots to the
-// bytes it consumed (re-encoded in version 2 when it was read as version
-// 2); a section it refuses leaves the protocol as it was. The seeds, each
-// in both versions, are an honest section taken after a catastrophe and
-// reinjection (so it holds adopted ghosts and zero-length runs) and one
-// crafted section per refusal.
+// FuzzRestoreState: no byte string makes RestoreState panic, read as any
+// body version. A section it accepts re-snapshots to the bytes it
+// consumed, once those are re-encoded as version 4 (which drops a version
+// 1 to 3 holders index and narrows version 1 and 2's 8-byte fields); a
+// section it refuses leaves the protocol as it was. The seeds, in versions
+// 2, 3 and 4, are an honest section taken after a catastrophe and
+// reinjection (so it holds adopted ghosts and zero-length runs), one
+// crafted section per refusal the version can carry, and a truncation.
 func FuzzRestoreState(f *testing.F) {
 	st := afterCatastrophe(f, Config{})
 	p := st.poly
 	honest := snapshotOf(p)
-	sec := decodeSection(f, honest, false)
+	sec := decodeSection(f, honest, 4)
 	zeroRun := false
 	for _, ns := range sec.nodes {
 		for _, r := range ns.ghosts {
@@ -369,29 +402,32 @@ func FuzzRestoreState(f *testing.F) {
 	if !zeroRun {
 		f.Fatal("the honest seed holds no zero-length ghost run")
 	}
+	sec = withHolders(sec)
 	crafts := craftedSections(f, sec)
-	for _, v2 := range []bool{false, true} {
-		b := sec.encode(v2)
-		f.Add(b, v2)
+	for _, version := range []uint8{4, 3, 2} {
+		b := sec.encode(version)
+		f.Add(b, version)
 		for _, c := range crafts {
-			f.Add(c.sec.encode(v2), v2)
+			if slices.Contains(c.versions(), version) {
+				f.Add(c.sec.encode(version), version)
+			}
 		}
-		f.Add(b[:len(b)-5], v2)
+		f.Add(b[:len(b)-5], version)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, v2 bool) {
+	f.Fuzz(func(t *testing.T, data []byte, version uint8) {
 		before := snapshotOf(p)
-		r := readerOf(data, v2)
+		r := readerOf(data, version)
 		if err := p.RestoreState(r); err != nil {
 			if !bytes.Equal(snapshotOf(p), before) {
 				t.Fatalf("refused restore (%v) changed the protocol", err)
 			}
 			return
 		}
-		got := snapshotOf(p)
-		if v2 {
-			got = decodeSection(t, got, false).encode(true)
+		used := data[:len(data)-r.Remaining()]
+		if version < 4 {
+			used = decodeSection(t, used, version).encode(4)
 		}
-		if used := data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {
+		if got := snapshotOf(p); !bytes.Equal(got, used) {
 			t.Fatalf("accepted section re-snapshots to %d bytes, consumed %d", len(got), len(used))
 		}
 	})

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -272,6 +273,40 @@ func TestGridCSVRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(dir + "/cells/" + results[1].Cell.ID() + ".csv"); !os.IsNotExist(err) {
 		t.Errorf("reshape cell wrote a series CSV (stat err %v)", err)
+	}
+}
+
+// TestWriteCellCSVBytes pins a cell CSV's exact bytes: the header row,
+// then one row per round with the shortest 'g' rendering of each value,
+// non-finite values and negative zero included. A series whose length is
+// not the live counts' is refused.
+func TestWriteCellCSVBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cell.csv")
+	res := &scenario.Result{
+		LiveNodes:   []int{128, 64, 1234567, 3},
+		Homogeneity: []float64{5.25, 1e21, math.Inf(1), 1234567},
+		Proximity:   []float64{-0.035, math.Copysign(0, -1), math.NaN(), 1e-7},
+		DataPoints:  []float64{1, 2.5, math.Inf(-1), 0},
+		MsgCost:     []float64{0.1, 1e-300, 4, 12.75},
+	}
+	if err := writeCellCSV(path, res); err != nil {
+		t.Fatal(err)
+	}
+	const want = "round,live,homogeneity,proximity,datapoints_per_node,msgcost_per_node\n" +
+		"0,128,5.25,-0.035,1,0.1\n" +
+		"1,64,1e+21,-0,2.5,1e-300\n" +
+		"2,1.234567e+06,+Inf,NaN,-Inf,4\n" +
+		"3,3,1.234567e+06,1e-07,0,12.75\n"
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("writeCellCSV wrote\n%q\nwant\n%q", got, want)
+	}
+	res.MsgCost = res.MsgCost[:3]
+	if err := writeCellCSV(path, res); err == nil {
+		t.Fatal("a series one round short was written")
 	}
 }
 

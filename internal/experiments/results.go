@@ -9,14 +9,13 @@ import (
 	"strings"
 
 	"polystyrene/internal/scenario"
-	"polystyrene/internal/trace"
 )
 
 // Results-folder layout. One grid run writes <out>/<name>-<stamp>/ with:
 //
 //	experiments.json   the spec, byte-for-byte as given (provenance)
 //	grid.csv           one row per cell: identity, seed and final summary
-//	cells/<id>.csv     the cell's per-round series (trace.Table CSV);
+//	cells/<id>.csv     the cell's per-round series (see writeCellCSV);
 //	                   reshape cells record no series and write none
 //	aggregate.csv      repetitions folded: mean and CI95 per grid point
 //	tables.md          paper-ready markdown tables + determinism audit
@@ -77,39 +76,35 @@ func WriteResults(dir string, specData []byte, results []CellResult) error {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// writeCellCSV emits the per-round series through the shared table
-// writer: a header row, then one row per round with every value in its
-// shortest exact decimal form.
+// cellHeader is the header row of a cell's per-round series CSV.
+const cellHeader = "round,live,homogeneity,proximity,datapoints_per_node,msgcost_per_node"
+
+// writeCellCSV writes the per-round series as CSV: cellHeader, then one
+// row per round with every value, the round and live count included, in
+// its shortest exact decimal form (ftoa).
 func writeCellCSV(path string, res *scenario.Result) error {
-	t := trace.NewTable()
 	n := len(res.LiveNodes)
-	round := make([]float64, n)
-	live := make([]float64, n)
-	for i := 0; i < n; i++ {
-		round[i] = float64(i)
-		live[i] = float64(res.LiveNodes[i])
-	}
-	cols := []struct {
-		name string
-		vals []float64
-	}{
-		{"round", round},
-		{"live", live},
-		{"homogeneity", res.Homogeneity},
-		{"proximity", res.Proximity},
-		{"datapoints_per_node", res.DataPoints},
-		{"msgcost_per_node", res.MsgCost},
-	}
-	for _, c := range cols {
-		if err := t.AddColumn(c.name, c.vals); err != nil {
-			return err
+	series := [][]float64{res.Homogeneity, res.Proximity, res.DataPoints, res.MsgCost}
+	for _, col := range series {
+		if len(col) != n {
+			return fmt.Errorf("experiments: a cell series has %d rounds, its live counts %d", len(col), n)
 		}
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.WriteCSV(f); err != nil {
+	// A bufio.Writer keeps its first write error and Flush returns it.
+	bw := bufio.NewWriter(f)
+	bw.WriteString(cellHeader + "\n")
+	for i := range n {
+		bw.WriteString(ftoa(float64(i)) + "," + ftoa(float64(res.LiveNodes[i])))
+		for _, col := range series {
+			bw.WriteString("," + ftoa(col[i]))
+		}
+		bw.WriteByte('\n')
+	}
+	if err := bw.Flush(); err != nil {
 		f.Close()
 		return err
 	}

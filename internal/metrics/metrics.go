@@ -7,10 +7,10 @@
 // Homogeneity and Reliability exist in two equivalent forms: the
 // full-scan originals, which rebuild the guests⁻¹ map from scratch on
 // every call (O(N·g) plus a string key per hosted point), and the indexed
-// forms, which read an incrementally maintained HolderIndex (the core
-// layer's) in O(holders) per data point. The full-scan forms are the
-// reference oracle: the indexed forms must return bit-identical values,
-// and the cross-check tests pin that.
+// forms, which read a HolderIndex (the core layer's, a table it builds
+// once per change of its guest sets) in O(holders) per data point. The
+// full-scan forms are the reference oracle: the indexed forms must return
+// bit-identical values, and the cross-check tests pin that.
 package metrics
 
 import (
@@ -52,11 +52,12 @@ type System interface {
 	EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) bool)
 }
 
-// HolderIndex is an incrementally maintained guests⁻¹ view: for an
-// interned data point, the nodes currently hosting it as a guest.
-// core.Protocol satisfies it. The returned slice may contain crashed
-// nodes (a crash is not an observable transition for the maintainer);
-// consumers filter with System.Alive.
+// HolderIndex is a guests⁻¹ view: for an interned data point, the nodes
+// currently hosting it as a guest, in any order. core.Protocol satisfies
+// it with live nodes only, from a table it rebuilds after its guest sets
+// or the live set change. The interface does not promise liveness, so
+// consumers still filter with System.Alive; the metrics' values do not
+// depend on the order (a minimum, or whether any holder is live).
 type HolderIndex interface {
 	HoldersOf(id space.PointID) []sim.NodeID
 }
@@ -93,7 +94,7 @@ func Proximity(sys System, k int) float64 {
 // better; 0 means every original point is hosted exactly in place.
 //
 // This is the full-scan reference implementation; HomogeneityIndexed is
-// the equivalent fast path over an incremental HolderIndex.
+// the equivalent fast path over a HolderIndex.
 func Homogeneity(sys System, datapoints []space.Point) float64 {
 	live := sys.Live()
 	if len(live) == 0 || len(datapoints) == 0 {
@@ -134,10 +135,10 @@ func Homogeneity(sys System, datapoints []space.Point) float64 {
 }
 
 // HomogeneityIndexed computes exactly Homogeneity, but resolves each data
-// point's holders through the incrementally maintained index instead of
-// rebuilding the guests⁻¹ map: O(holders) per hosted point, touching live
-// nodes only for lost points. ids must carry the datapoints' interned IDs
-// in lockstep (from the same interner the index maintainer uses).
+// point's holders through a HolderIndex instead of rebuilding the
+// guests⁻¹ map: O(holders) per hosted point, touching live nodes only for
+// lost points. ids must carry the datapoints' interned IDs in lockstep
+// (from the same interner the index uses).
 func HomogeneityIndexed(sys System, idx HolderIndex, datapoints []space.Point, ids []space.PointID) float64 {
 	if len(datapoints) != len(ids) {
 		panic("metrics: datapoints and ids length mismatch")
@@ -211,7 +212,7 @@ func MessageCostPerNode(e *sim.Engine, round int) float64 {
 // points still hosted (as a guest) by at least one live node.
 //
 // This is the full-scan reference implementation; ReliabilityIndexed is
-// the equivalent fast path over an incremental HolderIndex.
+// the equivalent fast path over a HolderIndex.
 func Reliability(sys System, datapoints []space.Point) float64 {
 	if len(datapoints) == 0 {
 		return 1

@@ -41,7 +41,8 @@ func (w *sectionWriter) count(n int) {
 	}
 }
 
-// readerOf returns a reader over the section b of version 2 or 3.
+// readerOf returns a reader over the section b of version 2 or, without
+// v2, of the current version (whose widths version 3 also wrote).
 func readerOf(b []byte, v2 bool) *snap.Reader {
 	if v2 {
 		return snap.NewVersionReader(b, 2)
@@ -192,12 +193,13 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 	}
 }
 
-// FuzzRestoreState: no byte string makes RestoreState panic, read as
-// version 3 or as version 2. A section it accepts leaves every view within
-// viewSize, in [0, n), free of its own node and with no negative age, and
-// re-snapshots to the bytes it consumed (re-encoded in version 2 when it
-// was read as version 2); a section it refuses leaves the protocol as it
-// was. Every seed comes in both versions.
+// FuzzRestoreState: no byte string makes RestoreState panic, read as any
+// body version. A section it accepts leaves every view within viewSize, in
+// [0, n), free of its own node and with no negative age, and re-snapshots
+// to the bytes it consumed (re-encoded with 8-byte fields when it was read
+// as version 1 or 2); a section it refuses leaves the protocol as it was.
+// Every seed comes in versions 2, 3 and 4, which lay an rps section out
+// alike but with 4-byte fields from version 3 on.
 func FuzzRestoreState(f *testing.F) {
 	p := New(Config{})
 	e := sim.New(4, p)
@@ -218,19 +220,19 @@ func FuzzRestoreState(f *testing.F) {
 		// Node 0's view holding node 1 at age -1.
 		{{{1, -1}}, {}},
 	}
-	for _, v2 := range []bool{false, true} {
+	for _, version := range []uint8{2, 3, 4} {
 		for _, views := range seeds {
-			f.Add(encodeViews(views, v2), v2)
+			f.Add(encodeViews(views, version < 3), version)
 		}
-		b := encodeViews(honest, v2)
-		f.Add(b[:len(b)-3], v2)
+		b := encodeViews(honest, version < 3)
+		f.Add(b[:len(b)-3], version)
 	}
 	// Node 0's view holding node 1 at age 2³¹, which only version 2 can
 	// write: ages are int32 in a row.
-	f.Add(encodeViews([][][2]int{{{1, math.MaxInt32 + 1}}, {}}, true), true)
-	f.Fuzz(func(t *testing.T, data []byte, v2 bool) {
+	f.Add(encodeViews([][][2]int{{{1, math.MaxInt32 + 1}}, {}}, true), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, version uint8) {
 		before := snapshotOf(p)
-		r := readerOf(data, v2)
+		r := snap.NewVersionReader(data, uint32(version))
 		if err := p.RestoreState(r); err != nil {
 			if !bytes.Equal(snapshotOf(p), before) {
 				t.Fatalf("refused restore (%v) changed the protocol", err)
@@ -251,7 +253,7 @@ func FuzzRestoreState(f *testing.F) {
 			}
 		}
 		got := snapshotOf(p)
-		if v2 {
+		if version < 3 {
 			got = encodeViews(viewPairs(p), true)
 		}
 		if used := data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {

@@ -17,7 +17,7 @@ import (
 // (homogeneity, reliability, proximity, data points per node) over a
 // post-catastrophe population — exactly what the record observer and the
 // reshaping-time stop condition pay every round. The "indexed" variant
-// reads the Polystyrene layer's incremental holders index; "fullscan" is
+// reads the Polystyrene layer's guests⁻¹ table; "fullscan" is
 // the string-keyed rebuild-and-scan path the plain-T-Man baseline, which
 // has no holders index, runs on.
 func BenchmarkMetricsRound(b *testing.B) {

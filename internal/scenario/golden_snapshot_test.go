@@ -16,8 +16,8 @@ import (
 // under the since-removed neighbour backup placement and full-copy
 // backups. The files are never regenerated: they pin that snapshots
 // written by earlier builds keep restoring (or fail with a diagnosis).
-// The first two are version 1 envelopes, the restorable one with a
-// version 2 and a version 3 twin (*.v2.psysnap, *.v3.psysnap), each
+// The first two are version 1 envelopes, the restorable one with version
+// 2, 3 and 4 twins (*.v2.psysnap, *.v3.psysnap, *.v4.psysnap), each
 // written once by restoring it and snapshotting again; the two ablation
 // snapshots are version 2.
 var goldenCfg = Config{Seed: 31, W: 8, H: 4, Polystyrene: true}
@@ -41,16 +41,19 @@ func snapshotBytes(t *testing.T, sc *Scenario) []byte {
 }
 
 // restoreGolden restores the checked-in version 1 snapshot name and its
-// version 2 and version 3 twins (name.v2.psysnap, name.v3.psysnap) into
-// scenarios built from cfg, and pins the format changes between them: the
-// version 1 file and its version 2 twin carry one body, every file
-// restores at round, and every re-snapshot equals the version 3 twin's
-// bytes. It returns the three restored scenarios, v1 first; the test
-// closes them.
+// version 2, 3 and 4 twins (name.v2.psysnap, name.v3.psysnap,
+// name.v4.psysnap) into scenarios built from cfg, and pins the format
+// changes between them: the version 1 file and its version 2 twin carry
+// one body, every file restores at round, and every re-snapshot equals
+// the version 4 twin's bytes. It returns the four restored scenarios, v1
+// first; the test closes them.
 func restoreGolden(t *testing.T, cfg Config, name string, round int) []*Scenario {
 	t.Helper()
 	stem := strings.TrimSuffix(name, ".psysnap")
-	goldens := [][]byte{readGolden(t, name), readGolden(t, stem+".v2.psysnap"), readGolden(t, stem+".v3.psysnap")}
+	var goldens [][]byte
+	for _, file := range []string{name, stem + ".v2.psysnap", stem + ".v3.psysnap", stem + ".v4.psysnap"} {
+		goldens = append(goldens, readGolden(t, file))
+	}
 	v1Body, err := snap.Decode(SnapshotKind, goldens[0])
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +75,8 @@ func restoreGolden(t *testing.T, cfg Config, name string, round int) []*Scenario
 		if got := sc.Engine.Round(); got != round {
 			t.Fatalf("restored round = %d, want %d", got, round)
 		}
-		if !bytes.Equal(snapshotBytes(t, sc), goldens[2]) {
-			t.Fatalf("re-snapshot of the version %d golden snapshot is not byte-identical to its version 3 twin", i+1)
+		if !bytes.Equal(snapshotBytes(t, sc), goldens[3]) {
+			t.Fatalf("re-snapshot of the version %d golden snapshot is not byte-identical to its version 4 twin", i+1)
 		}
 		restored = append(restored, sc)
 	}
@@ -81,8 +84,8 @@ func restoreGolden(t *testing.T, cfg Config, name string, round int) []*Scenario
 }
 
 // TestGoldenSnapshotRestores pins format compatibility: the checked-in
-// single-engine snapshot and its version 2 and 3 twins restore, each
-// re-snapshots to the version 3 twin (see restoreGolden), and six more
+// single-engine snapshot and its version 2, 3 and 4 twins restore, each
+// re-snapshots to the version 4 twin (see restoreGolden), and six more
 // rounds from any of them equal an uninterrupted 12-round run.
 func TestGoldenSnapshotRestores(t *testing.T) {
 	restored := restoreGolden(t, goldenCfg, "single_8x4_r6.psysnap", 6)
@@ -110,7 +113,7 @@ var (
 
 // TestGoldenBaselineSnapshotRestores is TestGoldenSnapshotRestores for
 // the baseline: the checked-in snapshot and its twins restore with their
-// pinned positions, each re-snapshots to the version 3 twin, and five
+// pinned positions, each re-snapshots to the version 4 twin, and five
 // more rounds from any of them equal an uninterrupted run to round 12.
 func TestGoldenBaselineSnapshotRestores(t *testing.T) {
 	restored := restoreGolden(t, goldenBaselineCfg, "tman_8x4_r7.psysnap", 7)

@@ -186,8 +186,9 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 // ghost runs and backup targets, pooled scratch, engine bookkeeping), and
 // each interned point of the Polystyrene data universe costs ~160 B on
 // top (the interner's point storage, key string and id map entry, and a
-// holders-index row). The point term is what the estimate used to
-// ignore: guest sets and the holders index scale with points, not nodes,
+// row of the layer's guests⁻¹ table). The point term is what the estimate
+// used to ignore: guest sets and the guests⁻¹ table scale with points,
+// not nodes,
 // so dense data universes under-estimated and runner.Budget over-admitted
 // cells. Both constants are deliberately a little generous — the
 // estimate reads 1.5–1.75× the measured heap — because it bounds grid
@@ -216,7 +217,7 @@ func (c Config) EstimatedFootprintBytes() int64 {
 		// The data universe: one interned original point per node, plus
 		// the reinjection wave's half-offset positions interned as nodes
 		// re-join. Priced per point, not per node-layer, because the
-		// interner and the holders index scale with it.
+		// interner and the guests⁻¹ table scale with it.
 		est += nodes * estFootprintBytesPerPoint
 	}
 	return est
@@ -244,7 +245,7 @@ func (sc *Scenario) Reinject(n int) []sim.NodeID {
 }
 
 // record is the per-round metrics observer. Under Polystyrene the
-// homogeneity reading comes from the layer's incremental holders index;
+// homogeneity reading comes from the layer's guests⁻¹ table (HoldersOf);
 // the plain baseline keeps the full-scan path (its "guest set" is the
 // node position, which no index maintains).
 func (sc *Scenario) record(e *sim.Engine, round int) {

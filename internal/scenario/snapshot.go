@@ -140,7 +140,13 @@ func (sc *Scenario) SnapshotTo(w io.Writer) error {
 // already run; everything its init paths produced is overwritten). The
 // file is checksum- and version-verified, and the configuration digest
 // checked, before any state is touched — a corrupted, truncated or
-// mismatched snapshot never yields a partial restore.
+// mismatched snapshot never yields a partial restore. One case is not
+// covered: a well-formed file whose body is refused once the engine has
+// begun to restore — a protocol layer refuses its section, or bytes trail
+// the engine state; a crafted file or a foreign build's can do either —
+// leaves the scenario partly restored (the engine's round, liveness and
+// meter and the layers before the refusing one already replaced), so
+// discard the scenario after such an error.
 func (sc *Scenario) Restore(rd io.Reader) error {
 	r, err := snap.ReadEnvelope(rd, scenarioKind)
 	if err != nil {

@@ -164,7 +164,7 @@ func (s *Stack) FailRegion(in func(space.Point) bool) int {
 func (s *Stack) System() metrics.System { return s.sys }
 
 // Homogeneity computes the current homogeneity of the target shape. It
-// reads the Polystyrene holders index when the layer is present and falls
+// reads the Polystyrene layer's HoldersOf when the layer is present and falls
 // back to the full scan for the baseline (whose "guest set" is the node
 // position, which no index maintains).
 func (s *Stack) Homogeneity() float64 {

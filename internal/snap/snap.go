@@ -16,14 +16,14 @@
 // returning the body, so callers can guarantee that a corrupted or
 // truncated snapshot is rejected before any state has been mutated.
 //
-// That layout is version 3, and version 2 is the same envelope. Version 1
-// is the same layout with a 64-bit FNV-1a checksum in the trailer. The
-// version picks the checksum algorithm, so it is the one field Decode
-// trusts before the checksum: CRC-32C (Castagnoli) runs on the SSE4.2
-// CRC32 instruction, several times faster than the byte-serial FNV-1a
-// chain on a multi-megabyte snapshot.
+// That layout is versions 2 to 4. Version 1 is the same layout with a
+// 64-bit FNV-1a checksum in the trailer. The version picks the checksum
+// algorithm, so it is the one field Decode trusts before the checksum:
+// CRC-32C (Castagnoli) runs on the SSE4.2 CRC32 instruction, several
+// times faster than the byte-serial FNV-1a chain on a multi-megabyte
+// snapshot.
 //
-// Versions 2 and 3 differ in the body. Version 3 writes every node ID,
+// Versions 2 to 4 differ in the body. Version 3 writes every node ID,
 // every per-node count and every rps age in 4 bytes (Writer.I32 and
 // Writer.Count); versions 1 and 2 wrote them as 8-byte Int and Len
 // fields. PointIDs take 4 bytes in every version, and everything else —
@@ -31,8 +31,11 @@
 // lengths — keeps 8. Only this package decides a field's width: a Reader
 // knows its body's version, and its I32 and Count read the field that
 // version wrote, refusing an 8-byte one outside int32 rather than
-// truncating it. So one RestoreState per layer reads all three versions,
-// and nothing writes version 1 or 2 any more.
+// truncating it. Version 4 has version 3's widths and drops a section
+// the core layer no longer keeps (its holders index); the layer asks
+// Reader.Version whether the section is there. So one RestoreState per
+// layer reads all four versions, and nothing writes versions 1 to 3 any
+// more.
 //
 // A section is a length-prefixed nested body that the code owning it
 // reads through a bounded sub-reader. Writers build sections in place:
@@ -64,11 +67,12 @@ import (
 )
 
 // Version is the snapshot format version this build writes. It reads
-// versions 1 to 3 and writes 3. Versions 1 and 2 differ only in the
-// trailing checksum's algorithm (FNV-1a for 1, CRC-32C for 2 and 3);
-// version 3 narrows the body's ID and count fields to 4 bytes (see the
-// package doc). Any other version is refused outright.
-const Version = 3
+// versions 1 to 4 and writes 4. Versions 1 and 2 differ only in the
+// trailing checksum's algorithm (FNV-1a for 1, CRC-32C from 2 on);
+// version 3 narrows the body's ID and count fields to 4 bytes, and
+// version 4 drops the core layer's holders section (see the package
+// doc). Any other version is refused outright.
+const Version = 4
 
 var magic = [8]byte{'P', 'S', 'Y', 'S', 'N', 'A', 'P', 0}
 
@@ -190,9 +194,9 @@ type Reader struct {
 	data []byte
 	off  int
 	err  error
-	// wide is set for a version 1 or 2 body, whose I32 and Count fields
-	// are 8 bytes.
-	wide bool
+	// version is the body's format version; a version 1 or 2 body's I32
+	// and Count fields are 8 bytes (see wide).
+	version uint32
 	// nodes is the node count of the engine whose section this is, or -1
 	// when the reader is not an engine's layer section (see SetNodes).
 	nodes int
@@ -200,18 +204,27 @@ type Reader struct {
 
 // NewReader returns a reader over a body in the current format, such as
 // a zero Writer writes.
-func NewReader(body []byte) *Reader { return &Reader{data: body, nodes: -1} }
+func NewReader(body []byte) *Reader { return &Reader{data: body, version: Version, nodes: -1} }
 
 // NewVersionReader returns a reader over a body of the given format
 // version, as Open decodes one. A version this build cannot read yields a
 // reader whose every call fails.
 func NewVersionReader(body []byte, version uint32) *Reader {
-	r := &Reader{data: body, wide: version < 3, nodes: -1}
+	r := &Reader{data: body, version: version, nodes: -1}
 	if version < 1 || version > Version {
 		r.fail("unsupported body version %d", version)
 	}
 	return r
 }
+
+// Version returns the format version of the body r reads: the current
+// Version for a NewReader, the envelope's for one Open returns. A layer
+// reads a field that only older versions carry by asking it.
+func (r *Reader) Version() uint32 { return r.version }
+
+// wide reports a version 1 or 2 body, whose I32 and Count fields are 8
+// bytes.
+func (r *Reader) wide() bool { return r.version < 3 }
 
 // Err reports the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -307,21 +320,21 @@ func (r *Reader) bound(v uint64, width, itemBytes int, limit uint64) int {
 	return int(v)
 }
 
-// I32 reads a value written by Writer.I32: 4 bytes from a version 3
+// I32 reads a value written by Writer.I32: 4 bytes from a version 3 or 4
 // body, 8 from a version 1 or 2 one, where a value outside int32 is
 // refused.
 func (r *Reader) I32() int {
-	if !r.wide {
+	if !r.wide() {
 		return int(int32(r.U32()))
 	}
 	return r.wideI32()
 }
 
 // I32s reads len(dst) values written by Writer.I32 into dst, as I32
-// would one by one. From a version 3 body it takes all their bytes at
-// once, so a restore decodes a view's row in one tight loop.
+// would one by one. From a version 3 or 4 body it takes all their bytes
+// at once, so a restore decodes a view's row in one tight loop.
 func (r *Reader) I32s(dst []int32) {
-	if r.wide {
+	if r.wide() {
 		for i := range dst {
 			dst[i] = int32(r.wideI32())
 		}
@@ -347,12 +360,12 @@ func (r *Reader) wideI32() int {
 }
 
 // Count reads a count written by Writer.Count — 4 bytes from a version 3
-// body, 8 from a version 1 or 2 one — and bounds it as Len does; a count
+// or 4 body, 8 from a version 1 or 2 one — and bounds it as Len does; a count
 // past math.MaxInt32 is refused too.
 func (r *Reader) Count(itemBytes int) int {
 	var v uint64
 	width := 4
-	if r.wide {
+	if r.wide() {
 		v, width = r.U64(), 8
 	} else {
 		v = uint64(r.U32())
@@ -392,7 +405,7 @@ func (r *Reader) String() string {
 // does not allocate it.
 func (r *Reader) Section() *Reader {
 	b := r.sectionBody()
-	return &Reader{data: b, err: r.err, wide: r.wide, nodes: r.nodes}
+	return &Reader{data: b, err: r.err, version: r.version, nodes: r.nodes}
 }
 
 // sectionBody reads a section's length and returns its body.
@@ -429,7 +442,7 @@ func Encode(kind string, body []byte) []byte {
 
 // FileSum returns the checksum of the whole of an envelope that Decode
 // has accepted, under the envelope's own version: FNV-1a for version 1,
-// CRC-32C zero-extended for versions 2 and 3. The trailing checksum is the
+// CRC-32C zero-extended for versions 2 to 4. The trailing checksum is the
 // algorithm's state after every byte before it, so the sum continues that
 // state over the checksum's own eight bytes instead of hashing the file
 // again. On an envelope Decode would refuse the result is meaningless.
@@ -458,8 +471,8 @@ func envelopeVersion(envelope []byte) uint32 {
 // Decode verifies an envelope end to end — magic, kind, version, body
 // length and the checksum over every byte before it — and returns the
 // body. It never returns a partially validated body: any defect yields a
-// nil body and an error. It reads versions 1 to 3, verifying each with
-// its own checksum algorithm. A body of version 1 or 2 must be read
+// nil body and an error. It reads versions 1 to 4, verifying each with
+// its own checksum algorithm. A body of an older version must be read
 // through a Reader of its version, which Open returns.
 //
 // Truncation classes are diagnosed before the checksum so an interrupted
@@ -526,10 +539,10 @@ func decode(kind string, data []byte) ([]byte, uint32, error) {
 		h := fnv.New64a()
 		h.Write(data[:len(data)-tail])
 		sum = h.Sum64()
-	case 2, 3:
+	case 2, 3, 4:
 		sum = uint64(crc32.Checksum(data[:len(data)-tail], castagnoli))
 	default:
-		return nil, 0, fmt.Errorf("snap: unsupported snapshot version %d (this build reads versions 1 to 3)", version)
+		return nil, 0, fmt.Errorf("snap: unsupported snapshot version %d (this build reads versions 1 to 4)", version)
 	}
 	if got := binary.LittleEndian.Uint64(data[len(data)-tail:]); got != sum {
 		return nil, 0, fmt.Errorf("snap: checksum mismatch: file %#016x, computed %#016x (corrupted snapshot)", got, sum)

@@ -156,8 +156,8 @@ func TestEnvelopeIORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadEnvelope: %v", err)
 	}
-	if !bytes.Equal(got.data, []byte{1, 2, 3}) || got.wide {
-		t.Fatalf("body mismatch: %v (wide %v)", got.data, got.wide)
+	if !bytes.Equal(got.data, []byte{1, 2, 3}) || got.Version() != Version {
+		t.Fatalf("body mismatch: %v (version %d)", got.data, got.Version())
 	}
 }
 
@@ -283,7 +283,7 @@ func envelopeHeader(kind string, version uint32, body []byte) []byte {
 
 // appendChecksum appends the trailer of the given envelope version to a
 // hand-built envelope, computed here rather than by the code under test:
-// FNV-1a for version 1, CRC-32C zero-extended for versions 2 and 3.
+// FNV-1a for version 1, CRC-32C zero-extended for versions 2 to 4.
 func appendChecksum(version uint32, b []byte) []byte {
 	var sum uint64
 	switch version {
@@ -291,7 +291,7 @@ func appendChecksum(version uint32, b []byte) []byte {
 		h := fnv.New64a()
 		h.Write(b)
 		sum = h.Sum64()
-	case 2, 3:
+	case 2, 3, 4:
 		sum = uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 	default:
 		panic(fmt.Sprintf("no checksum for version %d", version))
@@ -592,9 +592,9 @@ func TestStreamedEnvelopeLayout(t *testing.T) {
 
 // TestFileSumIsWholeFileChecksum pins FileSum to the whole-file checksum
 // under each envelope version, computed here over the file's bytes:
-// FNV-1a for a hand-built version 1 envelope, CRC-32C zero-extended for a
-// hand-built version 2 envelope and for the version 3 envelope Encode
-// writes.
+// FNV-1a for a hand-built version 1 envelope, CRC-32C zero-extended for
+// hand-built version 2 and 3 envelopes and for the version 4 envelope
+// Encode writes.
 func TestFileSumIsWholeFileChecksum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
@@ -618,7 +618,8 @@ func TestFileSumIsWholeFileChecksum(t *testing.T) {
 		}
 		for version, enc := range map[int][]byte{
 			2: appendChecksum(2, envelopeHeader(string(kind), 2, body)),
-			3: Encode(string(kind), body),
+			3: appendChecksum(3, envelopeHeader(string(kind), 3, body)),
+			4: Encode(string(kind), body),
 		} {
 			if got, want := FileSum(enc), uint64(crc32.Checksum(enc, castagnoli)); got != want {
 				t.Fatalf("v%d FileSum %#x, CRC-32C over the file %#x (kind %q, %d-byte body)", version, got, want, kind, len(body))
@@ -631,10 +632,11 @@ func TestFileSumIsWholeFileChecksum(t *testing.T) {
 // kind. Decode must never panic; a body it accepts must be a sub-slice of
 // the input; every single-byte change of an accepted envelope must be
 // refused; and Encode of the accepted body must decode to the same body
-// (and, for a version 3 input, reproduce the input byte for byte).
+// (and, for an input of the current version, reproduce it byte for byte).
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, body := range [][]byte{nil, []byte("state"), bytes.Repeat([]byte{0, 1, 0xff}, 40)} {
 		f.Add("engine", appendChecksum(1, envelopeHeader("engine", 1, body)))
+		f.Add("engine", appendChecksum(3, envelopeHeader("engine", 3, body)))
 		f.Add("engine", Encode("engine", body))
 	}
 	f.Add("scenario", Encode("engine", []byte("state")))
@@ -677,7 +679,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			t.Fatalf("Encode of the accepted body does not decode back: %v", err)
 		}
 		if envelopeVersion(data) == Version && !bytes.Equal(enc, data) {
-			t.Fatal("Encode of an accepted version 3 envelope's body differs from it")
+			t.Fatalf("Encode of an accepted version %d envelope's body differs from it", Version)
 		}
 	})
 }
@@ -711,7 +713,7 @@ func BenchmarkDecode(b *testing.B) {
 		enc  []byte
 	}{
 		{"v1", appendChecksum(1, envelopeHeader("engine", 1, body))},
-		{"v3", Encode("engine", body)},
+		{"v4", Encode("engine", body)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.enc)))
@@ -735,7 +737,7 @@ func BenchmarkEncode(b *testing.B) {
 		encode func() []byte
 	}{
 		{"v1", func() []byte { return appendChecksum(1, envelopeHeader("engine", 1, body)) }},
-		{"v3", func() []byte { return Encode("engine", body) }},
+		{"v4", func() []byte { return Encode("engine", body) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.encode())))
@@ -754,7 +756,7 @@ func (w *Writer) Section(body []byte) {
 	w.buf = append(w.buf, body...)
 }
 
-// TestNarrowFieldsRoundTrip: version 3 writes I32 and Count in 4 bytes
+// TestNarrowFieldsRoundTrip: versions 3 and 4 write I32 and Count in 4 bytes
 // each, and a reader of the current version reads back every int32 value
 // and every count up to math.MaxInt32.
 func TestNarrowFieldsRoundTrip(t *testing.T) {
@@ -850,10 +852,10 @@ func TestVersion2ReaderRefusesValuesPastInt32(t *testing.T) {
 }
 
 // TestReaderVersions: Open and ReadEnvelope return a reader of the
-// envelope's version, and its sections inherit the version and the
-// engine's node count, which NodeCount checks.
+// envelope's version, which Version reports, and its sections inherit the
+// version and the engine's node count, which NodeCount checks.
 func TestReaderVersions(t *testing.T) {
-	// The same values, as version 2 and version 3 write them.
+	// The same values, as version 2 and versions 3 and 4 write them.
 	var wide, narrow Writer
 	for _, w := range []*Writer{&wide, &narrow} {
 		mark := w.BeginSection()
@@ -867,12 +869,14 @@ func TestReaderVersions(t *testing.T) {
 		w.EndSection(mark)
 	}
 	for _, tc := range []struct {
-		name string
-		enc  []byte
+		name    string
+		version uint32
+		enc     []byte
 	}{
-		{"v1", appendChecksum(1, envelopeHeader("engine", 1, wide.Bytes()))},
-		{"v2", appendChecksum(2, envelopeHeader("engine", 2, wide.Bytes()))},
-		{"v3", Encode("engine", narrow.Bytes())},
+		{"v1", 1, appendChecksum(1, envelopeHeader("engine", 1, wide.Bytes()))},
+		{"v2", 2, appendChecksum(2, envelopeHeader("engine", 2, wide.Bytes()))},
+		{"v3", 3, appendChecksum(3, envelopeHeader("engine", 3, narrow.Bytes()))},
+		{"v4", 4, Encode("engine", narrow.Bytes())},
 	} {
 		for _, open := range []func() (*Reader, error){
 			func() (*Reader, error) { return Open("engine", tc.enc) },
@@ -884,6 +888,9 @@ func TestReaderVersions(t *testing.T) {
 			}
 			r.SetNodes(3)
 			sub := r.Section()
+			if r.Version() != tc.version || sub.Version() != tc.version {
+				t.Fatalf("%s: reader version %d, section version %d", tc.name, r.Version(), sub.Version())
+			}
 			if n, id := sub.NodeCount(1), sub.I32(); n != 3 || id != -7 {
 				t.Fatalf("%s: read (%d, %d), want (3, -7)", tc.name, n, id)
 			}
@@ -901,8 +908,9 @@ func TestReaderVersions(t *testing.T) {
 	if r := NewVersionReader([]byte{0, 0, 0, 0}, Version+1); r.I32() != 0 || r.Err() == nil {
 		t.Fatalf("a reader of version %d read a value (err %v)", Version+1, r.Err())
 	}
-	// Outside an engine's section, NodeCount checks nothing.
-	if r := NewReader(narrow.Bytes()[8:]); r.NodeCount(1) != 3 || r.Err() != nil {
+	// Outside an engine's section, NodeCount checks nothing; NewReader
+	// reads the current version.
+	if r := NewReader(narrow.Bytes()[8:]); r.Version() != Version || r.NodeCount(1) != 3 || r.Err() != nil {
 		t.Fatalf("NodeCount with no engine count: err %v", r.Err())
 	}
 }

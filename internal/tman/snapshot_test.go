@@ -37,7 +37,8 @@ func (w *sectionWriter) count(n int) {
 	}
 }
 
-// readerOf returns a reader over the section b of version 2 or 3.
+// readerOf returns a reader over the section b of version 2 or, without
+// v2, of the current version (whose widths version 3 also wrote).
 func readerOf(b []byte, v2 bool) *snap.Reader {
 	if v2 {
 		return snap.NewVersionReader(b, 2)
@@ -254,12 +255,13 @@ func TestInitNodeRefusesIDsPastInt32(t *testing.T) {
 	n.tman.InitNode(n.engine, 1<<31)
 }
 
-// FuzzRestoreState: no byte string makes RestoreState panic, read as
-// version 3 or as version 2. A section it accepts leaves every view in a
-// row of restCap ids, within restCap, in [0, n) and free of its own node,
-// and re-snapshots to the bytes it consumed (re-encoded in version 2 when
-// it was read as version 2); a section it refuses leaves the protocol as
-// it was. Every seed comes in both versions.
+// FuzzRestoreState: no byte string makes RestoreState panic, read as any
+// body version. A section it accepts leaves every view in a row of restCap
+// ids, within restCap, in [0, n) and free of its own node, and
+// re-snapshots to the bytes it consumed (re-encoded with 8-byte fields
+// when it was read as version 1 or 2); a section it refuses leaves the
+// protocol as it was. Every seed comes in versions 2, 3 and 4, which lay a
+// tman section out alike but with 4-byte fields from version 3 on.
 func FuzzRestoreState(f *testing.F) {
 	const w, h = 8, 8
 	pts := space.TorusGrid(w, h, 1)
@@ -273,16 +275,17 @@ func FuzzRestoreState(f *testing.F) {
 	e.AddNodes(w * h)
 	e.RunRounds(5)
 	honest := viewsOf(tm)
-	for _, v2 := range []bool{false, true} {
+	for _, version := range []uint8{2, 3, 4} {
+		v2 := version < 3
 		b := encodeViews(honest, v2)
-		f.Add(b, v2)
-		f.Add(encodeViews([][]int{{1}, {1}}, v2), v2)                                // node 1 holds itself
-		f.Add(encodeViews([][]int{slices.Repeat([]int{1}, restCap+1), {0}}, v2), v2) // one past a row at rest
-		f.Add(b[:len(b)-3], v2)
+		f.Add(b, version)
+		f.Add(encodeViews([][]int{{1}, {1}}, v2), version)                                // node 1 holds itself
+		f.Add(encodeViews([][]int{slices.Repeat([]int{1}, restCap+1), {0}}, v2), version) // one past a row at rest
+		f.Add(b[:len(b)-3], version)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, v2 bool) {
+	f.Fuzz(func(t *testing.T, data []byte, version uint8) {
 		before := snapshotOf(tm)
-		r := readerOf(data, v2)
+		r := snap.NewVersionReader(data, uint32(version))
 		if err := tm.RestoreState(r); err != nil {
 			if !bytes.Equal(snapshotOf(tm), before) {
 				t.Fatalf("refused restore (%v) changed the protocol", err)
@@ -300,7 +303,7 @@ func FuzzRestoreState(f *testing.F) {
 			}
 		}
 		got := snapshotOf(tm)
-		if v2 {
+		if version < 3 {
 			got = encodeViews(viewsOf(tm), true)
 		}
 		if used := data[:len(data)-r.Remaining()]; !bytes.Equal(got, used) {
