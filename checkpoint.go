@@ -116,7 +116,7 @@ func (s *System) Snapshot(w io.Writer) error {
 	if err := s.stack.Engine.SnapshotState(&sw); err != nil {
 		return err
 	}
-	return snap.WriteEnvelope(w, systemKind, sw.Bytes())
+	return sw.WriteEnvelope(w, systemKind)
 }
 
 // Restore loads a checkpoint written by Snapshot into this system, which

@@ -55,9 +55,7 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		}
 		w.Bool(true)
 		w.Count(len(st.guestIDs))
-		for _, pid := range st.guestIDs {
-			w.U32(uint32(pid))
-		}
+		snap.U32s(w, st.guestIDs)
 		writePoint(w, p.row(sim.NodeID(i)))
 		w.Bool(st.posDirty)
 		w.Count(len(st.ghostRuns))
@@ -65,18 +63,14 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 		for _, r := range st.ghostRuns {
 			w.I32(int(r.origin))
 			w.Count(int(r.n))
-			for _, pid := range st.ghostIDs[off : off+int(r.n)] {
-				w.U32(uint32(pid))
-			}
+			snap.U32s(w, st.ghostIDs[off:off+int(r.n)])
 			off += int(r.n)
 		}
 		w.Count(len(st.backups))
 		for _, b := range st.backups {
 			w.I32(int(b))
 			w.Count(len(st.pushed))
-			for _, pid := range st.pushed {
-				w.U32(uint32(pid))
-			}
+			snap.U32s(w, st.pushed)
 		}
 	}
 

@@ -132,7 +132,7 @@ func (sc *Scenario) SnapshotTo(w io.Writer) error {
 	if err := sc.Engine.SnapshotState(&sw); err != nil {
 		return err
 	}
-	return snap.WriteEnvelope(w, scenarioKind, sw.Bytes())
+	return sw.WriteEnvelope(w, scenarioKind)
 }
 
 // Restore loads a checkpoint written by SnapshotTo into this scenario,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -166,6 +167,9 @@ func TestEngineRestoreRejectsCorruption(t *testing.T) {
 // 4,000,000 nodes but whose one stateful section holds no node is refused
 // before the engine sizes anything by that count. It allocates at most a
 // small multiple of its own length and leaves the engine as it was.
+// TotalAlloc counts every goroutine of the test binary, so the bound
+// applies to the smallest delta over five refused restores: a stray
+// allocation elsewhere can inflate some of them, never all five.
 func TestEngineRestoreRefusesNodeCountPastItsBytes(t *testing.T) {
 	var w snap.Writer
 	for range 4 {
@@ -185,16 +189,21 @@ func TestEngineRestoreRefusesNodeCountPastItsBytes(t *testing.T) {
 
 	e := New(1, &snapLayer{name: "counter"})
 	e.AddNodes(4)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	err := restoreState(e, body)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatalf("a %d-byte body declaring 4,000,000 nodes was accepted", len(body))
+	var err error
+	alloc := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err = restoreState(e, body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("a %d-byte body declaring 4,000,000 nodes was accepted", len(body))
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(body)) {
-		t.Fatalf("refusing a %d-byte body allocated %d bytes (%v)", len(body), alloc, err)
+	if alloc > 16*uint64(len(body)) {
+		t.Fatalf("refusing a %d-byte body allocated %d bytes at the least of 5 tries (%v)", len(body), alloc, err)
 	}
 	if e.NumNodes() != 4 || e.Round() != 0 {
 		t.Fatalf("refused restore left %d nodes at round %d, want 4 at round 0", e.NumNodes(), e.Round())

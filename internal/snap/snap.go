@@ -40,10 +40,13 @@
 // A section is a length-prefixed nested body that the code owning it
 // reads through a bounded sub-reader. Writers build sections in place:
 // BeginSection reserves the length, the owner writes its body straight
-// into the same buffer, and EndSection patches the length in, so no body
-// is ever copied. The buffer grows by doubling, and WriteEnvelope streams
-// the header, the body and the checksum without assembling the file
-// first.
+// into the same body, and EndSection patches the length in, so no section
+// is written twice. A Writer holds its body as a list of blocks: when a
+// write does not fit, the current block is sealed and a larger one, up to
+// a fixed cap, starts. No written byte is ever copied, and a body of any
+// size costs itself plus at most one block. Writer.WriteEnvelope streams
+// the header, each block and the checksum without assembling the file;
+// Bytes flattens the blocks for a caller that needs one slice.
 //
 // Reader carries a sticky error: after the first malformed read every
 // subsequent call returns a zero value, and the error is reported once at
@@ -80,25 +83,80 @@ var magic = [8]byte{'P', 'S', 'Y', 'S', 'N', 'A', 'P', 0}
 // instruction for it where the CPU has one.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer accumulates a snapshot body in memory.
+// Block sizes of a Writer: the first block holds firstBlock bytes, each
+// later one twice its predecessor, up to maxBlock.
+const (
+	firstBlock = 4 << 10
+	maxBlock   = 1 << 20
+)
+
+// Writer accumulates a snapshot body in memory, as a list of blocks.
+// When a write does not fit in the current block, the block is sealed and
+// a larger one starts, so no written byte is ever copied or zeroed twice
+// and a body of any size is held with at most one block to spare. The
+// zero Writer is ready to use.
 type Writer struct {
-	buf []byte
+	buf    []byte   // the current block, written by appending
+	sealed [][]byte // the full blocks before buf, in body order
+	off    int      // the body offset of buf[0]: the bytes in sealed
 }
 
-// Bytes returns the accumulated body. The slice aliases the writer's
-// internal buffer and is invalidated by further writes.
-func (w *Writer) Bytes() []byte { return w.buf }
+// size returns the number of body bytes written so far.
+func (w *Writer) size() int { return w.off + len(w.buf) }
 
-// grow makes room for n more bytes. It doubles the buffer rather than
-// following append's policy, which grows large slices by only 1.25x and
-// so copies a 58 MB body several times over.
-func (w *Writer) grow(n int) {
-	if cap(w.buf)-len(w.buf) >= n {
-		return
+// Bytes returns the accumulated body. A body that spans several blocks
+// is flattened into one on the first call; the slice aliases the
+// writer's internal buffer and is invalidated by further writes.
+func (w *Writer) Bytes() []byte {
+	if len(w.sealed) > 0 {
+		flat := make([]byte, 0, w.size())
+		for b := range w.blocks {
+			flat = append(flat, b...)
+		}
+		w.buf, w.sealed, w.off = flat, nil, 0
 	}
-	buf := make([]byte, len(w.buf), max(2*cap(w.buf), len(w.buf)+n, 256))
-	copy(buf, w.buf)
-	w.buf = buf
+	return w.buf
+}
+
+// blocks yields the body's blocks in order.
+func (w *Writer) blocks(yield func([]byte) bool) {
+	for _, b := range w.sealed {
+		if !yield(b) {
+			return
+		}
+	}
+	yield(w.buf)
+}
+
+// grow makes room for n contiguous bytes, n at most firstBlock, by
+// starting the next block if the current one has less than n left.
+func (w *Writer) grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.next()
+	}
+}
+
+// next seals the current block and starts the next one, twice the size
+// of the last up to maxBlock.
+func (w *Writer) next() {
+	if len(w.buf) > 0 {
+		w.sealed = append(w.sealed, w.buf)
+		w.off += len(w.buf)
+	}
+	w.buf = make([]byte, 0, min(max(2*cap(w.buf), firstBlock), maxBlock))
+}
+
+// write appends the bytes of s, spilling into as many new blocks as it
+// takes.
+func (w *Writer) write(s string) {
+	for len(s) > 0 {
+		if len(w.buf) == cap(w.buf) {
+			w.next()
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], s)
+		w.buf = w.buf[:len(w.buf)+n]
+		s = s[n:]
+	}
 }
 
 // U64 appends a little-endian uint64.
@@ -146,11 +204,26 @@ func (w *Writer) I32(v int) {
 	w.U32(uint32(v))
 }
 
-// I32s appends every value of src as I32 would, growing the buffer once.
-func (w *Writer) I32s(src []int32) {
-	w.grow(4 * len(src))
-	for _, v := range src {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+// I32s appends every value of src as I32 would.
+func (w *Writer) I32s(src []int32) { U32s(w, src) }
+
+// U32s appends every value of src in 4 bytes, as U32 would one by one. It
+// fills each block's free room with one loop, instead of growing the
+// body value by value, so a view's row or a node's replica IDs are
+// written in bulk.
+func U32s[T ~int32 | ~uint32](w *Writer, src []T) {
+	for len(src) > 0 {
+		if cap(w.buf)-len(w.buf) < 4 {
+			w.next()
+		}
+		n := min(len(src), (cap(w.buf)-len(w.buf))/4)
+		b := w.buf[len(w.buf) : len(w.buf)+4*n]
+		for _, v := range src[:n] {
+			binary.LittleEndian.PutUint32(b, uint32(v))
+			b = b[4:]
+		}
+		w.buf = w.buf[:len(w.buf)+4*n]
+		src = src[n:]
 	}
 }
 
@@ -168,23 +241,28 @@ func (w *Writer) Count(n int) {
 // String appends a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
 	w.Len(len(s))
-	w.grow(len(s))
-	w.buf = append(w.buf, s...)
+	w.write(s)
 }
 
 // BeginSection starts a section written in place: it reserves the
-// section's length and returns the mark EndSection needs. Everything
-// written in between is the section body; the result is the body's
-// length (as Len writes it) followed by the body. Sections nest.
+// section's length and returns the mark EndSection needs, the body offset
+// just past the reservation. Everything written in between is the section
+// body; the result is the body's length (as Len writes it) followed by
+// the body. Sections nest.
 func (w *Writer) BeginSection() int {
-	w.U64(0)
-	return len(w.buf)
+	w.U64(0) // contiguous: U64 never splits its 8 bytes across blocks
+	return w.size()
 }
 
 // EndSection closes the section BeginSection opened at mark by patching
-// its length in.
+// its length into whichever block holds the reservation.
 func (w *Writer) EndSection(mark int) {
-	binary.LittleEndian.PutUint64(w.buf[mark-8:mark], uint64(len(w.buf)-mark))
+	n, b, start := uint64(w.size()-mark), w.buf, w.off
+	for i := len(w.sealed) - 1; mark-8 < start; i-- {
+		b = w.sealed[i]
+		start -= len(b)
+	}
+	binary.LittleEndian.PutUint64(b[mark-8-start:], n)
 }
 
 // Reader consumes a snapshot body produced by Writer. The first
@@ -423,13 +501,14 @@ func CloseSection(name string, sub *Reader) error {
 	return nil
 }
 
-// header writes the envelope's header for a body of bodyLen bytes into w.
-func header(w *Writer, kind string, bodyLen int) {
-	w.grow(len(magic))
-	w.buf = append(w.buf, magic[:]...)
-	w.String(kind)
-	w.U32(Version)
-	w.Len(bodyLen)
+// header returns the envelope's header for a body of bodyLen bytes.
+func header(kind string, bodyLen int) []byte {
+	b := make([]byte, 0, len(magic)+8+len(kind)+4+8)
+	b = append(b, magic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(kind)))
+	b = append(b, kind...)
+	b = binary.LittleEndian.AppendUint32(b, Version)
+	return binary.LittleEndian.AppendUint64(b, uint64(bodyLen))
 }
 
 // Encode wraps a body in the current envelope.
@@ -438,6 +517,13 @@ func Encode(kind string, body []byte) []byte {
 	buf.Grow(len(magic) + 8 + len(kind) + 4 + 8 + len(body) + 8)
 	_ = WriteEnvelope(&buf, kind, body) // a bytes.Buffer write cannot fail
 	return buf.Bytes()
+}
+
+// WriteEnvelope writes an already flat body to w in the current envelope,
+// as Writer.WriteEnvelope does a body written through a Writer.
+func WriteEnvelope(w io.Writer, kind string, body []byte) error {
+	bw := Writer{buf: body}
+	return bw.WriteEnvelope(w, kind)
 }
 
 // FileSum returns the checksum of the whole of an envelope that Decode
@@ -553,21 +639,23 @@ func decode(kind string, data []byte) ([]byte, uint32, error) {
 	return body, version, nil
 }
 
-// WriteEnvelope writes body to w in the current envelope, streamed:
-// the header, the body slice itself and the CRC-32C of both, so the body
-// is never copied.
-func WriteEnvelope(w io.Writer, kind string, body []byte) error {
-	var hw Writer
-	header(&hw, kind, len(body))
-	crc := crc32.Update(crc32.Checksum(hw.buf, castagnoli), castagnoli, body)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], uint64(crc))
-	for _, b := range [][]byte{hw.buf, body, sum[:]} {
-		if _, err := w.Write(b); err != nil {
+// WriteEnvelope writes the body accumulated in w to dst in the current
+// envelope, streamed: the header, each of the body's blocks and the
+// CRC-32C of them all, so the body is never copied or flattened.
+func (w *Writer) WriteEnvelope(dst io.Writer, kind string) error {
+	hdr := header(kind, w.size())
+	if _, err := dst.Write(hdr); err != nil {
+		return err
+	}
+	crc := crc32.Checksum(hdr, castagnoli)
+	for b := range w.blocks {
+		if _, err := dst.Write(b); err != nil {
 			return err
 		}
+		crc = crc32.Update(crc, castagnoli, b)
 	}
-	return nil
+	_, err := dst.Write(binary.LittleEndian.AppendUint64(nil, uint64(crc)))
+	return err
 }
 
 // ReadEnvelope buffers all of r and opens it as Open does. Snapshots are

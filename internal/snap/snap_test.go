@@ -11,6 +11,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -274,7 +276,7 @@ func flipByte(b []byte, i int) []byte {
 // the layout the package comment documents.
 func envelopeHeader(kind string, version uint32, body []byte) []byte {
 	var w Writer
-	w.buf = append(w.buf, magic[:]...)
+	w.write(string(magic[:]))
 	w.String(kind)
 	w.U32(version)
 	w.Section(body)
@@ -305,10 +307,20 @@ type secTree struct {
 }
 
 type secItem struct {
-	kind  byte // 'b' Bool, 'u' U32, 's' String, 'S' section
+	kind  byte // 'b' Bool, 'u' U32, 's' String, 'i' I32s run of n values from u on, 'S' section
 	u     uint32
+	n     int
 	s     string
 	child *secTree
+}
+
+// run returns the values of an 'i' item: u, u+1, ..., n of them.
+func (it secItem) run() []int32 {
+	v := make([]int32, it.n)
+	for i := range v {
+		v[i] = int32(it.u + uint32(i))
+	}
+	return v
 }
 
 // writeInPlace writes t into w with BeginSection/EndSection.
@@ -321,6 +333,8 @@ func (t *secTree) writeInPlace(w *Writer) {
 			w.U32(it.u)
 		case 's':
 			w.String(it.s)
+		case 'i':
+			w.I32s(it.run())
 		case 'S':
 			mark := w.BeginSection()
 			it.child.writeInPlace(w)
@@ -329,23 +343,31 @@ func (t *secTree) writeInPlace(w *Writer) {
 	}
 }
 
-// nested writes t the old way: every section into its own Writer, then
-// Section copies it into the parent.
+// nested encodes t by hand, without a Writer, as the package comment
+// documents: every section's body is built on its own and then appended
+// after its length.
 func (t *secTree) nested() []byte {
-	var w Writer
+	var b []byte
 	for _, it := range t.items {
 		switch it.kind {
 		case 'b':
-			w.Bool(it.u&1 == 1)
+			b = append(b, byte(it.u&1))
 		case 'u':
-			w.U32(it.u)
+			b = binary.LittleEndian.AppendUint32(b, it.u)
 		case 's':
-			w.String(it.s)
+			b = binary.LittleEndian.AppendUint64(b, uint64(len(it.s)))
+			b = append(b, it.s...)
+		case 'i':
+			for _, v := range it.run() {
+				b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			}
 		case 'S':
-			w.Section(it.child.nested())
+			child := it.child.nested()
+			b = binary.LittleEndian.AppendUint64(b, uint64(len(child)))
+			b = append(b, child...)
 		}
 	}
-	return w.Bytes()
+	return b
 }
 
 // read checks that r holds exactly t.
@@ -364,6 +386,11 @@ func (t *secTree) read(r *Reader) error {
 			if got := r.String(); got != it.s {
 				return fmt.Errorf("item %d: String %q, want %q", i, got, it.s)
 			}
+		case 'i':
+			got, want := make([]int32, it.n), it.run()
+			if r.I32s(got); !slices.Equal(got, want) {
+				return fmt.Errorf("item %d: I32s of %d values differs", i, it.n)
+			}
 		case 'S':
 			sub := r.Section()
 			if err := it.child.read(sub); err != nil {
@@ -377,15 +404,31 @@ func (t *secTree) read(r *Reader) error {
 	return r.Err()
 }
 
-// checkSections asserts that t written in place equals t written through
-// nested writers, and that it reads back.
+// checkSections asserts that t written in place equals t encoded by
+// hand, streamed or flattened, and that it reads back. A body past
+// firstBlock bytes spans blocks, so a section may close in a later block
+// than the one holding its length.
 func checkSections(t *testing.T, tree *secTree) {
 	t.Helper()
 	var w Writer
 	tree.writeInPlace(&w)
+	var env bytes.Buffer
+	if err := w.WriteEnvelope(&env, "scenario"); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := Decode("scenario", env.Bytes())
+	if err != nil {
+		t.Fatalf("decoding the streamed envelope: %v", err)
+	}
 	want := tree.nested()
+	if !bytes.Equal(streamed, want) {
+		t.Fatalf("streamed in-place sections differ from the hand encoding:\n got %x\nwant %x", streamed, want)
+	}
 	if !bytes.Equal(w.Bytes(), want) {
-		t.Fatalf("in-place sections differ from nested writers:\n got %x\nwant %x", w.Bytes(), want)
+		t.Fatalf("Bytes differs from the streamed body")
+	}
+	if !bytes.Equal(env.Bytes(), Encode("scenario", w.Bytes())) {
+		t.Fatalf("streamed envelope differs from Encode of Bytes")
 	}
 	r := NewReader(w.Bytes())
 	if err := tree.read(r); err != nil {
@@ -403,7 +446,13 @@ func randTree(rng *rand.Rand, depth int) *secTree {
 		n = 40 + rng.IntN(40) // many siblings
 	}
 	for range n {
-		switch k := rng.IntN(4); {
+		switch k := rng.IntN(5); {
+		case k == 4:
+			it := secItem{kind: 'i', u: rng.Uint32(), n: rng.IntN(300)}
+			if rng.IntN(64) == 0 {
+				it.n = rng.IntN(300_000) // spans blocks
+			}
+			t.items = append(t.items, it)
 		case k == 3 && depth < 3:
 			t.items = append(t.items, secItem{kind: 'S', child: randTree(rng, depth+1)})
 		case k == 2:
@@ -436,6 +485,24 @@ func TestInPlaceSectionsMatchSection(t *testing.T) {
 		many.items = append(many.items, section(secItem{kind: 'u', u: uint32(i)}))
 	}
 	fixed["many-siblings"] = many
+	// Runs that span blocks, with the length of each section that holds
+	// them left behind in a sealed block, nested sections included.
+	run := func(n int) secItem { return secItem{kind: 'i', u: uint32(n), n: n} }
+	fixed["run-in-section"] = &secTree{items: []secItem{section(run(300_000))}}
+	fixed["nested-runs"] = &secTree{items: []secItem{
+		section(section(run(100_000), oneByte), run(200_000), section(run(1)), secItem{kind: 's', s: strings.Repeat("x", 3*firstBlock)}),
+		run(70_000),
+	}}
+	// A section opened with 0 to 8 bytes left in the first block: its
+	// length is never split across two blocks.
+	for pad := range 9 {
+		tree := &secTree{items: []secItem{run(firstBlock/4 - 2)}}
+		for range pad {
+			tree.items = append(tree.items, oneByte)
+		}
+		tree.items = append(tree.items, section(oneByte, run(firstBlock)), run(3))
+		fixed[fmt.Sprintf("block-edge-%d", pad)] = tree
+	}
 	for name, tree := range fixed {
 		t.Run(name, func(t *testing.T) { checkSections(t, tree) })
 	}
@@ -446,13 +513,15 @@ func TestInPlaceSectionsMatchSection(t *testing.T) {
 }
 
 // FuzzWriterSections builds a section tree from the input — 0 opens a
-// section, 1 closes one, anything else writes a primitive — and checks it
-// the way TestInPlaceSectionsMatchSection does.
+// section, 1 closes one, 2 writes an I32s run of up to 306,000 values
+// sized by the next byte, anything else writes a primitive — and checks
+// it the way TestInPlaceSectionsMatchSection does.
 func FuzzWriterSections(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
 	f.Add([]byte{0, 0, 0, 7, 1, 1, 1, 9})
 	f.Add([]byte{0, 5, 1, 0, 6, 1, 0, 1, 200, 3})
+	f.Add([]byte{0, 2, 255, 0, 2, 3, 1, 2, 40, 1, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := &secTree{}
 		stack := []*secTree{root}
@@ -465,6 +534,9 @@ func FuzzWriterSections(f *testing.F) {
 				stack = append(stack, child)
 			case c == 1 && len(stack) > 1:
 				stack = stack[:len(stack)-1]
+			case c == 2:
+				n := 1 + 1200*int(data[(i+1)%len(data)])
+				top.items = append(top.items, secItem{kind: 'i', u: uint32(i), n: n})
 			case c%3 == 0:
 				top.items = append(top.items, secItem{kind: 'b', u: uint32(c)})
 			case c%3 == 1:
@@ -572,12 +644,22 @@ func TestReadEnvelopeSizedSources(t *testing.T) {
 	}
 }
 
-// TestStreamedEnvelopeLayout pins the streamed envelope to the layout
-// the package comment documents, built by hand with Section.
+// TestStreamedEnvelopeLayout pins the envelope Writer.WriteEnvelope
+// streams to the layout the package comment documents, built by hand with
+// Section, for bodies of one block, of several and of more than maxBlock.
 func TestStreamedEnvelopeLayout(t *testing.T) {
-	for _, body := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("state"), 1000)} {
+	for _, body := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("state"), 1000), benchBody()[:3*maxBlock+5]} {
 		want := appendChecksum(Version, envelopeHeader("scenario", Version, body))
+		var w Writer
+		w.write(string(body))
 		var buf bytes.Buffer
+		if err := w.WriteEnvelope(&buf, "scenario"); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Writer.WriteEnvelope of a %d-byte body differs from the documented layout", len(body))
+		}
+		buf.Reset()
 		if err := WriteEnvelope(&buf, "scenario", body); err != nil {
 			t.Fatal(err)
 		}
@@ -588,6 +670,50 @@ func TestStreamedEnvelopeLayout(t *testing.T) {
 			t.Fatalf("Encode of a %d-byte body differs from the documented layout", len(body))
 		}
 	}
+}
+
+// TestWriterAllocatesBodyOnce: writing an 8 MiB body of nested sections
+// and streaming its envelope allocates the body's bytes once, plus at
+// most one block's worth of room not yet written, which a writer that
+// copies its buffer as it grows cannot meet. The slack of firstBlock
+// bytes covers the list of sealed blocks and the few bytes at the end of
+// each that a field did not fit in. TotalAlloc counts the whole test
+// binary, so the bound applies to the least of five tries.
+func TestWriterAllocatesBodyOnce(t *testing.T) {
+	row := make([]int32, 1<<10)
+	write := func() int {
+		var w Writer
+		mark := w.BeginSection()
+		for i := range 8 {
+			inner := w.BeginSection()
+			w.String(fmt.Sprintf("section %d", i))
+			for j := range 256 {
+				w.Count(j)
+				w.I32s(row)
+				w.F64(float64(j))
+			}
+			w.EndSection(inner)
+		}
+		w.EndSection(mark)
+		if err := w.WriteEnvelope(io.Discard, "scenario"); err != nil {
+			t.Fatal(err)
+		}
+		return w.size()
+	}
+	var body int
+	alloc := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		body = write()
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(body + maxBlock + firstBlock); alloc > limit {
+		t.Fatalf("writing a %d-byte body allocated %d bytes, more than the body plus one block (%d)", body, alloc, limit)
+	}
+	t.Logf("a %d-byte body allocated %d bytes", body, alloc)
 }
 
 // TestFileSumIsWholeFileChecksum pins FileSum to the whole-file checksum
@@ -752,8 +878,7 @@ func BenchmarkEncode(b *testing.B) {
 // reference encoding the in-place BeginSection/EndSection must match.
 func (w *Writer) Section(body []byte) {
 	w.Len(len(body))
-	w.grow(len(body))
-	w.buf = append(w.buf, body...)
+	w.write(string(body))
 }
 
 // TestNarrowFieldsRoundTrip: versions 3 and 4 write I32 and Count in 4 bytes
