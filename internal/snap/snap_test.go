@@ -874,8 +874,8 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// Section appends a length-prefixed body written separately: the
-// reference encoding the in-place BeginSection/EndSection must match.
+// Section appends a length-prefixed body written separately, as the
+// hand-built envelopes carry theirs.
 func (w *Writer) Section(body []byte) {
 	w.Len(len(body))
 	w.write(string(body))
