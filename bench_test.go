@@ -326,7 +326,7 @@ func BenchmarkAppRouting(b *testing.B) {
 // scripts/paper/churn.json.
 func BenchmarkExtensionChurn(b *testing.B) {
 	const failAt, churnRounds, settle = 20, 30, 20
-	sched, err := trace.UniformChurn(benchW*benchH, churnRounds, 0.01, true, 14)
+	sched, err := trace.UniformChurn(benchW*benchH, churnRounds, 0.01, 14)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,11 +3,12 @@
 // (scenario × size × K × detector × exchange-parallelism × repeats), and
 // the package expands it deterministically into cells (splitmix64-derived
 // per-cell seeds via scenario.CellSeed), executes every cell on an engine
-// of its own under a runner.Budget, writes per-cell CSVs plus a grid
-// summary into a results folder, and aggregates them into a paper-ready
-// CSV and markdown tables. The paper's Table II, Fig. 10a, Fig. 10b and
-// the sustained-churn sweep are checked-in specs under scripts/paper/,
-// run through poly grid or scripts/paper/run_all.sh.
+// of its own, as many at once as RunOpts's worker and memory budgets
+// allow, writes per-cell CSVs plus a grid summary into a results folder,
+// and aggregates them into a paper-ready CSV and markdown tables. The
+// paper's Table II, Fig. 10a, Fig. 10b and the sustained-churn sweep are
+// checked-in specs under scripts/paper/, run through poly grid or
+// scripts/paper/run_all.sh.
 //
 // Rejection happens up front: unknown JSON keys, malformed axes and
 // invalid scenario/parameter combinations all fail at parse/validate time
@@ -83,12 +84,12 @@ type Spec struct {
 //   - "rolling-partition": the torus is cut into `bands` (default 4)
 //     vertical bands; band b fails at fail_at + b*stride (default
 //     stride 2), each band's loss rejoined `rejoin_at` rounds after it
-//     fails when rejoin_at >= 0 (failures.RollingPartition; here
+//     fails when rejoin_at >= 0 (trace.RollingPartition; here
 //     rejoin_at is a relative delay).
-//   - "rack-failure": a correlated-placement hierarchy of `datacenters`
-//     × `racks_per_dc` (defaults 4×4); datacenter 0 — a contiguous slab
-//     of the shape — fails at fail_at, rejoined at rejoin_at when >= 0
-//     (failures.DatacenterOutage).
+//   - "rack-failure": the torus width is split among `datacenters`
+//     (default 4) equal contiguous slabs; the first, x < W/datacenters,
+//     fails at fail_at, rejoined at rejoin_at when >= 0
+//     (trace.DatacenterOutage).
 //   - "weibull": heterogeneous node lifetimes drawn from
 //     Weibull(shape, scale) (defaults 0.7, rounds/2), deaths replaced by
 //     fresh joiners (trace.WeibullLifetimes).
@@ -115,7 +116,6 @@ type ScenarioSpec struct {
 	Bands    int     `json:"bands,omitempty"`
 	Stride   int     `json:"stride,omitempty"`
 	DCs      int     `json:"datacenters,omitempty"`
-	Racks    int     `json:"racks_per_dc,omitempty"`
 	Shape    float64 `json:"shape,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Trace    string  `json:"trace,omitempty"`
@@ -134,7 +134,7 @@ var scenarioFields = map[string][]string{
 	"churn":             {"rate", "fail_at", "rejoin_at"},
 	"flash-crowd":       {"fail_at", "rejoin_at", "crowd"},
 	"rolling-partition": {"fail_at", "rejoin_at", "bands", "stride"},
-	"rack-failure":      {"fail_at", "rejoin_at", "datacenters", "racks_per_dc"},
+	"rack-failure":      {"fail_at", "rejoin_at", "datacenters"},
 	"weibull":           {"shape", "scale"},
 	"trace":             {"trace"},
 	"reshape":           {"fail_at", "split"},
@@ -371,17 +371,14 @@ func (sc *ScenarioSpec) validate(s *Spec, baseDir string) error {
 		if !sc.setFields["datacenters"] {
 			sc.DCs = 4
 		}
-		if !sc.setFields["racks_per_dc"] {
-			sc.Racks = 4
-		}
 		if !sc.setFields["fail_at"] {
 			sc.FailAt = sc.Rounds / 4
 		}
 		if !sc.setFields["rejoin_at"] {
 			sc.RejoinAt = -1
 		}
-		if sc.DCs < 1 || sc.Racks < 1 {
-			return fmt.Errorf("experiments: scenario %q needs positive datacenters and racks_per_dc", sc.Label)
+		if sc.DCs < 1 {
+			return fmt.Errorf("experiments: scenario %q needs positive datacenters", sc.Label)
 		}
 		if sc.FailAt < 0 || sc.FailAt >= sc.Rounds || (sc.RejoinAt >= 0 && (sc.RejoinAt < sc.FailAt || sc.RejoinAt >= sc.Rounds)) {
 			return fmt.Errorf("experiments: scenario %q fail/rejoin rounds (%d, %d) outside the %d-round horizon", sc.Label, sc.FailAt, sc.RejoinAt, sc.Rounds)

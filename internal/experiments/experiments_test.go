@@ -439,7 +439,7 @@ func TestChurnWindowDefaultsKeepSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := trace.UniformChurn(128, 30, 0.05, true, cells[0].ScheduleSeed)
+	want, err := trace.UniformChurn(128, 30, 0.05, cells[0].ScheduleSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestChurnWindowDefaultsKeepSchedule(t *testing.T) {
 	if err := windowed.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := trace.UniformChurn(128, 12, 0.05, true, cells[1].ScheduleSeed)
+	base, err := trace.UniformChurn(128, 12, 0.05, cells[1].ScheduleSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

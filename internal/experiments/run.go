@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"sync"
 
 	"polystyrene/internal/core"
-	"polystyrene/internal/failures"
-	"polystyrene/internal/runner"
 	"polystyrene/internal/scenario"
 	"polystyrene/internal/shape"
 	"polystyrene/internal/trace"
@@ -102,7 +102,7 @@ func BuildSchedule(cell Cell) (*trace.Schedule, error) {
 	case "churn":
 		// Generate the window's churn from round 0, then shift it to start
 		// at fail_at; the default window (0, rounds) shifts by nothing.
-		s, err := trace.UniformChurn(n, sp.RejoinAt-sp.FailAt, sp.Rate, true, cell.ScheduleSeed)
+		s, err := trace.UniformChurn(n, sp.RejoinAt-sp.FailAt, sp.Rate, cell.ScheduleSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -114,16 +114,12 @@ func BuildSchedule(cell Cell) (*trace.Schedule, error) {
 		return trace.FlashCrowd(n, sp.FailAt, int(sp.Crowd*float64(n)), sp.RejoinAt)
 	case "rolling-partition":
 		pos := shape.Grid(cell.W, cell.H, 1)
-		return failures.RollingPartition(pos, float64(cell.W), sp.Bands, sp.FailAt, sp.Stride, sp.RejoinAt)
+		return trace.RollingPartition(pos, float64(cell.W), sp.Bands, sp.FailAt, sp.Stride, sp.RejoinAt)
 	case "rack-failure":
 		pos := shape.Grid(cell.W, cell.H, 1)
-		h, err := failures.NewHierarchy(sp.DCs, sp.Racks, failures.Correlated, pos, float64(cell.W), nil)
-		if err != nil {
-			return nil, err
-		}
-		return failures.DatacenterOutage(h, n, sp.FailAt, sp.RejoinAt, 0)
+		return trace.DatacenterOutage(pos, float64(cell.W), sp.DCs, sp.FailAt, sp.RejoinAt)
 	case "weibull":
-		return trace.WeibullLifetimes(n, cell.Rounds, sp.Shape, sp.Scale, true, cell.ScheduleSeed)
+		return trace.WeibullLifetimes(n, cell.Rounds, sp.Shape, sp.Scale, cell.ScheduleSeed)
 	case "trace":
 		f, err := os.Open(sp.Trace)
 		if err != nil {
@@ -209,7 +205,8 @@ func runReshape(cell Cell, cfg scenario.Config) (CellResult, error) {
 	}, nil
 }
 
-// RunOpts bounds a grid execution.
+// RunOpts bounds a grid execution. The bounds never affect results:
+// cell results fold in expansion order.
 type RunOpts struct {
 	// Parallelism is the worker budget for concurrent cells; <= 0 means
 	// GOMAXPROCS.
@@ -222,6 +219,64 @@ type RunOpts struct {
 	// reflects completion, not expansion; results always fold in
 	// expansion order).
 	Progress func(line string)
+}
+
+// parallelism resolves how many of `cells` cells may run at once: the
+// worker budget, capped by the cell count and, when both are known, by
+// how many cells of cellBytes fit the memory budget — always at least
+// one, or nothing would ever run.
+func (o RunOpts) parallelism(cells int, cellBytes int64) int {
+	par := o.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	par = min(par, max(cells, 1))
+	if o.MemBudgetBytes > 0 && cellBytes > 0 {
+		par = min(par, max(int(o.MemBudgetBytes/cellBytes), 1))
+	}
+	return par
+}
+
+// fanOut runs fn(0), ..., fn(n-1) on at most parallelism goroutines (at
+// least one) and waits for all of them. Every job runs even when another
+// fails; the result is the error of the lowest-indexed failing job, and a
+// panicking job counts as failed, so one bad cell cannot take the whole
+// grid down. Each job writes only its own slot of a pre-sized result
+// slice, so the fold is identical under any scheduling.
+func fanOut(parallelism, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < max(min(parallelism, n), 1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				errs[i] = safeCall(fn, i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// safeCall converts a panicking job into an error.
+func safeCall(fn func(int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("experiments: job %d panicked: %v", i, r)
+		}
+	}()
+	return fn(i)
 }
 
 // Run expands the spec and executes every cell under the given budget.
@@ -237,12 +292,7 @@ func Run(spec *Spec, opts RunOpts) ([]CellResult, error) {
 			maxBytes = b
 		}
 	}
-	par := runner.Budget{
-		Workers:  opts.Parallelism,
-		MemBytes: opts.MemBudgetBytes,
-		JobBytes: maxBytes,
-	}.Split(len(cells))
-	err := runner.Map(par, len(cells), func(i int) error {
+	err := fanOut(opts.parallelism(len(cells), maxBytes), len(cells), func(i int) error {
 		r, err := RunCell(cells[i])
 		if err != nil {
 			return fmt.Errorf("experiments: cell %s: %w", cells[i].ID(), err)

@@ -1,21 +1,26 @@
-package scenario
+package experiments
 
 import (
 	"sync"
 	"testing"
 
-	"polystyrene/internal/runner"
+	"polystyrene/internal/scenario"
 )
 
+// These tests run reshaping sweeps through the grid's cell fan-out
+// directly, outside any spec, to pin that concurrent cells share no
+// state and that the worker and memory budgets compose with exchange
+// parallelism.
+
 // sweepCell is one reshaping measurement of a small Table II-style sweep.
-// Its seed is derived through CellSeed from everything but the exchange
-// level, so cells that differ only in exchange parallelism >= 1 must
-// produce the same outcome.
+// Its seed is derived through scenario.CellSeed from everything but the
+// exchange level, so cells that differ only in exchange parallelism >= 1
+// must produce the same outcome.
 type sweepCell struct{ w, h, k, exchange, rep int }
 
-func (c sweepCell) config() Config {
-	return Config{
-		Seed:                CellSeed(5, "sweep", uint64(c.w), uint64(c.h), uint64(c.k), uint64(c.rep)),
+func (c sweepCell) config() scenario.Config {
+	return scenario.Config{
+		Seed:                scenario.CellSeed(5, "sweep", uint64(c.w), uint64(c.h), uint64(c.k), uint64(c.rep)),
 		W:                   c.w,
 		H:                   c.h,
 		Polystyrene:         true,
@@ -26,12 +31,12 @@ func (c sweepCell) config() Config {
 
 // runSweep measures every cell with at most par cells in flight and folds
 // the outcomes in cell order. peak is the most cells seen in flight at once.
-func runSweep(t *testing.T, cells []sweepCell, par int) (outs []ReshapingOutcome, peak int) {
+func runSweep(t *testing.T, cells []sweepCell, par int) (outs []scenario.ReshapingOutcome, peak int) {
 	t.Helper()
-	outs = make([]ReshapingOutcome, len(cells))
+	outs = make([]scenario.ReshapingOutcome, len(cells))
 	var mu sync.Mutex
 	inFlight := 0
-	err := runner.Map(par, len(cells), func(i int) error {
+	err := fanOut(par, len(cells), func(i int) error {
 		mu.Lock()
 		inFlight++
 		peak = max(peak, inFlight)
@@ -41,7 +46,7 @@ func runSweep(t *testing.T, cells []sweepCell, par int) (outs []ReshapingOutcome
 			inFlight--
 			mu.Unlock()
 		}()
-		o, err := MeasureReshaping(cells[i].config(), 8, 30)
+		o, err := scenario.MeasureReshaping(cells[i].config(), 8, 30)
 		outs[i] = o
 		return err
 	})
@@ -53,7 +58,7 @@ func runSweep(t *testing.T, cells []sweepCell, par int) (outs []ReshapingOutcome
 
 // sameOutcomes fails the test at the first cell whose outcome differs
 // from the reference.
-func sameOutcomes(t *testing.T, what string, cells []sweepCell, got, want []ReshapingOutcome) {
+func sameOutcomes(t *testing.T, what string, cells []sweepCell, got, want []scenario.ReshapingOutcome) {
 	t.Helper()
 	for i := range cells {
 		if got[i] != want[i] {
@@ -116,14 +121,14 @@ func TestRunOptsMemBudgetBoundsParallelism(t *testing.T) {
 			cells = append(cells, sweepCell{w: 16, h: 8, k: k, rep: rep})
 		}
 	}
-	job := Config{W: 16, H: 8, Polystyrene: true, K: 4}.EstimatedFootprintBytes()
+	job := scenario.Config{W: 16, H: 8, Polystyrene: true, K: 4}.EstimatedFootprintBytes()
 	if job <= 0 {
 		t.Fatalf("estimated footprint %d, want > 0", job)
 	}
-	if par := (runner.Budget{Workers: 8, MemBytes: job / 2, JobBytes: job}).Split(len(cells)); par != 1 {
+	if par := (RunOpts{Parallelism: 8, MemBudgetBytes: job / 2}).parallelism(len(cells), job); par != 1 {
 		t.Errorf("sub-cell budget allows %d cells in flight, want 1", par)
 	}
-	par := runner.Budget{Workers: 8, MemBytes: 2*job + job/2, JobBytes: job}.Split(len(cells))
+	par := RunOpts{Parallelism: 8, MemBudgetBytes: 2*job + job/2}.parallelism(len(cells), job)
 	if par != 2 {
 		t.Fatalf("budget of 2.5 cells allows %d cells in flight, want 2", par)
 	}

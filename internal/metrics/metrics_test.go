@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -247,27 +246,7 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestMeanSeries(t *testing.T) {
-	mean, ci, err := MeanSeries([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean[0] != 2 || mean[1] != 3 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if ci[0] <= 0 {
-		t.Fatalf("ci = %v", ci)
-	}
-	if _, _, err := MeanSeries(nil); err == nil {
-		t.Fatal("MeanSeries(nil) should fail")
-	}
-	if _, _, err := MeanSeries([][]float64{{1}, {1, 2}}); err == nil {
-		t.Fatal("ragged runs should fail")
-	}
-}
-
-// Series and MeanSeries have no production caller; TestSeries,
-// TestMeanSeries and TestQuickMeanSeriesBounds are their only tests.
+// Series has no production caller; TestSeries is its only test.
 
 // Series is a per-round time series of one metric across an experiment.
 type Series struct {
@@ -290,28 +269,3 @@ func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
 
 // Len returns the number of recorded rounds.
 func (s *Series) Len() int { return len(s.Values) }
-
-// MeanSeries averages several runs of the same metric point-wise, along
-// with the per-round CI95 half-widths. All runs must have equal length.
-func MeanSeries(runs [][]float64) (mean, ci []float64, err error) {
-	if len(runs) == 0 {
-		return nil, nil, fmt.Errorf("metrics: MeanSeries needs at least one run")
-	}
-	length := len(runs[0])
-	for i, r := range runs {
-		if len(r) != length {
-			return nil, nil, fmt.Errorf("metrics: run %d has length %d, want %d", i, len(r), length)
-		}
-	}
-	mean = make([]float64, length)
-	ci = make([]float64, length)
-	for i := 0; i < length; i++ {
-		var acc Accumulator
-		for _, r := range runs {
-			acc.Add(r[i])
-		}
-		mean[i] = acc.Mean()
-		ci[i] = acc.CI95()
-	}
-	return mean, ci, nil
-}

@@ -97,30 +97,3 @@ func TestQuickConstantSeriesHasZeroSpread(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickMeanSeriesBounds(t *testing.T) {
-	// The point-wise mean of two runs lies between the two runs' values.
-	f := func(raw []float64) bool {
-		a := sane(raw)
-		if len(a) == 0 {
-			return true
-		}
-		b := make([]float64, len(a))
-		for i, v := range a {
-			b[i] = v + 1
-		}
-		mean, _, err := MeanSeries([][]float64{a, b})
-		if err != nil {
-			return false
-		}
-		for i := range a {
-			if mean[i] < a[i]-1e-9 || mean[i] > b[i]+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

@@ -202,7 +202,7 @@ func BenchmarkScheduleReplay(b *testing.B) {
 		// The script covers far more rounds than any realistic benchtime
 		// reaches; rounds beyond it replay event-free.
 		const horizon = 2048
-		sched, err := trace.UniformChurn(cfg.W*cfg.H, horizon, rate, true, 77)
+		sched, err := trace.UniformChurn(cfg.W*cfg.H, horizon, rate, 77)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,10 +28,10 @@ func measureFootprintBytes(cfg Config, rounds int) (heap int64, sc *Scenario) {
 // against live runtime.MemStats sampling on converged mid-size runs: the
 // estimate must land within a factor of 3 of measured live heap, in both
 // directions, for the full Polystyrene stack and the plain baseline.
-// (Factor 3 is the documented contract: the estimate feeds runner.Budget
-// admission, where the cost of a loose bound is throughput, and the cost
-// of an estimate off by more than the factor is either an OOM-admitting
-// sweep or one that strands most of the budget.) This is the test that
+// (Factor 3 is the documented contract: the estimate feeds the grid's
+// memory-budget admission, where the cost of a loose bound is
+// throughput, and the cost of an estimate off by more than the factor is
+// either an OOM-admitting sweep or one that strands most of the budget.) This is the test that
 // recalibrates the two constants: if allocator or layout changes move
 // measured heap outside the window, the constants — not the factor —
 // should be updated.

@@ -188,12 +188,12 @@ func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
 // top (the interner's point storage, key string and id map entry, and a
 // row of the layer's guests⁻¹ table). The point term is what the estimate
 // used to ignore: guest sets and the guests⁻¹ table scale with points,
-// not nodes,
-// so dense data universes under-estimated and runner.Budget over-admitted
-// cells. Both constants are deliberately a little generous — the
-// estimate reads 1.5–1.75× the measured heap — because it bounds grid
-// parallelism, where overshooting trades throughput and undershooting
-// trades the machine.
+// not nodes, so dense data universes under-estimated and the grid's
+// memory budget over-admitted cells. Both constants are deliberately a
+// little generous — the estimate reads 1.5–1.75× the measured heap —
+// because it bounds how many grid cells run at once (poly grid
+// -parallel and -mem-budget), where overshooting trades throughput and
+// undershooting trades the machine.
 const (
 	estFootprintBytesPerNodeLayer = 620
 	estFootprintBytesPerPoint     = 160

@@ -16,7 +16,7 @@ import (
 // event kinds repeatedly.
 func replaySchedule(t *testing.T, rounds int) *trace.Schedule {
 	t.Helper()
-	sched, err := trace.UniformChurn(16*8, rounds, 0.05, true, 1234)
+	sched, err := trace.UniformChurn(16*8, rounds, 0.05, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}

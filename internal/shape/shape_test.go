@@ -1,7 +1,6 @@
 package shape
 
 import (
-	"math"
 	"testing"
 
 	"polystyrene/internal/core"
@@ -11,35 +10,11 @@ import (
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
 	"polystyrene/internal/tman"
-	"polystyrene/internal/xrand"
 )
 
-func TestGridAndRingDelegate(t *testing.T) {
+func TestGridDelegates(t *testing.T) {
 	if len(Grid(4, 3, 1)) != 12 {
 		t.Fatal("Grid size")
-	}
-	if len(Ring(7, 70)) != 7 {
-		t.Fatal("Ring size")
-	}
-}
-
-func TestClusters(t *testing.T) {
-	rng := xrand.New(1)
-	centers := []space.Point{{0, 0}, {100, 100}}
-	pts := Clusters(centers, 50, 2, rng)
-	if len(pts) != 100 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Points must sit near their own centre, far from the other.
-	for i, p := range pts {
-		c := centers[i/50]
-		d := math.Hypot(p[0]-c[0], p[1]-c[1])
-		if d > 12 { // 6 sigma
-			t.Fatalf("point %d at distance %v from its centre", i, d)
-		}
-	}
-	if Clusters(nil, 5, 1, rng) != nil || Clusters(centers, 0, 1, rng) != nil {
-		t.Fatal("degenerate clusters not nil")
 	}
 }
 
@@ -64,48 +39,6 @@ func TestCross(t *testing.T) {
 	}
 	if Cross(0, 1, 1) != nil {
 		t.Fatal("degenerate cross not nil")
-	}
-}
-
-func TestSphere(t *testing.T) {
-	pts := Sphere(200, 5)
-	if len(pts) != 200 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		r := math.Sqrt(p[0]*p[0] + p[1]*p[1] + p[2]*p[2])
-		if math.Abs(r-5) > 1e-9 {
-			t.Fatalf("point %v at radius %v, want 5", p, r)
-		}
-	}
-	// Roughly balanced hemispheres.
-	north := 0
-	for _, p := range pts {
-		if p[1] > 0 {
-			north++
-		}
-	}
-	if north < 80 || north > 120 {
-		t.Fatalf("northern hemisphere holds %d of 200", north)
-	}
-	if Sphere(0, 1) != nil || Sphere(1, 0) != nil {
-		t.Fatal("degenerate sphere not nil")
-	}
-}
-
-func TestUniformTorus(t *testing.T) {
-	tor := space.NewTorus(10, 20)
-	pts := UniformTorus(500, tor, xrand.New(2))
-	if len(pts) != 500 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p[0] < 0 || p[0] >= 10 || p[1] < 0 || p[1] >= 20 {
-			t.Fatalf("point %v out of torus", p)
-		}
-	}
-	if UniformTorus(0, tor, xrand.New(1)) != nil {
-		t.Fatal("degenerate cloud not nil")
 	}
 }
 
@@ -227,34 +160,8 @@ func (s shapeSystem) EachNeighbor(id sim.NodeID, k int, yield func(sim.NodeID) b
 	s.tm.EachNeighbor(id, k, yield)
 }
 
-// The generators below build shapes that no production path uses. Cross
-// and BoundingTorus are the fixtures of TestCrossShapeSurvivesCatastrophe;
-// the others are tested only by their own tests.
-
-// Ring returns n points evenly spaced on a 1D ring.
-func Ring(n int, circumference float64) []space.Point {
-	return space.RingPoints(n, circumference)
-}
-
-// Clusters returns Gaussian blobs: for each centre, perCluster points
-// drawn from an isotropic normal with the given standard deviation. This
-// is the semantic-community shape of recommendation overlays.
-func Clusters(centers []space.Point, perCluster int, stddev float64, rng *xrand.Rand) []space.Point {
-	if perCluster <= 0 || len(centers) == 0 {
-		return nil
-	}
-	out := make([]space.Point, 0, len(centers)*perCluster)
-	for _, c := range centers {
-		for i := 0; i < perCluster; i++ {
-			p := make(space.Point, len(c))
-			for d := range c {
-				p[d] = c[d] + stddev*math.Sqrt(-2*math.Log(1-rng.Float64()))*math.Cos(2*math.Pi*rng.Float64())
-			}
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// The generators below build shapes that no production path uses: Cross
+// and BoundingTorus are the fixtures of TestCrossShapeSurvivesCatastrophe.
 
 // Cross returns a plus-sign shape centred in a w x h box: points along the
 // horizontal and vertical centre lines with the given step. Non-convex
@@ -275,44 +182,6 @@ func Cross(w, h, step float64) []space.Point {
 			continue // junction already present
 		}
 		out = append(out, space.Point{cx, y})
-	}
-	return out
-}
-
-// Sphere returns n points approximately evenly distributed on the surface
-// of a 3D sphere (Fibonacci lattice) with the given radius, centred at the
-// origin — a shape for 3D Euclidean deployments.
-func Sphere(n int, radius float64) []space.Point {
-	if n <= 0 || radius <= 0 {
-		return nil
-	}
-	out := make([]space.Point, n)
-	golden := math.Pi * (3 - math.Sqrt(5))
-	for i := 0; i < n; i++ {
-		y := 1 - 2*float64(i)/float64(max(n-1, 1))
-		r := math.Sqrt(math.Max(0, 1-y*y))
-		theta := golden * float64(i)
-		out[i] = space.Point{
-			radius * r * math.Cos(theta),
-			radius * y,
-			radius * r * math.Sin(theta),
-		}
-	}
-	return out
-}
-
-// UniformTorus returns n points drawn uniformly at random on the torus.
-func UniformTorus(n int, t space.Torus, rng *xrand.Rand) []space.Point {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]space.Point, n)
-	for i := range out {
-		p := make(space.Point, t.Dim())
-		for d := range p {
-			p[d] = rng.Float64() * t.Width(d)
-		}
-		out[i] = p
 	}
 	return out
 }

@@ -301,18 +301,6 @@ func TestCostModelConstants(t *testing.T) {
 	}
 }
 
-func TestLayerLookup(t *testing.T) {
-	a, b := newRecorder("a"), newRecorder("b")
-	e := New(15, a, b)
-	if e.Layer("a") != a || e.Layer("b") != b || e.Layer("zzz") != nil {
-		t.Fatal("Layer lookup broken")
-	}
-	names := e.LayerNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("LayerNames = %v", names)
-	}
-}
-
 func TestLiveIDsSortedProperty(t *testing.T) {
 	f := func(seed uint64, kills []uint8) bool {
 		e := New(seed, newRecorder("p"))
@@ -339,26 +327,4 @@ func TestLiveIDsSortedProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// Layer and LayerNames have no production caller; TestLayerLookup is
-// their only test.
-
-// Layer returns the layer with the given name, or nil.
-func (e *Engine) Layer(name string) Protocol {
-	for _, l := range e.layers {
-		if l.Name() == name {
-			return l
-		}
-	}
-	return nil
-}
-
-// LayerNames returns the names of all layers, bottom first.
-func (e *Engine) LayerNames() []string {
-	names := make([]string, len(e.layers))
-	for i, l := range e.layers {
-		names[i] = l.Name()
-	}
-	return names
 }

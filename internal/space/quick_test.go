@@ -140,31 +140,3 @@ func TestQuickWrapIdempotentAndDistancePreserving(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickCentroidWithinBoundingBox(t *testing.T) {
-	f := func(raw []byte) bool {
-		pts := genPoints(raw)
-		if len(pts) == 0 {
-			return Centroid(pts) == nil
-		}
-		c := Centroid(pts)
-		for d := 0; d < 2; d++ {
-			lo, hi := pts[0][d], pts[0][d]
-			for _, p := range pts {
-				if p[d] < lo {
-					lo = p[d]
-				}
-				if p[d] > hi {
-					hi = p[d]
-				}
-			}
-			if c[d] < lo-1e-9 || c[d] > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

@@ -229,16 +229,6 @@ func TestMedoidMatchesPaperExample(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	if Centroid(nil) != nil {
-		t.Error("Centroid(empty) should be nil")
-	}
-	got := Centroid([]Point{{0, 0}, {2, 4}})
-	if !got.Equal(Point{1, 2}) {
-		t.Errorf("Centroid = %v, want (1,2)", got)
-	}
-}
-
 func TestDiameterExact(t *testing.T) {
 	s := NewEuclidean(2)
 	pts := []Point{{0, 0}, {1, 0}, {5, 0}, {2, 2}}
@@ -385,13 +375,6 @@ func TestTorusGrid(t *testing.T) {
 	}
 }
 
-func TestTorusGridOffset(t *testing.T) {
-	pts := TorusGridOffset(2, 2, 1, 0.5, 0.5)
-	if !pts[0].Equal(Point{0.5, 0.5}) {
-		t.Errorf("offset grid origin %v", pts[0])
-	}
-}
-
 func TestRingPoints(t *testing.T) {
 	pts := RingPoints(4, 100)
 	want := []float64{0, 25, 50, 75}
@@ -495,29 +478,8 @@ func BenchmarkRowDistances(b *testing.B) {
 }
 
 // The helpers below have no production caller. SumSquaredTo is the
-// objective the medoid tests check Medoid against; Centroid,
-// TorusGridOffset and the Manhattan space are tested only by their own
-// tests.
-
-// Centroid returns the arithmetic mean of points. It is only meaningful in
-// vector spaces (Euclidean, Manhattan); do not use it on modular spaces.
-// It returns nil for an empty slice.
-func Centroid(points []Point) Point {
-	if len(points) == 0 {
-		return nil
-	}
-	c := make(Point, len(points[0]))
-	for _, p := range points {
-		for i, v := range p {
-			c[i] += v
-		}
-	}
-	inv := 1 / float64(len(points))
-	for i := range c {
-		c[i] *= inv
-	}
-	return c
-}
+// objective the medoid tests check Medoid against; the Manhattan space is
+// tested only by its own tests.
 
 // SumSquaredTo returns the sum of squared distances from x to every element
 // of points.
@@ -528,16 +490,6 @@ func SumSquaredTo(s Space, x Point, points []Point) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// TorusGridOffset is TorusGrid shifted by (dx, dy).
-func TorusGridOffset(w, h int, step, dx, dy float64) []Point {
-	pts := TorusGrid(w, h, step)
-	for _, p := range pts {
-		p[0] += dx
-		p[1] += dy
-	}
-	return pts
 }
 
 // Manhattan is the L1 metric over R^dim. It is a non-modular metric for the

@@ -5,15 +5,17 @@ import (
 	"math"
 	"sort"
 
+	"polystyrene/internal/space"
 	"polystyrene/internal/xrand"
 )
 
-// This file holds the position-free adversarial schedule generators —
-// availability scripts that depend only on population size and time.
-// Position- and infrastructure-correlated scripts (rolling partitions,
-// rack and datacenter outages) live in internal/failures, which owns the
-// domain models they draw on; all of them emit the same Schedule type and
-// replay through the same engine path.
+// This file holds the adversarial schedule generators. Flash crowds,
+// uniform churn and Weibull lifetimes depend only on population size and
+// time; rolling partitions and datacenter outages crash contiguous slabs
+// of the shape, the correlated outages that motivate the paper ("all the
+// virtual machines handling contiguous keys hosted in the same rack",
+// Sec. I). All of them emit the same Schedule type and replay through the
+// same engine path.
 
 // FlashCrowd scripts the classic flash-crowd profile: `joiners` fresh
 // nodes all arrive at joinRound and all depart again at leaveRound — a
@@ -43,13 +45,12 @@ func FlashCrowd(initial, joinRound, joiners, leaveRound int) (*Schedule, error) 
 // UniformChurn pre-computes the uniform random churn regime as a
 // replayable schedule: every round for `rounds` rounds, a `rate` fraction
 // of the then-alive population crashes, each crash matched by a fresh
-// joiner when replace is set. Victims are drawn from the generator's own
-// stream, never the engine's, so the entire script is fixed up front by
-// `seed` — the same churn replays bit-exactly through checkpoints, engine
-// pools and every exchange-parallelism level, and can be written to CSV
-// and shared. The experiment grid's "churn" scenario shifts it to start
+// joiner. Victims are drawn from the generator's own stream, never the
+// engine's, so the entire script is fixed up front by `seed` — the same
+// churn replays bit-exactly through checkpoints, engine pools and every
+// exchange-parallelism level, and can be written to CSV and shared. The experiment grid's "churn" scenario shifts it to start
 // at its window's first round.
-func UniformChurn(initial, rounds int, rate float64, replace bool, seed uint64) (*Schedule, error) {
+func UniformChurn(initial, rounds int, rate float64, seed uint64) (*Schedule, error) {
 	if initial < 0 || rounds < 0 {
 		return nil, fmt.Errorf("trace: uniform churn needs non-negative initial/rounds (got %d, %d)", initial, rounds)
 	}
@@ -77,12 +78,10 @@ func UniformChurn(initial, rounds int, rate float64, replace bool, seed uint64) 
 			alive[i] = alive[len(alive)-1]
 			alive = alive[:len(alive)-1]
 		}
-		if replace {
-			for i := 0; i < kills; i++ {
-				s.Events = append(s.Events, Event{Round: r, Op: OpJoin, Node: next})
-				alive = append(alive, next)
-				next++
-			}
+		for i := 0; i < kills; i++ {
+			s.Events = append(s.Events, Event{Round: r, Op: OpJoin, Node: next})
+			alive = append(alive, next)
+			next++
 		}
 	}
 	if err := s.Canonicalize(); err != nil {
@@ -92,14 +91,14 @@ func UniformChurn(initial, rounds int, rate float64, replace bool, seed uint64) 
 }
 
 // WeibullLifetimes scripts heterogeneous node lifetimes: every node —
-// initial and, when replace is set, each replacement — draws a lifetime
-// from a Weibull(shape, scale) distribution (shape < 1 is the heavy-tailed
-// "most nodes die young, a few live very long" regime measured in P2P
-// availability studies; shape = 1 is exponential) and leaves that many
-// rounds after it arrives. Deaths before `horizon` are scheduled; with
-// replace, a fresh node joins the same round a death fires and draws its
-// own lifetime from there. The whole script is fixed by `seed`.
-func WeibullLifetimes(initial, horizon int, shape, scale float64, replace bool, seed uint64) (*Schedule, error) {
+// initial and each replacement — draws a lifetime from a Weibull(shape,
+// scale) distribution (shape < 1 is the heavy-tailed "most nodes die
+// young, a few live very long" regime measured in P2P availability
+// studies; shape = 1 is exponential) and leaves that many rounds after it
+// arrives. Deaths before `horizon` are scheduled, and a fresh node joins
+// the same round a death fires and draws its own lifetime from there. The
+// whole script is fixed by `seed`.
+func WeibullLifetimes(initial, horizon int, shape, scale float64, seed uint64) (*Schedule, error) {
 	if initial < 0 || horizon < 0 {
 		return nil, fmt.Errorf("trace: weibull lifetimes need non-negative initial/horizon (got %d, %d)", initial, horizon)
 	}
@@ -136,18 +135,104 @@ func WeibullLifetimes(initial, horizon int, shape, scale float64, replace bool, 
 		for _, node := range dying {
 			s.Events = append(s.Events, Event{Round: r, Op: OpLeave, Node: node})
 		}
-		if replace {
-			// Replacements join the round their predecessor dies and draw
-			// their own lifetime; draws happen here, in round order then
-			// arrival order, so the stream consumption is deterministic.
-			for range dying {
-				s.Events = append(s.Events, Event{Round: r, Op: OpJoin, Node: next})
-				if d := deathRound(r); d < horizon {
-					deaths[d] = append(deaths[d], next)
-				}
-				next++
+		// Replacements join the round their predecessor dies and draw
+		// their own lifetime; draws happen here, in round order then
+		// arrival order, so the stream consumption is deterministic.
+		for range dying {
+			s.Events = append(s.Events, Event{Round: r, Op: OpJoin, Node: next})
+			if d := deathRound(r); d < horizon {
+				deaths[d] = append(deaths[d], next)
 			}
+			next++
 		}
+	}
+	if err := s.Canonicalize(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// regionFailureEvents appends a leave event at `round` for every node of
+// positions whose first coordinate falls in the contiguous region
+// [lo, hi) of the torus width — a correlated geographic outage. Node i is
+// positions[i].
+func regionFailureEvents(events []Event, positions []space.Point, lo, hi float64, round int) []Event {
+	for i, p := range positions {
+		if p[0] >= lo && p[0] < hi {
+			events = append(events, Event{Round: round, Op: OpLeave, Node: i})
+		}
+	}
+	return events
+}
+
+// appendJoins appends `count` joins at `round`, numbered from next, and
+// returns the next free identity.
+func appendJoins(events []Event, round, next, count int) ([]Event, int) {
+	for i := 0; i < count; i++ {
+		events = append(events, Event{Round: round, Op: OpJoin, Node: next})
+		next++
+	}
+	return events, next
+}
+
+// RollingPartition scripts a partition sweeping across the torus: the
+// width is cut into `bands` contiguous vertical bands, and band b's nodes
+// (by their position in `positions`; node i is positions[i]) leave at
+// start + b*stride — rack after rack going dark as the failure front
+// rolls through the space. When rejoin >= 0, each band's loss is matched
+// by fresh nodes joining `rejoin` rounds after that band fails, modelling
+// rolling recovery behind the front.
+func RollingPartition(positions []space.Point, width float64, bands, start, stride, rejoin int) (*Schedule, error) {
+	if bands <= 0 {
+		return nil, fmt.Errorf("trace: rolling partition needs a positive band count (got %d)", bands)
+	}
+	if width <= 0 {
+		return nil, fmt.Errorf("trace: rolling partition needs a positive width (got %v)", width)
+	}
+	if start < 0 || stride < 0 {
+		return nil, fmt.Errorf("trace: rolling partition needs non-negative start and stride (got %d, %d)", start, stride)
+	}
+	n := len(positions)
+	s := &Schedule{Initial: n}
+	next := n
+	for b := 0; b < bands; b++ {
+		lo := width * float64(b) / float64(bands)
+		hi := width * float64(b+1) / float64(bands)
+		if b == bands-1 {
+			hi = width + 1 // last band owns the boundary, clamping rounding spill
+		}
+		before := len(s.Events)
+		s.Events = regionFailureEvents(s.Events, positions, lo, hi, start+b*stride)
+		if rejoin >= 0 {
+			s.Events, next = appendJoins(s.Events, start+b*stride+rejoin, next, len(s.Events)-before)
+		}
+	}
+	if err := s.Canonicalize(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// DatacenterOutage scripts the power-feed failure of one of `datacenters`
+// equal datacenters, each hosting a contiguous slab of the torus width:
+// every node whose first coordinate falls in [0, width/datacenters)
+// leaves at failRound, and — when rejoinRound >= 0 — as many fresh, empty
+// nodes join at rejoinRound, the recovery half of the paper's evaluation.
+func DatacenterOutage(positions []space.Point, width float64, datacenters, failRound, rejoinRound int) (*Schedule, error) {
+	if datacenters <= 0 || width <= 0 {
+		return nil, fmt.Errorf("trace: datacenter outage needs positive datacenters and width (got %d, %v)", datacenters, width)
+	}
+	if failRound < 0 {
+		return nil, fmt.Errorf("trace: datacenter outage needs a non-negative fail round (got %d)", failRound)
+	}
+	if rejoinRound >= 0 && rejoinRound < failRound {
+		return nil, fmt.Errorf("trace: rejoin round %d precedes fail round %d", rejoinRound, failRound)
+	}
+	n := len(positions)
+	s := &Schedule{Initial: n}
+	s.Events = regionFailureEvents(s.Events, positions, 0, width/float64(datacenters), failRound)
+	if rejoinRound >= 0 {
+		s.Events, _ = appendJoins(s.Events, rejoinRound, n, len(s.Events))
 	}
 	if err := s.Canonicalize(); err != nil {
 		return nil, err

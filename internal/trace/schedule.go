@@ -13,7 +13,7 @@ import (
 // of join and leave events a population experiences, round by round. Real
 // availability traces (loaded from CSV) and adversarial scripts (flash
 // crowds, rolling partitions, correlated rack failures, heterogeneous
-// lifetimes — see the generators in this package and internal/failures)
+// lifetimes — see the generators of gen.go)
 // both reduce to this one type, so they all replay through the same
 // deterministic engine path (scenario.DriveSchedule).
 //

@@ -36,12 +36,12 @@ func TestScheduleCSVRoundTrip(t *testing.T) {
 	} else {
 		schedules["flash-crowd"] = s
 	}
-	if s, err := UniformChurn(200, 30, 0.05, true, 7); err != nil {
+	if s, err := UniformChurn(200, 30, 0.05, 7); err != nil {
 		t.Fatalf("UniformChurn: %v", err)
 	} else {
 		schedules["churn"] = s
 	}
-	if s, err := WeibullLifetimes(150, 40, 0.7, 15, true, 11); err != nil {
+	if s, err := WeibullLifetimes(150, 40, 0.7, 15, 11); err != nil {
 		t.Fatalf("WeibullLifetimes: %v", err)
 	} else {
 		schedules["weibull"] = s

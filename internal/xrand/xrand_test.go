@@ -150,25 +150,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(11)
-	const trials = 200000
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(13)
 	for _, n := range []int{0, 1, 2, 10, 500} {
@@ -315,21 +296,5 @@ func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Intn(1000)
-	}
-}
-
-// NormFloat64 has no production caller; TestNormFloat64Moments is its
-// only test.
-
-// NormFloat64 returns a normally distributed value with mean 0 and standard
-// deviation 1, using the Marsaglia polar method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
 	}
 }
