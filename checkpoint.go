@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 
-	"polystyrene/internal/scenario"
 	"polystyrene/internal/snap"
 	"polystyrene/internal/space"
 )
@@ -87,75 +86,43 @@ func (d systemDigest) write(w *snap.Writer) {
 	w.Int(d.neighborK)
 }
 
-func readSystemDigest(r *snap.Reader) systemDigest {
-	var d systemDigest
-	d.spaceKind = r.String()
-	d.spaceDim = r.Int()
-	d.widthsHash = r.U64()
-	d.shapeLen = r.Int()
-	d.shapeHash = r.U64()
-	d.k = r.Int()
-	d.split = r.String()
-	d.baseline = r.Bool()
-	d.delay = r.Int()
-	d.neighborK = r.Int()
-	return d
+// check reads a snapshot's digest and returns why it does not match d,
+// or nil.
+func (d systemDigest) check(r *snap.Reader) error {
+	var got systemDigest
+	got.spaceKind = r.String()
+	got.spaceDim = r.Int()
+	got.widthsHash = r.U64()
+	got.shapeLen = r.Int()
+	got.shapeHash = r.U64()
+	got.k = r.Int()
+	got.split = r.String()
+	got.baseline = r.Bool()
+	got.delay = r.Int()
+	got.neighborK = r.Int()
+	if got != d {
+		return fmt.Errorf("polystyrene: snapshot configuration %+v does not match this system %+v", got, d)
+	}
+	return nil
 }
 
-// Snapshot writes a checksummed checkpoint of the whole system — a
-// configuration digest, the pinned positions of late-joined nodes, and
-// the complete engine state (RNG, liveness, message meter and every
-// protocol layer) — to w. Restoring it into a freshly built System of an
-// equivalent configuration and running n more rounds is byte-identical
-// to never having checkpointed, at every ExchangeParallelism setting.
+// Snapshot writes a checksummed checkpoint of the whole system to w: a
+// configuration digest, the pinned positions of late-joined nodes and the
+// complete engine state (RNG, liveness, message meter and every protocol
+// layer), laid out by internal/scenario's Stack.WriteCheckpoint.
+// Restoring it into a freshly built System of an equivalent configuration
+// and running n more rounds is byte-identical to never having
+// checkpointed, at every ExchangeParallelism setting.
 func (s *System) Snapshot(w io.Writer) error {
-	var sw snap.Writer
-	s.digest().write(&sw)
-
-	scenario.WritePinned(&sw, s.fixedPos)
-	if err := s.stack.Engine.SnapshotState(&sw); err != nil {
-		return err
-	}
-	return sw.WriteEnvelope(w, systemKind)
+	return s.stack.WriteCheckpoint(w, systemKind, s.digest().write, nil)
 }
 
 // Restore loads a checkpoint written by Snapshot into this system, which
 // must have been built from an equivalent SystemConfig (Seed and
-// ExchangeParallelism may differ). The file's checksum, format version
-// and configuration digest are all verified before any state is touched,
-// so a corrupted, truncated or mismatched snapshot never yields a
-// partially restored system. One case is not covered: a well-formed
-// file whose body is refused once the engine has begun to restore — a
-// protocol layer refuses its section, or bytes trail the engine state;
-// a crafted file or a foreign build's can do either — leaves the system
-// partly restored (the engine's round, liveness and meter and the layers
-// before the refusing one already replaced), so discard the system after
-// such an error.
+// ExchangeParallelism may differ). A corrupted, truncated or mismatched
+// snapshot is refused before any state is touched; internal/scenario's
+// Stack.RestoreCheckpoint states the one exception, after which the
+// system must be discarded.
 func (s *System) Restore(rd io.Reader) error {
-	r, err := snap.ReadEnvelope(rd, systemKind)
-	if err != nil {
-		return err
-	}
-	got := readSystemDigest(r)
-
-	pinned := scenario.ReadPinned(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if want := s.digest(); got != want {
-		return fmt.Errorf("polystyrene: snapshot configuration %+v does not match this system %+v", got, want)
-	}
-
-	if err := s.stack.Engine.RestoreState(r); err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("polystyrene: %d trailing bytes in snapshot", r.Remaining())
-	}
-
-	s.fixedPos = pinned
-	return nil
+	return s.stack.RestoreCheckpoint(rd, systemKind, s.digest().check, nil)
 }

@@ -2,7 +2,12 @@ package polystyrene
 
 import (
 	"bytes"
+	"io"
+	"strings"
 	"testing"
+
+	"polystyrene/internal/scenario"
+	"polystyrene/internal/snap"
 )
 
 // systemFingerprint captures everything a facade user can observe.
@@ -105,6 +110,107 @@ func TestSystemRestoreRejectsMismatch(t *testing.T) {
 	}
 	if same.Round() != sys.Round() || same.NumLive() != sys.NumLive() {
 		t.Fatal("restored system shape diverged")
+	}
+}
+
+// checkpointOwner is one owner of the shared checkpoint layout
+// (scenario.Stack's WriteCheckpoint and RestoreCheckpoint), reduced to
+// its snapshot and restore.
+type checkpointOwner struct {
+	snapshot func(io.Writer) error
+	restore  func(io.Reader) error
+}
+
+func ownerBytes(t *testing.T, o checkpointOwner) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCheckpointSkeletonRefusals drives the checkpoint layout that System
+// and Scenario share through both owners. A checkpoint of the other
+// owner's kind, of a configuration with another digest, or with a
+// flipped body byte is refused before the engine restores, and the
+// target re-snapshots to its own bytes; a well-formed, re-sealed body
+// with one byte after the engine state is refused as trailing bytes.
+func TestCheckpointSkeletonRefusals(t *testing.T) {
+	owners := []struct {
+		name, kind, otherKind string
+		// build returns an owner of replication factor k after rounds
+		// rounds.
+		build func(t *testing.T, k, rounds int) checkpointOwner
+	}{
+		{"System", systemKind, scenario.SnapshotKind, func(t *testing.T, k, rounds int) checkpointOwner {
+			sys, err := NewSystem(SystemConfig{
+				Seed:              11,
+				Space:             Torus(8, 4),
+				Shape:             TorusShape(8, 4, 1),
+				ReplicationFactor: k,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys.Close)
+			sys.Run(rounds)
+			// A late joiner gives the pinned section an entry.
+			if _, err := sys.AddNodes([][]float64{{0.5, 0.5}}); err != nil {
+				t.Fatal(err)
+			}
+			return checkpointOwner{sys.Snapshot, sys.Restore}
+		}},
+		{"Scenario", scenario.SnapshotKind, systemKind, func(t *testing.T, k, rounds int) checkpointOwner {
+			sc := scenario.MustNew(scenario.Config{Seed: 11, W: 8, H: 4, Polystyrene: true, K: k})
+			t.Cleanup(sc.Close)
+			sc.Run(rounds)
+			return checkpointOwner{sc.SnapshotTo, sc.Restore}
+		}},
+	}
+	for _, o := range owners {
+		t.Run(o.name, func(t *testing.T) {
+			good := ownerBytes(t, o.build(t, 4, 6))
+			body, err := snap.Decode(o.kind, good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flipped := append([]byte(nil), good...)
+			flipped[len(flipped)/2] ^= 0x20
+
+			refusals := []struct {
+				name string
+				data []byte
+			}{
+				{"wrong envelope kind", snap.Encode(o.otherKind, body)},
+				{"digest mismatch", ownerBytes(t, o.build(t, 6, 6))},
+				{"flipped body byte", flipped},
+			}
+			for _, c := range refusals {
+				target := o.build(t, 4, 3)
+				before := ownerBytes(t, target)
+				if err := target.restore(bytes.NewReader(c.data)); err == nil {
+					t.Fatalf("%s: restore accepted", c.name)
+				}
+				if !bytes.Equal(ownerBytes(t, target), before) {
+					t.Fatalf("%s: refused restore changed the target", c.name)
+				}
+			}
+
+			trailing := snap.Encode(o.kind, append(append([]byte(nil), body...), 0))
+			err = o.build(t, 4, 3).restore(bytes.NewReader(trailing))
+			if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+				t.Fatalf("restore of a body with a trailing byte: err = %v, want trailing bytes", err)
+			}
+
+			target := o.build(t, 4, 3)
+			if err := target.restore(bytes.NewReader(good)); err != nil {
+				t.Fatalf("honest checkpoint refused: %v", err)
+			}
+			if !bytes.Equal(ownerBytes(t, target), good) {
+				t.Fatal("restored target re-snapshots to other bytes")
+			}
+		})
 	}
 }
 

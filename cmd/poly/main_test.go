@@ -36,7 +36,7 @@ func TestFlagInventory(t *testing.T) {
 		},
 		"serve": {
 			"addr": "127.0.0.1:4600", "w": "80", "h": "40", "k": "4", "seed": "1",
-			"fanout": "0", "interval": "50ms", "rounds": "0", "fail-at": "-1",
+			"interval": "50ms", "rounds": "0", "fail-at": "-1",
 			"reinject-at": "-1", "profiles": "0", "checkpoint-dir": "",
 			"auto-checkpoint-every": "0", "checkpoint-keep": "3", "resume-latest": "false",
 			"selftest": "false", "duration": "2s", "workers": "4",

@@ -40,18 +40,17 @@ import (
 // and drain gracefully (see service.drain); -resume-latest resumes the
 // soak. -selftest runs the serving soak in-process (see runSelftest).
 type serveCmd struct {
-	scen                              scenarioFlags
-	ckpt                              ckptFlags
-	addr                              string
-	fanout, rounds, profiles, workers int
-	interval, duration                time.Duration
-	selftest                          bool
+	scen                      scenarioFlags
+	ckpt                      ckptFlags
+	addr                      string
+	rounds, profiles, workers int
+	interval, duration        time.Duration
+	selftest                  bool
 }
 
 func (c *serveCmd) flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:4600", "HTTP listen address")
 	c.scen.register(fs, -1, -1, false)
-	fs.IntVar(&c.fanout, "fanout", 0, "epoch router-view fanout (0 = default)")
 	fs.DurationVar(&c.interval, "interval", 50*time.Millisecond,
 		"wall-clock pacing per gossip round (0 = as fast as possible)")
 	fs.IntVar(&c.rounds, "rounds", 0,
@@ -162,7 +161,7 @@ func (c *serveCmd) serveScenario(out io.Writer) error {
 	ctx, release := stopContext()
 	defer release()
 
-	pub := sc.ServePublisher(c.fanout)
+	pub := sc.ServePublisher()
 	svc, err := startService(c.addr, pub)
 	if err != nil {
 		return err
@@ -230,7 +229,7 @@ func (c *serveCmd) serveProfiles(out io.Writer) error {
 	ctx, release := stopContext()
 	defer release()
 
-	pub := sys.ServePublisher(c.fanout)
+	pub := sys.ServePublisher()
 	svc, err := startService(c.addr, pub)
 	if err != nil {
 		return err
@@ -264,7 +263,7 @@ func (c *serveCmd) runSelftest(out io.Writer) error {
 		return err
 	}
 	defer sc.Close()
-	pub := sc.ServePublisher(c.fanout)
+	pub := sc.ServePublisher()
 	svc, err := startService("127.0.0.1:0", pub)
 	if err != nil {
 		return err

@@ -128,7 +128,7 @@ func ExampleSystem_ServePublisher() {
 	if err != nil {
 		panic(err)
 	}
-	pub := sys.ServePublisher(0)
+	pub := sys.ServePublisher()
 	sys.Run(20) // converge; each round publishes a fresh epoch
 
 	ep := pub.Current()

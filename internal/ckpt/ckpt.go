@@ -25,8 +25,8 @@
 // instead of hashing the file twice.
 //
 // Transient write errors (anything carrying Transient() bool, see
-// IsTransient) are retried with doubling backoff up to Options.Retries
-// times; everything else — including an injected crash — propagates.
+// IsTransient) are retried up to 3 times with doubling backoff from 10 ms;
+// everything else — including an injected crash — propagates.
 package ckpt
 
 import (
@@ -166,13 +166,8 @@ type Options struct {
 	Keep int
 	// FS defaults to OS.
 	FS FS
-	// Retries bounds re-attempts of a save whose failure is transient
-	// (see IsTransient). Default 3.
-	Retries int
-	// Backoff is the first retry delay; each retry doubles it.
-	// Default 10ms.
-	Backoff time.Duration
-	// Sleep is swappable for tests. Default time.Sleep.
+	// Sleep waits out a retry's backoff; swappable for tests. Default
+	// time.Sleep.
 	Sleep func(time.Duration)
 }
 
@@ -203,12 +198,6 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	if opts.FS == nil {
 		opts.FS = OS
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 3
-	}
-	if opts.Backoff == 0 {
-		opts.Backoff = 10 * time.Millisecond
 	}
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
@@ -281,11 +270,19 @@ func (m *Manager) Save(round int, write func(io.Writer) error) (Generation, erro
 	return gen, nil
 }
 
+// A step whose failure is transient (see IsTransient) is re-attempted
+// up to saveRetries times, the first after saveBackoff and each later
+// one after twice the wait before it.
+const (
+	saveRetries = 3
+	saveBackoff = 10 * time.Millisecond
+)
+
 func (m *Manager) retry(attempt func() error) error {
-	backoff := m.opts.Backoff
+	backoff := saveBackoff
 	for tries := 0; ; tries++ {
 		err := attempt()
-		if err == nil || tries >= m.opts.Retries || !IsTransient(err) {
+		if err == nil || tries >= saveRetries || !IsTransient(err) {
 			return err
 		}
 		m.opts.Sleep(backoff)

@@ -166,7 +166,6 @@ func TestSaveRetriesTransientErrors(t *testing.T) {
 	fs := &flakyFS{FS: OS, failsLeft: 2}
 	m, err := NewManager(Options{
 		Dir: t.TempDir(), Kind: "blob", Keep: 2,
-		Retries: 3, Backoff: time.Millisecond,
 		FS:    fs,
 		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
@@ -174,8 +173,8 @@ func TestSaveRetriesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveBlob(t, m, 1, "eventually")
-	if len(slept) != 2 || slept[0] != time.Millisecond || slept[1] != 2*time.Millisecond {
-		t.Fatalf("backoff schedule %v, want [1ms 2ms]", slept)
+	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
+		t.Fatalf("backoff schedule %v, want [10ms 20ms]", slept)
 	}
 	if _, _, err := m.OpenLatestGood(); err != nil {
 		t.Fatalf("recovery after retried save: %v", err)
@@ -186,7 +185,6 @@ func TestSaveGivesUpAfterRetryBudget(t *testing.T) {
 	fs := &flakyFS{FS: OS, failsLeft: 100}
 	m, err := NewManager(Options{
 		Dir: t.TempDir(), Kind: "blob",
-		Retries: 2, Backoff: time.Microsecond,
 		FS:    fs,
 		Sleep: func(time.Duration) {},
 	})
@@ -199,8 +197,8 @@ func TestSaveGivesUpAfterRetryBudget(t *testing.T) {
 	if err == nil || !IsTransient(err) {
 		t.Fatalf("exhausted retries: err=%v", err)
 	}
-	if fs.failsLeft != 100-3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", 100-fs.failsLeft)
+	if fs.failsLeft != 100-4 {
+		t.Fatalf("attempts = %d, want 4 (1 + 3 retries)", 100-fs.failsLeft)
 	}
 }
 

@@ -233,39 +233,3 @@ func TestCI95ShrinksWithN(t *testing.T) {
 		t.Fatalf("CI95 did not shrink with n: %v", widths)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	s := &Series{Name: "h"}
-	s.Append(1)
-	s.Append(2)
-	if s.Len() != 2 || s.At(1) != 2 {
-		t.Fatalf("Series misbehaves: %+v", s)
-	}
-	if !math.IsNaN(s.At(5)) || !math.IsNaN(s.At(-1)) {
-		t.Fatal("out-of-range At should be NaN")
-	}
-}
-
-// Series has no production caller; TestSeries is its only test.
-
-// Series is a per-round time series of one metric across an experiment.
-type Series struct {
-	// Name labels the metric (e.g. "homogeneity").
-	Name string
-	// Values holds one entry per round.
-	Values []float64
-}
-
-// At returns the value at a given round, or NaN when out of range.
-func (s *Series) At(round int) float64 {
-	if round < 0 || round >= len(s.Values) {
-		return math.NaN()
-	}
-	return s.Values[round]
-}
-
-// Append records the next round's value.
-func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
-
-// Len returns the number of recorded rounds.
-func (s *Series) Len() int { return len(s.Values) }

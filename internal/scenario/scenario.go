@@ -102,11 +102,6 @@ type Scenario struct {
 	Cfg   Config
 	Space space.Torus
 
-	// fixedPos holds positions of reinjected nodes in the plain T-Man
-	// configuration. Polystyrene joiners are never stored: their position
-	// is the reinjection grid's until the layer moves them.
-	fixedPos map[sim.NodeID]space.Point
-
 	result *Result
 }
 
@@ -129,12 +124,11 @@ func New(cfg Config) (*Scenario, error) {
 	}
 	cfg = cfg.withDefaults()
 	sc := &Scenario{
-		Cfg:      cfg,
-		Space:    space.TorusForGrid(cfg.W, cfg.H, gridStep),
-		fixedPos: make(map[sim.NodeID]space.Point),
-		result:   &Result{},
+		Cfg:    cfg,
+		Space:  space.TorusForGrid(cfg.W, cfg.H, gridStep),
+		result: &Result{},
 	}
-	st, err := NewStack(cfg, sc.Space, shape.Grid(cfg.W, cfg.H, gridStep), sc.joinPosition)
+	st, err := NewStack(cfg, sc.Space, shape.Grid(cfg.W, cfg.H, gridStep))
 	if err != nil {
 		return nil, err
 	}
@@ -152,30 +146,6 @@ func MustNew(cfg Config) *Scenario {
 		panic(err)
 	}
 	return sc
-}
-
-// joinPosition places a node that arrives after set-up: a reinjected
-// baseline node is pinned, everything else lands on the reinjection grid.
-func (sc *Scenario) joinPosition(id sim.NodeID) space.Point {
-	if p, ok := sc.fixedPos[id]; ok {
-		return p
-	}
-	return sc.reinjectionPosition(id)
-}
-
-// reinjectionPosition places node id on a grid parallel to the original,
-// shifted by half a step in both dimensions (Sec. IV-A phase 3: new nodes
-// are "positioned uniformly on the torus, on a grid parallel to the
-// original one"). Consecutive reinjected nodes take every other cell of
-// the grid, so reinjecting N/2 nodes covers the whole torus uniformly at
-// half density; a second wave fills the remaining cells.
-func (sc *Scenario) reinjectionPosition(id sim.NodeID) space.Point {
-	idx := int(id) - len(sc.Points)
-	n := len(sc.Points)
-	cell := ((2*idx)%n + (2 * idx / n)) % n
-	base := sc.Points[cell]
-	const half = gridStep / 2
-	return sc.Space.Wrap(space.Point{base[0] + half, base[1] + half})
 }
 
 // Footprint heuristics behind EstimatedFootprintBytes, calibrated
@@ -233,12 +203,14 @@ func (sc *Scenario) FailRightHalf() int {
 
 // Reinject adds n fresh nodes. Under Polystyrene they hold no data point
 // but have initialised positions on the parallel grid; under plain T-Man
-// they are ordinary nodes fixed at those positions.
+// they are ordinary nodes pinned at those positions. Polystyrene joiners
+// are never pinned: their position is the reinjection grid's until the
+// layer moves them.
 func (sc *Scenario) Reinject(n int) []sim.NodeID {
 	ids := sc.Engine.AddNodes(n)
 	if sc.poly == nil {
 		for _, id := range ids {
-			sc.fixedPos[id] = sc.reinjectionPosition(id)
+			sc.Pin(id, sc.reinjectionPosition(id))
 		}
 	}
 	return ids

@@ -9,7 +9,7 @@ import (
 func TestScenarioServePublisherThroughPhases(t *testing.T) {
 	sc := MustNew(Config{Seed: 5, W: 16, H: 8, Polystyrene: true, K: 4, SkipMetrics: true})
 	defer sc.Close()
-	pub := sc.ServePublisher(0)
+	pub := sc.ServePublisher()
 	defer pub.Close()
 	ep := pub.Current()
 	if ep == nil || ep.Seq != 1 || ep.NumLive() != 16*8 {

@@ -14,8 +14,6 @@ import (
 // snapshots.
 const SnapshotKind = "scenario"
 
-const scenarioKind = SnapshotKind
-
 // configDigest is the structural identity of a scenario embedded in every
 // snapshot: a snapshot may only be restored into a scenario wired from an
 // equivalent configuration (seed and execution knobs excluded — the RNG
@@ -88,110 +86,79 @@ func (d configDigest) write(w *snap.Writer) {
 	w.Int(d.shards)
 }
 
-func readDigest(r *snap.Reader) configDigest {
-	var d configDigest
-	d.w = r.Int()
-	d.h = r.Int()
-	d.step = r.F64()
-	d.polystyrene = r.Bool()
-	d.overlay = r.String()
-	d.k = r.Int()
-	d.split = r.Int()
-	d.placement = r.Int()
-	d.fullCopyBackup = r.Bool()
-	d.neighborK = r.Int()
-	d.detector = r.String()
-	d.shards = r.Int()
-	return d
+// check reads a snapshot's digest and returns why it does not match d,
+// or nil. A snapshot from the removed sharded topology is refused by
+// name.
+func (d configDigest) check(r *snap.Reader) error {
+	var got configDigest
+	got.w = r.Int()
+	got.h = r.Int()
+	got.step = r.F64()
+	got.polystyrene = r.Bool()
+	got.overlay = r.String()
+	got.k = r.Int()
+	got.split = r.Int()
+	got.placement = r.Int()
+	got.fullCopyBackup = r.Bool()
+	got.neighborK = r.Int()
+	got.detector = r.String()
+	got.shards = r.Int()
+	if got.shards != 1 {
+		return fmt.Errorf("scenario: snapshot was taken under the sharded topology with %d shards, which has been removed; only single-engine snapshots restore", got.shards)
+	}
+	if got != d {
+		return fmt.Errorf("scenario: snapshot configuration %+v does not match this scenario %+v", got, d)
+	}
+	return nil
 }
 
-// SnapshotTo writes a checksummed checkpoint of the whole scenario —
-// configuration digest, reinjection positions, the metric series recorded
-// so far and the complete engine state (RNG, liveness, meter, every
-// protocol layer) — to w. Restoring it into a freshly wired scenario of
-// the same configuration and running n more rounds is byte-identical to
-// never having checkpointed.
+// SnapshotTo writes a checksummed checkpoint of the whole scenario to w
+// in Stack.WriteCheckpoint's layout, with the metric series recorded so
+// far as the scenario's own section.
 //
 // (The name avoids Scenario.Snapshot, which predates checkpointing and
 // captures node positions for rendering.)
 func (sc *Scenario) SnapshotTo(w io.Writer) error {
-	var sw snap.Writer
-	digestOf(sc.Cfg).write(&sw)
-
-	WritePinned(&sw, sc.fixedPos)
-
-	writeFloats(&sw, sc.result.Homogeneity)
-	writeFloats(&sw, sc.result.Proximity)
-	writeFloats(&sw, sc.result.DataPoints)
-	writeFloats(&sw, sc.result.MsgCost)
-	sw.Len(len(sc.result.LiveNodes))
-	for _, v := range sc.result.LiveNodes {
-		sw.Int(v)
-	}
-
-	if err := sc.Engine.SnapshotState(&sw); err != nil {
-		return err
-	}
-	return sw.WriteEnvelope(w, scenarioKind)
+	return sc.WriteCheckpoint(w, SnapshotKind, digestOf(sc.Cfg).write, sc.result.write)
 }
 
 // Restore loads a checkpoint written by SnapshotTo into this scenario,
 // which must have been wired from an equivalent configuration (New has
-// already run; everything its init paths produced is overwritten). The
-// file is checksum- and version-verified, and the configuration digest
-// checked, before any state is touched — a corrupted, truncated or
-// mismatched snapshot never yields a partial restore. One case is not
-// covered: a well-formed file whose body is refused once the engine has
-// begun to restore — a protocol layer refuses its section, or bytes trail
-// the engine state; a crafted file or a foreign build's can do either —
-// leaves the scenario partly restored (the engine's round, liveness and
-// meter and the layers before the refusing one already replaced), so
-// discard the scenario after such an error.
+// already run; everything its init paths produced is overwritten). A
+// corrupted, truncated or mismatched snapshot is refused before any state
+// is touched; Stack.RestoreCheckpoint states the one exception, after
+// which the scenario must be discarded.
 func (sc *Scenario) Restore(rd io.Reader) error {
-	r, err := snap.ReadEnvelope(rd, scenarioKind)
-	if err != nil {
+	var res Result
+	if err := sc.RestoreCheckpoint(rd, SnapshotKind, digestOf(sc.Cfg).check, res.read); err != nil {
 		return err
 	}
-	got := readDigest(r)
-
-	pinned := ReadPinned(r)
-
-	homog := readFloats(r)
-	prox := readFloats(r)
-	dataPts := readFloats(r)
-	msgCost := readFloats(r)
-	nLive := r.Len(8)
-	liveNodes := make([]int, nLive)
-	for i := range liveNodes {
-		liveNodes[i] = r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if got.shards != 1 {
-		return fmt.Errorf("scenario: snapshot was taken under the sharded topology with %d shards, which has been removed; only single-engine snapshots restore", got.shards)
-	}
-	if want := digestOf(sc.Cfg); got != want {
-		return fmt.Errorf("scenario: snapshot configuration %+v does not match this scenario %+v", got, want)
-	}
-
-	if err := sc.Engine.RestoreState(r); err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("scenario: %d trailing bytes in snapshot", r.Remaining())
-	}
-
-	sc.fixedPos = pinned
-	sc.result.Homogeneity = homog
-	sc.result.Proximity = prox
-	sc.result.DataPoints = dataPts
-	sc.result.MsgCost = msgCost
-	sc.result.LiveNodes = liveNodes
+	*sc.result = res
 	return nil
+}
+
+// write writes the scenario's own checkpoint section: the metric series.
+func (res *Result) write(w *snap.Writer) {
+	writeFloats(w, res.Homogeneity)
+	writeFloats(w, res.Proximity)
+	writeFloats(w, res.DataPoints)
+	writeFloats(w, res.MsgCost)
+	w.Len(len(res.LiveNodes))
+	for _, v := range res.LiveNodes {
+		w.Int(v)
+	}
+}
+
+// read reads a section written by write into res.
+func (res *Result) read(r *snap.Reader) {
+	res.Homogeneity = readFloats(r)
+	res.Proximity = readFloats(r)
+	res.DataPoints = readFloats(r)
+	res.MsgCost = readFloats(r)
+	res.LiveNodes = make([]int, r.Len(8))
+	for i := range res.LiveNodes {
+		res.LiveNodes[i] = r.Int()
+	}
 }
 
 func writeFloats(w *snap.Writer, s []float64) {
@@ -202,8 +169,7 @@ func writeFloats(w *snap.Writer, s []float64) {
 }
 
 func readFloats(r *snap.Reader) []float64 {
-	n := r.Len(8)
-	s := make([]float64, n)
+	s := make([]float64, r.Len(8))
 	for i := range s {
 		s[i] = r.F64()
 	}

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"io"
+	"maps"
+	"slices"
 
 	"polystyrene/internal/core"
 	"polystyrene/internal/metrics"
@@ -19,9 +21,10 @@ import (
 // one target shape: peer sampling, then topology construction (T-Man),
 // then — unless Config.Polystyrene is false, the plain baseline — the
 // Polystyrene layer. Scenario and the polystyrene facade both run on a
-// Stack; it owns the stack's construction, its node positions, its
-// metrics and serving views and its region crashes, and leaves scripts,
-// pinned joiner positions and snapshots to its owner.
+// Stack; it owns the stack's construction, its node positions (the pins
+// of late joiners included), its metrics and serving views, its region
+// crashes and the checkpoint layout, and leaves scripts, the
+// configuration digest and any further checkpoint sections to its owner.
 type Stack struct {
 	Engine *sim.Engine
 	// Points are the original data points — the target shape. Index i is
@@ -37,8 +40,9 @@ type Stack struct {
 	sampler *rps.Protocol
 	topo    *tman.Protocol
 	poly    *core.Protocol // nil when running the plain baseline
-	// join positions a node that arrives after set-up (id >= len(Points)).
-	join func(sim.NodeID) space.Point
+	// fixedPos holds the pinned positions of nodes that joined after
+	// set-up (id >= len(Points)); see Pin. It travels in checkpoints.
+	fixedPos map[sim.NodeID]space.Point
 
 	// sys is the persistent metrics view; its buffers are reused across
 	// rounds. row is FailRegion's copy of the position under test.
@@ -48,13 +52,12 @@ type Stack struct {
 
 // NewStack wires the stack for cfg over spc and creates one node per
 // shape point, node i starting at points[i] (hosting it under
-// Polystyrene). join supplies the position of every later node: under
-// Polystyrene that node joins empty-handed there, under the baseline it
-// stays fixed there. Of cfg, NewStack reads the layer and engine knobs
+// Polystyrene). A later node joins at its pin (see Pin) or, unpinned, on
+// the reinjection grid. Of cfg, NewStack reads the layer and engine knobs
 // (Seed, Polystyrene, K, Split, Detector, ExchangeParallelism); the grid
 // size and metric settings belong to the owner. T-Man runs with the
 // paper's defaults.
-func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.NodeID) space.Point) (*Stack, error) {
+func NewStack(cfg Config, spc space.Space, points []space.Point) (*Stack, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -64,7 +67,7 @@ func NewStack(cfg Config, spc space.Space, points []space.Point, join func(sim.N
 		Interner: space.NewInterner(),
 		spc:      spc,
 		sampler:  rps.New(rps.Config{}),
-		join:     join,
+		fixedPos: make(map[sim.NodeID]space.Point),
 	}
 	s.sys = &systemView{s: s}
 	// The shape registers into the interner once at setup
@@ -109,12 +112,13 @@ func (s *Stack) initialPoint(id sim.NodeID) (space.Point, bool) {
 	if int(id) < len(s.Points) {
 		return s.Points[id], true
 	}
-	return s.join(id), false
+	return s.joinPosition(id), false
 }
 
 // Position is the PositionFunc fed to the overlay: the Polystyrene
 // projection when enabled, otherwise the node's fixed original (or join)
-// position.
+// position. The serving capture calls it once per live node, so the
+// Polystyrene branch stays ahead of any pin lookup.
 func (s *Stack) Position(id sim.NodeID) space.Point {
 	if s.poly != nil {
 		return s.poly.Position(id)
@@ -122,7 +126,37 @@ func (s *Stack) Position(id sim.NodeID) space.Point {
 	if int(id) < len(s.Points) {
 		return s.Points[id]
 	}
-	return s.join(id)
+	return s.joinPosition(id)
+}
+
+// Pin fixes where node id, joining after set-up, sits: under Polystyrene
+// it joins empty-handed there, under the baseline it stays there.
+func (s *Stack) Pin(id sim.NodeID, p space.Point) { s.fixedPos[id] = p }
+
+// joinPosition places a node that arrives after set-up: at its pin, or
+// else on the reinjection grid.
+func (s *Stack) joinPosition(id sim.NodeID) space.Point {
+	if p, ok := s.fixedPos[id]; ok {
+		return p
+	}
+	return s.reinjectionPosition(id)
+}
+
+// reinjectionPosition places node id on a grid parallel to the original,
+// shifted by half a step in both dimensions (Sec. IV-A phase 3: new nodes
+// are "positioned uniformly on the torus, on a grid parallel to the
+// original one"). Consecutive reinjected nodes take every other cell of
+// the grid, so reinjecting N/2 nodes covers the whole torus uniformly at
+// half density; a second wave fills the remaining cells. It assumes the
+// scenario's torus grid: the facade, whose shape is arbitrary, pins
+// every joiner.
+func (s *Stack) reinjectionPosition(id sim.NodeID) space.Point {
+	idx := int(id) - len(s.Points)
+	n := len(s.Points)
+	cell := ((2*idx)%n + (2 * idx / n)) % n
+	base := s.Points[cell]
+	const half = gridStep / 2
+	return s.spc.(space.Torus).Wrap(space.Point{base[0] + half, base[1] + half})
 }
 
 // Run executes n rounds.
@@ -275,15 +309,15 @@ func (v sourceView) EachGuestID(id sim.NodeID, fn func(pid space.PointID)) {
 // ServeSource returns the stack's serve.Source adapter.
 func (s *Stack) ServeSource() serve.Source { return sourceView{s} }
 
-// ServePublisher creates a Publisher with the given router-view fanout
-// (<= 0 means serve.DefaultFanout), publishes an initial epoch of the
+// ServePublisher creates a Publisher whose epochs carry a router view of
+// serve.DefaultFanout neighbours per node, publishes an initial epoch of the
 // current state so the service is answerable before the first round
 // completes, and hooks the publisher to the engine's post-barrier
 // publish point: every subsequent round ends by capturing and atomically
 // swapping in a fresh epoch. The engine has a single publish hook, so a
 // second call replaces the first wiring.
-func (s *Stack) ServePublisher(fanout int) *serve.Publisher {
-	pub := serve.NewPublisher(fanout)
+func (s *Stack) ServePublisher() *serve.Publisher {
+	pub := serve.NewPublisher(serve.DefaultFanout)
 	src := sourceView{s}
 	pub.Publish(src)
 	s.Engine.SetPublishHook(func(*sim.Engine, int) { pub.Publish(src) })
@@ -293,15 +327,75 @@ func (s *Stack) ServePublisher(fanout int) *serve.Publisher {
 // StopServing detaches the publish hook installed by ServePublisher.
 func (s *Stack) StopServing() { s.Engine.SetPublishHook(nil) }
 
-// WritePinned writes the pinned-position section shared by the scenario
-// and facade snapshot formats: the count, then every (node id, point)
-// pair in ascending id order.
-func WritePinned(w *snap.Writer, pinned map[sim.NodeID]space.Point) {
-	ids := make([]sim.NodeID, 0, len(pinned))
-	for id := range pinned {
-		ids = append(ids, id)
+// WriteCheckpoint writes a checkpoint of the stack and its owner to w, in
+// a snap envelope of the given kind: the owner's digest, the pinned
+// positions, the owner's sections (nil when it has none) and the whole
+// engine state. Restoring it into a freshly built owner of an equivalent
+// configuration and running n more rounds is byte-identical to never
+// having checkpointed, at every ExchangeParallelism setting.
+func (s *Stack) WriteCheckpoint(w io.Writer, kind string, digest, sections func(*snap.Writer)) error {
+	var sw snap.Writer
+	digest(&sw)
+	writePinned(&sw, s.fixedPos)
+	if sections != nil {
+		sections(&sw)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if err := s.Engine.SnapshotState(&sw); err != nil {
+		return err
+	}
+	return sw.WriteEnvelope(w, kind)
+}
+
+// RestoreCheckpoint loads a checkpoint of the given kind into the stack.
+// check reads its digest and returns why it does not match the owner's,
+// or nil; stage (nil when the owner has no sections) reads the owner's
+// sections into temporaries, which the owner installs once
+// RestoreCheckpoint returns nil. The envelope's checksum and version, the
+// digest, the pins and the owner's sections are all verified before any
+// state is touched, so a corrupted, truncated or mismatched checkpoint is
+// refused with the stack and its owner as they were.
+//
+// One case is not covered: a well-formed body that is refused once the
+// engine has begun to restore — a protocol layer refuses its section, or
+// bytes trail the engine state; a crafted file or a foreign build's can
+// do either — leaves the engine partly restored (its round, liveness and
+// meter and the layers before the refusing one already replaced) while
+// the pins and the owner's sections keep their old values. Discard the
+// owner after such an error.
+func (s *Stack) RestoreCheckpoint(rd io.Reader, kind string, check func(*snap.Reader) error, stage func(*snap.Reader)) error {
+	r, err := snap.ReadEnvelope(rd, kind)
+	if err != nil {
+		return err
+	}
+	mismatch := check(r)
+	pinned := readPinned(r)
+	if stage != nil {
+		stage(r)
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if mismatch != nil {
+		return mismatch
+	}
+
+	if err := s.Engine.RestoreState(r); err != nil {
+		return err
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%s snapshot: %d trailing bytes after the engine state", kind, r.Remaining())
+	}
+	s.fixedPos = pinned
+	return nil
+}
+
+// writePinned writes the pinned-position section: the count, then every
+// (node id, point) pair in ascending id order.
+func writePinned(w *snap.Writer, pinned map[sim.NodeID]space.Point) {
+	ids := slices.Sorted(maps.Keys(pinned))
 	w.Count(len(ids))
 	for _, id := range ids {
 		w.I32(int(id))
@@ -313,9 +407,9 @@ func WritePinned(w *snap.Writer, pinned map[sim.NodeID]space.Point) {
 	}
 }
 
-// ReadPinned reads a section written by WritePinned. On a malformed
+// readPinned reads a section written by writePinned. On a malformed
 // section the reader's error is set and the map is partial.
-func ReadPinned(r *snap.Reader) map[sim.NodeID]space.Point {
+func readPinned(r *snap.Reader) map[sim.NodeID]space.Point {
 	n := r.Count(8)
 	pinned := make(map[sim.NodeID]space.Point, n)
 	for i := 0; i < n; i++ {

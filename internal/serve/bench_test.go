@@ -120,7 +120,7 @@ func benchServePhase(b *testing.B, catastrophe, churn bool) {
 		sc := scenario.MustNew(scenario.Config{
 			Seed: uint64(11 + i), W: 24, H: 12, Polystyrene: true, K: 4, SkipMetrics: true,
 		})
-		pub := sc.ServePublisher(0)
+		pub := sc.ServePublisher()
 		srv := httptest.NewServer(serve.NewFrontend(pub))
 		sc.Run(15) // converge before the measured window
 

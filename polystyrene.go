@@ -176,10 +176,6 @@ type System struct {
 	space  space.Space
 	stack  *scenario.Stack
 	router *route.Router // greedy overlay descent, backing Lookup
-
-	// fixedPos pins the positions of nodes added after start: fixed under
-	// Baseline, the join position under Polystyrene.
-	fixedPos map[sim.NodeID]space.Point
 }
 
 // NewSystem builds and wires a System; the initial population is one node
@@ -225,11 +221,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		det = fd.NewDelayed(cfg.DetectionDelay)
 	}
 
-	sys := &System{
-		cfg:      cfg,
-		space:    spc,
-		fixedPos: make(map[sim.NodeID]space.Point),
-	}
+	sys := &System{cfg: cfg, space: spc}
 	sys.stack, err = scenario.NewStack(scenario.Config{
 		Seed:                cfg.Seed,
 		Polystyrene:         !cfg.Baseline,
@@ -237,7 +229,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Split:               splitKind,
 		Detector:            det,
 		ExchangeParallelism: cfg.ExchangeParallelism,
-	}, spc, shape, func(id sim.NodeID) space.Point { return sys.fixedPos[id] })
+	}, spc, shape)
 	if err != nil {
 		return nil, err
 	}
@@ -309,9 +301,8 @@ func (s *System) AddNodes(positions [][]float64) ([]int, error) {
 	}
 	out := make([]int, 0, len(positions))
 	for _, p := range positions {
-		// Record the position before AddNode so InitNode can read it.
-		next := sim.NodeID(s.stack.Engine.NumNodes())
-		s.fixedPos[next] = space.Point(p).Clone()
+		// Pin the position before AddNode so InitNode can read it.
+		s.stack.Pin(sim.NodeID(s.stack.Engine.NumNodes()), space.Point(p).Clone())
 		id := s.stack.Engine.AddNode()
 		out = append(out, int(id))
 	}

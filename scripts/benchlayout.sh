@@ -2,19 +2,21 @@
 # Usage: scripts/benchlayout.sh [REV]   (REV defaults to HEAD~1)
 #
 # Checks that a change leaves the code layout of the benchmark binary
-# alone. It builds bench/ exactly as bench/run.sh does, once from a
-# temporary git worktree at REV and once from the working tree, and
-# compares the text symbols (the T/t rows of `go tool nm -n -size`) of the
-# two binaries by name, address and size.
+# alone. It builds bench/ exactly as bench/run.sh does, once from REV's
+# files (extracted with `git archive` into a temporary directory) and once
+# from the working tree, and compares the text symbols (the T/t rows of
+# `go tool nm -n -size`) of the two binaries by name, address and size.
 #
 # Exit 0: every text symbol of the two binaries sits at the same address
 # with the same size, so a benchmark delta between them is not a code
 # layout effect. Exit 1: the first moved symbols are printed. The section
-# size deltas of `size -A` are printed either way, when `size` exists.
+# size deltas of `size -A` are printed either way, when `size` exists;
+# REV's extracted copy carries no VCS stamp, so .go.buildinfo and .rodata
+# may differ by a few bytes even when nothing else does.
 #
 # Run it first on any PR that deletes code from a package the benchmark
 # links; the padded-build control of ROADMAP.md is needed only when this
-# reports a move.
+# reports a move. It writes nothing under .git.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,14 +26,13 @@ git rev-parse --verify --quiet "$rev^{commit}" >/dev/null ||
 
 tmp="$(mktemp -d)"
 cleanup() {
-	git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-	git worktree prune >/dev/null 2>&1 || true
 	chmod -R u+w "$tmp" 2>/dev/null || true
 	rm -rf "$tmp"
 }
 trap cleanup EXIT
 
-git worktree add --quiet --detach "$tmp/base" "$rev"
+mkdir "$tmp/base"
+git archive "$rev" | tar -x -C "$tmp/base"
 
 # build DIR OUT: the bench/run.sh build of the checkout at DIR, with the
 # Go toolchain's caches kept under $tmp.

@@ -15,16 +15,17 @@ import "polystyrene/internal/serve"
 func (s *System) ServeSource() serve.Source { return s.stack.ServeSource() }
 
 // ServeSnapshot captures one ad-hoc immutable epoch of the system's
-// current state (fanout <= 0 means serve.DefaultFanout). The epoch's
-// Seq is 0, marking it as unpublished; it is safe to query from any
-// goroutine, but the capture itself must not run concurrently with Run.
-func (s *System) ServeSnapshot(fanout int) *serve.Epoch {
-	return serve.Capture(s.stack.ServeSource(), fanout, 0)
+// current state, with a router view of serve.DefaultFanout neighbours
+// per node. The epoch's Seq is 0, marking it as unpublished; it is safe
+// to query from any goroutine, but the capture itself must not run
+// concurrently with Run.
+func (s *System) ServeSnapshot() *serve.Epoch {
+	return serve.Capture(s.stack.ServeSource(), serve.DefaultFanout, 0)
 }
 
-// ServePublisher creates a Publisher with the given router-view fanout
-// (<= 0 means serve.DefaultFanout), publishes an initial epoch of the
-// current state so the service is answerable before the first round
+// ServePublisher creates a Publisher whose epochs carry a router view of
+// serve.DefaultFanout neighbours per node, publishes an initial epoch of
+// the current state so the service is answerable before the first round
 // completes, and hooks the publisher to the engine's post-barrier
 // publish point: every subsequent round ends by capturing and atomically
 // swapping in a fresh epoch. Readers of the returned publisher never
@@ -34,7 +35,7 @@ func (s *System) ServeSnapshot(fanout int) *serve.Epoch {
 // The engine has a single publish hook, so a second ServePublisher call
 // replaces the first wiring (the orphaned publisher just stops
 // advancing). StopServing unhooks; Publisher.Close drains.
-func (s *System) ServePublisher(fanout int) *serve.Publisher { return s.stack.ServePublisher(fanout) }
+func (s *System) ServePublisher() *serve.Publisher { return s.stack.ServePublisher() }
 
 // StopServing detaches the publish hook installed by ServePublisher.
 // The last published epoch stays queryable until the publisher is

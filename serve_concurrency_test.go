@@ -30,7 +30,7 @@ func TestConcurrentReadersSeeConsistentEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := sys.ServePublisher(0)
+	pub := sys.ServePublisher()
 
 	const readers = 8
 	var (
@@ -139,13 +139,13 @@ func TestReadersDontBlockRoundLoop(t *testing.T) {
 	const rounds = 30
 
 	base := build()
-	base.ServePublisher(0) // publish cost included in both measurements
+	base.ServePublisher() // publish cost included in both measurements
 	t0 := time.Now()
 	base.Run(rounds)
 	baseline := time.Since(t0)
 
 	sys := build()
-	pub := sys.ServePublisher(0)
+	pub := sys.ServePublisher()
 	var wg sync.WaitGroup
 	var done atomic.Bool
 	q := []float64{11.5, 5.5}

@@ -26,7 +26,7 @@ func newServedSystem(t *testing.T) *polystyrene.System {
 
 func TestServePublisherTracksRounds(t *testing.T) {
 	sys := newServedSystem(t)
-	pub := sys.ServePublisher(0)
+	pub := sys.ServePublisher()
 	ep := pub.Current()
 	if ep == nil || ep.Seq != 1 || ep.Round != 0 {
 		t.Fatalf("eager epoch = %+v, want Seq 1 Round 0", ep)
@@ -52,7 +52,7 @@ func TestServePublisherTracksRounds(t *testing.T) {
 func TestServeSnapshotMatchesFacade(t *testing.T) {
 	sys := newServedSystem(t)
 	sys.Run(10)
-	ep := sys.ServeSnapshot(0)
+	ep := sys.ServeSnapshot()
 	if ep.Seq != 0 {
 		t.Fatalf("ad-hoc snapshot Seq = %d, want 0", ep.Seq)
 	}
@@ -120,7 +120,7 @@ func TestLookupSentinelOnEmptyAndMalformed(t *testing.T) {
 		t.Fatalf("LookupExact on empty system = %d, want -1", got)
 	}
 	// The served path mirrors the sentinel: ok=false, never a panic.
-	ep := sys.ServeSnapshot(0)
+	ep := sys.ServeSnapshot()
 	if ep.NumLive() != 0 {
 		t.Fatalf("post-crash epoch live = %d", ep.NumLive())
 	}
