@@ -44,9 +44,11 @@ build() {
 build "$tmp/base" "$tmp/base.bin"
 build "$PWD" "$tmp/head.bin"
 
-# text BIN: the T/t rows of BIN's symbol table in address order.
+# text BIN: the T/t rows of BIN's symbol table in address order. nm -n
+# orders symbols that share an address differently from one binary to
+# the next, so the rows are sorted whole.
 text() {
-	go tool nm -n -size "$1" | awk '$3 == "T" || $3 == "t"'
+	go tool nm -n -size "$1" | awk '$3 == "T" || $3 == "t"' | LC_ALL=C sort
 }
 text "$tmp/base.bin" >"$tmp/base.txt"
 text "$tmp/head.bin" >"$tmp/head.txt"
