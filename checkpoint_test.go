@@ -214,6 +214,109 @@ func TestCheckpointSkeletonRefusals(t *testing.T) {
 	}
 }
 
+// resealPins returns the System checkpoint good with its pinned section
+// replaced by what pins writes, re-sealed in a valid envelope.
+func resealPins(t *testing.T, good []byte, pins func(*snap.Writer)) []byte {
+	t.Helper()
+	body, err := snap.Decode(systemKind, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snap.NewReader(body)
+	_ = systemDigest{}.check(r)
+	start := len(body) - r.Remaining()
+	for n := r.Count(8); n > 0; n-- {
+		r.I32()
+		for c := r.Count(8); c > 0; c-- {
+			r.F64()
+		}
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	end := len(body) - r.Remaining()
+	var w snap.Writer
+	pins(&w)
+	out := append(append(append([]byte(nil), body[:start]...), w.Bytes()...), body[end:]...)
+	return snap.Encode(systemKind, out)
+}
+
+// TestRestoreRefusesBadPins: a checkpoint of a 4x4 baseline system on a
+// Euclidean plane with one joiner (node 16), re-sealed with a pinned
+// section that leaves the joiner out, pins an original node, pins a node
+// the engine state does not hold or pins a point of the wrong dimension,
+// is refused before anything is restored. The system stays as it was, and
+// NodePosition of the joiner still answers: an unpinned joiner would fall
+// back to the torus reinjection grid, and the Euclidean plane has none.
+func TestRestoreRefusesBadPins(t *testing.T) {
+	build := func() *System {
+		sys, err := NewSystem(SystemConfig{
+			Seed:     5,
+			Space:    Euclidean(2),
+			Shape:    TorusShape(4, 4, 1),
+			Baseline: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		sys.Run(2)
+		if _, err := sys.AddNodes([][]float64{{0.5, 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	var buf bytes.Buffer
+	if err := build().Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	pin := func(id int, p ...float64) func(*snap.Writer) {
+		return func(w *snap.Writer) {
+			w.Count(1)
+			w.I32(id)
+			w.Count(len(p))
+			for _, c := range p {
+				w.F64(c)
+			}
+		}
+	}
+	cases := []struct {
+		name, want string
+		pins       func(*snap.Writer)
+	}{
+		{"no pins", "joiner 16 of 17 nodes has no pin", func(w *snap.Writer) { w.Count(0) }},
+		{"an original node's pin", "pin for node 3", pin(3, 0.5, 0.5)},
+		{"a pin past the nodes", "pin for node 17", pin(17, 0.5, 0.5)},
+		{"a 3-D pin", "pin for node 16", pin(16, 0.5, 0.5, 0.5)},
+	}
+	for _, c := range cases {
+		target := build()
+		var before bytes.Buffer
+		if err := target.Snapshot(&before); err != nil {
+			t.Fatal(err)
+		}
+		err := target.Restore(bytes.NewReader(resealPins(t, good, c.pins)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		var after bytes.Buffer
+		if err := target.Snapshot(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Fatalf("%s: refused restore changed the system", c.name)
+		}
+		if p := target.NodePosition(16); len(p) != 2 {
+			t.Fatalf("%s: joiner position %v", c.name, p)
+		}
+	}
+	target := build()
+	if err := target.Restore(bytes.NewReader(resealPins(t, good, pin(16, 0.5, 0.5)))); err != nil {
+		t.Fatalf("re-sealed honest pins refused: %v", err)
+	}
+}
+
 // TestSystemDoubleClose: the graceful-shutdown path closes once on the
 // signal handler and once in a defer — both must be safe, and the
 // system must stay readable in between.

@@ -36,6 +36,7 @@ package rps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"polystyrene/internal/sim"
 	"polystyrene/internal/xrand"
@@ -48,6 +49,10 @@ const (
 	// shuffleLen is the number of descriptors exchanged per shuffle.
 	shuffleLen = 10
 )
+
+// A shuffle names the view slots it sent in a uint32 mask (see
+// sampleForShuffle); this fails to compile if a view outgrows it.
+const _ = uint32(1 << (viewSize - 1))
 
 // Config has no fields: the view size and the shuffle length are the
 // paper's constants.
@@ -162,8 +167,8 @@ func (p *Protocol) bootstrap(ctx *sim.StepCtx, id sim.NodeID) []entry {
 	return view
 }
 
-// viewContains reports whether id occurs in view. Views hold at most a few
-// tens of entries, so a linear scan beats any set structure.
+// viewContains reports whether id occurs in view: the duplicate check of
+// bootstrap and merge, a linear scan of at most viewSize entries.
 func viewContains(view []entry, id sim.NodeID) bool {
 	for _, en := range view {
 		if sim.NodeID(en.id) == id {
@@ -212,18 +217,20 @@ func (p *Protocol) StepW(ctx *sim.StepCtx, id sim.NodeID) {
 
 	scr := p.scr(ctx.Worker())
 	p.purgeDead(e, q)
-	sentToQ := p.sampleForShuffle(ctx, scr, id, q, shuffleLen-1, &scr.bufA)
+	sentToQ, slotsP := p.sampleForShuffle(ctx, scr, id, q, shuffleLen-1, &scr.bufA)
 	sentToQ = append(sentToQ, entry{id: int32(id), age: 0}) // fresh self-descriptor
 	scr.bufA = sentToQ
-	sentToP := p.sampleForShuffle(ctx, scr, q, id, shuffleLen, &scr.bufB)
+	sentToP, slotsQ := p.sampleForShuffle(ctx, scr, q, id, shuffleLen, &scr.bufB)
 
-	p.merge(id, sentToP, sentToQ)
-	p.merge(q, sentToQ, sentToP)
+	p.merge(id, sentToP, slotsP)
+	p.merge(q, sentToQ, slotsQ)
 }
 
 // sampleForShuffle picks up to n random entries from owner's view,
-// excluding peer itself, into the pooled buffer buf.
-func (p *Protocol) sampleForShuffle(ctx *sim.StepCtx, scr *scratch, owner, peer sim.NodeID, n int, buf *[]entry) []entry {
+// excluding peer itself, into the pooled buffer buf. It also returns the
+// view slots it sampled, as a mask with bit i set for slot i, which is
+// where owner's merge puts what it receives once its view is full.
+func (p *Protocol) sampleForShuffle(ctx *sim.StepCtx, scr *scratch, owner, peer sim.NodeID, n int, buf *[]entry) ([]entry, uint32) {
 	view := p.view(owner)
 	cand := scr.idxBuf[:0]
 	for i, en := range view {
@@ -238,22 +245,29 @@ func (p *Protocol) sampleForShuffle(ctx *sim.StepCtx, scr *scratch, owner, peer 
 	// Partial Fisher-Yates over the candidate indices: the first n slots
 	// become a uniform sample without replacement.
 	out := (*buf)[:0]
+	var slots uint32
 	rng := ctx.Rand()
 	for i := 0; i < n; i++ {
 		j := i + rng.Intn(len(cand)-i)
 		cand[i], cand[j] = cand[j], cand[i]
 		out = append(out, view[cand[i]])
+		slots |= 1 << cand[i]
 	}
 	*buf = out
-	return out
+	return out, slots
 }
 
 // merge installs received entries into owner's view, in place in its
 // row, Cyclon style: skip self and duplicates, fill free slots first, then
-// overwrite the slots of the entries owner just sent away.
-func (p *Protocol) merge(owner sim.NodeID, received, sent []entry) {
+// overwrite the slots of the entries owner just sent away — sent, the
+// mask sampleForShuffle returned — in ascending slot order.
+//
+// Those are the slots a search of the view for the sent ids would find:
+// a view holds no id twice and never its owner (so the initiator's
+// self-descriptor names no slot), and an entry merge writes is one the
+// view did not hold, so it is never a sent one.
+func (p *Protocol) merge(owner sim.NodeID, received []entry, sent uint32) {
 	view := p.view(owner)
-	sentIdx := 0
 	for _, en := range received {
 		if sim.NodeID(en.id) == owner || viewContains(view, sim.NodeID(en.id)) {
 			continue
@@ -262,19 +276,11 @@ func (p *Protocol) merge(owner sim.NodeID, received, sent []entry) {
 			view = append(view, en)
 			continue
 		}
-		// Replace one of the entries we sent away, if any remain.
-		replaced := false
-		for ; sentIdx < len(view); sentIdx++ {
-			if viewContains(sent, sim.NodeID(view[sentIdx].id)) {
-				view[sentIdx] = en
-				sentIdx++
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
+		if sent == 0 {
 			break // view full and nothing left to replace
 		}
+		view[bits.TrailingZeros32(sent)] = en
+		sent &= sent - 1
 	}
 	p.lens[owner] = uint8(len(view))
 }

@@ -353,7 +353,9 @@ func (s *Stack) WriteCheckpoint(w io.Writer, kind string, digest, sections func(
 // RestoreCheckpoint returns nil. The envelope's checksum and version, the
 // digest, the pins and the owner's sections are all verified before any
 // state is touched, so a corrupted, truncated or mismatched checkpoint is
-// refused with the stack and its owner as they were.
+// refused with the stack and its owner as they were. A pin must name a
+// joiner the engine state declares and have the space's dimension, and
+// under the baseline every such joiner must have one.
 //
 // One case is not covered: a well-formed body that is refused once the
 // engine has begun to restore — a protocol layer refuses its section, or
@@ -378,6 +380,9 @@ func (s *Stack) RestoreCheckpoint(rd io.Reader, kind string, check func(*snap.Re
 	if mismatch != nil {
 		return mismatch
 	}
+	if err := s.checkPins(pinned, sim.SnapshotNodeCount(*r)); err != nil {
+		return fmt.Errorf("%s snapshot: %w", kind, err)
+	}
 
 	if err := s.Engine.RestoreState(r); err != nil {
 		return err
@@ -390,6 +395,37 @@ func (s *Stack) RestoreCheckpoint(rd io.Reader, kind string, check func(*snap.Re
 	}
 	s.fixedPos = pinned
 	return nil
+}
+
+// checkPins returns why pinned, the pins of a checkpoint whose engine
+// state declares nodes nodes, cannot serve this stack, or nil. A pin must
+// name a joiner — an id in [len(Points), nodes) — and have the space's
+// dimension. Under the baseline every joiner must have one: a baseline
+// joiner stays at its position, and without a pin it would fall back to
+// the reinjection grid, which assumes the scenario's torus grid. Under
+// Polystyrene the layer owns every position, and a pin is never read. It
+// reports the smallest offending id.
+func (s *Stack) checkPins(pinned map[sim.NodeID]space.Point, nodes int) error {
+	first := len(s.Points)
+	bad, found := sim.NodeID(0), false
+	for id, p := range pinned {
+		if (int(id) < first || int(id) >= nodes || len(p) != s.spc.Dim()) && (!found || id < bad) {
+			bad, found = id, true
+		}
+	}
+	if found {
+		return fmt.Errorf("pin for node %d of dimension %d: pins are for joiners, ids [%d,%d), of dimension %d",
+			bad, len(pinned[bad]), first, nodes, s.spc.Dim())
+	}
+	if s.poly != nil || len(pinned) >= nodes-first {
+		return nil
+	}
+	// Fewer pins than joiners: one of the first len(pinned)+1 has none.
+	for id := sim.NodeID(first); ; id++ {
+		if _, ok := pinned[id]; !ok {
+			return fmt.Errorf("joiner %d of %d nodes has no pin", id, nodes)
+		}
+	}
 }
 
 // writePinned writes the pinned-position section: the count, then every

@@ -62,6 +62,38 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 	return nil
 }
 
+// stateHeader is the head of an engine state: the RNG state, the round
+// and the node count, as SnapshotState writes them.
+type stateHeader struct {
+	rng   [4]uint64
+	round int
+	nodes int
+}
+
+// readHeader reads the head of an engine state from r.
+func readHeader(r *snap.Reader) stateHeader {
+	var h stateHeader
+	for i := range h.rng {
+		h.rng[i] = r.U64()
+	}
+	h.round = r.Int()
+	h.nodes = r.I32()
+	return h
+}
+
+// SnapshotNodeCount returns the node count declared by the engine state r
+// is positioned at, as RestoreState reads it, or -1 when r is too short to
+// hold one. It reads a copy of r, so r does not advance: an owner that
+// keeps per-node state beside the engine can check that state against the
+// count before the engine restores anything.
+func SnapshotNodeCount(r snap.Reader) int {
+	h := readHeader(&r)
+	if r.Err() != nil {
+		return -1
+	}
+	return h.nodes
+}
+
 // RestoreState is the inverse of SnapshotState. The engine must already
 // be configured with the same layer stack the snapshot was taken from
 // (layers are matched by position and name); observers are left
@@ -77,12 +109,8 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 // of whose layers carries state has no section to bound the count by.
 func (e *Engine) RestoreState(r *snap.Reader) error {
 	// Phase 1: parse everything into temporaries.
-	var rngState [4]uint64
-	for i := range rngState {
-		rngState[i] = r.U64()
-	}
-	round := r.Int()
-	numNodes := r.I32()
+	h := readHeader(r)
+	round, numNodes := h.round, h.nodes
 	nLive := r.Count(4)
 	live := make([]NodeID, nLive)
 	for i := range live {
@@ -140,7 +168,7 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	}
 
 	// Phase 3: overwrite engine state.
-	e.rng.SetState(rngState)
+	e.rng.SetState(h.rng)
 	e.round = round
 	e.alive = e.alive[:0]
 	e.livePos = e.livePos[:0]

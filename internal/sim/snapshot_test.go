@@ -128,6 +128,26 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotNodeCount: the count read ahead of a restore is the
+// engine's node count, the reader does not advance, and a state too short
+// to hold a count reads -1.
+func TestSnapshotNodeCount(t *testing.T) {
+	e := New(5, &snapLayer{name: "counter"})
+	e.AddNodes(23)
+	e.RunRounds(2)
+	state := snapshotState(t, e)
+	r := snap.NewReader(state)
+	if got := SnapshotNodeCount(*r); got != 23 {
+		t.Fatalf("SnapshotNodeCount = %d, want 23", got)
+	}
+	if r.Remaining() != len(state) {
+		t.Fatal("SnapshotNodeCount advanced the reader")
+	}
+	if got := SnapshotNodeCount(*snap.NewReader(state[:40])); got != -1 {
+		t.Fatalf("SnapshotNodeCount of a truncated state = %d, want -1", got)
+	}
+}
+
 func TestEngineRestoreRejectsLayerMismatch(t *testing.T) {
 	e := New(1, &snapLayer{name: "counter"})
 	e.AddNodes(4)

@@ -20,9 +20,11 @@ func Row(table []float64, dim, r int) Point {
 // wrap arithmetic written inline and math.Mod only on the rare
 // out-of-domain branch; it performs Torus.Distance's operations in the same
 // order, so every result is bit-identical to it. The magnitude of each
-// delta is math.Abs, a sign-bit clear, not a test on the sign: gossip
-// partners lie on every side of a node, so such a branch would be a coin
-// flip the predictor misses about half the time. Every other space calls
+// delta is math.Abs, a sign-bit clear, not a test on the sign, and the
+// shorter arc is min(d, w-d), not a test against the half width (see
+// wrapDelta for what share of deltas that test took): gossip partners
+// lie on every side of a node, so the sign test was a coin flip the
+// predictor kept missing. Every other space calls
 // s.Distance on a row view. dst must hold at least len(rows) entries; like
 // Distance, it panics when target has the wrong dimension or a row lies
 // outside the table.
@@ -42,7 +44,6 @@ func RowDistances[I ~int | ~int32](s Space, dst, table []float64, rows []I, targ
 // torus2RowDistances is RowDistances on the torus of widths (w0, w1): the
 // body of Torus.Distance with wrapDelta expanded for both coordinates.
 func torus2RowDistances[I ~int | ~int32](w0, w1 float64, dst, table []float64, rows []I, tx, ty float64) {
-	h0, h1 := w0/2, w1/2
 	for i, r := range rows {
 		o := 2 * int(r)
 		row := table[o : o+2 : o+2]
@@ -50,16 +51,12 @@ func torus2RowDistances[I ~int | ~int32](w0, w1 float64, dst, table []float64, r
 		if dx >= w0 {
 			dx = math.Mod(dx, w0)
 		}
-		if dx > h0 {
-			dx = w0 - dx
-		}
+		dx = min(dx, w0-dx)
 		dy := math.Abs(row[1] - ty)
 		if dy >= w1 {
 			dy = math.Mod(dy, w1)
 		}
-		if dy > h1 {
-			dy = w1 - dy
-		}
+		dy = min(dy, w1-dy)
 		sum := 0.0
 		sum += dx * dx
 		sum += dy * dy

@@ -446,7 +446,9 @@ func BenchmarkMedoid20(b *testing.B) {
 // ranked against a different owner on every iteration. Unlike
 // BenchmarkTorusDistance's one fixed pair, the signs of the deltas vary
 // from row to row, so a kernel that branches on them pays for the
-// mispredictions here. One op is one 101-entry view.
+// mispredictions here. Row ids are int32, as in T-Man's views, so the
+// benchmark times the instantiation production runs. One op is one
+// 101-entry view.
 func BenchmarkRowDistances(b *testing.B) {
 	const w, h, viewLen, nViews = 320, 160, 101, 1024
 	var s Space = TorusForGrid(w, h, 1)
@@ -455,15 +457,15 @@ func BenchmarkRowDistances(b *testing.B) {
 		table = append(table, p...)
 	}
 	r := xrand.New(5)
-	views := make([][]int, nViews)
+	views := make([][]int32, nViews)
 	for v := range views {
 		ox, oy := r.Intn(w), r.Intn(h)
-		view := []int{oy*w + ox}
+		view := []int32{int32(oy*w + ox)}
 		for len(view) < viewLen {
 			// A 21x21 window around the owner, wrapping at the edges.
 			x := (ox + r.Intn(21) - 10 + w) % w
 			y := (oy + r.Intn(21) - 10 + h) % h
-			view = append(view, y*w+x)
+			view = append(view, int32(y*w+x))
 		}
 		views[v] = view
 	}
@@ -472,7 +474,7 @@ func BenchmarkRowDistances(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		view := views[i%nViews]
-		RowDistances(s, dst, table, view, Row(table, 2, view[0]))
+		RowDistances(s, dst, table, view, Row(table, 2, int(view[0])))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*viewLen), "ns/distance")
 }

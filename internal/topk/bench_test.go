@@ -9,12 +9,15 @@ import (
 	"polystyrene/internal/xrand"
 )
 
-func randomInput(rng *xrand.Rand, n int) ([]float64, []int) {
+// randomInput returns n random keys with int32 payloads 0..n-1: T-Man
+// selects node ids of that type, so the benchmarks time the instantiation
+// production runs.
+func randomInput(rng *xrand.Rand, n int) ([]float64, []int32) {
 	keys := make([]float64, n)
-	payload := make([]int, n)
+	payload := make([]int32, n)
 	for i := range keys {
 		keys[i] = rng.Float64()
-		payload[i] = i
+		payload[i] = int32(i)
 	}
 	return keys, payload
 }
@@ -57,7 +60,7 @@ func BenchmarkSmallestK(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d_k%d_%s", c.n, c.k, order), func(b *testing.B) {
 			rng := xrand.New(3)
 			keys := make([][]float64, nInputs)
-			payload := make([][]int, nInputs)
+			payload := make([][]int32, nInputs)
 			for j := range keys {
 				keys[j], payload[j] = randomInput(rng, c.n)
 				if c.nearly {
@@ -65,7 +68,7 @@ func BenchmarkSmallestK(b *testing.B) {
 				}
 			}
 			ks := make([]float64, c.n)
-			ps := make([]int, c.n)
+			ps := make([]int32, c.n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -85,7 +88,7 @@ func BenchmarkSortSliceBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ks := append([]float64(nil), keys...)
-		ps := append([]int(nil), payload...)
+		ps := append([]int32(nil), payload...)
 		idx := make([]int, len(ks))
 		for j := range idx {
 			idx[j] = j

@@ -64,21 +64,26 @@ func SmallestK[P cmp.Ordered](keys []float64, payload []P, k int) int {
 // insertSmallest keeps keys[:k] as the sorted k smallest seen so far: it
 // sorts the first k, then each later element is compared once with the
 // current k-th smallest and, when it orders first, swapped with it (so the
-// slice stays a permutation of its input) and shifted into place.
+// slice stays a permutation of its input) and shifted into place. The k-th
+// (key, payload) lives in locals, reloaded only after an element shifts
+// in, so the common rejected element costs its own two loads and one
+// comparison.
 func insertSmallest[P cmp.Ordered](keys []float64, payload []P, k int) {
 	sortRange(keys, payload, 0, k)
 	last := k - 1
+	lk, lp := keys[last], payload[last]
 	for i := k; i < len(keys); i++ {
 		ki, pi := keys[i], payload[i]
-		if !less(ki, pi, keys[last], payload[last]) {
+		if !less(ki, pi, lk, lp) {
 			continue
 		}
-		keys[i], payload[i] = keys[last], payload[last]
+		keys[i], payload[i] = lk, lp
 		j := last
 		for ; j > 0 && less(ki, pi, keys[j-1], payload[j-1]); j-- {
 			keys[j], payload[j] = keys[j-1], payload[j-1]
 		}
 		keys[j], payload[j] = ki, pi
+		lk, lp = keys[last], payload[last]
 	}
 }
 
@@ -155,12 +160,18 @@ func partition[P cmp.Ordered](keys []float64, payload []P, lo, hi int) int {
 // fastest. It is also adaptive, which callers rely on: SmallestK with
 // k = len(keys) runs only this sort, so T-Man re-ranking a view that is
 // still nearly sorted (restored sorted, or after a few positions moved)
-// costs about one pass.
+// costs about one pass. Each element is held in locals while the larger
+// ones before it shift up a slot, then written once where it belongs: a
+// step writes one (key, payload) where a swap writes two, and the result
+// is the one swapping it down gives.
 func sortRange[P cmp.Ordered](keys []float64, payload []P, lo, hi int) {
 	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && less(keys[j], payload[j], keys[j-1], payload[j-1]); j-- {
-			swap(keys, payload, j, j-1)
+		ki, pi := keys[i], payload[i]
+		j := i
+		for ; j > lo && less(ki, pi, keys[j-1], payload[j-1]); j-- {
+			keys[j], payload[j] = keys[j-1], payload[j-1]
 		}
+		keys[j], payload[j] = ki, pi
 	}
 }
 
