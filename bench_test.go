@@ -58,7 +58,7 @@ func runPaper(tb testing.TB, cfg scenario.Config, ph scenario.Phases) (*scenario
 	if err != nil {
 		tb.Fatal(err)
 	}
-	scenario.DrivePhases(sc, ph, ph.End)
+	scenario.DrivePhases(sc, ph, ph.End, nil)
 	return sc, sc.Result()
 }
 
@@ -337,8 +337,8 @@ func BenchmarkExtensionChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(14, true, 6)
 		cfg.SkipMetrics = true
-		sc, _, err := scenario.RunSchedule(cfg, sched, failAt+churnRounds+settle)
-		if err != nil {
+		sc := scenario.MustNew(cfg)
+		if err := scenario.DriveSchedule(sc, sched, failAt+churnRounds+settle, nil); err != nil {
 			b.Fatal(err)
 		}
 		h, ref, rel = sc.Homogeneity(), sc.ReferenceHomogeneity(), sc.Reliability()

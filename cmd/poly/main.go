@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -14,6 +15,7 @@ import (
 	"os"
 	"os/signal"
 	"slices"
+	"sync/atomic"
 	"syscall"
 
 	"polystyrene/internal/ckpt"
@@ -109,11 +111,18 @@ func registerMemBudget(fs *flag.FlagSet, mib *int) {
 		"memory budget in MiB (0 = unbounded): sim refuses to start when its estimated engine footprint exceeds it, grid bounds its concurrent cells by it")
 }
 
-// ckptFlags are the checkpoint-generation flags sim and serve share.
+// ckptFlags are the checkpoint-generation flags sim and serve share; open
+// attaches a scenario to the generation directory they name.
 type ckptFlags struct {
 	dir          string
 	every, keep  int
 	resumeLatest bool
+
+	sc  *scenario.Scenario
+	mgr *ckpt.Manager // nil without -checkpoint-dir
+	// lastSaved is the newest generation, nil for none. The stall
+	// watchdog reads it from its own goroutine.
+	lastSaved atomic.Pointer[ckpt.Generation]
 }
 
 func (c *ckptFlags) register(fs *flag.FlagSet) {
@@ -133,36 +142,75 @@ func (c *ckptFlags) validate() error {
 	return nil
 }
 
-// open attaches an auto-checkpointer for -checkpoint-dir to sc and, under
-// -resume-latest, restores sc from the newest good generation, which it
-// returns. Without -checkpoint-dir both results are nil.
-func (c *ckptFlags) open(sc *scenario.Scenario) (*scenario.AutoCheckpointer, *ckpt.Generation, error) {
+// open attaches sc to -checkpoint-dir and, under -resume-latest, restores
+// sc from the newest generation that verifies, which it returns (nil
+// otherwise). The scenario must be wired from a configuration
+// digest-equal to the checkpointed one; see Scenario.Restore.
+func (c *ckptFlags) open(sc *scenario.Scenario) (*ckpt.Generation, error) {
 	if c.dir == "" {
-		return nil, nil, nil
+		return nil, nil
 	}
 	mgr, err := ckpt.NewManager(ckpt.Options{Dir: c.dir, Kind: scenario.SnapshotKind, Keep: c.keep})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	auto := scenario.NewAutoCheckpointer(sc, mgr, c.every)
+	c.sc, c.mgr = sc, mgr
 	if !c.resumeLatest {
-		return auto, nil, nil
+		return nil, nil
 	}
-	g, err := scenario.RestoreLatest(sc, mgr)
+	g, data, err := mgr.OpenLatestGood()
+	if err == nil {
+		if err = sc.Restore(bytes.NewReader(data)); err != nil {
+			err = fmt.Errorf("restoring %s: %w", g.Name, err)
+		}
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("resume-latest from %s: %w", c.dir, err)
+		return nil, fmt.Errorf("resume-latest from %s: %w", c.dir, err)
 	}
-	auto.MarkSaved(g.Round)
-	return auto, &g, nil
+	c.lastSaved.Store(&g)
+	return &g, nil
 }
 
-// saveCheckpoint saves the generation a stopping run resumes from.
-func saveCheckpoint(out io.Writer, auto *scenario.AutoCheckpointer, round int) error {
-	if auto == nil {
+// autoSave saves a generation at the START of round r, before its phase
+// events fire, when r is on the -auto-checkpoint-every cadence: a resumed
+// run re-enters its drive there and fires them itself, which is what
+// makes its trajectory the uninterrupted one. The round a run resumed
+// from already has its generation and is not saved again.
+func (c *ckptFlags) autoSave(r int) error {
+	if c.mgr == nil || c.every <= 0 || r%c.every != 0 {
+		return nil
+	}
+	if g := c.lastSaved.Load(); g != nil && g.Round == r {
+		return nil
+	}
+	_, err := c.save(r)
+	return err
+}
+
+// save saves a generation of the scenario at round r.
+func (c *ckptFlags) save(r int) (ckpt.Generation, error) {
+	g, err := c.mgr.Save(r, c.sc.SnapshotTo)
+	if err == nil {
+		c.lastSaved.Store(&g)
+	}
+	return g, err
+}
+
+// lastPath returns the path of the newest generation, "" for none.
+func (c *ckptFlags) lastPath() string {
+	if g := c.lastSaved.Load(); g != nil {
+		return g.Path(c.dir)
+	}
+	return ""
+}
+
+// saveFinal saves the generation a stopping run resumes from.
+func (c *ckptFlags) saveFinal(out io.Writer, round int) error {
+	if c.mgr == nil {
 		fmt.Fprintln(out, "# no -checkpoint-dir, nothing saved")
 		return nil
 	}
-	g, err := auto.SaveNow(round)
+	g, err := c.save(round)
 	if err != nil {
 		return fmt.Errorf("checkpoint at round %d: %w", round, err)
 	}

@@ -147,7 +147,7 @@ func (c *serveCmd) serveScenario(out io.Writer) error {
 	}
 	defer sc.Close()
 
-	auto, resumed, err := c.ckpt.open(sc)
+	resumed, err := c.ckpt.open(sc)
 	if err != nil {
 		return err
 	}
@@ -172,16 +172,14 @@ func (c *serveCmd) serveScenario(out io.Writer) error {
 	ph := c.scen.phases(math.MaxInt32)
 	c.pace(ctx, out, sc.Engine.Round, func() {
 		r := sc.Engine.Round()
-		if auto != nil {
-			if _, _, err := auto.MaybeSave(r); err != nil {
-				fmt.Fprintf(out, "# auto-checkpoint at round %d failed: %v\n", r, err)
-			}
+		if err := c.ckpt.autoSave(r); err != nil {
+			fmt.Fprintf(out, "# auto-checkpoint at round %d failed: %v\n", r, err)
 		}
-		scenario.DrivePhases(sc, ph, r+1)
+		scenario.DrivePhases(sc, ph, r+1, nil)
 	})
 
 	r := sc.Engine.Round()
-	saveErr := saveCheckpoint(out, auto, r)
+	saveErr := c.ckpt.saveFinal(out, r)
 	sc.StopServing()
 	svc.drain(out)
 	fmt.Fprintf(out, "# stopped at round %d with %d live nodes\n", r, sc.Engine.NumLive())
@@ -287,7 +285,7 @@ func (c *serveCmd) runSelftest(out io.Writer) error {
 	budget := c.duration * 4 / 5
 	go func() {
 		defer close(driveDone)
-		scenario.DrivePhasesFunc(sc, ph, end, func(round int) bool {
+		scenario.DrivePhases(sc, ph, end, func(round int) bool {
 			if ctx.Err() != nil {
 				return false
 			}

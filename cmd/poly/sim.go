@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -89,29 +90,23 @@ func (c *simCmd) run(out, stderr io.Writer) error {
 	}
 	defer sc.Close()
 
-	auto, resumed, err := c.ckpt.open(sc)
-	if err != nil {
+	if _, err := c.ckpt.open(sc); err != nil {
 		return err
 	}
 	if r := sc.Engine.Round(); c.checkpointAt >= 0 && c.checkpointAt < r {
 		return fmt.Errorf("-checkpoint-at %d is before round %d, where the resumed run starts", c.checkpointAt, r)
 	}
-	var lastCkpt atomic.Value // read by the watchdog goroutine
-	lastCkpt.Store("")
-	if resumed != nil {
-		lastCkpt.Store(resumed.Path(c.ckpt.dir))
-	}
 
 	ctx, release := stopContext()
 	defer release()
 
-	var wd *scenario.Watchdog
+	var wd *watchdog
 	if c.stall > 0 {
-		wd = scenario.NewWatchdog(c.stall, func(lastRound int) {
-			scenario.StallReport(stderr, lastRound, lastCkpt.Load().(string))
+		wd = newWatchdog(c.stall, func(round int) {
+			stallReport(stderr, round, c.ckpt.lastPath())
 			os.Exit(2)
 		})
-		defer wd.Stop()
+		defer wd.timer.Stop()
 	}
 
 	// Every save and stop happens at round start, before the round's phase
@@ -119,9 +114,9 @@ func (c *simCmd) run(out, stderr io.Writer) error {
 	// itself: that is what makes its CSV the uninterrupted run's.
 	var interrupted, atCheckpoint bool
 	var saveErr error
-	scenario.DrivePhasesFunc(sc, phases, phases.End, func(r int) bool {
+	scenario.DrivePhases(sc, phases, phases.End, func(r int) bool {
 		if wd != nil {
-			wd.Tick(r)
+			wd.arm(r)
 		}
 		if ctx.Err() != nil {
 			interrupted = true
@@ -131,15 +126,9 @@ func (c *simCmd) run(out, stderr io.Writer) error {
 			atCheckpoint = true
 			return false
 		}
-		if auto != nil {
-			g, saved, err := auto.MaybeSave(r)
-			if err != nil {
-				saveErr = fmt.Errorf("auto-checkpoint at round %d: %w", r, err)
-				return false
-			}
-			if saved {
-				lastCkpt.Store(g.Path(c.ckpt.dir))
-			}
+		if err := c.ckpt.autoSave(r); err != nil {
+			saveErr = fmt.Errorf("auto-checkpoint at round %d: %w", r, err)
+			return false
 		}
 		return true
 	})
@@ -150,7 +139,7 @@ func (c *simCmd) run(out, stderr io.Writer) error {
 		fmt.Fprintf(out, "# interrupted at round %d\n", sc.Engine.Round())
 		fallthrough
 	case atCheckpoint:
-		return saveCheckpoint(out, auto, sc.Engine.Round())
+		return c.ckpt.saveFinal(out, sc.Engine.Round())
 	}
 
 	res := sc.Result()
@@ -166,4 +155,48 @@ func (c *simCmd) run(out, stderr io.Writer) error {
 	}
 	fmt.Fprintf(out, "# final reliability: %.2f%%\n", 100*sc.Reliability())
 	return nil
+}
+
+// watchdog aborts a stalled run: when stall passes without arm being
+// called, onStall runs, at most once, with the round last armed. The
+// round-driving goroutine arms it at the start of every round; onStall
+// runs on the timer's goroutine and reads no engine state, so it is
+// race-free at any exchange parallelism. Stop it with timer.Stop.
+type watchdog struct {
+	stall time.Duration
+	timer *time.Timer
+	round atomic.Int64
+	fired atomic.Bool
+}
+
+func newWatchdog(stall time.Duration, onStall func(round int)) *watchdog {
+	w := &watchdog{stall: stall}
+	w.round.Store(-1)
+	w.timer = time.AfterFunc(stall, func() {
+		if w.fired.CompareAndSwap(false, true) {
+			onStall(int(w.round.Load()))
+		}
+	})
+	return w
+}
+
+// arm records that round is being worked on and restarts the countdown.
+func (w *watchdog) arm(round int) {
+	w.round.Store(int64(round))
+	w.timer.Reset(w.stall)
+}
+
+// stallReport writes the stall diagnosis: the stuck round, the newest
+// durable checkpoint ("" for none) and a dump of every goroutine's stack
+// — what it takes to resume from that checkpoint and reproduce the stall.
+func stallReport(w io.Writer, lastRound int, lastCheckpoint string) {
+	fmt.Fprintf(w, "watchdog: no round progress; last round worked on: %d\n", lastRound)
+	if lastCheckpoint != "" {
+		fmt.Fprintf(w, "watchdog: last durable checkpoint: %s\n", lastCheckpoint)
+	} else {
+		fmt.Fprintf(w, "watchdog: no durable checkpoint exists\n")
+	}
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	w.Write(buf[:n])
 }

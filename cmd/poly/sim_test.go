@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"polystyrene/internal/scenario"
 )
 
 // simRun runs the sim subcommand with args.
@@ -339,5 +342,116 @@ func sigterm(t *testing.T) {
 	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAutoCheckpointerSkipsRestoredRound pins the resume re-entry rule:
+// the round a run resumed from already has its generation and is not
+// saved again, but the next cadence round still saves and an off-cadence
+// round does not.
+func TestAutoCheckpointerSkipsRestoredRound(t *testing.T) {
+	cfg := scenario.Config{Seed: 3, W: 8, H: 4, Polystyrene: true}
+	dir := t.TempDir()
+	first := scenario.MustNew(cfg)
+	defer first.Close()
+	first.Run(4)
+	prev := &ckptFlags{dir: dir, every: 4, keep: 3}
+	if _, err := prev.open(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prev.save(4); err != nil {
+		t.Fatal(err)
+	}
+
+	sc := scenario.MustNew(cfg)
+	defer sc.Close()
+	c := &ckptFlags{dir: dir, every: 4, keep: 3, resumeLatest: true}
+	g, err := c.open(sc)
+	if err != nil || g.Round != 4 {
+		t.Fatalf("resumed generation %+v, err %v; want round 4", g, err)
+	}
+	if err := c.autoSave(4); err != nil || c.lastSaved.Load() != g {
+		t.Fatalf("autoSave(4) after resuming round 4 = err %v, newest %+v; want no save", err, c.lastSaved.Load())
+	}
+	sc.Run(4)
+	if err := c.autoSave(8); err != nil || c.lastSaved.Load().Round != 8 {
+		t.Fatalf("autoSave(8) = err %v, newest %+v; want a save", err, c.lastSaved.Load())
+	}
+	saved := c.lastSaved.Load()
+	if err := c.autoSave(9); err != nil || c.lastSaved.Load() != saved {
+		t.Fatalf("autoSave(9) off cadence = err %v, newest %+v; want no save", err, c.lastSaved.Load())
+	}
+	if gens := generations(t, dir); len(gens) != 2 {
+		t.Fatalf("generations %v, want rounds 4 and 8", gens)
+	}
+}
+
+func TestWatchdogFiresOnStall(t *testing.T) {
+	fired := make(chan int, 1)
+	w := newWatchdog(30*time.Millisecond, func(r int) { fired <- r })
+	defer w.timer.Stop()
+	w.arm(5)
+	select {
+	case r := <-fired:
+		if r != 5 {
+			t.Fatalf("stall reported round %d, want 5", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog never fired on a stalled run")
+	}
+}
+
+// TestWatchdogFiresAtMostOnce: a watchdog re-armed after it fired runs
+// its countdown again but does not report a second stall.
+func TestWatchdogFiresAtMostOnce(t *testing.T) {
+	fired := make(chan int, 2)
+	w := newWatchdog(20*time.Millisecond, func(r int) { fired <- r })
+	defer w.timer.Stop()
+	w.arm(1)
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog never fired on a stalled run")
+	}
+	w.arm(2)
+	select {
+	case r := <-fired:
+		t.Fatalf("watchdog fired a second time, at round %d", r)
+	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+func TestWatchdogQuietWhileProgressing(t *testing.T) {
+	stalled := make(chan struct{})
+	w := newWatchdog(60*time.Millisecond, func(int) { close(stalled) })
+	for i := 0; i < 10; i++ {
+		w.arm(i)
+		time.Sleep(10 * time.Millisecond)
+	}
+	w.timer.Stop()
+	w.timer.Stop() // idempotent
+	select {
+	case <-stalled:
+		t.Fatal("watchdog fired despite steady progress")
+	default:
+	}
+}
+
+// TestStallReportContents: the dump names the round, the checkpoint and
+// contains a goroutine stack — the three things needed to time-travel
+// into a stall.
+func TestStallReportContents(t *testing.T) {
+	var buf bytes.Buffer
+	stallReport(&buf, 37, "ckpt/gen-0000000032.snap")
+	out := buf.String()
+	for _, want := range []string{"last round worked on: 37", "gen-0000000032.snap", "goroutine"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stall report missing %q:\n%s", want, out)
+		}
+	}
+	var none bytes.Buffer
+	stallReport(&none, 2, "")
+	if !strings.Contains(none.String(), "no durable checkpoint") {
+		t.Error("checkpoint-less stall report does not say so")
 	}
 }

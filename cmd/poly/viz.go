@@ -87,7 +87,7 @@ func (c *vizCmd) run(out, _ io.Writer) error {
 		fmt.Fprintln(out, viz.ASCIIDensity(sc.Space, snap, min(cfg.W, 80), min(cfg.H, 40)))
 		return nil
 	}
-	scenario.DrivePhasesFunc(sc, ph, last+1, func(r int) bool {
+	scenario.DrivePhases(sc, ph, last+1, func(r int) bool {
 		if r > 0 {
 			err = report(r - 1)
 		}

@@ -147,28 +147,26 @@ func RunCell(cell Cell) (CellResult, error) {
 		ExchangeParallelism: cell.Exchange,
 	}
 
-	var sc *scenario.Scenario
-	switch cell.Scenario.Name {
-	case "reshape":
+	if cell.Scenario.Name == "reshape" {
 		return runReshape(cell, cfg)
-	case "paper":
-		sc, err = scenario.New(cfg)
-		if err != nil {
-			return CellResult{}, err
-		}
+	}
+	sc, err := scenario.New(cfg)
+	if err != nil {
+		return CellResult{}, err
+	}
+	defer sc.Close()
+	if cell.Scenario.Name == "paper" {
 		ph := scenario.Phases{FailAt: cell.Scenario.FailAt, ReinjectAt: cell.Scenario.RejoinAt, End: cell.Rounds}
-		scenario.DrivePhases(sc, ph, cell.Rounds)
-	default:
-		sched, berr := BuildSchedule(cell)
-		if berr != nil {
-			return CellResult{}, berr
+		scenario.DrivePhases(sc, ph, cell.Rounds, nil)
+	} else {
+		sched, err := BuildSchedule(cell)
+		if err == nil {
+			err = scenario.DriveSchedule(sc, sched, cell.Rounds, nil)
 		}
-		sc, _, err = scenario.RunSchedule(cfg, sched, cell.Rounds)
 		if err != nil {
 			return CellResult{}, err
 		}
 	}
-	defer sc.Close()
 
 	out := CellResult{
 		Cell:             cell,

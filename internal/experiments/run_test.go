@@ -267,11 +267,11 @@ func TestDatacenterFailureRecoveryEndToEnd(t *testing.T) {
 	if killed := len(sched.Events); killed != w*h/2 {
 		t.Fatalf("outage crashes %d nodes, want %d", killed, w*h/2)
 	}
-	sc, _, err := scenario.RunSchedule(scenario.Config{Seed: 5, W: w, H: h, Polystyrene: true, K: 6, SkipMetrics: true}, sched, 32)
-	if err != nil {
+	sc := scenario.MustNew(scenario.Config{Seed: 5, W: w, H: h, Polystyrene: true, K: 6, SkipMetrics: true})
+	defer sc.Close()
+	if err := scenario.DriveSchedule(sc, sched, 32, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
 	if live := sc.Engine.NumLive(); live != w*h/2 {
 		t.Fatalf("%d nodes live after the outage, want %d", live, w*h/2)
 	}

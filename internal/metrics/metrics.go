@@ -8,9 +8,10 @@
 // full-scan originals, which rebuild the guests⁻¹ map from scratch on
 // every call (O(N·g) plus a string key per hosted point), and the indexed
 // forms, which read a HolderIndex (the core layer's, a table it builds
-// once per change of its guest sets) in O(holders) per data point. The
-// full-scan forms are the reference oracle: the indexed forms must return
-// bit-identical values, and the cross-check tests pin that.
+// once per change of its guest sets, or the baseline's table of fixed
+// positions) in O(holders) per data point. Every run reads the indexed
+// forms; the full-scan forms are kept only as the reference oracle that
+// tests hold the indexed forms to, bit for bit.
 package metrics
 
 import (
@@ -55,9 +56,11 @@ type System interface {
 // HolderIndex is a guests⁻¹ view: for an interned data point, the nodes
 // currently hosting it as a guest, in any order. core.Protocol satisfies
 // it with live nodes only, from a table it rebuilds after its guest sets
-// or the live set change. The interface does not promise liveness, so
-// consumers still filter with System.Alive; the metrics' values do not
-// depend on the order (a minimum, or whether any holder is live).
+// or the live set change; the baseline stack with every node whose fixed
+// position is the point, dead ones included. The interface does not
+// promise liveness, so consumers still filter with System.Alive; the
+// metrics' values do not depend on the order (a minimum, or whether any
+// holder is live).
 type HolderIndex interface {
 	HoldersOf(id space.PointID) []sim.NodeID
 }
@@ -93,8 +96,8 @@ func Proximity(sys System, k int) float64 {
 // node of the whole network (the ĝuests⁻¹ fallback of Sec. IV-A). Lower is
 // better; 0 means every original point is hosted exactly in place.
 //
-// This is the full-scan reference implementation; HomogeneityIndexed is
-// the equivalent fast path over a HolderIndex.
+// This is the full-scan reference that tests hold HomogeneityIndexed, the
+// form every run reads, to.
 func Homogeneity(sys System, datapoints []space.Point) float64 {
 	live := sys.Live()
 	if len(live) == 0 || len(datapoints) == 0 {
@@ -211,8 +214,8 @@ func MessageCostPerNode(e *sim.Engine, round int) float64 {
 // Reliability is the Table II measure: the fraction of the original data
 // points still hosted (as a guest) by at least one live node.
 //
-// This is the full-scan reference implementation; ReliabilityIndexed is
-// the equivalent fast path over a HolderIndex.
+// This is the full-scan reference that tests hold ReliabilityIndexed, the
+// form every run reads, to.
 func Reliability(sys System, datapoints []space.Point) float64 {
 	if len(datapoints) == 0 {
 		return 1

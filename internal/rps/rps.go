@@ -168,7 +168,8 @@ func (p *Protocol) bootstrap(ctx *sim.StepCtx, id sim.NodeID) []entry {
 }
 
 // viewContains reports whether id occurs in view: the duplicate check of
-// bootstrap and merge, a linear scan of at most viewSize entries.
+// bootstrap, merge and RestoreState, a linear scan of at most viewSize
+// entries.
 func viewContains(view []entry, id sim.NodeID) bool {
 	for _, en := range view {
 		if sim.NodeID(en.id) == id {

@@ -32,8 +32,12 @@ func (p *Protocol) SnapshotState(w *snap.Writer) {
 // only once the whole section has parsed; on any error the protocol is
 // left as it was. A view count other than the engine's node count, a view
 // longer than viewSize, an entry outside [0, n), where n is the section's
-// view count, an entry naming the view's own node and a negative age are
-// refused.
+// view count, an entry naming the view's own node, a node named twice in
+// one view and a negative age are refused: merge fills the slots it sent
+// by position, which relies on a view naming each node once. The
+// duplicate check compares an entry with the ones before it only when a
+// 256-bit mask of their ids mod 256 says it may repeat one: at most 190
+// comparisons a view, about 10 on an honest one, and no allocation.
 func (p *Protocol) RestoreState(r *snap.Reader) error {
 	n := r.NodeCount(4)
 	lens := make([]uint8, n)
@@ -51,6 +55,7 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 		if r.I32s(fields[:2*ln]); r.Err() != nil {
 			return r.Err()
 		}
+		var seen [4]uint64 // bit id%256 of every id of the view read so far
 		for j := range row {
 			id, age := fields[2*j], fields[2*j+1]
 			if id < 0 || int(id) >= n {
@@ -59,6 +64,11 @@ func (p *Protocol) RestoreState(r *snap.Reader) error {
 			if int(id) == i {
 				return fmt.Errorf("rps: snapshot view of node %d holds the node itself", i)
 			}
+			w, bit := uint(id)>>6&3, uint64(1)<<(uint(id)&63)
+			if seen[w]&bit != 0 && viewContains(row[:j], sim.NodeID(id)) {
+				return fmt.Errorf("rps: snapshot view of node %d holds node %d twice", i, id)
+			}
+			seen[w] |= bit
 			if age < 0 {
 				return fmt.Errorf("rps: snapshot view of node %d holds age %d", i, age)
 			}

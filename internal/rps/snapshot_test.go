@@ -79,8 +79,8 @@ func viewPairs(p *Protocol) [][][2]int {
 
 // TestRestoreRefusesCraftedSections: every view entry must name a node in
 // [0, n), n being the section's own view count, other than the view's own
-// node, with a non-negative age, and no view may hold more than viewSize
-// entries. A version 2 section's 8-byte entry outside int32 is refused by
+// node and not named earlier in the view, with a non-negative age, and no
+// view may hold more than viewSize entries. A version 2 section's 8-byte entry outside int32 is refused by
 // the reader. Each refusal leaves the protocol as it was, and an honest
 // section round-trips byte for byte from either version.
 func TestRestoreRefusesCraftedSections(t *testing.T) {
@@ -92,8 +92,8 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 	if !bytes.Equal(encodeViews(views, false), saved) {
 		t.Fatal("encodeViews does not reproduce SnapshotState's bytes")
 	}
-	if len(views[3]) == 0 {
-		t.Fatal("node 3 has an empty view; the crafted sections would not change it")
+	if len(views[3]) < 2 {
+		t.Fatal("node 3's view holds fewer than 2 entries; the crafted sections would not change it")
 	}
 	// edited returns views with edit applied to a copy of node 3's view,
 	// or of every view when all is set.
@@ -141,6 +141,7 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 		{"entry 1<<32+5", edited(false, peers(1<<32+5)), true, "value 4294967301 at offset"},
 		{"view one past viewSize", grown(viewSize + 1), false, "more than the 20 a view keeps"},
 		{"entry names its own node", edited(false, peers(3)), false, "node 3 holds the node itself"},
+		{"entry repeated", edited(false, func(v [][2]int) [][2]int { v[1][0] = v[0][0]; return v }), false, "twice"},
 		{"age -1", aged(-1), false, "holds age -1"},
 		{"age past int32", aged(math.MaxInt32 + 1), true, "2147483648 at offset"},
 	}
@@ -195,9 +196,10 @@ func TestRestoreRefusesCraftedSections(t *testing.T) {
 
 // FuzzRestoreState: no byte string makes RestoreState panic, read as any
 // body version. A section it accepts leaves every view within viewSize, in
-// [0, n), free of its own node and with no negative age, and re-snapshots
-// to the bytes it consumed (re-encoded with 8-byte fields when it was read
-// as version 1 or 2); a section it refuses leaves the protocol as it was.
+// [0, n), free of its own node and of repeats and with no negative age,
+// and re-snapshots to the bytes it consumed (re-encoded with 8-byte fields
+// when it was read as version 1 or 2); a section it refuses leaves the
+// protocol as it was.
 // Every seed comes in versions 2, 3 and 4, which lay an rps section out
 // alike but with 4-byte fields from version 3 on.
 func FuzzRestoreState(f *testing.F) {
@@ -219,6 +221,8 @@ func FuzzRestoreState(f *testing.F) {
 		}()}, make([][][2]int, 29)...),
 		// Node 0's view holding node 1 at age -1.
 		{{{1, -1}}, {}},
+		// Node 0's view holding node 1 twice.
+		{{{1, 0}, {1, 0}}, {{0, 0}}, {{0, 0}}, {{0, 0}}},
 	}
 	for _, version := range []uint8{2, 3, 4} {
 		for _, views := range seeds {
@@ -243,9 +247,12 @@ func FuzzRestoreState(f *testing.F) {
 			if len(v) > viewSize {
 				t.Fatalf("restored view of node %d holds %d entries, cap %d", id, len(v), viewSize)
 			}
-			for _, en := range v {
+			for j, en := range v {
 				if en.id < 0 || int(en.id) >= len(p.lens) || int(en.id) == id {
 					t.Fatalf("restored view of node %d holds node %d (n = %d)", id, en.id, len(p.lens))
+				}
+				if viewContains(v[:j], sim.NodeID(en.id)) {
+					t.Fatalf("restored view of node %d holds node %d twice", id, en.id)
 				}
 				if en.age < 0 {
 					t.Fatalf("restored view of node %d holds age %d", id, en.age)
@@ -260,6 +267,26 @@ func FuzzRestoreState(f *testing.F) {
 			t.Fatalf("accepted section re-snapshots to %d bytes, consumed %d", len(got), len(used))
 		}
 	})
+}
+
+// TestRestoreRefusesRepeatedEntry: a view that names one node twice is
+// refused, in either version, and leaves the protocol as it was. Merge
+// replaces the slots it sent by position, so such a view would run a
+// trajectory no honest run produces.
+func TestRestoreRefusesRepeatedEntry(t *testing.T) {
+	e, p := newNetwork(t, 4, 4)
+	e.RunRounds(2)
+	saved := snapshotOf(p)
+	views := [][][2]int{{{1, 0}, {1, 0}}, {{0, 0}}, {{0, 0}}, {{0, 0}}}
+	for _, v2 := range []bool{false, true} {
+		err := p.RestoreState(readerOf(encodeViews(views, v2), v2))
+		if err == nil || !strings.Contains(err.Error(), "view of node 0 holds node 1 twice") {
+			t.Fatalf("v2=%v: RestoreState = %v, want the repeated entry refused", v2, err)
+		}
+		if !bytes.Equal(snapshotOf(p), saved) {
+			t.Fatalf("v2=%v: a refused restore changed the protocol", v2)
+		}
+	}
 }
 
 // TestRestoreLyingCountStaysCheap: a section that claims more views than

@@ -155,9 +155,9 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 }
 
 // BenchmarkAutoCheckpoint measures the durable-checkpoint tax on a
-// 51,200-node soak: each iteration is one engine round driven through an
-// AutoCheckpointer that writes atomic, fsynced, checksummed generations
-// (keep 2) into a temporary directory. every=0 is the no-checkpoint
+// 51,200-node soak: each iteration is one engine round, preceded on the
+// cadence by a ckpt.Manager save of an atomic, fsynced, checksummed
+// generation (keep 2) into a temporary directory. every=0 is the no-checkpoint
 // baseline round, every=1 pays a full durable generation on every
 // round, and every=16 is a realistic soak cadence whose amortized cost
 // should sit near the baseline. Warm-up runs to round 16 so the cadence
@@ -173,12 +173,13 @@ func BenchmarkAutoCheckpoint(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			auto := NewAutoCheckpointer(sc, mgr, every)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := auto.MaybeSave(sc.Engine.Round()); err != nil {
-					b.Fatal(err)
+				if r := sc.Engine.Round(); every > 0 && r%every == 0 {
+					if _, err := mgr.Save(r, sc.SnapshotTo); err != nil {
+						b.Fatal(err)
+					}
 				}
 				sc.Run(1)
 			}
@@ -210,12 +211,12 @@ func BenchmarkScheduleReplay(b *testing.B) {
 		b.Cleanup(sc.Close)
 		// Convergence happens inside the drive so the event ledger and the
 		// engine population stay reconciled.
-		if err := DriveSchedule(sc, sched, convergeRounds); err != nil {
+		if err := DriveSchedule(sc, sched, convergeRounds, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		if err := DriveSchedule(sc, sched, convergeRounds+b.N); err != nil {
+		if err := DriveSchedule(sc, sched, convergeRounds+b.N, nil); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -39,24 +39,31 @@ func runCheckpointedSoak(cfg Config, phases Phases, every int, fs ckpt.FS, dir s
 		return lastSaved, err
 	}
 	defer sc.Close()
-	auto := NewAutoCheckpointer(sc, mgr, every)
-	total := cfg.W * cfg.H
-	for sc.Engine.Round() < phases.End {
-		r := sc.Engine.Round()
-		if g, ok, err := auto.MaybeSave(r); err != nil {
-			return lastSaved, err
-		} else if ok {
-			lastSaved = g.Round
+	DrivePhases(sc, phases, phases.End, func(r int) bool {
+		if r%every != 0 {
+			return true
 		}
-		if r == phases.FailAt {
-			sc.FailRightHalf()
+		var g ckpt.Generation
+		if g, err = mgr.Save(r, sc.SnapshotTo); err != nil {
+			return false
 		}
-		if r == phases.ReinjectAt {
-			sc.Reinject(total - sc.Engine.NumLive())
-		}
-		sc.Run(1)
+		lastSaved = g.Round
+		return true
+	})
+	return lastSaved, err
+}
+
+// restoreLatest restores sc from the newest generation in mgr that
+// verifies, returning which generation it used.
+func restoreLatest(sc *Scenario, mgr *ckpt.Manager) (ckpt.Generation, error) {
+	g, data, err := mgr.OpenLatestGood()
+	if err != nil {
+		return ckpt.Generation{}, err
 	}
-	return lastSaved, nil
+	if err := sc.Restore(bytes.NewReader(data)); err != nil {
+		return ckpt.Generation{}, fmt.Errorf("restoring %s: %w", g.Name, err)
+	}
+	return g, nil
 }
 
 // TestCrashPointSweepRecovery is the tentpole property: enumerate every
@@ -74,7 +81,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 			cfg := Config{Seed: 31, W: 8, H: 4, Polystyrene: true, ExchangeParallelism: workers}
 
 			base := MustNew(cfg)
-			DrivePhases(base, crashPhases, crashPhases.End)
+			DrivePhases(base, crashPhases, crashPhases.End, nil)
 			baseRes := base.Result()
 			baseRel := base.Reliability()
 			base.Close()
@@ -113,7 +120,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 					t.Fatalf("crash %d: recovery manager: %v", at, err)
 				}
 				resumed := MustNew(cfg)
-				g, err := RestoreLatest(resumed, rec)
+				g, err := restoreLatest(resumed, rec)
 				if err != nil {
 					// Only legitimate before the very first save became
 					// durable: recovery is then a fresh run from round 0.
@@ -129,7 +136,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 						t.Fatalf("crash %d: restored engine at round %d, generation says %d", at, got, g.Round)
 					}
 				}
-				DrivePhases(resumed, crashPhases, crashPhases.End)
+				DrivePhases(resumed, crashPhases, crashPhases.End, nil)
 				if !reflect.DeepEqual(resumed.Result(), baseRes) {
 					t.Fatalf("crash %d: resumed metric record diverged from uninterrupted run", at)
 				}
@@ -148,7 +155,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 func TestSoakSurvivesTransientWriteErrors(t *testing.T) {
 	cfg := Config{Seed: 31, W: 8, H: 4, Polystyrene: true}
 	base := MustNew(cfg)
-	DrivePhases(base, crashPhases, crashPhases.End)
+	DrivePhases(base, crashPhases, crashPhases.End, nil)
 	baseRes := base.Result()
 	base.Close()
 
@@ -167,38 +174,12 @@ func TestSoakSurvivesTransientWriteErrors(t *testing.T) {
 	}
 	resumed := MustNew(cfg)
 	defer resumed.Close()
-	if _, err := RestoreLatest(resumed, rec); err != nil {
+	if _, err := restoreLatest(resumed, rec); err != nil {
 		t.Fatalf("RestoreLatest: %v", err)
 	}
-	DrivePhases(resumed, crashPhases, crashPhases.End)
+	DrivePhases(resumed, crashPhases, crashPhases.End, nil)
 	if !reflect.DeepEqual(resumed.Result(), baseRes) {
 		t.Fatal("record diverged after transient-error soak")
-	}
-}
-
-// TestAutoCheckpointerSkipsRestoredRound pins the resume re-entry rule:
-// after MarkSaved(r), MaybeSave(r) is a no-op, but the next cadence
-// round still saves.
-func TestAutoCheckpointerSkipsRestoredRound(t *testing.T) {
-	cfg := Config{Seed: 3, W: 8, H: 4, Polystyrene: true}
-	sc := MustNew(cfg)
-	defer sc.Close()
-	mgr, err := ckpt.NewManager(ckpt.Options{Dir: t.TempDir(), Kind: SnapshotKind})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto := NewAutoCheckpointer(sc, mgr, 4)
-	auto.MarkSaved(4)
-	sc.Run(4)
-	if _, saved, err := auto.MaybeSave(4); err != nil || saved {
-		t.Fatalf("MaybeSave(4) after MarkSaved = saved %v err %v, want no-op", saved, err)
-	}
-	sc.Run(4)
-	if _, saved, err := auto.MaybeSave(8); err != nil || !saved {
-		t.Fatalf("MaybeSave(8) = saved %v err %v, want save", saved, err)
-	}
-	if _, saved, err := auto.MaybeSave(9); err != nil || saved {
-		t.Fatalf("MaybeSave(9) off cadence = saved %v err %v", saved, err)
 	}
 }
 
@@ -209,7 +190,7 @@ func TestAutoCheckpointerSkipsRestoredRound(t *testing.T) {
 func TestReplayFromCheckpoint(t *testing.T) {
 	cfg := Config{Seed: 41, W: 8, H: 4, Polystyrene: true}
 	base := MustNew(cfg)
-	DrivePhases(base, crashPhases, crashPhases.End)
+	DrivePhases(base, crashPhases, crashPhases.End, nil)
 	baseRes := base.Result()
 	base.Close()
 
@@ -307,56 +288,6 @@ func TestCloseIsIdempotent(t *testing.T) {
 	eng.Close()
 }
 
-func TestWatchdogFiresOnStall(t *testing.T) {
-	fired := make(chan int, 1)
-	w := NewWatchdog(30*time.Millisecond, func(r int) { fired <- r })
-	w.Tick(5)
-	select {
-	case r := <-fired:
-		if r != 5 {
-			t.Fatalf("stall reported round %d, want 5", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired on a stalled run")
-	}
-	w.Stop() // must not hang after the loop already exited
-}
-
-func TestWatchdogQuietWhileProgressing(t *testing.T) {
-	stalled := make(chan struct{})
-	w := NewWatchdog(60*time.Millisecond, func(int) { close(stalled) })
-	for i := 0; i < 10; i++ {
-		w.Tick(i)
-		time.Sleep(10 * time.Millisecond)
-	}
-	w.Stop()
-	w.Stop() // idempotent
-	select {
-	case <-stalled:
-		t.Fatal("watchdog fired despite steady progress")
-	default:
-	}
-}
-
-// TestStallReportContents: the dump names the round, the checkpoint and
-// contains a goroutine stack — the three things needed to time-travel
-// into a stall.
-func TestStallReportContents(t *testing.T) {
-	var buf bytes.Buffer
-	StallReport(&buf, 37, "ckpt/gen-0000000032.snap")
-	out := buf.String()
-	for _, want := range []string{"last round worked on: 37", "gen-0000000032.snap", "goroutine"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stall report missing %q:\n%s", want, out)
-		}
-	}
-	var none bytes.Buffer
-	StallReport(&none, 2, "")
-	if !strings.Contains(none.String(), "no durable checkpoint") {
-		t.Error("checkpoint-less stall report does not say so")
-	}
-}
-
 // ReplayFromCheckpoint is the time-travel debugging seed that
 // TestReplayFromCheckpoint exercises: given a checkpoint directory of a
 // phased soak and a failing round, it wires a fresh scenario, restores
@@ -377,6 +308,6 @@ func ReplayFromCheckpoint(cfg Config, mgr *ckpt.Manager, ph Phases, failRound in
 		sc.Close()
 		return nil, ckpt.Generation{}, fmt.Errorf("restoring %s: %w", g.Name, err)
 	}
-	DrivePhases(sc, ph, failRound)
+	DrivePhases(sc, ph, failRound, nil)
 	return sc, g, nil
 }

@@ -28,6 +28,32 @@ func (p Phases) Validate() error {
 	return nil
 }
 
+// DrivePhases advances sc from its current round to round `to` (at most
+// ph.End) under the paper's schedule, firing each phase event at the
+// start of its round. Reinjection tops the population back up to the full
+// grid, so the schedule is insensitive to where a checkpoint interrupted
+// it. atRound, when not nil, runs at the start of each round before that
+// round's events fire: a checkpoint saved there replays byte-identically,
+// because a resumed drive fires the events itself. Returning false stops
+// the drive before the round runs, at a round boundary.
+func DrivePhases(sc *Scenario, ph Phases, to int, atRound func(round int) bool) {
+	to = min(to, ph.End)
+	total := sc.Cfg.W * sc.Cfg.H
+	for sc.Engine.Round() < to {
+		r := sc.Engine.Round()
+		if atRound != nil && !atRound(r) {
+			return
+		}
+		if r == ph.FailAt {
+			sc.FailRightHalf()
+		}
+		if r == ph.ReinjectAt {
+			sc.Reinject(total - sc.Engine.NumLive())
+		}
+		sc.Run(1)
+	}
+}
+
 // ReshapingOutcome is one observation for Table II.
 type ReshapingOutcome struct {
 	// Rounds is the reshaping time: rounds from the failure until the

@@ -120,13 +120,13 @@ func TestGoldenBaselineSnapshotRestores(t *testing.T) {
 
 	fresh := MustNew(goldenBaselineCfg)
 	defer fresh.Close()
-	DrivePhases(fresh, goldenBaselinePhases, 12)
+	DrivePhases(fresh, goldenBaselinePhases, 12, nil)
 	want := snapshotBytes(t, fresh)
 	for i, sc := range restored {
 		if len(sc.fixedPos) == 0 {
 			t.Fatalf("golden baseline snapshot v%d restored no pinned positions", i+1)
 		}
-		DrivePhases(sc, goldenBaselinePhases, 12)
+		DrivePhases(sc, goldenBaselinePhases, 12, nil)
 		if !bytes.Equal(snapshotBytes(t, sc), want) {
 			t.Fatalf("golden snapshot v%d + 5 rounds diverged from an uninterrupted run to round 12", i+1)
 		}

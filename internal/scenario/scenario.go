@@ -216,10 +216,8 @@ func (sc *Scenario) Reinject(n int) []sim.NodeID {
 	return ids
 }
 
-// record is the per-round metrics observer. Under Polystyrene the
-// homogeneity reading comes from the layer's guests⁻¹ table (HoldersOf);
-// the plain baseline keeps the full-scan path (its "guest set" is the
-// node position, which no index maintains).
+// record is the per-round metrics observer. The homogeneity reading comes
+// from the stack's guests⁻¹ index (see Stack.Homogeneity).
 func (sc *Scenario) record(e *sim.Engine, round int) {
 	r := sc.result
 	r.Homogeneity = append(r.Homogeneity, sc.Homogeneity())

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func runPaper(t *testing.T, cfg Config, ph Phases) (*Scenario, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	DrivePhases(sc, ph, ph.End)
+	DrivePhases(sc, ph, ph.End, nil)
 	return sc, sc.Result()
 }
 
@@ -280,34 +281,34 @@ func TestSplitFunctionAffectsReshaping(t *testing.T) {
 }
 
 func TestIndexedMetricsMatchFullScanOracle(t *testing.T) {
-	// The per-round metrics read the core layer's incremental holders
-	// index; the string-keyed full scans are kept as the oracle. Across
-	// the whole 3-phase scenario the two must agree bit for bit — this is
-	// what licenses recording only the indexed values.
-	sc := MustNew(smallCfg(33, true))
-	phases := smallPhases()
-	checkRound := func(round int) {
-		sys := sc.System()
-		gotH := metrics.HomogeneityIndexed(sys, sc.Poly(), sc.Points, sc.PointIDs)
-		wantH := metrics.Homogeneity(sys, sc.Points)
-		if gotH != wantH {
-			t.Fatalf("round %d: indexed homogeneity %v != full-scan %v", round, gotH, wantH)
-		}
-		gotR := metrics.ReliabilityIndexed(sys, sc.Poly(), sc.PointIDs)
-		wantR := metrics.Reliability(sys, sc.Points)
-		if gotR != wantR {
-			t.Fatalf("round %d: indexed reliability %v != full-scan %v", round, gotR, wantR)
-		}
-	}
-	for round := 0; round < phases.End; round++ {
-		if round == phases.FailAt {
-			sc.FailRightHalf()
-		}
-		if round == phases.ReinjectAt {
-			sc.Reinject(40)
-		}
-		sc.Run(1)
-		checkRound(round)
+	// Every run reads the stack's holders index: the core layer's under
+	// Polystyrene, the table of fixed positions under the baseline. The
+	// string-keyed full scans are kept as the oracle. Across the whole
+	// 3-phase scenario, reinjection included, the two must agree bit for
+	// bit under both stacks — this is what licenses recording only the
+	// indexed values.
+	for _, poly := range []bool{true, false} {
+		t.Run(fmt.Sprintf("polystyrene=%v", poly), func(t *testing.T) {
+			sc := MustNew(smallCfg(33, poly))
+			defer sc.Close()
+			phases := smallPhases()
+			for round := 0; round < phases.End; round++ {
+				if round == phases.FailAt {
+					sc.FailRightHalf()
+				}
+				if round == phases.ReinjectAt {
+					sc.Reinject(40)
+				}
+				sc.Run(1)
+				sys := sc.System()
+				if got, want := sc.Homogeneity(), metrics.Homogeneity(sys, sc.Points); got != want {
+					t.Fatalf("round %d: indexed homogeneity %v != full-scan %v", round, got, want)
+				}
+				if got, want := sc.Reliability(), metrics.Reliability(sys, sc.Points); got != want {
+					t.Fatalf("round %d: indexed reliability %v != full-scan %v", round, got, want)
+				}
+			}
+		})
 	}
 }
 

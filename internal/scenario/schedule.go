@@ -7,54 +7,20 @@ import (
 	"polystyrene/internal/trace"
 )
 
-// This file drives replayable availability schedules (trace.Schedule)
-// through the deterministic engine: the trace-driven counterpart of the
-// paper's scripted phases (DrivePhases). Both follow the same round-START
-// event discipline, so schedules compose with auto-checkpointing (a
-// checkpoint taken at round start re-fires that round's pending events
-// exactly once on resume), with warm starts (a schedule whose events
-// begin after the converge horizon replays on top of a restored
-// converged snapshot — DriveSchedule fast-forwards past already-applied
-// rounds), and with phases (drive a phase window, then a schedule window,
-// or express the phases themselves as a schedule via the generators).
-
-// RunSchedule wires cfg, replays the schedule for `rounds` rounds and
-// returns the scenario in its final state together with its per-round
-// metric record. The schedule must be canonical (Canonicalize has run)
-// and sized for the configuration: sched.Initial == W*H. Events beyond
-// `rounds` simply never fire. The caller owns sc.Close.
-func RunSchedule(cfg Config, sched *trace.Schedule, rounds int) (*Scenario, *Result, error) {
-	sc, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := DriveSchedule(sc, sched, rounds); err != nil {
-		sc.Close()
-		return nil, nil, err
-	}
-	return sc, sc.Result(), nil
-}
-
-// DriveSchedule advances sc from its current round to round `to`, firing
-// each schedule event at the START of its round — joins first (fresh,
-// empty-handed nodes on the reinjection grid, exactly like the paper's
-// phase-3 arrivals), then leaves (crash-stop kills). Resuming is
-// implicit: events before the scenario's current round are skipped as
-// already applied (their effect travels in the checkpoint), and the
-// skipped joins are reconciled against the engine's population so a
-// schedule/checkpoint mismatch fails loudly instead of replaying a
-// different trace.
-func DriveSchedule(sc *Scenario, sched *trace.Schedule, to int) error {
-	return DriveScheduleFunc(sc, sched, to, nil)
-}
-
-// DriveScheduleFunc is DriveSchedule with a per-round callback: atRound
-// (if non-nil) runs at the start of each round, before that round's
-// events fire — the checkpoint discipline (AutoCheckpointer.MaybeSave
-// belongs there) and the natural place for pacing or a shutdown check.
-// Returning false stops the drive before the round runs; the scenario is
-// left at a round boundary either way.
-func DriveScheduleFunc(sc *Scenario, sched *trace.Schedule, to int, atRound func(round int) bool) error {
+// DriveSchedule advances sc from its current round to round `to` through
+// a replayable availability schedule, the trace-driven counterpart of
+// DrivePhases: each event fires at the START of its round — joins first
+// (fresh, empty-handed nodes on the reinjection grid, like the paper's
+// phase-3 arrivals), then leaves (crash-stop kills). The schedule must be
+// canonical (Canonicalize has run) and sized for the configuration:
+// sched.Initial == W*H. Events before the current round are skipped as
+// already applied, so a drive resumed from a checkpoint taken at round
+// start, or from a converged warm-start snapshot, fires the re-entry
+// round's events exactly once; the skipped joins are reconciled against
+// the engine's population, so a schedule/checkpoint mismatch fails loudly
+// instead of replaying a different trace. atRound, when not nil, runs
+// where DrivePhases runs it and stops the drive by returning false.
+func DriveSchedule(sc *Scenario, sched *trace.Schedule, to int, atRound func(round int) bool) error {
 	if err := sched.Validate(); err != nil {
 		return err
 	}

@@ -59,12 +59,12 @@ func resultFingerprint(r *Result) uint64 {
 
 func runReplay(t *testing.T, cfg Config, sched *trace.Schedule, rounds int) *Result {
 	t.Helper()
-	sc, res, err := RunSchedule(cfg, sched, rounds)
-	if err != nil {
+	sc := MustNew(cfg)
+	defer sc.Close()
+	if err := DriveSchedule(sc, sched, rounds, nil); err != nil {
 		t.Fatal(err)
 	}
-	sc.Close()
-	return res
+	return sc.Result()
 }
 
 // TestScheduleReplayParallelIdentity: one schedule, every batched
@@ -115,13 +115,13 @@ func TestScheduleReplayCheckpointResume(t *testing.T) {
 	full := runReplay(t, replayConfig(2), sched, rounds)
 
 	// Drive to the checkpoint boundary: stop at round `mid` before its
-	// events, exactly where AutoCheckpointer.MaybeSave sits in the loop.
+	// events, exactly where poly sim's periodic save sits in the loop.
 	sc, err := New(replayConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	if err := DriveScheduleFunc(sc, sched, rounds, func(r int) bool { return r != mid }); err != nil {
+	if err := DriveSchedule(sc, sched, rounds, func(r int) bool { return r != mid }); err != nil {
 		t.Fatal(err)
 	}
 	if got := sc.Engine.Round(); got != mid {
@@ -141,7 +141,7 @@ func TestScheduleReplayCheckpointResume(t *testing.T) {
 	if err := resumed.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if err := DriveSchedule(resumed, sched, rounds); err != nil {
+	if err := DriveSchedule(resumed, sched, rounds, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full, resumed.Result()) {
@@ -162,10 +162,10 @@ func TestScheduleReplayCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer durable.Close()
-	if _, err := RestoreLatest(durable, mgr); err != nil {
+	if _, err := restoreLatest(durable, mgr); err != nil {
 		t.Fatal(err)
 	}
-	if err := DriveSchedule(durable, sched, rounds); err != nil {
+	if err := DriveSchedule(durable, sched, rounds, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full, durable.Result()) {
@@ -181,7 +181,9 @@ func TestDriveScheduleRejects(t *testing.T) {
 	sched := replaySchedule(t, 10)
 	cfg := replayConfig(0)
 	cfg.W, cfg.H = 10, 10 // 100 nodes, schedule says 128
-	if _, _, err := RunSchedule(cfg, sched, 10); err == nil {
+	mis := MustNew(cfg)
+	defer mis.Close()
+	if err := DriveSchedule(mis, sched, 10, nil); err == nil {
 		t.Fatal("size-mismatched schedule must be rejected")
 	}
 
@@ -194,7 +196,7 @@ func TestDriveScheduleRejects(t *testing.T) {
 	defer sc.Close()
 	sc.Engine.Kill(3) // population now 127, schedule accounts for 128
 	sc.Run(5)
-	if err := DriveSchedule(sc, sched, 10); err == nil {
+	if err := DriveSchedule(sc, sched, 10, nil); err == nil {
 		t.Fatal("resume into inconsistent population must be rejected")
 	}
 }

@@ -21,7 +21,7 @@ func TestScenarioServePublisherThroughPhases(t *testing.T) {
 
 	ph := Phases{FailAt: 4, ReinjectAt: 8, End: 12}
 	var starts []int
-	DrivePhasesFunc(sc, ph, 12, func(round int) bool {
+	DrivePhases(sc, ph, 12, func(round int) bool {
 		starts = append(starts, round)
 		return true
 	})
@@ -46,7 +46,7 @@ func TestScenarioServePublisherThroughPhases(t *testing.T) {
 	// atRound returning false stops at a round boundary, before events.
 	sc2 := MustNew(Config{Seed: 5, W: 8, H: 4, Polystyrene: true, K: 4, SkipMetrics: true})
 	defer sc2.Close()
-	DrivePhasesFunc(sc2, Phases{FailAt: 2, ReinjectAt: 4, End: 10}, 10, func(round int) bool {
+	DrivePhases(sc2, Phases{FailAt: 2, ReinjectAt: 4, End: 10}, 10, func(round int) bool {
 		return round < 2
 	})
 	if sc2.Engine.Round() != 2 {

@@ -45,9 +45,12 @@ type Stack struct {
 	fixedPos map[sim.NodeID]space.Point
 
 	// sys is the persistent metrics view; its buffers are reused across
-	// rounds. row is FailRegion's copy of the position under test.
-	sys *systemView
-	row space.Point
+	// rounds. holders is the guests⁻¹ index the metrics read: the
+	// Polystyrene layer, or the baseline's pinHolders. row is FailRegion's
+	// copy of the position under test.
+	sys     *systemView
+	holders metrics.HolderIndex
+	row     space.Point
 }
 
 // NewStack wires the stack for cfg over spc and creates one node per
@@ -96,7 +99,10 @@ func NewStack(cfg Config, spc space.Space, points []space.Point) (*Stack, error)
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 		s.poly = poly
+		s.holders = poly
 		layers = append(layers, poly)
+	} else {
+		s.holders = &pinHolders{s: s, nodes: -1}
 	}
 
 	s.Engine = sim.New(cfg.Seed, layers...)
@@ -197,23 +203,41 @@ func (s *Stack) FailRegion(in func(space.Point) bool) int {
 // and reuses internal live-ID and guest buffers across calls.
 func (s *Stack) System() metrics.System { return s.sys }
 
-// Homogeneity computes the current homogeneity of the target shape. It
-// reads the Polystyrene layer's HoldersOf when the layer is present and falls
-// back to the full scan for the baseline (whose "guest set" is the node
-// position, which no index maintains).
+// Homogeneity computes the current homogeneity of the target shape
+// through the stack's holders index.
 func (s *Stack) Homogeneity() float64 {
-	if s.poly != nil {
-		return metrics.HomogeneityIndexed(s.sys, s.poly, s.Points, s.PointIDs)
-	}
-	return metrics.Homogeneity(s.sys, s.Points)
+	return metrics.HomogeneityIndexed(s.sys, s.holders, s.Points, s.PointIDs)
 }
 
 // Reliability returns the fraction of original data points still hosted.
 func (s *Stack) Reliability() float64 {
-	if s.poly != nil {
-		return metrics.ReliabilityIndexed(s.sys, s.poly, s.PointIDs)
+	return metrics.ReliabilityIndexed(s.sys, s.holders, s.PointIDs)
+}
+
+// pinHolders is the baseline's holders index. A baseline node's one
+// "guest" is its fixed position, so a data point's holders are the nodes
+// whose position is that point, bit for bit: found with Interner.Lookup,
+// which registers nothing. Those positions change only when nodes join or
+// a restore replaces the pins, so the table is rebuilt only when the node
+// count differs from the one it was built for; RestoreCheckpoint marks it
+// stale. Dead nodes stay listed; the metrics skip them.
+type pinHolders struct {
+	s     *Stack
+	nodes int // the node count the table was built for, -1 when stale
+	of    [][]sim.NodeID
+}
+
+func (h *pinHolders) HoldersOf(pid space.PointID) []sim.NodeID {
+	if n := h.s.Engine.NumNodes(); n != h.nodes {
+		h.nodes = n
+		h.of = make([][]sim.NodeID, h.s.Interner.Len())
+		for id := range sim.NodeID(n) {
+			if p, ok := h.s.Interner.Lookup(h.s.Position(id)); ok {
+				h.of[p] = append(h.of[p], id)
+			}
+		}
 	}
-	return metrics.Reliability(s.sys, s.Points)
+	return h.of[pid]
 }
 
 // systemView adapts the stack to metrics.System. liveBuf and guestBuf
@@ -394,6 +418,9 @@ func (s *Stack) RestoreCheckpoint(rd io.Reader, kind string, check func(*snap.Re
 		return fmt.Errorf("%s snapshot: %d trailing bytes after the engine state", kind, r.Remaining())
 	}
 	s.fixedPos = pinned
+	if h, ok := s.holders.(*pinHolders); ok {
+		h.nodes = -1
+	}
 	return nil
 }
 

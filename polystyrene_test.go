@@ -1,11 +1,13 @@
 package polystyrene
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 
 	"polystyrene/internal/experiments"
+	"polystyrene/internal/metrics"
 	"polystyrene/internal/scenario"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
@@ -103,6 +105,54 @@ func TestBaselineDoesNotReshape(t *testing.T) {
 	if h, ref := sys.Homogeneity(), sys.ReferenceHomogeneity(); h < ref {
 		t.Fatalf("baseline unexpectedly reshaped: %v < %v", h, ref)
 	}
+}
+
+// TestBaselineJoinerOnAnOriginalPointHoldsIt: a baseline node's one
+// guest is its fixed position, so a joiner pinned exactly on an original
+// point holds that point. The full scan counts it, and the stack's
+// holders index must too, bit for bit, in homogeneity and reliability —
+// also after a restore that moves a joiner's pin but not the node count.
+func TestBaselineJoinerOnAnOriginalPointHoldsIt(t *testing.T) {
+	shape := TorusShape(4, 4, 1)
+	build := func(joiner []float64) *System {
+		sys, err := NewSystem(SystemConfig{Seed: 9, Space: Torus(4, 4), Shape: shape, Baseline: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		sys.Run(2)
+		sys.CrashNodes(5)
+		sys.Run(1)
+		if _, err := sys.AddNodes([][]float64{joiner}); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(1)
+		return sys
+	}
+	check := func(sys *System, when string, wantRel float64) {
+		t.Helper()
+		view := sys.stack.System()
+		if got, want := sys.Homogeneity(), metrics.Homogeneity(view, sys.stack.Points); got != want {
+			t.Fatalf("%s: indexed homogeneity %v != full-scan %v", when, got, want)
+		}
+		got, want := sys.Reliability(), metrics.Reliability(view, sys.stack.Points)
+		if got != want || got != wantRel {
+			t.Fatalf("%s: indexed reliability %v, full-scan %v, want %v", when, got, want, wantRel)
+		}
+	}
+	on := build(shape[5])
+	check(on, "joiner on point 5", 1)
+	off := build([]float64{1.5, 1.5})
+	check(off, "joiner off the shape", 15.0/16)
+
+	var buf bytes.Buffer
+	if err := on.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check(off, "restored joiner on point 5", 1)
 }
 
 func TestRoundAndLiveAccounting(t *testing.T) {
