@@ -28,9 +28,7 @@ import (
 	"testing"
 
 	"polystyrene/internal/core"
-	"polystyrene/internal/route"
 	"polystyrene/internal/scenario"
-	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
 	"polystyrene/internal/trace"
 	"polystyrene/internal/viz"
@@ -301,17 +299,16 @@ func BenchmarkAppRouting(b *testing.B) {
 				sc.Run(20)
 				sc.FailRightHalf()
 				sc.Run(20)
-				r := &route.Router{
-					Space:    sc.Space,
-					Topology: sc.Topology(),
-					Position: func(id sim.NodeID) space.Point { return sc.System().Position(id) },
+				var sumDist float64
+				hops := 0
+				src := sc.Engine.LiveIDs()[0]
+				for _, target := range probes {
+					_, d, n, _ := sc.Descend(src, target, 4)
+					sumDist += d
+					hops += n
 				}
-				st, err := r.Probe(sc.Engine, sc.Engine.LiveIDs()[0], probes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				meanDist = st.MeanFinalDistance()
-				meanHops = st.MeanHops()
+				meanDist = sumDist / float64(len(probes))
+				meanHops = float64(hops) / float64(len(probes))
 			}
 			b.ReportMetric(meanDist, "final_distance")
 			b.ReportMetric(meanHops, "hops")

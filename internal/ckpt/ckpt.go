@@ -65,8 +65,8 @@ type File interface {
 }
 
 // FS abstracts the filesystem operations the manager performs, so
-// fault-injection shims (internal/faultio) can interpose on every
-// mutating step. OS is the real implementation.
+// fault-injection shims (faultFS in internal/scenario's tests) can
+// interpose on every mutating step. OS is the real implementation.
 type FS interface {
 	MkdirAll(dir string) error
 	Create(path string) (File, error)

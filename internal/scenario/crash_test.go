@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"polystyrene/internal/ckpt"
-	"polystyrene/internal/faultio"
 	"polystyrene/internal/fd"
 	"polystyrene/internal/sim"
 )
@@ -89,7 +88,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 			// Probe: the same soak fault-free, counting mutating ops.
 			// The simulation is deterministic, so every crashing run
 			// below performs a prefix of exactly this op sequence.
-			probe := faultio.New(ckpt.OS, faultio.Config{CrashAt: faultio.NoCrash, ChunkBytes: 8192})
+			probe := newFaultFS(ckpt.OS, faultConfig{CrashAt: noCrash, ChunkBytes: 8192})
 			probeDir := t.TempDir()
 			if _, err := runCheckpointedSoak(cfg, crashPhases, crashEvery, probe, probeDir); err != nil {
 				t.Fatalf("fault-free soak failed: %v", err)
@@ -101,7 +100,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 
 			for at := 0; at < totalOps; at++ {
 				dir := t.TempDir()
-				fs := faultio.New(ckpt.OS, faultio.Config{Seed: uint64(at), CrashAt: at, ChunkBytes: 8192})
+				fs := newFaultFS(ckpt.OS, faultConfig{Seed: uint64(at), CrashAt: at, ChunkBytes: 8192})
 				lastSaved, err := runCheckpointedSoak(cfg, crashPhases, crashEvery, fs, dir)
 				if err == nil {
 					// Legitimate only when the crash landed on a
@@ -110,7 +109,7 @@ func TestCrashPointSweepRecovery(t *testing.T) {
 					if !fs.Crashed() {
 						t.Fatalf("crash %d: soak completed without the crash firing", at)
 					}
-				} else if !errors.Is(err, faultio.ErrCrash) {
+				} else if !errors.Is(err, errCrash) {
 					t.Fatalf("crash %d: soak ended with %v, want simulated crash", at, err)
 				}
 
@@ -159,7 +158,7 @@ func TestSoakSurvivesTransientWriteErrors(t *testing.T) {
 	baseRes := base.Result()
 	base.Close()
 
-	fs := faultio.New(ckpt.OS, faultio.Config{CrashAt: faultio.NoCrash, TransientOps: 3, ChunkBytes: 8192})
+	fs := newFaultFS(ckpt.OS, faultConfig{CrashAt: noCrash, TransientOps: 3, ChunkBytes: 8192})
 	dir := t.TempDir()
 	lastSaved, err := runCheckpointedSoak(cfg, crashPhases, crashEvery, fs, dir)
 	if err != nil {
@@ -195,7 +194,7 @@ func TestReplayFromCheckpoint(t *testing.T) {
 	base.Close()
 
 	dir := t.TempDir()
-	soakFS := faultio.New(ckpt.OS, faultio.Config{CrashAt: faultio.NoCrash})
+	soakFS := newFaultFS(ckpt.OS, faultConfig{CrashAt: noCrash})
 	if _, err := runCheckpointedSoak(cfg, crashPhases, crashEvery, soakFS, dir); err != nil {
 		t.Fatalf("soak: %v", err)
 	}

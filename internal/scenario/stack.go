@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 
 	"polystyrene/internal/core"
@@ -350,6 +351,33 @@ func (s *Stack) ServePublisher() *serve.Publisher {
 
 // StopServing detaches the publish hook installed by ServePublisher.
 func (s *Stack) StopServing() { s.Engine.SetPublishHook(nil) }
+
+// Descend walks greedily from the live node start towards target over
+// each node's fanout closest overlay neighbours: serve.Descend, the walk
+// an epoch's Lookup takes over its captured rows. Crashed peers that
+// views still name read +Inf, so the walk never parks on one. It returns
+// the node the walk ends at, that node's distance to target, the hops
+// taken and whether the walk reached a local minimum within its budget.
+func (s *Stack) Descend(start sim.NodeID, target space.Point, fanout int) (dest sim.NodeID, d float64, hops int, converged bool) {
+	dist := func(id int) float64 {
+		if !s.Engine.Alive(sim.NodeID(id)) {
+			return math.Inf(1)
+		}
+		return s.spc.Distance(target, s.Position(sim.NodeID(id)))
+	}
+	var row []int32
+	appendNb := func(nb sim.NodeID) bool {
+		row = append(row, int32(nb))
+		return true
+	}
+	rowOf := func(id int) []int32 {
+		row = row[:0]
+		s.topo.EachNeighbor(sim.NodeID(id), fanout, appendNb)
+		return row
+	}
+	end, d, hops, converged := serve.Descend(int(start), dist(int(start)), dist, rowOf)
+	return sim.NodeID(end), d, hops, converged
+}
 
 // WriteCheckpoint writes a checkpoint of the stack and its owner to w, in
 // a snap envelope of the given kind: the owner's digest, the pinned

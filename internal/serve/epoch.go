@@ -12,14 +12,15 @@ import (
 // paper's K=4 neighbourhood.
 const DefaultFanout = 8
 
-// lookupProbes is how many evenly strided live nodes a Lookup samples to
-// seed its greedy descent, mirroring the facade's Lookup.
+// lookupProbes is how many evenly strided live nodes SeedDescent samples
+// to seed a lookup's greedy descent. A handful of starts is enough to
+// land the descent in the target's basin on a converged shape.
 const lookupProbes = 8
 
-// lookupMaxHops bounds a descent; greedy routing on an n-node torus needs
+// lookupMaxHops bounds a Descend; greedy routing on an n-node torus needs
 // O(sqrt(n)) hops, so this is generous for served scales, and because
 // every hop strictly decreases the distance the bound only triggers on a
-// pathological router view.
+// pathological neighbour view.
 const lookupMaxHops = 256
 
 // Epoch is one immutable published read snapshot of a running system:
@@ -261,9 +262,9 @@ func (ep *Epoch) AppendHolders(dst []sim.NodeID, pid space.PointID) []sim.NodeID
 
 // Lookup returns the live node whose position is (locally) closest to
 // the query point, its distance, and the number of greedy hops taken —
-// the serving form of the facade's Lookup, executed entirely against the
-// epoch's immutable arrays. The closest of a few evenly strided live
-// probes seeds a greedy descent over the captured router view; on a
+// the facade's Lookup executed against the epoch's immutable arrays:
+// SeedDescent over the live slots seeds Descend over the captured router
+// view, the same walk the facade takes over the live overlay. On a
 // converged shape the local minimum it ends at is the global nearest
 // node. It returns (None, 0, 0, false) when the epoch holds no live node
 // or the query's dimension does not match the space — the consistent
@@ -276,36 +277,57 @@ func (ep *Epoch) Lookup(q []float64) (id sim.NodeID, dist float64, hops int, ok 
 		return sim.None, 0, 0, false
 	}
 	qp := space.Point(q)
-	stride := n / lookupProbes
-	if stride == 0 {
-		stride = 1
-	}
-	cur := 0
-	curD := ep.spc.Distance(qp, ep.posAt(0))
-	for s := stride; s < n; s += stride {
-		if d := ep.spc.Distance(qp, ep.posAt(s)); d < curD {
-			cur, curD = s, d
+	distTo := func(s int) float64 { return ep.spc.Distance(qp, ep.posAt(s)) }
+	start, startD := SeedDescent(n, distTo)
+	cur, curD, hops, _ := Descend(start, startD, distTo, ep.row)
+	return ep.ids[cur], curD, hops, true
+}
+
+// SeedDescent returns the start of a lookup's greedy descent and its
+// distance to the target: of the indexes 0..n-1 (n > 0) into a live set
+// in ascending NodeID order, the closest of every stride-th one, stride =
+// max(n/lookupProbes, 1), the lowest index winning ties.
+func SeedDescent(n int, dist func(i int) float64) (start int, d float64) {
+	stride := max(n/lookupProbes, 1)
+	d = dist(0)
+	for i := stride; i < n; i += stride {
+		if di := dist(i); di < d {
+			start, d = i, di
 		}
 	}
-	for hops = 0; hops < lookupMaxHops; hops++ {
-		next := -1
-		nextD := curD
-		for _, ns := range ep.nbr[cur*ep.K : (cur+1)*ep.K] {
-			if ns < 0 {
+	return start, d
+}
+
+// Descend is the greedy walk every lookup takes: from start, at distance
+// startD from the target, each hop moves to the strictly closest node of
+// the current node's row, the first in row order winning ties and a
+// negative entry ending the row. dist gives a node's distance to the
+// target; a node that must never be taken, such as a crashed peer a view
+// still names, reads +Inf. The walk stops at a local minimum, where no
+// row entry improves, with converged true, or after lookupMaxHops hops
+// with converged false.
+func Descend(start int, startD float64, dist func(int) float64, row func(int) []int32) (dest int, d float64, hops int, converged bool) {
+	dest, d = start, startD
+	for ; hops < lookupMaxHops; hops++ {
+		next, nextD := -1, d
+		for _, nb := range row(dest) {
+			if nb < 0 {
 				break
 			}
-			if d := ep.spc.Distance(qp, ep.posAt(int(ns))); d < nextD {
-				next, nextD = int(ns), d
+			if dn := dist(int(nb)); dn < nextD {
+				next, nextD = int(nb), dn
 			}
 		}
 		if next < 0 {
-			// Local minimum: no captured neighbour improves — delivery.
-			break
+			return dest, d, hops, true
 		}
-		cur, curD = next, nextD
+		dest, d = next, nextD
 	}
-	return ep.ids[cur], curD, hops, true
+	return dest, d, hops, false
 }
+
+// row returns slot s's captured router row, -1 padded.
+func (ep *Epoch) row(s int) []int32 { return ep.nbr[s*ep.K : (s+1)*ep.K] }
 
 // posAt returns slot s's position as a view into the flat matrix.
 func (ep *Epoch) posAt(s int) space.Point {

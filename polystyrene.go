@@ -35,8 +35,11 @@
 // typically pooled, buffer) and EachNeighbor (zero-copy visitor). The
 // classic Neighbors form remains as a thin wrapper that allocates a fresh
 // slice per call. Point lookups (Lookup) ride the same machinery: a
-// greedy EachNeighbor-driven descent over the overlay instead of a scan
-// of the whole live set, with LookupExact as the full-scan oracle.
+// greedy EachNeighbor-driven descent over the overlay, the walk a served
+// epoch takes too, with LookupExact as the full-scan oracle. The descent
+// evaluates O(probes + hops·k) distances, but choosing its seeds copies
+// and sorts the live set on every call: O(live·log live) in all, against
+// LookupExact's O(live) scan.
 //
 // # Determinism
 //
@@ -58,8 +61,8 @@ import (
 	"polystyrene/internal/core"
 	"polystyrene/internal/fd"
 	"polystyrene/internal/metrics"
-	"polystyrene/internal/route"
 	"polystyrene/internal/scenario"
+	"polystyrene/internal/serve"
 	"polystyrene/internal/sim"
 	"polystyrene/internal/space"
 )
@@ -172,10 +175,9 @@ type SystemConfig struct {
 // System is a running Polystyrene network: the facade over the stack of
 // internal/scenario, which it builds from its SystemConfig.
 type System struct {
-	cfg    SystemConfig
-	space  space.Space
-	stack  *scenario.Stack
-	router *route.Router // greedy overlay descent, backing Lookup
+	cfg   SystemConfig
+	space space.Space
+	stack *scenario.Stack
 }
 
 // NewSystem builds and wires a System; the initial population is one node
@@ -234,15 +236,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 
-	// The lookup router descends with a wider fanout than the metric
-	// neighbourhood: greedy descent needs the extra side-steps to escape
-	// shallow local minima on a recovering (half-density) shape.
-	sys.router = &route.Router{
-		Space:    spc,
-		Topology: sys.stack.Topology(),
-		Position: sys.stack.Position,
-		Fanout:   2 * cfg.NeighborK,
-	}
 	return sys, nil
 }
 
@@ -365,20 +358,18 @@ func (s *System) Neighbors(id, k int) []int {
 	return s.AppendNeighbors(make([]int, 0, max(k, 0)), id, k)
 }
 
-// lookupProbes is how many evenly strided live nodes Lookup samples to
-// seed its greedy descent. A handful of starts is enough to land the
-// descent in the target's basin on a converged shape.
-const lookupProbes = 8
-
 // Lookup returns a live node whose position is (locally) closest to the
 // query point — the primitive a storage or routing layer builds on. It
-// runs in O(probes + hops·k) instead of scanning the whole live set: the
-// closest of a few evenly strided live probes seeds a greedy descent over
-// the overlay (internal/route), which ends at the node none of whose
-// neighbours improves on it. On a converged shape that is the global
-// nearest node; if the descent fails to terminate within its hop budget
-// (a transiently broken overlay), Lookup falls back to the exact
-// full-scan answer of LookupExact.
+// takes the walk an epoch's Lookup takes (internal/serve): the closest of
+// a few evenly strided live nodes seeds a greedy descent over each node's
+// 2·NeighborK closest overlay neighbours, which ends at the node none of
+// whose live neighbours improves on it. On a converged shape that is the
+// global nearest node; if the descent fails to terminate within its hop
+// budget (a transiently broken overlay), Lookup falls back to the exact
+// full-scan answer of LookupExact. The descent's O(probes + hops·k)
+// distances are not the whole cost: the seeds are strided over the live
+// ids in ascending order, so every call first copies and sorts the live
+// set, O(live·log live).
 //
 // Lookup never panics on degenerate input: when the live set is empty
 // (every node crashed — CrashRegion over the whole space), the query's
@@ -392,19 +383,14 @@ func (s *System) Lookup(query []float64) int {
 		return -1
 	}
 	q := space.Point(query)
-	stride := len(live) / lookupProbes
-	if stride == 0 {
-		stride = 1
-	}
-	start, startD := sim.None, 0.0
-	for i := 0; i < len(live); i += stride {
-		id := live[i]
-		if d := s.space.Distance(q, s.stack.Position(id)); start == sim.None || d < startD {
-			start, startD = id, d
-		}
-	}
-	dest, _, err := s.router.Descend(s.stack.Engine, start, q)
-	if err != nil {
+	i, _ := serve.SeedDescent(len(live), func(i int) float64 {
+		return s.space.Distance(q, s.stack.Position(live[i]))
+	})
+	// The descent needs a wider fanout than the metric neighbourhood: the
+	// extra side-steps escape shallow local minima on a recovering
+	// (half-density) shape.
+	dest, _, _, converged := s.stack.Descend(live[i], q, 2*s.cfg.NeighborK)
+	if !converged {
 		return s.LookupExact(query)
 	}
 	return int(dest)

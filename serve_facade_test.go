@@ -1,6 +1,7 @@
 package polystyrene_test
 
 import (
+	"math"
 	"testing"
 
 	"polystyrene"
@@ -93,6 +94,77 @@ func TestServeSnapshotMatchesFacade(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLookupMatchesServedEpoch pins the facade's Lookup and a served
+// epoch's Lookup to each other: both take one greedy walk, so over a grid
+// of queries (half-step points included, where equidistant nodes tie)
+// they must return the same node at a bit-identical distance. It covers
+// Polystyrene and the baseline, and the rounds right after a right-half
+// crash, while overlay views still name dead peers that the facade's
+// walk must skip and the epoch's captured rows have already dropped.
+func TestLookupMatchesServedEpoch(t *testing.T) {
+	const w, h = 40, 20
+	spc := space.NewTorus(w, h)
+	var queries [][]float64
+	for x := 0.0; x < w; x += 1.5 {
+		for y := 0.0; y < h; y += 1.5 {
+			queries = append(queries, []float64{x, y})
+		}
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, baseline := range []bool{false, true} {
+			sys, err := polystyrene.NewSystem(polystyrene.SystemConfig{
+				Seed:     seed,
+				Space:    polystyrene.Torus(w, h),
+				Shape:    polystyrene.TorusShape(w, h, 1),
+				Baseline: baseline,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Run(20)
+			sys.CrashRegion(func(p []float64) bool { return p[0] >= w/2 })
+			if !viewNamesDeadPeer(sys) {
+				t.Fatalf("seed %d baseline=%v: no view names a crashed peer right after the crash", seed, baseline)
+			}
+			ran := 0
+			for _, after := range []int{0, 1, 4, 14} {
+				sys.Run(after - ran)
+				ran = after
+				ep := sys.ServeSnapshot()
+				for _, q := range queries {
+					got := sys.Lookup(q)
+					id, d, _, ok := ep.Lookup(q)
+					if !ok || got != int(id) {
+						t.Fatalf("seed %d baseline=%v, %d rounds after the crash: Lookup(%v) = %d, epoch = %d (ok %v)",
+							seed, baseline, after, q, got, id, ok)
+					}
+					if fd := spc.Distance(q, sys.NodePosition(got)); math.Float64bits(fd) != math.Float64bits(d) {
+						t.Fatalf("seed %d baseline=%v, %d rounds after the crash: Lookup(%v) distance %v, epoch %v",
+							seed, baseline, after, q, fd, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// viewNamesDeadPeer reports whether some live node's 8 closest overlay
+// neighbours include a crashed node.
+func viewNamesDeadPeer(sys *polystyrene.System) bool {
+	live := make(map[int]bool)
+	for _, id := range sys.Live() {
+		live[id] = true
+	}
+	for id := range live {
+		for _, nb := range sys.Neighbors(id, 8) {
+			if !live[nb] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestLookupSentinelOnEmptyAndMalformed(t *testing.T) {
