@@ -39,7 +39,8 @@ func datacenterOf(pos, ringSize float64) int {
 // ring distance between a key and the node that answers for it.
 func worstLookup(sys *polystyrene.System, ringSize float64) float64 {
 	worst := 0.0
-	for key := 0.0; key < ringSize; key += ringSize / 64 {
+	// The step is rounded alone, so no GOARCH fuses ringSize*(1/64) + key (scripts/nofma.sh).
+	for key := 0.0; key < ringSize; key += float64(ringSize / 64) {
 		owner := sys.Lookup([]float64{key})
 		if owner < 0 {
 			return math.Inf(1)

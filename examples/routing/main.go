@@ -51,7 +51,8 @@ func probe(poly bool, w, h int) (stats, error) {
 	var st stats
 	hops := 0
 	src := sc.Engine.LiveIDs()[0]
-	for x := float64(w)/2 + 2; x < float64(w); x += 4 {
+	// The half width is rounded alone, so no GOARCH fuses w*0.5 + 2 (scripts/nofma.sh).
+	for x := float64(float64(w)/2) + 2; x < float64(w); x += 4 {
 		for y := 2.0; y < float64(h); y += 5 {
 			_, d, n, _ := sc.Descend(src, space.Point{x, y}, 4)
 			st.routes++

@@ -58,16 +58,23 @@ func TestSaveAndRecoverLatest(t *testing.T) {
 	if g.Round != 50 || decodeBlob(t, body) != "state@50" {
 		t.Fatalf("recovered round %d body %q", g.Round, body)
 	}
-	// Rotation: only the last 3 generations (30, 40, 50) remain.
-	gens := m.gens
-	if len(gens) != 3 || gens[0].Round != 30 || gens[2].Round != 50 {
-		t.Fatalf("retained %+v", gens)
+	// Rotation: only the last 3 generations (30, 40, 50) remain, and
+	// nothing else is written beside them.
+	if got, want := dirNames(t, m.opts.Dir), []string{GenName(30), GenName(40), GenName(50)}; !slices.Equal(got, want) {
+		t.Fatalf("directory holds %q, want %q", got, want)
 	}
-	for _, round := range []int{10, 20} {
-		if _, err := os.Stat(filepath.Join(m.opts.Dir, GenName(round))); !os.IsNotExist(err) {
-			t.Errorf("dropped generation %d still on disk (err=%v)", round, err)
-		}
+}
+
+// dirNames lists dir's file names in lexical order, which for
+// generation files is round order.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := OS.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	slices.Sort(names)
+	return names
 }
 
 func TestRecoverySkipsCorruptNewest(t *testing.T) {
@@ -92,12 +99,9 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 	}
 }
 
-func TestRecoveryWithoutManifest(t *testing.T) {
+func TestRecoveryScansDirectory(t *testing.T) {
 	m := testManager(t, 3)
-	saveBlob(t, m, 7, "orphan")
-	if err := os.Remove(filepath.Join(m.opts.Dir, ManifestName)); err != nil {
-		t.Fatal(err)
-	}
+	saveBlob(t, m, 7, "found")
 	// A fresh manager over the same dir finds the generation by scan.
 	m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: "blob"})
 	if err != nil {
@@ -107,8 +111,103 @@ func TestRecoveryWithoutManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenLatestGood: %v", err)
 	}
-	if g.Round != 7 || decodeBlob(t, body) != "orphan" {
+	if g.Round != 7 || decodeBlob(t, body) != "found" {
 		t.Fatalf("recovered round %d body %q", g.Round, body)
+	}
+}
+
+// TestRotationDropsCrashedSaveOrphan: a save that crashed after its
+// rename leaves a valid generation no manager saved in this process.
+// Rotation must count it like any other, so three later saves with
+// Keep 2 remove it.
+func TestRotationDropsCrashedSaveOrphan(t *testing.T) {
+	m := testManager(t, 2)
+	saveBlob(t, m, 1, "r1")
+	saveBlob(t, m, 2, "r2")
+	orphan := snap.Encode("blob", []byte("r3"))
+	if err := os.WriteFile(filepath.Join(m.opts.Dir, GenName(3)), orphan, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: "blob", Keep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 4; round <= 6; round++ {
+		saveBlob(t, m2, round, fmt.Sprintf("r%d", round))
+	}
+	if got, want := dirNames(t, m.opts.Dir), []string{GenName(5), GenName(6)}; !slices.Equal(got, want) {
+		t.Fatalf("directory holds %q, want %q", got, want)
+	}
+}
+
+// TestSavesLeaveOnlyNewestGenerations saves random rounds, repeats and
+// out-of-order ones included, and checks after every save that the
+// directory holds exactly the newest Keep distinct rounds saved so far,
+// as generation files and nothing else.
+func TestSavesLeaveOnlyNewestGenerations(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for keep := 1; keep <= 4; keep++ {
+		m := testManager(t, keep)
+		var rounds []int
+		for range 40 {
+			round := rng.IntN(30)
+			saveBlob(t, m, round, fmt.Sprintf("r%d", round))
+			if !slices.Contains(rounds, round) {
+				rounds = append(rounds, round)
+			}
+			slices.Sort(rounds)
+			rounds = rounds[max(len(rounds)-keep, 0):]
+			want := make([]string, len(rounds))
+			for i, r := range rounds {
+				want[i] = GenName(r)
+			}
+			if got := dirNames(t, m.opts.Dir); !slices.Equal(got, want) {
+				t.Fatalf("Keep %d, after saving round %d: directory holds %q, want %q", keep, round, got, want)
+			}
+		}
+	}
+}
+
+// TestRecoveryIgnoresEarlierManifest opens a directory in the layout an
+// earlier build wrote, which kept a MANIFEST.snap listing its
+// generations beside them: recovery returns the same generation, and
+// rotation goes on by the directory listing alone.
+func TestRecoveryIgnoresEarlierManifest(t *testing.T) {
+	dir := t.TempDir()
+	var w snap.Writer
+	w.Len(3)
+	for round := 1; round <= 3; round++ {
+		enc := snap.Encode("blob", []byte(fmt.Sprintf("r%d", round)))
+		if err := os.WriteFile(filepath.Join(dir, GenName(round)), enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w.String(GenName(round))
+		w.Int(round)
+		w.I64(int64(len(enc)))
+		w.U64(uint64(crc32.Checksum(enc, crc32.MakeTable(crc32.Castagnoli))))
+	}
+	const manifest = "MANIFEST.snap"
+	if err := os.WriteFile(filepath.Join(dir, manifest), snap.Encode("ckpt-manifest", w.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Options{Dir: dir, Kind: "blob"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, body, err := m.OpenLatestGood()
+	if err != nil {
+		t.Fatalf("OpenLatestGood: %v", err)
+	}
+	if g.Round != 3 || decodeBlob(t, body) != "r3" {
+		t.Fatalf("recovered round %d body %q, want 3 %q", g.Round, body, "r3")
+	}
+	saveBlob(t, m, 4, "r4")
+	saveBlob(t, m, 5, "r5")
+	if got, want := dirNames(t, dir), []string{manifest, GenName(3), GenName(4), GenName(5)}; !slices.Equal(got, want) {
+		t.Fatalf("directory holds %q, want %q", got, want)
+	}
+	if g, _, err := m.OpenLatestGood(); err != nil || g.Round != 5 {
+		t.Fatalf("after two saves recovered %+v, %v; want round 5", g, err)
 	}
 }
 
@@ -227,7 +326,7 @@ func TestParseGenRound(t *testing.T) {
 		{GenName(123456), 123456, true},
 		{"gen-123.snap", 0, false}, // not zero-padded
 		{"gen--000000001.snap", 0, false},
-		{ManifestName, 0, false},
+		{"MANIFEST.snap", 0, false},
 		{"gen-0000000001.snap.tmp", 0, false},
 		{"", 0, false},
 	}
@@ -239,66 +338,12 @@ func TestParseGenRound(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	m := testManager(t, 5)
-	want := []Generation{
-		saveBlob(t, m, 4, "a"),
-		saveBlob(t, m, 8, "bb"),
-	}
-	m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: "blob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m2.gens
-	if len(got) != len(want) {
-		t.Fatalf("reloaded %d generations, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("generation %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// FuzzManifest feeds arbitrary bytes through the manifest decoder: it
-// must never panic, and anything it accepts must re-encode to entries
-// with valid generation names.
-func FuzzManifest(f *testing.F) {
-	var w snap.Writer
-	w.Len(2)
-	w.String(GenName(1))
-	w.Int(1)
-	w.I64(64)
-	w.U64(0xabcdef)
-	w.String(GenName(9))
-	w.Int(9)
-	w.I64(128)
-	w.U64(0x123456)
-	f.Add(snap.Encode(manifestKind, w.Bytes()))
-	f.Add([]byte{})
-	f.Add([]byte("PSYSNAP\x00garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		gens, err := decodeManifest(data)
-		if err != nil {
-			return
-		}
-		for _, g := range gens {
-			if round, ok := ParseGenRound(g.Name); !ok || round != g.Round {
-				t.Fatalf("decoder accepted invalid entry %+v", g)
-			}
-		}
-	})
-}
-
-// TestOpenDerivesWholeFileSum pins the Sum recovery reports without
-// hashing the file twice: for random kinds and bodies it equals CRC-32C
-// over the file and the Sum Save computed while writing, the manifest
-// round-trips unchanged, and a torn or corrupt newest candidate is still
-// refused before any sum is taken. A version 1 generation an earlier
-// build left behind opens with FNV-1a over the file as its Sum.
-func TestOpenDerivesWholeFileSum(t *testing.T) {
+// TestRecoveryVerifiesNewestFirst: for random kinds and bodies, recovery
+// opens the newest generation, and a torn or bit-flipped newest one is
+// refused in favour of the one before it. A version 1 generation an
+// earlier build left behind still opens.
+func TestRecoveryVerifiesNewestFirst(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for i := range 40 {
 		kind := fmt.Sprintf("kind-%d", rng.IntN(1000))
 		m, err := NewManager(Options{Dir: t.TempDir(), Kind: kind, Keep: 4})
@@ -339,16 +384,12 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenLatestGood: %v", err)
 		}
-		sum := uint64(crc32.Checksum(data, castagnoli))
-		if g != want || g.Sum != sum || g.Size != int64(len(data)) {
-			t.Fatalf("case %d: opened %+v (CRC-32C of its bytes %#x), want %+v", i, g, sum, want)
-		}
-		m2, err := NewManager(Options{Dir: m.opts.Dir, Kind: kind})
+		onDisk, err := os.ReadFile(want.Path(m.opts.Dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m2.gens; !slices.Equal(got, saved) {
-			t.Fatalf("case %d: manifest reloaded as %+v, want %+v", i, got, saved)
+		if g != want || !slices.Equal(data, onDisk) {
+			t.Fatalf("case %d: opened %+v, want %+v", i, g, want)
 		}
 	}
 
@@ -362,8 +403,6 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 	h := fnv.New64a()
 	h.Write(v1)
 	v1 = binary.LittleEndian.AppendUint64(v1, h.Sum64())
-	h.Reset()
-	h.Write(v1)
 	if err := os.WriteFile(filepath.Join(m.opts.Dir, GenName(9)), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +410,8 @@ func TestOpenDerivesWholeFileSum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("version 1 generation refused: %v", err)
 	}
-	if want := (Generation{Name: GenName(9), Round: 9, Size: int64(len(v1)), Sum: h.Sum64()}); g != want {
-		t.Fatalf("version 1 generation opened as %+v, want %+v (FNV-1a over the file)", g, want)
+	if want := (Generation{Name: GenName(9), Round: 9}); g != want {
+		t.Fatalf("version 1 generation opened as %+v, want %+v", g, want)
 	}
 	if got := decodeBlob(t, data); got != "older state" {
 		t.Fatalf("version 1 generation body %q", got)

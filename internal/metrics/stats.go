@@ -15,7 +15,8 @@ func (a *Accumulator) Add(x float64) {
 	a.n++
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	// float64(x*y) rounds the product alone, so no GOARCH fuses it into the sum (scripts/nofma.sh).
+	a.m2 += float64(delta * (x - a.mean))
 }
 
 // Mean returns the sample mean (0 when empty).

@@ -95,7 +95,9 @@ func (h *Hist) Quantile(q float64) uint64 {
 	if h.n == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(h.n))
+	// float64(x*y) rounds the product alone, so no GOARCH fuses it into
+	// the conversion's subtraction (scripts/nofma.sh).
+	rank := uint64(float64(q * float64(h.n)))
 	if rank < 1 {
 		rank = 1
 	}

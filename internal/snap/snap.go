@@ -526,34 +526,6 @@ func WriteEnvelope(w io.Writer, kind string, body []byte) error {
 	return bw.WriteEnvelope(w, kind)
 }
 
-// FileSum returns the checksum of the whole of an envelope that Decode
-// has accepted, under the envelope's own version: FNV-1a for version 1,
-// CRC-32C zero-extended for versions 2 to 4. The trailing checksum is the
-// algorithm's state after every byte before it, so the sum continues that
-// state over the checksum's own eight bytes instead of hashing the file
-// again. On an envelope Decode would refuse the result is meaningless.
-func FileSum(envelope []byte) uint64 {
-	tail := envelope[len(envelope)-8:]
-	stored := binary.LittleEndian.Uint64(tail)
-	if envelopeVersion(envelope) == 1 {
-		const prime64 = 1099511628211
-		h := stored
-		for _, c := range tail {
-			h ^= uint64(c)
-			h *= prime64
-		}
-		return h
-	}
-	return uint64(crc32.Update(uint32(stored), castagnoli, tail))
-}
-
-// envelopeVersion reads the version field of a structurally valid
-// envelope: it follows the magic and the length-prefixed kind.
-func envelopeVersion(envelope []byte) uint32 {
-	kindLen := binary.LittleEndian.Uint64(envelope[len(magic):])
-	return binary.LittleEndian.Uint32(envelope[uint64(len(magic))+8+kindLen:])
-}
-
 // Decode verifies an envelope end to end — magic, kind, version, body
 // length and the checksum over every byte before it — and returns the
 // body. It never returns a partially validated body: any defect yields a

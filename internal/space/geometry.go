@@ -22,7 +22,8 @@ func Medoid(s Space, points []Point) int {
 				continue
 			}
 			d := s.Distance(cand, other)
-			cost += d * d
+			// float64(x*y) rounds the product alone, so no GOARCH fuses it into the sum (scripts/nofma.sh).
+			cost += float64(d * d)
 			if best >= 0 && cost >= bestCost {
 				break // cannot beat the incumbent; skip the rest
 			}
@@ -94,7 +95,7 @@ func Scatter(s Space, points []Point) float64 {
 	for a := 0; a < len(points); a++ {
 		for b := a + 1; b < len(points); b++ {
 			d := s.Distance(points[a], points[b])
-			sum += d * d
+			sum += float64(d * d)
 		}
 	}
 	return sum

@@ -58,8 +58,9 @@ func torus2RowDistances[I ~int | ~int32](w0, w1 float64, dst, table []float64, r
 		}
 		dy = min(dy, w1-dy)
 		sum := 0.0
-		sum += dx * dx
-		sum += dy * dy
+		// float64(x*y) rounds the product alone, so no GOARCH fuses it into the sum (scripts/nofma.sh).
+		sum += float64(dx * dx)
+		sum += float64(dy * dy)
 		dst[i] = math.Sqrt(sum)
 	}
 }

@@ -128,7 +128,8 @@ func (e Euclidean) Distance(a, b Point) float64 {
 	sum := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		// float64(x*y) rounds the product alone, so no GOARCH fuses it into the sum (scripts/nofma.sh).
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }
@@ -178,7 +179,7 @@ func (t Torus) Distance(a, b Point) float64 {
 	sum := 0.0
 	for i := range a {
 		d := wrapDelta(a[i]-b[i], t.widths[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

@@ -49,8 +49,9 @@ func (o SVGOptions) withDefaults() SVGOptions {
 // WriteSVG renders a snapshot of nodes on a torus of the given widths.
 func WriteSVG(w io.Writer, tor space.Torus, snap []scenario.NodeSnapshot, opts SVGOptions) error {
 	opts = opts.withDefaults()
-	width := tor.Width(0)*opts.Scale + 2*opts.Margin
-	height := tor.Width(1)*opts.Scale + 2*opts.Margin
+	// float64(x*y) rounds the product alone, so no GOARCH fuses it into the sum (scripts/nofma.sh).
+	width := float64(tor.Width(0)*opts.Scale) + 2*opts.Margin
+	height := float64(tor.Width(1)*opts.Scale) + 2*opts.Margin
 
 	pos := make(map[sim.NodeID]space.Point, len(snap))
 	for _, ns := range snap {
@@ -58,7 +59,7 @@ func WriteSVG(w io.Writer, tor space.Torus, snap []scenario.NodeSnapshot, opts S
 	}
 	px := func(p space.Point) (float64, float64) {
 		q := tor.Wrap(p)
-		return opts.Margin + q[0]*opts.Scale, opts.Margin + q[1]*opts.Scale
+		return opts.Margin + float64(q[0]*opts.Scale), opts.Margin + float64(q[1]*opts.Scale)
 	}
 
 	var b strings.Builder
@@ -98,7 +99,7 @@ func WriteSVG(w io.Writer, tor space.Torus, snap []scenario.NodeSnapshot, opts S
 			if wraps {
 				sx, sy := shortWay(dx, tor.Width(0)), shortWay(dy, tor.Width(1))
 				fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#bbb" stroke-width="0.7"/>`+"\n",
-					x1, y1, x1+sx*opts.Scale/2, y1+sy*opts.Scale/2)
+					x1, y1, x1+float64(sx*opts.Scale/2), y1+float64(sy*opts.Scale/2))
 				continue
 			}
 			x2, y2 := px(nbPos)

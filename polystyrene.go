@@ -37,9 +37,11 @@
 // slice per call. Point lookups (Lookup) ride the same machinery: a
 // greedy EachNeighbor-driven descent over the overlay, the walk a served
 // epoch takes too, with LookupExact as the full-scan oracle. The descent
-// evaluates O(probes + hops·k) distances, but choosing its seeds copies
-// and sorts the live set on every call: O(live·log live) in all, against
-// LookupExact's O(live) scan.
+// evaluates O(probes + hops·k) distances; choosing its seeds reads every
+// node's liveness once into a reused buffer, without copying or sorting
+// the live set. LookupExact evaluates a distance for every live node.
+// Once that buffer has grown, neither allocates in proportion to the
+// system's size.
 //
 // # Determinism
 //
@@ -178,6 +180,7 @@ type System struct {
 	cfg   SystemConfig
 	space space.Space
 	stack *scenario.Stack
+	live  []sim.NodeID // Lookup's reused buffer of the live IDs, ascending
 }
 
 // NewSystem builds and wires a System; the initial population is one node
@@ -366,10 +369,12 @@ func (s *System) Neighbors(id, k int) []int {
 // whose live neighbours improves on it. On a converged shape that is the
 // global nearest node; if the descent fails to terminate within its hop
 // budget (a transiently broken overlay), Lookup falls back to the exact
-// full-scan answer of LookupExact. The descent's O(probes + hops·k)
-// distances are not the whole cost: the seeds are strided over the live
-// ids in ascending order, so every call first copies and sorts the live
-// set, O(live·log live).
+// full-scan answer of LookupExact. The seeds are strided over the live
+// IDs in ascending order, which one pass over the node IDs collects into
+// a buffer the System reuses: O(nodes) cheap liveness reads plus the
+// descent's O(probes + hops·k) distances, with no copy and no sort. That
+// buffer makes Lookup unsafe for concurrent use; concurrent readers query
+// a ServeSnapshot epoch instead.
 //
 // Lookup never panics on degenerate input: when the live set is empty
 // (every node crashed — CrashRegion over the whole space), the query's
@@ -378,18 +383,26 @@ func (s *System) Neighbors(id, k int) []int {
 // the -1 sentinel, the same "no node" answer LookupExact gives. Callers
 // must treat -1 as "nothing to route to", not as a node ID.
 func (s *System) Lookup(query []float64) int {
-	live := s.stack.Engine.LiveIDs()
-	if len(live) == 0 || !s.validQuery(query) {
+	if !s.validQuery(query) {
+		return -1
+	}
+	s.live = s.live[:0]
+	for id := range sim.NodeID(s.stack.Engine.NumNodes()) {
+		if s.stack.Engine.Alive(id) {
+			s.live = append(s.live, id)
+		}
+	}
+	if len(s.live) == 0 {
 		return -1
 	}
 	q := space.Point(query)
-	i, _ := serve.SeedDescent(len(live), func(i int) float64 {
-		return s.space.Distance(q, s.stack.Position(live[i]))
+	i, _ := serve.SeedDescent(len(s.live), func(i int) float64 {
+		return s.space.Distance(q, s.stack.Position(s.live[i]))
 	})
 	// The descent needs a wider fanout than the metric neighbourhood: the
 	// extra side-steps escape shallow local minima on a recovering
 	// (half-density) shape.
-	dest, _, _, converged := s.stack.Descend(live[i], q, 2*s.cfg.NeighborK)
+	dest, _, _, converged := s.stack.Descend(s.live[i], q, 2*s.cfg.NeighborK)
 	if !converged {
 		return s.LookupExact(query)
 	}
@@ -397,8 +410,9 @@ func (s *System) Lookup(query []float64) int {
 }
 
 // LookupExact returns the live node whose position is globally closest to
-// the query point, by scanning the whole live set — the O(live) oracle
-// Lookup approximates (and falls back to). Like Lookup it returns the -1
+// the query point, the lowest ID winning a tie, by scanning every node ID
+// in ascending order — the O(nodes) oracle Lookup approximates (and
+// falls back to). It allocates nothing. Like Lookup it returns the -1
 // sentinel, never panicking, when the system is empty, the query's
 // dimension does not match the space or a query coordinate is not finite.
 func (s *System) LookupExact(query []float64) int {
@@ -407,7 +421,10 @@ func (s *System) LookupExact(query []float64) int {
 	}
 	best, bestD := -1, 0.0
 	q := space.Point(query)
-	for _, id := range s.stack.Engine.LiveIDs() {
+	for id := range sim.NodeID(s.stack.Engine.NumNodes()) {
+		if !s.stack.Engine.Alive(id) {
+			continue
+		}
 		d := s.space.Distance(q, s.stack.Position(id))
 		if best < 0 || d < bestD {
 			best, bestD = int(id), d

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"polystyrene/internal/experiments"
@@ -353,6 +354,56 @@ func TestNeighborFormsAgree(t *testing.T) {
 			t.Fatalf("node %d: early-stop visit %v, want [%d]", id, first, want[0])
 		}
 	}
+}
+
+// TestLookupAllocations pins what a lookup costs in memory: LookupExact
+// allocates nothing, and Lookup's bytes per call are the same at 40×20
+// and 80×40, because its seeds come from a scan into a buffer the System
+// reuses rather than from a copy of the live set.
+func TestLookupAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are meaningless under -race; builds an 80x40 system")
+	}
+	perQuery := func(w, h int) (exactAllocs float64, lookupBytes uint64) {
+		sys, err := NewSystem(SystemConfig{Seed: 1, Space: Torus(float64(w), float64(h)), Shape: TorusShape(w, h, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		sys.Run(20)
+		var queries [][]float64
+		for x := 0.5; x < 4; x++ {
+			for y := 0.5; y < 4; y++ {
+				queries = append(queries, []float64{x * float64(w) / 4, y * float64(h) / 4})
+			}
+		}
+		exactAllocs = testing.AllocsPerRun(5, func() {
+			for _, q := range queries {
+				sys.LookupExact(q)
+			}
+		}) / float64(len(queries))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		sys.Lookup(queries[0]) // grows the reused buffer
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			for _, q := range queries {
+				sys.Lookup(q)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return exactAllocs, (after.TotalAlloc - before.TotalAlloc) / uint64(runs*len(queries))
+	}
+	smallAllocs, small := perQuery(40, 20)
+	largeAllocs, large := perQuery(80, 40)
+	if smallAllocs != 0 || largeAllocs != 0 {
+		t.Fatalf("LookupExact made %v and %v allocs per query at 40x20 and 80x40, want 0", smallAllocs, largeAllocs)
+	}
+	if small != large {
+		t.Fatalf("Lookup allocated %d bytes per query at 40x20 and %d at 80x40, want the same", small, large)
+	}
+	t.Logf("Lookup allocates %d bytes per query", small)
 }
 
 // TestLookupMatchesFullScanOracle pins the greedy-descent Lookup to the
